@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"wlansim/internal/kernels"
-	"wlansim/internal/phy"
 )
 
 // Golden end-to-end BER regression points. Each row runs the full fixed-seed
@@ -77,11 +76,6 @@ func TestGoldenBERWaterfallPoints(t *testing.T) {
 	}
 }
 
-// TestGoldenBERExactReplay pins bit-exact reproducibility (not just
-// tolerance-level agreement): two runs of the same golden scenario must
-// agree error-for-error, and the result must not depend on the worker count
-// of an enclosing sweep — here emulated by replaying one scenario between
-// other runs.
 // TestGoldenBERDispatchInvariant pins the assembly tier's acceptance
 // criterion end to end: the golden fixed-seed scenarios at 6/24/54 Mbit/s
 // must produce byte-identical error counts, packet accounting and EVM with
@@ -134,59 +128,11 @@ func TestGoldenBERDispatchInvariant(t *testing.T) {
 	}
 }
 
-// TestGoldenBERSymbolMajorInvariant pins the symbol-major OFDM restructure's
-// acceptance criterion end to end: the golden fixed-seed scenarios must
-// produce byte-identical error counts, packet accounting and EVM with the
-// symbol-major mod/demod path on and off, on both front ends and under both
-// kernel dispatch tiers. The batched four-lane transforms and the whole-field
-// TX/RX restructure must therefore be bit-transparent.
-func TestGoldenBERSymbolMajorInvariant(t *testing.T) {
-	prevSM := phy.SetSymbolMajor(true)
-	defer phy.SetSymbolMajor(prevSM)
-	prevSIMD := kernels.DispatchName() != "purego"
-	defer kernels.SetDispatch(prevSIMD)
-
-	run := func(rate int, snr float64, fe FrontEndKind) *Result {
-		t.Helper()
-		cfg := goldenConfig(rate, snr)
-		cfg.FrontEnd = fe
-		bench, err := NewBench(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := bench.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	rows := []struct {
-		rate int
-		snr  float64
-	}{{6, 3}, {24, 9}, {54, 17}}
-	for _, simd := range []bool{true, false} {
-		kernels.SetDispatch(simd)
-		for _, fe := range []FrontEndKind{FrontEndIdeal, FrontEndBehavioral} {
-			for _, row := range rows {
-				phy.SetSymbolMajor(true)
-				on := run(row.rate, row.snr, fe)
-				phy.SetSymbolMajor(false)
-				off := run(row.rate, row.snr, fe)
-				if on.Counter != off.Counter {
-					t.Errorf("tier %s front end %d, %d Mbps at %g dB: counter %+v symbol-major != %+v per-symbol",
-						kernels.DispatchName(), fe, row.rate, row.snr, on.Counter, off.Counter)
-				}
-				if math.Float64bits(on.EVM.RMS) != math.Float64bits(off.EVM.RMS) ||
-					on.EVM.Symbols != off.EVM.Symbols {
-					t.Errorf("tier %s front end %d, %d Mbps at %g dB: EVM %+v symbol-major != %+v per-symbol",
-						kernels.DispatchName(), fe, row.rate, row.snr, on.EVM, off.EVM)
-				}
-			}
-		}
-	}
-}
-
+// TestGoldenBERExactReplay pins bit-exact reproducibility (not just
+// tolerance-level agreement): two runs of the same golden scenario must
+// agree error-for-error, and the result must not depend on the worker count
+// of an enclosing sweep — here emulated by replaying one scenario between
+// other runs.
 func TestGoldenBERExactReplay(t *testing.T) {
 	run := func() int {
 		cfg := goldenConfig(54, 17)

@@ -48,10 +48,18 @@ func (d Domain) join(o Domain) Domain {
 	return DomainConflict
 }
 
+// Identifier-suffix conventions for the two unit domains. A name carries a
+// domain through its suffix; values converted by a units.* call carry the
+// domain of the conversion's result.
+var (
+	dbSuffixes  = []string{"DB", "dB", "DBm", "dBm"}
+	linSuffixes = []string{"Lin", "lin", "Linear", "Watts", "W"}
+)
+
 // flowDomainOf classifies an identifier (variable, field, constant or
-// function name) by its unit suffix. It extends the unitsdiscipline suffix
-// conventions with Hz: a frequency or bandwidth is a linear quantity, so
-// summing it with a dB value is as wrong as summing watts with dB.
+// function name) by its unit suffix. Hz counts as linear too: a frequency
+// or bandwidth is a linear quantity, so summing it with a dB value is as
+// wrong as summing watts with dB.
 //
 // Per-unit rates are handled before plain suffixes: a density like DBmPerHz
 // carries its numerator's domain (a PSD in dBm/Hz sums with dB offsets the

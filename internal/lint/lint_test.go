@@ -136,25 +136,6 @@ func conv(lin float64) (float64, float64) {
 			},
 		},
 		{
-			name: "domain mixing",
-			path: "example.com/m/internal/rf",
-			src: `package rf
-
-type spec struct{ PowerDBm float64 }
-
-func mix(gainDB, powerWatts, noiseLin float64, s spec) float64 {
-	bad := gainDB * powerWatts
-	bad2 := s.PowerDBm + noiseLin
-	ok := gainDB - 3.0
-	return bad + bad2 + ok
-}
-`,
-			want: []finding{
-				{6, `mixes dB-domain "gainDB" with linear-domain "powerWatts"`},
-				{7, `mixes dB-domain "PowerDBm" with linear-domain "noiseLin"`},
-			},
-		},
-		{
 			name: "same domain and unrelated math are clean",
 			path: "example.com/m/internal/rf",
 			src: `package rf

@@ -9,14 +9,12 @@ import (
 )
 
 // UnitsDiscipline enforces the dB/linear conversion conventions of
-// internal/units: power conversions must go through the units helpers, and
-// arithmetic must not mix dB-domain and linear-domain quantities without an
-// explicit conversion.
+// internal/units: power conversions must go through the units helpers.
+// Arithmetic that mixes the two domains is unitsflow's report.
 var UnitsDiscipline = &Analyzer{
 	Name: "unitsdiscipline",
 	Doc: "flag inline math.Pow(10, x/10), math.Pow(10, x/20) and 10|20*math.Log10(x) " +
-		"conversions outside internal/units, and arithmetic mixing dB-suffixed with " +
-		"linear-suffixed identifiers without a units.* conversion",
+		"conversions outside internal/units",
 	Run: runUnitsDiscipline,
 }
 
@@ -31,7 +29,6 @@ func runUnitsDiscipline(pass *Pass) {
 			checkInlinePow(pass, e)
 		case *ast.BinaryExpr:
 			checkInlineLog(pass, e)
-			checkDomainMix(pass, e)
 		}
 		return true
 	})
@@ -132,75 +129,4 @@ func checkInlineLog(pass *Pass, bin *ast.BinaryExpr) {
 		}
 		return
 	}
-}
-
-// Identifier-suffix conventions for the two unit domains. A name carries a
-// domain only through its suffix; converted values appear as units.* calls,
-// which carry no domain and therefore never trip the mixing check.
-var (
-	dbSuffixes  = []string{"DB", "dB", "DBm", "dBm"}
-	linSuffixes = []string{"Lin", "lin", "Linear", "Watts", "W"}
-)
-
-const (
-	domainNone = iota
-	domainDB
-	domainLinear
-)
-
-// nameDomain classifies an identifier name by its unit suffix.
-func nameDomain(name string) int {
-	for _, s := range dbSuffixes {
-		if strings.HasSuffix(name, s) {
-			return domainDB
-		}
-	}
-	for _, s := range linSuffixes {
-		if strings.HasSuffix(name, s) {
-			return domainLinear
-		}
-	}
-	return domainNone
-}
-
-// exprDomain classifies an operand: only bare identifiers and field
-// selections (possibly negated or parenthesized) carry a domain.
-func exprDomain(pass *Pass, e ast.Expr) (int, string) {
-	switch x := unparen(e).(type) {
-	case *ast.UnaryExpr:
-		if x.Op == token.SUB || x.Op == token.ADD {
-			return exprDomain(pass, x.X)
-		}
-	case *ast.Ident:
-		if _, isVar := pass.Pkg.Info.Uses[x].(*types.Var); isVar {
-			return nameDomain(x.Name), x.Name
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := pass.Pkg.Info.Selections[x]; ok && sel.Kind() == types.FieldVal {
-			return nameDomain(x.Sel.Name), x.Sel.Name
-		}
-	}
-	return domainNone, ""
-}
-
-// checkDomainMix flags arithmetic whose operands carry opposite unit
-// domains, e.g. gainDB * powerWatts.
-func checkDomainMix(pass *Pass, bin *ast.BinaryExpr) {
-	switch bin.Op {
-	case token.ADD, token.SUB, token.MUL, token.QUO:
-	default:
-		return
-	}
-	dx, nx := exprDomain(pass, bin.X)
-	dy, ny := exprDomain(pass, bin.Y)
-	if dx == domainNone || dy == domainNone || dx == dy {
-		return
-	}
-	dbName, linName := nx, ny
-	if dx == domainLinear {
-		dbName, linName = ny, nx
-	}
-	pass.Reportf(bin.Pos(),
-		"convert one side with units.DBToLinear/units.LinearToDB (or the dBm/watts forms) first",
-		"arithmetic mixes dB-domain %q with linear-domain %q", dbName, linName)
 }

@@ -6,22 +6,23 @@ import (
 	"go/types"
 )
 
-// UnitsFlow is the dataflow upgrade of unitsdiscipline: where that analyzer
-// pattern-matches single expressions whose operands carry a unit suffix,
-// this one *propagates* dB/linear domains through assignments, composite
-// literals, calls and returns — intra-procedurally via a per-function
-// fixpoint over assignment edges, and inter-procedurally via per-package
-// function facts published in the Run's FactStore (packages are analyzed in
-// dependency order, so callee facts from other module packages are visible).
+// UnitsFlow checks that arithmetic never mixes dB-domain and linear-domain
+// quantities without a conversion. It *propagates* dB/linear domains
+// through assignments, composite literals, calls and returns —
+// intra-procedurally via a per-function fixpoint over assignment edges, and
+// inter-procedurally via per-package function facts published in the Run's
+// FactStore (packages are analyzed in dependency order, so callee facts from
+// other module packages are visible).
 //
 // Domains are seeded from three sources: the ground-truth signature table of
 // internal/units (the conversions define the unit system), identifier and
 // field suffixes (`*DB`, `*dBm`, `*Watts`, `*Hz`, ...), and function names.
-// The checks then flag mixed-domain operations the suffix-level analyzer
-// cannot see:
+// The checks then flag:
 //
-//   - a dB value laundered through an unsuffixed local (x := gainDB;
-//     y := x + noiseWatts) or through a function boundary (x :=
+//   - sums, differences, products and quotients of a dB-domain and a
+//     linear-domain value, whether both names carry a suffix (gainDB *
+//     powerWatts) or a domain arrived through an unsuffixed local (x :=
+//     gainDB; y := x + noiseWatts) or a function boundary (x :=
 //     pkg.NoiseFloorWatts(); x + marginDB);
 //   - products of two dB-domain values (dB quantities compose by addition;
 //     a dB×dB product is almost always a missing conversion);
@@ -29,15 +30,10 @@ import (
 //     versa (units.WattsToDBm(snrDB));
 //   - composite-literal fields and declared results populated with the
 //     opposite domain.
-//
-// Direct suffix-vs-suffix mixing (gainDB + noiseWatts with both names
-// suffixed) stays unitsdiscipline's report; unitsflow only fires when at
-// least one side's domain arrived by propagation, so one bug yields one
-// finding.
 var UnitsFlow = &Analyzer{
 	Name: "unitsflow",
 	Doc: "propagate dB/linear unit domains through assignments, calls and " +
-		"package boundaries, and flag mixed-domain sums, dB×dB products, " +
+		"package boundaries, and flag mixed-domain arithmetic, dB×dB products, " +
 		"mismatched call arguments, fields and returns",
 	Run: runUnitsFlow,
 }
@@ -119,8 +115,7 @@ func returnedDomain(pass *Pass, fd *ast.FuncDecl) Domain {
 		}
 		ret, ok := n.(*ast.ReturnStmt)
 		if ok && len(ret.Results) > 0 {
-			d, _ := env.domainOf(ret.Results[0])
-			dom = dom.join(d)
+			dom = dom.join(env.domainOf(ret.Results[0]))
 		}
 		return true
 	})
@@ -160,7 +155,7 @@ func buildFlowEnv(pass *Pass, fd *ast.FuncDecl) *flowEnv {
 				// for _, g := range gainsDB: the element inherits the
 				// container's domain.
 				if v, ok := s.Value.(*ast.Ident); ok {
-					if d, _ := env.domainOf(s.X); d.known() {
+					if d := env.domainOf(s.X); d.known() {
 						env.set(v, d)
 					}
 				}
@@ -177,7 +172,7 @@ func (env *flowEnv) absorb(lhs ast.Expr, rhs ast.Expr) {
 	if !ok {
 		return
 	}
-	if d, _ := env.domainOf(rhs); d.known() {
+	if d := env.domainOf(rhs); d.known() {
 		env.set(id, d)
 	}
 }
@@ -199,11 +194,8 @@ func (env *flowEnv) set(id *ast.Ident, d Domain) {
 	env.vars[obj] = env.vars[obj].join(d)
 }
 
-// domainOf evaluates the unit domain of an expression. The second result
-// reports whether the domain came *directly* from the expression's own
-// identifier suffix — the case unitsdiscipline already covers — rather than
-// from propagation.
-func (env *flowEnv) domainOf(e ast.Expr) (Domain, bool) {
+// domainOf evaluates the unit domain of an expression.
+func (env *flowEnv) domainOf(e ast.Expr) Domain {
 	info := env.pass.Pkg.Info
 	switch x := e.(type) {
 	case *ast.ParenExpr:
@@ -222,42 +214,38 @@ func (env *flowEnv) domainOf(e ast.Expr) (Domain, bool) {
 		switch obj.(type) {
 		case *types.Var, *types.Const:
 			if d := flowDomainOf(x.Name); d.known() {
-				return d, true
+				return d
 			}
-			return env.vars[obj], false
+			return env.vars[obj]
 		}
 	case *ast.SelectorExpr:
 		switch info.Uses[x.Sel].(type) {
 		case *types.Var, *types.Const:
-			return flowDomainOf(x.Sel.Name), true
+			return flowDomainOf(x.Sel.Name)
 		}
 	case *ast.IndexExpr:
-		// gainsDB[i] carries the container's suffix domain, but reaches it
-		// through an index the suffix-level analyzer does not see.
-		d, _ := env.domainOf(x.X)
-		return d, false
+		return env.domainOf(x.X) // gainsDB[i] carries the container's domain
 	case *ast.CallExpr:
 		if tv, ok := info.Types[x.Fun]; ok && tv.IsType() && len(x.Args) == 1 {
-			d, _ := env.domainOf(x.Args[0]) // conversion preserves domain
-			return d, false
+			return env.domainOf(x.Args[0]) // conversion preserves domain
 		}
 		if fn := calleeFunc(env.pass, x); fn != nil {
 			if fact, ok := env.pass.Facts.Func(fn); ok {
-				return fact.Result, false
+				return fact.Result
 			}
 		}
 	case *ast.BinaryExpr:
-		return env.binaryDomain(x), false
+		return env.binaryDomain(x)
 	}
-	return DomainNone, false
+	return DomainNone
 }
 
 // binaryDomain propagates a domain through arithmetic. Mixed-domain sums
 // and dB×dB products evaluate to DomainNone here; reporting them is the
 // checker's job, and collapsing to unknown keeps one error from cascading.
 func (env *flowEnv) binaryDomain(x *ast.BinaryExpr) Domain {
-	dx, _ := env.domainOf(x.X)
-	dy, _ := env.domainOf(x.Y)
+	dx := env.domainOf(x.X)
+	dy := env.domainOf(x.Y)
 	switch x.Op {
 	case token.ADD, token.SUB:
 		if dx.known() && dy.known() {
@@ -350,34 +338,28 @@ func exprLabel(e ast.Expr) string {
 	return "expression"
 }
 
-// checkFlowBinary flags propagated mixed-domain sums and dB×dB products.
+// checkFlowBinary flags sums, differences, products and quotients of a
+// dB-domain and a linear-domain value, and dB×dB products.
 func checkFlowBinary(pass *Pass, env *flowEnv, e *ast.BinaryExpr) {
 	switch e.Op {
-	case token.ADD, token.SUB:
-		dx, directX := env.domainOf(e.X)
-		dy, directY := env.domainOf(e.Y)
-		if !dx.known() || !dy.known() || dx == dy {
-			return
-		}
-		if directX && directY {
-			return // both sides are suffixed identifiers: unitsdiscipline's report
-		}
+	case token.ADD, token.SUB, token.MUL, token.QUO:
+	default:
+		return
+	}
+	dx, dy := env.domainOf(e.X), env.domainOf(e.Y)
+	switch {
+	case dx.known() && dy.known() && dx != dy:
 		dbSide, linSide := exprLabel(e.X), exprLabel(e.Y)
 		if dx == DomainLinear {
 			dbSide, linSide = linSide, dbSide
 		}
 		pass.Reportf(e.Pos(),
 			"convert one side with units.DBToLinear/units.LinearToDB (or the dBm/watts forms) first",
-			"arithmetic mixes dB-domain %s with linear-domain %s (tracked through dataflow)",
-			dbSide, linSide)
-	case token.MUL:
-		dx, _ := env.domainOf(e.X)
-		dy, _ := env.domainOf(e.Y)
-		if dx == DomainDB && dy == DomainDB {
-			pass.Reportf(e.Pos(),
-				"dB quantities compose by addition; convert to linear with units.DBToLinear before multiplying",
-				"product of two dB-domain values (%s × %s)", exprLabel(e.X), exprLabel(e.Y))
-		}
+			"arithmetic mixes dB-domain %s with linear-domain %s", dbSide, linSide)
+	case e.Op == token.MUL && dx == DomainDB && dy == DomainDB:
+		pass.Reportf(e.Pos(),
+			"dB quantities compose by addition; convert to linear with units.DBToLinear before multiplying",
+			"product of two dB-domain values (%s × %s)", exprLabel(e.X), exprLabel(e.Y))
 	}
 }
 
@@ -389,8 +371,8 @@ func checkFlowCompound(pass *Pass, env *flowEnv, e *ast.AssignStmt) {
 	if len(e.Lhs) != 1 || len(e.Rhs) != 1 {
 		return
 	}
-	dl, _ := env.domainOf(e.Lhs[0])
-	dr, _ := env.domainOf(e.Rhs[0])
+	dl := env.domainOf(e.Lhs[0])
+	dr := env.domainOf(e.Rhs[0])
 	if dl.known() && dr.known() && dl != dr {
 		pass.Reportf(e.Pos(),
 			"convert one side with units.DBToLinear/units.LinearToDB (or the dBm/watts forms) first",
@@ -424,7 +406,7 @@ func checkFlowCall(pass *Pass, env *flowEnv, call *ast.CallExpr) {
 			break
 		}
 		pd := fact.Params[pi]
-		ad, _ := env.domainOf(arg)
+		ad := env.domainOf(arg)
 		if pd.known() && ad.known() && pd != ad {
 			pass.Reportf(arg.Pos(),
 				"convert the argument with units.DBToLinear/units.LinearToDB (or the dBm/watts forms) first",
@@ -454,7 +436,7 @@ func checkFlowComposite(pass *Pass, env *flowEnv, e *ast.CompositeLit) {
 			continue
 		}
 		fieldD := flowDomainOf(key.Name)
-		valD, _ := env.domainOf(kv.Value)
+		valD := env.domainOf(kv.Value)
 		if fieldD.known() && valD.known() && fieldD != valD {
 			pass.Reportf(kv.Pos(),
 				"convert the value with units.DBToLinear/units.LinearToDB (or the dBm/watts forms) first",
@@ -488,7 +470,7 @@ func checkFlowReturns(pass *Pass, env *flowEnv, fd *ast.FuncDecl) {
 		if !ok || len(ret.Results) == 0 {
 			return true
 		}
-		if d, _ := env.domainOf(ret.Results[0]); d.known() && d != declared {
+		if d := env.domainOf(ret.Results[0]); d.known() && d != declared {
 			pass.Reportf(ret.Pos(),
 				"convert the return value with units.DBToLinear/units.LinearToDB (or the dBm/watts forms) first",
 				"%s-domain value %s returned from %s-suffixed function %q",

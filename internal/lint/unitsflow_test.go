@@ -22,14 +22,46 @@ func mix(gainDB, noiseWatts float64) float64 {
 			},
 		},
 		{
-			name: "direct suffix mixing is unitsdiscipline's report",
+			name: "direct suffix mixing",
 			src: `package rf
 
 func mix(gainDB, noiseWatts float64) float64 {
 	return gainDB + noiseWatts
 }
 `,
-			want: nil,
+			want: []finding{
+				{4, `mixes dB-domain "gainDB" with linear-domain "noiseWatts"`},
+			},
+		},
+		{
+			name: "domain mixing",
+			src: `package rf
+
+type spec struct{ PowerDBm float64 }
+
+func mix(gainDB, powerWatts, noiseLin float64, s spec) float64 {
+	bad := gainDB * powerWatts
+	bad2 := s.PowerDBm + noiseLin
+	ok := gainDB - 3.0
+	return bad + bad2 + ok
+}
+`,
+			want: []finding{
+				{6, `mixes dB-domain "gainDB" with linear-domain "powerWatts"`},
+				{7, `mixes dB-domain "PowerDBm" with linear-domain "noiseLin"`},
+			},
+		},
+		{
+			name: "dB over linear quotient",
+			src: `package rf
+
+func ratio(lossDB, bandwidthHz float64) float64 {
+	return lossDB / bandwidthHz
+}
+`,
+			want: []finding{
+				{4, `mixes dB-domain "lossDB" with linear-domain "bandwidthHz"`},
+			},
 		},
 		{
 			name: "assignment chain resolves over fixpoint rounds",
@@ -181,7 +213,7 @@ func mix(gainDB, noiseWatts float64) float64 {
 // TestUnitsFlowCrossPackage proves facts published while analyzing an
 // imported package reach the importer's pass: the linear domain of
 // a.NoiseFloorWatts crosses the package boundary and collides with a dB term
-// in b — a case the single-expression unitsdiscipline analyzer cannot see.
+// in b — a case no single-expression check can see.
 func TestUnitsFlowCrossPackage(t *testing.T) {
 	_, pkgs := loadTempModule(t, "fixture.example/flow", map[string]string{
 		"a/a.go": `package a

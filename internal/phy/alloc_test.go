@@ -63,7 +63,8 @@ func TestOFDMDemodAllocFree(t *testing.T) {
 
 // TestSymbolMajorModDemodAllocFree gates the symbol-major hot path: with warm
 // destination buffers and view scratch, batch-modulating and batch-
-// demodulating a whole DATA field allocates nothing.
+// demodulating a whole DATA field allocates nothing, and neither does the
+// one-symbol train behind ModulateSymbolAppend.
 func TestSymbolMajorModDemodAllocFree(t *testing.T) {
 	skipAllocGateUnderRace(t)
 	rng := rand.New(rand.NewSource(5))
@@ -97,6 +98,9 @@ func TestSymbolMajorModDemodAllocFree(t *testing.T) {
 		}
 		if derr := DemodulateSymbols(dst, syms); derr != nil {
 			panic("batch demod failed in alloc gate")
+		}
+		if samples, merr = ModulateSymbolAppend(samples[:0], specs[0]); merr != nil {
+			panic("single modulate failed in alloc gate")
 		}
 	}); got != 0 {
 		t.Fatalf("symbol-major mod/demod path allocates %v objects per steady-state run, want 0", got)

@@ -73,15 +73,27 @@ func AssembleSpectrumInto(dst, data []complex128, symbolIndex int) ([]complex128
 	return spec, nil
 }
 
+// OFDM modulation and demodulation run symbol-major: the transmitter
+// assembles every DATA-symbol spectrum first and the receiver slices every
+// DATA symbol first, then the whole train goes through the plan's four-lane
+// batched transforms (dsp.FFTPlan.InverseMany/ForwardMany). Each lane carries
+// one unchanged single-symbol butterfly chain, so a train is byte-identical
+// to transforming its symbols one at a time. The single-symbol functions are
+// one-symbol trains.
+
+// SymbolMajorEnabled reports whether OFDM modulation runs symbol-major. It
+// always does; the function remains so that run metadata recording the
+// setting stays comparable across versions.
+func SymbolMajorEnabled() bool { return true }
+
+const sqrt52 = 7.211102550927978 // sqrt(52)
+
 // ModulateSymbol converts a 64-bin frequency-domain vector into one
 // time-domain OFDM symbol of 80 samples (16-sample cyclic prefix + 64-sample
 // useful part). The IFFT is scaled by FFTSize/sqrt(52) so that the mean
 // time-domain power equals the mean per-carrier symbol energy (unit for the
 // normalized constellations).
 func ModulateSymbol(spec []complex128) ([]complex128, error) {
-	if len(spec) != FFTSize {
-		return nil, fmt.Errorf("phy: spectrum length %d, want %d", len(spec), FFTSize)
-	}
 	return ModulateSymbolAppend(make([]complex128, 0, SymbolLen), spec)
 }
 
@@ -89,33 +101,55 @@ func ModulateSymbol(spec []complex128) ([]complex128, error) {
 // returns it. The transform runs in place inside dst's grown tail, so a
 // caller reusing the buffer across symbols allocates nothing.
 func ModulateSymbolAppend(dst, spec []complex128) ([]complex128, error) {
-	if len(spec) != FFTSize {
-		return nil, fmt.Errorf("phy: spectrum length %d, want %d", len(spec), FFTSize)
+	var view [1][]complex128
+	out, _, err := ModulateSymbolsAppend(dst, [][]complex128{spec}, view[:])
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ModulateSymbolsAppend appends one 80-sample OFDM symbol per spectrum to
+// dst, batching the inverse transforms four symbols at a time. views is
+// caller-retained scratch for the time-domain frame views (grown on demand,
+// returned for reuse).
+func ModulateSymbolsAppend(dst []complex128, specs [][]complex128, views [][]complex128) ([]complex128, [][]complex128, error) {
+	for _, spec := range specs {
+		if len(spec) != FFTSize {
+			return dst, views, fmt.Errorf("phy: spectrum length %d, want %d", len(spec), FFTSize)
+		}
 	}
 	base := len(dst)
-	need := base + SymbolLen
+	need := base + len(specs)*SymbolLen
 	if cap(dst) < need {
 		grown := make([]complex128, base, need+need/2)
 		copy(grown, dst)
 		dst = grown
 	}
 	dst = dst[:need]
-	sym := dst[base:]
-	td := sym[CPLen:]
-	copy(td, spec)
-	ofdmPlan.Inverse(td)
+	if cap(views) < len(specs) {
+		views = make([][]complex128, len(specs))
+	}
+	views = views[:len(specs)]
+	for n, spec := range specs {
+		td := dst[base+n*SymbolLen+CPLen : base+(n+1)*SymbolLen]
+		copy(td, spec)
+		views[n] = td
+	}
+	ofdmPlan.InverseMany(views)
 	// Undo the 1/N of the inverse transform and normalize by the number of
 	// occupied carriers: x = IFFT(X) * N / sqrt(52), so unit-energy carriers
 	// yield unit mean time-domain power.
 	scale := complex(float64(FFTSize)/sqrt52, 0)
-	for i := range td {
-		td[i] *= scale
+	for n, td := range views {
+		for i := range td {
+			td[i] *= scale
+		}
+		sym := dst[base+n*SymbolLen : base+(n+1)*SymbolLen]
+		copy(sym[:CPLen], td[FFTSize-CPLen:])
 	}
-	copy(sym[:CPLen], td[FFTSize-CPLen:])
-	return dst, nil
+	return dst, views, nil
 }
-
-const sqrt52 = 7.211102550927978 // sqrt(52)
 
 // DemodulateSymbol converts one 80-sample OFDM symbol back into the 64-bin
 // frequency-domain vector (inverse of ModulateSymbol, assuming perfect
@@ -128,20 +162,41 @@ func DemodulateSymbol(sym []complex128) ([]complex128, error) {
 // dst (grown if its capacity is short, reused otherwise — pass the previous
 // return value to stop allocating).
 func DemodulateSymbolInto(dst, sym []complex128) ([]complex128, error) {
-	if len(sym) != SymbolLen {
-		return nil, fmt.Errorf("phy: symbol length %d, want %d", len(sym), SymbolLen)
-	}
 	if cap(dst) < FFTSize {
 		dst = make([]complex128, FFTSize)
 	}
-	td := dst[:FFTSize]
-	copy(td, sym[CPLen:])
-	ofdmPlan.Forward(td)
-	scale := complex(sqrt52/float64(FFTSize), 0)
-	for i := range td {
-		td[i] *= scale
+	spec := dst[:FFTSize]
+	if err := DemodulateSymbols([][]complex128{spec}, [][]complex128{sym}); err != nil {
+		return nil, err
 	}
-	return td, nil
+	return spec, nil
+}
+
+// DemodulateSymbols converts each 80-sample OFDM symbol in syms into its
+// 64-bin spectrum in dst[i], batching the forward transforms four symbols at
+// a time. Every dst[i] must already have FFTSize elements (the caller owns
+// the backing store).
+func DemodulateSymbols(dst, syms [][]complex128) error {
+	if len(dst) < len(syms) {
+		return fmt.Errorf("phy: %d spectrum buffers for %d symbols", len(dst), len(syms))
+	}
+	for i, sym := range syms {
+		if len(sym) != SymbolLen {
+			return fmt.Errorf("phy: symbol length %d, want %d", len(sym), SymbolLen)
+		}
+		if len(dst[i]) != FFTSize {
+			return fmt.Errorf("phy: spectrum buffer length %d, want %d", len(dst[i]), FFTSize)
+		}
+		copy(dst[i], sym[CPLen:])
+	}
+	ofdmPlan.ForwardMany(dst[:len(syms)])
+	scale := complex(sqrt52/float64(FFTSize), 0)
+	for _, d := range dst[:len(syms)] {
+		for j := range d {
+			d[j] *= scale
+		}
+	}
+	return nil
 }
 
 // ExtractData returns the 48 data-carrier values of a frequency-domain

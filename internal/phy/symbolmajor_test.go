@@ -5,19 +5,15 @@ import (
 	"math/rand"
 	"testing"
 
+	"wlansim/internal/dsp"
 	"wlansim/internal/kernels"
 )
 
-// symMajorRestore reverts the symbol-major toggle and kernel dispatch when
-// the test ends.
-func symMajorRestore(t *testing.T) {
+// dispatchRestore reverts the kernel dispatch tier when the test ends.
+func dispatchRestore(t *testing.T) {
 	t.Helper()
-	prevSM := SymbolMajorEnabled()
 	prevSIMD := kernels.DispatchName() != "purego"
-	t.Cleanup(func() {
-		SetSymbolMajor(prevSM)
-		kernels.SetDispatch(prevSIMD)
-	})
+	t.Cleanup(func() { kernels.SetDispatch(prevSIMD) })
 }
 
 func complexSlicesBitEqual(t *testing.T, ctx string, got, want []complex128) {
@@ -33,67 +29,70 @@ func complexSlicesBitEqual(t *testing.T, ctx string, got, want []complex128) {
 	}
 }
 
-// TestSymbolMajorTransmitBitExact pins the symbol-major transmitter against
-// the per-symbol path: the complete PPDU waveform must be byte-identical for
-// every rate, under both kernel dispatch tiers.
-func TestSymbolMajorTransmitBitExact(t *testing.T) {
-	symMajorRestore(t)
-	rng := rand.New(rand.NewSource(71))
-	psdu := make([]byte, 300)
-	rng.Read(psdu)
-	for _, simd := range []bool{true, false} {
-		kernels.SetDispatch(simd)
-		for _, rate := range []int{6, 9, 12, 18, 24, 36, 48, 54} {
-			tx, err := NewTransmitter(rate)
-			if err != nil {
-				t.Fatal(err)
-			}
-			SetSymbolMajor(true)
-			on, err := tx.Transmit(psdu)
-			if err != nil {
-				t.Fatal(err)
-			}
-			SetSymbolMajor(false)
-			off, err := tx.Transmit(psdu)
-			if err != nil {
-				t.Fatal(err)
-			}
-			complexSlicesBitEqual(t, "waveform", on.Samples, off.Samples)
-		}
+// refModulate is the per-symbol reference modulator: one single-frame
+// inverse transform, the FFTSize/sqrt(52) scale and the cyclic prefix.
+func refModulate(plan *dsp.FFTPlan, spec []complex128) []complex128 {
+	sym := make([]complex128, SymbolLen)
+	td := sym[CPLen:]
+	copy(td, spec)
+	plan.Inverse(td)
+	scale := complex(float64(FFTSize)/sqrt52, 0)
+	for i := range td {
+		td[i] *= scale
 	}
+	copy(sym[:CPLen], td[FFTSize-CPLen:])
+	return sym
 }
 
-// TestSymbolMajorModDemodBitExact pins the batched mod/demod primitives
-// against their per-symbol forms on random spectra and symbols, including
-// batch sizes around the four-lane grouping boundary, under both tiers.
+// refDemodulate is the per-symbol reference demodulator: cyclic prefix
+// dropped, one single-frame forward transform, the sqrt(52)/FFTSize scale.
+func refDemodulate(plan *dsp.FFTPlan, sym []complex128) []complex128 {
+	spec := append([]complex128(nil), sym[CPLen:]...)
+	plan.Forward(spec)
+	scale := complex(sqrt52/float64(FFTSize), 0)
+	for i := range spec {
+		spec[i] *= scale
+	}
+	return spec
+}
+
+// TestSymbolMajorModDemodBitExact pins the batched mod/demod trains, and
+// the single-symbol functions built on them, against a per-symbol reference
+// on single-frame transforms. The train lengths straddle the four-lane
+// grouping boundary, and both kernel dispatch tiers run.
 func TestSymbolMajorModDemodBitExact(t *testing.T) {
-	symMajorRestore(t)
+	dispatchRestore(t)
+	plan, err := dsp.NewFFTPlan(FFTSize)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(72))
 	for _, simd := range []bool{true, false} {
 		kernels.SetDispatch(simd)
 		for _, nSym := range []int{1, 3, 4, 5, 8, 9} {
 			specs := make([][]complex128, nSym)
+			var want []complex128
 			for n := range specs {
 				specs[n] = make([]complex128, FFTSize)
 				for i := range specs[n] {
 					specs[n][i] = complex(rng.NormFloat64(), rng.NormFloat64())
 				}
+				want = append(want, refModulate(plan, specs[n])...)
 			}
 
 			batch, _, err := ModulateSymbolsAppend(nil, specs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var seq []complex128
+			complexSlicesBitEqual(t, "modulate train", batch, want)
+			var single []complex128
 			for _, spec := range specs {
-				seq, err = ModulateSymbolAppend(seq, spec)
-				if err != nil {
+				if single, err = ModulateSymbolAppend(single, spec); err != nil {
 					t.Fatal(err)
 				}
 			}
-			complexSlicesBitEqual(t, "modulate", batch, seq)
+			complexSlicesBitEqual(t, "modulate single", single, want)
 
-			// Demodulate the batch waveform both ways.
 			syms := make([][]complex128, nSym)
 			dst := make([][]complex128, nSym)
 			for n := range syms {
@@ -104,11 +103,13 @@ func TestSymbolMajorModDemodBitExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			for n := range syms {
-				want, err := DemodulateSymbol(syms[n])
+				ref := refDemodulate(plan, syms[n])
+				complexSlicesBitEqual(t, "demodulate train", dst[n], ref)
+				got, err := DemodulateSymbol(syms[n])
 				if err != nil {
 					t.Fatal(err)
 				}
-				complexSlicesBitEqual(t, "demodulate", dst[n], want)
+				complexSlicesBitEqual(t, "demodulate single", got, ref)
 			}
 		}
 	}

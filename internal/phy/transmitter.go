@@ -77,10 +77,9 @@ type Transmitter struct {
 	punct  []byte
 	inter  []byte
 	syms   []complex128
-	spec   []complex128
 
-	// Symbol-major scratch: the whole DATA field's spectra assembled before
-	// one batched modulation pass (see SetSymbolMajor).
+	// The whole DATA field's spectra, assembled before one batched
+	// modulation pass.
 	specBack []complex128
 	specs    [][]complex128
 	tdViews  [][]complex128
@@ -192,64 +191,37 @@ func (t *Transmitter) TransmitInto(f *Frame, psdu []byte) error {
 	samples = append(samples, cachedPreamble()...)
 	samples = append(samples, t.sig...)
 
-	if SymbolMajorEnabled() {
-		// Symbol-major: assemble every DATA-symbol spectrum first, then run
-		// the whole field through the batched four-lane inverse transform.
-		// Byte-identical to the per-symbol branch below.
-		if cap(t.specBack) < nSym*FFTSize {
-			t.specBack = make([]complex128, nSym*FFTSize)
-		}
-		if cap(t.specs) < nSym {
-			t.specs = make([][]complex128, nSym)
-		}
-		specBack := t.specBack[:nSym*FFTSize]
-		specs := t.specs[:nSym]
-		for n := 0; n < nSym; n++ {
-			block := punct[n*ncbps : (n+1)*ncbps]
-			inter, err := InterleaveInto(t.inter, block, t.Mode)
-			if err != nil {
-				return err
-			}
-			t.inter = inter
-			syms, err := MapBitsInto(t.syms, inter, t.Mode.Modulation)
-			if err != nil {
-				return err
-			}
-			t.syms = syms
-			spec, err := AssembleSpectrumInto(specBack[n*FFTSize:(n+1)*FFTSize], syms, n+1) // data symbols use p_1...
-			if err != nil {
-				return err
-			}
-			specs[n] = spec
-		}
-		var err error
-		samples, t.tdViews, err = ModulateSymbolsAppend(samples, specs, t.tdViews)
+	// Assemble every DATA-symbol spectrum first, then run the whole field
+	// through the batched four-lane inverse transform.
+	if cap(t.specBack) < nSym*FFTSize {
+		t.specBack = make([]complex128, nSym*FFTSize)
+	}
+	if cap(t.specs) < nSym {
+		t.specs = make([][]complex128, nSym)
+	}
+	specBack := t.specBack[:nSym*FFTSize]
+	specs := t.specs[:nSym]
+	for n := 0; n < nSym; n++ {
+		block := punct[n*ncbps : (n+1)*ncbps]
+		inter, err := InterleaveInto(t.inter, block, t.Mode)
 		if err != nil {
 			return err
 		}
-	} else {
-		for n := 0; n < nSym; n++ {
-			block := punct[n*ncbps : (n+1)*ncbps]
-			inter, err := InterleaveInto(t.inter, block, t.Mode)
-			if err != nil {
-				return err
-			}
-			t.inter = inter
-			syms, err := MapBitsInto(t.syms, inter, t.Mode.Modulation)
-			if err != nil {
-				return err
-			}
-			t.syms = syms
-			spec, err := AssembleSpectrumInto(t.spec, syms, n+1) // data symbols use p_1...
-			if err != nil {
-				return err
-			}
-			t.spec = spec
-			samples, err = ModulateSymbolAppend(samples, spec)
-			if err != nil {
-				return err
-			}
+		t.inter = inter
+		syms, err := MapBitsInto(t.syms, inter, t.Mode.Modulation)
+		if err != nil {
+			return err
 		}
+		t.syms = syms
+		spec, err := AssembleSpectrumInto(specBack[n*FFTSize:(n+1)*FFTSize], syms, n+1) // data symbols use p_1...
+		if err != nil {
+			return err
+		}
+		specs[n] = spec
+	}
+	samples, t.tdViews, err = ModulateSymbolsAppend(samples, specs, t.tdViews)
+	if err != nil {
+		return err
 	}
 
 	f.Mode = t.Mode

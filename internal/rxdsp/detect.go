@@ -135,7 +135,7 @@ func (d *Detector) Detect(x []complex128, from int) (DetectResult, error) {
 // searchLen samples. It returns the index of the first sample of T1 (the
 // first full long symbol).
 func FineTiming(x []complex128, searchFrom, searchLen int) (int, error) {
-	ref := longSymbolTD()
+	ref := longTD
 	if searchFrom < 0 {
 		searchFrom = 0
 	}
@@ -217,12 +217,6 @@ func dotConj64Ref(u, v []complex128) complex128 {
 	return c
 }
 
-var longTD []complex128
-
-func longSymbolTD() []complex128 {
-	if longTD == nil {
-		lp := phy.LongPreamble()
-		longTD = lp[32:96] // the first full long symbol
-	}
-	return longTD
-}
+// longTD is the first full long training symbol, built once at package
+// initialization and read-only afterwards, so concurrent receivers share it.
+var longTD = phy.LongPreamble()[32:96]

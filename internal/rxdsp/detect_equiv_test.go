@@ -27,7 +27,7 @@ func randCplx(rng *rand.Rand, scale float64) complex128 {
 
 func TestCorrPairEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	ref := longSymbolTD()
+	ref := longTD
 	for trial := 0; trial < 200; trial++ {
 		scale := math.Pow(10, float64(rng.Intn(9)-4)) // 1e-4 .. 1e4
 		seg := make([]complex128, len(ref)+64+rng.Intn(200))
@@ -54,7 +54,7 @@ func TestCorrPairEquivalence(t *testing.T) {
 }
 
 func TestCorrPairEquivalenceSpecials(t *testing.T) {
-	ref := longSymbolTD()
+	ref := longTD
 	seg := make([]complex128, len(ref)+64)
 	specials := []complex128{
 		complex(math.Inf(1), 0),
@@ -103,7 +103,7 @@ func TestFineTimingMatchesReferenceSearch(t *testing.T) {
 	// End-to-end: the lag FineTiming picks must equal the one a pure
 	// reference-arithmetic search picks on a realistic noisy preamble.
 	rng := rand.New(rand.NewSource(54))
-	ref := longSymbolTD()
+	ref := longTD
 	lp := make([]complex128, 0, 400)
 	for i := 0; i < 100; i++ {
 		lp = append(lp, randCplx(rng, 0.3))

@@ -102,37 +102,22 @@ func (c *ChannelEstimate) MeanGain() float64 {
 	return math.Sqrt(acc / float64(n))
 }
 
-// eqScratch carries the per-symbol demodulation buffers of the one-tap
-// equalizer so each symbol is processed without allocation.
+// eqScratch carries the per-symbol buffers of the one-tap equalizer so each
+// symbol is processed without allocation.
 type eqScratch struct {
-	spec   []complex128
 	pilots []complex128
 	data   []complex128
 }
 
-// equalize FFTs one 80-sample OFDM symbol (starting at its cyclic prefix),
-// equalizes by the channel estimate, corrects the pilot common phase error
-// for the given symbol index, and writes the 48 equalized data carriers into
-// out and their CSI weights (|H|^2) into csi (both of length
-// phy.NumDataCarriers). mmseReg is the MMSE regularization term
-// (noise-to-signal power ratio); 0 selects zero-forcing.
+// equalize equalizes one demodulated 64-bin OFDM spectrum by the channel
+// estimate, corrects the pilot common phase error for the given symbol
+// index, and writes the 48 equalized data carriers into out and their CSI
+// weights (|H|^2) into csi (both of length phy.NumDataCarriers). mmseReg is
+// the MMSE regularization term (noise-to-signal power ratio); 0 selects
+// zero-forcing.
 //
 //lint:hotpath
-func (q *eqScratch) equalize(out []complex128, csi []float64, sym []complex128, est *ChannelEstimate, symbolIndex int, mmseReg float64) error {
-	spec, err := phy.DemodulateSymbolInto(q.spec, sym)
-	if err != nil {
-		return err
-	}
-	q.spec = spec
-	return q.equalizeSpec(out, csi, spec, est, symbolIndex, mmseReg)
-}
-
-// equalizeSpec is the post-FFT half of equalize, operating on an already
-// demodulated 64-bin spectrum — the entry point of the symbol-major receive
-// path, which demodulates the whole DATA field in one batched pass first.
-//
-//lint:hotpath
-func (q *eqScratch) equalizeSpec(out []complex128, csi []float64, spec []complex128, est *ChannelEstimate, symbolIndex int, mmseReg float64) error {
+func (q *eqScratch) equalize(out []complex128, csi []float64, spec []complex128, est *ChannelEstimate, symbolIndex int, mmseReg float64) error {
 	// Pilot-aided common phase error: compare received pilots against
 	// expected pilots through the channel.
 	pilots, err := phy.ExtractPilotsInto(q.pilots, spec)
@@ -182,6 +167,69 @@ func (q *eqScratch) equalizeSpec(out []complex128, csi []float64, spec []complex
 		csi[i] = m2
 	}
 	return nil
+}
+
+// dataScratch is the DATA-field receive scratch both receivers embed: the
+// equalizer buffers, the spectra and symbol views of the batched
+// demodulation, and the equalized-carrier and CSI stores.
+type dataScratch struct {
+	eq       eqScratch
+	specBack []complex128
+	specs    [][]complex128
+	symViews [][]complex128
+	carrBack []complex128
+	carriers [][]complex128
+	csiBack  []float64
+	csis     [][]float64
+}
+
+// equalizeData slices the nSym DATA symbols starting at x[start],
+// demodulates the whole field through one batched forward transform, and
+// equalizes each spectrum (DATA symbol n carries pilot polarity index n+1).
+// It returns the equalized carriers and their CSI weights. The carriers
+// escape into the PacketResult, so their backing is allocated fresh per
+// packet unless reuse is set; the CSI weights always alias the scratch.
+func (s *dataScratch) equalizeData(x []complex128, start, nSym int, est *ChannelEstimate, mmseReg float64, reuse bool) ([][]complex128, [][]float64, error) {
+	nCarr := nSym * phy.NumDataCarriers
+	var carrBack []complex128
+	var carriers [][]complex128
+	if reuse {
+		s.carrBack = grow(s.carrBack, nCarr)
+		s.carriers = grow(s.carriers, nSym)
+		carrBack, carriers = s.carrBack, s.carriers
+	} else {
+		carrBack = make([]complex128, nCarr)
+		carriers = make([][]complex128, nSym)
+	}
+	s.csiBack = grow(s.csiBack, nCarr)
+	s.csis = grow(s.csis, nSym)
+	s.specBack = grow(s.specBack, nSym*phy.FFTSize)
+	s.specs = grow(s.specs, nSym)
+	s.symViews = grow(s.symViews, nSym)
+	for n := 0; n < nSym; n++ {
+		s.specs[n] = s.specBack[n*phy.FFTSize : (n+1)*phy.FFTSize]
+		s.symViews[n] = x[start+n*phy.SymbolLen : start+(n+1)*phy.SymbolLen]
+	}
+	if err := phy.DemodulateSymbols(s.specs, s.symViews); err != nil {
+		return nil, nil, err
+	}
+	for n, spec := range s.specs {
+		carriers[n] = carrBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
+		s.csis[n] = s.csiBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
+		if err := s.eq.equalize(carriers[n], s.csis[n], spec, est, n+1, mmseReg); err != nil {
+			return nil, nil, err
+		}
+	}
+	return carriers, s.csis, nil
+}
+
+// grow returns buf resliced to n elements, reallocating only when its
+// capacity is short.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // PacketResult reports a decoded packet and receiver diagnostics.
@@ -249,23 +297,17 @@ type Receiver struct {
 	DeferDataDecode bool
 
 	// Reusable scratch; see Reset.
-	notch    *dsp.IIR
-	buf      []complex128
-	work     []complex128
-	ce       chanEstimator
-	est      ChannelEstimate
-	q        eqScratch
-	sigData  []complex128
-	sigCSI   []float64
-	csiBack  []float64
-	csis     [][]float64
-	carrBack []complex128
-	carriers [][]complex128
-	specBack []complex128
-	specs    [][]complex128
-	symViews [][]complex128
-	res      PacketResult
-	dec      *phy.PacketDecoder
+	notch   *dsp.IIR
+	buf     []complex128
+	work    []complex128
+	ce      chanEstimator
+	est     ChannelEstimate
+	sigSpec []complex128
+	sigData []complex128
+	sigCSI  []float64
+	dataScratch
+	res PacketResult
+	dec *phy.PacketDecoder
 }
 
 // NewReceiver returns a receiver with default settings.
@@ -283,33 +325,6 @@ func (r *Receiver) Reset() {
 // dcNotchCutoff is the digital DC-removal corner as a fraction of the
 // sample rate (40 kHz at 20 MHz — far below the first subcarrier).
 const dcNotchCutoff = 0.002
-
-// growSpecSlices sizes the symbol-major scratch: nSym per-symbol spectrum
-// buffers carved out of one backing store, plus the matching symbol-view
-// slice header scratch.
-func growSpecSlices(back *[]complex128, specs, views *[][]complex128, nSym int) ([][]complex128, [][]complex128) {
-	if cap(*back) < nSym*phy.FFTSize {
-		*back = make([]complex128, nSym*phy.FFTSize)
-	}
-	if cap(*specs) < nSym {
-		*specs = make([][]complex128, nSym)
-	}
-	if cap(*views) < nSym {
-		*views = make([][]complex128, nSym)
-	}
-	b := (*back)[:nSym*phy.FFTSize]
-	s := (*specs)[:nSym]
-	for n := 0; n < nSym; n++ {
-		s[n] = b[n*phy.FFTSize : (n+1)*phy.FFTSize]
-	}
-	return s, (*views)[:nSym]
-}
-
-// growSpecs returns the receiver's symbol-major spectrum and symbol-view
-// scratch sized for nSym DATA symbols.
-func (r *Receiver) growSpecs(nSym int) ([][]complex128, [][]complex128) {
-	return growSpecSlices(&r.specBack, &r.specs, &r.symViews, nSym)
-}
 
 // Receive synchronizes to and decodes the first packet at or after index
 // from in the 20 MHz baseband signal x.
@@ -390,7 +405,12 @@ func (r *Receiver) Receive(x []complex128, from int) (*PacketResult, error) {
 		r.sigData = make([]complex128, phy.NumDataCarriers)
 		r.sigCSI = make([]float64, phy.NumDataCarriers)
 	}
-	if err := r.q.equalize(r.sigData, r.sigCSI, work[sigStart:sigStart+phy.SymbolLen], est, 0, mmseReg); err != nil {
+	sigSpec, err := phy.DemodulateSymbolInto(r.sigSpec, work[sigStart:sigStart+phy.SymbolLen])
+	if err != nil {
+		return nil, err
+	}
+	r.sigSpec = sigSpec
+	if err := r.eq.equalize(r.sigData, r.sigCSI, sigSpec, est, 0, mmseReg); err != nil {
 		return nil, err
 	}
 	if r.dec == nil {
@@ -408,60 +428,9 @@ func (r *Receiver) Receive(x []complex128, from int) (*PacketResult, error) {
 		return nil, fmt.Errorf("rxdsp: truncated DATA field (%d symbols announced)", nSym)
 	}
 
-	// The equalized carriers escape into the PacketResult, so their backing
-	// is allocated fresh per packet unless the caller opted into
-	// ReuseBuffers; the CSI weights stay internal and always reuse the
-	// receiver's scratch.
-	var carrBack []complex128
-	var carriers [][]complex128
-	if r.ReuseBuffers {
-		if cap(r.carrBack) < nSym*phy.NumDataCarriers {
-			r.carrBack = make([]complex128, nSym*phy.NumDataCarriers)
-		}
-		if cap(r.carriers) < nSym {
-			r.carriers = make([][]complex128, nSym)
-		}
-		carrBack = r.carrBack[:nSym*phy.NumDataCarriers]
-		carriers = r.carriers[:nSym]
-	} else {
-		carrBack = make([]complex128, nSym*phy.NumDataCarriers)
-		carriers = make([][]complex128, nSym)
-	}
-	if cap(r.csiBack) < nSym*phy.NumDataCarriers {
-		r.csiBack = make([]float64, nSym*phy.NumDataCarriers)
-	}
-	if cap(r.csis) < nSym {
-		r.csis = make([][]float64, nSym)
-	}
-	csis := r.csis[:nSym]
-	if phy.SymbolMajorEnabled() {
-		// Symbol-major: slice every DATA symbol, demodulate the whole field
-		// through the batched four-lane forward transform, then equalize each
-		// spectrum. Byte-identical to the per-symbol branch below.
-		specs, symViews := r.growSpecs(nSym)
-		for n := 0; n < nSym; n++ {
-			s := dataStart + n*phy.SymbolLen
-			symViews[n] = work[s : s+phy.SymbolLen]
-		}
-		if err := phy.DemodulateSymbols(specs, symViews); err != nil {
-			return nil, err
-		}
-		for n := 0; n < nSym; n++ {
-			carriers[n] = carrBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
-			csis[n] = r.csiBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
-			if err := r.q.equalizeSpec(carriers[n], csis[n], specs[n], est, n+1, mmseReg); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for n := 0; n < nSym; n++ {
-			carriers[n] = carrBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
-			csis[n] = r.csiBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
-			s := dataStart + n*phy.SymbolLen
-			if err := r.q.equalize(carriers[n], csis[n], work[s:s+phy.SymbolLen], est, n+1, mmseReg); err != nil {
-				return nil, err
-			}
-		}
+	carriers, csis, err := r.equalizeData(work, dataStart, nSym, est, mmseReg, r.ReuseBuffers)
+	if err != nil {
+		return nil, err
 	}
 	var csiArg [][]float64
 	if !r.DisableCSI {
@@ -516,24 +485,11 @@ type IdealReceiver struct {
 	// valid until the next Receive call.
 	ReuseBuffers bool
 
-	ce       chanEstimator
-	est      ChannelEstimate
-	q        eqScratch
-	csiBack  []float64
-	csis     [][]float64
-	carrBack []complex128
-	carriers [][]complex128
-	specBack []complex128
-	specs    [][]complex128
-	symViews [][]complex128
-	res      PacketResult
-	dec      *phy.PacketDecoder
-}
-
-// growSpecs returns the receiver's symbol-major spectrum and symbol-view
-// scratch sized for nSym DATA symbols.
-func (r *IdealReceiver) growSpecs(nSym int) ([][]complex128, [][]complex128) {
-	return growSpecSlices(&r.specBack, &r.specs, &r.symViews, nSym)
+	ce  chanEstimator
+	est ChannelEstimate
+	dataScratch
+	res PacketResult
+	dec *phy.PacketDecoder
 }
 
 // Receive decodes the frame whose short preamble begins exactly at start.
@@ -561,55 +517,9 @@ func (r *IdealReceiver) Receive(x []complex128, start int) (*PacketResult, error
 	if dataStart+nSym*phy.SymbolLen > len(work) {
 		return nil, fmt.Errorf("rxdsp: truncated DATA field")
 	}
-	var carrBack []complex128
-	var carriers [][]complex128
-	if r.ReuseBuffers {
-		if cap(r.carrBack) < nSym*phy.NumDataCarriers {
-			r.carrBack = make([]complex128, nSym*phy.NumDataCarriers)
-		}
-		if cap(r.carriers) < nSym {
-			r.carriers = make([][]complex128, nSym)
-		}
-		carrBack = r.carrBack[:nSym*phy.NumDataCarriers]
-		carriers = r.carriers[:nSym]
-	} else {
-		carrBack = make([]complex128, nSym*phy.NumDataCarriers)
-		carriers = make([][]complex128, nSym)
-	}
-	if cap(r.csiBack) < nSym*phy.NumDataCarriers {
-		r.csiBack = make([]float64, nSym*phy.NumDataCarriers)
-	}
-	if cap(r.csis) < nSym {
-		r.csis = make([][]float64, nSym)
-	}
-	csis := r.csis[:nSym]
-	if phy.SymbolMajorEnabled() {
-		// Symbol-major: batched demodulation of the whole DATA field, then
-		// per-spectrum equalization. Byte-identical to the branch below.
-		specs, symViews := r.growSpecs(nSym)
-		for n := 0; n < nSym; n++ {
-			s := dataStart + n*phy.SymbolLen
-			symViews[n] = work[s : s+phy.SymbolLen]
-		}
-		if err := phy.DemodulateSymbols(specs, symViews); err != nil {
-			return nil, err
-		}
-		for n := 0; n < nSym; n++ {
-			carriers[n] = carrBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
-			csis[n] = r.csiBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
-			if err := r.q.equalizeSpec(carriers[n], csis[n], specs[n], est, n+1, 0); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for n := 0; n < nSym; n++ {
-			carriers[n] = carrBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
-			csis[n] = r.csiBack[n*phy.NumDataCarriers : (n+1)*phy.NumDataCarriers]
-			s := dataStart + n*phy.SymbolLen
-			if err := r.q.equalize(carriers[n], csis[n], work[s:s+phy.SymbolLen], est, n+1, 0); err != nil {
-				return nil, err
-			}
-		}
+	carriers, csis, err := r.equalizeData(work, dataStart, nSym, est, 0, r.ReuseBuffers)
+	if err != nil {
+		return nil, err
 	}
 	if r.dec == nil {
 		r.dec = phy.NewPacketDecoder()

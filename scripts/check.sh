@@ -43,7 +43,7 @@ go test -race ./...
 # empty run.
 echo "==> kernel dispatch tiers"
 if [ "$(go env GOARCH)" = "amd64" ]; then
-    asm_pat='AsmMatchesGo|Exported.*KernelsMatchRefBothTiers|SetDispatchToggles|GoldenBER(Dispatch|SymbolMajor)Invariant'
+    asm_pat='AsmMatchesGo|Exported.*KernelsMatchRefBothTiers|SetDispatchToggles|GoldenBERDispatchInvariant'
     n="$(go test -run '^$' -list "$asm_pat" ./internal/kernels | grep -c '^Test' || true)"
     if [ "$n" -lt 16 ]; then
         echo "FAIL: internal/kernels lists only $n asm-twin differential tests matching '$asm_pat' (silent skip)" >&2
@@ -60,6 +60,13 @@ echo "    -tags purego (assembly tier compiled out)"
 go build -tags purego ./...
 go vet -tags purego ./...
 go test -tags purego -count=1 ./internal/kernels ./internal/core > /dev/null
+
+# Benchmark module. wlanbench is its own Go module that drives the library
+# end to end with several sweep workers, so vetting it proves the library
+# API it uses still compiles, and its race run catches unsynchronized shared
+# state that only concurrent packets reach.
+echo "==> benchmark module (wlanbench): go vet + go test -race"
+(cd wlanbench && go vet . && go test -race -count=1 .)
 
 # Coverage floors. The sweep engine and the experiment layer carry the
 # determinism contract, and the lint engine is itself the verifier every

@@ -142,7 +142,8 @@ func BenchmarkTable2_SystemLevel(b *testing.B) {
 
 // BenchmarkTable2_CoSimulation times the analog co-simulation per packet:
 // the right column of Table 2. The ns/op ratio against
-// BenchmarkTable2_SystemLevel reproduces the paper's 30-40x slowdown.
+// BenchmarkTable2_SystemLevel is this solver's slowdown (about 10x; the
+// paper reports 30-40x for SpectreRF/AMS Designer).
 func BenchmarkTable2_CoSimulation(b *testing.B) {
 	cfg := smallConfig()
 	cfg.Packets = 1

@@ -1,8 +1,9 @@
 // Co-simulation study: the same receiver at two abstraction levels. The
 // complex-baseband behavioral model (the pure system-level run) is compared
 // with the continuous-time analog solver (the SPW/AMS co-simulation run) on
-// identical packets: both must decode, the co-simulation costs 30-40x more
-// wall clock (Table 2 of the paper), and disabling its noise sources
+// identical packets: both must decode, the co-simulation costs about ten
+// times more wall clock (the paper's Table 2 reports 30-40x for its tool
+// coupling), and disabling its noise sources
 // reproduces the §4.3 artifact where the co-simulated BER looks better than
 // reality.
 package main

@@ -13,6 +13,30 @@ import (
 // from second-order (and one first-order for odd orders) trapezoidal stages,
 // with the passband edge at edgeHz.
 func NewCTChebyshevLowpass(order int, edgeHz, rippleDB, sampleRateHz float64) (*CTCascade, error) {
+	ch, err := newCTChebyshev(order, edgeHz, rippleDB, sampleRateHz)
+	if err != nil {
+		return nil, err
+	}
+	stages := make([]Stage, 0, len(ch.bq)+1)
+	for k := range ch.bq {
+		stages = append(stages, &ch.bq[k])
+	}
+	if ch.fo != nil {
+		stages = append(stages, ch.fo)
+	}
+	return NewCTCascade(ch.gain, stages...), nil
+}
+
+// ctChebyshev is the concrete form of the Chebyshev ladder the front end
+// steps without interface dispatch: the passband gain, the biquad sections
+// and, for odd orders, the real-pole section last.
+type ctChebyshev struct {
+	gain float64
+	bq   []CTBiquad
+	fo   *CTFirstOrder
+}
+
+func newCTChebyshev(order int, edgeHz, rippleDB, sampleRateHz float64) (*ctChebyshev, error) {
 	if order < 1 {
 		return nil, fmt.Errorf("analog: filter order %d", order)
 	}
@@ -21,9 +45,9 @@ func NewCTChebyshevLowpass(order int, edgeHz, rippleDB, sampleRateHz float64) (*
 	}
 	poles, eps := dsp.Chebyshev1AnalogPoles(order, rippleDB)
 	wc := 2 * math.Pi * edgeHz
-	var stages []Stage
+	ch := &ctChebyshev{gain: 1, bq: make([]CTBiquad, order/2)}
 	// Pair conjugates (k and order-1-k); middle pole of odd orders is real.
-	for k := 0; k < order/2; k++ {
+	for k := range ch.bq {
 		p := poles[k]
 		re, im := real(p)*wc, imag(p)*wc
 		a0 := re*re + im*im
@@ -33,7 +57,7 @@ func NewCTChebyshevLowpass(order int, edgeHz, rippleDB, sampleRateHz float64) (*
 		if err != nil {
 			return nil, err
 		}
-		stages = append(stages, st)
+		ch.bq[k] = *st
 	}
 	if order%2 == 1 {
 		p := real(poles[order/2]) * wc
@@ -41,13 +65,20 @@ func NewCTChebyshevLowpass(order int, edgeHz, rippleDB, sampleRateHz float64) (*
 		if err != nil {
 			return nil, err
 		}
-		stages = append(stages, st)
+		ch.fo = st
+	} else {
+		ch.gain = 1 / math.Sqrt(1+eps*eps)
 	}
-	gain := 1.0
-	if order%2 == 0 {
-		gain = 1 / math.Sqrt(1+eps*eps)
+	return ch, nil
+}
+
+func (ch *ctChebyshev) reset() {
+	for k := range ch.bq {
+		ch.bq[k].Reset()
 	}
-	return NewCTCascade(gain, stages...), nil
+	if ch.fo != nil {
+		ch.fo.Reset()
+	}
 }
 
 // CTNonlinearAmp is a memoryless passband amplifier with a third-order
@@ -101,10 +132,11 @@ func (a *CTNonlinearAmp) Step(v float64) float64 {
 	return y
 }
 
-// Reset reseeds the noise source.
+// Reset reseeds the noise source in place (the same stream a fresh
+// rand.New(rand.NewSource(seed)) draws, without allocating).
 func (a *CTNonlinearAmp) Reset() {
 	if a.noise != nil {
-		a.noise = rand.New(rand.NewSource(a.seed))
+		a.noise.Seed(a.seed)
 	}
 }
 
@@ -115,7 +147,7 @@ type CTOscillator struct {
 	phase float64
 	t     float64
 	sigma float64
-	rng   *rand.Rand
+	rng   *rand.Rand // nil for a zero-linewidth (noiseless) oscillator
 	seed  int64
 }
 
@@ -130,7 +162,9 @@ func NewCTOscillator(freqHz, linewidthHz, sampleRateHz float64, seed int64) (*CT
 		sigma: math.Sqrt(2 * math.Pi * linewidthHz / sampleRateHz),
 		seed:  seed,
 	}
-	o.rng = rand.New(rand.NewSource(seed))
+	if o.sigma > 0 {
+		o.rng = rand.New(rand.NewSource(seed))
+	}
 	return o, nil
 }
 
@@ -138,16 +172,54 @@ func NewCTOscillator(freqHz, linewidthHz, sampleRateHz float64, seed int64) (*CT
 func (o *CTOscillator) Next() (cosv, msinv float64) {
 	ph := o.w*o.t + o.phase
 	o.t += o.h
-	if o.sigma > 0 {
+	if o.rng != nil {
 		o.phase += o.rng.NormFloat64() * o.sigma
 	}
 	return math.Cos(ph), -math.Sin(ph)
 }
 
-// Reset restarts the trajectory.
+// fillCos writes the next len(c) LO samples' cosines to c, advancing the
+// trajectory exactly as len(c) Next calls would.
+//
+//lint:hotpath
+func (o *CTOscillator) fillCos(c []float64) {
+	t, phase := o.t, o.phase
+	for k := range c {
+		ph := o.w*t + phase
+		t += o.h
+		if o.rng != nil {
+			phase += o.rng.NormFloat64() * o.sigma
+		}
+		c[k] = math.Cos(ph)
+	}
+	o.t, o.phase = t, phase
+}
+
+// fillCosMSin writes the next len(c) LO samples' cos and -sin to c and ms
+// (math.Sincos computes both bit-identically to math.Cos and math.Sin).
+//
+//lint:hotpath
+func (o *CTOscillator) fillCosMSin(c, ms []float64) {
+	t, phase := o.t, o.phase
+	ms = ms[:len(c)]
+	for k := range c {
+		ph := o.w*t + phase
+		t += o.h
+		if o.rng != nil {
+			phase += o.rng.NormFloat64() * o.sigma
+		}
+		sn, cs := math.Sincos(ph)
+		c[k], ms[k] = cs, -sn
+	}
+	o.t, o.phase = t, phase
+}
+
+// Reset restarts the trajectory, reseeding the phase noise in place.
 func (o *CTOscillator) Reset() {
 	o.t, o.phase = 0, 0
-	o.rng = rand.New(rand.NewSource(o.seed))
+	if o.rng != nil {
+		o.rng.Seed(o.seed)
+	}
 }
 
 // FrontEndConfig parameterizes the analog co-simulation receiver.
@@ -221,8 +293,8 @@ type FrontEnd struct {
 	lo1     *CTOscillator
 	lo2     *CTOscillator
 	hpf     *CTFirstOrder
-	lpfI    *CTCascade
-	lpfQ    *CTCascade
+	lpfI    *ctChebyshev
+	lpfQ    *ctChebyshev
 	qGain   float64 // Q-rail amplitude skew (I/Q imbalance)
 	qCos    float64 // cos of the Q-rail phase error
 	qSin    float64 // sin of the Q-rail phase error
@@ -232,6 +304,50 @@ type FrontEnd struct {
 	carrier *CTOscillator // up-conversion carrier
 	decim   int
 	phase   int
+
+	// LO bank, computed one block ahead of the solver by a helper
+	// goroutine per Process call (see Process).
+	lo     [2]loBlock
+	loFree chan *loBlock // blocks ready to be refilled
+	loFull chan *loBlock // filled blocks, in frame order
+	loJob  chan loJob    // the frame handed to the helper
+	loDone chan struct{} // the helper has handed over its last block
+	runLO  func()        // fe.fillAhead, bound once: go runLO() does not allocate
+}
+
+// loJob describes one frame's LO bank: steps solver samples in blocks of
+// block (the last block may be shorter).
+type loJob struct{ steps, block int }
+
+// loBlock holds one solver block of the LO bank. None of it depends on the
+// input signal.
+type loBlock struct {
+	c, ms []float64 // up-conversion carrier: cos and -sin
+	c1    []float64 // first LO: cos
+	c2    []float64 // second LO: cos (I rail)
+	msk   []float64 // second LO: skewed -sin (Q rail)
+}
+
+// fillLO computes the next n samples of every oscillator into b, growing
+// its buffers on first use. The Q rail's -sin(ph+theta) is formed here as
+// ms2*cos(theta) - c2*sin(theta).
+//
+//lint:hotpath
+func (fe *FrontEnd) fillLO(b *loBlock, n int) {
+	if cap(b.c) < n {
+		//lint:ignore escape one-time block buffers, reused across blocks and frames
+		buf := make([]float64, 5*n)
+		b.c, b.ms, b.c1, b.c2, b.msk = buf[:n:n], buf[n:2*n:2*n], buf[2*n:3*n:3*n], buf[3*n:4*n:4*n], buf[4*n:]
+	}
+	b.c, b.ms, b.c1, b.c2, b.msk = b.c[:n], b.ms[:n], b.c1[:n], b.c2[:n], b.msk[:n]
+	fe.carrier.fillCosMSin(b.c, b.ms)
+	fe.lo1.fillCos(b.c1)
+	fe.lo2.fillCosMSin(b.c2, b.msk)
+	qCos, qSin := fe.qCos, fe.qSin
+	c2 := b.c2
+	for k, ms2 := range b.msk {
+		b.msk[k] = ms2*qCos - c2[k]*qSin
+	}
 }
 
 // NewFrontEnd assembles the analog receiver.
@@ -265,11 +381,11 @@ func NewFrontEnd(cfg FrontEndConfig) (*FrontEnd, error) {
 		}
 	}
 	if cfg.ChannelFilterOrder > 0 {
-		if fe.lpfI, err = NewCTChebyshevLowpass(cfg.ChannelFilterOrder,
+		if fe.lpfI, err = newCTChebyshev(cfg.ChannelFilterOrder,
 			cfg.ChannelFilterEdgeHz, cfg.ChannelFilterRippleDB, fe.fs); err != nil {
 			return nil, err
 		}
-		if fe.lpfQ, err = NewCTChebyshevLowpass(cfg.ChannelFilterOrder,
+		if fe.lpfQ, err = newCTChebyshev(cfg.ChannelFilterOrder,
 			cfg.ChannelFilterEdgeHz, cfg.ChannelFilterRippleDB, fe.fs); err != nil {
 			return nil, err
 		}
@@ -292,6 +408,15 @@ func NewFrontEnd(cfg FrontEndConfig) (*FrontEnd, error) {
 		return nil, err
 	}
 	fe.decim = cfg.SolverOversample
+	// Both hand-over channels hold every LO block, so no send blocks.
+	fe.loFree = make(chan *loBlock, len(fe.lo))
+	fe.loFull = make(chan *loBlock, len(fe.lo))
+	fe.loJob = make(chan loJob, 1)
+	fe.loDone = make(chan struct{}, 1)
+	for k := range fe.lo {
+		fe.loFree <- &fe.lo[k]
+	}
+	fe.runLO = fe.fillAhead
 	return fe, nil
 }
 
@@ -304,52 +429,103 @@ func (fe *FrontEnd) ScaledCarrierHz() float64 { return fe.fc }
 
 // Process runs the composite baseband frame through the analog receiver and
 // returns the baseband output at the input rate (20 MHz for native input).
+//
+// The solver streams the frame in the upsampler's blocks and steps every
+// circuit stage sample by sample in one loop per block: up-conversion to the
+// scaled RF carrier, LNA, first conversion, DC block, quadrature conversion,
+// the channel-select Chebyshev per rail, output gain and sampling at the
+// input rate. The LO bank (carrier, first and second LO) does not depend on
+// the input, so a helper goroutine computes it one block ahead, handing
+// blocks over on channels; Process returns only after the helper has
+// finished. The output is bit-identical to stepping every stage per sample.
 func (fe *FrontEnd) Process(x []complex128) []complex128 {
-	// 1. Interpolate the complex envelope to the solver rate.
-	env := fe.up.Process(x)
 	out := make([]complex128, 0, len(x))
-	s2 := math.Sqrt2
-	for _, e := range env {
-		// 2. Up-convert to the scaled RF carrier (real passband).
-		c, ms := fe.carrier.Next()
-		v := s2 * (real(e)*c - imag(e)*(-ms)) // sqrt2*Re{e * exp(+jwt)}
+	fe.up.Begin(x)
+	fe.loJob <- loJob{steps: len(x) * fe.decim, block: fe.up.BlockLen()}
+	go fe.runLO()
+	for env := fe.up.Next(); env != nil; env = fe.up.Next() {
+		lo := <-fe.loFull
+		out = fe.solveBlock(out, env, lo)
+		fe.loFree <- lo
+	}
+	<-fe.loDone
+	return out
+}
 
-		// 3. LNA (nonlinear, noisy) on the RF waveform.
-		v = fe.lna.Step(v)
+// fillAhead is the LO helper of one Process call: it fills the frame's LO
+// blocks in order, as fast as the solver frees buffers, then signals loDone.
+//
+//lint:hotpath
+func (fe *FrontEnd) fillAhead() {
+	job := <-fe.loJob
+	for start := 0; start < job.steps; start += job.block {
+		b := <-fe.loFree
+		fe.fillLO(b, min(job.block, job.steps-start))
+		fe.loFull <- b
+	}
+	fe.loDone <- struct{}{}
+}
 
-		// 4. First conversion: x2 cos at fc/2 -> IF at fc/2 (+ image at
+// solveBlock steps the circuit over one block of the interpolated envelope
+// with the block's LO samples and appends the decimated output to out.
+//
+//lint:hotpath
+func (fe *FrontEnd) solveBlock(out, env []complex128, lo *loBlock) []complex128 {
+	const s2 = math.Sqrt2
+	c, ms, c1, c2, msk := lo.c[:len(env)], lo.ms[:len(env)], lo.c1[:len(env)], lo.c2[:len(env)], lo.msk[:len(env)]
+	lna, hpf, lpfI, lpfQ := fe.lna, fe.hpf, fe.lpfI, fe.lpfQ
+	dc, qGain, outGain := fe.dc, fe.qGain, fe.outGain
+	phase, decim := fe.phase, fe.decim
+	var bqI, bqQ []CTBiquad
+	if lpfI != nil {
+		bqI, bqQ = lpfI.bq, lpfQ.bq[:len(lpfI.bq)]
+	}
+	for k, e := range env {
+		// Up-convert to the scaled RF carrier: sqrt2*Re{e * exp(+jwt)}.
+		v := s2 * (real(e)*c[k] - imag(e)*(-ms[k]))
+
+		// LNA (nonlinear, noisy) on the RF waveform.
+		v = lna.Step(v)
+
+		// First conversion: x2 cos at fc/2 -> IF at fc/2 (+ image at
 		// 3fc/2, removed later by the channel filter).
-		c1, _ := fe.lo1.Next()
-		v *= 2 * c1
+		v *= 2 * c1[k]
 
-		// 5. Inter-stage DC block.
-		if fe.hpf != nil {
-			v = fe.hpf.Step(v)
+		// Inter-stage DC block.
+		if hpf != nil {
+			v = hpf.Step(v)
 		}
 
-		// 6. Second conversion to quadrature baseband. The Q rail carries
-		// the configured amplitude and phase skew:
-		// -sin(ph+theta) = ms2*cos(theta) - c2*sin(theta).
-		c2, ms2 := fe.lo2.Next()
-		i := v*s2*c2 + fe.dc
-		msSkew := ms2*fe.qCos - c2*fe.qSin
-		q := v * s2 * msSkew * fe.qGain
+		// Second conversion to quadrature baseband; the Q rail carries the
+		// configured amplitude and phase skew.
+		i := v*s2*c2[k] + dc
+		q := v * s2 * msk[k] * qGain
 
-		// 7. Channel-select Chebyshev low-pass per rail.
-		if fe.lpfI != nil {
-			i = fe.lpfI.Step(i)
-			q = fe.lpfQ.Step(q)
+		// Channel-select Chebyshev low-pass per rail, the two rails'
+		// sections interleaved.
+		if lpfI != nil {
+			i *= lpfI.gain
+			q *= lpfQ.gain
+			for s := range bqI {
+				i = bqI[s].Step(i)
+				q = bqQ[s].Step(q)
+			}
+			if lpfI.fo != nil {
+				i = lpfI.fo.Step(i)
+				q = lpfQ.fo.Step(q)
+			}
 		}
 
-		// 8. Output amplifier and ADC sampling at the input rate.
-		if fe.phase == 0 {
-			out = append(out, complex(i*fe.outGain, q*fe.outGain))
+		// Output amplifier and ADC sampling at the input rate.
+		if phase == 0 {
+			out = append(out, complex(i*outGain, q*outGain))
 		}
-		fe.phase++
-		if fe.phase == fe.decim {
-			fe.phase = 0
+		phase++
+		if phase == decim {
+			phase = 0
 		}
 	}
+	fe.phase = phase
 	return out
 }
 
@@ -362,8 +538,8 @@ func (fe *FrontEnd) Reset() {
 		fe.hpf.Reset()
 	}
 	if fe.lpfI != nil {
-		fe.lpfI.Reset()
-		fe.lpfQ.Reset()
+		fe.lpfI.reset()
+		fe.lpfQ.reset()
 	}
 	fe.up.Reset()
 	fe.carrier.Reset()

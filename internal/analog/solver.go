@@ -32,13 +32,14 @@ type Stage interface {
 //
 // with the trapezoidal rule in controllable canonical form.
 type CTBiquad struct {
-	a0, a1    float64
 	c0, c1, d float64
-	h         float64
-	x1, x2    float64 // state
-	u         float64 // previous input
-	m11, m12  float64 // precomputed (I - h/2 A)^-1
-	m21, m22  float64
+	// Per-step constants of the trapezoidal update, hoisted out of Step:
+	// h2 = h/2, na0 = -h2*a0, k22 = 1-h2*a1.
+	h2, na0, k22 float64
+	x1, x2       float64 // state
+	u            float64 // previous input
+	m11, m12     float64 // precomputed (I - h/2 A)^-1
+	m21, m22     float64
 }
 
 // NewCTBiquad creates the stage for step size h = 1/sampleRate.
@@ -46,13 +47,13 @@ func NewCTBiquad(b0, b1, b2, a0, a1, sampleRateHz float64) (*CTBiquad, error) {
 	if sampleRateHz <= 0 {
 		return nil, fmt.Errorf("analog: sample rate %g", sampleRateHz)
 	}
+	h := 1 / sampleRateHz
+	h2 := h / 2
 	q := &CTBiquad{
-		a0: a0, a1: a1,
 		c0: b0 - b2*a0, c1: b1 - b2*a1, d: b2,
-		h: 1 / sampleRateHz,
+		h2: h2, na0: -h2 * a0, k22: 1 - h2*a1,
 	}
 	// M = I - h/2*A with A = [[0,1],[-a0,-a1]].
-	h2 := q.h / 2
 	m := [2][2]float64{{1, -h2}, {h2 * a0, 1 + h2*a1}}
 	det := m[0][0]*m[1][1] - m[0][1]*m[1][0]
 	if det == 0 {
@@ -67,10 +68,9 @@ func NewCTBiquad(b0, b1, b2, a0, a1, sampleRateHz float64) (*CTBiquad, error) {
 
 // Step advances the biquad by one step (trapezoidal rule).
 func (q *CTBiquad) Step(u float64) float64 {
-	h2 := q.h / 2
 	// rhs = (I + h/2 A) x + h/2 B (u_prev + u), B = [0,1]^T.
-	r1 := q.x1 + h2*q.x2
-	r2 := -h2*q.a0*q.x1 + (1-h2*q.a1)*q.x2 + h2*(q.u+u)
+	r1 := q.x1 + q.h2*q.x2
+	r2 := q.na0*q.x1 + q.k22*q.x2 + q.h2*(q.u+u)
 	q.x1 = q.m11*r1 + q.m12*r2
 	q.x2 = q.m21*r1 + q.m22*r2
 	q.u = u
@@ -82,9 +82,11 @@ func (q *CTBiquad) Reset() { q.x1, q.x2, q.u = 0, 0, 0 }
 
 // CTFirstOrder integrates H(s) = (b0 + b1 s) / (a0 + s).
 type CTFirstOrder struct {
-	a0, c, d float64
-	h        float64
-	x, u     float64
+	c, d float64
+	// Per-step constants of the trapezoidal update, hoisted out of Step:
+	// h2 = h/2, k = 1-h2*a0, den = 1+h2*a0.
+	h2, k, den float64
+	x, u       float64
 }
 
 // NewCTFirstOrder creates the stage for the given sample rate.
@@ -92,13 +94,13 @@ func NewCTFirstOrder(b0, b1, a0, sampleRateHz float64) (*CTFirstOrder, error) {
 	if sampleRateHz <= 0 {
 		return nil, fmt.Errorf("analog: sample rate %g", sampleRateHz)
 	}
-	return &CTFirstOrder{a0: a0, c: b0 - b1*a0, d: b1, h: 1 / sampleRateHz}, nil
+	h2 := 1 / sampleRateHz / 2
+	return &CTFirstOrder{c: b0 - b1*a0, d: b1, h2: h2, k: 1 - h2*a0, den: 1 + h2*a0}, nil
 }
 
 // Step advances the stage (trapezoidal rule on x' = -a0 x + u).
 func (f *CTFirstOrder) Step(u float64) float64 {
-	h2 := f.h / 2
-	f.x = ((1-h2*f.a0)*f.x + h2*(f.u+u)) / (1 + h2*f.a0)
+	f.x = (f.k*f.x + f.h2*(f.u+u)) / f.den
 	f.u = u
 	return f.c*f.x + f.d*u
 }

@@ -80,3 +80,34 @@ func TestOLSConvAllocFree(t *testing.T) {
 		t.Fatalf("overlap-save path allocates %v objects per steady-state run, want 0", got)
 	}
 }
+
+// TestUpsamplerStreamAllocFree gates the streaming upsampler: once the
+// overlap-save engine and the scratch are warm, draining a frame with
+// Begin/Next allocates nothing, on the OLS and the direct path alike.
+func TestUpsamplerStreamAllocFree(t *testing.T) {
+	skipAllocGateUnderRace(t)
+	rng := rand.New(rand.NewSource(5))
+	u, err := NewUpsampler(32, 513)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := make([]complex128, 2020)
+	short := make([]complex128, 20)
+	for i := range long {
+		long[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	copy(short, long)
+	drain := func(x []complex128) {
+		u.Begin(x)
+		for blk := u.Next(); blk != nil; blk = u.Next() {
+		}
+	}
+	drain(long)
+	drain(short)
+	if got := testing.AllocsPerRun(10, func() {
+		drain(long)
+		drain(short)
+	}); got != 0 {
+		t.Fatalf("streaming upsampler allocates %v objects per steady-state frame pair, want 0", got)
+	}
+}

@@ -40,10 +40,7 @@ type olsConv struct {
 // transform as fresh output.
 func newOLSConv(taps []complex128) *olsConv {
 	t := len(taps)
-	n := 128
-	for n < 4*t {
-		n <<= 1
-	}
+	n := olsSize(t)
 	plan, err := NewFFTPlan(n)
 	if err != nil {
 		panic(err) // unreachable: n is a power of two by construction
@@ -55,6 +52,15 @@ func newOLSConv(taps []complex128) *olsConv {
 	him := make([]float64, n)
 	kernels.Deinterleave(hre, him, h)
 	return &olsConv{taps: t, n: n, l: n - (t - 1), plan: plan, h: h, hre: hre, him: him, seg: make([]complex128, n)}
+}
+
+// olsSize is the FFT size of the engine for t taps.
+func olsSize(t int) int {
+	n := 128
+	for n < 4*t {
+		n <<= 1
+	}
+	return n
 }
 
 func newOLSConvReal(taps []float64) *olsConv {
@@ -87,27 +93,35 @@ func (c *olsConv) process(dst, ext []complex128) {
 		for i := copied; i < c.n; i++ {
 			c.seg[i] = 0
 		}
-		// Planar round trip: forward stages, spectral product against the
-		// deinterleaved filter planes, inverse stages — staying split-complex
-		// between the two transforms skips the interleave/deinterleave round
-		// trips that Forward + seg[i] *= h[i] + Inverse would perform. The
-		// arithmetic per element is identical (MulCplx and ScaleCplx are the
-		// compiler's complex128 lowering), so the output is bit-identical to
-		// the interleaved sequence.
-		s := c.plan.scratch.Get().(*fftScratch)
-		kernels.Deinterleave(s.sre, s.sim, c.seg)
-		kernels.FFTPermute(s.pre, s.sre, c.plan.rev64)
-		kernels.FFTPermute(s.pim, s.sim, c.plan.rev64)
-		c.plan.stagesInPlace(s.pre, s.pim, false)
-		kernels.MulCplx(s.pre, s.pim, c.hre, c.him)
-		kernels.FFTPermute(s.sre, s.pre, c.plan.rev64)
-		kernels.FFTPermute(s.sim, s.pim, c.plan.rev64)
-		c.plan.stagesInPlace(s.sre, s.sim, true)
-		kernels.ScaleCplx(s.sre, s.sim, 1/float64(c.n))
-		kernels.Interleave(c.seg, s.sre, s.sim)
-		c.plan.scratch.Put(s)
-		// The first taps-1 samples of each block are circular-wrap
-		// garbage; samples [p, p+cnt) are exact linear convolution.
+		c.block()
 		copy(dst[start:start+cnt], c.seg[p:p+cnt])
 	}
+}
+
+// block convolves one overlap-save segment in place: on entry c.seg holds
+// the n extended-frame samples the block reads, on return c.seg[taps-1:]
+// holds its exact linear-convolution outputs (the first taps-1 samples are
+// circular-wrap garbage).
+//
+// The round trip is planar: forward stages, spectral product against the
+// deinterleaved filter planes, inverse stages — staying split-complex
+// between the two transforms skips the interleave/deinterleave round trips
+// that Forward + seg[i] *= h[i] + Inverse would perform. The arithmetic per
+// element is identical (MulCplx and ScaleCplx are the compiler's complex128
+// lowering), so the output is bit-identical to the interleaved sequence.
+//
+//lint:hotpath
+func (c *olsConv) block() {
+	s := c.plan.scratch.Get().(*fftScratch)
+	kernels.Deinterleave(s.sre, s.sim, c.seg)
+	kernels.FFTPermute(s.pre, s.sre, c.plan.rev64)
+	kernels.FFTPermute(s.pim, s.sim, c.plan.rev64)
+	c.plan.stagesInPlace(s.pre, s.pim, false)
+	kernels.MulCplx(s.pre, s.pim, c.hre, c.him)
+	kernels.FFTPermute(s.sre, s.pre, c.plan.rev64)
+	kernels.FFTPermute(s.sim, s.pim, c.plan.rev64)
+	c.plan.stagesInPlace(s.sre, s.sim, true)
+	kernels.ScaleCplx(s.sre, s.sim, 1/float64(c.n))
+	kernels.Interleave(c.seg, s.sre, s.sim)
+	c.plan.scratch.Put(s)
 }

@@ -4,13 +4,26 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 )
 
 // Upsampler increases the sample rate by an integer factor using zero
 // stuffing followed by an anti-imaging lowpass filter.
+//
+// Besides the whole-frame Process/ProcessInto, the upsampler streams: Begin
+// starts a frame and each Next returns the following block of the
+// upsampled signal. Streaming never materializes the zero-stuffed frame;
+// for long tap sets each overlap-save segment is built straight from the
+// input samples and the filter history. Both forms produce the same samples
+// and advance the same filter state.
 type Upsampler struct {
 	factor int
 	filter *FIR
+
+	// Streaming state of the frame begun by Begin.
+	x    []complex128
+	next int          // index of the next output sample
+	blk  []complex128 // direct-path block scratch, reused across frames
 }
 
 // NewUpsampler builds an upsampler for the given integer factor. taps sets
@@ -59,27 +72,121 @@ func (u *Upsampler) Process(x []complex128) []complex128 {
 // dst's capacity — the allocation-free form of Process for callers that
 // carry a buffer across packets.
 func (u *Upsampler) ProcessInto(dst, x []complex128) []complex128 {
-	if u.factor == 1 {
-		return append(dst, x...)
+	dst = slices.Grow(dst, len(x)*u.factor)
+	u.Begin(x)
+	for blk := u.Next(); blk != nil; blk = u.Next() {
+		dst = append(dst, blk...)
 	}
-	base := len(dst)
-	need := base + len(x)*u.factor
-	if cap(dst) < need {
-		grown := make([]complex128, base, need)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:need]
-	out := dst[base:]
-	for i := range out {
-		out[i] = 0
-	}
-	g := complex(float64(u.factor), 0)
-	for i, v := range x {
-		out[i*u.factor] = v * g
-	}
-	u.filter.Process(out)
 	return dst
+}
+
+// Begin starts streaming the upsampled form of x (len(x)*factor samples).
+// The caller then drains the frame with Next; x must stay unchanged until
+// Next has returned nil.
+func (u *Upsampler) Begin(x []complex128) {
+	u.x = x
+	u.next = 0
+}
+
+// BlockLen returns the length of every block of the frame begun by Begin
+// but the last, which may be shorter.
+func (u *Upsampler) BlockLen() int {
+	total := len(u.x) * u.factor
+	if u.filter == nil || !olsUsable(len(u.filter.taps), total) {
+		return total
+	}
+	t := len(u.filter.taps)
+	return olsSize(t) - (t - 1)
+}
+
+// Next returns the next block of the frame begun by Begin, or nil once the
+// frame is complete. A block stays valid until the following Next or Begin
+// call and must not be modified. Long frames come in blocks of exactly the
+// split the filter's overlap-save engine uses; a frame too short for it (or
+// an upsampler with a short filter) comes as one block.
+//
+//lint:hotpath
+func (u *Upsampler) Next() []complex128 {
+	total := len(u.x) * u.factor
+	if u.next >= total {
+		u.x = nil
+		return nil
+	}
+	f := u.filter
+	if f == nil {
+		u.next = total
+		return u.x
+	}
+	if !olsUsable(len(f.taps), total) {
+		if cap(u.blk) < total {
+			//lint:ignore escape one-time scratch grow, amortized across frames
+			u.blk = make([]complex128, total)
+		}
+		blk := u.blk[:total]
+		for i := range blk {
+			blk[i] = 0
+		}
+		u.stuff(blk, 0)
+		f.Process(blk)
+		u.next = total
+		return blk
+	}
+	if f.ols == nil {
+		f.ols = newOLSConvReal(f.taps)
+	}
+	c := f.ols
+	start := u.next
+	cnt := total - start
+	if cnt > c.l {
+		cnt = c.l
+	}
+	// The segment is ext[start : start+n] of the extended frame FIR.Process
+	// would build (history, then the zero-stuffed frame, then zero padding).
+	seg := c.seg
+	for i := range seg {
+		seg[i] = 0
+	}
+	p := len(f.hist)
+	if start < p {
+		copy(seg, f.hist[start:])
+	}
+	u.stuff(seg, start-p)
+	c.block()
+	u.next += cnt
+	if u.next == total {
+		u.advanceHistory()
+	}
+	return seg[p : p+cnt]
+}
+
+// stuff writes the zero-stuffed, gain-compensated frame samples that fall in
+// dst, where dst[0] is stuffed-frame sample off (which may be negative).
+// Positions between the stuffed samples are left as they are.
+func (u *Upsampler) stuff(dst []complex128, off int) {
+	g := complex(float64(u.factor), 0)
+	i := 0
+	if off > 0 {
+		i = (off + u.factor - 1) / u.factor
+	}
+	for ; i < len(u.x); i++ {
+		k := i*u.factor - off
+		if k >= len(dst) {
+			break
+		}
+		dst[k] = u.x[i] * g
+	}
+}
+
+// advanceHistory leaves the filter history holding the last taps-1 samples
+// of the extended frame, as FIR.Process does after a frame. Only the
+// overlap-save path calls it, and its frames (at least 2×taps samples) are
+// longer than the history, so the history is all new frame samples.
+func (u *Upsampler) advanceHistory() {
+	hist := u.filter.hist
+	for i := range hist {
+		hist[i] = 0
+	}
+	u.stuff(hist, len(u.x)*u.factor-len(hist))
 }
 
 // Downsampler reduces the sample rate by an integer factor with an

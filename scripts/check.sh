@@ -114,6 +114,23 @@ for pkg in ./internal/kernels ./internal/dsp ./internal/randutil ./internal/rf \
     go test -run "$batch_pat" -count=1 "$pkg" > /dev/null
 done
 
+# Co-sim front end. The analog solver streams each frame in blocks with its
+# LO bank computed one block ahead; its output is pinned bit for bit by
+# digests recorded from the per-sample solver (waveform and end-to-end
+# packets) and by differential tests against the per-sample oracle and the
+# whole-frame upsampler. The `go test -list` guard makes a silent skip
+# impossible; the named re-run under -race exercises the LO helper
+# goroutine's hand-over on every covered frame shape.
+echo "==> co-sim golden and differential suite"
+cosim_pat='CoSimGolden|MatchesOracle|StepsMatchUnhoisted|UpsamplerStreamMatchesFIR'
+n="$(go test -run '^$' -list "$cosim_pat" ./internal/analog ./internal/core ./internal/dsp | grep -c '^Test' || true)"
+if [ "$n" -lt 5 ]; then
+    echo "FAIL: only $n co-sim golden/differential tests match '$cosim_pat' (silent skip)" >&2
+    exit 1
+fi
+echo "    internal/analog, internal/core, internal/dsp: $n co-sim golden/differential tests"
+go test -race -run "$cosim_pat" -count=1 ./internal/analog ./internal/core ./internal/dsp > /dev/null
+
 # Sweep service. The daemon's whole value rests on two properties: a served
 # series is byte-identical to the in-process run, and the content-addressed
 # store survives crashes. Both are pinned by tests; the `go test -list`
@@ -182,6 +199,7 @@ echo "==> allocation gates"
 go test -run 'AllocFree|TestFIRProcessSteadyStateAllocs|TestRestartAllocs' -count=1 \
     ./internal/phy ./internal/phy/viterbi ./internal/dsp ./internal/randutil
 go test -run 'TestPacketRunAllocBounded' -count=1 ./internal/core
+go test -run 'TestFrontEndProcessAllocs' -count=1 ./internal/analog
 go test -run 'TestSweepExecutorBuffersPooled|TestSweepScratchPooledAcrossConcurrentExecutes' -count=1 ./internal/sim
 
 echo "==> benchmark smoke (1 iteration per scenario)"
@@ -191,6 +209,8 @@ go test -run '^$' -bench 'BenchmarkFFTStage' -benchtime 1x ./internal/kernels > 
 go test -run '^$' -bench 'BenchmarkFIRProcess|BenchmarkComplexFIRProcess|BenchmarkFFT|BenchmarkDFT|BenchmarkIIRCascade3' -benchtime 1x ./internal/dsp > /dev/null
 go test -run '^$' -bench 'BenchmarkDemodulateSymbol|BenchmarkModulateSymbol' -benchtime 1x ./internal/phy > /dev/null
 go test -run '^$' -bench 'BenchmarkServiceJob' -benchtime 1x ./internal/service > /dev/null
+go test -run '^$' -bench 'BenchmarkFrontEndProcess' -benchtime 1x ./internal/analog > /dev/null
+go test -run '^$' -bench 'BenchmarkTable2_CoSimulation' -benchtime 1x . > /dev/null
 
 # Benchmark regression gate. Re-measures the tracked packet/sweep scenarios
 # >= 5 times each and compares every scenario's MEDIAN ns/op (benchstat
@@ -282,4 +302,4 @@ for dir in $(grep -rl '^func Fuzz' --include='*_test.go' . | xargs -n1 dirname |
     done
 done
 
-echo "OK: build, vet, wlanlint, escape gate, race tests, dispatch tiers, coverage floors, service gates, daemon smoke, alloc gates, bench smoke, regression gate and fuzz all clean"
+echo "OK: build, vet, wlanlint, escape gate, race tests, dispatch tiers, coverage floors, co-sim suite, service gates, daemon smoke, alloc gates, bench smoke, regression gate and fuzz all clean"

@@ -139,7 +139,10 @@ type Config struct {
 	// lock-step batched pipeline (RunBenchBatch). Results are bit-identical
 	// for every value — batching changes wall-clock only, as the batch
 	// differential tests pin. Ragged tail groups and unsupported sweep shapes
-	// fall back to the sequential path automatically.
+	// fall back to the sequential path automatically. Filter sweeps
+	// (FilterBandwidthSweep) batch without it: their points always run as
+	// filter lanes over the shared pre-filter prefix, grouped by the edge
+	// and worker counts alone.
 	Batch int
 	// TargetErrors, when > 0, stops a bench run early once the accumulated
 	// bit-error count reaches it (Packets stays the upper bound). Sweep
@@ -298,15 +301,7 @@ func (b *Bench) buildFrontEnd(os int) (rf.FrontEnd, error) {
 	case FrontEndIdeal:
 		return rf.NewIdealFrontEnd(os)
 	case FrontEndBehavioral:
-		cfg := rf.DefaultReceiverConfig(os)
-		// Calibrate the AGC starting point to the expected wanted level so
-		// the loop only has to track.
-		smallSignal := cfg.LNA.GainDB + cfg.Mixer1.ConversionGainDB + cfg.Mixer2.ConversionGainDB
-		cfg.AGC.InitialGainDB = cfg.AGC.TargetDBm - (b.cfg.WantedPowerDBm + smallSignal)
-		if b.cfg.TuneRF != nil {
-			b.cfg.TuneRF(&cfg)
-		}
-		return rf.NewReceiver(cfg)
+		return rf.NewReceiver(b.receiverConfig(os))
 	case FrontEndCoSim:
 		cfg := analog.DefaultFrontEndConfig()
 		cfg.InputRateHz = 20e6 * float64(os)
@@ -339,6 +334,19 @@ func (b *Bench) buildFrontEnd(os int) (rf.FrontEnd, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown front end %d", b.cfg.FrontEnd)
 	}
+}
+
+// receiverConfig returns the tuned behavioral receiver configuration.
+func (b *Bench) receiverConfig(os int) rf.ReceiverConfig {
+	cfg := rf.DefaultReceiverConfig(os)
+	// Calibrate the AGC starting point to the expected wanted level so the
+	// loop only has to track.
+	smallSignal := cfg.LNA.GainDB + cfg.Mixer1.ConversionGainDB + cfg.Mixer2.ConversionGainDB
+	cfg.AGC.InitialGainDB = cfg.AGC.TargetDBm - (b.cfg.WantedPowerDBm + smallSignal)
+	if b.cfg.TuneRF != nil {
+		b.cfg.TuneRF(&cfg)
+	}
+	return cfg
 }
 
 // interfererPSDULen is the fixed payload length of interferer frames.
@@ -558,6 +566,34 @@ const (
 	prefixBaseband
 )
 
+// preFilterKey is the cache key of packet p's pre-filter prefix.
+func (b *Bench) preFilterKey(p, os int) sim.CacheKey {
+	return b.stageKey(cacheKindPreFilter, p, os, b.cfg.ChannelSNRdB != nil)
+}
+
+// preFilterEntry serves packet p's pre-filter prefix: TX + channel (+
+// invariant noise) + the front-end segment upstream of the channel-select
+// filter, computed on rx on a cache miss. Bit-exact because Receiver.Process
+// is ProcessToFilter∘ProcessFromFilter and every front-end noise/LO stream
+// restarts per packet from fixed seeds. The entry is shared: read only.
+func (b *Bench) preFilterEntry(rx *rf.Receiver, p, os int) (*stageEntry, error) {
+	withNoise := b.cfg.ChannelSNRdB != nil
+	v, err := b.cfg.Cache.GetOrCompute(b.preFilterKey(p, os),
+		func() (any, int64, error) {
+			e, err := b.fullPrefix(p, os, withNoise)
+			if err != nil {
+				return nil, 0, err
+			}
+			rx.Reset()
+			e.wave = rx.ProcessToFilter(e.wave)
+			return e, e.sizeBytes(), nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*stageEntry), nil
+}
+
 // packetPrefix produces packet p's waveform at the prefix boundary along
 // with its reference payload bits, serving the invariant prefix from the
 // cache when one is attached. The returned boundary tells Run which pipeline
@@ -589,25 +625,10 @@ func (b *Bench) packetPrefix(p, os int) (refBits []byte, wave []complex128, boun
 		return e.refBits, cloneWave(e), prefixBaseband, nil
 
 	case b.preFilterPrefix() && behavioral:
-		// Pre-filter prefix: TX + channel (+ invariant noise) + the front-end
-		// segment upstream of the channel-select filter. Bit-exact because
-		// Receiver.Process is ProcessToFilter∘ProcessFromFilter and every
-		// front-end noise/LO stream restarts per packet from fixed seeds.
-		withNoise := b.cfg.ChannelSNRdB != nil
-		v, err := b.cfg.Cache.GetOrCompute(b.stageKey(cacheKindPreFilter, p, os, withNoise),
-			func() (any, int64, error) {
-				e, err := b.fullPrefix(p, os, withNoise)
-				if err != nil {
-					return nil, 0, err
-				}
-				rxFE.Reset()
-				e.wave = rxFE.ProcessToFilter(e.wave)
-				return e, e.sizeBytes(), nil
-			})
+		e, err := b.preFilterEntry(rxFE, p, os)
 		if err != nil {
 			return nil, nil, prefixAntenna, err
 		}
-		e := v.(*stageEntry)
 		return e.refBits, cloneWave(e), prefixPreFilter, nil
 
 	case b.cfg.SweptStage >= StageNoise:

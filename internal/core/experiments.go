@@ -80,7 +80,11 @@ func Figure5Config() Config {
 // within it, only at the channel-select filter — so the sweep's points share
 // not just the TX synthesis and channel composition of every packet but the
 // whole front-end segment upstream of the filter (LNA, mixers, DC block)
-// through the invariant-prefix stage cache (SweptFrontEndFilterOnly).
+// through the invariant-prefix stage cache (SweptFrontEndFilterOnly). The
+// edges run in filterLaneGroups contiguous groups, each as the lanes of one
+// filter/AGC/ADC pass over the shared prefix (filterLaneRun); the series is
+// bit-identical to one Bench.Run per edge for every grouping and worker
+// count.
 func FilterBandwidthSweep(base Config, edgesHz []float64) (*measure.Series, error) {
 	cache := newSweepCache(base)
 	sweep := &sim.Sweep{
@@ -89,22 +93,22 @@ func FilterBandwidthSweep(base Config, edgesHz []float64) (*measure.Series, erro
 		YLabel:      "bit error rate",
 		Values:      edgesHz,
 		Workers:     base.Workers,
+		Groups:      filterLaneGroups(len(edgesHz), sim.ResolveWorkers(base.Workers)),
 		OnPointDone: base.OnSweepPoint,
-		RunPoint: func(edge float64) (measure.Point, error) {
-			cfg := base
-			cfg.Seed = seed.ForPoint(base.Seed, edge)
-			cfg.ContentSeed = base.Seed
-			cfg.SweptStage = StageFrontEnd
-			cfg.SweptFrontEndFilterOnly = true
-			cfg.Cache = cache
-			prev := base.TuneRF
-			cfg.TuneRF = func(rc *rf.ReceiverConfig) {
-				if prev != nil {
-					prev(rc)
-				}
-				rc.ChannelFilterEdgeHz = edge
+		RunPointBatch: func(edges []float64) ([]measure.Point, error) {
+			cfgs := make([]Config, len(edges))
+			for i, edge := range edges {
+				cfgs[i] = filterPointConfig(base, edge, cache)
 			}
-			return runBERPoint(cfg)
+			results, err := new(filterLaneRun).run(cfgs)
+			if err != nil {
+				return nil, err
+			}
+			pts := make([]measure.Point, len(results))
+			for i, res := range results {
+				pts[i] = res.Counter.Point()
+			}
+			return pts, nil
 		},
 	}
 	series, err := sweep.Execute()
@@ -119,6 +123,26 @@ func FilterBandwidthSweep(base Config, edgesHz []float64) (*measure.Series, erro
 		series.Cache = cache.Stats()
 	}
 	return series, nil
+}
+
+// filterPointConfig is the configuration of FilterBandwidthSweep's point at
+// edge: seeded from (base.Seed, edge), sharing the pre-filter prefix through
+// cache.
+func filterPointConfig(base Config, edge float64, cache *sim.StageCache) Config {
+	cfg := base
+	cfg.Seed = seed.ForPoint(base.Seed, edge)
+	cfg.ContentSeed = base.Seed
+	cfg.SweptStage = StageFrontEnd
+	cfg.SweptFrontEndFilterOnly = true
+	cfg.Cache = cache
+	prev := base.TuneRF
+	cfg.TuneRF = func(rc *rf.ReceiverConfig) {
+		if prev != nil {
+			prev(rc)
+		}
+		rc.ChannelFilterEdgeHz = edge
+	}
+	return cfg
 }
 
 // Figure6Config returns the scenario behind Figure 6: BER versus the first

@@ -1,0 +1,134 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+
+	"wlansim/internal/rf"
+	"wlansim/internal/sim"
+)
+
+// TestFilterBatchMatchesSequential is the filter-lane sweep differential
+// test: every lane's Result of filterLaneRun.run — bit and error counts, lost
+// packets and the Float64bits of the mean EVM — must equal Bench.Run on the
+// same point configuration. Covered: groups of one to five lanes, with the
+// stage cache, without it, and under a budget too small to keep a prefix;
+// TargetErrors stopping lanes at different packets; and lanes with fewer
+// packets than their group-mates. With the default cache every lane of a
+// packet must receive the very same prefix entry.
+func TestFilterBatchMatchesSequential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep points too slow for -short")
+	}
+	allEdges := []float64{5e6, 9.5e6, 6.5e6, 17e6, 12e6}
+	type variant struct {
+		name         string
+		cache        func() *sim.StageCache
+		targetErrors int
+		shortLane    bool
+	}
+	variants := []variant{
+		{name: "cached", cache: func() *sim.StageCache { return sim.NewStageCache(0) }},
+		{name: "uncached", cache: func() *sim.StageCache { return nil }},
+		{name: "evicting", cache: func() *sim.StageCache { return sim.NewStageCache(1) }},
+		{name: "target errors", cache: func() *sim.StageCache { return sim.NewStageCache(0) }, targetErrors: 100},
+		{name: "short lane", cache: func() *sim.StageCache { return sim.NewStageCache(0) }, shortLane: true},
+	}
+	for _, v := range variants {
+		for L := 1; L <= len(allEdges); L++ {
+			base := Figure5Config()
+			base.Packets = 4
+			base.PSDULen = 60
+			base.TargetErrors = v.targetErrors
+			cache := v.cache()
+			cfgs := make([]Config, L)
+			for l := range cfgs {
+				cfgs[l] = filterPointConfig(base, allEdges[l], cache)
+				if v.shortLane && l == 1 {
+					cfgs[l].Packets = 2
+				}
+			}
+			run := &filterLaneRun{}
+			got, err := run.run(cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.name == "cached" || v.name == "target errors" || v.name == "short lane" {
+				if run.unshared != 0 {
+					t.Errorf("%s L=%d: %d lane lookups got a different prefix entry than their group-mates",
+						v.name, L, run.unshared)
+				}
+			}
+			for l, cfg := range cfgs {
+				cfg.Cache = v.cache()
+				bench, err := NewBench(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := bench.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				where := fmt.Sprintf("%s L=%d lane %d (edge %g)", v.name, L, l, allEdges[l])
+				if !reflect.DeepEqual(got[l].Counter, want.Counter) {
+					t.Errorf("%s: lane counter %+v != sequential %+v", where, got[l].Counter, want.Counter)
+				}
+				if math.Float64bits(got[l].EVM.RMS) != math.Float64bits(want.EVM.RMS) ||
+					got[l].EVM.Symbols != want.EVM.Symbols {
+					t.Errorf("%s: lane EVM %v != sequential %v", where, got[l].EVM, want.EVM)
+				}
+				if got[l].OversampleFactor != want.OversampleFactor || got[l].FrontEnd != want.FrontEnd {
+					t.Errorf("%s: lane result header %d/%v != sequential %d/%v", where,
+						got[l].OversampleFactor, got[l].FrontEnd, want.OversampleFactor, want.FrontEnd)
+				}
+			}
+		}
+	}
+}
+
+// TestFilterLaneGroups pins the derived grouping: at least one group per
+// worker and at most four lanes per group beyond that — the Figure 5
+// workload (6 edges, 2 workers) runs as 2 groups of 3.
+func TestFilterLaneGroups(t *testing.T) {
+	for _, c := range []struct{ n, workers, want int }{
+		{6, 2, 2}, {1, 2, 2}, {4, 1, 1}, {5, 1, 2}, {12, 2, 3}, {13, 2, 4}, {3, 8, 8},
+	} {
+		if got := filterLaneGroups(c.n, c.workers); got != c.want {
+			t.Errorf("filterLaneGroups(%d, %d) = %d, want %d", c.n, c.workers, got, c.want)
+		}
+	}
+}
+
+// TestFilterLanesRejectMixedGroups pins the group contract: only points of a
+// filter-only behavioral front-end sweep that share the DSP receiver's
+// settings may run as lanes.
+func TestFilterLanesRejectMixedGroups(t *testing.T) {
+	base := Figure5Config()
+	base.Packets = 1
+	base.PSDULen = 40
+	good := func() []Config {
+		return []Config{filterPointConfig(base, 6e6, nil), filterPointConfig(base, 9e6, nil)}
+	}
+	cases := map[string]func([]Config){
+		"not filter-only": func(c []Config) { c[1].SweptFrontEndFilterOnly = false },
+		"other rate":      func(c []Config) { c[1].RateMbps = 24 },
+		"ideal front end": func(c []Config) { c[0].FrontEnd = FrontEndIdeal },
+		"AGC tuned":       func(c []Config) { c[1].TuneRF = func(rc *rf.ReceiverConfig) { rc.AGC.TargetDBm = -5 } },
+		"no interferer":   func(c []Config) { c[1].Interferers = nil },
+	}
+	for name, mutate := range cases {
+		cfgs := good()
+		mutate(cfgs)
+		if _, err := new(filterLaneRun).run(cfgs); err == nil {
+			t.Errorf("%s: mixed group accepted", name)
+		}
+	}
+	if _, err := new(filterLaneRun).run(nil); err == nil {
+		t.Error("empty group accepted")
+	}
+	if _, err := new(filterLaneRun).run(good()); err != nil {
+		t.Errorf("filter-sweep group rejected: %v", err)
+	}
+}

@@ -324,3 +324,30 @@ func (a *ADC) Process(x []complex128) []complex128 {
 	}
 	return x
 }
+
+// convertKeep converts the frame x as Process does and appends the samples
+// at indices first, first+factor, ... to dst — ADC then a decimator without
+// anti-alias filter in one pass. It returns dst and the number of samples in
+// x that clipped. A sample that is not kept is only tested for clipping,
+// since its converted value is never read; the clip test is quantize's own.
+func (a *ADC) convertKeep(dst, x []complex128, first, factor int) ([]complex128, int) {
+	clips := 0
+	fs := a.fs
+	next := first
+	for i, v := range x {
+		if i == next {
+			next += factor
+			re, ci := a.quantize(real(v))
+			im, cq := a.quantize(imag(v))
+			if ci || cq {
+				clips++
+			}
+			dst = append(dst, complex(re, im))
+			continue
+		}
+		if re, im := real(v), imag(v); re > fs || re < -fs || im > fs || im < -fs {
+			clips++
+		}
+	}
+	return dst, clips
+}

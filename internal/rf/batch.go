@@ -28,8 +28,9 @@ import (
 
 // agcBatchState carries the per-lane AGC loop state. Only resync survives
 // across packets (AGC.Reset deliberately preserves it; see
-// agcResyncInterval); the gain and estimator lanes are scratch reinitialized
-// from the Reset values at the top of every batch.
+// agcResyncInterval); resetLanes reinitializes the gain and estimator lanes
+// from the Reset values at the top of every packet, and stepLanes carries
+// all four across the calls of one packet.
 type agcBatchState struct {
 	resync  []int
 	gainLin []float64
@@ -37,40 +38,61 @@ type agcBatchState struct {
 	est     []float64
 }
 
-// processBatch runs the AGC loop over B lanes lane-interleaved: sample i of
-// every lane is stepped before sample i+1 of any. Lane state lives in the
-// batch arrays and lanes never mix, so lane l performs exactly the scalar
-// Process arithmetic in exactly its order — the interleave only overlaps the
-// lanes' serial est -> log -> step -> exp -> gain dependency chains, which
-// bound the scalar loop's throughput.
-//
-//lint:hotpath batched AGC loop: per-sample gain recurrence across lanes
-func (a *AGC) processBatch(lanes [][]complex128, st *agcBatchState) {
-	if a.cfg.Freeze {
-		// Frozen gain has no recurrence; the scalar per-lane pass is already
-		// throughput-bound.
-		for l, lane := range lanes {
-			a.Reset()
-			a.resync = st.resync[l]
-			a.Process(lane)
-			st.resync[l] = a.resync
-		}
+// grow sizes the state for lanes lanes, keeping the carried resync counters.
+func (st *agcBatchState) grow(lanes int) {
+	if len(st.resync) >= lanes {
 		return
 	}
-	L := len(lanes)
-	n := len(lanes[0])
-	// Per-lane Reset: the same three assignments AGC.Reset performs, fanned
-	// across the state lanes; resync is carried from the previous packet.
+	resync := make([]int, lanes)
+	copy(resync, st.resync)
+	st.resync = resync
+	st.gainLin = make([]float64, lanes)
+	st.gainDB = make([]float64, lanes)
+	st.est = make([]float64, lanes)
+}
+
+// resetLanes performs AGC.Reset on the first L lanes of st: the same three
+// assignments, fanned across the state lanes; resync is carried from the
+// previous packet.
+func (a *AGC) resetLanes(st *agcBatchState, L int) {
 	g0 := clamp(a.cfg.InitialGainDB, a.cfg.MinGainDB, a.cfg.MaxGainDB)
 	lin0 := units.DBToVoltageGain(g0)
 	est0 := units.DBmToWatts(a.cfg.TargetDBm)
+	for l := 0; l < L; l++ {
+		st.gainDB[l] = g0
+		st.gainLin[l] = lin0
+		st.est[l] = est0
+	}
+}
+
+// stepLanes runs the AGC loop over the equal-length lanes lane-interleaved:
+// sample i of every lane is stepped before sample i+1 of any. Lane state
+// lives in st and lanes never mix, so lane l performs exactly the scalar
+// Process arithmetic in exactly its order — the interleave only overlaps the
+// lanes' serial est -> log -> step -> exp -> gain dependency chains, which
+// bound the scalar loop's throughput. The state carries across calls, so a
+// packet may be stepped whole or in consecutive blocks with identical
+// output; call resetLanes at the top of each packet.
+//
+//lint:hotpath AGC lane loop: per-sample gain recurrence across lanes
+func (a *AGC) stepLanes(lanes [][]complex128, st *agcBatchState) {
+	L := len(lanes)
+	if L == 0 {
+		return
+	}
 	gainLin, gainDB, est := st.gainLin[:L], st.gainDB[:L], st.est[:L]
 	resync := st.resync[:L]
-	for l := 0; l < L; l++ {
-		gainDB[l] = g0
-		gainLin[l] = lin0
-		est[l] = est0
+	if a.cfg.Freeze {
+		// Frozen gain has no recurrence: Process's frozen pass per lane.
+		for l, lane := range lanes {
+			g := gainLin[l]
+			for i, v := range lane {
+				lane[i] = complex(g*real(v), g*imag(v))
+			}
+		}
+		return
 	}
+	n := len(lanes[0])
 	var (
 		alpha   = a.alpha
 		invT    = a.invTarget
@@ -233,13 +255,8 @@ func (b *BatchReceiver) grow(lanes, n int) {
 		outs := make([][]complex128, lanes)
 		copy(outs, b.outs)
 		b.outs = outs
-		resync := make([]int, lanes)
-		copy(resync, b.agc.resync)
-		b.agc.resync = resync
-		b.agc.gainLin = make([]float64, lanes)
-		b.agc.gainDB = make([]float64, lanes)
-		b.agc.est = make([]float64, lanes)
 	}
+	b.agc.grow(lanes)
 	for l := 0; l < lanes; l++ {
 		if cap(b.xr[l]) < n {
 			b.xr[l] = make([]float64, n)
@@ -306,7 +323,8 @@ func (b *BatchReceiver) Process(lanes [][]complex128) [][]complex128 {
 		kernels.Interleave(lane, xr[l], xi[l])
 	}
 
-	b.rx.agc.processBatch(lanes, &b.agc)
+	b.rx.agc.resetLanes(&b.agc, L)
+	b.rx.agc.stepLanes(lanes, &b.agc)
 	for _, lane := range lanes {
 		b.rx.adc.Process(lane)
 	}

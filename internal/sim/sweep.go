@@ -46,6 +46,12 @@ type Sweep struct {
 	RunPointBatch func(values []float64) ([]measure.Point, error)
 	// BatchSize is the group width for RunPointBatch.
 	BatchSize int
+	// Groups, if > 0 together with RunPointBatch, partitions Values into
+	// that many contiguous groups (at most one per value) whose sizes differ
+	// by at most one, and evaluates each group with one RunPointBatch call,
+	// unpadded — for batch runners that take any width, one included. It
+	// takes precedence over BatchSize, and Run/RunPoint may then be nil.
+	Groups int
 	// OnPoint, if set, is called after each point (progress reporting).
 	// Under parallel execution it is still invoked in Values order, for
 	// each completed prefix of the sweep.
@@ -120,11 +126,26 @@ type sweepChunk struct {
 
 // chunks partitions Values into work units. Without a usable batch
 // configuration every value is its own unit (the historical behavior). With
-// one, consecutive groups of BatchSize go to RunPointBatch; the ragged tail
-// stays one batched unit too — runChunkInto pads it with dummy lanes — so the
+// Groups, the values split into that many balanced groups. With BatchSize,
+// consecutive groups of BatchSize go to RunPointBatch; the ragged tail stays
+// one batched unit too — runChunkInto pads it with dummy lanes — so the
 // scalar path never runs when batching is configured.
 func (s *Sweep) chunks() []sweepChunk {
 	n := len(s.Values)
+	if s.RunPointBatch != nil && s.Groups > 0 {
+		g := min(s.Groups, n)
+		out := make([]sweepChunk, g)
+		start := 0
+		for i := range out {
+			end := start + n/g
+			if i < n%g {
+				end++
+			}
+			out[i] = sweepChunk{start: start, end: end, batched: true}
+			start = end
+		}
+		return out
+	}
 	if s.RunPointBatch == nil || s.BatchSize <= 1 {
 		out := make([]sweepChunk, n)
 		for i := range out {
@@ -144,16 +165,16 @@ func (s *Sweep) chunks() []sweepChunk {
 }
 
 // runChunkInto evaluates one work unit into dst (length c.end-c.start, in
-// Values order, X stamped on return). A ragged batched unit is padded up to
-// BatchSize by repeating its last value: the dummy lanes run the full
-// lock-step pipeline and their points are discarded, which is sound because
-// the batch contract makes every lane bit-identical to its scalar run
-// regardless of its batch-mates.
+// Values order, X stamped on return). Without Groups, a ragged batched unit
+// is padded up to BatchSize by repeating its last value: the dummy lanes run
+// the full lock-step pipeline and their points are discarded, which is sound
+// because the batch contract makes every lane bit-identical to its scalar
+// run regardless of its batch-mates.
 func (s *Sweep) runChunkInto(run func(value float64) (measure.Point, error), c sweepChunk, dst []measure.Point) error {
 	values := s.Values[c.start:c.end]
 	if c.batched {
 		batchVals := values
-		if len(values) < s.BatchSize {
+		if s.Groups <= 0 && len(values) < s.BatchSize {
 			batchVals = make([]float64, s.BatchSize)
 			copy(batchVals, values)
 			for i := len(values); i < s.BatchSize; i++ {
@@ -197,20 +218,27 @@ func (s *Sweep) runner() func(value float64) (measure.Point, error) {
 	}
 }
 
+// ResolveWorkers returns the number of workers a sweep with the given
+// Workers setting runs on (before capping at its number of work units):
+// workers itself when positive, runtime.GOMAXPROCS(0) otherwise.
+func ResolveWorkers(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return workers
+}
+
 // Execute runs the sweep and collects the series.
 func (s *Sweep) Execute() (*measure.Series, error) {
 	run := s.runner()
-	if run == nil {
+	if run == nil && (s.RunPointBatch == nil || s.Groups <= 0) {
 		return nil, fmt.Errorf("sim: sweep %q has no Run function", s.Name)
 	}
 	if len(s.Values) == 0 {
 		return nil, fmt.Errorf("sim: sweep %q has no values", s.Name)
 	}
 	chunks := s.chunks()
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := ResolveWorkers(s.Workers)
 	if workers > len(chunks) {
 		workers = len(chunks)
 	}
@@ -231,9 +259,9 @@ func (s *Sweep) Execute() (*measure.Series, error) {
 	}
 
 	if workers == 1 {
-		width := 1
-		if s.RunPointBatch != nil && s.BatchSize > 1 {
-			width = s.BatchSize
+		width := 0
+		for _, c := range chunks {
+			width = max(width, c.end-c.start)
 		}
 		buf := make([]measure.Point, width)
 		for _, c := range chunks {

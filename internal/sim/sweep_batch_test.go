@@ -182,3 +182,55 @@ func TestSweepBatchErrorPropagates(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepGroupsBalancedUnpadded pins the Groups dispatch: the values split
+// into min(Groups, len(Values)) contiguous groups whose sizes differ by at
+// most one (larger groups first), each passed to RunPointBatch unpadded; no
+// scalar runner is needed, and the series matches the values in order for
+// serial and parallel execution alike.
+func TestSweepGroupsBalancedUnpadded(t *testing.T) {
+	for _, tc := range []struct {
+		n, groups int
+		sizes     []int
+	}{
+		{7, 2, []int{4, 3}},
+		{6, 2, []int{3, 3}},
+		{5, 4, []int{2, 1, 1, 1}},
+		{2, 8, []int{1, 1}},
+	} {
+		for _, workers := range []int{1, 3} {
+			rec := &batchRecorder{}
+			values := Linspace(1, float64(tc.n), tc.n)
+			s := rec.sweep(values, 0, workers)
+			s.RunPoint = nil
+			s.Groups = tc.groups
+			series, err := s.Execute()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range series.Points {
+				want := measure.Point{X: values[i], Y: 3 * values[i], Bits: int(values[i]) + 1}
+				if p != want {
+					t.Errorf("n=%d groups=%d workers=%d point %d: got %+v, want %+v",
+						tc.n, tc.groups, workers, i, p, want)
+				}
+			}
+			if len(series.Points) != tc.n || len(rec.groups) != len(tc.sizes) {
+				t.Fatalf("n=%d groups=%d workers=%d: %d points in %d groups, want %d in %d",
+					tc.n, tc.groups, workers, len(series.Points), len(rec.groups), tc.n, len(tc.sizes))
+			}
+			seen := map[float64]int{}
+			for _, g := range rec.groups {
+				seen[g[0]] = len(g)
+			}
+			start := 0
+			for _, size := range tc.sizes {
+				if got := seen[values[start]]; got != size {
+					t.Errorf("n=%d groups=%d workers=%d: group at value %g has %d values, want %d",
+						tc.n, tc.groups, workers, values[start], got, size)
+				}
+				start += size
+			}
+		}
+	}
+}

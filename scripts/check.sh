@@ -199,6 +199,7 @@ echo "==> allocation gates"
 go test -run 'AllocFree|TestFIRProcessSteadyStateAllocs|TestRestartAllocs' -count=1 \
     ./internal/phy ./internal/phy/viterbi ./internal/dsp ./internal/randutil
 go test -run 'TestPacketRunAllocBounded' -count=1 ./internal/core
+go test -run 'TestFilterLanesAllocFree' -count=1 ./internal/rf
 go test -run 'TestFrontEndProcessAllocs' -count=1 ./internal/analog
 go test -run 'TestSweepExecutorBuffersPooled|TestSweepScratchPooledAcrossConcurrentExecutes' -count=1 ./internal/sim
 
@@ -210,6 +211,7 @@ go test -run '^$' -bench 'BenchmarkFIRProcess|BenchmarkComplexFIRProcess|Benchma
 go test -run '^$' -bench 'BenchmarkDemodulateSymbol|BenchmarkModulateSymbol' -benchtime 1x ./internal/phy > /dev/null
 go test -run '^$' -bench 'BenchmarkServiceJob' -benchtime 1x ./internal/service > /dev/null
 go test -run '^$' -bench 'BenchmarkFrontEndProcess' -benchtime 1x ./internal/analog > /dev/null
+go test -run '^$' -bench 'BenchmarkFilterLanes|BenchmarkProcessFromFilter' -benchtime 1x ./internal/rf > /dev/null
 go test -run '^$' -bench 'BenchmarkTable2_CoSimulation' -benchtime 1x . > /dev/null
 
 # Benchmark regression gate. Re-measures the tracked packet/sweep scenarios

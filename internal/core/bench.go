@@ -136,10 +136,14 @@ type Config struct {
 	Workers int
 	// Batch, when > 1, lets sweep harnesses dispatch that many equal-config
 	// points (noise-only sweeps over the behavioral front end) through the
-	// lock-step batched pipeline (RunBenchBatch). Results are bit-identical
-	// for every value — batching changes wall-clock only, as the batch
-	// differential tests pin. Ragged tail groups and unsupported sweep shapes
-	// fall back to the sequential path automatically. Filter sweeps
+	// lock-step batched pipeline (RunBenchBatch). Its packet loop has two
+	// stages: a helper goroutine runs packet p+1's front half (prefix
+	// lookup, antenna noise, rf.BatchReceiver) while the caller runs packet
+	// p's back half (sync, equalize, batched Viterbi, accounting); it starts
+	// early only when no lane can reach TargetErrors in packet p. Results
+	// are bit-identical for every value — batching changes wall-clock only,
+	// as the batch differential tests pin. Unsupported sweep shapes run the
+	// sequential path. Filter sweeps
 	// (FilterBandwidthSweep) batch without it: their points always run as
 	// filter lanes over the shared pre-filter prefix, grouped by the edge
 	// and worker counts alone.
@@ -825,12 +829,18 @@ func (b *Bench) receiveDSP(baseband []complex128, mode phy.Mode) (*rxdsp.PacketR
 func (b *Bench) accountPacket(pkt *rxdsp.PacketResult, rxErr error, refBits []byte, mode phy.Mode, res *Result, evm *evmAccum) bool {
 	if rxErr != nil {
 		res.Counter.AddLostPacket(len(refBits))
-		return b.cfg.TargetErrors > 0 && res.Counter.Errors >= b.cfg.TargetErrors
+		return b.targetReached(res.Counter.Errors)
 	}
 	res.Counter.AddPacket(refBits, bits.FromBytes(pkt.PSDU))
 	if ev, err := measure.EVM(pkt.EqualizedCarriers, mode.Modulation); err == nil {
 		evm.acc += ev.RMS * ev.RMS * float64(ev.Symbols)
 		evm.symbols += ev.Symbols
 	}
-	return b.cfg.TargetErrors > 0 && res.Counter.Errors >= b.cfg.TargetErrors
+	return b.targetReached(res.Counter.Errors)
+}
+
+// targetReached reports whether a run with the given bit-error count has
+// reached the configured TargetErrors and stops.
+func (b *Bench) targetReached(errors int) bool {
+	return b.cfg.TargetErrors > 0 && errors >= b.cfg.TargetErrors
 }

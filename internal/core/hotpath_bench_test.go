@@ -92,7 +92,9 @@ func BenchmarkSweepFilterBW(b *testing.B) {
 
 // sweepBatchedConfig is the canonical batched-sweep scenario: a behavioral
 // front-end waterfall at 24 Mbit/s, 8 SNR points, 2 packets per point, one
-// worker (so the measurement isolates batching, not goroutine parallelism).
+// sweep worker. With Batch=8 all points form one batch group, whose front
+// half (RF lanes) runs one packet ahead of its decode on a helper goroutine
+// (see RunBenchBatch), so the batched run can use two CPUs.
 func sweepBatchedConfig() (Config, []float64) {
 	base := DefaultConfig()
 	base.FrontEnd = FrontEndBehavioral
@@ -128,6 +130,32 @@ func BenchmarkSweepBatched(b *testing.B) { runSweepBatched(b, 8) }
 // BenchmarkSweepBatchedSeq is the sequential-dispatch control for
 // BenchmarkSweepBatched.
 func BenchmarkSweepBatchedSeq(b *testing.B) { runSweepBatched(b, 0) }
+
+// BenchmarkSweepBatchedWorkers is the oversubscribed batched sweep: 16 SNR
+// points at Batch=8 on all CPUs, so two batch groups run concurrently, each
+// with its own run-ahead front half. Ten packets per point, as in the
+// snr_waterfall_batched benchmark workload, so most packets overlap.
+func BenchmarkSweepBatchedWorkers(b *testing.B) {
+	base, _ := sweepBatchedConfig()
+	base.Packets = 10
+	base.Batch = 8
+	base.Workers = 0
+	snrs := make([]float64, 16)
+	for i := range snrs {
+		snrs[i] = 8 + float64(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fig, err := WaterfallBERvsSNROnFrontEnd(base, FrontEndBehavioral, []int{24}, snrs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(fig.Series) != 1 || len(fig.Series[0].Points) != len(snrs) {
+			b.Fatalf("unexpected figure shape")
+		}
+	}
+}
 
 // BenchmarkPacketIdeal24 isolates the DSP chain (no RF impairment models):
 // transmitter, AWGN, synchronizing receiver, soft Viterbi.

@@ -40,37 +40,56 @@ func (r EVMResult) String() string {
 // EVM measures the blind (decision-directed) EVM of equalized data carriers:
 // each point is compared against the nearest constellation point of the
 // given modulation. carriers holds one slice of 48 points per OFDM symbol.
+//
+// The nearest-point squared distance is computed separably, without a hard
+// decision: the clause-17 constellations are square grids over phy's
+// per-axis levels, so a carrier's error is fl(min_a dI[a] + min_b dQ[b])
+// with dI[a] = (re y - I[a])^2 and dQ[b] = (im y - Q[b])^2. That is
+// bit-identical to the squared distance to the nearest point by the
+// argument phy.DemapSoftAppend documents: every joint distance is the
+// rounded sum of the same per-axis squares, IEEE addition is monotone in
+// each argument, so the joint minimum is attained at the axis minimizers —
+// whichever point a tie-breaking scan would pick, its distance is that
+// value. A NaN component makes its axis minimum NaN (builtin min), so the
+// carrier's error is NaN exactly when the nearest-point scan's is, up to
+// the NaN payload; an infinite component squares to +Inf either way.
 func EVM(carriers [][]complex128, m phy.Modulation) (EVMResult, error) {
 	var res EVMResult
-	var acc float64
-	var hard []byte
-	var ideal []complex128
-	var err error
+	levI, levQ, err := phy.AxisLevels(m)
+	if err != nil {
+		return res, err
+	}
+	// Peak is the square root of the largest squared error: Sqrt is
+	// correctly rounded and monotone, so this equals the largest per-carrier
+	// root, and NaN errors fail the compare either way.
+	var acc, peak2 float64
 	for _, sym := range carriers {
-		hard, err = phy.DemapHardAppend(hard[:0], sym, m)
-		if err != nil {
-			return res, err
-		}
-		ideal, err = phy.MapBitsInto(ideal, hard, m)
-		if err != nil {
-			return res, err
-		}
-		for i, y := range sym {
-			d := y - ideal[i]
-			e2 := real(d)*real(d) + imag(d)*imag(d)
+		for _, y := range sym {
+			e2 := nearestAxisSq(real(y), levI) + nearestAxisSq(imag(y), levQ)
 			acc += e2
-			if e := math.Sqrt(e2); e > res.Peak {
-				res.Peak = e
+			if e2 > peak2 {
+				peak2 = e2
 			}
-			res.Symbols++
 		}
+		res.Symbols += len(sym)
 	}
 	if res.Symbols == 0 {
 		return res, fmt.Errorf("measure: no symbols for EVM")
 	}
 	// Unit-energy constellations: normalization amplitude is 1.
 	res.RMS = math.Sqrt(acc / float64(res.Symbols))
+	res.Peak = math.Sqrt(peak2)
 	return res, nil
+}
+
+// nearestAxisSq returns the smallest squared distance from x to a level.
+func nearestAxisSq(x float64, levels []float64) float64 {
+	best := math.Inf(1)
+	for _, l := range levels {
+		d := x - l
+		best = min(best, d*d)
+	}
+	return best
 }
 
 // EVMDataAided measures EVM against the known transmitted constellation

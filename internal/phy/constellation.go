@@ -123,6 +123,18 @@ func init() {
 	}
 }
 
+// AxisLevels returns m's per-axis amplitude levels: every constellation
+// point is complex(i[a], q[b]) for one I level and one Q level, bit for bit
+// (BPSK has the single Q level 0). The slices are the shared constellation
+// tables and must not be modified.
+func AxisLevels(m Modulation) (i, q []float64, err error) {
+	t, ok := tables[m]
+	if !ok {
+		return nil, nil, fmt.Errorf("phy: unknown modulation %d", m)
+	}
+	return t.axisI, t.axisQ, nil
+}
+
 // mapLabel maps an n-bit label (LSB first-transmitted) to a constellation
 // point with unit average energy.
 func mapLabel(m Modulation, label int) complex128 {

@@ -224,7 +224,7 @@ type BatchReceiver struct {
 	xr, xi   [][]float64 // per-lane planar scratch for the mixer pass
 	dcb, chs *dsp.IIRBatch
 	agc      agcBatchState
-	outs     [][]complex128 // per-lane decimator outputs, reused
+	outs     [][]complex128 // Process's per-lane decimator outputs, reused
 }
 
 // NewBatchReceiver builds the lane-parallel driver for rx. The receiver
@@ -252,9 +252,6 @@ func (b *BatchReceiver) grow(lanes, n int) {
 		copy(xr, b.xr)
 		copy(xi, b.xi)
 		b.xr, b.xi = xr, xi
-		outs := make([][]complex128, lanes)
-		copy(outs, b.outs)
-		b.outs = outs
 	}
 	b.agc.grow(lanes)
 	for l := 0; l < lanes; l++ {
@@ -276,10 +273,24 @@ func (b *BatchReceiver) grow(lanes, n int) {
 // history (the AGC resync counter is the only state Reset preserves, and it
 // is carried per lane here).
 func (b *BatchReceiver) Process(lanes [][]complex128) [][]complex128 {
+	b.outs = b.ProcessInto(b.outs, lanes)
+	return b.outs
+}
+
+// ProcessInto is Process writing lane l's baseband into dst[l]'s backing
+// array (grown if its capacity is short, reused otherwise) and returning
+// dst resliced to the lane count, itself grown when shorter. The outputs
+// belong to the caller, so two destinations can alternate: one packet's
+// basebands stay valid while the next packet runs into the other.
+func (b *BatchReceiver) ProcessInto(dst [][]complex128, lanes [][]complex128) [][]complex128 {
 	L := len(lanes)
 	if L == 0 {
-		return nil
+		return dst[:0]
 	}
+	if len(dst) < L {
+		dst = append(dst, make([][]complex128, L-len(dst))...)
+	}
+	dst = dst[:L]
 	n := len(lanes[0])
 	for l := 1; l < L; l++ {
 		if len(lanes[l]) != n {
@@ -330,7 +341,7 @@ func (b *BatchReceiver) Process(lanes [][]complex128) [][]complex128 {
 	}
 	for l, lane := range lanes {
 		b.rx.decim.Reset()
-		b.outs[l] = b.rx.decim.ProcessInto(b.outs[l][:0], lane)
+		dst[l] = b.rx.decim.ProcessInto(dst[l][:0], lane)
 	}
-	return b.outs[:L]
+	return dst
 }

@@ -128,3 +128,107 @@ func TestBatchReceiverScratchReuse(t *testing.T) {
 		t.Fatalf("steady-state batch Process allocates %v times per call", allocs)
 	}
 }
+
+// raggedDst builds a ProcessInto destination for lanes lanes of n-sample
+// output whose length and per-lane capacities vary with shape: nil, too few
+// lanes, too many lanes, and lanes with no, short or ample capacity.
+func raggedDst(shape, lanes, n int) [][]complex128 {
+	var dst [][]complex128
+	switch shape % 4 {
+	case 0:
+		return nil
+	case 1:
+		dst = make([][]complex128, lanes/2)
+	case 2:
+		dst = make([][]complex128, lanes+3)
+	case 3:
+		dst = make([][]complex128, lanes)
+	}
+	for l := range dst {
+		switch (l + shape) % 3 {
+		case 1:
+			dst[l] = make([]complex128, 3, n/2+1)
+		case 2:
+			dst[l] = make([]complex128, 0, 2*n)
+		}
+	}
+	return dst
+}
+
+// TestBatchReceiverProcessIntoMatchesProcess pins ProcessInto lane for lane,
+// bit for bit, to Process on a twin batch receiver over consecutive packets
+// (so the carried AGC state is exercised), lane counts 1 to 8 and ragged
+// destinations; a lane whose destination had the capacity must be written
+// in place.
+func TestBatchReceiverProcessIntoMatchesProcess(t *testing.T) {
+	const oversample = 4
+	amp := math.Sqrt(1e-8)
+	cfg := DefaultReceiverConfig(oversample)
+	for B := 1; B <= 8; B++ {
+		rxA, err := NewReceiver(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rxB, err := NewReceiver(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaProcess, viaInto := NewBatchReceiver(rxA), NewBatchReceiver(rxB)
+		for pkt := 0; pkt < 3; pkt++ {
+			n := oversample * (40 + 16*pkt)
+			frames := batchFrames(int64(100*B+pkt), B, n, amp)
+			want := viaProcess.Process(cloneFrames(frames))
+			dst := raggedDst(B+pkt, B, n/oversample)
+			backing := make([]*complex128, len(dst))
+			for l := range dst {
+				if cap(dst[l]) >= n/oversample {
+					backing[l] = &dst[l][:1][0]
+				}
+			}
+			got := viaInto.ProcessInto(dst, cloneFrames(frames))
+			if len(got) != B {
+				t.Fatalf("B=%d pkt=%d: ProcessInto returned %d lanes", B, pkt, len(got))
+			}
+			for l := 0; l < B; l++ {
+				if len(got[l]) != len(want[l]) {
+					t.Fatalf("B=%d pkt=%d lane %d: len %d != Process len %d", B, pkt, l, len(got[l]), len(want[l]))
+				}
+				for i := range want[l] {
+					if math.Float64bits(real(got[l][i])) != math.Float64bits(real(want[l][i])) ||
+						math.Float64bits(imag(got[l][i])) != math.Float64bits(imag(want[l][i])) {
+						t.Fatalf("B=%d pkt=%d lane %d sample %d: ProcessInto %v != Process %v", B, pkt, l, i, got[l][i], want[l][i])
+					}
+				}
+				if l < len(backing) && backing[l] != nil && &got[l][0] != backing[l] {
+					t.Errorf("B=%d pkt=%d lane %d: output reallocated despite capacity %d", B, pkt, l, cap(dst[l]))
+				}
+			}
+		}
+	}
+}
+
+// TestBatchReceiverProcessIntoAllocFree gates the steady state the batched
+// sweep runs in: with a destination already grown by an earlier packet,
+// ProcessInto allocates nothing.
+func TestBatchReceiverProcessIntoAllocFree(t *testing.T) {
+	cfg := DefaultReceiverConfig(2)
+	cfg.DisableNoise = true // keep math/rand out of the allocation count
+	rx, err := NewReceiver(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBatchReceiver(rx)
+	const B, n = 6, 256
+	frames := batchFrames(9, B, n, 1e-4)
+	work := cloneFrames(frames)
+	dst := b.ProcessInto(nil, work)
+	allocs := testing.AllocsPerRun(20, func() {
+		for l := range work {
+			copy(work[l], frames[l])
+		}
+		dst = b.ProcessInto(dst, work)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state ProcessInto allocates %v times per call", allocs)
+	}
+}

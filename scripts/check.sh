@@ -98,13 +98,15 @@ check_coverage ./internal/kernels 85
 # Batch≡sequential equivalence suite. Every batched kernel and every layer
 # above it (RF front end, Viterbi, DATA-field decode, full bench) carries a
 # differential test pinning batch lane l bit-identical to the sequential
-# path. The `go test -list` guard makes a silent skip impossible: if a
+# path; the separable demapper and EVM are pinned to their exhaustive
+# oracles, and the batched sweep to goldens recorded from the serial packet
+# loop. The `go test -list` guard makes a silent skip impossible: if a
 # build-tag or rename ever removes the tests from the compiled set, the gate
 # fails loudly instead of passing on an empty run.
 echo "==> batch-equivalence differential suite"
-batch_pat='Batch.*(Matches|Invariant)|Matches.*Batch|DeferredBatch|DemapSoftSeparable|SweepBatch|FillNormPairsMatches'
+batch_pat='Batch.*(Matches|Invariant)|Matches.*Batch|DeferredBatch|DemapSoftSeparable|EVMSeparable|SweepBatch|FillNormPairsMatches'
 for pkg in ./internal/kernels ./internal/dsp ./internal/randutil ./internal/rf \
-           ./internal/phy ./internal/phy/viterbi ./internal/rxdsp ./internal/sim ./internal/core; do
+           ./internal/phy ./internal/phy/viterbi ./internal/rxdsp ./internal/measure ./internal/sim ./internal/core; do
     n="$(go test -run '^$' -list "$batch_pat" "$pkg" | grep -c '^Test' || true)"
     if [ "$n" -eq 0 ]; then
         echo "FAIL: $pkg lists no batch-equivalence tests matching '$batch_pat' (silent skip)" >&2
@@ -199,7 +201,8 @@ echo "==> allocation gates"
 go test -run 'AllocFree|TestFIRProcessSteadyStateAllocs|TestRestartAllocs' -count=1 \
     ./internal/phy ./internal/phy/viterbi ./internal/dsp ./internal/randutil
 go test -run 'TestPacketRunAllocBounded' -count=1 ./internal/core
-go test -run 'TestFilterLanesAllocFree' -count=1 ./internal/rf
+go test -run 'TestFilterLanesAllocFree|TestBatchReceiverProcessIntoAllocFree' -count=1 ./internal/rf
+go test -run 'TestEVMAllocFree' -count=1 ./internal/measure
 go test -run 'TestFrontEndProcessAllocs' -count=1 ./internal/analog
 go test -run 'TestSweepExecutorBuffersPooled|TestSweepScratchPooledAcrossConcurrentExecutes' -count=1 ./internal/sim
 
@@ -212,6 +215,7 @@ go test -run '^$' -bench 'BenchmarkDemodulateSymbol|BenchmarkModulateSymbol' -be
 go test -run '^$' -bench 'BenchmarkServiceJob' -benchtime 1x ./internal/service > /dev/null
 go test -run '^$' -bench 'BenchmarkFrontEndProcess' -benchtime 1x ./internal/analog > /dev/null
 go test -run '^$' -bench 'BenchmarkFilterLanes|BenchmarkProcessFromFilter' -benchtime 1x ./internal/rf > /dev/null
+go test -run '^$' -bench 'BenchmarkEVM' -benchtime 1x ./internal/measure > /dev/null
 go test -run '^$' -bench 'BenchmarkTable2_CoSimulation' -benchtime 1x . > /dev/null
 
 # Benchmark regression gate. Re-measures the tracked packet/sweep scenarios

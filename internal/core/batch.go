@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 
 	"wlansim/internal/measure"
 	"wlansim/internal/phy"
@@ -9,72 +11,86 @@ import (
 	"wlansim/internal/rf"
 	"wlansim/internal/rxdsp"
 	"wlansim/internal/seed"
+	"wlansim/internal/sim"
 )
 
-// This file is the system-level end of the batched pipeline: RunBenchBatch
-// takes B sweep-point configurations that differ only in their noise (Seed
-// and ChannelSNRdB) and pushes all B points through the behavioral front end
-// in lock-step, one packet at a time, via rf.BatchReceiver. Lane l's Result
-// is bit-identical to running its Bench sequentially: the invariant prefix
-// is the same cached waveform either way, each lane's antenna noise comes
-// from the lane's own restarted stream, the front end is exact by the batch
-// differential tests, and the DSP receiver runs per lane unchanged.
+// This file is the system-level end of the lane pipeline: RunBenchBatch
+// takes the configurations of a group of sweep points and pushes them all
+// through the behavioral front end in lock-step, one packet at a time, as
+// lanes of one rf.BatchReceiver. Lane l's Result is bit-identical to running
+// its Bench sequentially: the invariant prefix is the same cached waveform
+// either way, each lane's antenna noise comes from the lane's own restarted
+// stream, the front end is exact by the lane differential tests, and the
+// DSP receiver runs per lane unchanged.
 
-// batchableConfigs validates that cfgs form one batch group: a noise-only
-// sweep over the behavioral front end whose lanes agree on every field that
-// shapes the pipeline. Seed, ChannelSNRdB and the cache wiring may differ
-// per lane; everything else must match lane 0.
+// batchableConfigs validates that cfgs form one lane group: points over the
+// behavioral front end that agree on every field that shapes the pipeline.
+// Seed, ChannelSNRdB's value, TuneRF, Packets, TargetErrors and the cache
+// wiring may differ per lane; everything else must match lane 0.
+// rf.NewLaneReceiver checks that the tuned receivers differ only in their
+// channel-select filter.
 func batchableConfigs(cfgs []Config) error {
-	if len(cfgs) < 2 {
-		return fmt.Errorf("core: batch of %d points (need >= 2)", len(cfgs))
+	if len(cfgs) == 0 {
+		return fmt.Errorf("core: lane group of no points")
 	}
-	c0 := cfgs[0]
+	shape0 := laneShape(cfgs[0])
 	for i, c := range cfgs {
-		if c.SweptStage != StageNoise {
-			return fmt.Errorf("core: batch lane %d sweeps stage %v, not noise", i, c.SweptStage)
-		}
 		if c.FrontEnd != FrontEndBehavioral {
-			return fmt.Errorf("core: batch lane %d front end %v is not behavioral", i, c.FrontEnd)
+			return fmt.Errorf("core: lane %d front end %v is not behavioral", i, c.FrontEnd)
 		}
-		if c.ChannelSNRdB == nil {
-			return fmt.Errorf("core: batch lane %d has no channel SNR", i)
-		}
-		if c.UseIdealRxTiming {
-			return fmt.Errorf("core: batch lane %d uses ideal RX timing", i)
-		}
-		same := c.RateMbps == c0.RateMbps && c.PSDULen == c0.PSDULen &&
-			c.Packets == c0.Packets && c.MultipathTaps == c0.MultipathTaps &&
-			len(c.Interferers) == len(c0.Interferers) &&
-			c.HardDecisions == c0.HardDecisions && c.DisableCSI == c0.DisableCSI &&
-			c.TargetErrors == c0.TargetErrors && c.ContentSeed == c0.ContentSeed
-		//lint:ignore floateq lanes must agree on the exact configured values — a tolerance would batch distinct configs together
-		same = same && c.WantedPowerDBm == c0.WantedPowerDBm && c.CFOHz == c0.CFOHz && c.MultipathRMSSamples == c0.MultipathRMSSamples && c.DopplerHz == c0.DopplerHz && c.SampleClockPPM == c0.SampleClockPPM
-		if !same {
-			return fmt.Errorf("core: batch lane %d differs from lane 0 beyond Seed/ChannelSNRdB", i)
-		}
-		for j := range c.Interferers {
-			if c.Interferers[j] != c0.Interferers[j] {
-				return fmt.Errorf("core: batch lane %d interferer %d differs from lane 0", i, j)
-			}
+		if !reflect.DeepEqual(laneShape(c), shape0) {
+			return fmt.Errorf("core: lane %d differs from lane 0 beyond Seed, ChannelSNRdB, TuneRF, Packets, TargetErrors and the cache", i)
 		}
 	}
 	return nil
 }
 
-// RunBenchBatch runs B equal-config noise-sweep points in lock-step and
+// laneShape is c with the fields lanes of one group may differ in cleared:
+// two lanes fit one group when their shapes are deeply equal. A channel
+// SNR, if set, is kept as set but not its value. TuneCoSim and OnSweepPoint
+// play no part in a behavioral run and are functions, which compare equal
+// only when nil, so they are cleared too.
+func laneShape(c Config) Config {
+	if c.ChannelSNRdB != nil {
+		c.ChannelSNRdB = new(float64)
+	}
+	c.Seed, c.TuneRF, c.Packets, c.TargetErrors = 0, nil, 0, 0
+	c.Cache, c.CacheBytes, c.DisableStageCache = nil, 0, false
+	c.TuneCoSim, c.OnSweepPoint = nil, nil
+	return c
+}
+
+// laneGroups is the number of lane groups a sweep over n points runs as on
+// workers sweep workers with at most width lanes per group: at least one
+// group per worker, so grouping never lowers the sweep's parallelism, and
+// beyond that as few groups as width allows.
+func laneGroups(n, workers, width int) int {
+	return max(workers, (n+width-1)/width)
+}
+
+// RunBenchBatch runs a group of sweep points as lanes in lock-step and
 // returns one Result per lane, each bit-identical to NewBench(cfgs[l]).Run().
+// A group of one is an ordinary group.
 //
 // Each packet runs in two halves. The front half serves every active lane's
-// invariant prefix (TX + channel) through the shared stage cache (lane 0
-// synthesizes, the rest hit), adds the lane's own antenna noise from its own
-// per-point stream, and runs the B noisy antenna frames through one
-// rf.BatchReceiver — sharing the front end's internal noise/LO draws, which
-// are identical across lanes by the fixed per-block reseeding contract. The
-// back half synchronizes and equalizes each lane on its own DSP receiver
-// (reset per packet, so lanes cannot interact), completes every lane's
-// Viterbi pass in one lock-step DecodeDeferredBatch, and accounts the
-// packet. Early stopping (TargetErrors) is tracked per lane: finished lanes
-// drop out of subsequent packets exactly as their sequential runs stop.
+// invariant prefix through the shared stage cache and runs the lanes through
+// one rf.BatchReceiver, sharing the front end's internal noise/LO draws,
+// which are identical across lanes by the fixed per-block reseeding
+// contract. Where the prefix ends follows from the lanes' configuration:
+//
+//   - Filter-only front-end sweep points (SweptFrontEndFilterOnly) share the
+//     pre-filter waveform, so every lane reads the one cached entry, without a
+//     copy, through its own filter (the receiver's pre-filter entry).
+//   - All other lanes start from the antenna: each lane adds its own antenna
+//     noise, from its own per-point stream, to its own copy of the prefix,
+//     and runs the whole front end (the antenna entry).
+//
+// The back half synchronizes and equalizes each lane on its own DSP
+// receiver (reset per packet, so lanes cannot interact), completes every
+// lane's Viterbi pass in one lock-step DecodeDeferredBatch, and accounts
+// the packet. Lanes stop per lane, on TargetErrors or their own Packets:
+// finished lanes drop out of subsequent packets exactly as their
+// sequential runs stop.
 //
 // The front half runs one packet ahead on a helper goroutine (batchFront),
 // overlapping packet p+1's RF lanes with packet p's decode, without
@@ -82,15 +98,23 @@ func batchableConfigs(cfgs []Config) error {
 // no lane can reach TargetErrors in packet p. Every lane's noise draws,
 // cache lookups and AGC history are therefore the serial loop's.
 func RunBenchBatch(cfgs []Config) ([]*Result, error) {
+	results, _, err := runLanes(cfgs)
+	return results, err
+}
+
+// runLanes is RunBenchBatch, also reporting how many pre-filter lookups
+// returned a different cache entry than an earlier lane's lookup of the same
+// key in the same packet (see batchFront.unshared).
+func runLanes(cfgs []Config) ([]*Result, int, error) {
 	if err := batchableConfigs(cfgs); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	L := len(cfgs)
 	benches := make([]*Bench, L)
 	for i := range cfgs {
 		b, err := NewBench(cfgs[i])
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		benches[i] = b
 	}
@@ -99,26 +123,32 @@ func RunBenchBatch(cfgs []Config) ([]*Result, error) {
 	os := b0.oversample()
 	mode, err := phy.ModeByRate(b0.cfg.RateMbps)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	fe, err := b0.buildFrontEnd(os)
+	rcfgs := make([]rf.ReceiverConfig, L)
+	for l, b := range benches {
+		rcfgs[l] = b.receiverConfig(os)
+	}
+	rx, err := rf.NewReceiver(rcfgs[0])
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	rx, ok := fe.(*rf.Receiver)
-	if !ok {
-		return nil, fmt.Errorf("core: behavioral front end built %T, not *rf.Receiver", fe)
+	lanes, err := rf.NewLaneReceiver(rx, rcfgs)
+	if err != nil {
+		return nil, 0, err
 	}
 
 	results := make([]*Result, L)
 	evms := make([]evmAccum, L)
 	for l, b := range benches {
 		b.tx = &phy.Transmitter{Mode: mode}
-		// Each lane's point-variant noise is its own sequential per-run
-		// stream, exactly as in Run (suffixNoise holds for every lane).
-		s := seed.ForStage(b.stageRoot(StageNoise), int(StageNoise), 0)
-		b.noiseRNG = randutil.NewRandDirect(s)
-		b.noiseMarked = true
+		if b.suffixNoise() {
+			// Each lane's point-variant noise is its own sequential per-run
+			// stream, exactly as in Run.
+			s := seed.ForStage(b.stageRoot(StageNoise), int(StageNoise), 0)
+			b.noiseRNG = randutil.NewRandDirect(s)
+			b.noiseMarked = true
+		}
 		results[l] = &Result{OversampleFactor: os, FrontEnd: b.cfg.FrontEnd}
 		// Pre-build the lane's DSP receiver opted into the deferred decode:
 		// the packet loop below completes all lanes' Viterbi passes in
@@ -131,7 +161,7 @@ func RunBenchBatch(cfgs []Config) ([]*Result, error) {
 		b.rx.DeferDataDecode = true
 	}
 
-	front := newBatchFront(benches, os, rf.NewBatchReceiver(rx))
+	front := newBatchFront(benches, os, rx, lanes)
 	go front.run()
 	defer front.stop()
 
@@ -164,12 +194,12 @@ func RunBenchBatch(cfgs []Config) ([]*Result, error) {
 		front.free <- s
 	}
 	if front.err != nil {
-		return nil, front.err
+		return nil, 0, front.err
 	}
 	for l := range results {
 		evms[l].finish(results[l])
 	}
-	return results, nil
+	return results, front.unshared, nil
 }
 
 // batchSlot carries one packet of a batch group between the two halves of
@@ -191,15 +221,28 @@ const batchSlots = 2
 // packet ahead on a helper goroutine: prefix lookup, antenna noise and the
 // rf.BatchReceiver pass, into two slots that alternate between the halves.
 // Front-half state (the stage cache lookups, each bench's noise stream and
-// antenna scratch, the batch receiver) is touched only by the helper;
+// antenna scratch, the lane receiver) is touched only by the helper;
 // back-half state (each bench's DSP receiver, the results) only by the
 // caller; slots change hands over the channels.
 type batchFront struct {
-	benches []*Bench
-	os      int
-	rx      *rf.BatchReceiver
-	waves   [][]complex128 // the packet's antenna frames, per active lane (bench scratch)
-	slots   [batchSlots]batchSlot
+	benches   []*Bench
+	os        int
+	packets   int               // the most packets any lane runs
+	preFilter bool              // lanes start from the shared pre-filter waveform
+	prx       *rf.Receiver      // computes pre-filter prefixes on cache misses
+	tx        *phy.Transmitter  // synthesizes the wanted frame on pre-filter misses
+	rx        *rf.BatchReceiver // the lanes
+	waves     [][]complex128    // the packet's lane inputs, per active lane
+	slots     [batchSlots]batchSlot
+
+	// The pre-filter lookups of the packet being filled, and how many of
+	// them returned a different entry than an earlier lane with the same key
+	// in the same packet. Lanes share one prefix, so unshared stays zero
+	// unless the cache evicted the entry between two lanes' lookups (each
+	// lane then reads its own, equal copy).
+	keys     []sim.CacheKey
+	entries  []*stageEntry
+	unshared int
 
 	filled chan *batchSlot // filled packets, in packet order; closed when the helper ends
 	free   chan *batchSlot // accounted packets' slots, in packet order
@@ -213,16 +256,22 @@ type batchFront struct {
 	accounted int
 }
 
-func newBatchFront(benches []*Bench, os int, rx *rf.BatchReceiver) *batchFront {
+func newBatchFront(benches []*Bench, os int, prx *rf.Receiver, rx *rf.BatchReceiver) *batchFront {
 	f := &batchFront{
-		benches: benches,
-		os:      os,
-		rx:      rx,
-		filled:  make(chan *batchSlot),
-		free:    make(chan *batchSlot, batchSlots), // room for every slot: the back half never blocks
-		quit:    make(chan struct{}),
-		done:    make(chan struct{}),
-		errs:    make([]int, len(benches)),
+		benches:   benches,
+		os:        os,
+		preFilter: benches[0].preFilterPrefix(),
+		prx:       prx,
+		tx:        benches[0].tx,
+		rx:        rx,
+		filled:    make(chan *batchSlot),
+		free:      make(chan *batchSlot, batchSlots), // room for every slot: the back half never blocks
+		quit:      make(chan struct{}),
+		done:      make(chan struct{}),
+		errs:      make([]int, len(benches)),
+	}
+	for _, b := range benches {
+		f.packets = max(f.packets, b.cfg.Packets)
 	}
 	for i := range f.slots {
 		f.slots[i].errs = make([]int, len(benches))
@@ -246,7 +295,7 @@ func (f *batchFront) run() {
 	defer close(f.done)
 	defer close(f.filled)
 	maxAdd := 0 // the most errors the previous packet can add to a lane
-	for p := 0; p < f.benches[0].cfg.Packets; p++ {
+	for p := 0; p < f.packets; p++ {
 		if !f.await(p - 1) {
 			return
 		}
@@ -255,21 +304,21 @@ func (f *batchFront) run() {
 		}
 		s := &f.slots[p%batchSlots]
 		s.active, s.refs, f.waves = s.active[:0], s.refs[:0], f.waves[:0]
+		f.keys, f.entries = f.keys[:0], f.entries[:0]
 		maxAdd = 0
 		for l, b := range f.benches {
-			if b.targetReached(f.errs[l]) {
+			if p >= b.cfg.Packets || b.targetReached(f.errs[l]) {
 				continue
 			}
-			refBits, wave, boundary, err := b.packetPrefix(p, f.os)
+			refBits, wave, err := f.prefix(b, p)
 			if err != nil {
 				f.err = err
 				return
 			}
-			if boundary != prefixAntenna {
-				f.err = fmt.Errorf("core: batch lane %d prefix boundary %d, want antenna", l, boundary)
+			if len(f.waves) > 0 && len(wave) != len(f.waves[0]) {
+				f.err = fmt.Errorf("core: lane %d packet %d prefix length %d != %d", l, p, len(wave), len(f.waves[0]))
 				return
 			}
-			b.addNoise(wave, f.os, b.noiseRNG)
 			s.active = append(s.active, l)
 			s.refs = append(s.refs, refBits)
 			f.waves = append(f.waves, wave)
@@ -278,13 +327,67 @@ func (f *batchFront) run() {
 		if len(s.active) == 0 {
 			return
 		}
-		s.basebands = f.rx.ProcessInto(s.basebands, f.waves)
+		if f.preFilter {
+			s.basebands = f.rx.ProcessFromFilterInto(s.basebands, s.active, f.waves)
+		} else {
+			s.basebands = f.rx.ProcessLanesInto(s.basebands, s.active, f.waves)
+		}
 		select {
 		case f.filled <- s:
 		case <-f.quit:
 			return
 		}
 	}
+}
+
+// prefix serves lane bench b's input of packet p: the shared, read-only
+// pre-filter waveform for filter lanes, otherwise the lane's own copy of
+// the antenna waveform with its antenna noise added.
+func (f *batchFront) prefix(b *Bench, p int) ([]byte, []complex128, error) {
+	if f.preFilter {
+		e, err := f.preFilterEntry(b, p)
+		if err != nil {
+			return nil, nil, err
+		}
+		return e.refBits, e.wave, nil
+	}
+	refBits, wave, boundary, err := b.packetPrefix(p, f.os)
+	if err != nil {
+		return nil, nil, err
+	}
+	if boundary != prefixAntenna {
+		return nil, nil, fmt.Errorf("core: lane prefix boundary %d, want antenna", boundary)
+	}
+	if b.suffixNoise() {
+		b.addNoise(wave, f.os, b.noiseRNG)
+	}
+	return refBits, wave, nil
+}
+
+// preFilterEntry serves lane bench b's pre-filter prefix of packet p. With a
+// cache every lane looks up its own key, so hits and misses count per point
+// exactly as in sequential runs; without one, a lane whose key an earlier
+// lane already computed this packet reuses that entry instead of
+// recomputing the identical prefix. A miss computes on a throwaway bench, so
+// no lane holds the TX and channel scratch (composer, FFT plans) for the
+// rest of the group.
+func (f *batchFront) preFilterEntry(b *Bench, p int) (*stageEntry, error) {
+	key := b.preFilterKey(p, f.os)
+	first := slices.Index(f.keys, key)
+	if first >= 0 && b.cfg.Cache == nil {
+		return f.entries[first], nil
+	}
+	pb := &Bench{cfg: b.cfg, tx: f.tx, keyContent: b.keyContent}
+	e, err := pb.preFilterEntry(f.prx, p, f.os)
+	if err != nil {
+		return nil, err
+	}
+	if first >= 0 && e != f.entries[first] {
+		f.unshared++
+	}
+	f.keys = append(f.keys, key)
+	f.entries = append(f.entries, e)
+	return e, nil
 }
 
 // await blocks until n packets are accounted, folding each handed-back

@@ -23,11 +23,6 @@ import (
 // the same grid in groups of the row's Batch (a trailing group of one runs
 // Bench.Run, which the batch differential tests pin equal).
 //
-// The sweep pads a ragged tail group up to the kernel tier's lane width
-// with dummy lanes that repeat the last value; each dummy lane looks up one
-// cached prefix per packet its twin runs. Those lookups depend on the tier,
-// so the recorded hits exclude them.
-//
 // Regenerate only after an intended physics change; the failure message
 // prints the measured row.
 type goldenBatchPoint struct {
@@ -138,7 +133,7 @@ func TestSweepBatchGolden(t *testing.T) {
 					evm: evms[i], bits: p.Bits, errors: p.Errors,
 				}
 			}
-			cache := goldenBatchCacheOf(series, base, len(row.snrs))
+			cache := goldenBatchCacheOf(series)
 			if fmt.Sprint(got) != fmt.Sprint(row.points) || cache != row.cache {
 				var b strings.Builder
 				for _, p := range got {
@@ -183,15 +178,8 @@ func goldenBatchEVMs(t *testing.T, base Config, snrs []float64, batch int) []uin
 	return out
 }
 
-// goldenBatchCacheOf reads the series' cache counters with the dummy pad
-// lanes' lookups taken out of the hits: the sweep pads its last group to
-// the lane-rounded width, and each dummy lane runs as many packets as the
-// last real point.
-func goldenBatchCacheOf(series *measure.Series, base Config, n int) goldenBatchCache {
-	width := batchLaneWidth(base.Batch)
-	pad := (width - n%width) % width
-	last := series.Points[n-1]
-	padLookups := int64(pad * last.Bits / (8 * base.PSDULen))
+// goldenBatchCacheOf reads the series' cache counters.
+func goldenBatchCacheOf(series *measure.Series) goldenBatchCache {
 	c := series.Cache
-	return goldenBatchCache{hits: c.Hits - padLookups, misses: c.Misses, peak: c.PeakBytes, evictions: c.Evictions}
+	return goldenBatchCache{hits: c.Hits, misses: c.Misses, peak: c.PeakBytes, evictions: c.Evictions}
 }

@@ -115,7 +115,9 @@ type Config struct {
 	// (LNA, mixers, DC block) across the sweep's points — exact because each
 	// block consumes the whole frame before the next runs and every front-end
 	// noise/LO stream restarts identically per packet. Only meaningful with
-	// SweptStage == StageFrontEnd and FrontEnd == FrontEndBehavioral.
+	// SweptStage == StageFrontEnd and FrontEnd == FrontEndBehavioral. Lanes
+	// of one RunBenchBatch group that carry it start from that shared
+	// pre-filter waveform instead of the antenna.
 	SweptFrontEndFilterOnly bool
 	// TuneCoSim likewise adjusts the analog solver configuration.
 	TuneCoSim func(*analog.FrontEndConfig)
@@ -134,19 +136,19 @@ type Config struct {
 	// identical for every value: each point and each packet derives its
 	// seeds from Seed via internal/seed, never from execution order.
 	Workers int
-	// Batch, when > 1, lets sweep harnesses dispatch that many equal-config
-	// points (noise-only sweeps over the behavioral front end) through the
-	// lock-step batched pipeline (RunBenchBatch). Its packet loop has two
-	// stages: a helper goroutine runs packet p+1's front half (prefix
-	// lookup, antenna noise, rf.BatchReceiver) while the caller runs packet
-	// p's back half (sync, equalize, batched Viterbi, accounting); it starts
+	// Batch, when > 1, lets the SNR waterfall harness run its points on the
+	// behavioral front end in groups of at most Batch as the lanes of one
+	// RunBenchBatch (at least one group per sweep worker); Batch <= 1 runs
+	// them point by point through Bench.Run. RunBenchBatch's packet loop has
+	// two stages: a helper goroutine runs packet p+1's front half (prefix
+	// lookup, antenna noise, the rf lanes) while the caller runs packet p's
+	// back half (sync, equalize, batched Viterbi, accounting); it starts
 	// early only when no lane can reach TargetErrors in packet p. Results
 	// are bit-identical for every value — batching changes wall-clock only,
-	// as the batch differential tests pin. Unsupported sweep shapes run the
-	// sequential path. Filter sweeps
-	// (FilterBandwidthSweep) batch without it: their points always run as
-	// filter lanes over the shared pre-filter prefix, grouped by the edge
-	// and worker counts alone.
+	// as the lane differential tests pin. Filter sweeps
+	// (FilterBandwidthSweep) run as lanes without it: their points always
+	// share the pre-filter prefix, grouped by the edge and worker counts
+	// alone.
 	Batch int
 	// TargetErrors, when > 0, stops a bench run early once the accumulated
 	// bit-error count reaches it (Packets stays the upper bound). Sweep

@@ -81,10 +81,10 @@ func Figure5Config() Config {
 // not just the TX synthesis and channel composition of every packet but the
 // whole front-end segment upstream of the filter (LNA, mixers, DC block)
 // through the invariant-prefix stage cache (SweptFrontEndFilterOnly). The
-// edges run in filterLaneGroups contiguous groups, each as the lanes of one
-// filter/AGC/ADC pass over the shared prefix (filterLaneRun); the series is
-// bit-identical to one Bench.Run per edge for every grouping and worker
-// count.
+// edges run in laneGroups contiguous groups of at most filterLaneWidth, each
+// as the lanes of one RunBenchBatch from the shared pre-filter waveform; the
+// series is bit-identical to one Bench.Run per edge for every grouping and
+// worker count.
 func FilterBandwidthSweep(base Config, edgesHz []float64) (*measure.Series, error) {
 	cache := newSweepCache(base)
 	sweep := &sim.Sweep{
@@ -93,22 +93,14 @@ func FilterBandwidthSweep(base Config, edgesHz []float64) (*measure.Series, erro
 		YLabel:      "bit error rate",
 		Values:      edgesHz,
 		Workers:     base.Workers,
-		Groups:      filterLaneGroups(len(edgesHz), sim.ResolveWorkers(base.Workers)),
+		Groups:      laneGroups(len(edgesHz), sim.ResolveWorkers(base.Workers), filterLaneWidth),
 		OnPointDone: base.OnSweepPoint,
 		RunPointBatch: func(edges []float64) ([]measure.Point, error) {
 			cfgs := make([]Config, len(edges))
 			for i, edge := range edges {
 				cfgs[i] = filterPointConfig(base, edge, cache)
 			}
-			results, err := new(filterLaneRun).run(cfgs)
-			if err != nil {
-				return nil, err
-			}
-			pts := make([]measure.Point, len(results))
-			for i, res := range results {
-				pts[i] = res.Counter.Point()
-			}
-			return pts, nil
+			return runBERPointBatch(cfgs)
 		},
 	}
 	series, err := sweep.Execute()
@@ -124,6 +116,9 @@ func FilterBandwidthSweep(base Config, edgesHz []float64) (*measure.Series, erro
 	}
 	return series, nil
 }
+
+// filterLaneWidth is the most edges a Figure 5 lane group runs.
+const filterLaneWidth = 4
 
 // filterPointConfig is the configuration of FilterBandwidthSweep's point at
 // edge: seeded from (base.Seed, edge), sharing the pre-filter prefix through

@@ -6,12 +6,11 @@ import (
 	"reflect"
 	"testing"
 
-	"wlansim/internal/rf"
 	"wlansim/internal/sim"
 )
 
 // TestFilterBatchMatchesSequential is the filter-lane sweep differential
-// test: every lane's Result of filterLaneRun.run — bit and error counts, lost
+// test: every lane's Result of RunBenchBatch — bit and error counts, lost
 // packets and the Float64bits of the mean EVM — must equal Bench.Run on the
 // same point configuration. Covered: groups of one to five lanes, with the
 // stage cache, without it, and under a budget too small to keep a prefix;
@@ -50,15 +49,14 @@ func TestFilterBatchMatchesSequential(t *testing.T) {
 					cfgs[l].Packets = 2
 				}
 			}
-			run := &filterLaneRun{}
-			got, err := run.run(cfgs)
+			got, unshared, err := runLanes(cfgs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if v.name == "cached" || v.name == "target errors" || v.name == "short lane" {
-				if run.unshared != 0 {
+				if unshared != 0 {
 					t.Errorf("%s L=%d: %d lane lookups got a different prefix entry than their group-mates",
-						v.name, L, run.unshared)
+						v.name, L, unshared)
 				}
 			}
 			for l, cfg := range cfgs {
@@ -89,46 +87,16 @@ func TestFilterBatchMatchesSequential(t *testing.T) {
 }
 
 // TestFilterLaneGroups pins the derived grouping: at least one group per
-// worker and at most four lanes per group beyond that — the Figure 5
-// workload (6 edges, 2 workers) runs as 2 groups of 3.
+// worker and at most width lanes per group beyond that — the Figure 5
+// workload (6 edges, 2 workers, width 4) runs as 2 groups of 3, the batched
+// SNR workload (8 points, 1 worker, Batch 8) as one group of 8.
 func TestFilterLaneGroups(t *testing.T) {
-	for _, c := range []struct{ n, workers, want int }{
-		{6, 2, 2}, {1, 2, 2}, {4, 1, 1}, {5, 1, 2}, {12, 2, 3}, {13, 2, 4}, {3, 8, 8},
+	for _, c := range []struct{ n, workers, width, want int }{
+		{6, 2, 4, 2}, {1, 2, 4, 2}, {4, 1, 4, 1}, {5, 1, 4, 2}, {12, 2, 4, 3}, {13, 2, 4, 4}, {3, 8, 4, 8},
+		{8, 1, 8, 1}, {7, 1, 2, 4}, {9, 2, 8, 2}, {4, 8, 4, 8},
 	} {
-		if got := filterLaneGroups(c.n, c.workers); got != c.want {
-			t.Errorf("filterLaneGroups(%d, %d) = %d, want %d", c.n, c.workers, got, c.want)
+		if got := laneGroups(c.n, c.workers, c.width); got != c.want {
+			t.Errorf("laneGroups(%d, %d, %d) = %d, want %d", c.n, c.workers, c.width, got, c.want)
 		}
-	}
-}
-
-// TestFilterLanesRejectMixedGroups pins the group contract: only points of a
-// filter-only behavioral front-end sweep that share the DSP receiver's
-// settings may run as lanes.
-func TestFilterLanesRejectMixedGroups(t *testing.T) {
-	base := Figure5Config()
-	base.Packets = 1
-	base.PSDULen = 40
-	good := func() []Config {
-		return []Config{filterPointConfig(base, 6e6, nil), filterPointConfig(base, 9e6, nil)}
-	}
-	cases := map[string]func([]Config){
-		"not filter-only": func(c []Config) { c[1].SweptFrontEndFilterOnly = false },
-		"other rate":      func(c []Config) { c[1].RateMbps = 24 },
-		"ideal front end": func(c []Config) { c[0].FrontEnd = FrontEndIdeal },
-		"AGC tuned":       func(c []Config) { c[1].TuneRF = func(rc *rf.ReceiverConfig) { rc.AGC.TargetDBm = -5 } },
-		"no interferer":   func(c []Config) { c[1].Interferers = nil },
-	}
-	for name, mutate := range cases {
-		cfgs := good()
-		mutate(cfgs)
-		if _, err := new(filterLaneRun).run(cfgs); err == nil {
-			t.Errorf("%s: mixed group accepted", name)
-		}
-	}
-	if _, err := new(filterLaneRun).run(nil); err == nil {
-		t.Error("empty group accepted")
-	}
-	if _, err := new(filterLaneRun).run(good()); err != nil {
-		t.Errorf("filter-sweep group rejected: %v", err)
 	}
 }

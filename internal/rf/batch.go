@@ -8,29 +8,36 @@ import (
 	"wlansim/internal/units"
 )
 
-// The batched front end runs B equal-length antenna frames — equal-config
-// sweep points that differ only in their additive channel noise — through
-// the behavioral receiver in lock-step. Exactness is the contract: lane b is
-// bit-identical to Reset + Process on the sequential receiver, which the
-// differential front-end test pins frame for frame.
+// The lane receiver (BatchReceiver) runs several lanes of one behavioral
+// receiver in lock-step, one packet per call. A lane is a sweep point: lanes
+// agree on every block but the channel-select filter, and each lane keeps
+// its own history by lane id. Exactness is the contract: lane l is
+// bit-identical to Reset + Process (or Reset + ProcessFromFilter) on a
+// sequential receiver built from the lane's configuration and carrying the
+// same packet history, which the differential front-end tests pin frame for
+// frame.
 //
-// The batch wins come from three places, none of which changes a bit:
+// The lane wins come from four places, none of which changes a bit:
 //
 //   - Every internal stochastic stream (amplifier and mixer noise, LO phase
-//     noise) restarts from its fixed per-block seed on Reset, so all B lanes
+//     noise) restarts from its fixed per-block seed on Reset, so all lanes
 //     would draw the identical sequences; the batch restarts once and
 //     materializes each stream into a plane shared across lanes (the
 //     randutil batched-draw property).
-//   - The channel filters' biquad recurrences are latency-bound; the batch
-//     runs them lane-interleaved through kernels.BiquadBatch.
+//   - The filters' biquad recurrences are latency-bound; a filter every
+//     lane shares runs lane-interleaved through kernels.BiquadBatch.
 //   - The mixer's planar frame pass amortizes its LO planes across lanes
 //     via kernels.MixApplyLOBatch.
+//   - The back half (a lane's own filter, the AGC, ADC and decimation)
+//     streams in blocks that stay cache-resident, with the AGC loops of all
+//     lanes stepped interleaved.
 
-// agcBatchState carries the per-lane AGC loop state. Only resync survives
-// across packets (AGC.Reset deliberately preserves it; see
-// agcResyncInterval); resetLanes reinitializes the gain and estimator lanes
-// from the Reset values at the top of every packet, and stepLanes carries
-// all four across the calls of one packet.
+// agcBatchState carries the AGC loop state of one call's lanes. Only resync
+// survives across packets (AGC.Reset deliberately preserves it; see
+// agcResyncInterval), and the lane receiver keeps it per lane id;
+// resetLanes reinitializes the gain and estimator lanes from the Reset
+// values at the top of every packet, and stepLanes carries all four across
+// the blocks of one packet.
 type agcBatchState struct {
 	resync  []int
 	gainLin []float64
@@ -38,22 +45,20 @@ type agcBatchState struct {
 	est     []float64
 }
 
-// grow sizes the state for lanes lanes, keeping the carried resync counters.
+// grow sizes the state for lanes lanes.
 func (st *agcBatchState) grow(lanes int) {
 	if len(st.resync) >= lanes {
 		return
 	}
-	resync := make([]int, lanes)
-	copy(resync, st.resync)
-	st.resync = resync
+	st.resync = make([]int, lanes)
 	st.gainLin = make([]float64, lanes)
 	st.gainDB = make([]float64, lanes)
 	st.est = make([]float64, lanes)
 }
 
 // resetLanes performs AGC.Reset on the first L lanes of st: the same three
-// assignments, fanned across the state lanes; resync is carried from the
-// previous packet.
+// assignments, fanned across the state lanes; resync is left as the caller
+// loaded it.
 func (a *AGC) resetLanes(st *agcBatchState, L int) {
 	g0 := clamp(a.cfg.InitialGainDB, a.cfg.MinGainDB, a.cfg.MaxGainDB)
 	lin0 := units.DBToVoltageGain(g0)
@@ -212,25 +217,57 @@ func (m *Mixer) processBatchPlanar(xr, xi [][]float64, nre, nim []float64) {
 	}
 }
 
-// BatchReceiver wraps a Receiver with lane-parallel scratch so equal-config
-// antenna frames can run the whole front end in lock-step. Each Process
-// call is one packet across B lanes: it resets the underlying receiver
-// (restarting every fixed-seed stochastic stream once for the batch) and
-// produces per-lane baseband owned by the batch receiver.
+// BatchReceiver is the lane receiver: it runs several lanes of one
+// behavioral receiver — sweep points that agree on every block but the
+// channel-select filter — through the front end in lock-step, one packet
+// per call. It has two entries. ProcessLanesInto takes each lane's antenna
+// frame and runs the whole chain; ProcessFromFilterInto takes each lane's
+// ProcessToFilter waveform, which lanes differing only in the filter share,
+// and runs the filter onward. Both end in one block-streamed back half: the
+// lane's own filter where it runs there, the lane-interleaved AGC loop, then
+// ADC and decimation fused.
+//
+// Lanes are named by id. A lane keeps its AGC resync counter, ADC clip count
+// and own filter by id across calls, so a lane that sits out a packet (a
+// sweep point that reached its error target) leaves every other lane's
+// history untouched.
 type BatchReceiver struct {
 	rx *Receiver
+	// shared reports that every lane's channel-select filter is rx's, so the
+	// antenna entry runs it planar over all lanes (chs) instead of per lane
+	// in the block stream.
+	shared bool
 
 	nre, nim []float64   // shared per-batch noise plane scratch
-	xr, xi   [][]float64 // per-lane planar scratch for the mixer pass
+	xr, xi   [][]float64 // per-lane planar scratch for the mixer/filter pass
 	dcb, chs *dsp.IIRBatch
-	agc      agcBatchState
-	outs     [][]complex128 // Process's per-lane decimator outputs, reused
+
+	lanes []laneState // per lane id
+
+	st   agcBatchState  // AGC state of the call's lanes
+	blk  [][]complex128 // per-call-lane block buffers of the pre-filter entry
+	view [][]complex128 // per-call-lane views of the current block
+	ids  []int          // 0, 1, ...: the lane ids of the positional entries
+	outs [][]complex128 // Process's per-lane outputs, reused
 }
 
-// NewBatchReceiver builds the lane-parallel driver for rx. The receiver
-// remains usable sequentially; the batch driver owns all per-lane state.
+// laneState is what a lane carries across packets.
+type laneState struct {
+	filter *dsp.IIR // own channel-select filter (nil: none)
+	resync int      // AGC resync counter
+	clip   int      // ADC clip count of the lane's last packet
+}
+
+// laneBlock is the back half's streaming block length in samples: a block
+// of every lane stays cache-resident between the filter, the AGC and the
+// ADC.
+const laneBlock = 256
+
+// NewBatchReceiver builds the lane receiver whose lanes all have rx's
+// configuration; lane ids are unbounded. The receiver remains usable
+// sequentially; the lane receiver owns all per-lane state.
 func NewBatchReceiver(rx *Receiver) *BatchReceiver {
-	b := &BatchReceiver{rx: rx}
+	b := &BatchReceiver{rx: rx, shared: true}
 	if rx.dcBlock != nil {
 		b.dcb = dsp.NewIIRBatch(rx.dcBlock.iir)
 	}
@@ -240,69 +277,121 @@ func NewBatchReceiver(rx *Receiver) *BatchReceiver {
 	return b
 }
 
-func (b *BatchReceiver) grow(lanes, n int) {
-	if cap(b.nre) < n {
-		b.nre = make([]float64, n)
-		b.nim = make([]float64, n)
-	}
-	b.nre, b.nim = b.nre[:n], b.nim[:n]
-	if len(b.xr) < lanes {
-		xr := make([][]float64, lanes)
-		xi := make([][]float64, lanes)
-		copy(xr, b.xr)
-		copy(xi, b.xi)
-		b.xr, b.xi = xr, xi
-	}
-	b.agc.grow(lanes)
-	for l := 0; l < lanes; l++ {
-		if cap(b.xr[l]) < n {
-			b.xr[l] = make([]float64, n)
-			b.xi[l] = make([]float64, n)
+// NewLaneReceiver builds the lane receiver whose lane l has the tuned
+// configuration cfgs[l] (lane ids past the last have rx's). rx supplies
+// every block but the lanes' filters: each configuration must equal rx's
+// apart from ChannelFilterOrder, ChannelFilterEdgeHz and
+// ChannelFilterRippleDB.
+func NewLaneReceiver(rx *Receiver, cfgs []ReceiverConfig) (*BatchReceiver, error) {
+	b := NewBatchReceiver(rx)
+	b.lanes = make([]laneState, len(cfgs))
+	for l, cfg := range cfgs {
+		if !sameBeyondFilter(cfg, rx.cfg) {
+			return nil, fmt.Errorf("rf: lane %d differs from the receiver beyond the channel-select filter", l)
 		}
-		b.xr[l] = b.xr[l][:n]
-		b.xi[l] = b.xi[l][:n]
+		if cfg.ChannelFilterOrder > 0 {
+			ch, err := NewChebyshevLowpass(cfg.ChannelFilterOrder,
+				cfg.ChannelFilterEdgeHz, cfg.ChannelFilterRippleDB, cfg.SampleRateHz)
+			if err != nil {
+				return nil, fmt.Errorf("rf: lane %d: %w", l, err)
+			}
+			b.lanes[l].filter = ch.iir
+		}
+		b.shared = b.shared && sameFilter(cfg, rx.cfg)
 	}
+	if !b.shared {
+		b.chs = nil
+	}
+	return b, nil
 }
 
-// Process runs one packet's B antenna frames through the complete front end
-// in lock-step and returns the per-lane 20 MHz baseband. All frames must
-// have equal length. Inputs are modified in place up to the decimation
-// stage; the returned slices are owned by the batch receiver (reused by the
-// next call). Lane l is bit-identical to rx.Reset() followed by
-// rx.Process(lanes[l]) on a sequential receiver carrying the same per-lane
-// history (the AGC resync counter is the only state Reset preserves, and it
-// is carried per lane here).
+// sameBeyondFilter reports whether a and b configure the same receiver apart
+// from the channel-select filter fields.
+func sameBeyondFilter(a, b ReceiverConfig) bool {
+	if !sameLO(a.Mixer1.LO, b.Mixer1.LO) || !sameLO(a.Mixer2.LO, b.Mixer2.LO) {
+		return false
+	}
+	for _, c := range []*ReceiverConfig{&a, &b} {
+		c.Mixer1.LO, c.Mixer2.LO = nil, nil
+		c.ChannelFilterOrder, c.ChannelFilterEdgeHz, c.ChannelFilterRippleDB = 0, 0, 0
+	}
+	return a == b
+}
+
+// sameFilter reports whether a and b configure the same channel-select
+// filter (any two orders <= 0 mean none).
+func sameFilter(a, b ReceiverConfig) bool {
+	if a.ChannelFilterOrder <= 0 || b.ChannelFilterOrder <= 0 {
+		return a.ChannelFilterOrder <= 0 && b.ChannelFilterOrder <= 0
+	}
+	//lint:ignore floateq lanes share a filter only on the exact configured design — a tolerance would run one lane through another's filter
+	return a.ChannelFilterOrder == b.ChannelFilterOrder && a.ChannelFilterEdgeHz == b.ChannelFilterEdgeHz && a.ChannelFilterRippleDB == b.ChannelFilterRippleDB
+}
+
+func sameLO(a, b *LOConfig) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return *a == *b
+}
+
+// ClippedSamples reports lane id's ADC clipping events in its last packet.
+func (b *BatchReceiver) ClippedSamples(id int) int { return b.lanes[id].clip }
+
+// Process runs one packet's antenna frames, frame l on lane l, and returns
+// the per-lane 20 MHz baseband. The returned slices are owned by the lane
+// receiver (reused by the next call); otherwise it is ProcessLanesInto.
 func (b *BatchReceiver) Process(lanes [][]complex128) [][]complex128 {
 	b.outs = b.ProcessInto(b.outs, lanes)
 	return b.outs
 }
 
-// ProcessInto is Process writing lane l's baseband into dst[l]'s backing
-// array (grown if its capacity is short, reused otherwise) and returning
-// dst resliced to the lane count, itself grown when shorter. The outputs
-// belong to the caller, so two destinations can alternate: one packet's
-// basebands stay valid while the next packet runs into the other.
+// ProcessInto is ProcessLanesInto with frame l on lane l.
 func (b *BatchReceiver) ProcessInto(dst [][]complex128, lanes [][]complex128) [][]complex128 {
-	L := len(lanes)
+	for len(b.ids) < len(lanes) {
+		b.ids = append(b.ids, len(b.ids))
+	}
+	return b.ProcessLanesInto(dst, b.ids[:len(lanes)], lanes)
+}
+
+// ProcessLanesInto runs one packet's antenna frames through the complete
+// front end in lock-step, frame k on lane ids[k], and writes lane ids[k]'s
+// 20 MHz baseband into dst[k]'s backing array (grown if its capacity is
+// short, reused otherwise). It returns dst resliced to the frame count,
+// itself grown when shorter. The outputs belong to the caller, so two
+// destinations can alternate: one packet's basebands stay valid while the
+// next packet runs into the other. All frames must have equal length and are
+// modified in place. Lane ids[k]'s output is bit-identical to Reset followed
+// by Process on a receiver built from the lane's configuration and carrying
+// the same packet history.
+func (b *BatchReceiver) ProcessLanesInto(dst [][]complex128, ids []int, lanes [][]complex128) [][]complex128 {
+	dst, n := b.begin(dst, ids, lanes)
+	L := len(ids)
 	if L == 0 {
-		return dst[:0]
+		return dst
 	}
-	if len(dst) < L {
-		dst = append(dst, make([][]complex128, L-len(dst))...)
+	if cap(b.nre) < n {
+		b.nre = make([]float64, n)
+		b.nim = make([]float64, n)
 	}
-	dst = dst[:L]
-	n := len(lanes[0])
-	for l := 1; l < L; l++ {
-		if len(lanes[l]) != n {
-			panic(fmt.Sprintf("rf: batch lane %d length %d != lane 0 length %d", l, len(lanes[l]), n))
+	b.nre, b.nim = b.nre[:n], b.nim[:n]
+	if len(b.xr) < L {
+		b.xr = append(b.xr, make([][]float64, L-len(b.xr))...)
+		b.xi = append(b.xi, make([][]float64, L-len(b.xi))...)
+	}
+	xr, xi := b.xr[:L], b.xi[:L]
+	for k := range xr {
+		if cap(xr[k]) < n {
+			xr[k] = make([]float64, n)
+			xi[k] = make([]float64, n)
 		}
+		xr[k], xi[k] = xr[k][:n], xi[k][:n]
 	}
-	b.grow(L, n)
 
 	// One Reset for the batch: every fixed-seed stream restarts once and its
 	// draws are shared across lanes (each lane's own restart would produce
 	// the identical sequence). The per-lane filter and AGC states live in
-	// the batch driver and are reset/carried below.
+	// the lane receiver and are reset or carried per lane.
 	b.rx.Reset()
 	if b.dcb != nil {
 		b.dcb.Reset()
@@ -318,9 +407,8 @@ func (b *BatchReceiver) ProcessInto(dst [][]complex128, lanes [][]complex128) []
 	// one out, with the noise adds, LO mixing, and biquad cascades all
 	// working the same planes. Conversions are pure load/store, so fusing
 	// them changes no arithmetic.
-	xr, xi := b.xr[:L], b.xi[:L]
-	for l, lane := range lanes {
-		kernels.Deinterleave(xr[l], xi[l], lane)
+	for k, lane := range lanes {
+		kernels.Deinterleave(xr[k], xi[k], lane)
 	}
 	b.rx.mixer1.processBatchPlanar(xr, xi, b.nre, b.nim)
 	if b.dcb != nil {
@@ -330,18 +418,118 @@ func (b *BatchReceiver) ProcessInto(dst [][]complex128, lanes [][]complex128) []
 	if b.chs != nil {
 		b.chs.ProcessPlanar(xr, xi)
 	}
-	for l, lane := range lanes {
-		kernels.Interleave(lane, xr[l], xi[l])
+	for k, lane := range lanes {
+		kernels.Interleave(lane, xr[k], xi[k])
 	}
+	b.stream(dst, ids, lanes, !b.shared, false)
+	return dst
+}
 
-	b.rx.agc.resetLanes(&b.agc, L)
-	b.rx.agc.stepLanes(lanes, &b.agc)
-	for _, lane := range lanes {
-		b.rx.adc.Process(lane)
+// ProcessFromFilterInto runs one packet from the ProcessToFilter waveform
+// on: src[k] is lane ids[k]'s waveform, streamed through the lane's own
+// channel-select filter, the AGC, ADC and decimation. The sources must have
+// equal length; they are only read, so lanes may share one slice. Outputs
+// go to dst as with ProcessLanesInto. Lane ids[k]'s output is bit-identical
+// to Reset followed by ProcessFromFilter on a receiver built from the lane's
+// configuration and carrying the same packet history.
+func (b *BatchReceiver) ProcessFromFilterInto(dst [][]complex128, ids []int, src [][]complex128) [][]complex128 {
+	dst, _ = b.begin(dst, ids, src)
+	for len(b.blk) < len(ids) {
+		b.blk = append(b.blk, make([]complex128, laneBlock))
 	}
-	for l, lane := range lanes {
-		b.rx.decim.Reset()
-		dst[l] = b.rx.decim.ProcessInto(dst[l][:0], lane)
+	if len(ids) > 0 {
+		b.stream(dst, ids, src, true, true)
 	}
 	return dst
+}
+
+// begin checks one call's lanes, sizes dst and the per-call scratch, and
+// returns dst and the common frame length.
+func (b *BatchReceiver) begin(dst [][]complex128, ids []int, src [][]complex128) ([][]complex128, int) {
+	L := len(ids)
+	if len(src) != L {
+		panic(fmt.Sprintf("rf: %d lanes given %d frames", L, len(src)))
+	}
+	if L == 0 {
+		return dst[:0], 0
+	}
+	n := len(src[0])
+	for k := 1; k < L; k++ {
+		if len(src[k]) != n {
+			panic(fmt.Sprintf("rf: lane frame %d length %d != frame 0 length %d", k, len(src[k]), n))
+		}
+	}
+	if len(dst) < L {
+		dst = append(dst, make([][]complex128, L-len(dst))...)
+	}
+	dst = dst[:L]
+	out := (n + b.rx.cfg.Oversample - 1) / b.rx.cfg.Oversample // samples each lane keeps
+	for k := range dst {
+		if cap(dst[k]) < out {
+			dst[k] = make([]complex128, 0, out)
+		}
+	}
+	for _, id := range ids {
+		for len(b.lanes) <= id {
+			// A lane past the configured ones has rx's configuration.
+			var f *dsp.IIR
+			if ch := b.rx.chanSel; ch != nil {
+				f = dsp.NewIIR(ch.iir.Gain, ch.iir.Sections)
+			}
+			b.lanes = append(b.lanes, laneState{filter: f})
+		}
+	}
+	b.st.grow(L)
+	if len(b.view) < L {
+		b.view = make([][]complex128, L)
+	}
+	return dst, n
+}
+
+// stream runs the back half over the call's lanes block by block: src[k]
+// feeds lane ids[k] — copied into block scratch when readOnly, worked in
+// place otherwise — through the lane's own filter when filter is set, then
+// the lane-interleaved AGC loop, then ADC and decimation into dst[k].
+//
+//lint:hotpath lane back half: per-block filter, AGC, ADC and decimation across lanes
+func (b *BatchReceiver) stream(dst [][]complex128, ids []int, src [][]complex128, filter, readOnly bool) {
+	L, n := len(ids), len(src[0])
+	agc, adc, factor := b.rx.agc, b.rx.adc, b.rx.cfg.Oversample
+	for k, id := range ids {
+		ln := &b.lanes[id]
+		if filter && ln.filter != nil {
+			ln.filter.Reset()
+		}
+		b.st.resync[k] = ln.resync
+		ln.clip = 0
+		dst[k] = dst[k][:0]
+	}
+	agc.resetLanes(&b.st, L)
+	view := b.view[:L]
+	for s := 0; s < n; s += laneBlock {
+		e := min(s+laneBlock, n)
+		for k, id := range ids {
+			v := src[k][s:e]
+			if readOnly {
+				v = b.blk[k][:e-s]
+				copy(v, src[k][s:e])
+			}
+			if f := b.lanes[id].filter; filter && f != nil {
+				f.Process(v)
+			}
+			view[k] = v
+		}
+		agc.stepLanes(view, &b.st)
+		// The decimator keeps every factor-th sample of the packet from
+		// sample 0 on; first is the block offset of the first kept sample.
+		first := (factor - s%factor) % factor
+		for k, id := range ids {
+			var clips int
+			dst[k], clips = adc.convertKeep(dst[k], view[k], first, factor)
+			b.lanes[id].clip += clips
+		}
+	}
+	for k, id := range ids {
+		b.lanes[id].resync = b.st.resync[k]
+	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"wlansim/internal/units"
 )
 
 // batchFrames builds B random complex frames of n samples near the
@@ -78,6 +80,95 @@ func TestBatchReceiverMatchesSequential(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestBatchReceiverLaneDropoutMatchesSequential pins the per-lane history
+// across a lane leaving the group: with the ADC's quantization off, so the
+// AGC output reaches the baseband bit for bit, three lanes at different
+// input levels — so their AGC resync counters differ — run six packets, and
+// lane 0 sits out every packet after the third, as a sweep point that
+// reached its error target does. Every lane must stay bit-identical to
+// Reset + Process on its own sequential receiver, both with the filter all
+// lanes share (run planar) and with a filter of each lane's own (run in the
+// block stream).
+func TestBatchReceiverLaneDropoutMatchesSequential(t *testing.T) {
+	const oversample, n = 1, 1700
+	amps := []float64{
+		math.Sqrt(units.DBmToWatts(-40) / 2),
+		math.Sqrt(units.DBmToWatts(-58) / 2),
+		math.Sqrt(units.DBmToWatts(-100) / 2),
+	}
+	// The AGC opens 5 dB under its ceiling, so the lanes' gains move on
+	// different schedules and their resync counters part.
+	unquantized := func(c *ReceiverConfig) {
+		c.ADC.Bits = 0
+		c.AGC.InitialGainDB = c.AGC.MaxGainDB - 5
+	}
+	for _, shared := range []bool{true, false} {
+		cfgs := laneConfigs(oversample, len(amps), unquantized)
+		if shared {
+			for l := range cfgs {
+				cfgs[l] = cfgs[0]
+			}
+		}
+		rx, err := NewReceiver(cfgs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		lanes, err := NewLaneReceiver(rx, cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lanes.shared != shared {
+			t.Fatalf("shared=%v: lane receiver reports shared=%v", shared, lanes.shared)
+		}
+		seq := make([]*Receiver, len(cfgs))
+		for l := range seq {
+			if seq[l], err = NewReceiver(cfgs[l]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var dst [][]complex128
+		var dropped [3]int // each lane's resync counter when lane 0 leaves
+		for pkt := 0; pkt < 6; pkt++ {
+			if pkt == 3 {
+				for l := range dropped {
+					dropped[l] = seq[l].agc.resync
+				}
+			}
+			ids := []int{0, 1, 2}
+			if pkt > 2 {
+				ids = ids[1:]
+			}
+			frames := make([][]complex128, len(ids))
+			for k, id := range ids {
+				frames[k] = batchFrames(int64(10*pkt+id), 1, n, amps[id])[0]
+			}
+			want := make([][]complex128, len(ids))
+			for k, id := range ids {
+				seq[id].Reset()
+				want[k] = append([]complex128(nil), seq[id].Process(append([]complex128(nil), frames[k]...))...)
+			}
+			dst = lanes.ProcessLanesInto(dst, ids, frames)
+			for k, id := range ids {
+				diff := 0
+				for i := range want[k] {
+					if math.Float64bits(real(dst[k][i])) != math.Float64bits(real(want[k][i])) ||
+						math.Float64bits(imag(dst[k][i])) != math.Float64bits(imag(want[k][i])) {
+						diff++
+					}
+				}
+				if len(dst[k]) != len(want[k]) || diff > 0 {
+					t.Errorf("shared=%v pkt=%d lane %d: %d of %d samples differ from the sequential receiver (len %d vs %d)",
+						shared, pkt, id, diff, len(want[k]), len(dst[k]), len(want[k]))
+				}
+			}
+		}
+		if dropped[0] == dropped[1] && dropped[1] == dropped[2] {
+			t.Errorf("shared=%v: equal resync counters %v when lane 0 leaves; a neighbour's counter would pass unnoticed",
+				shared, dropped)
 		}
 	}
 }
@@ -231,4 +322,29 @@ func TestBatchReceiverProcessIntoAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state ProcessInto allocates %v times per call", allocs)
 	}
+}
+
+// BenchmarkBatchReceiverProcessInto times one packet of the batched SNR
+// waterfall's shape through the antenna entry: 8 lanes of 2020 samples (a
+// 24 Mbit/s, 100-byte packet with lead-in and tail, no oversampling) at
+// -62 dBm, the frames restored from their source before every packet.
+func BenchmarkBatchReceiverProcessInto(b *testing.B) {
+	const lanes, n = 8, 2020
+	rx, err := NewReceiver(DefaultReceiverConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := NewBatchReceiver(rx)
+	frames := batchFrames(3, lanes, n, math.Sqrt(units.DBmToWatts(-62)/2))
+	work := cloneFrames(frames)
+	var dst [][]complex128
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for l := range work {
+			copy(work[l], frames[l])
+		}
+		dst = batch.ProcessInto(dst, work)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/packet")
 }

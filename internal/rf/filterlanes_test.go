@@ -47,7 +47,7 @@ func preFilterFrame(t testing.TB, cfg ReceiverConfig, seed int64, n int, amp flo
 }
 
 // TestFilterLanesBatchMatchesReceiver is the filter-lane differential test:
-// lane l of FilterLanes.Process must be bit-identical — baseband and ADC
+// lane l of BatchReceiver.ProcessFromFilterInto must be bit-identical — baseband and ADC
 // clip count — to Reset + ProcessFromFilter on a receiver built from the
 // lane's configuration that carries the same packet history. Covered:
 // oversampling 1, 2 and 3; one to five lanes with differing filter orders
@@ -79,7 +79,7 @@ func TestFilterLanesBatchMatchesReceiver(t *testing.T) {
 			c.AGC.Freeze = true
 		}},
 	}
-	lengths := []int{100, 3*filterLaneBlock + 17, 5247}
+	lengths := []int{100, 3*laneBlock + 17, 5247}
 	for _, sc := range scenarios {
 		for _, os := range []int{1, 2, 3} {
 			for L := 1; L <= 5; L++ {
@@ -88,10 +88,11 @@ func TestFilterLanesBatchMatchesReceiver(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				lanes, err := NewFilterLanes(shared, cfgs)
+				lanes, err := NewLaneReceiver(shared, cfgs)
 				if err != nil {
 					t.Fatal(err)
 				}
+				var dst [][]complex128
 				seq := make([]*Receiver, L)
 				for l := range seq {
 					if seq[l], err = NewReceiver(cfgs[l]); err != nil {
@@ -114,7 +115,8 @@ func TestFilterLanesBatchMatchesReceiver(t *testing.T) {
 					for k := range srcs {
 						srcs[k] = src
 					}
-					got := lanes.Process(active, srcs)
+					dst = lanes.ProcessFromFilterInto(dst, active, srcs)
+					got := dst
 					for k, l := range active {
 						seq[l].Reset()
 						want := seq[l].ProcessFromFilter(append([]complex128(nil), src...))
@@ -166,11 +168,11 @@ func TestFilterLanesRejectsUnlikeReceivers(t *testing.T) {
 	} {
 		cfgs := laneConfigs(3, 2, nil)
 		tune(&cfgs[1])
-		if _, err := NewFilterLanes(rx, cfgs); err == nil {
+		if _, err := NewLaneReceiver(rx, cfgs); err == nil {
 			t.Errorf("%s: lanes differing beyond the filter were accepted", name)
 		}
 	}
-	if _, err := NewFilterLanes(rx, laneConfigs(3, 5, nil)); err != nil {
+	if _, err := NewLaneReceiver(rx, laneConfigs(3, 5, nil)); err != nil {
 		t.Errorf("filter-only lanes rejected: %v", err)
 	}
 }
@@ -197,42 +199,46 @@ func fig5Lanes(tb testing.TB, edges []float64) (*Receiver, []ReceiverConfig, []c
 	return rx, cfgs, src
 }
 
-// TestFilterLanesAllocFree pins the steady state: once the lane scratch is
-// sized, a packet through the lanes allocates nothing.
+// TestFilterLanesAllocFree pins the steady state of the pre-filter entry:
+// once the lane scratch and the destination are sized, a packet through
+// the lanes allocates nothing.
 func TestFilterLanesAllocFree(t *testing.T) {
 	rx, cfgs, src := fig5Lanes(t, []float64{6e6, 10e6, 14e6})
-	lanes, err := NewFilterLanes(rx, cfgs)
+	lanes, err := NewLaneReceiver(rx, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	active := []int{0, 1, 2}
 	srcs := [][]complex128{src, src, src}
-	lanes.Process(active, srcs)
-	if allocs := testing.AllocsPerRun(20, func() { lanes.Process(active, srcs) }); allocs != 0 {
-		t.Fatalf("steady-state FilterLanes.Process allocates %v times per packet", allocs)
+	dst := lanes.ProcessFromFilterInto(nil, active, srcs)
+	if allocs := testing.AllocsPerRun(20, func() { dst = lanes.ProcessFromFilterInto(dst, active, srcs) }); allocs != 0 {
+		t.Fatalf("steady-state ProcessFromFilterInto allocates %v times per packet", allocs)
 	}
 }
 
-// BenchmarkFilterLanes times one Figure 5-shaped packet through three
-// filter lanes and reports the cost per packet-lane.
-func BenchmarkFilterLanes(b *testing.B) {
+// BenchmarkBatchReceiverFromFilter times one Figure 5-shaped packet through
+// three filter lanes of the pre-filter entry and reports the cost per
+// packet-lane.
+func BenchmarkBatchReceiverFromFilter(b *testing.B) {
 	edges := []float64{6e6, 10e6, 14e6}
 	rx, cfgs, src := fig5Lanes(b, edges)
-	lanes, err := NewFilterLanes(rx, cfgs)
+	lanes, err := NewLaneReceiver(rx, cfgs)
 	if err != nil {
 		b.Fatal(err)
 	}
 	active := []int{0, 1, 2}
 	srcs := [][]complex128{src, src, src}
+	var dst [][]complex128
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lanes.Process(active, srcs)
+		dst = lanes.ProcessFromFilterInto(dst, active, srcs)
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(edges)), "us/packet-lane")
 }
 
-// BenchmarkProcessFromFilter is the sequential baseline of BenchmarkFilterLanes:
+// BenchmarkProcessFromFilter is the sequential baseline of
+// BenchmarkBatchReceiverFromFilter:
 // the same frame and edges, one Reset + ProcessFromFilter per packet-lane on
 // a copy of the shared pre-filter waveform (the copy the sequential Bench
 // makes before filtering).

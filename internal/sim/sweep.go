@@ -31,26 +31,18 @@ type Sweep struct {
 	// measurement point (metric plus confidence interval and sample
 	// counts). The point's X is overwritten with the swept value.
 	RunPoint func(value float64) (measure.Point, error)
-	// RunPointBatch, if set together with BatchSize > 1, evaluates a group of
-	// consecutive swept values in one call (the batched lock-step pipeline)
-	// and returns one point per value, in order. Every group is dispatched
-	// batched: a ragged tail (fewer than BatchSize values) is padded up to
-	// BatchSize by repeating its last value as dummy lanes whose results are
-	// discarded, so RunPointBatch always sees exactly BatchSize values and the
-	// scalar path never runs when batching is configured. BatchSize <= 1
-	// falls back to RunPoint/Run point by point. The resulting series must
-	// not depend on the dispatch: a batch implementation is required to be
-	// bit-identical to its scalar counterpart lane by lane (which is also what
-	// makes dummy-lane padding sound), and each group is one work unit, so
+	// RunPointBatch, if set together with Groups > 0, evaluates a group of
+	// consecutive swept values in one call (a lane runner) and returns one
+	// point per value, in order. The resulting series must not depend on the
+	// dispatch: a batch implementation is required to be bit-identical to its
+	// scalar counterpart lane by lane, and each group is one work unit, so
 	// worker-count independence is preserved unchanged.
 	RunPointBatch func(values []float64) ([]measure.Point, error)
-	// BatchSize is the group width for RunPointBatch.
-	BatchSize int
 	// Groups, if > 0 together with RunPointBatch, partitions Values into
 	// that many contiguous groups (at most one per value) whose sizes differ
-	// by at most one, and evaluates each group with one RunPointBatch call,
-	// unpadded — for batch runners that take any width, one included. It
-	// takes precedence over BatchSize, and Run/RunPoint may then be nil.
+	// by at most one, and evaluates each group with one RunPointBatch call;
+	// Run/RunPoint may then be nil. Otherwise every value runs point by
+	// point.
 	Groups int
 	// OnPoint, if set, is called after each point (progress reporting).
 	// Under parallel execution it is still invoked in Values order, for
@@ -124,72 +116,45 @@ type sweepChunk struct {
 	batched    bool
 }
 
-// chunks partitions Values into work units. Without a usable batch
-// configuration every value is its own unit (the historical behavior). With
-// Groups, the values split into that many balanced groups. With BatchSize,
-// consecutive groups of BatchSize go to RunPointBatch; the ragged tail stays
-// one batched unit too — runChunkInto pads it with dummy lanes — so the
-// scalar path never runs when batching is configured.
+// chunks partitions Values into work units: with Groups, that many balanced
+// groups for RunPointBatch; otherwise every value is its own unit.
 func (s *Sweep) chunks() []sweepChunk {
 	n := len(s.Values)
-	if s.RunPointBatch != nil && s.Groups > 0 {
-		g := min(s.Groups, n)
-		out := make([]sweepChunk, g)
-		start := 0
-		for i := range out {
-			end := start + n/g
-			if i < n%g {
-				end++
-			}
-			out[i] = sweepChunk{start: start, end: end, batched: true}
-			start = end
-		}
-		return out
-	}
-	if s.RunPointBatch == nil || s.BatchSize <= 1 {
+	if s.RunPointBatch == nil || s.Groups <= 0 {
 		out := make([]sweepChunk, n)
 		for i := range out {
 			out[i] = sweepChunk{start: i, end: i + 1}
 		}
 		return out
 	}
-	out := make([]sweepChunk, 0, (n+s.BatchSize-1)/s.BatchSize)
-	for i := 0; i < n; i += s.BatchSize {
-		end := i + s.BatchSize
-		if end > n {
-			end = n
+	g := min(s.Groups, n)
+	out := make([]sweepChunk, g)
+	start := 0
+	for i := range out {
+		end := start + n/g
+		if i < n%g {
+			end++
 		}
-		out = append(out, sweepChunk{start: i, end: end, batched: true})
+		out[i] = sweepChunk{start: start, end: end, batched: true}
+		start = end
 	}
 	return out
 }
 
 // runChunkInto evaluates one work unit into dst (length c.end-c.start, in
-// Values order, X stamped on return). Without Groups, a ragged batched unit
-// is padded up to BatchSize by repeating its last value: the dummy lanes run
-// the full lock-step pipeline and their points are discarded, which is sound
-// because the batch contract makes every lane bit-identical to its scalar
-// run regardless of its batch-mates.
+// Values order, X stamped on return).
 func (s *Sweep) runChunkInto(run func(value float64) (measure.Point, error), c sweepChunk, dst []measure.Point) error {
 	values := s.Values[c.start:c.end]
 	if c.batched {
-		batchVals := values
-		if s.Groups <= 0 && len(values) < s.BatchSize {
-			batchVals = make([]float64, s.BatchSize)
-			copy(batchVals, values)
-			for i := len(values); i < s.BatchSize; i++ {
-				batchVals[i] = values[len(values)-1]
-			}
-		}
-		pts, err := s.RunPointBatch(batchVals)
+		pts, err := s.RunPointBatch(values)
 		if err != nil {
 			return fmt.Errorf("sim: sweep %q batch at %g: %w", s.Name, values[0], err)
 		}
-		if len(pts) != len(batchVals) {
+		if len(pts) != len(values) {
 			return fmt.Errorf("sim: sweep %q batch at %g returned %d points for %d values",
-				s.Name, values[0], len(pts), len(batchVals))
+				s.Name, values[0], len(pts), len(values))
 		}
-		copy(dst, pts[:len(values)])
+		copy(dst, pts)
 		for i := range dst {
 			dst[i].X = values[i]
 		}

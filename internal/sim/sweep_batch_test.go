@@ -17,16 +17,16 @@ type batchRecorder struct {
 	groups  [][]float64
 }
 
-func (r *batchRecorder) sweep(values []float64, batchSize, workers int) *Sweep {
+func (r *batchRecorder) sweep(values []float64, groups, workers int) *Sweep {
 	r.batched = make(map[float64]bool)
 	point := func(v float64) measure.Point {
 		return measure.Point{Y: 3 * v, Bits: int(v) + 1}
 	}
 	return &Sweep{
-		Name:      "batched",
-		Values:    values,
-		Workers:   workers,
-		BatchSize: batchSize,
+		Name:    "batched",
+		Values:  values,
+		Workers: workers,
+		Groups:  groups,
 		RunPoint: func(v float64) (measure.Point, error) {
 			r.mu.Lock()
 			r.batched[v] = false
@@ -50,89 +50,54 @@ func (r *batchRecorder) sweep(values []float64, batchSize, workers int) *Sweep {
 	}
 }
 
-// TestSweepBatchDispatch pins the grouping contract: every value is served by
-// RunPointBatch in consecutive groups of exactly BatchSize — the ragged tail
-// is padded with dummy repeats of its last value rather than degrading to the
-// scalar path — and the series is identical to the scalar sweep in value
-// order, for serial and parallel execution alike.
+// TestSweepBatchDispatch pins the groups dispatch against the point-by-point
+// sweep: with Groups every value is served by RunPointBatch, each value in
+// exactly one group, and the series is identical to the same sweep run
+// point by point, in value order, for serial and parallel execution alike.
 func TestSweepBatchDispatch(t *testing.T) {
 	values := Linspace(1, 10, 10)
+	ref, err := (&batchRecorder{}).sweep(values, 0, 1).Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 4} {
 		rec := &batchRecorder{}
-		s := rec.sweep(values, 4, workers)
-		series, err := s.Execute()
+		series, err := rec.sweep(values, 3, workers).Execute()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(series.Points) != len(values) {
+		if len(series.Points) != len(ref.Points) {
 			t.Fatalf("workers=%d: %d points for %d values", workers, len(series.Points), len(values))
 		}
 		for i, p := range series.Points {
-			want := measure.Point{X: values[i], Y: 3 * values[i], Bits: int(values[i]) + 1}
-			if p != want {
-				t.Errorf("workers=%d point %d: got %+v, want %+v", workers, i, p, want)
+			if p != ref.Points[i] {
+				t.Errorf("workers=%d point %d: got %+v, point by point %+v", workers, i, p, ref.Points[i])
 			}
 			if !rec.batched[values[i]] {
 				t.Errorf("workers=%d value %g: served by the scalar path, want batched", workers, values[i])
 			}
 		}
-		if len(rec.groups) != 3 {
-			t.Fatalf("workers=%d: %d batch groups dispatched, want 3", workers, len(rec.groups))
-		}
+		served := 0
 		for _, g := range rec.groups {
-			if len(g) != 4 {
-				t.Errorf("workers=%d: batch group of %d values dispatched, want exactly 4", workers, len(g))
-			}
+			served += len(g)
+		}
+		if len(rec.groups) != 3 || served != len(values) {
+			t.Fatalf("workers=%d: %d values in %d batch groups, want %d in 3", workers, served, len(rec.groups), len(values))
 		}
 	}
 }
 
-// TestSweepBatchRaggedTailPadded pins the padding itself: the tail group is
-// the tail values followed by repeats of the last one, its dummy points are
-// discarded, and a single-value tail still never touches the scalar path.
-func TestSweepBatchRaggedTailPadded(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		values   []float64
-		lastWant []float64
-	}{
-		{"tail of two", Linspace(1, 10, 10), []float64{9, 10, 10, 10}},
-		{"tail of one", Linspace(1, 5, 5), []float64{5, 5, 5, 5}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rec := &batchRecorder{}
-			s := rec.sweep(tc.values, 4, 1)
-			series, err := s.Execute()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(series.Points) != len(tc.values) {
-				t.Fatalf("%d points for %d values — dummy-lane points leaked into the series",
-					len(series.Points), len(tc.values))
-			}
-			last := rec.groups[len(rec.groups)-1]
-			if len(last) != len(tc.lastWant) {
-				t.Fatalf("tail group has %d values, want %d", len(last), len(tc.lastWant))
-			}
-			for i, v := range last {
-				if v != tc.lastWant[i] {
-					t.Fatalf("tail group %v, want %v", last, tc.lastWant)
-				}
-			}
-		})
-	}
-}
-
-// TestSweepBatchSizeOne pins the fallback: BatchSize <= 1 never touches the
-// batch runner even when one is set.
+// TestSweepBatchSizeOne pins the fallback: without Groups — the harnesses'
+// dispatch for a batch width of one — the batch runner is never touched
+// even when one is set.
 func TestSweepBatchSizeOne(t *testing.T) {
 	rec := &batchRecorder{}
-	s := rec.sweep(Linspace(0, 5, 6), 1, 1)
+	s := rec.sweep(Linspace(0, 5, 6), 0, 1)
 	if _, err := s.Execute(); err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.groups) != 0 {
-		t.Fatalf("BatchSize=1 dispatched %d batch groups", len(rec.groups))
+		t.Fatalf("Groups=0 dispatched %d batch groups", len(rec.groups))
 	}
 }
 
@@ -140,10 +105,10 @@ func TestSweepBatchSizeOne(t *testing.T) {
 // number of points is an executor error, not a silent truncation.
 func TestSweepBatchCountMismatch(t *testing.T) {
 	s := &Sweep{
-		Name:      "short",
-		Values:    Linspace(0, 3, 4),
-		BatchSize: 2,
-		Workers:   1,
+		Name:    "short",
+		Values:  Linspace(0, 3, 4),
+		Groups:  2,
+		Workers: 1,
 		RunPoint: func(v float64) (measure.Point, error) {
 			return measure.Point{Y: v}, nil
 		},
@@ -162,10 +127,10 @@ func TestSweepBatchErrorPropagates(t *testing.T) {
 	fail := errors.New("batch point failed")
 	for _, workers := range []int{1, 3} {
 		s := &Sweep{
-			Name:      "failing",
-			Values:    Linspace(0, 7, 8),
-			BatchSize: 3,
-			Workers:   workers,
+			Name:    "failing",
+			Values:  Linspace(0, 7, 8),
+			Groups:  3,
+			Workers: workers,
 			RunPoint: func(v float64) (measure.Point, error) {
 				return measure.Point{Y: v}, nil
 			},

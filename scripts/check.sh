@@ -197,14 +197,30 @@ trap - EXIT
 # race detector's instrumentation changes allocation behavior, so they are
 # re-run natively here), and the short benchmark run smoke-tests every
 # scenario scripts/bench.sh tracks in BENCH_*.json without timing anything.
+# Each gate names its tests and the number it expects; the `go test -list`
+# guard makes a silent skip impossible: a renamed or deleted test fails the
+# gate instead of passing on an empty run.
 echo "==> allocation gates"
-go test -run 'AllocFree|TestFIRProcessSteadyStateAllocs|TestRestartAllocs' -count=1 \
+alloc_gate() {
+    want="$1"
+    pat="$2"
+    shift 2
+    n="$(go test -run '^$' -list "$pat" "$@" | grep -c '^Test' || true)"
+    if [ "$n" -lt "$want" ]; then
+        echo "FAIL: $* list only $n of $want allocation tests matching '$pat' (silent skip)" >&2
+        exit 1
+    fi
+    go test -run "$pat" -count=1 "$@"
+}
+alloc_gate 8 'AllocFree|TestFIRProcessSteadyStateAllocs|TestRestartAllocs' \
     ./internal/phy ./internal/phy/viterbi ./internal/dsp ./internal/randutil
-go test -run 'TestPacketRunAllocBounded' -count=1 ./internal/core
-go test -run 'TestFilterLanesAllocFree|TestBatchReceiverProcessIntoAllocFree' -count=1 ./internal/rf
-go test -run 'TestEVMAllocFree' -count=1 ./internal/measure
-go test -run 'TestFrontEndProcessAllocs' -count=1 ./internal/analog
-go test -run 'TestSweepExecutorBuffersPooled|TestSweepScratchPooledAcrossConcurrentExecutes' -count=1 ./internal/sim
+alloc_gate 1 'TestPacketRunAllocBounded' ./internal/core
+# The lane receiver's two entries: from the pre-filter waveform and from the
+# antenna.
+alloc_gate 2 'TestFilterLanesAllocFree|TestBatchReceiverProcessIntoAllocFree' ./internal/rf
+alloc_gate 1 'TestEVMAllocFree' ./internal/measure
+alloc_gate 1 'TestFrontEndProcessAllocs' ./internal/analog
+alloc_gate 2 'TestSweepExecutorBuffersPooled|TestSweepScratchPooledAcrossConcurrentExecutes' ./internal/sim
 
 echo "==> benchmark smoke (1 iteration per scenario)"
 go test -run '^$' -bench 'BenchmarkPacketBehavioral|BenchmarkSweepExecutor|BenchmarkSweepFilterBW|BenchmarkPacketIdeal24|BenchmarkSweepBatched' -benchtime 1x ./internal/core > /dev/null
@@ -214,7 +230,7 @@ go test -run '^$' -bench 'BenchmarkFIRProcess|BenchmarkComplexFIRProcess|Benchma
 go test -run '^$' -bench 'BenchmarkDemodulateSymbol|BenchmarkModulateSymbol' -benchtime 1x ./internal/phy > /dev/null
 go test -run '^$' -bench 'BenchmarkServiceJob' -benchtime 1x ./internal/service > /dev/null
 go test -run '^$' -bench 'BenchmarkFrontEndProcess' -benchtime 1x ./internal/analog > /dev/null
-go test -run '^$' -bench 'BenchmarkFilterLanes|BenchmarkProcessFromFilter' -benchtime 1x ./internal/rf > /dev/null
+go test -run '^$' -bench 'BenchmarkBatchReceiverFromFilter|BenchmarkBatchReceiverProcessInto|BenchmarkProcessFromFilter' -benchtime 1x ./internal/rf > /dev/null
 go test -run '^$' -bench 'BenchmarkEVM' -benchtime 1x ./internal/measure > /dev/null
 go test -run '^$' -bench 'BenchmarkTable2_CoSimulation' -benchtime 1x . > /dev/null
 

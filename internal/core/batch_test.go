@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"wlansim/internal/measure"
-	"wlansim/internal/rf"
 	"wlansim/internal/seed"
 )
 
@@ -103,11 +102,11 @@ func TestRunBenchBatchEarlyStop(t *testing.T) {
 	}
 }
 
-// TestRunBenchBatchRejectsMixedConfigs pins the gate: lanes differing
-// beyond Seed, ChannelSNRdB, the channel filter, Packets, TargetErrors and
-// the cache, or off the behavioral front end, are rejected rather than
-// silently mis-batched — for noise lanes and filter lanes alike — while a
-// group of one and a filter-sweep group are accepted.
+// TestRunBenchBatchRejectsMixedConfigs pins the gate for noise lanes: lanes
+// differing beyond Seed, ChannelSNRdB, the channel filter, Packets,
+// TargetErrors and the cache, or off the behavioral front end, are rejected
+// rather than silently mis-batched, while a group of one is accepted. The
+// filter-lane rows are in TestFilterLanesRejectMixedGroups.
 func TestRunBenchBatchRejectsMixedConfigs(t *testing.T) {
 	base := batchBase()
 	good := batchSweepConfigs(base, 24, []float64{10, 14})
@@ -121,40 +120,17 @@ func TestRunBenchBatchRejectsMixedConfigs(t *testing.T) {
 	wrongStage := batchSweepConfigs(base, 24, []float64{10, 14})
 	wrongStage[0].SweptStage = StageFrontEnd
 
-	fig5 := Figure5Config()
-	fig5.Packets = 1
-	fig5.PSDULen = 40
-	filterGood := func() []Config {
-		return []Config{filterPointConfig(fig5, 6e6, nil), filterPointConfig(fig5, 9e6, nil)}
-	}
-	filterMixed := func(mutate func([]Config)) []Config {
-		cfgs := filterGood()
-		mutate(cfgs)
-		return cfgs
-	}
-
 	for name, cfgs := range map[string][]Config{
 		"rate mix": rateMix, "ideal front end": ideal,
 		"missing SNR": noSNR, "wrong stage": wrongStage,
-		"no lanes":                nil,
-		"filter: not filter-only": filterMixed(func(c []Config) { c[1].SweptFrontEndFilterOnly = false }),
-		"filter: other rate":      filterMixed(func(c []Config) { c[1].RateMbps = 24 }),
-		"filter: ideal front end": filterMixed(func(c []Config) { c[0].FrontEnd = FrontEndIdeal }),
-		"filter: AGC tuned": filterMixed(func(c []Config) {
-			c[1].TuneRF = func(rc *rf.ReceiverConfig) { rc.AGC.TargetDBm = -5 }
-		}),
-		"filter: no interferer": filterMixed(func(c []Config) { c[1].Interferers = nil }),
+		"no lanes": nil,
 	} {
 		if _, err := RunBenchBatch(cfgs); err == nil {
 			t.Errorf("%s: batch accepted", name)
 		}
 	}
-	for name, cfgs := range map[string][]Config{
-		"single lane": good[:1], "filter sweep": filterGood(),
-	} {
-		if _, err := RunBenchBatch(cfgs); err != nil {
-			t.Errorf("%s: batch rejected: %v", name, err)
-		}
+	if _, err := RunBenchBatch(good[:1]); err != nil {
+		t.Errorf("single lane: batch rejected: %v", err)
 	}
 }
 

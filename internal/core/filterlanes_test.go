@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"wlansim/internal/rf"
 	"wlansim/internal/sim"
 )
 
@@ -98,5 +99,37 @@ func TestFilterLaneGroups(t *testing.T) {
 		if got := laneGroups(c.n, c.workers, c.width); got != c.want {
 			t.Errorf("laneGroups(%d, %d, %d) = %d, want %d", c.n, c.workers, c.width, got, c.want)
 		}
+	}
+}
+
+// TestFilterLanesRejectMixedGroups pins the group contract of the filter
+// lanes: only points of a filter-only behavioral front-end sweep that share
+// the DSP receiver's settings may run as lanes of one RunBenchBatch call.
+func TestFilterLanesRejectMixedGroups(t *testing.T) {
+	base := Figure5Config()
+	base.Packets = 1
+	base.PSDULen = 40
+	good := func() []Config {
+		return []Config{filterPointConfig(base, 6e6, nil), filterPointConfig(base, 9e6, nil)}
+	}
+	cases := map[string]func([]Config){
+		"not filter-only": func(c []Config) { c[1].SweptFrontEndFilterOnly = false },
+		"other rate":      func(c []Config) { c[1].RateMbps = 24 },
+		"ideal front end": func(c []Config) { c[0].FrontEnd = FrontEndIdeal },
+		"AGC tuned":       func(c []Config) { c[1].TuneRF = func(rc *rf.ReceiverConfig) { rc.AGC.TargetDBm = -5 } },
+		"no interferer":   func(c []Config) { c[1].Interferers = nil },
+	}
+	for name, mutate := range cases {
+		cfgs := good()
+		mutate(cfgs)
+		if _, err := RunBenchBatch(cfgs); err == nil {
+			t.Errorf("%s: mixed group accepted", name)
+		}
+	}
+	if _, err := RunBenchBatch(nil); err == nil {
+		t.Error("empty group accepted")
+	}
+	if _, err := RunBenchBatch(good()); err != nil {
+		t.Errorf("filter-sweep group rejected: %v", err)
 	}
 }

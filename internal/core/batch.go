@@ -28,7 +28,7 @@ import (
 // Seed, ChannelSNRdB's value, TuneRF, Packets, TargetErrors and the cache
 // wiring may differ per lane; everything else must match lane 0.
 // rf.NewLaneReceiver checks that the tuned receivers differ only in their
-// channel-select filter.
+// LNA nonlinearity and channel-select filter.
 func batchableConfigs(cfgs []Config) error {
 	if len(cfgs) == 0 {
 		return fmt.Errorf("core: lane group of no points")
@@ -81,9 +81,10 @@ func laneGroups(n, workers, width int) int {
 //   - Filter-only front-end sweep points (SweptFrontEndFilterOnly) share the
 //     pre-filter waveform, so every lane reads the one cached entry, without a
 //     copy, through its own filter (the receiver's pre-filter entry).
-//   - All other lanes start from the antenna: each lane adds its own antenna
-//     noise, from its own per-point stream, to its own copy of the prefix,
-//     and runs the whole front end (the antenna entry).
+//   - All other lanes start from the antenna: each lane takes its own copy
+//     of the prefix, adds its own antenna noise from its own per-point
+//     stream when the points carry a channel SNR, and runs the whole front
+//     end through its own LNA nonlinearity (the antenna entry).
 //
 // The back half synchronizes and equalizes each lane on its own DSP
 // receiver (reset per packet, so lanes cannot interact), completes every
@@ -136,6 +137,14 @@ func runLanes(cfgs []Config) ([]*Result, int, error) {
 	lanes, err := rf.NewLaneReceiver(rx, rcfgs)
 	if err != nil {
 		return nil, 0, err
+	}
+	if b0.preFilterPrefix() {
+		// The shared pre-filter waveform has passed lane 0's LNA.
+		for l := range rcfgs {
+			if rcfgs[l].LNA != rcfgs[0].LNA {
+				return nil, 0, fmt.Errorf("core: filter-only lane %d's LNA differs from lane 0's", l)
+			}
+		}
 	}
 
 	results := make([]*Result, L)

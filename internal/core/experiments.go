@@ -81,7 +81,7 @@ func Figure5Config() Config {
 // not just the TX synthesis and channel composition of every packet but the
 // whole front-end segment upstream of the filter (LNA, mixers, DC block)
 // through the invariant-prefix stage cache (SweptFrontEndFilterOnly). The
-// edges run in laneGroups contiguous groups of at most filterLaneWidth, each
+// edges run in laneGroups contiguous groups of at most laneWidth, each
 // as the lanes of one RunBenchBatch from the shared pre-filter waveform; the
 // series is bit-identical to one Bench.Run per edge for every grouping and
 // worker count.
@@ -93,7 +93,7 @@ func FilterBandwidthSweep(base Config, edgesHz []float64) (*measure.Series, erro
 		YLabel:      "bit error rate",
 		Values:      edgesHz,
 		Workers:     base.Workers,
-		Groups:      laneGroups(len(edgesHz), sim.ResolveWorkers(base.Workers), filterLaneWidth),
+		Groups:      laneGroups(len(edgesHz), sim.ResolveWorkers(base.Workers), laneWidth),
 		OnPointDone: base.OnSweepPoint,
 		RunPointBatch: func(edges []float64) ([]measure.Point, error) {
 			cfgs := make([]Config, len(edges))
@@ -117,8 +117,9 @@ func FilterBandwidthSweep(base Config, edgesHz []float64) (*measure.Series, erro
 	return series, nil
 }
 
-// filterLaneWidth is the most edges a Figure 5 lane group runs.
-const filterLaneWidth = 4
+// laneWidth is the most points a lane group of the Figure 5 and Figure 6
+// sweeps runs.
+const laneWidth = 4
 
 // filterPointConfig is the configuration of FilterBandwidthSweep's point at
 // edge: seeded from (base.Seed, edge), sharing the pre-filter prefix through
@@ -155,42 +156,68 @@ func Figure6Config() Config {
 }
 
 // CompressionPointSweep reproduces one curve of Figure 6: BER versus the
-// input 1 dB compression point of the first LNA (dBm). withAdjacent adds the
-// +16 dB adjacent channel.
+// input 1 dB compression point of the first LNA (dBm), with the +16 dB
+// adjacent channel when withAdjacent is set and with no interferer
+// otherwise. The points run as lanes of RunBenchBatch (see lnaSweep).
 func CompressionPointSweep(base Config, compressionDBm []float64, withAdjacent bool) (*measure.Series, error) {
 	label := "non adjacent channel"
 	if withAdjacent {
 		label = "adjacent channel"
 	}
+	return lnaSweep(base, compressionDBm, withAdjacent, label, "compression point of LNA1 (dBm)",
+		func(lna *rf.AmplifierConfig, cp float64) {
+			lna.Model = rf.Cubic
+			lna.UseCompression = true
+			lna.CompressionDBm = cp
+		})
+}
+
+// IP3Sweep measures BER versus the LNA's input-referred IP3 (dBm), the
+// other nonlinearity sweep mentioned in §5.1, with the +16 dB adjacent
+// channel when withAdjacent is set and with no interferer otherwise. The
+// points run as lanes of RunBenchBatch (see lnaSweep).
+func IP3Sweep(base Config, iip3DBm []float64, withAdjacent bool) (*measure.Series, error) {
+	return lnaSweep(base, iip3DBm, withAdjacent, "BER vs LNA IIP3", "IIP3 of LNA1 (dBm)",
+		func(lna *rf.AmplifierConfig, ip3 float64) {
+			lna.Model = rf.Cubic
+			lna.UseCompression = false
+			lna.IIP3DBm = ip3
+		})
+}
+
+// lnaSweep is the body of the LNA-nonlinearity sweeps: BER versus a value
+// that tune applies to the first LNA. Each point is seeded from
+// (base.Seed, value); the adjacent channel replaces base's interferers when
+// withAdjacent is set, and no interferer remains otherwise.
+//
+// The value first matters inside the front end (StageFrontEnd), so the
+// points share every packet's antenna waveform through the stage cache.
+// Lanes of the RF receiver may differ in the LNA's nonlinearity, so the
+// points run in laneGroups contiguous groups of at most laneWidth, each as
+// the lanes of one RunBenchBatch from the cached antenna waveform; the
+// series is bit-identical to one Bench.Run per point for every grouping
+// and worker count.
+func lnaSweep(base Config, values []float64, withAdjacent bool, name, xLabel string,
+	tune func(*rf.AmplifierConfig, float64)) (*measure.Series, error) {
+	base.Interferers = nil
+	if withAdjacent {
+		base.Interferers = []InterfererSpec{AdjacentChannelSpec(base.WantedPowerDBm)}
+	}
 	cache := newSweepCache(base)
 	sweep := &sim.Sweep{
-		Name:        label,
-		XLabel:      "compression point of LNA1 (dBm)",
+		Name:        name,
+		XLabel:      xLabel,
 		YLabel:      "bit error rate",
-		Values:      compressionDBm,
+		Values:      values,
 		Workers:     base.Workers,
+		Groups:      laneGroups(len(values), sim.ResolveWorkers(base.Workers), laneWidth),
 		OnPointDone: base.OnSweepPoint,
-		RunPoint: func(cp float64) (measure.Point, error) {
-			cfg := base
-			cfg.Seed = seed.ForPoint(base.Seed, cp)
-			cfg.ContentSeed = base.Seed
-			cfg.SweptStage = StageFrontEnd
-			cfg.Cache = cache
-			if withAdjacent {
-				cfg.Interferers = []InterfererSpec{AdjacentChannelSpec(cfg.WantedPowerDBm)}
-			} else {
-				cfg.Interferers = nil
+		RunPointBatch: func(vs []float64) ([]measure.Point, error) {
+			cfgs := make([]Config, len(vs))
+			for i, v := range vs {
+				cfgs[i] = lnaPointConfig(base, v, cache, tune)
 			}
-			prev := base.TuneRF
-			cfg.TuneRF = func(rc *rf.ReceiverConfig) {
-				if prev != nil {
-					prev(rc)
-				}
-				rc.LNA.Model = rf.Cubic
-				rc.LNA.UseCompression = true
-				rc.LNA.CompressionDBm = cp
-			}
-			return runBERPoint(cfg)
+			return runBERPointBatch(cfgs)
 		},
 	}
 	series, err := sweep.Execute()
@@ -203,47 +230,23 @@ func CompressionPointSweep(base Config, compressionDBm []float64, withAdjacent b
 	return series, nil
 }
 
-// IP3Sweep measures BER versus the LNA's input-referred IP3 (dBm), the
-// other nonlinearity sweep mentioned in §5.1.
-func IP3Sweep(base Config, iip3DBm []float64, withAdjacent bool) (*measure.Series, error) {
-	label := "BER vs LNA IIP3"
-	cache := newSweepCache(base)
-	sweep := &sim.Sweep{
-		Name:        label,
-		XLabel:      "IIP3 of LNA1 (dBm)",
-		YLabel:      "bit error rate",
-		Values:      iip3DBm,
-		Workers:     base.Workers,
-		OnPointDone: base.OnSweepPoint,
-		RunPoint: func(ip3 float64) (measure.Point, error) {
-			cfg := base
-			cfg.Seed = seed.ForPoint(base.Seed, ip3)
-			cfg.ContentSeed = base.Seed
-			cfg.SweptStage = StageFrontEnd
-			cfg.Cache = cache
-			if withAdjacent {
-				cfg.Interferers = []InterfererSpec{AdjacentChannelSpec(cfg.WantedPowerDBm)}
-			}
-			prev := base.TuneRF
-			cfg.TuneRF = func(rc *rf.ReceiverConfig) {
-				if prev != nil {
-					prev(rc)
-				}
-				rc.LNA.Model = rf.Cubic
-				rc.LNA.UseCompression = false
-				rc.LNA.IIP3DBm = ip3
-			}
-			return runBERPoint(cfg)
-		},
+// lnaPointConfig is the configuration of lnaSweep's point at v: seeded from
+// (base.Seed, v), its LNA tuned to v, sharing the antenna prefix through
+// cache.
+func lnaPointConfig(base Config, v float64, cache *sim.StageCache, tune func(*rf.AmplifierConfig, float64)) Config {
+	cfg := base
+	cfg.Seed = seed.ForPoint(base.Seed, v)
+	cfg.ContentSeed = base.Seed
+	cfg.SweptStage = StageFrontEnd
+	cfg.Cache = cache
+	prev := base.TuneRF
+	cfg.TuneRF = func(rc *rf.ReceiverConfig) {
+		if prev != nil {
+			prev(rc)
+		}
+		tune(&rc.LNA, v)
 	}
-	series, err := sweep.Execute()
-	if err != nil {
-		return nil, err
-	}
-	if cache != nil {
-		series.Cache = cache.Stats()
-	}
-	return series, nil
+	return cfg
 }
 
 // SpectrumExperiment reproduces Figure 4: the PSD of an OFDM burst with the

@@ -117,6 +117,7 @@ func TestFilterLanesRejectMixedGroups(t *testing.T) {
 		"other rate":      func(c []Config) { c[1].RateMbps = 24 },
 		"ideal front end": func(c []Config) { c[0].FrontEnd = FrontEndIdeal },
 		"AGC tuned":       func(c []Config) { c[1].TuneRF = func(rc *rf.ReceiverConfig) { rc.AGC.TargetDBm = -5 } },
+		"LNA tuned":       func(c []Config) { c[1].TuneRF = func(rc *rf.ReceiverConfig) { rc.LNA.CompressionDBm = -20 } },
 		"no interferer":   func(c []Config) { c[1].Interferers = nil },
 	}
 	for name, mutate := range cases {

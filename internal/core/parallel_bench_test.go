@@ -11,7 +11,8 @@ import (
 //
 //	go test -bench BenchmarkCompressionPointSweepWorkers -benchtime 2x ./internal/core
 //
-// The series is identical across sub-benchmarks (asserted by the
+// The points run as lane groups of RunBenchBatch, at least one group per
+// worker. The series is identical across sub-benchmarks (asserted by the
 // determinism tests), so the sub-benchmark times are directly comparable.
 // Points here are pure CPU work, so the scaling only materializes with at
 // least that many cores (GOMAXPROCS >= workers); on constrained machines use

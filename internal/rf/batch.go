@@ -10,8 +10,9 @@ import (
 
 // The lane receiver (BatchReceiver) runs several lanes of one behavioral
 // receiver in lock-step, one packet per call. A lane is a sweep point: lanes
-// agree on every block but the channel-select filter, and each lane keeps
-// its own history by lane id. Exactness is the contract: lane l is
+// agree on every block but the LNA nonlinearity and the channel-select
+// filter, and each lane keeps its own history by lane id. Exactness is the
+// contract: lane l is
 // bit-identical to Reset + Process (or Reset + ProcessFromFilter) on a
 // sequential receiver built from the lane's configuration and carrying the
 // same packet history, which the differential front-end tests pin frame for
@@ -23,7 +24,9 @@ import (
 //     noise) restarts from its fixed per-block seed on Reset, so all lanes
 //     would draw the identical sequences; the batch restarts once and
 //     materializes each stream into a plane shared across lanes (the
-//     randutil batched-draw property).
+//     randutil batched-draw property). The LNA's noise is input-referred,
+//     so lanes whose LNAs differ in gain or nonlinearity still share it and
+//     apply their own memoryless amplifier after the shared noise add.
 //   - The filters' biquad recurrences are latency-bound; a filter every
 //     lane shares runs lane-interleaved through kernels.BiquadBatch.
 //   - The mixer's planar frame pass amortizes its LO planes across lanes
@@ -157,13 +160,15 @@ func (a *AGC) stepLanes(lanes [][]complex128, st *agcBatchState) {
 	}
 }
 
-// processBatch amplifies B lanes, drawing the shared noise stream once and
-// applying the exact per-sample nonlinearity per lane.
-func (a *Amplifier) processBatch(lanes [][]complex128, nre, nim []float64) {
+// processBatch amplifies B lanes, drawing a's noise stream once and
+// applying lane k's own amplifier amps[k] — the exact per-sample
+// nonlinearity of its configuration — after the shared noise add.
+func (a *Amplifier) processBatch(lanes [][]complex128, amps []*Amplifier, nre, nim []float64) {
 	if a.noise == nil {
-		for _, lane := range lanes {
+		for k, lane := range lanes {
+			amp := amps[k]
 			for i, v := range lane {
-				lane[i] = a.amplify(v)
+				lane[i] = amp.amplify(v)
 			}
 		}
 		return
@@ -173,9 +178,10 @@ func (a *Amplifier) processBatch(lanes [][]complex128, nre, nim []float64) {
 	a.noise.FillNormPairs(nre, nim)
 	kernels.ScalePlane(nre, a.nsig)
 	kernels.ScalePlane(nim, a.nsig)
-	for _, lane := range lanes {
+	for k, lane := range lanes {
+		amp := amps[k]
 		for i, v := range lane {
-			lane[i] = a.amplify(v + complex(nre[i], nim[i]))
+			lane[i] = amp.amplify(v + complex(nre[i], nim[i]))
 		}
 	}
 }
@@ -218,19 +224,20 @@ func (m *Mixer) processBatchPlanar(xr, xi [][]float64, nre, nim []float64) {
 }
 
 // BatchReceiver is the lane receiver: it runs several lanes of one
-// behavioral receiver — sweep points that agree on every block but the
-// channel-select filter — through the front end in lock-step, one packet
-// per call. It has two entries. ProcessLanesInto takes each lane's antenna
-// frame and runs the whole chain; ProcessFromFilterInto takes each lane's
+// behavioral receiver — sweep points that agree on every block but the LNA
+// nonlinearity and the channel-select filter — through the front end in
+// lock-step, one packet per call. It has two entries. ProcessLanesInto
+// takes each lane's antenna frame and runs the whole chain, each lane
+// through its own LNA nonlinearity; ProcessFromFilterInto takes each lane's
 // ProcessToFilter waveform, which lanes differing only in the filter share,
 // and runs the filter onward. Both end in one block-streamed back half: the
 // lane's own filter where it runs there, the lane-interleaved AGC loop, then
 // ADC and decimation fused.
 //
-// Lanes are named by id. A lane keeps its AGC resync counter, ADC clip count
-// and own filter by id across calls, so a lane that sits out a packet (a
-// sweep point that reached its error target) leaves every other lane's
-// history untouched.
+// Lanes are named by id. A lane keeps its AGC resync counter, ADC clip
+// count, own LNA and own filter by id across calls, so a lane that sits out
+// a packet (a sweep point that reached its error target) leaves every other
+// lane's history untouched.
 type BatchReceiver struct {
 	rx *Receiver
 	// shared reports that every lane's channel-select filter is rx's, so the
@@ -243,7 +250,10 @@ type BatchReceiver struct {
 	dcb, chs *dsp.IIRBatch
 
 	lanes []laneState // per lane id
+	// ownLNA reports that some lane's LNA nonlinearity differs from rx's.
+	ownLNA bool
 
+	amps []*Amplifier   // per-call-lane LNA amplifiers of the antenna entry
 	st   agcBatchState  // AGC state of the call's lanes
 	blk  [][]complex128 // per-call-lane block buffers of the pre-filter entry
 	view [][]complex128 // per-call-lane views of the current block
@@ -253,9 +263,10 @@ type BatchReceiver struct {
 
 // laneState is what a lane carries across packets.
 type laneState struct {
-	filter *dsp.IIR // own channel-select filter (nil: none)
-	resync int      // AGC resync counter
-	clip   int      // ADC clip count of the lane's last packet
+	lna    *Amplifier // own LNA nonlinearity (nil: rx's)
+	filter *dsp.IIR   // own channel-select filter (nil: none)
+	resync int        // AGC resync counter
+	clip   int        // ADC clip count of the lane's last packet
 }
 
 // laneBlock is the back half's streaming block length in samples: a block
@@ -279,15 +290,30 @@ func NewBatchReceiver(rx *Receiver) *BatchReceiver {
 
 // NewLaneReceiver builds the lane receiver whose lane l has the tuned
 // configuration cfgs[l] (lane ids past the last have rx's). rx supplies
-// every block but the lanes' filters: each configuration must equal rx's
-// apart from ChannelFilterOrder, ChannelFilterEdgeHz and
-// ChannelFilterRippleDB.
+// every block but the lanes' LNA nonlinearities and filters: each
+// configuration must equal rx's apart from ChannelFilterOrder,
+// ChannelFilterEdgeHz and ChannelFilterRippleDB and the LNA fields that
+// shape its memoryless amplifier (Model, GainDB, IIP3DBm, CompressionDBm,
+// UseCompression and AMPMDegPerDB). The LNA's input-referred noise, both
+// mixers and the DC block stay rx's and are shared by every lane.
 func NewLaneReceiver(rx *Receiver, cfgs []ReceiverConfig) (*BatchReceiver, error) {
 	b := NewBatchReceiver(rx)
 	b.lanes = make([]laneState, len(cfgs))
 	for l, cfg := range cfgs {
-		if !sameBeyondFilter(cfg, rx.cfg) {
-			return nil, fmt.Errorf("rf: lane %d differs from the receiver beyond the channel-select filter", l)
+		cfg = cfg.asBuilt()
+		if !sameLaneBlocks(cfg, rx.cfg) {
+			return nil, fmt.Errorf("rf: lane %d differs from the receiver beyond the LNA nonlinearity and the channel-select filter", l)
+		}
+		if cfg.LNA != rx.cfg.LNA {
+			// Only amplify runs per lane; the noise is rx's LNA's.
+			lna := cfg.LNA
+			lna.DisableNoise = true
+			amp, err := NewAmplifier(lna)
+			if err != nil {
+				return nil, fmt.Errorf("rf: lane %d: %w", l, err)
+			}
+			b.lanes[l].lna = amp
+			b.ownLNA = true
 		}
 		if cfg.ChannelFilterOrder > 0 {
 			ch, err := NewChebyshevLowpass(cfg.ChannelFilterOrder,
@@ -305,18 +331,22 @@ func NewLaneReceiver(rx *Receiver, cfgs []ReceiverConfig) (*BatchReceiver, error
 	return b, nil
 }
 
-// sameBeyondFilter reports whether a and b configure the same receiver apart
-// from the channel-select filter fields.
-func sameBeyondFilter(a, b ReceiverConfig) bool {
+// sameLaneBlocks reports whether the built configurations a and b configure
+// the same receiver apart from the channel-select filter and the LNA
+// nonlinearity fields.
+func sameLaneBlocks(a, b ReceiverConfig) bool {
 	if !sameLO(a.Mixer1.LO, b.Mixer1.LO) || !sameLO(a.Mixer2.LO, b.Mixer2.LO) {
 		return false
 	}
 	for _, c := range []*ReceiverConfig{&a, &b} {
+		c.LNA.Model, c.LNA.GainDB, c.LNA.IIP3DBm, c.LNA.CompressionDBm = 0, 0, 0, 0
+		c.LNA.UseCompression, c.LNA.AMPMDegPerDB = false, 0
 		c.Mixer1.LO, c.Mixer2.LO = nil, nil
 		c.ChannelFilterOrder, c.ChannelFilterEdgeHz, c.ChannelFilterRippleDB = 0, 0, 0
 	}
 	return a == b
 }
+
 
 // sameFilter reports whether a and b configure the same channel-select
 // filter (any two orders <= 0 mean none).
@@ -400,7 +430,16 @@ func (b *BatchReceiver) ProcessLanesInto(dst [][]complex128, ids []int, lanes []
 		b.chs.Reset()
 	}
 
-	b.rx.lna.processBatch(lanes, b.nre, b.nim)
+	amps := b.amps[:0]
+	for _, id := range ids {
+		amp := b.lanes[id].lna
+		if amp == nil {
+			amp = b.rx.lna
+		}
+		amps = append(amps, amp)
+	}
+	b.amps = amps
+	b.rx.lna.processBatch(lanes, amps, b.nre, b.nim)
 	prefillLOPair(b.rx.mixer1, b.rx.mixer2, n)
 
 	// The mixer/filter segment runs planar end to end: one conversion in,
@@ -431,8 +470,12 @@ func (b *BatchReceiver) ProcessLanesInto(dst [][]complex128, ids []int, lanes []
 // equal length; they are only read, so lanes may share one slice. Outputs
 // go to dst as with ProcessLanesInto. Lane ids[k]'s output is bit-identical
 // to Reset followed by ProcessFromFilter on a receiver built from the lane's
-// configuration and carrying the same packet history.
+// configuration and carrying the same packet history. The waveform has
+// passed an LNA already, so no lane may have an LNA of its own.
 func (b *BatchReceiver) ProcessFromFilterInto(dst [][]complex128, ids []int, src [][]complex128) [][]complex128 {
+	if b.ownLNA {
+		panic("rf: pre-filter entry on lanes with their own LNA")
+	}
 	dst, _ = b.begin(dst, ids, src)
 	for len(b.blk) < len(ids) {
 		b.blk = append(b.blk, make([]complex128, laneBlock))

@@ -161,7 +161,7 @@ func TestFilterLanesRejectsUnlikeReceivers(t *testing.T) {
 	}
 	for name, tune := range map[string]func(*ReceiverConfig){
 		"AGC target": func(c *ReceiverConfig) { c.AGC.TargetDBm = -12 },
-		"LNA gain":   func(c *ReceiverConfig) { c.LNA.GainDB = 20 },
+		"LNA noise":  func(c *ReceiverConfig) { c.LNA.NoiseFigureDB = 3 },
 		"LO seed":    func(c *ReceiverConfig) { c.Mixer2.LO.Seed = 7 },
 		"no LO":      func(c *ReceiverConfig) { c.Mixer1.LO = nil },
 		"ADC bits":   func(c *ReceiverConfig) { c.ADC.Bits = 8 },

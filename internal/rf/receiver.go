@@ -121,11 +121,7 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	if cfg.SampleRateHz <= 0 {
 		return nil, fmt.Errorf("rf: receiver sample rate %g", cfg.SampleRateHz)
 	}
-	if cfg.DisableNoise {
-		cfg.LNA.DisableNoise = true
-		cfg.Mixer1.DisableNoise = true
-		cfg.Mixer2.DisableNoise = true
-	}
+	cfg = cfg.asBuilt()
 	r := &Receiver{cfg: cfg}
 	var err error
 	if r.lna, err = NewAmplifier(cfg.LNA); err != nil {
@@ -163,6 +159,17 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 		return nil, err
 	}
 	return r, nil
+}
+
+// asBuilt returns cfg as NewReceiver builds it: the receiver-wide
+// DisableNoise switches off the noise of every block.
+func (cfg ReceiverConfig) asBuilt() ReceiverConfig {
+	if cfg.DisableNoise {
+		cfg.LNA.DisableNoise = true
+		cfg.Mixer1.DisableNoise = true
+		cfg.Mixer2.DisableNoise = true
+	}
+	return cfg
 }
 
 // Config returns the receiver configuration.

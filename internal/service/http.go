@@ -13,8 +13,8 @@ import (
 // HTTP API of wlansimd. All bodies are JSON; the stream endpoint is NDJSON.
 //
 //	POST /v1/jobs            submit a SweepSpec -> 202 JobStatus
-//	                         (400 invalid spec, 429 + Retry-After queue full,
-//	                          503 draining)
+//	                         (400 invalid spec, 413 body over MaxSpecBytes,
+//	                          429 + Retry-After queue full, 503 draining)
 //	GET  /v1/jobs            list JobStatus, submission order (series omitted)
 //	GET  /v1/jobs/{id}       one JobStatus; ?wait=1 blocks until terminal
 //	GET  /v1/jobs/{id}/stream  NDJSON: one line per completed point in Values
@@ -29,6 +29,11 @@ type streamLine struct {
 	Status *JobStatus     `json:"status,omitempty"`
 }
 
+// MaxSpecBytes bounds the body of POST /v1/jobs. A spec of MaxPoints
+// explicit values, each written at full float64 precision, takes about
+// 100 KiB, so every valid spec fits.
+const MaxSpecBytes = 256 << 10
+
 // errorBody is the JSON error envelope.
 type errorBody struct {
 	Error string `json:"error"`
@@ -39,9 +44,15 @@ func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec SweepSpec
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				writeError(w, http.StatusRequestEntityTooLarge,
+					fmt.Errorf("spec body exceeds %d bytes", tooLarge.Limit))
+				return
+			}
 			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding spec: %w", err))
 			return
 		}

@@ -385,6 +385,60 @@ func TestBackpressure429(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyLimit pins the POST /v1/jobs body bound: a spec padded to
+// one byte under MaxSpecBytes is accepted, and a body one byte over it is
+// refused with 413 and a JSON error before any job is queued.
+func TestSubmitBodyLimit(t *testing.T) {
+	m := New(Config{Store: store.NewMemory(0), Workers: 1})
+	m.execute = func(j *Job) { m.finish(j, &measure.Series{}, nil) }
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	defer m.Drain()
+
+	spec, _ := json.Marshal(SweepSpec{Kind: "evm", Packets: 1, Values: []float64{10}})
+	// Leading whitespace pads the body without changing the spec.
+	padded := func(size int) []byte {
+		return append(bytes.Repeat([]byte(" "), size-len(spec)), spec...)
+	}
+	post := func(body []byte) (*http.Response, errorBody) {
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e errorBody
+		if resp.StatusCode != http.StatusAccepted {
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+				t.Fatalf("HTTP %d without a JSON error body: %v", resp.StatusCode, err)
+			}
+		}
+		return resp, e
+	}
+
+	if resp, e := post(padded(MaxSpecBytes - 1)); resp.StatusCode != http.StatusAccepted {
+		t.Errorf("body one byte under the limit: HTTP %d (%s), want 202", resp.StatusCode, e.Error)
+	}
+	resp, e := post(padded(MaxSpecBytes + 1))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("body one byte over the limit: HTTP %d, want 413", resp.StatusCode)
+	}
+	if e.Error == "" {
+		t.Error("413 without an error message")
+	}
+	if n := len(m.Jobs()); n != 1 {
+		t.Errorf("%d jobs queued, want only the one under the limit", n)
+	}
+
+	// The largest valid grid, at full float64 precision, fits the bound.
+	widest := SweepSpec{Kind: "fig6", Values: make([]float64, MaxPoints)}
+	for i := range widest.Values {
+		widest.Values[i] = -1.2345678901234567e-300 * float64(i+1) / 3
+	}
+	if body, _ := json.Marshal(widest); len(body) >= MaxSpecBytes {
+		t.Errorf("a %d-point spec takes %d bytes, over the %d-byte bound", MaxPoints, len(body), MaxSpecBytes)
+	}
+}
+
 // TestDrainFinishesAcceptedJobs pins the graceful-shutdown contract: Drain
 // completes every accepted job, flushes the store, and later submissions
 // are refused with ErrClosed (503 over HTTP).

@@ -104,7 +104,7 @@ check_coverage ./internal/kernels 85
 # build-tag or rename ever removes the tests from the compiled set, the gate
 # fails loudly instead of passing on an empty run.
 echo "==> batch-equivalence differential suite"
-batch_pat='Batch.*(Matches|Invariant)|Matches.*Batch|DeferredBatch|DemapSoftSeparable|EVMSeparable|SweepBatch|FillNormPairsMatches'
+batch_pat='Batch.*(Matches|Invariant)|Matches.*Batch|DeferredBatch|DemapSoftSeparable|EVMSeparable|SweepBatch|FillNormPairsMatches|LNASweepGolden'
 for pkg in ./internal/kernels ./internal/dsp ./internal/randutil ./internal/rf \
            ./internal/phy ./internal/phy/viterbi ./internal/rxdsp ./internal/measure ./internal/sim ./internal/core; do
     n="$(go test -run '^$' -list "$batch_pat" "$pkg" | grep -c '^Test' || true)"
@@ -115,6 +115,16 @@ for pkg in ./internal/kernels ./internal/dsp ./internal/randutil ./internal/rf \
     echo "    $pkg: $n batch-equivalence tests"
     go test -run "$batch_pat" -count=1 "$pkg" > /dev/null
 done
+# The LNA lanes (Figure 6 and IP3 sweeps): the rf lane differential test, the
+# core lane-vs-Bench.Run differential test and the sweep golden recorded from
+# the point-by-point sweeps must all be compiled in.
+lna_pat='BatchReceiverLNALanesMatchSequential|LNABatchMatchesSequential|LNASweepGolden'
+n="$(go test -run '^$' -list "$lna_pat" ./internal/rf ./internal/core | grep -c '^Test' || true)"
+if [ "$n" -lt 3 ]; then
+    echo "FAIL: only $n of 3 LNA-lane tests match '$lna_pat' (silent skip)" >&2
+    exit 1
+fi
+echo "    internal/rf, internal/core: $n LNA-lane differential/golden tests"
 
 # Co-sim front end. The analog solver streams each frame in blocks with its
 # LO bank computed one block ahead; its output is pinned bit for bit by
@@ -216,14 +226,14 @@ alloc_gate 8 'AllocFree|TestFIRProcessSteadyStateAllocs|TestRestartAllocs' \
     ./internal/phy ./internal/phy/viterbi ./internal/dsp ./internal/randutil
 alloc_gate 1 'TestPacketRunAllocBounded' ./internal/core
 # The lane receiver's two entries: from the pre-filter waveform and from the
-# antenna.
-alloc_gate 2 'TestFilterLanesAllocFree|TestBatchReceiverProcessIntoAllocFree' ./internal/rf
+# antenna, the latter also with per-lane LNAs.
+alloc_gate 3 'TestFilterLanesAllocFree|TestBatchReceiverProcessIntoAllocFree|TestBatchReceiverLNALanesAllocFree' ./internal/rf
 alloc_gate 1 'TestEVMAllocFree' ./internal/measure
 alloc_gate 1 'TestFrontEndProcessAllocs' ./internal/analog
 alloc_gate 2 'TestSweepExecutorBuffersPooled|TestSweepScratchPooledAcrossConcurrentExecutes' ./internal/sim
 
 echo "==> benchmark smoke (1 iteration per scenario)"
-go test -run '^$' -bench 'BenchmarkPacketBehavioral|BenchmarkSweepExecutor|BenchmarkSweepFilterBW|BenchmarkPacketIdeal24|BenchmarkSweepBatched' -benchtime 1x ./internal/core > /dev/null
+go test -run '^$' -bench 'BenchmarkPacketBehavioral|BenchmarkSweepExecutor|BenchmarkSweepFilterBW|BenchmarkPacketIdeal24|BenchmarkSweepBatched|BenchmarkCompressionPointSweepWorkers' -benchtime 1x ./internal/core > /dev/null
 go test -run '^$' -bench 'BenchmarkDecodeSoft' -benchtime 1x ./internal/phy/viterbi > /dev/null
 go test -run '^$' -bench 'BenchmarkFFTStage' -benchtime 1x ./internal/kernels > /dev/null
 go test -run '^$' -bench 'BenchmarkFIRProcess|BenchmarkComplexFIRProcess|BenchmarkFFT|BenchmarkDFT|BenchmarkIIRCascade3' -benchtime 1x ./internal/dsp > /dev/null

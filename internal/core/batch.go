@@ -103,9 +103,9 @@ func RunBenchBatch(cfgs []Config) ([]*Result, error) {
 	return results, err
 }
 
-// runLanes is RunBenchBatch, also reporting how many pre-filter lookups
-// returned a different cache entry than an earlier lane's lookup of the same
-// key in the same packet (see batchFront.unshared).
+// runLanes is RunBenchBatch, also reporting how many prefix lookups returned
+// a different cache entry than an earlier lane's lookup of the same key in
+// the same packet (see batchFront.unshared).
 func runLanes(cfgs []Config) ([]*Result, int, error) {
 	if err := batchableConfigs(cfgs); err != nil {
 		return nil, 0, err
@@ -244,9 +244,9 @@ type batchFront struct {
 	waves     [][]complex128    // the packet's lane inputs, per active lane
 	slots     [batchSlots]batchSlot
 
-	// The pre-filter lookups of the packet being filled, and how many of
-	// them returned a different entry than an earlier lane with the same key
-	// in the same packet. Lanes share one prefix, so unshared stays zero
+	// The prefix lookups of the packet being filled, and how many of them
+	// returned a different entry than an earlier lane with the same key in
+	// the same packet. Lanes share one prefix, so unshared stays zero
 	// unless the cache evicted the entry between two lanes' lookups (each
 	// lane then reads its own, equal copy).
 	keys     []sim.CacheKey
@@ -349,23 +349,45 @@ func (f *batchFront) run() {
 	}
 }
 
-// prefix serves lane bench b's input of packet p: the shared, read-only
-// pre-filter waveform for filter lanes, otherwise the lane's own copy of
-// the antenna waveform with its antenna noise added.
+// prefix serves lane bench b's input of packet p, which the lane receiver
+// only reads: the shared pre-filter waveform for filter lanes, the shared
+// antenna waveform for lanes without antenna noise of their own, otherwise
+// the lane's own copy of the antenna waveform with its noise added.
 func (f *batchFront) prefix(b *Bench, p int) ([]byte, []complex128, error) {
 	if f.preFilter {
-		e, err := f.preFilterEntry(b, p)
+		e, err := f.entry(b, b.preFilterKey(p, f.os), func(pb *Bench) (*stageEntry, error) {
+			return pb.preFilterEntry(f.prx, p, f.os)
+		})
 		if err != nil {
 			return nil, nil, err
 		}
 		return e.refBits, e.wave, nil
 	}
-	refBits, wave, boundary, err := b.packetPrefix(p, f.os)
-	if err != nil {
-		return nil, nil, err
-	}
-	if boundary != prefixAntenna {
-		return nil, nil, fmt.Errorf("core: lane prefix boundary %d, want antenna", boundary)
+	var refBits []byte
+	var wave []complex128
+	if b.cfg.SweptStage >= StageNoise {
+		e, err := f.entry(b, b.antennaKey(p, f.os), func(pb *Bench) (*stageEntry, error) {
+			return pb.antennaEntry(p, f.os)
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		if !b.suffixNoise() {
+			// The lane receiver only reads its sources.
+			return e.refBits, e.wave, nil
+		}
+		b.scratch = append(b.scratch[:0], e.wave...)
+		refBits, wave = e.refBits, b.scratch
+	} else {
+		var boundary prefixBoundary
+		var err error
+		refBits, wave, boundary, err = b.packetPrefix(p, f.os)
+		if err != nil {
+			return nil, nil, err
+		}
+		if boundary != prefixAntenna {
+			return nil, nil, fmt.Errorf("core: lane prefix boundary %d, want antenna", boundary)
+		}
 	}
 	if b.suffixNoise() {
 		b.addNoise(wave, f.os, b.noiseRNG)
@@ -373,21 +395,20 @@ func (f *batchFront) prefix(b *Bench, p int) ([]byte, []complex128, error) {
 	return refBits, wave, nil
 }
 
-// preFilterEntry serves lane bench b's pre-filter prefix of packet p. With a
-// cache every lane looks up its own key, so hits and misses count per point
-// exactly as in sequential runs; without one, a lane whose key an earlier
-// lane already computed this packet reuses that entry instead of
-// recomputing the identical prefix. A miss computes on a throwaway bench, so
-// no lane holds the TX and channel scratch (composer, FFT plans) for the
-// rest of the group.
-func (f *batchFront) preFilterEntry(b *Bench, p int) (*stageEntry, error) {
-	key := b.preFilterKey(p, f.os)
+// entry serves lane bench b's cached prefix under key, which get looks up
+// on a bench of b's configuration. With a cache every lane looks up its own
+// key, so hits and misses count per point exactly as in sequential runs;
+// without one, a lane whose key an earlier lane already computed this
+// packet reuses that entry instead of recomputing the identical prefix. A
+// miss computes on a throwaway bench, so no lane holds the TX and channel
+// scratch (composer, FFT plans, interferer waveforms) for the rest of the
+// group.
+func (f *batchFront) entry(b *Bench, key sim.CacheKey, get func(pb *Bench) (*stageEntry, error)) (*stageEntry, error) {
 	first := slices.Index(f.keys, key)
 	if first >= 0 && b.cfg.Cache == nil {
 		return f.entries[first], nil
 	}
-	pb := &Bench{cfg: b.cfg, tx: f.tx, keyContent: b.keyContent}
-	e, err := pb.preFilterEntry(f.prx, p, f.os)
+	e, err := get(&Bench{cfg: b.cfg, tx: f.tx, keyContent: b.keyContent})
 	if err != nil {
 		return nil, err
 	}

@@ -600,6 +600,34 @@ func (b *Bench) preFilterEntry(rx *rf.Receiver, p, os int) (*stageEntry, error) 
 	return v.(*stageEntry), nil
 }
 
+// antennaKey is the cache key of packet p's antenna prefix.
+func (b *Bench) antennaKey(p, os int) sim.CacheKey {
+	return b.stageKey(cacheKindAntenna, p, os, b.antennaNoise())
+}
+
+// antennaNoise reports whether the antenna prefix includes the noise: only
+// when it is invariant too (front-end sweeps with an explicit channel SNR).
+func (b *Bench) antennaNoise() bool {
+	return b.cfg.ChannelSNRdB != nil && !b.suffixNoise()
+}
+
+// antennaEntry serves packet p's antenna prefix: TX + channel, plus the
+// noise when antennaNoise. The entry is shared: read only.
+func (b *Bench) antennaEntry(p, os int) (*stageEntry, error) {
+	v, err := b.cfg.Cache.GetOrCompute(b.antennaKey(p, os),
+		func() (any, int64, error) {
+			e, err := b.fullPrefix(p, os, b.antennaNoise())
+			if err != nil {
+				return nil, 0, err
+			}
+			return e, e.sizeBytes(), nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*stageEntry), nil
+}
+
 // packetPrefix produces packet p's waveform at the prefix boundary along
 // with its reference payload bits, serving the invariant prefix from the
 // cache when one is attached. The returned boundary tells Run which pipeline
@@ -638,21 +666,10 @@ func (b *Bench) packetPrefix(p, os int) (refBits []byte, wave []complex128, boun
 		return e.refBits, cloneWave(e), prefixPreFilter, nil
 
 	case b.cfg.SweptStage >= StageNoise:
-		// Antenna prefix: TX + channel, including the noise only when it is
-		// invariant too (front-end sweeps with an explicit channel SNR).
-		withNoise := b.cfg.ChannelSNRdB != nil && !b.suffixNoise()
-		v, err := b.cfg.Cache.GetOrCompute(b.stageKey(cacheKindAntenna, p, os, withNoise),
-			func() (any, int64, error) {
-				e, err := b.fullPrefix(p, os, withNoise)
-				if err != nil {
-					return nil, 0, err
-				}
-				return e, e.sizeBytes(), nil
-			})
+		e, err := b.antennaEntry(p, os)
 		if err != nil {
 			return nil, nil, prefixAntenna, err
 		}
-		e := v.(*stageEntry)
 		return e.refBits, cloneWave(e), prefixAntenna, nil
 
 	case b.cfg.SweptStage == StageChannel:

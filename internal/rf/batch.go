@@ -31,9 +31,13 @@ import (
 //     lane shares runs lane-interleaved through kernels.BiquadBatch.
 //   - The mixer's planar frame pass amortizes its LO planes across lanes
 //     via kernels.MixApplyLOBatch.
-//   - The back half (a lane's own filter, the AGC, ADC and decimation)
-//     streams in blocks that stay cache-resident, with the AGC loops of all
-//     lanes stepped interleaved.
+//   - Both entries stream each packet in blocks that stay cache-resident:
+//     from the antenna the LNA, the mixers, the DC block and a shared
+//     filter run planar over a block of every lane, then a lane's own
+//     filter, the AGC (all lanes stepped interleaved), ADC and decimation
+//     finish the block. Every block's state (noise generators, LO phase,
+//     biquad delays, AGC loop) carries to the next, so the blocks compute
+//     the frame's samples exactly.
 
 // agcBatchState carries the AGC loop state of one call's lanes. Only resync
 // survives across packets (AGC.Reset deliberately preserves it; see
@@ -160,28 +164,33 @@ func (a *AGC) stepLanes(lanes [][]complex128, st *agcBatchState) {
 	}
 }
 
-// processBatch amplifies B lanes, drawing a's noise stream once and
-// applying lane k's own amplifier amps[k] — the exact per-sample
-// nonlinearity of its configuration — after the shared noise add.
-func (a *Amplifier) processBatch(lanes [][]complex128, amps []*Amplifier, nre, nim []float64) {
+// processBatch amplifies one block of B lanes into planar form: src[k] is
+// lane k's block, read only, and its output lands in xr[k] and xi[k]. It
+// draws a's noise stream once for the block and applies lane k's own
+// amplifier amps[k] — the exact per-sample nonlinearity of its
+// configuration — after the shared noise add. Writing the planes is pure
+// data movement, so the values are the complex path's bit for bit.
+func (a *Amplifier) processBatch(xr, xi [][]float64, src [][]complex128, amps []*Amplifier, nre, nim []float64) {
+	n := len(src[0])
 	if a.noise == nil {
-		for k, lane := range lanes {
-			amp := amps[k]
+		for k, lane := range src {
+			amp, re, im := amps[k], xr[k][:n], xi[k][:n]
 			for i, v := range lane {
-				lane[i] = amp.amplify(v)
+				y := amp.amplify(v)
+				re[i], im[i] = real(y), imag(y)
 			}
 		}
 		return
 	}
-	n := len(lanes[0])
 	nre, nim = nre[:n], nim[:n]
 	a.noise.FillNormPairs(nre, nim)
 	kernels.ScalePlane(nre, a.nsig)
 	kernels.ScalePlane(nim, a.nsig)
-	for k, lane := range lanes {
-		amp := amps[k]
+	for k, lane := range src {
+		amp, re, im := amps[k], xr[k][:n], xi[k][:n]
 		for i, v := range lane {
-			lane[i] = amp.amplify(v + complex(nre[i], nim[i]))
+			y := amp.amplify(v + complex(nre[i], nim[i]))
+			re[i], im[i] = real(y), imag(y)
 		}
 	}
 }
@@ -230,9 +239,10 @@ func (m *Mixer) processBatchPlanar(xr, xi [][]float64, nre, nim []float64) {
 // takes each lane's antenna frame and runs the whole chain, each lane
 // through its own LNA nonlinearity; ProcessFromFilterInto takes each lane's
 // ProcessToFilter waveform, which lanes differing only in the filter share,
-// and runs the filter onward. Both end in one block-streamed back half: the
-// lane's own filter where it runs there, the lane-interleaved AGC loop, then
-// ADC and decimation fused.
+// and runs the filter onward. Both stream the packet in blocks and end in
+// one back half: the lane's own filter where it runs there, the
+// lane-interleaved AGC loop, then ADC and decimation fused. Both only read
+// their sources, so lanes may share one.
 //
 // Lanes are named by id. A lane keeps its AGC resync counter, ADC clip
 // count, own LNA and own filter by id across calls, so a lane that sits out
@@ -245,8 +255,8 @@ type BatchReceiver struct {
 	// in the block stream.
 	shared bool
 
-	nre, nim []float64   // shared per-batch noise plane scratch
-	xr, xi   [][]float64 // per-lane planar scratch for the mixer/filter pass
+	nre, nim []float64   // shared per-block noise plane scratch
+	xr, xi   [][]float64 // per-call-lane planar block scratch of the antenna entry
 	dcb, chs *dsp.IIRBatch
 
 	lanes []laneState // per lane id
@@ -255,7 +265,7 @@ type BatchReceiver struct {
 
 	amps []*Amplifier   // per-call-lane LNA amplifiers of the antenna entry
 	st   agcBatchState  // AGC state of the call's lanes
-	blk  [][]complex128 // per-call-lane block buffers of the pre-filter entry
+	blk  [][]complex128 // per-call-lane block buffers
 	view [][]complex128 // per-call-lane views of the current block
 	ids  []int          // 0, 1, ...: the lane ids of the positional entries
 	outs [][]complex128 // Process's per-lane outputs, reused
@@ -269,9 +279,8 @@ type laneState struct {
 	clip   int        // ADC clip count of the lane's last packet
 }
 
-// laneBlock is the back half's streaming block length in samples: a block
-// of every lane stays cache-resident between the filter, the AGC and the
-// ADC.
+// laneBlock is the streaming block length in samples: a block of every lane
+// stays cache-resident from the LNA (or the filter) to the ADC.
 const laneBlock = 256
 
 // NewBatchReceiver builds the lane receiver whose lanes all have rx's
@@ -390,33 +399,33 @@ func (b *BatchReceiver) ProcessInto(dst [][]complex128, lanes [][]complex128) []
 // short, reused otherwise). It returns dst resliced to the frame count,
 // itself grown when shorter. The outputs belong to the caller, so two
 // destinations can alternate: one packet's basebands stay valid while the
-// next packet runs into the other. All frames must have equal length and are
-// modified in place. Lane ids[k]'s output is bit-identical to Reset followed
-// by Process on a receiver built from the lane's configuration and carrying
-// the same packet history.
-func (b *BatchReceiver) ProcessLanesInto(dst [][]complex128, ids []int, lanes [][]complex128) [][]complex128 {
-	dst, n := b.begin(dst, ids, lanes)
+// next packet runs into the other. All frames must have equal length; they
+// are only read, so lanes may share one slice. Lane ids[k]'s output is
+// bit-identical to Reset followed by Process on a receiver built from the
+// lane's configuration and carrying the same packet history.
+func (b *BatchReceiver) ProcessLanesInto(dst [][]complex128, ids []int, src [][]complex128) [][]complex128 {
+	dst, _ = b.begin(dst, ids, src)
 	L := len(ids)
 	if L == 0 {
 		return dst
 	}
-	if cap(b.nre) < n {
-		b.nre = make([]float64, n)
-		b.nim = make([]float64, n)
+	if b.nre == nil {
+		b.nre = make([]float64, laneBlock)
+		b.nim = make([]float64, laneBlock)
 	}
-	b.nre, b.nim = b.nre[:n], b.nim[:n]
-	if len(b.xr) < L {
-		b.xr = append(b.xr, make([][]float64, L-len(b.xr))...)
-		b.xi = append(b.xi, make([][]float64, L-len(b.xi))...)
+	for len(b.xr) < L {
+		b.xr = append(b.xr, make([]float64, laneBlock))
+		b.xi = append(b.xi, make([]float64, laneBlock))
 	}
-	xr, xi := b.xr[:L], b.xi[:L]
-	for k := range xr {
-		if cap(xr[k]) < n {
-			xr[k] = make([]float64, n)
-			xi[k] = make([]float64, n)
+	amps := b.amps[:0]
+	for _, id := range ids {
+		amp := b.lanes[id].lna
+		if amp == nil {
+			amp = b.rx.lna
 		}
-		xr[k], xi[k] = xr[k][:n], xi[k][:n]
+		amps = append(amps, amp)
 	}
+	b.amps = amps
 
 	// One Reset for the batch: every fixed-seed stream restarts once and its
 	// draws are shared across lanes (each lane's own restart would produce
@@ -429,26 +438,24 @@ func (b *BatchReceiver) ProcessLanesInto(dst [][]complex128, ids []int, lanes []
 	if b.chs != nil {
 		b.chs.Reset()
 	}
+	b.stream(dst, ids, src, true, !b.shared)
+	return dst
+}
 
-	amps := b.amps[:0]
-	for _, id := range ids {
-		amp := b.lanes[id].lna
-		if amp == nil {
-			amp = b.rx.lna
-		}
-		amps = append(amps, amp)
+// frontBlock runs samples [s, e) of the call's antenna frames from the LNA
+// through the shared filter into the lanes' block buffers. The segment runs
+// planar: the LNA writes the planes, the noise adds, LO mixing and biquad
+// cascades all work them in place, and one interleave per lane leaves. The
+// conversions are pure load/store, so they change no arithmetic.
+func (b *BatchReceiver) frontBlock(src [][]complex128, s, e int) {
+	L, m := len(src), e-s
+	xr, xi, in := b.xr[:L], b.xi[:L], b.view[:L]
+	for k := range xr {
+		xr[k], xi[k] = xr[k][:m], xi[k][:m]
+		in[k] = src[k][s:e]
 	}
-	b.amps = amps
-	b.rx.lna.processBatch(lanes, amps, b.nre, b.nim)
-	prefillLOPair(b.rx.mixer1, b.rx.mixer2, n)
-
-	// The mixer/filter segment runs planar end to end: one conversion in,
-	// one out, with the noise adds, LO mixing, and biquad cascades all
-	// working the same planes. Conversions are pure load/store, so fusing
-	// them changes no arithmetic.
-	for k, lane := range lanes {
-		kernels.Deinterleave(xr[k], xi[k], lane)
-	}
+	b.rx.lna.processBatch(xr, xi, in, b.amps, b.nre, b.nim)
+	prefillLOPair(b.rx.mixer1, b.rx.mixer2, m)
 	b.rx.mixer1.processBatchPlanar(xr, xi, b.nre, b.nim)
 	if b.dcb != nil {
 		b.dcb.ProcessPlanar(xr, xi)
@@ -457,11 +464,9 @@ func (b *BatchReceiver) ProcessLanesInto(dst [][]complex128, ids []int, lanes []
 	if b.chs != nil {
 		b.chs.ProcessPlanar(xr, xi)
 	}
-	for k, lane := range lanes {
-		kernels.Interleave(lane, xr[k], xi[k])
+	for k := range xr {
+		kernels.Interleave(b.blk[k][:m], xr[k], xi[k])
 	}
-	b.stream(dst, ids, lanes, !b.shared, false)
-	return dst
 }
 
 // ProcessFromFilterInto runs one packet from the ProcessToFilter waveform
@@ -477,11 +482,8 @@ func (b *BatchReceiver) ProcessFromFilterInto(dst [][]complex128, ids []int, src
 		panic("rf: pre-filter entry on lanes with their own LNA")
 	}
 	dst, _ = b.begin(dst, ids, src)
-	for len(b.blk) < len(ids) {
-		b.blk = append(b.blk, make([]complex128, laneBlock))
-	}
 	if len(ids) > 0 {
-		b.stream(dst, ids, src, true, true)
+		b.stream(dst, ids, src, false, true)
 	}
 	return dst
 }
@@ -526,16 +528,19 @@ func (b *BatchReceiver) begin(dst [][]complex128, ids []int, src [][]complex128)
 	if len(b.view) < L {
 		b.view = make([][]complex128, L)
 	}
+	for len(b.blk) < L {
+		b.blk = append(b.blk, make([]complex128, laneBlock))
+	}
 	return dst, n
 }
 
-// stream runs the back half over the call's lanes block by block: src[k]
-// feeds lane ids[k] — copied into block scratch when readOnly, worked in
-// place otherwise — through the lane's own filter when filter is set, then
-// the lane-interleaved AGC loop, then ADC and decimation into dst[k].
+// stream runs the call's lanes block by block: src[k] feeds lane ids[k]'s
+// block buffer — through frontBlock when front is set, copied otherwise —
+// then the lane's own filter when filter is set, the lane-interleaved AGC
+// loop, and ADC and decimation into dst[k].
 //
-//lint:hotpath lane back half: per-block filter, AGC, ADC and decimation across lanes
-func (b *BatchReceiver) stream(dst [][]complex128, ids []int, src [][]complex128, filter, readOnly bool) {
+//lint:hotpath lane pipeline: per-block front end, filter, AGC, ADC and decimation across lanes
+func (b *BatchReceiver) stream(dst [][]complex128, ids []int, src [][]complex128, front, filter bool) {
 	L, n := len(ids), len(src[0])
 	agc, adc, factor := b.rx.agc, b.rx.adc, b.rx.cfg.Oversample
 	for k, id := range ids {
@@ -551,10 +556,12 @@ func (b *BatchReceiver) stream(dst [][]complex128, ids []int, src [][]complex128
 	view := b.view[:L]
 	for s := 0; s < n; s += laneBlock {
 		e := min(s+laneBlock, n)
+		if front {
+			b.frontBlock(src, s, e)
+		}
 		for k, id := range ids {
-			v := src[k][s:e]
-			if readOnly {
-				v = b.blk[k][:e-s]
+			v := b.blk[k][:e-s]
+			if !front {
 				copy(v, src[k][s:e])
 			}
 			if f := b.lanes[id].filter; filter && f != nil {

@@ -52,7 +52,7 @@ func lnaLaneConfigs(oversample int) []ReceiverConfig {
 // differ in the filter, oversampling 1 and 3, a lane whose ADC clips, a
 // lane that sits out one packet and rejoins, and a lane that drops out
 // mid-run, over packets of several lengths, with the receiver's noise on
-// and off.
+// and off. Most lanes read one shared source, which must stay unchanged.
 func TestBatchReceiverLNALanesMatchSequential(t *testing.T) {
 	amp := math.Sqrt(units.DBmToWatts(-38) / 2)
 	lengths := []int{100, 3*laneBlock + 17, 1700}
@@ -92,12 +92,14 @@ func TestBatchReceiverLNALanesMatchSequential(t *testing.T) {
 				}
 				ids = append(ids, l)
 			}
-			// Lanes of one sweep share the antenna waveform; lane 3 gets a
-			// frame of its own so the entry cannot lean on equal inputs.
+			// Lanes of one sweep share the antenna waveform, one slice the
+			// entry only reads; lane 3 gets a frame of its own so the entry
+			// cannot lean on equal inputs.
 			shared := batchFrames(int64(10*os+pkt), 1, n, amp)[0]
+			pristine := append([]complex128(nil), shared...)
 			frames := make([][]complex128, len(ids))
 			for k, id := range ids {
-				frames[k] = append([]complex128(nil), shared...)
+				frames[k] = shared
 				if id == 3 {
 					frames[k] = batchFrames(int64(100*os+pkt), 1, n, amp)[0]
 				}
@@ -108,6 +110,9 @@ func TestBatchReceiverLNALanesMatchSequential(t *testing.T) {
 				want[k] = append([]complex128(nil), seq[id].Process(append([]complex128(nil), frames[k]...))...)
 			}
 			dst = lanes.ProcessLanesInto(dst, ids, frames)
+			if !reflect.DeepEqual(shared, pristine) {
+				t.Fatalf("os=%d quiet=%v pkt=%d: the antenna entry wrote its shared source", os, sc.quiet, pkt)
+			}
 			for k, id := range ids {
 				where := fmt.Sprintf("os=%d quiet=%v pkt=%d lane %d", os, sc.quiet, pkt, id)
 				if len(dst[k]) != len(want[k]) {

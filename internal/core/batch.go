@@ -81,10 +81,11 @@ func laneGroups(n, workers, width int) int {
 //   - Filter-only front-end sweep points (SweptFrontEndFilterOnly) share the
 //     pre-filter waveform, so every lane reads the one cached entry, without a
 //     copy, through its own filter (the receiver's pre-filter entry).
-//   - All other lanes start from the antenna: each lane takes its own copy
-//     of the prefix, adds its own antenna noise from its own per-point
-//     stream when the points carry a channel SNR, and runs the whole front
-//     end through its own LNA nonlinearity (the antenna entry).
+//   - All other lanes start from the antenna and run the whole front end,
+//     each through its own LNA nonlinearity (the antenna entry). Lanes
+//     whose points carry a channel SNR add their own antenna noise, from
+//     their own per-point stream, to their own copy of the prefix; the
+//     others read the one cached entry without a copy.
 //
 // The back half synchronizes and equalizes each lane on its own DSP
 // receiver (reset per packet, so lanes cannot interact), completes every
@@ -354,45 +355,34 @@ func (f *batchFront) run() {
 // antenna waveform for lanes without antenna noise of their own, otherwise
 // the lane's own copy of the antenna waveform with its noise added.
 func (f *batchFront) prefix(b *Bench, p int) ([]byte, []complex128, error) {
-	if f.preFilter {
-		e, err := f.entry(b, b.preFilterKey(p, f.os), func(pb *Bench) (*stageEntry, error) {
+	var e *stageEntry
+	var err error
+	switch {
+	case f.preFilter:
+		e, err = f.entry(b, b.preFilterKey(p, f.os), func(pb *Bench) (*stageEntry, error) {
 			return pb.preFilterEntry(f.prx, p, f.os)
 		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return e.refBits, e.wave, nil
-	}
-	var refBits []byte
-	var wave []complex128
-	if b.cfg.SweptStage >= StageNoise {
-		e, err := f.entry(b, b.antennaKey(p, f.os), func(pb *Bench) (*stageEntry, error) {
+	case b.cfg.SweptStage >= StageNoise:
+		e, err = f.entry(b, b.antennaKey(p, f.os), func(pb *Bench) (*stageEntry, error) {
 			return pb.antennaEntry(p, f.os)
 		})
-		if err != nil {
-			return nil, nil, err
+	default:
+		// TX or channel swept: the lane composes its own antenna waveform.
+		refBits, wave, _, err := b.packetPrefix(p, f.os)
+		if err == nil && b.suffixNoise() {
+			b.addNoise(wave, f.os, b.noiseRNG)
 		}
-		if !b.suffixNoise() {
-			// The lane receiver only reads its sources.
-			return e.refBits, e.wave, nil
-		}
-		b.scratch = append(b.scratch[:0], e.wave...)
-		refBits, wave = e.refBits, b.scratch
-	} else {
-		var boundary prefixBoundary
-		var err error
-		refBits, wave, boundary, err = b.packetPrefix(p, f.os)
-		if err != nil {
-			return nil, nil, err
-		}
-		if boundary != prefixAntenna {
-			return nil, nil, fmt.Errorf("core: lane prefix boundary %d, want antenna", boundary)
-		}
+		return refBits, wave, err
 	}
-	if b.suffixNoise() {
-		b.addNoise(wave, f.os, b.noiseRNG)
+	if err != nil {
+		return nil, nil, err
 	}
-	return refBits, wave, nil
+	if !b.suffixNoise() {
+		return e.refBits, e.wave, nil
+	}
+	b.scratch = append(b.scratch[:0], e.wave...)
+	b.addNoise(b.scratch, f.os, b.noiseRNG)
+	return e.refBits, b.scratch, nil
 }
 
 // entry serves lane bench b's cached prefix under key, which get looks up

@@ -256,14 +256,14 @@ type BatchReceiver struct {
 	shared bool
 
 	nre, nim []float64   // shared per-block noise plane scratch
-	xr, xi   [][]float64 // per-call-lane planar block scratch of the antenna entry
+	xr, xi   [][]float64 // per-call-lane planar block scratch
 	dcb, chs *dsp.IIRBatch
 
 	lanes []laneState // per lane id
 	// ownLNA reports that some lane's LNA nonlinearity differs from rx's.
 	ownLNA bool
 
-	amps []*Amplifier   // per-call-lane LNA amplifiers of the antenna entry
+	amps []*Amplifier   // per-call-lane LNAs
 	st   agcBatchState  // AGC state of the call's lanes
 	blk  [][]complex128 // per-call-lane block buffers
 	view [][]complex128 // per-call-lane views of the current block
@@ -273,7 +273,7 @@ type BatchReceiver struct {
 
 // laneState is what a lane carries across packets.
 type laneState struct {
-	lna    *Amplifier // own LNA nonlinearity (nil: rx's)
+	lna    *Amplifier // LNA whose nonlinearity the lane applies (rx's or its own)
 	filter *dsp.IIR   // own channel-select filter (nil: none)
 	resync int        // AGC resync counter
 	clip   int        // ADC clip count of the lane's last packet
@@ -287,7 +287,8 @@ const laneBlock = 256
 // configuration; lane ids are unbounded. The receiver remains usable
 // sequentially; the lane receiver owns all per-lane state.
 func NewBatchReceiver(rx *Receiver) *BatchReceiver {
-	b := &BatchReceiver{rx: rx, shared: true}
+	b := &BatchReceiver{rx: rx, shared: true,
+		nre: make([]float64, laneBlock), nim: make([]float64, laneBlock)}
 	if rx.dcBlock != nil {
 		b.dcb = dsp.NewIIRBatch(rx.dcBlock.iir)
 	}
@@ -309,6 +310,7 @@ func NewLaneReceiver(rx *Receiver, cfgs []ReceiverConfig) (*BatchReceiver, error
 	b := NewBatchReceiver(rx)
 	b.lanes = make([]laneState, len(cfgs))
 	for l, cfg := range cfgs {
+		b.lanes[l].lna = rx.lna
 		cfg = cfg.asBuilt()
 		if !sameLaneBlocks(cfg, rx.cfg) {
 			return nil, fmt.Errorf("rf: lane %d differs from the receiver beyond the LNA nonlinearity and the channel-select filter", l)
@@ -355,7 +357,6 @@ func sameLaneBlocks(a, b ReceiverConfig) bool {
 	}
 	return a == b
 }
-
 
 // sameFilter reports whether a and b configure the same channel-select
 // filter (any two orders <= 0 mean none).
@@ -405,28 +406,9 @@ func (b *BatchReceiver) ProcessInto(dst [][]complex128, lanes [][]complex128) []
 // lane's configuration and carrying the same packet history.
 func (b *BatchReceiver) ProcessLanesInto(dst [][]complex128, ids []int, src [][]complex128) [][]complex128 {
 	dst, _ = b.begin(dst, ids, src)
-	L := len(ids)
-	if L == 0 {
+	if len(ids) == 0 {
 		return dst
 	}
-	if b.nre == nil {
-		b.nre = make([]float64, laneBlock)
-		b.nim = make([]float64, laneBlock)
-	}
-	for len(b.xr) < L {
-		b.xr = append(b.xr, make([]float64, laneBlock))
-		b.xi = append(b.xi, make([]float64, laneBlock))
-	}
-	amps := b.amps[:0]
-	for _, id := range ids {
-		amp := b.lanes[id].lna
-		if amp == nil {
-			amp = b.rx.lna
-		}
-		amps = append(amps, amp)
-	}
-	b.amps = amps
-
 	// One Reset for the batch: every fixed-seed stream restarts once and its
 	// draws are shared across lanes (each lane's own restart would produce
 	// the identical sequence). The per-lane filter and AGC states live in
@@ -514,6 +496,7 @@ func (b *BatchReceiver) begin(dst [][]complex128, ids []int, src [][]complex128)
 			dst[k] = make([]complex128, 0, out)
 		}
 	}
+	b.amps = b.amps[:0]
 	for _, id := range ids {
 		for len(b.lanes) <= id {
 			// A lane past the configured ones has rx's configuration.
@@ -521,8 +504,9 @@ func (b *BatchReceiver) begin(dst [][]complex128, ids []int, src [][]complex128)
 			if ch := b.rx.chanSel; ch != nil {
 				f = dsp.NewIIR(ch.iir.Gain, ch.iir.Sections)
 			}
-			b.lanes = append(b.lanes, laneState{filter: f})
+			b.lanes = append(b.lanes, laneState{lna: b.rx.lna, filter: f})
 		}
+		b.amps = append(b.amps, b.lanes[id].lna)
 	}
 	b.st.grow(L)
 	if len(b.view) < L {
@@ -530,6 +514,8 @@ func (b *BatchReceiver) begin(dst [][]complex128, ids []int, src [][]complex128)
 	}
 	for len(b.blk) < L {
 		b.blk = append(b.blk, make([]complex128, laneBlock))
+		b.xr = append(b.xr, make([]float64, laneBlock))
+		b.xi = append(b.xi, make([]float64, laneBlock))
 	}
 	return dst, n
 }

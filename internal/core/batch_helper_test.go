@@ -6,11 +6,12 @@ import (
 	"time"
 )
 
-// TestRunBenchBatchNoLeakedHelper pins that RunBenchBatch's front-half
-// helper goroutine exits on every return path: after a run of every packet,
-// after an early-stop run in which every lane stops before the last packet,
-// and after an error from the front half, the goroutine count is back at
-// its baseline.
+// TestRunBenchBatchNoLeakedHelper pins that the packet loop's front-half
+// helper goroutine exits on every return path, of RunBenchBatch and of
+// Bench.Run (a one-lane group that starts a helper per Run): after a run of
+// every packet, after an early-stop run in which every lane stops before the
+// last packet, and after an error from the front half, the goroutine count
+// is back at its baseline.
 func TestRunBenchBatchNoLeakedHelper(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	checkBaseline := func(what string) {
@@ -55,4 +56,31 @@ func TestRunBenchBatchNoLeakedHelper(t *testing.T) {
 		t.Fatal("front-half error not returned")
 	}
 	checkBaseline("error return")
+
+	run := func(cfg Config) (*Result, error) {
+		t.Helper()
+		bench, err := NewBench(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bench.Run()
+	}
+	if _, err := run(batchSweepConfigs(base, 24, []float64{8})[0]); err != nil {
+		t.Fatal(err)
+	}
+	checkBaseline("Bench.Run full run")
+
+	res, err := run(batchSweepConfigs(stop, 24, []float64{0})[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Counter.Packets >= stop.Packets {
+		t.Fatalf("early-stop Bench.Run ran %d of %d packets; the run must end early", res.Counter.Packets, stop.Packets)
+	}
+	checkBaseline("Bench.Run early-stop run")
+
+	if _, err := run(batchSweepConfigs(bad, 24, []float64{8})[0]); err == nil {
+		t.Fatal("Bench.Run front-half error not returned")
+	}
+	checkBaseline("Bench.Run error return")
 }

@@ -139,16 +139,16 @@ type Config struct {
 	// Batch, when > 1, lets the SNR waterfall harness run its points on the
 	// behavioral front end in groups of at most Batch as the lanes of one
 	// RunBenchBatch (at least one group per sweep worker); Batch <= 1 runs
-	// them point by point through Bench.Run. RunBenchBatch's packet loop has
-	// two stages: a helper goroutine runs packet p+1's front half (prefix
-	// lookup, antenna noise, the rf lanes) while the caller runs packet p's
-	// back half (sync, equalize, batched Viterbi, accounting); it starts
-	// early only when no lane can reach TargetErrors in packet p. Results
-	// are bit-identical for every value — batching changes wall-clock only,
-	// as the lane differential tests pin. Filter sweeps
-	// (FilterBandwidthSweep) run as lanes without it: their points always
-	// share the pre-filter prefix, grouped by the edge and worker counts
-	// alone.
+	// them point by point, each Bench.Run a one-lane group of the same packet
+	// loop. That loop has two stages: a helper goroutine runs packet p+1's
+	// front half (prefix lookup, antenna noise, the front end) while the
+	// caller runs packet p's back half (sync, equalize, batched Viterbi,
+	// accounting); it starts early only when no lane can reach TargetErrors
+	// in packet p. Results are bit-identical for every value — batching
+	// changes wall-clock only, as the lane differential tests pin. The
+	// Figure 5, Figure 6 and IP3 sweeps (FilterBandwidthSweep,
+	// CompressionPointSweep, IP3Sweep) run as lanes without it, grouped by
+	// the point and worker counts alone.
 	Batch int
 	// TargetErrors, when > 0, stops a bench run early once the accumulated
 	// bit-error count reaches it (Packets stays the upper bound). Sweep
@@ -220,14 +220,19 @@ const leadInSamples = 600
 const tailSamples = 300
 
 // Bench runs measurement scenarios. The zero value is not usable; use
-// NewBench. A Bench caches the constructed front end, transmitter, receiver
-// and channel buffers across packets and Run calls (every stateful block is
-// reset per packet, so results are identical to rebuilding them); it must
-// not be shared between goroutines.
+// NewBench. Run is a one-lane group of RunBenchBatch's packet loop, and the
+// Bench keeps that loop across Run calls together with the transmitter and
+// the channel buffers: the front end (the lane receiver on the behavioral
+// front end), the DSP receiver, both packet slots and the channels. Every
+// stateful block is reset per packet and the point's noise stream restarts
+// per Run, so a repeated Run draws the same noise; only the behavioral AGC's
+// resync history carries from one packet, and one Run, to the next, as in a
+// receiver that keeps running. A Bench must not be shared between
+// goroutines.
 type Bench struct {
 	cfg Config
 
-	fe       rf.FrontEnd
+	loop     *laneLoop // Run's one-lane group, built by the first Run
 	tx       *phy.Transmitter
 	rx       *rxdsp.Receiver
 	irx      *rxdsp.IdealReceiver
@@ -241,13 +246,12 @@ type Bench struct {
 	// outputs order-independent; both ride the arithmetic-reseed source so
 	// the per-packet re-seed computes the register directly instead of
 	// walking math/rand's seeding LCG. In suffix-noise mode the noise stream
-	// is sequential across the packets of one Run and rewound to its mark at
-	// the top of each Run, so SNR sweeps re-draw only the noise; noiseMarked
-	// records that the mark was planted at the Run-level point seed.
-	txRNG       *rand.Rand
-	chRNG       *rand.Rand
-	noiseRNG    *randutil.Rand
-	noiseMarked bool
+	// is sequential across the packets of one Run and restarted at the
+	// point's noise seed at the top of each Run, so SNR sweeps re-draw only
+	// the noise.
+	txRNG    *rand.Rand
+	chRNG    *rand.Rand
+	noiseRNG *randutil.Rand
 
 	// frame is the reused wanted-PPDU assembly target; scratch receives the
 	// copy-on-read clone of cached waveforms before mutation.
@@ -535,6 +539,12 @@ func (b *Bench) preFilterPrefix() bool {
 		b.cfg.FrontEnd == FrontEndBehavioral
 }
 
+// antennaNoise reports whether the antenna prefix includes the noise: only
+// when it is invariant too (front-end sweeps with an explicit channel SNR).
+func (b *Bench) antennaNoise() bool {
+	return b.cfg.ChannelSNRdB != nil && !b.suffixNoise()
+}
+
 // fullPrefix computes TX + channel (+ prefix noise when withNoise) for packet
 // p into a freshly allocated, caller-owned stage entry.
 func (b *Bench) fullPrefix(p, os int, withNoise bool) (*stageEntry, error) {
@@ -556,246 +566,25 @@ func (b *Bench) fullPrefix(p, os int, withNoise bool) (*stageEntry, error) {
 	return &stageEntry{refBits: bits.FromBytes(psdu), wave: wave}, nil
 }
 
-// prefixBoundary tells Run where packetPrefix's returned waveform sits in the
-// pipeline, i.e. which suffix still has to run.
-type prefixBoundary int
-
-const (
-	// prefixAntenna: the waveform is the antenna signal; noise (when in the
-	// suffix) and the full front end still apply.
-	prefixAntenna prefixBoundary = iota
-	// prefixPreFilter: the waveform is inside the behavioral front end, just
-	// upstream of the channel-select filter; ProcessFromFilter still applies.
-	prefixPreFilter
-	// prefixBaseband: the waveform is the noiseless post-front-end baseband;
-	// only the per-point noise still applies (the SNR-sweep fast path).
-	prefixBaseband
-)
-
-// preFilterKey is the cache key of packet p's pre-filter prefix.
-func (b *Bench) preFilterKey(p, os int) sim.CacheKey {
-	return b.stageKey(cacheKindPreFilter, p, os, b.cfg.ChannelSNRdB != nil)
-}
-
-// preFilterEntry serves packet p's pre-filter prefix: TX + channel (+
-// invariant noise) + the front-end segment upstream of the channel-select
-// filter, computed on rx on a cache miss. Bit-exact because Receiver.Process
-// is ProcessToFilter∘ProcessFromFilter and every front-end noise/LO stream
-// restarts per packet from fixed seeds. The entry is shared: read only.
-func (b *Bench) preFilterEntry(rx *rf.Receiver, p, os int) (*stageEntry, error) {
-	withNoise := b.cfg.ChannelSNRdB != nil
-	v, err := b.cfg.Cache.GetOrCompute(b.preFilterKey(p, os),
-		func() (any, int64, error) {
-			e, err := b.fullPrefix(p, os, withNoise)
-			if err != nil {
-				return nil, 0, err
-			}
-			rx.Reset()
-			e.wave = rx.ProcessToFilter(e.wave)
-			return e, e.sizeBytes(), nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*stageEntry), nil
-}
-
-// antennaKey is the cache key of packet p's antenna prefix.
-func (b *Bench) antennaKey(p, os int) sim.CacheKey {
-	return b.stageKey(cacheKindAntenna, p, os, b.antennaNoise())
-}
-
-// antennaNoise reports whether the antenna prefix includes the noise: only
-// when it is invariant too (front-end sweeps with an explicit channel SNR).
-func (b *Bench) antennaNoise() bool {
-	return b.cfg.ChannelSNRdB != nil && !b.suffixNoise()
-}
-
-// antennaEntry serves packet p's antenna prefix: TX + channel, plus the
-// noise when antennaNoise. The entry is shared: read only.
-func (b *Bench) antennaEntry(p, os int) (*stageEntry, error) {
-	v, err := b.cfg.Cache.GetOrCompute(b.antennaKey(p, os),
-		func() (any, int64, error) {
-			e, err := b.fullPrefix(p, os, b.antennaNoise())
-			if err != nil {
-				return nil, 0, err
-			}
-			return e, e.sizeBytes(), nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*stageEntry), nil
-}
-
-// packetPrefix produces packet p's waveform at the prefix boundary along
-// with its reference payload bits, serving the invariant prefix from the
-// cache when one is attached. The returned boundary tells Run which pipeline
-// suffix still has to execute; the waveform is safe to mutate (cache hits are
-// copied out).
-func (b *Bench) packetPrefix(p, os int) (refBits []byte, wave []complex128, boundary prefixBoundary, err error) {
-	cloneWave := func(e *stageEntry) []complex128 {
-		b.scratch = append(b.scratch[:0], e.wave...)
-		return b.scratch
-	}
-	rxFE, behavioral := b.fe.(*rf.Receiver)
-	switch {
-	case b.noiseAfterFrontEnd(os):
-		// Baseband prefix: TX + channel + identity front end, noiseless.
-		v, err := b.cfg.Cache.GetOrCompute(b.stageKey(cacheKindBaseband, p, os, false),
-			func() (any, int64, error) {
-				e, err := b.fullPrefix(p, os, false)
-				if err != nil {
-					return nil, 0, err
-				}
-				b.fe.Reset()
-				e.wave = append([]complex128(nil), b.fe.Process(e.wave)...)
-				return e, e.sizeBytes(), nil
-			})
-		if err != nil {
-			return nil, nil, prefixAntenna, err
-		}
-		e := v.(*stageEntry)
-		return e.refBits, cloneWave(e), prefixBaseband, nil
-
-	case b.preFilterPrefix() && behavioral:
-		e, err := b.preFilterEntry(rxFE, p, os)
-		if err != nil {
-			return nil, nil, prefixAntenna, err
-		}
-		return e.refBits, cloneWave(e), prefixPreFilter, nil
-
-	case b.cfg.SweptStage >= StageNoise:
-		e, err := b.antennaEntry(p, os)
-		if err != nil {
-			return nil, nil, prefixAntenna, err
-		}
-		return e.refBits, cloneWave(e), prefixAntenna, nil
-
-	case b.cfg.SweptStage == StageChannel:
-		// TX prefix only: the channel is swept, the frame is not.
-		v, err := b.cfg.Cache.GetOrCompute(b.stageKey(cacheKindTX, p, os, false),
-			func() (any, int64, error) {
-				psdu, frame, err := b.synthTX(p)
-				if err != nil {
-					return nil, 0, err
-				}
-				e := &stageEntry{
-					refBits: bits.FromBytes(psdu),
-					wave:    append([]complex128(nil), frame.Samples...),
-				}
-				return e, e.sizeBytes(), nil
-			})
-		if err != nil {
-			return nil, nil, prefixAntenna, err
-		}
-		e := v.(*stageEntry)
-		// The composer only reads emitter samples, so the cached frame
-		// waveform is aliased, not copied.
-		txFrame := phy.Frame{Samples: e.wave}
-		x, err := b.composeChannel(b.antenna[:0], &txFrame, os, p)
-		if err != nil {
-			return nil, nil, prefixAntenna, err
-		}
-		b.antenna = x
-		return e.refBits, x, prefixAntenna, nil
-
-	default:
-		// Everything depends on the swept parameter (or no sweep at all):
-		// run the full chain into the bench's reused antenna buffer.
-		psdu, frame, err := b.synthTX(p)
-		if err != nil {
-			return nil, nil, prefixAntenna, err
-		}
-		x, err := b.composeChannel(b.antenna[:0], frame, os, p)
-		if err != nil {
-			return nil, nil, prefixAntenna, err
-		}
-		b.antenna = x
-		return bits.FromBytes(psdu), x, prefixAntenna, nil
-	}
-}
-
 // Run simulates the configured number of packets and returns the measured
 // statistics. The pipeline is the five-stage chain documented on Stage; each
 // packet's prefix (the stages before Config.SweptStage) may be served from
-// Config.Cache, with identical results either way.
+// Config.Cache, with identical results either way. Run is a one-lane group
+// of RunBenchBatch's packet loop, on any front end; the Bench keeps that
+// loop for its next Run.
 func (b *Bench) Run() (*Result, error) {
-	os := b.oversample()
-	if b.fe == nil {
-		fe, err := b.buildFrontEnd(os)
+	if b.loop == nil {
+		loop, err := newLaneLoop([]*Bench{b})
 		if err != nil {
 			return nil, err
 		}
-		b.fe = fe
+		b.loop = loop
 	}
-	fe := b.fe
-	mode, err := phy.ModeByRate(b.cfg.RateMbps)
+	results, err := b.loop.run()
 	if err != nil {
 		return nil, err
 	}
-	if b.tx == nil {
-		b.tx = &phy.Transmitter{Mode: mode}
-	}
-	suffixNoise := b.suffixNoise()
-	if suffixNoise {
-		// The point-variant noise is one sequential stream per Run, rewound
-		// by snapshot restore instead of a costly re-seed. Draw counts per
-		// packet are fixed by the configuration, so packet p's noise is
-		// independent of how many packets run after it.
-		if !b.noiseMarked {
-			// The mark snapshots the generator's current state, so it must be
-			// planted right after seeding with the point's noise seed —
-			// marking a differently seeded generator would hand every sweep
-			// point the same noise realization.
-			s := seed.ForStage(b.stageRoot(StageNoise), int(StageNoise), 0)
-			if b.noiseRNG == nil {
-				b.noiseRNG = randutil.NewRandDirect(s)
-			} else {
-				b.noiseRNG.Seed(s)
-				b.noiseRNG.Mark()
-			}
-			b.noiseMarked = true
-		}
-		b.noiseRNG.Rewind()
-	}
-	res := &Result{OversampleFactor: os, FrontEnd: b.cfg.FrontEnd}
-	var evm evmAccum
-
-	for p := 0; p < b.cfg.Packets; p++ {
-		refBits, wave, boundary, err := b.packetPrefix(p, os)
-		if err != nil {
-			return nil, err
-		}
-		var baseband []complex128
-		switch boundary {
-		case prefixBaseband:
-			// SNR-sweep fast path: wave is the noiseless post-front-end
-			// baseband; only the noise is re-drawn per point.
-			b.addNoise(wave, os, b.noiseRNG)
-			baseband = wave
-		case prefixPreFilter:
-			// Filter-sweep fast path: wave already passed the pre-filter
-			// front-end segment; only the channel-select filter and the
-			// blocks after it run per point. Reset restores every block, but
-			// the pre-filter ones are simply not used again this packet.
-			rx := fe.(*rf.Receiver)
-			rx.Reset()
-			baseband = rx.ProcessFromFilter(wave)
-		default:
-			if suffixNoise {
-				b.addNoise(wave, os, b.noiseRNG)
-			}
-			fe.Reset()
-			baseband = fe.Process(wave)
-		}
-
-		if b.receivePacket(baseband, refBits, mode, res, &evm) {
-			break
-		}
-	}
-	evm.finish(res)
-	return res, nil
+	return results[0], nil
 }
 
 // evmAccum accumulates per-packet decision-directed EVM measurements across
@@ -814,18 +603,10 @@ func (e *evmAccum) finish(res *Result) {
 	}
 }
 
-// receivePacket runs the DSP receiver over one packet's baseband and folds
-// the outcome (errors, loss, EVM) into res/evm. It reports whether
-// TargetErrors stops the run. Shared by the sequential Run loop and the
-// batched sweep runner so both paths count packets identically.
-func (b *Bench) receivePacket(baseband []complex128, refBits []byte, mode phy.Mode, res *Result, evm *evmAccum) bool {
-	pkt, rxErr := b.receiveDSP(baseband, mode)
-	return b.accountPacket(pkt, rxErr, refBits, mode, res, evm)
-}
-
 // receiveDSP runs the configured DSP receiver over one packet's baseband,
-// creating it lazily on first use (RunBenchBatch pre-creates it to opt the
-// lanes into the deferred-decode batch path).
+// creating it on first use. The synchronizing receiver defers the DATA
+// decode, which the packet loop completes for every lane of the packet in
+// one rxdsp.DecodeDeferredBatch.
 func (b *Bench) receiveDSP(baseband []complex128, mode phy.Mode) (*rxdsp.PacketResult, error) {
 	if b.cfg.UseIdealRxTiming {
 		if b.irx == nil {
@@ -838,6 +619,7 @@ func (b *Bench) receiveDSP(baseband []complex128, mode phy.Mode) (*rxdsp.PacketR
 		b.rx.HardDecisions = b.cfg.HardDecisions
 		b.rx.DisableCSI = b.cfg.DisableCSI
 		b.rx.ReuseBuffers = true
+		b.rx.DeferDataDecode = true
 	}
 	b.rx.Reset()
 	return b.rx.Receive(baseband, 0)

@@ -14,7 +14,8 @@ import "wlansim/internal/phy"
 // entry is nil or already decoded (non-nil PSDU, e.g. hard decisions) are
 // skipped. Deferred lanes are grouped by their decoded SIGNAL shape — at low
 // SNR, lanes can announce divergent rates or lengths — with the leading
-// group decoded as one batch and any stragglers decoded sequentially.
+// group decoded as one batch and any stragglers decoded sequentially. A
+// lone deferred lane decodes sequentially too.
 //
 // The returned slice holds, per lane, the error the sequential Receive would
 // have returned (nil on success); a failed lane's packet is lost exactly as
@@ -28,7 +29,13 @@ func DecodeDeferredBatch(rxs []*Receiver, pkts []*PacketResult) []error {
 		}
 		idx = append(idx, l)
 	}
-	if len(idx) == 0 {
+	switch len(idx) {
+	case 0:
+		return errs
+	case 1:
+		// A lone lane decodes faster through the scalar call than as a
+		// lock-step pass of one.
+		errs[idx[0]] = rxs[idx[0]].decodeDeferred(pkts[idx[0]])
 		return errs
 	}
 	lead := pkts[idx[0]]
@@ -46,14 +53,8 @@ func DecodeDeferredBatch(rxs []*Receiver, pkts []*PacketResult) []error {
 			lanes = append(lanes, l)
 			continue
 		}
-		// Straggler with a divergent SIGNAL decode: run exactly the call
-		// its Receive would have made.
-		psdu, err := rxs[l].dec.DecodeDataCarriers(pkt.EqualizedCarriers, pkt.CSI, pkt.Signal.Mode, pkt.Signal.Length)
-		if err != nil {
-			errs[l] = err
-			continue
-		}
-		pkt.PSDU = psdu
+		// Straggler with a divergent SIGNAL decode.
+		errs[l] = rxs[l].decodeDeferred(pkt)
 	}
 	psdus, derrs := phy.DecodeDataCarriersBatch(ds, carrs, csis, mode, psduLen)
 	for k, l := range lanes {
@@ -64,4 +65,15 @@ func DecodeDeferredBatch(rxs []*Receiver, pkts []*PacketResult) []error {
 		pkts[l].PSDU = psdus[k]
 	}
 	return errs
+}
+
+// decodeDeferred completes one deferred packet on its own with exactly the
+// call its non-deferred Receive would have made.
+func (r *Receiver) decodeDeferred(pkt *PacketResult) error {
+	psdu, err := r.dec.DecodeDataCarriers(pkt.EqualizedCarriers, pkt.CSI, pkt.Signal.Mode, pkt.Signal.Length)
+	if err != nil {
+		return err
+	}
+	pkt.PSDU = psdu
+	return nil
 }

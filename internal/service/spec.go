@@ -274,8 +274,8 @@ func (s SweepSpec) Canonicalize() (SweepSpec, error) {
 		if s.Points == 0 {
 			s.Points = d.Points
 		}
-		if s.Points < 1 {
-			return s, specErrorf("points %d, want >= 1", s.Points)
+		if s.Points < 1 || s.Points > MaxPoints {
+			return s, specErrorf("points %d outside 1..%d", s.Points, MaxPoints)
 		}
 		// Only a fully absent range falls back to the kind default; a grid
 		// starting (or ending) at zero states the other bound explicitly.

@@ -104,7 +104,7 @@ check_coverage ./internal/kernels 85
 # build-tag or rename ever removes the tests from the compiled set, the gate
 # fails loudly instead of passing on an empty run.
 echo "==> batch-equivalence differential suite"
-batch_pat='Batch.*(Matches|Invariant)|Matches.*Batch|DeferredBatch|DemapSoftSeparable|EVMSeparable|SweepBatch|FillNormPairsMatches|LNASweepGolden'
+batch_pat='Batch.*(Matches|Invariant)|Matches.*Batch|DeferredBatch|DemapSoftSeparable|EVMSeparable|SweepBatch|FillNormPairsMatches|LNASweepGolden|RunMatchesSequentialOracle'
 for pkg in ./internal/kernels ./internal/dsp ./internal/randutil ./internal/rf \
            ./internal/phy ./internal/phy/viterbi ./internal/rxdsp ./internal/measure ./internal/sim ./internal/core; do
     n="$(go test -run '^$' -list "$batch_pat" "$pkg" | grep -c '^Test' || true)"
@@ -125,6 +125,15 @@ if [ "$n" -lt 3 ]; then
     exit 1
 fi
 echo "    internal/rf, internal/core: $n LNA-lane differential/golden tests"
+# The one packet loop: Bench.Run is a one-lane group of RunBenchBatch's loop,
+# pinned to the sequential loop it replaced, which lives on as the oracle in
+# internal/core/oracle_test.go.
+n="$(go test -run '^$' -list 'TestRunMatchesSequentialOracle' ./internal/core | grep -c '^TestRunMatchesSequentialOracle$' || true)"
+if [ "$n" -ne 1 ]; then
+    echo "FAIL: internal/core does not list TestRunMatchesSequentialOracle (silent skip)" >&2
+    exit 1
+fi
+echo "    internal/core: Bench.Run vs the sequential-loop oracle"
 
 # Co-sim front end. The analog solver streams each frame in blocks with its
 # LO bank computed one block ahead; its output is pinned bit for bit by

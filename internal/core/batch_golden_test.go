@@ -23,6 +23,11 @@ import (
 // the same grid in groups of the row's Batch (a trailing group of one runs
 // Bench.Run, which the batch differential tests pin equal).
 //
+// The rows with a sweep name pin the other single-series noise sweeps the
+// same way: the behavioral waterfall at Batch 0 and 1, the ideal and co-sim
+// waterfalls, and EVMvsSNR (Y is the EVM in percent). They record no EVM RMS
+// column.
+//
 // Regenerate only after an intended physics change; the failure message
 // prints the measured row.
 type goldenBatchPoint struct {
@@ -35,7 +40,10 @@ type goldenBatchCache struct {
 }
 
 var sweepBatchGolden = []struct {
-	name         string
+	name string
+	// sweep selects the harness: "" the behavioral waterfall, "ideal" and
+	// "cosim" the waterfall on that front end, "evm" EVMvsSNR.
+	sweep        string
 	snrs         []float64
 	batch        int
 	packets      int
@@ -105,6 +113,54 @@ var sweepBatchGolden = []struct {
 		},
 		cache: goldenBatchCache{16, 6, 157440, 0},
 	},
+	{name: "behavioral, batch 0", snrs: []float64{3, 5, 6, 7, 8, 9, 12}, packets: 4,
+		points: []goldenBatchPoint{
+			{0x3fe0000000000000, 0x3fde3fe472825f6d, 0x3fe0e00dc6bed04a, 0x0, 1280, 640},
+			{0x3fe0000000000000, 0x3fde3fe472825f6d, 0x3fe0e00dc6bed04a, 0x0, 1280, 640},
+			{0x3fd6a66666666666, 0x3fd500f312fc95a3, 0x3fd85a2cafe6055f, 0x0, 1280, 453},
+			{0x3fd9a66666666666, 0x3fd7f40a6faa5d8b, 0x3fdb627cc28cf731, 0x0, 1280, 513},
+			{0x3f97333333333333, 0x3f90333c20eef197, 0x3fa08ffff93ce3da, 0x0, 1280, 29},
+			{0x0, 0x0, 0x3f6883039176c5b6, 0x0, 1280, 0},
+			{0x0, 0x0, 0x3f6883039176c5b6, 0x0, 1280, 0},
+		},
+		cache: goldenBatchCache{24, 4, 104960, 0},
+	},
+	{name: "behavioral, batch 1, target errors", snrs: []float64{0, 5, 6, 8, 15}, batch: 1, packets: 4, targetErrors: 300,
+		points: []goldenBatchPoint{
+			{0x3fe0000000000000, 0x3fdd8739e0f2ff1c, 0x3fe13c630f868072, 0x0, 640, 320},
+			{0x3fe0000000000000, 0x3fdd8739e0f2ff1c, 0x3fe13c630f868072, 0x0, 640, 320},
+			{0x3fd6a66666666666, 0x3fd500f312fc95a3, 0x3fd85a2cafe6055f, 0x0, 1280, 453},
+			{0x3f97333333333333, 0x3f90333c20eef197, 0x3fa08ffff93ce3da, 0x0, 1280, 29},
+			{0x0, 0x0, 0x3f6883039176c5b6, 0x0, 1280, 0},
+		},
+		cache: goldenBatchCache{12, 4, 104960, 0},
+	},
+	{name: "ideal waterfall", sweep: "ideal", snrs: []float64{0, 3, 6, 9, 12}, packets: 2,
+		points: []goldenBatchPoint{
+			{0x3fe0000000000000, 0x3fdd8739e0f2ff1c, 0x3fe13c630f868072, 0x0, 640, 320},
+			{0x3fdfe66666666666, 0x3fdd6dc82ab324c5, 0x3fe12fa96b1ee4eb, 0x0, 640, 319},
+			{0x3fca333333333333, 0x3fc66e13994d77a3, 0x3fce6bcbca72dbe7, 0x0, 640, 131},
+			{0x0, 0x0, 0x3f78704b4a91011a, 0x0, 640, 0},
+			{0x0, 0x0, 0x3f78704b4a91011a, 0x0, 640, 0},
+		},
+		cache: goldenBatchCache{8, 2, 52480, 0},
+	},
+	{name: "co-sim waterfall", sweep: "cosim", snrs: []float64{4, 10, 16}, packets: 2,
+		points: []goldenBatchPoint{
+			{0x3fdf000000000000, 0x3fdc890f8a7e5ba0, 0x3fe0bcff3f757b3f, 0x0, 640, 310},
+			{0x0, 0x0, 0x3f78704b4a91011a, 0x0, 640, 0},
+			{0x0, 0x0, 0x3f78704b4a91011a, 0x0, 640, 0},
+		},
+		cache: goldenBatchCache{4, 2, 52480, 0},
+	},
+	{name: "EVM vs SNR", sweep: "evm", snrs: []float64{10, 20, 30}, packets: 2,
+		points: []goldenBatchPoint{
+			{0x40408f4e1e755ba4, 0x0, 0x0, 0x0, 0, 0},
+			{0x4028d4a3f724754c, 0x0, 0x0, 0x0, 0, 0},
+			{0x400fb863a986686c, 0x0, 0x0, 0x0, 0, 0},
+		},
+		cache: goldenBatchCache{4, 2, 52480, 0},
+	},
 }
 
 func TestSweepBatchGolden(t *testing.T) {
@@ -117,15 +173,14 @@ func TestSweepBatchGolden(t *testing.T) {
 		base.Packets = row.packets
 		base.TargetErrors = row.targetErrors
 		base.Batch = row.batch
-		evms := goldenBatchEVMs(t, base, row.snrs, row.batch)
+		evms := make([]uint64, len(row.snrs))
+		if row.sweep == "" && row.batch > 1 {
+			evms = goldenBatchEVMs(t, base, row.snrs, row.batch)
+		}
 		for _, workers := range []int{1, 0} {
 			cfg := base
 			cfg.Workers = workers
-			fig, err := WaterfallBERvsSNROnFrontEnd(cfg, FrontEndBehavioral, []int{24}, row.snrs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			series := fig.Series[0]
+			series := goldenSweepSeries(t, row.sweep, cfg, row.snrs)
 			got := make([]goldenBatchPoint, len(series.Points))
 			for i, p := range series.Points {
 				got[i] = goldenBatchPoint{
@@ -144,6 +199,25 @@ func TestSweepBatchGolden(t *testing.T) {
 			}
 		}
 	}
+}
+
+// goldenSweepSeries runs a sweepBatchGolden row's sweep over snrs at
+// 24 Mbit/s.
+func goldenSweepSeries(t *testing.T, sweep string, cfg Config, snrs []float64) *measure.Series {
+	t.Helper()
+	if sweep == "evm" {
+		series, err := EVMvsSNR(cfg, snrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return series
+	}
+	fe := map[string]FrontEndKind{"": FrontEndBehavioral, "ideal": FrontEndIdeal, "cosim": FrontEndCoSim}[sweep]
+	fig, err := WaterfallBERvsSNROnFrontEnd(cfg, fe, []int{24}, snrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fig.Series[0]
 }
 
 // goldenBatchEVMs returns the Float64bits of each point's EVM RMS, measured

@@ -16,8 +16,8 @@ import (
 )
 
 // cmdWaterfall prints BER-vs-SNR curves for a set of rates (ideal front
-// end by default; -behavioral runs the full analog line-up, where -batch
-// dispatches SNR points through the lock-step batched pipeline).
+// end by default; -behavioral runs the full analog line-up, where the SNR
+// points of a curve run as the lanes of one lock-step pipeline).
 func cmdWaterfall(args []string) error {
 	fs := flag.NewFlagSet("waterfall", flag.ExitOnError)
 	cfg, _ := benchFlags(fs)

@@ -201,7 +201,6 @@ func benchFlags(fs *flag.FlagSet) (*core.Config, *bool) {
 	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
 	fs.Float64Var(&cfg.WantedPowerDBm, "power", cfg.WantedPowerDBm, "wanted power (dBm)")
 	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "concurrent sweep points (0 = all CPUs, 1 = serial; results are identical)")
-	fs.IntVar(&cfg.Batch, "batch", cfg.Batch, "lock-step batch width for noise sweeps over the behavioral front end (<= 1 = sequential; results are identical)")
 	fs.IntVar(&cfg.TargetErrors, "target-errors", cfg.TargetErrors, "stop each point after this many bit errors (0 = run all packets)")
 	fs.Int64Var(&cfg.CacheBytes, "cache-bytes", cfg.CacheBytes, "stage-cache byte budget for sweeps (<= 0 selects the default)")
 	fs.BoolVar(&cfg.DisableStageCache, "no-stage-cache", cfg.DisableStageCache, "run sweeps without the invariant-prefix stage cache")

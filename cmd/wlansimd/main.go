@@ -8,8 +8,7 @@
 // Usage:
 //
 //	wlansimd [-addr :8823] [-store-dir DIR] [-mem-bytes N]
-//	         [-workers N] [-queue N] [-job-workers N] [-batch N]
-//	         [-sync-every N]
+//	         [-workers N] [-queue N] [-job-workers N] [-sync-every N]
 //
 // API (see internal/service):
 //
@@ -21,8 +20,8 @@
 //	GET  /debug/vars         expvar (includes the same counters)
 //
 // Determinism contract: a served series is byte-identical (Float64bits) to
-// the same spec run in-process — workers, batching, the store and caches
-// change wall-clock only. SIGINT/SIGTERM drains: accepted jobs finish, the
+// the same spec run in-process — workers, lane grouping, the store and
+// caches change wall-clock only. SIGINT/SIGTERM drains: accepted jobs finish, the
 // store is flushed, then the listener closes.
 package main
 
@@ -59,7 +58,6 @@ func run() error {
 	workers := fs.Int("workers", 2, "concurrently executing jobs")
 	queue := fs.Int("queue", 16, "accepted-but-unstarted job bound (429 beyond it)")
 	jobWorkers := fs.Int("job-workers", 0, "sweep workers inside one job (0 = all CPUs)")
-	batch := fs.Int("batch", 0, "lock-step batch width for batched sweeps (<= 1 = sequential)")
 	syncEvery := fs.Int("sync-every", store.DefaultSyncEvery, "fsync the segment every N appends")
 	_ = fs.Parse(os.Args[1:]) // ExitOnError: Parse never returns an error
 
@@ -86,7 +84,6 @@ func run() error {
 		Workers:    *workers,
 		QueueDepth: *queue,
 		JobWorkers: *jobWorkers,
-		Batch:      *batch,
 		Clock:      clock,
 	})
 

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"wlansim/internal/bits"
-	"wlansim/internal/measure"
 	"wlansim/internal/phy"
 	"wlansim/internal/randutil"
 	"wlansim/internal/rf"
@@ -612,18 +611,4 @@ func (f *batchFront) mayStop(maxAdd int) bool {
 		}
 	}
 	return false
-}
-
-// runBERPointBatch is the batched analogue of runBERPoint: one fully
-// configured scenario per lane in, one measurement point per lane out.
-func runBERPointBatch(cfgs []Config) ([]measure.Point, error) {
-	results, err := RunBenchBatch(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]measure.Point, len(results))
-	for i, res := range results {
-		pts[i] = res.Counter.Point()
-	}
-	return pts, nil
 }

@@ -136,19 +136,12 @@ type Config struct {
 	// identical for every value: each point and each packet derives its
 	// seeds from Seed via internal/seed, never from execution order.
 	Workers int
-	// Batch, when > 1, lets the SNR waterfall harness run its points on the
-	// behavioral front end in groups of at most Batch as the lanes of one
-	// RunBenchBatch (at least one group per sweep worker); Batch <= 1 runs
-	// them point by point, each Bench.Run a one-lane group of the same packet
-	// loop. That loop has two stages: a helper goroutine runs packet p+1's
-	// front half (prefix lookup, antenna noise, the front end) while the
-	// caller runs packet p's back half (sync, equalize, batched Viterbi,
-	// accounting); it starts early only when no lane can reach TargetErrors
-	// in packet p. Results are bit-identical for every value — batching
-	// changes wall-clock only, as the lane differential tests pin. The
-	// Figure 5, Figure 6 and IP3 sweeps (FilterBandwidthSweep,
-	// CompressionPointSweep, IP3Sweep) run as lanes without it, grouped by
-	// the point and worker counts alone.
+	// Batch, when > 0, caps the points per lane group of every sweep
+	// harness on the behavioral front end; 0 selects 4. A sweep's points
+	// run in contiguous groups, at least one per sweep worker, each as the
+	// lanes of one RunBenchBatch; off the behavioral front end every group
+	// is one point. Results are bit-identical for every value — grouping
+	// changes wall-clock only, as the lane differential tests pin.
 	Batch int
 	// TargetErrors, when > 0, stops a bench run early once the accumulated
 	// bit-error count reaches it (Packets stays the upper bound). Sweep

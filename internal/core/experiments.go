@@ -15,20 +15,79 @@ import (
 	"wlansim/internal/sim"
 )
 
-// runBERPoint runs one fully configured scenario and packages the measured
-// BER with its confidence interval as a sweep point. It is the shared
-// RunPoint body of the BER sweeps.
-func runBERPoint(cfg Config) (measure.Point, error) {
-	bench, err := NewBench(cfg)
-	if err != nil {
-		return measure.Point{}, err
-	}
-	res, err := bench.Run()
-	if err != nil {
-		return measure.Point{}, err
-	}
-	return res.Counter.Point(), nil
+// sweepDef is one single-series sweep of the experiment harnesses: its
+// labels, each point's configuration and what a point reports.
+type sweepDef struct {
+	name, xLabel, yLabel string
+	// config is the configuration of the point at v, derived from the
+	// sweep's base and sharing its stage cache.
+	config func(base Config, v float64, cache *sim.StageCache) Config
+	// point projects a point's Result onto its measurement.
+	point func(*Result) measure.Point
 }
+
+// runSweep is the one body of the single-series sweeps. It builds the
+// sweep's stage cache and runs def's points over values in laneGroups
+// contiguous groups of at most sweepLaneWidth(base), each as the lanes of
+// one RunBenchBatch; completed points stream to base.OnSweepPoint, and the
+// cache's counters are attached to the series. Each lane is bit-identical to
+// its point's Bench.Run, so the series is the same for every grouping and
+// worker count.
+func runSweep(base Config, values []float64, def sweepDef) (*measure.Series, error) {
+	cache := newSweepCache(base)
+	sweep := &sim.Sweep{
+		Name:        def.name,
+		XLabel:      def.xLabel,
+		YLabel:      def.yLabel,
+		Values:      values,
+		Workers:     base.Workers,
+		Groups:      laneGroups(len(values), sim.ResolveWorkers(base.Workers), sweepLaneWidth(base)),
+		OnPointDone: base.OnSweepPoint,
+		RunPointBatch: func(vs []float64) ([]measure.Point, error) {
+			cfgs := make([]Config, len(vs))
+			for i, v := range vs {
+				cfgs[i] = def.config(base, v, cache)
+			}
+			results, err := RunBenchBatch(cfgs)
+			if err != nil {
+				return nil, err
+			}
+			pts := make([]measure.Point, len(results))
+			for i, res := range results {
+				pts[i] = def.point(res)
+			}
+			return pts, nil
+		},
+	}
+	series, err := sweep.Execute()
+	if err != nil {
+		return nil, err
+	}
+	if cache != nil {
+		series.Cache = cache.Stats()
+	}
+	return series, nil
+}
+
+// laneWidth is the default most points one lane group of a sweep on the
+// behavioral front end runs.
+const laneWidth = 4
+
+// sweepLaneWidth is the most points one lane group of a sweep over base's
+// front end runs: 1 off the behavioral front end, where every group is one
+// Bench.Run; otherwise base.Batch when > 0, else laneWidth.
+func sweepLaneWidth(base Config) int {
+	switch {
+	case base.FrontEnd != FrontEndBehavioral:
+		return 1
+	case base.Batch > 0:
+		return base.Batch
+	}
+	return laneWidth
+}
+
+// berPoint reports a point's BER with its confidence interval.
+func berPoint(res *Result) measure.Point { return res.Counter.Point() }
 
 // newSweepCache builds the stage cache one sweep's points share, honoring
 // the base config's cache knobs: an explicitly provided Cache wins, a nil
@@ -81,29 +140,16 @@ func Figure5Config() Config {
 // not just the TX synthesis and channel composition of every packet but the
 // whole front-end segment upstream of the filter (LNA, mixers, DC block)
 // through the invariant-prefix stage cache (SweptFrontEndFilterOnly). The
-// edges run in laneGroups contiguous groups of at most laneWidth, each
-// as the lanes of one RunBenchBatch from the shared pre-filter waveform; the
-// series is bit-identical to one Bench.Run per edge for every grouping and
-// worker count.
+// edges run as lanes of RunBenchBatch from the shared pre-filter waveform
+// (see runSweep).
 func FilterBandwidthSweep(base Config, edgesHz []float64) (*measure.Series, error) {
-	cache := newSweepCache(base)
-	sweep := &sim.Sweep{
-		Name:        "BER vs filter bandwidth",
-		XLabel:      "passband edge frequency (1.0e8 Hz)",
-		YLabel:      "bit error rate",
-		Values:      edgesHz,
-		Workers:     base.Workers,
-		Groups:      laneGroups(len(edgesHz), sim.ResolveWorkers(base.Workers), laneWidth),
-		OnPointDone: base.OnSweepPoint,
-		RunPointBatch: func(edges []float64) ([]measure.Point, error) {
-			cfgs := make([]Config, len(edges))
-			for i, edge := range edges {
-				cfgs[i] = filterPointConfig(base, edge, cache)
-			}
-			return runBERPointBatch(cfgs)
-		},
-	}
-	series, err := sweep.Execute()
+	series, err := runSweep(base, edgesHz, sweepDef{
+		name:   "BER vs filter bandwidth",
+		xLabel: "passband edge frequency (1.0e8 Hz)",
+		yLabel: "bit error rate",
+		config: filterPointConfig,
+		point:  berPoint,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -111,15 +157,8 @@ func FilterBandwidthSweep(base Config, edgesHz []float64) (*measure.Series, erro
 	for i := range series.Points {
 		series.Points[i].X /= 1e8
 	}
-	if cache != nil {
-		series.Cache = cache.Stats()
-	}
 	return series, nil
 }
-
-// laneWidth is the most points a lane group of the Figure 5 and Figure 6
-// sweeps runs.
-const laneWidth = 4
 
 // filterPointConfig is the configuration of FilterBandwidthSweep's point at
 // edge: seeded from (base.Seed, edge), sharing the pre-filter prefix through
@@ -193,41 +232,23 @@ func IP3Sweep(base Config, iip3DBm []float64, withAdjacent bool) (*measure.Serie
 // The value first matters inside the front end (StageFrontEnd), so the
 // points share every packet's antenna waveform through the stage cache.
 // Lanes of the RF receiver may differ in the LNA's nonlinearity, so the
-// points run in laneGroups contiguous groups of at most laneWidth, each as
-// the lanes of one RunBenchBatch from the cached antenna waveform; the
-// series is bit-identical to one Bench.Run per point for every grouping
-// and worker count.
+// points run as lanes of RunBenchBatch from the cached antenna waveform (see
+// runSweep).
 func lnaSweep(base Config, values []float64, withAdjacent bool, name, xLabel string,
 	tune func(*rf.AmplifierConfig, float64)) (*measure.Series, error) {
 	base.Interferers = nil
 	if withAdjacent {
 		base.Interferers = []InterfererSpec{AdjacentChannelSpec(base.WantedPowerDBm)}
 	}
-	cache := newSweepCache(base)
-	sweep := &sim.Sweep{
-		Name:        name,
-		XLabel:      xLabel,
-		YLabel:      "bit error rate",
-		Values:      values,
-		Workers:     base.Workers,
-		Groups:      laneGroups(len(values), sim.ResolveWorkers(base.Workers), laneWidth),
-		OnPointDone: base.OnSweepPoint,
-		RunPointBatch: func(vs []float64) ([]measure.Point, error) {
-			cfgs := make([]Config, len(vs))
-			for i, v := range vs {
-				cfgs[i] = lnaPointConfig(base, v, cache, tune)
-			}
-			return runBERPointBatch(cfgs)
+	return runSweep(base, values, sweepDef{
+		name:   name,
+		xLabel: xLabel,
+		yLabel: "bit error rate",
+		config: func(base Config, v float64, cache *sim.StageCache) Config {
+			return lnaPointConfig(base, v, cache, tune)
 		},
-	}
-	series, err := sweep.Execute()
-	if err != nil {
-		return nil, err
-	}
-	if cache != nil {
-		series.Cache = cache.Stats()
-	}
-	return series, nil
+		point: berPoint,
+	})
 }
 
 // lnaPointConfig is the configuration of lnaSweep's point at v: seeded from
@@ -301,44 +322,31 @@ func SpectrumExperiment(wantedDBm float64, withSecondAdjacent bool, seed int64) 
 // end is the identity, letting the cache store the reusable baseband) and
 // re-draw only the noise per point.
 func EVMvsSNR(base Config, snrsDB []float64) (*measure.Series, error) {
-	cache := newSweepCache(base)
-	sweep := &sim.Sweep{
-		Name:        "EVM vs SNR (ideal receiver)",
-		XLabel:      "channel SNR (dB)",
-		YLabel:      "EVM (%)",
-		Values:      snrsDB,
-		Workers:     base.Workers,
-		OnPointDone: base.OnSweepPoint,
-		Run: func(snr float64) (float64, error) {
-			cfg := base
-			cfg.Seed = seed.ForPoint(base.Seed, snr)
-			cfg.ContentSeed = base.Seed
-			cfg.SweptStage = StageNoise
-			cfg.Cache = cache
-			cfg.FrontEnd = FrontEndIdeal
-			cfg.UseIdealRxTiming = true
-			cfg.Interferers = nil
-			s := snr
-			cfg.ChannelSNRdB = &s
-			bench, err := NewBench(cfg)
-			if err != nil {
-				return 0, err
-			}
-			res, err := bench.Run()
-			if err != nil {
-				return 0, err
-			}
-			return res.EVM.Percent(), nil
+	base.FrontEnd = FrontEndIdeal
+	base.UseIdealRxTiming = true
+	base.Interferers = nil
+	return runSweep(base, snrsDB, sweepDef{
+		name:   "EVM vs SNR (ideal receiver)",
+		xLabel: "channel SNR (dB)",
+		yLabel: "EVM (%)",
+		config: func(base Config, snr float64, cache *sim.StageCache) Config {
+			return noisePointConfig(base, base.Seed, snr, cache)
 		},
-	}
-	series, err := sweep.Execute()
-	if err != nil {
-		return nil, err
-	}
-	if cache != nil {
-		series.Cache = cache.Stats()
-	}
-	return series, nil
+		point: func(res *Result) measure.Point { return measure.Point{Y: res.EVM.Percent()} },
+	})
+}
+
+// noisePointConfig is the configuration of an SNR sweep's point at snr:
+// seeded from (root, snr), sharing everything before the noise through
+// cache.
+func noisePointConfig(base Config, root int64, snr float64, cache *sim.StageCache) Config {
+	cfg := base
+	cfg.Seed = seed.ForPoint(root, snr)
+	cfg.ContentSeed = root
+	cfg.SweptStage = StageNoise
+	cfg.Cache = cache
+	cfg.ChannelSNRdB = &snr
+	return cfg
 }
 
 // TimingRow is one row of the reproduced Table 2.
@@ -420,22 +428,22 @@ func TimingComparison(base Config, packetCounts []int) ([]TimingRow, error) {
 		return rows, nil
 	}
 	// Explicitly requested parallel rows: reuse the sweep executor over the
-	// row indices so pooling and error order match the BER sweeps.
-	// OnSweepPoint stays unwired here: the values are row indices, not a
-	// swept physical parameter, so streaming them as measurement points
-	// would be misleading.
+	// row indices, one row per group, so pooling and error order match the
+	// BER sweeps. OnSweepPoint stays unwired here: the values are row
+	// indices, not a swept physical parameter, so streaming them as
+	// measurement points would be misleading.
 	sweep := &sim.Sweep{
 		Name:    "timing rows",
 		Values:  sim.Linspace(0, float64(len(packetCounts)-1), len(packetCounts)),
 		Workers: base.Workers,
-		Run: func(idx float64) (float64, error) {
-			i := int(idx)
+		RunPointBatch: func(idx []float64) ([]measure.Point, error) {
+			i := int(idx[0])
 			r, err := row(packetCounts[i])
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
 			rows[i] = r
-			return r.Ratio(), nil
+			return []measure.Point{{Y: r.Ratio()}}, nil
 		},
 	}
 	if _, err := sweep.Execute(); err != nil {

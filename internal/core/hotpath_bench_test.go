@@ -124,12 +124,12 @@ func runSweepBatched(b *testing.B, batch int) {
 // BenchmarkSweepBatched runs the canonical batched-sweep scenario through
 // the lock-step batch pipeline (Batch=8: all points in one batch group).
 // Compare against BenchmarkSweepBatchedSeq — identical workload, identical
-// results, sequential dispatch — for the batching speedup.
+// results, groups of one — for the batching speedup.
 func BenchmarkSweepBatched(b *testing.B) { runSweepBatched(b, 8) }
 
-// BenchmarkSweepBatchedSeq is the sequential-dispatch control for
-// BenchmarkSweepBatched.
-func BenchmarkSweepBatchedSeq(b *testing.B) { runSweepBatched(b, 0) }
+// BenchmarkSweepBatchedSeq is the groups-of-one control for
+// BenchmarkSweepBatched (Batch=1: every point its own Bench.Run).
+func BenchmarkSweepBatchedSeq(b *testing.B) { runSweepBatched(b, 1) }
 
 // BenchmarkSweepBatchedWorkers is the oversubscribed batched sweep: 16 SNR
 // points at Batch=8 on all CPUs, so two batch groups run concurrently, each

@@ -31,59 +31,31 @@ func WaterfallBERvsSNR(base Config, ratesMbps []int, snrsDB []float64) (*measure
 
 // WaterfallBERvsSNROnFrontEnd is WaterfallBERvsSNR with a selectable analog
 // abstraction level, so waterfalls can also be taken through the behavioral
-// front end (the paper's pure-SPW setup). On the behavioral front end with
-// base.Batch > 1, the SNR points run in laneGroups contiguous groups of at
-// most base.Batch, each as the lanes of one RunBenchBatch; the series is
-// bit-identical for every Batch and Workers value — only wall-clock changes.
+// front end (the paper's pure-SPW setup), where the SNR points of a curve
+// run as lanes of RunBenchBatch (see runSweep); the series is bit-identical
+// for every Batch and Workers value — only wall-clock changes.
 func WaterfallBERvsSNROnFrontEnd(base Config, fe FrontEndKind, ratesMbps []int, snrsDB []float64) (*measure.Figure, error) {
 	fig := &measure.Figure{Title: fmt.Sprintf("BER vs channel SNR (%v front end)", fe)}
 	for _, rate := range ratesMbps {
 		if _, err := phy.ModeByRate(rate); err != nil {
 			return nil, err
 		}
-		r := rate
-		rateSeed := seed.ForSeries(base.Seed, uint64(r))
-		cache := newSweepCache(base)
-		pointCfg := func(snr float64) Config {
-			cfg := base
-			cfg.Seed = seed.ForPoint(rateSeed, snr)
-			cfg.ContentSeed = rateSeed
-			cfg.SweptStage = StageNoise
-			cfg.Cache = cache
-			cfg.RateMbps = r
-			cfg.FrontEnd = fe
-			cfg.Interferers = nil
-			s := snr
-			cfg.ChannelSNRdB = &s
-			return cfg
-		}
-		sweep := &sim.Sweep{
-			Name:        fmt.Sprintf("%d Mbps", r),
-			XLabel:      "channel SNR (dB)",
-			YLabel:      "bit error rate",
-			Values:      snrsDB,
-			Workers:     base.Workers,
-			OnPointDone: base.OnSweepPoint,
-			RunPoint: func(snr float64) (measure.Point, error) {
-				return runBERPoint(pointCfg(snr))
+		curve := base
+		curve.RateMbps = rate
+		curve.FrontEnd = fe
+		curve.Interferers = nil
+		root := seed.ForSeries(base.Seed, uint64(rate))
+		series, err := runSweep(curve, snrsDB, sweepDef{
+			name:   fmt.Sprintf("%d Mbps", rate),
+			xLabel: "channel SNR (dB)",
+			yLabel: "bit error rate",
+			config: func(base Config, snr float64, cache *sim.StageCache) Config {
+				return noisePointConfig(base, root, snr, cache)
 			},
-		}
-		if fe == FrontEndBehavioral && base.Batch > 1 {
-			sweep.Groups = laneGroups(len(snrsDB), sim.ResolveWorkers(base.Workers), base.Batch)
-			sweep.RunPointBatch = func(snrs []float64) ([]measure.Point, error) {
-				cfgs := make([]Config, len(snrs))
-				for i, snr := range snrs {
-					cfgs[i] = pointCfg(snr)
-				}
-				return runBERPointBatch(cfgs)
-			}
-		}
-		series, err := sweep.Execute()
+			point: berPoint,
+		})
 		if err != nil {
 			return nil, err
-		}
-		if cache != nil {
-			series.Cache = cache.Stats()
 		}
 		fig.Series = append(fig.Series, series)
 	}

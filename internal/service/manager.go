@@ -32,9 +32,6 @@ type Config struct {
 	// JobWorkers is the sweep-executor worker count inside one job
 	// (sim.Sweep.Workers; default 0 = all CPUs).
 	JobWorkers int
-	// Batch is the lock-step batch width handed to sweeps that support it
-	// (core.Config.Batch; results are identical for every value).
-	Batch int
 	// Clock is the injected monotonic clock (default: a frozen zero clock,
 	// which only costs the job timestamps their meaning).
 	Clock Clock
@@ -295,8 +292,7 @@ func (m *Manager) finish(job *Job, series *measure.Series, err error) {
 
 // executeJob serves a job: stored points come from the content-addressed
 // store, novel points run as one sim.Sweep over the novel values only (so
-// they still share the invariant-prefix stage cache and the batched
-// pipeline), and the merged series is bit-identical to running the full
+// they still share the invariant-prefix stage cache and run as lanes), and the merged series is bit-identical to running the full
 // spec in-process — each point's realization depends only on (seed root,
 // value), never on which grid-mates it ran with.
 func (m *Manager) executeJob(job *Job) {
@@ -347,7 +343,6 @@ func (m *Manager) executeJob(job *Job) {
 		fIdx := 0
 		rp := runParams{
 			workers: m.cfg.JobWorkers,
-			batch:   m.cfg.Batch,
 			// Invoked from the sweep collector in novel-values order for
 			// each completed prefix; the index walk maps it back to the
 			// job's grid position.

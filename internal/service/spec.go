@@ -1,9 +1,10 @@
 // Package service turns the in-process sweep harnesses into a multi-client
 // job fabric: wlansimd accepts sweep specs over HTTP, validates and
-// canonicalizes them, shards their points across a bounded worker pool built
-// on sim.Sweep, streams completed prefixes back, and persists finished
-// points in a content-addressed store (internal/service/store) so no point
-// any prior run produced is ever recomputed.
+// canonicalizes them, runs them on a bounded pool of job workers (each job
+// one core sweep harness, its points in lane groups on sim.Sweep), streams
+// completed prefixes back, and persists finished points in a
+// content-addressed store (internal/service/store) so no point any prior
+// run produced is ever recomputed.
 //
 // Determinism is the load-bearing property: a served series must be
 // byte-identical (Float64bits) to the same spec executed in-process. Every
@@ -45,9 +46,10 @@ const MaxPackets = 100000
 // SweepSpec describes one sweep job in canonical, content-hashable form.
 // Fields left zero take kind-specific defaults (Canonicalize fills them);
 // the canonical form is what keys the result store, so two ways of writing
-// the same sweep share their points. Workers, batch width and store/cache
-// sizing are deliberately absent: they change wall-clock, never results,
-// and belong to the daemon, not the job identity.
+// the same sweep share their points. Workers and store/cache sizing are
+// deliberately absent: they change wall-clock, never results, and belong to
+// the daemon, not the job identity. So is the lane grouping, which the
+// harnesses derive from the front end and the worker count alone.
 type SweepSpec struct {
 	// Kind selects the sweep family: "fig5" (BER vs channel-filter edge,
 	// adjacent channel present), "fig6" (BER vs LNA compression point),
@@ -96,7 +98,6 @@ func specErrorf(format string, args ...any) error {
 // identity) plus the completed-point hook into a kind's sweep harness.
 type runParams struct {
 	workers int
-	batch   int
 	onPoint func(measure.Point)
 }
 
@@ -127,7 +128,6 @@ func applySpec(base *core.Config, spec SweepSpec, rp runParams) {
 	base.WantedPowerDBm = spec.PowerDBm
 	base.TargetErrors = spec.TargetErrors
 	base.Workers = rp.workers
-	base.Batch = rp.batch
 	base.OnSweepPoint = rp.onPoint
 }
 
@@ -322,7 +322,7 @@ func boolLabel(b bool) uint64 {
 // discipline as the stage cache — of the tuple (canonical spec, point value
 // bits, seed root, code version, kernel dispatch tier). Everything that can
 // change a point's bits is in; everything that only changes wall-clock
-// (workers, batch width, caches) is out, so overlapping sweeps share
+// (workers, lane grouping, caches) is out, so overlapping sweeps share
 // points no matter how they are executed.
 func PointKeys(spec SweepSpec) []uint64 {
 	kd := kinds[spec.Kind]

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"wlansim/internal/measure"
 )
 
 // sliceSource emits the slice in frameLen chunks then reports done.
@@ -258,16 +260,18 @@ func TestSweepExecute(t *testing.T) {
 		Name:   "parabola",
 		XLabel: "x", YLabel: "y",
 		Values: []float64{-2, -1, 0, 1, 2},
-		Run:    func(v float64) (float64, error) { return v * v, nil },
+		RunPointBatch: pointwise(func(v float64) (measure.Point, error) {
+			return measure.Point{Y: v * v}, nil
+		}),
 	}
 	var calls int
-	s.OnPoint = func(v, m float64) { calls++ }
+	s.OnPointDone = func(measure.Point) { calls++ }
 	series, err := s.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if calls != 5 {
-		t.Errorf("OnPoint calls %d", calls)
+		t.Errorf("OnPointDone calls %d", calls)
 	}
 	if min := series.Min(); min.X != 0 || min.Y != 0 {
 		t.Errorf("min %+v", min)
@@ -280,15 +284,15 @@ func TestSweepExecute(t *testing.T) {
 func TestSweepValidation(t *testing.T) {
 	s := &Sweep{Name: "x", Values: []float64{1}}
 	if _, err := s.Execute(); err == nil {
-		t.Error("accepted nil Run")
+		t.Error("accepted nil RunPointBatch")
 	}
-	s.Run = func(float64) (float64, error) { return 0, nil }
+	s.RunPointBatch = pointwise(func(float64) (measure.Point, error) { return measure.Point{}, nil })
 	s.Values = nil
 	if _, err := s.Execute(); err == nil {
 		t.Error("accepted empty values")
 	}
 	s.Values = []float64{1}
-	s.Run = func(float64) (float64, error) { return 0, fmt.Errorf("fail") }
+	s.RunPointBatch = pointwise(func(float64) (measure.Point, error) { return measure.Point{}, fmt.Errorf("fail") })
 	if _, err := s.Execute(); err == nil {
 		t.Error("point error not propagated")
 	}

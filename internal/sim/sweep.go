@@ -24,37 +24,24 @@ type Sweep struct {
 	YLabel string
 	// Values are the parameter values to visit, in order.
 	Values []float64
-	// Run builds and executes one simulation at the given parameter value
-	// and returns the measured metric.
-	Run func(value float64) (float64, error)
-	// RunPoint, if set, takes precedence over Run and returns a full
-	// measurement point (metric plus confidence interval and sample
-	// counts). The point's X is overwritten with the swept value.
-	RunPoint func(value float64) (measure.Point, error)
-	// RunPointBatch, if set together with Groups > 0, evaluates a group of
-	// consecutive swept values in one call (a lane runner) and returns one
-	// point per value, in order. The resulting series must not depend on the
-	// dispatch: a batch implementation is required to be bit-identical to its
-	// scalar counterpart lane by lane, and each group is one work unit, so
-	// worker-count independence is preserved unchanged.
+	// RunPointBatch evaluates a group of consecutive swept values and
+	// returns one measurement point (metric plus confidence interval and
+	// sample counts) per value, in order; each point's X is overwritten
+	// with its swept value. The series must not depend on the grouping:
+	// every group is one work unit, and its points must be what the same
+	// values would give in groups of one.
 	RunPointBatch func(values []float64) ([]measure.Point, error)
-	// Groups, if > 0 together with RunPointBatch, partitions Values into
-	// that many contiguous groups (at most one per value) whose sizes differ
-	// by at most one, and evaluates each group with one RunPointBatch call;
-	// Run/RunPoint may then be nil. Otherwise every value runs point by
-	// point.
+	// Groups partitions Values into that many contiguous groups (at most
+	// one per value) whose sizes differ by at most one, each evaluated with
+	// one RunPointBatch call. Zero or negative means one group per value.
 	Groups int
-	// OnPoint, if set, is called after each point (progress reporting).
-	// Under parallel execution it is still invoked in Values order, for
-	// each completed prefix of the sweep.
-	OnPoint func(value, metric float64)
 	// OnPointDone, if set, is called after each point with the fully
-	// annotated measurement (confidence interval, sample counts), under the
-	// same ordering contract as OnPoint: in Values order, for each completed
-	// prefix, from the collector goroutine only. The sweep service streams
-	// completed prefixes to clients through this hook.
+	// annotated measurement (confidence interval, sample counts): in Values
+	// order, for each completed prefix, from the collector goroutine only.
+	// The sweep service streams completed prefixes to clients through this
+	// hook.
 	OnPointDone func(p measure.Point)
-	// Workers is the number of points evaluated concurrently. Zero or
+	// Workers is the number of groups evaluated concurrently. Zero or
 	// negative means runtime.GOMAXPROCS(0); 1 runs serially. The resulting
 	// series does not depend on Workers.
 	Workers int
@@ -74,7 +61,7 @@ type sweepScratch struct {
 var sweepScratchPool = sync.Pool{New: func() any { return new(sweepScratch) }}
 
 // acquireSweepScratch returns pooled buffers sized (and zeroed) for units
-// work units (single points or batch groups) over points swept values.
+// work units (groups of points) over points swept values.
 func acquireSweepScratch(units, points int) *sweepScratch {
 	sc := sweepScratchPool.Get().(*sweepScratch)
 	if cap(sc.pts) < points {
@@ -110,24 +97,19 @@ func (sc *sweepScratch) release() {
 }
 
 // sweepChunk is one schedulable work unit: the half-open Values index range
-// [start, end), dispatched batched (RunPointBatch) or point by point.
+// [start, end) of one RunPointBatch call.
 type sweepChunk struct {
 	start, end int
-	batched    bool
 }
 
-// chunks partitions Values into work units: with Groups, that many balanced
-// groups for RunPointBatch; otherwise every value is its own unit.
+// chunks partitions Values into Groups balanced work units, or one per value
+// when Groups <= 0.
 func (s *Sweep) chunks() []sweepChunk {
 	n := len(s.Values)
-	if s.RunPointBatch == nil || s.Groups <= 0 {
-		out := make([]sweepChunk, n)
-		for i := range out {
-			out[i] = sweepChunk{start: i, end: i + 1}
-		}
-		return out
+	g := n
+	if s.Groups > 0 {
+		g = min(s.Groups, n)
 	}
-	g := min(s.Groups, n)
 	out := make([]sweepChunk, g)
 	start := 0
 	for i := range out {
@@ -135,7 +117,7 @@ func (s *Sweep) chunks() []sweepChunk {
 		if i < n%g {
 			end++
 		}
-		out[i] = sweepChunk{start: start, end: end, batched: true}
+		out[i] = sweepChunk{start: start, end: end}
 		start = end
 	}
 	return out
@@ -143,44 +125,21 @@ func (s *Sweep) chunks() []sweepChunk {
 
 // runChunkInto evaluates one work unit into dst (length c.end-c.start, in
 // Values order, X stamped on return).
-func (s *Sweep) runChunkInto(run func(value float64) (measure.Point, error), c sweepChunk, dst []measure.Point) error {
+func (s *Sweep) runChunkInto(c sweepChunk, dst []measure.Point) error {
 	values := s.Values[c.start:c.end]
-	if c.batched {
-		pts, err := s.RunPointBatch(values)
-		if err != nil {
-			return fmt.Errorf("sim: sweep %q batch at %g: %w", s.Name, values[0], err)
-		}
-		if len(pts) != len(values) {
-			return fmt.Errorf("sim: sweep %q batch at %g returned %d points for %d values",
-				s.Name, values[0], len(pts), len(values))
-		}
-		copy(dst, pts)
-		for i := range dst {
-			dst[i].X = values[i]
-		}
-		return nil
-	}
-	p, err := run(values[0])
+	pts, err := s.RunPointBatch(values)
 	if err != nil {
 		return fmt.Errorf("sim: sweep %q at %g: %w", s.Name, values[0], err)
 	}
-	p.X = values[0]
-	dst[0] = p
+	if len(pts) != len(values) {
+		return fmt.Errorf("sim: sweep %q at %g returned %d points for %d values",
+			s.Name, values[0], len(pts), len(values))
+	}
+	copy(dst, pts)
+	for i := range dst {
+		dst[i].X = values[i]
+	}
 	return nil
-}
-
-// runner normalizes Run/RunPoint into the point-returning form.
-func (s *Sweep) runner() func(value float64) (measure.Point, error) {
-	if s.RunPoint != nil {
-		return s.RunPoint
-	}
-	if s.Run == nil {
-		return nil
-	}
-	return func(value float64) (measure.Point, error) {
-		y, err := s.Run(value)
-		return measure.Point{Y: y}, err
-	}
 }
 
 // ResolveWorkers returns the number of workers a sweep with the given
@@ -195,9 +154,8 @@ func ResolveWorkers(workers int) int {
 
 // Execute runs the sweep and collects the series.
 func (s *Sweep) Execute() (*measure.Series, error) {
-	run := s.runner()
-	if run == nil && (s.RunPointBatch == nil || s.Groups <= 0) {
-		return nil, fmt.Errorf("sim: sweep %q has no Run function", s.Name)
+	if s.RunPointBatch == nil {
+		return nil, fmt.Errorf("sim: sweep %q has no RunPointBatch function", s.Name)
 	}
 	if len(s.Values) == 0 {
 		return nil, fmt.Errorf("sim: sweep %q has no values", s.Name)
@@ -214,9 +172,6 @@ func (s *Sweep) Execute() (*measure.Series, error) {
 	addPoints := func(pts []measure.Point) {
 		for _, p := range pts {
 			series.AddPoint(p)
-			if s.OnPoint != nil {
-				s.OnPoint(p.X, p.Y)
-			}
 			if s.OnPointDone != nil {
 				s.OnPointDone(p)
 			}
@@ -231,7 +186,7 @@ func (s *Sweep) Execute() (*measure.Series, error) {
 		buf := make([]measure.Point, width)
 		for _, c := range chunks {
 			dst := buf[:c.end-c.start]
-			if err := s.runChunkInto(run, c, dst); err != nil {
+			if err := s.runChunkInto(c, dst); err != nil {
 				return nil, err
 			}
 			addPoints(dst)
@@ -239,9 +194,9 @@ func (s *Sweep) Execute() (*measure.Series, error) {
 		return series, nil
 	}
 
-	// Worker pool over work units (single points or batch groups). Each
-	// completed unit is announced on done; the collector advances over the
-	// contiguous completed prefix so AddPoint/OnPoint observe exactly the
+	// Worker pool over work units (groups of points). Each completed unit
+	// is announced on done; the collector advances over the contiguous
+	// completed prefix so AddPoint/OnPointDone observe exactly the
 	// serial order. Workers never abort early: every unit sends exactly one
 	// completion, which keeps the collector loop bounded and the error (the
 	// lowest failing unit) deterministic.
@@ -260,7 +215,7 @@ func (s *Sweep) Execute() (*measure.Series, error) {
 					return
 				}
 				c := chunks[i]
-				errs[i] = s.runChunkInto(run, c, pts[c.start:c.end])
+				errs[i] = s.runChunkInto(c, pts[c.start:c.end])
 				done <- i
 			}
 		}()

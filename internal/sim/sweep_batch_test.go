@@ -8,52 +8,37 @@ import (
 	"wlansim/internal/measure"
 )
 
-// batchRecorder builds a sweep whose scalar and batch runners compute the
-// same deterministic function of the swept value, recording which dispatch
-// served each value.
+// batchRecorder builds a sweep whose RunPointBatch computes a deterministic
+// function of each swept value, recording the groups it was called with.
 type batchRecorder struct {
-	mu      sync.Mutex
-	batched map[float64]bool
-	groups  [][]float64
+	mu     sync.Mutex
+	groups [][]float64
 }
 
 func (r *batchRecorder) sweep(values []float64, groups, workers int) *Sweep {
-	r.batched = make(map[float64]bool)
-	point := func(v float64) measure.Point {
-		return measure.Point{Y: 3 * v, Bits: int(v) + 1}
-	}
 	return &Sweep{
 		Name:    "batched",
 		Values:  values,
 		Workers: workers,
 		Groups:  groups,
-		RunPoint: func(v float64) (measure.Point, error) {
-			r.mu.Lock()
-			r.batched[v] = false
-			r.mu.Unlock()
-			return point(v), nil
-		},
 		RunPointBatch: func(vs []float64) ([]measure.Point, error) {
 			group := append([]float64(nil), vs...)
 			pts := make([]measure.Point, len(vs))
 			for i, v := range vs {
-				pts[i] = point(v)
+				pts[i] = measure.Point{Y: 3 * v, Bits: int(v) + 1}
 			}
 			r.mu.Lock()
 			r.groups = append(r.groups, group)
-			for _, v := range vs {
-				r.batched[v] = true
-			}
 			r.mu.Unlock()
 			return pts, nil
 		},
 	}
 }
 
-// TestSweepBatchDispatch pins the groups dispatch against the point-by-point
-// sweep: with Groups every value is served by RunPointBatch, each value in
-// exactly one group, and the series is identical to the same sweep run
-// point by point, in value order, for serial and parallel execution alike.
+// TestSweepBatchDispatch pins the groups dispatch against groups of one:
+// with Groups every value is in exactly one group, and the series is
+// identical to the same sweep run one value per group, in value order, for
+// serial and parallel execution alike.
 func TestSweepBatchDispatch(t *testing.T) {
 	values := Linspace(1, 10, 10)
 	ref, err := (&batchRecorder{}).sweep(values, 0, 1).Execute()
@@ -71,10 +56,7 @@ func TestSweepBatchDispatch(t *testing.T) {
 		}
 		for i, p := range series.Points {
 			if p != ref.Points[i] {
-				t.Errorf("workers=%d point %d: got %+v, point by point %+v", workers, i, p, ref.Points[i])
-			}
-			if !rec.batched[values[i]] {
-				t.Errorf("workers=%d value %g: served by the scalar path, want batched", workers, values[i])
+				t.Errorf("workers=%d point %d: got %+v, groups of one %+v", workers, i, p, ref.Points[i])
 			}
 		}
 		served := 0
@@ -82,22 +64,28 @@ func TestSweepBatchDispatch(t *testing.T) {
 			served += len(g)
 		}
 		if len(rec.groups) != 3 || served != len(values) {
-			t.Fatalf("workers=%d: %d values in %d batch groups, want %d in 3", workers, served, len(rec.groups), len(values))
+			t.Fatalf("workers=%d: %d values in %d groups, want %d in 3", workers, served, len(rec.groups), len(values))
 		}
 	}
 }
 
-// TestSweepBatchSizeOne pins the fallback: without Groups — the harnesses'
-// dispatch for a batch width of one — the batch runner is never touched
-// even when one is set.
+// TestSweepBatchSizeOne pins the default grouping: Groups <= 0 runs every
+// value as a group of its own.
 func TestSweepBatchSizeOne(t *testing.T) {
-	rec := &batchRecorder{}
-	s := rec.sweep(Linspace(0, 5, 6), 0, 1)
-	if _, err := s.Execute(); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.groups) != 0 {
-		t.Fatalf("Groups=0 dispatched %d batch groups", len(rec.groups))
+	values := Linspace(0, 5, 6)
+	for _, groups := range []int{0, -1} {
+		rec := &batchRecorder{}
+		if _, err := rec.sweep(values, groups, 1).Execute(); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.groups) != len(values) {
+			t.Fatalf("Groups=%d: %d groups for %d values", groups, len(rec.groups), len(values))
+		}
+		for i, g := range rec.groups {
+			if len(g) != 1 || g[0] != values[i] {
+				t.Errorf("Groups=%d: group %d is %v, want [%g]", groups, i, g, values[i])
+			}
+		}
 	}
 }
 
@@ -109,9 +97,6 @@ func TestSweepBatchCountMismatch(t *testing.T) {
 		Values:  Linspace(0, 3, 4),
 		Groups:  2,
 		Workers: 1,
-		RunPoint: func(v float64) (measure.Point, error) {
-			return measure.Point{Y: v}, nil
-		},
 		RunPointBatch: func(vs []float64) ([]measure.Point, error) {
 			return make([]measure.Point, len(vs)-1), nil
 		},
@@ -122,7 +107,7 @@ func TestSweepBatchCountMismatch(t *testing.T) {
 }
 
 // TestSweepBatchErrorPropagates pins deterministic error reporting through
-// the batched path: the lowest failing work unit wins under any worker count.
+// groups: the lowest failing work unit wins under any worker count.
 func TestSweepBatchErrorPropagates(t *testing.T) {
 	fail := errors.New("batch point failed")
 	for _, workers := range []int{1, 3} {
@@ -131,9 +116,6 @@ func TestSweepBatchErrorPropagates(t *testing.T) {
 			Values:  Linspace(0, 7, 8),
 			Groups:  3,
 			Workers: workers,
-			RunPoint: func(v float64) (measure.Point, error) {
-				return measure.Point{Y: v}, nil
-			},
 			RunPointBatch: func(vs []float64) ([]measure.Point, error) {
 				if vs[0] == 3 { // the second group [3,4,5]
 					return nil, fail
@@ -150,9 +132,9 @@ func TestSweepBatchErrorPropagates(t *testing.T) {
 
 // TestSweepGroupsBalancedUnpadded pins the Groups dispatch: the values split
 // into min(Groups, len(Values)) contiguous groups whose sizes differ by at
-// most one (larger groups first), each passed to RunPointBatch unpadded; no
-// scalar runner is needed, and the series matches the values in order for
-// serial and parallel execution alike.
+// most one (larger groups first), each passed to RunPointBatch unpadded,
+// and the series matches the values in order for serial and parallel
+// execution alike.
 func TestSweepGroupsBalancedUnpadded(t *testing.T) {
 	for _, tc := range []struct {
 		n, groups int
@@ -166,10 +148,7 @@ func TestSweepGroupsBalancedUnpadded(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			rec := &batchRecorder{}
 			values := Linspace(1, float64(tc.n), tc.n)
-			s := rec.sweep(values, 0, workers)
-			s.RunPoint = nil
-			s.Groups = tc.groups
-			series, err := s.Execute()
+			series, err := rec.sweep(values, tc.groups, workers).Execute()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,10 +23,10 @@ func BenchmarkSweepWorkersLatencyBound(b *testing.B) {
 				Name:    "latency",
 				Values:  values,
 				Workers: workers,
-				RunPoint: func(v float64) (measure.Point, error) {
+				RunPointBatch: pointwise(func(v float64) (measure.Point, error) {
 					time.Sleep(pointCost)
 					return measure.Point{Y: v}, nil
-				},
+				}),
 			}
 			for i := 0; i < b.N; i++ {
 				if _, err := s.Execute(); err != nil {

@@ -11,8 +11,40 @@ import (
 	"wlansim/internal/measure"
 )
 
-// Basic Run/Values validation lives in TestSweepValidation (graph_test.go);
-// this file covers the parallel executor.
+// Basic RunPointBatch/Values validation lives in TestSweepValidation
+// (graph_test.go); this file covers the parallel executor.
+
+// pointwise lifts a per-value point function to a RunPointBatch that
+// evaluates each value of its group in turn.
+func pointwise(run func(v float64) (measure.Point, error)) func([]float64) ([]measure.Point, error) {
+	return func(vs []float64) ([]measure.Point, error) {
+		pts := make([]measure.Point, len(vs))
+		for i, v := range vs {
+			p, err := run(v)
+			if err != nil {
+				return nil, err
+			}
+			pts[i] = p
+		}
+		return pts, nil
+	}
+}
+
+// precomputed returns a RunPointBatch over values that serves every group
+// from one table of run(v) built up front, so the executor's own allocations
+// are all that remain to measure.
+func precomputed(values []float64, run func(v float64) measure.Point) func([]float64) ([]measure.Point, error) {
+	table := make([]measure.Point, len(values))
+	index := make(map[float64]int, len(values))
+	for i, v := range values {
+		table[i] = run(v)
+		index[v] = i
+	}
+	return func(vs []float64) ([]measure.Point, error) {
+		i := index[vs[0]]
+		return table[i : i+len(vs)], nil
+	}
+}
 
 // TestSweepWorkersIdenticalSeries is the package-level determinism gate:
 // the same sweep executed serially and on many workers must produce a
@@ -24,10 +56,10 @@ func TestSweepWorkersIdenticalSeries(t *testing.T) {
 			Name:    "parabola",
 			Values:  values,
 			Workers: workers,
-			RunPoint: func(v float64) (measure.Point, error) {
+			RunPointBatch: pointwise(func(v float64) (measure.Point, error) {
 				y := v * v
 				return measure.Point{Y: y, CILo: y - 1, CIHi: y + 1, Bits: int(v) + 100}, nil
-			},
+			}),
 		}
 	}
 	ref, err := build(1).Execute()
@@ -45,26 +77,6 @@ func TestSweepWorkersIdenticalSeries(t *testing.T) {
 	}
 }
 
-func TestSweepOnPointOrderParallel(t *testing.T) {
-	values := Linspace(0, 9, 10)
-	var order []float64
-	s := &Sweep{
-		Name:    "order",
-		Values:  values,
-		Workers: 8,
-		Run:     func(v float64) (float64, error) { return 2 * v, nil },
-		// OnPoint runs on the collector goroutine only, so appending
-		// without a lock is safe; the assertion is about order.
-		OnPoint: func(v, m float64) { order = append(order, v) },
-	}
-	if _, err := s.Execute(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(order, values) {
-		t.Errorf("OnPoint order %v, want %v", order, values)
-	}
-}
-
 func TestSweepErrorDeterministic(t *testing.T) {
 	sentinel := errors.New("boom")
 	for _, workers := range []int{1, 8} {
@@ -72,12 +84,12 @@ func TestSweepErrorDeterministic(t *testing.T) {
 			Name:    "failing",
 			Values:  []float64{1, 2, 3, 4, 5, 6, 7, 8},
 			Workers: workers,
-			Run: func(v float64) (float64, error) {
+			RunPointBatch: pointwise(func(v float64) (measure.Point, error) {
 				if v >= 3 { // several failing points; the lowest must win
-					return 0, fmt.Errorf("%w at %g", sentinel, v)
+					return measure.Point{}, fmt.Errorf("%w at %g", sentinel, v)
 				}
-				return v, nil
-			},
+				return measure.Point{Y: v}, nil
+			}),
 		}
 		_, err := s.Execute()
 		if err == nil {
@@ -93,20 +105,25 @@ func TestSweepErrorDeterministic(t *testing.T) {
 	}
 }
 
-func TestSweepRunPointSetsX(t *testing.T) {
-	s := &Sweep{
-		Name:   "x",
-		Values: []float64{4, 2}, // unsorted on purpose: series sorts by X
-		RunPoint: func(v float64) (measure.Point, error) {
-			return measure.Point{X: 999, Y: v}, nil // X must be overwritten
-		},
-	}
-	series, err := s.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if series.Points[0].X != 2 || series.Points[1].X != 4 {
-		t.Errorf("X values %v", series.Points)
+// TestSweepStampsX pins that the executor overwrites each point's X with
+// its swept value, for groups of one and one group of all values alike.
+func TestSweepStampsX(t *testing.T) {
+	for _, groups := range []int{0, 1} {
+		s := &Sweep{
+			Name:   "x",
+			Values: []float64{4, 2}, // unsorted on purpose: series sorts by X
+			Groups: groups,
+			RunPointBatch: pointwise(func(v float64) (measure.Point, error) {
+				return measure.Point{X: 999, Y: v}, nil // X must be overwritten
+			}),
+		}
+		series, err := s.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if series.Points[0].X != 2 || series.Points[1].X != 4 {
+			t.Errorf("groups=%d: X values %v", groups, series.Points)
+		}
 	}
 }
 
@@ -117,7 +134,7 @@ func TestSweepWorkersClampedToValues(t *testing.T) {
 		Name:    "clamp",
 		Values:  []float64{1, 2},
 		Workers: 64,
-		Run: func(v float64) (float64, error) {
+		RunPointBatch: pointwise(func(v float64) (measure.Point, error) {
 			n := inflight.Add(1)
 			for {
 				p := peak.Load()
@@ -126,8 +143,8 @@ func TestSweepWorkersClampedToValues(t *testing.T) {
 				}
 			}
 			inflight.Add(-1)
-			return v, nil
-		},
+			return measure.Point{Y: v}, nil
+		}),
 	}
 	if _, err := s.Execute(); err != nil {
 		t.Fatal(err)
@@ -144,13 +161,14 @@ func TestSweepWorkersClampedToValues(t *testing.T) {
 // channel come from sweepScratchPool. The budget leaves slack for an
 // occasional GC clearing the pool mid-measurement.
 func TestSweepExecutorBuffersPooled(t *testing.T) {
+	values := Linspace(0, 15, 16)
 	s := &Sweep{
 		Name:    "pooled",
-		Values:  Linspace(0, 15, 16),
+		Values:  values,
 		Workers: 4,
-		RunPoint: func(v float64) (measure.Point, error) {
-			return measure.Point{Y: 2 * v}, nil
-		},
+		RunPointBatch: precomputed(values, func(v float64) measure.Point {
+			return measure.Point{Y: 2 * v}
+		}),
 	}
 	if _, err := s.Execute(); err != nil { // warm the pool
 		t.Fatal(err)
@@ -177,9 +195,9 @@ func TestSweepOnPointDoneFullPrefixOrder(t *testing.T) {
 		Name:    "stream",
 		Values:  values,
 		Workers: 6,
-		RunPoint: func(v float64) (measure.Point, error) {
+		RunPointBatch: pointwise(func(v float64) (measure.Point, error) {
 			return measure.Point{Y: 3 * v, CILo: 3*v - 0.5, CIHi: 3*v + 0.5, Bits: int(v) * 100, Errors: int(v)}, nil
-		},
+		}),
 		// The hook runs on the collector goroutine only; appending without a
 		// lock is safe, and the order must be the serial order.
 		OnPointDone: func(p measure.Point) { streamed = append(streamed, p) },
@@ -201,14 +219,13 @@ func TestSweepOnPointDoneFullPrefixOrder(t *testing.T) {
 // same small per-Execute budget as the single-job gate above.
 func TestSweepScratchPooledAcrossConcurrentExecutes(t *testing.T) {
 	const jobs = 4
+	run := precomputed(Linspace(0, 31, 32), func(v float64) measure.Point { return measure.Point{Y: v + 1} })
 	build := func() *Sweep {
 		return &Sweep{
-			Name:    "job",
-			Values:  Linspace(0, 31, 32),
-			Workers: 2,
-			RunPoint: func(v float64) (measure.Point, error) {
-				return measure.Point{Y: v + 1}, nil
-			},
+			Name:          "job",
+			Values:        Linspace(0, 31, 32),
+			Workers:       2,
+			RunPointBatch: run,
 		}
 	}
 	round := func() {
@@ -247,12 +264,12 @@ func TestSweepScratchPoolReleasesErrors(t *testing.T) {
 		Name:    "failing",
 		Values:  []float64{0, 1, 2, 3},
 		Workers: 2,
-		RunPoint: func(v float64) (measure.Point, error) {
+		RunPointBatch: pointwise(func(v float64) (measure.Point, error) {
 			if v == 2 {
 				return measure.Point{}, fail
 			}
 			return measure.Point{Y: v}, nil
-		},
+		}),
 	}
 	if _, err := s.Execute(); err == nil {
 		t.Fatal("expected error")

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -13,7 +14,8 @@ import (
 // HTTP API of wlansimd. All bodies are JSON; the stream endpoint is NDJSON.
 //
 //	POST /v1/jobs            submit a SweepSpec -> 202 JobStatus
-//	                         (400 invalid spec, 413 body over MaxSpecBytes,
+//	                         (400 invalid spec or data after it,
+//	                          413 body over MaxSpecBytes,
 //	                          429 + Retry-After queue full, 503 draining)
 //	GET  /v1/jobs            list JobStatus, submission order (series omitted)
 //	GET  /v1/jobs/{id}       one JobStatus; ?wait=1 blocks until terminal
@@ -46,7 +48,17 @@ func NewHandler(m *Manager) http.Handler {
 		var spec SweepSpec
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		err := dec.Decode(&spec)
+		if err == nil {
+			// Decode reads one value; anything but whitespace after it
+			// makes the body something other than one spec.
+			if _, err = dec.Token(); err == io.EOF {
+				err = nil
+			} else if err == nil {
+				err = errors.New("trailing data after the spec")
+			}
+		}
+		if err != nil {
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
 				writeError(w, http.StatusRequestEntityTooLarge,

@@ -143,6 +143,23 @@ func TestServedSeriesByteIdentical(t *testing.T) {
 				return fig.Series[0], nil
 			},
 		},
+		{
+			// The daemon runs the behavioral points as lanes (two groups on
+			// its two job workers); the reference runs groups of one.
+			name: "snr-behavioral",
+			spec: SweepSpec{Kind: "snr", FrontEnd: "behavioral", Packets: 2, Points: 5, From: 4, To: 12},
+			ref: func(spec SweepSpec) (*measure.Series, error) {
+				base := core.DefaultConfig()
+				base.Packets = spec.Packets
+				base.Workers = 1
+				base.Batch = 1
+				fig, err := core.WaterfallBERvsSNROnFrontEnd(base, core.FrontEndBehavioral, []int{24}, spec.Values)
+				if err != nil {
+					return nil, err
+				}
+				return fig.Series[0], nil
+			},
+		},
 	}
 
 	m := newTestManager(t, Config{Workers: 2, JobWorkers: 2})
@@ -436,6 +453,51 @@ func TestSubmitBodyLimit(t *testing.T) {
 	}
 	if body, _ := json.Marshal(widest); len(body) >= MaxSpecBytes {
 		t.Errorf("a %d-point spec takes %d bytes, over the %d-byte bound", MaxPoints, len(body), MaxSpecBytes)
+	}
+}
+
+// TestSubmitTrailingData pins that POST /v1/jobs takes exactly one spec: a
+// second JSON value or other non-whitespace after the spec is a 400 and
+// queues nothing, while trailing whitespace is accepted.
+func TestSubmitTrailingData(t *testing.T) {
+	m := New(Config{Store: store.NewMemory(0), Workers: 1})
+	m.execute = func(j *Job) { m.finish(j, &measure.Series{}, nil) }
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	defer m.Drain()
+
+	spec := `{"kind":"fig6","packets":1,"values":[-20]}`
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"second value", spec + `{"kind":"bogus"}`, http.StatusBadRequest},
+		{"trailing garbage", spec + ` trailing-garbage`, http.StatusBadRequest},
+		{"stray closing brace", spec + `}`, http.StatusBadRequest},
+		{"trailing whitespace", spec + " \n\t", http.StatusAccepted},
+	} {
+		before := len(m.Jobs())
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader([]byte(tc.body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorBody
+		if resp.StatusCode != http.StatusAccepted {
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+				t.Errorf("%s: HTTP %d without a JSON error body: %v", tc.name, resp.StatusCode, err)
+			}
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: HTTP %d (%s), want %d", tc.name, resp.StatusCode, e.Error, tc.want)
+		}
+		wantQueued := 0
+		if tc.want == http.StatusAccepted {
+			wantQueued = 1
+		}
+		if queued := len(m.Jobs()) - before; queued != wantQueued {
+			t.Errorf("%s: %d jobs queued, want %d", tc.name, queued, wantQueued)
+		}
 	}
 }
 

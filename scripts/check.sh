@@ -134,6 +134,20 @@ if [ "$n" -ne 1 ]; then
     exit 1
 fi
 echo "    internal/core: Bench.Run vs the sequential-loop oracle"
+# One sweep body: every single-series sweep (Figure 5, Figure 6 / IP3, the
+# SNR waterfall on every front end, EVM vs SNR) runs its points as lane
+# groups of sim.Sweep's one entry. TestSweepBatchGolden's table pins them to
+# digests recorded from the point-by-point sweep path it replaced: the
+# batched and Batch 0/1 behavioral waterfalls, the ideal and co-sim
+# waterfalls and EVMvsSNR.
+sweep_pat='SweepBatchGolden|FilterSweepGolden|LNASweepGolden|GoldenBERBatchingInvariant'
+n="$(go test -run '^$' -list "$sweep_pat" ./internal/core | grep -c '^Test' || true)"
+if [ "$n" -lt 4 ]; then
+    echo "FAIL: only $n of 4 sweep golden tests match '$sweep_pat' (silent skip)" >&2
+    exit 1
+fi
+echo "    internal/core: $n sweep golden tests (every sweep on lane groups)"
+go test -run "$sweep_pat" -count=1 ./internal/core > /dev/null
 
 # Co-sim front end. The analog solver streams each frame in blocks with its
 # LO bank computed one block ahead; its output is pinned bit for bit by

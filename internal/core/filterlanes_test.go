@@ -102,6 +102,25 @@ func TestFilterLaneGroups(t *testing.T) {
 	}
 }
 
+// TestSweepLaneWidth pins the one lane-width rule of every sweep: groups of
+// one off the behavioral front end, whatever Batch says; on it Batch caps
+// the width when set and laneWidth applies otherwise.
+func TestSweepLaneWidth(t *testing.T) {
+	for _, c := range []struct {
+		fe          FrontEndKind
+		batch, want int
+	}{
+		{FrontEndIdeal, 0, 1}, {FrontEndIdeal, 8, 1}, {FrontEndCoSim, 4, 1}, {FrontEndBlackBox, 0, 1},
+		{FrontEndBehavioral, 0, laneWidth}, {FrontEndBehavioral, 1, 1}, {FrontEndBehavioral, 8, 8},
+	} {
+		cfg := DefaultConfig()
+		cfg.FrontEnd, cfg.Batch = c.fe, c.batch
+		if got := sweepLaneWidth(cfg); got != c.want {
+			t.Errorf("%v front end, Batch %d: width %d, want %d", c.fe, c.batch, got, c.want)
+		}
+	}
+}
+
 // TestFilterLanesRejectMixedGroups pins the group contract of the filter
 // lanes: only points of a filter-only behavioral front-end sweep that share
 // the DSP receiver's settings may run as lanes of one RunBenchBatch call.

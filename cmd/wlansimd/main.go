@@ -21,8 +21,8 @@
 //
 // Determinism contract: a served series is byte-identical (Float64bits) to
 // the same spec run in-process — workers, lane grouping, the store and
-// caches change wall-clock only. SIGINT/SIGTERM drains: accepted jobs finish, the
-// store is flushed, then the listener closes.
+// caches change wall-clock only. SIGINT/SIGTERM drains: accepted jobs
+// finish, the store is flushed, then the listener closes.
 package main
 
 import (

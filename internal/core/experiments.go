@@ -417,25 +417,18 @@ func TimingComparison(base Config, packetCounts []int) ([]TimingRow, error) {
 	}
 
 	rows := make([]TimingRow, len(packetCounts))
-	if base.Workers <= 1 || len(packetCounts) == 1 {
-		for i, n := range packetCounts {
-			r, err := row(n)
-			if err != nil {
-				return nil, err
-			}
-			rows[i] = r
-		}
+	if len(packetCounts) == 0 {
 		return rows, nil
 	}
-	// Explicitly requested parallel rows: reuse the sweep executor over the
-	// row indices, one row per group, so pooling and error order match the
-	// BER sweeps. OnSweepPoint stays unwired here: the values are row
-	// indices, not a swept physical parameter, so streaming them as
-	// measurement points would be misleading.
+	// The rows run on the sweep executor, one row per group, so pooling and
+	// error order match the BER sweeps; serially unless base.Workers > 1.
+	// OnSweepPoint stays unwired here: the values are row indices, not a
+	// swept physical parameter, so streaming them as measurement points
+	// would be misleading.
 	sweep := &sim.Sweep{
 		Name:    "timing rows",
 		Values:  sim.Linspace(0, float64(len(packetCounts)-1), len(packetCounts)),
-		Workers: base.Workers,
+		Workers: max(base.Workers, 1),
 		RunPointBatch: func(idx []float64) ([]measure.Point, error) {
 			i := int(idx[0])
 			r, err := row(packetCounts[i])

@@ -292,9 +292,10 @@ func (m *Manager) finish(job *Job, series *measure.Series, err error) {
 
 // executeJob serves a job: stored points come from the content-addressed
 // store, novel points run as one sim.Sweep over the novel values only (so
-// they still share the invariant-prefix stage cache and run as lanes), and the merged series is bit-identical to running the full
-// spec in-process — each point's realization depends only on (seed root,
-// value), never on which grid-mates it ran with.
+// they still share the invariant-prefix stage cache and run as lanes), and
+// the merged series is bit-identical to running the full spec in-process —
+// each point's realization depends only on (seed root, value), never on
+// which grid-mates it ran with.
 func (m *Manager) executeJob(job *Job) {
 	spec := job.Spec
 	keys := PointKeys(spec)

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 )
 
@@ -123,5 +126,64 @@ func TestSystemGraphChannelNoiseBlock(t *testing.T) {
 	}
 	if res.BER() < 0.05 {
 		t.Errorf("graph run at 3 dB SNR gave BER %v", res.BER())
+	}
+}
+
+// graphBasebandDigest is the FNV-64a digest of the Float64bits of the
+// behavioral front end's baseband in TestSystemGraphFrontEndStreams,
+// recorded from the sequential receiver chain that streamed its block
+// states across the graph's frames.
+const graphBasebandDigest = 0x357336ea7fa3d68d
+
+// TestSystemGraphFrontEndStreams pins the graph's behavioral front end,
+// which the frame scheduler feeds one frame per Process call with no Reset
+// between frames, to the same front end run over the whole antenna signal
+// in one call, and the captured baseband to a digest recorded from the
+// sequential chain. Every block's state must carry across the frames.
+func TestSystemGraphFrontEndStreams(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Packets = 2
+	cfg.PSDULen = 60
+	cfg.Interferers = []InterfererSpec{AdjacentChannelSpec(cfg.WantedPowerDBm)}
+	bench, err := NewBench(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := bench.BuildSystemGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.AntennaProbe.Enabled = true
+	sys.BasebandProbe.Enabled = true
+	if _, err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	os := bench.oversample()
+	if os < 2 || len(sys.AntennaProbe.Samples) <= sys.frameLen*os {
+		t.Fatalf("oversample %d, %d antenna samples: the scenario must span several oversampled frames", os, len(sys.AntennaProbe.Samples))
+	}
+	fe, err := bench.buildFrontEnd(os)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe.Reset()
+	want := fe.Process(append([]complex128(nil), sys.AntennaProbe.Samples...))
+	got := sys.BasebandProbe.Samples
+	if len(got) != len(want) {
+		t.Fatalf("graph baseband %d samples, whole-signal run %d", len(got), len(want))
+	}
+	h := fnv.New64a()
+	var buf [16]byte
+	for i := range got {
+		g, w := got[i], want[i]
+		if math.Float64bits(real(g)) != math.Float64bits(real(w)) || math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
+			t.Fatalf("baseband sample %d (frame %d): graph %v, whole-signal run %v", i, i/sys.frameLen, g, w)
+		}
+		binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(real(g)))
+		binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(imag(g)))
+		h.Write(buf[:])
+	}
+	if d := h.Sum64(); d != graphBasebandDigest {
+		t.Errorf("graph baseband digest %#x, recorded %#x", d, uint64(graphBasebandDigest))
 	}
 }

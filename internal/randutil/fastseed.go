@@ -1,9 +1,31 @@
+// Package randutil accelerates deterministic restarts of math/rand
+// generators. The RF block models restart their fixed-seed noise streams on
+// every packet, and the sweeps reseed their per-packet streams; math/rand's
+// Seed regenerates a 607-entry lagged-Fibonacci feedback register from
+// scratch (~tens of microseconds). Rand restarts by copying a marked
+// register (Mark/Rewind) and reseeds arithmetically (see reseed.go), each
+// producing the bit-identical stream.
 package randutil
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
+	"unsafe"
 )
+
+// rngLen is math/rand's feedback register length (stable since Go 1).
+const rngLen = 607
+
+// sourceState mirrors math/rand.rngSource. The layout is verified
+// field-by-field against the runtime type before any unsafe access; on
+// mismatch sourceStateOf reports nil and callers take the documented Seed
+// path.
+type sourceState struct {
+	tap  int
+	feed int
+	vec  [rngLen]int64
+}
 
 // fibSource is a drop-in replacement for math/rand's unexported rngSource:
 // the same additive lagged-Fibonacci generator over a 607-entry register,
@@ -11,8 +33,7 @@ import (
 // register snapshot instead of re-running the seeding procedure (which walks
 // the full register through a multiplicative generator and dominates
 // rand.NewSource at ~tens of microseconds). The field layout mirrors
-// sourceState exactly so Restarter's snapshot/restore path applies to it
-// unchanged.
+// sourceState exactly, so a register snapshot copies straight into it.
 type fibSource struct {
 	tap  int
 	feed int
@@ -59,9 +80,9 @@ func (s *fibSource) Seed(seed int64) {
 	s.tap, s.feed, s.vec = st.tap, st.feed, st.vec
 }
 
-// seedSnapshots caches the post-seeding register per seed value. Entries are
-// immutable once stored and live for the process; at ~5 KB each, callers
-// should reserve NewRand for small fixed seed sets.
+// seedSnapshots caches the post-seeding register per seed value for the
+// fallback Seed path. Entries are immutable once stored and live for the
+// process, at ~5 KB each.
 var seedSnapshots sync.Map // int64 -> *sourceState
 
 // snapshotFor returns the post-seeding generator state for seed, seeding a
@@ -80,16 +101,33 @@ func snapshotFor(seed int64) *sourceState {
 	return v.(*sourceState)
 }
 
-// NewRand returns a generator seeded with seed whose every stream is
-// bit-identical to rand.New(rand.NewSource(seed)). The post-seeding register
-// is cached per seed value, so repeated constructions with the same seed —
-// the RF blocks' fixed noise seeds, rebuilt for every sweep point — cost a
-// register copy instead of math/rand's full seeding pass. Each distinct seed
-// pins a ~5 KB snapshot for the process lifetime, so thread per-run derived
-// seeds through rand.NewSource directly and keep NewRand for fixed seeds.
-func NewRand(seed int64) *rand.Rand {
-	if st := snapshotFor(seed); st != nil {
-		return rand.New(&fibSource{tap: st.tap, feed: st.feed, vec: st.vec})
+// sourceStateOf returns a direct view of rng's internal rngSource, or nil if
+// the runtime layout does not match sourceState exactly.
+func sourceStateOf(rng *rand.Rand) *sourceState {
+	if rng == nil {
+		return nil
 	}
-	return rand.New(rand.NewSource(seed))
+	srcField := reflect.ValueOf(rng).Elem().FieldByName("src")
+	if !srcField.IsValid() || srcField.Kind() != reflect.Interface || srcField.IsNil() {
+		return nil
+	}
+	ptr := srcField.Elem()
+	if ptr.Kind() != reflect.Pointer || ptr.IsNil() {
+		return nil
+	}
+	typ := ptr.Elem().Type()
+	if typ.Name() != "rngSource" || typ.Kind() != reflect.Struct {
+		return nil
+	}
+	want := reflect.TypeOf(sourceState{})
+	if typ.NumField() != want.NumField() || typ.Size() != want.Size() {
+		return nil
+	}
+	for i := 0; i < want.NumField(); i++ {
+		got, exp := typ.Field(i), want.Field(i)
+		if got.Name != exp.Name || got.Type != exp.Type || got.Offset != exp.Offset {
+			return nil
+		}
+	}
+	return (*sourceState)(unsafe.Pointer(ptr.Pointer()))
 }

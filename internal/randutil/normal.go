@@ -11,7 +11,7 @@ import "math"
 // lagged-Fibonacci step inlines straight into the ziggurat fast path, which
 // the profile shows is where the behavioral front end spends its
 // noise-injection time (two Gaussian draws per sample per noisy block).
-// Mark/Rewind replace the unsafe-probe Restarter for the per-packet restarts.
+// Mark/Rewind restart the stream per packet by copying the marked register.
 type Rand struct {
 	src  fibSource
 	mark sourceState
@@ -37,8 +37,8 @@ func (r *Rand) Mark() {
 }
 
 // Rewind restores the state captured by the last Mark (the construction
-// state when Mark was never called) — the same stream restart Restarter
-// provides for *rand.Rand, without the unsafe layout probe.
+// state when Mark was never called) — the stream restart rand.Rand.Seed
+// performs, by copy instead of the seeding pass.
 func (r *Rand) Rewind() {
 	r.src.tap, r.src.feed, r.src.vec = r.mark.tap, r.mark.feed, r.mark.vec
 }
@@ -128,8 +128,17 @@ func (r *Rand) normSlow(j, i int32, x float64) float64 {
 }
 
 // FillNormPairs fills re[i], im[i] with successive NormFloat64 draws in
-// per-sample order — the concrete-receiver form of the package-level
-// FillNormPairs, same draw order, same bits.
+// per-sample order — re[i] first, then im[i] — the draw order of a block
+// model that adds complex Gaussian noise sample by sample. re and im must
+// have equal length.
+//
+// It is the batched-draw path: B packets (or B equal-config sweep points)
+// whose RF blocks restart their fixed-seed noise streams per packet would
+// draw B identical sequences. Rewinding the one generator once per batch
+// and materializing its draws into planes preserves the exact per-packet
+// draw order — lane b consumes the same values, in the same order, as its
+// own rewound generator would — while paying for the stream once instead
+// of B times. TestFillNormPairsMatchesPerPacketRestart pins that property.
 //
 // The ziggurat fast path is written out inline with the register walkers in
 // locals: NormFloat64 is beyond the compiler's inlining budget, and a call

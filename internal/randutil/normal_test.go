@@ -63,7 +63,7 @@ func TestRandDirectSeedMidStream(t *testing.T) {
 }
 
 // TestRandDirectMarkRewind pins the restart contract: Rewind reproduces the
-// draw stream from the marked state, like Restarter.Restart on *rand.Rand.
+// draw stream from the marked state, like rand.Rand.Seed on the marked seed.
 func TestRandDirectMarkRewind(t *testing.T) {
 	rng := NewRandDirect(17)
 	want := make([]uint64, 200)
@@ -89,15 +89,25 @@ func TestRandDirectMarkRewind(t *testing.T) {
 	}
 }
 
+// fillNormPairs is the reference materializer on a *rand.Rand: successive
+// NormFloat64 draws in per-sample order, re[i] first, then im[i].
+func fillNormPairs(rng *rand.Rand, re, im []float64) {
+	im = im[:len(re)]
+	for i := range re {
+		re[i] = rng.NormFloat64()
+		im[i] = rng.NormFloat64()
+	}
+}
+
 // TestRandDirectFillNormPairs pins the batched materializer against the
-// package-level function on a *rand.Rand with the same seed.
+// reference on a *rand.Rand with the same seed.
 func TestRandDirectFillNormPairs(t *testing.T) {
 	fast := NewRandDirect(29)
 	ref := rand.New(rand.NewSource(29))
 	re, im := make([]float64, 333), make([]float64, 333)
 	wre, wim := make([]float64, 333), make([]float64, 333)
 	fast.FillNormPairs(re, im)
-	FillNormPairs(ref, wre, wim)
+	fillNormPairs(ref, wre, wim)
 	for i := range re {
 		if math.Float64bits(re[i]) != math.Float64bits(wre[i]) ||
 			math.Float64bits(im[i]) != math.Float64bits(wim[i]) {

@@ -129,11 +129,10 @@ func init() {
 
 // NewReseedingRand returns a generator bit-identical to
 // rand.New(rand.NewSource(seed)) whose Seed method recomputes the register
-// arithmetically instead of caching per-seed snapshots. Use it for per-run
-// derived seeds: NewRand's cache pins ~5 KB per distinct seed for the
-// process lifetime, which the sweep executor's per-point seeds would grow
-// without bound. Falls back to the stock source when the layout probe or
-// the reseed self-check failed.
+// arithmetically instead of caching per-seed snapshots (a snapshot cache
+// pins ~5 KB per distinct seed for the process lifetime, which per-point
+// derived seeds would grow without bound). Falls back to the stock source
+// when the layout probe or the reseed self-check failed.
 func NewReseedingRand(seed int64) *rand.Rand {
 	if reseedOK {
 		s := &fibSource{}

@@ -30,20 +30,27 @@ type AGCConfig struct {
 // implements Block.
 type AGC struct {
 	cfg     AGCConfig
-	gainDB  float64
-	est     float64 // smoothed output power estimate (watts)
 	alpha   float64
 	attack  float64 // fraction of the (negative) dB error applied per sample
 	release float64 // dB per dB of positive error per sample
 
-	// Hot-loop derivatives of the state above, maintained so ProcessSample
-	// avoids a Pow per sample (gain) and a Log10 per sample while either
-	// slew clamp is active.
-	gainLin   float64 // DBToVoltageGain(gainDB), tracked incrementally
+	// Precomputed so the loop needs no Log10 per sample while either slew
+	// clamp is active.
 	invTarget float64 // 1 / target power in watts
 	uAttack   float64 // est/target ratio beyond which the attack slew clamps
 	uRelease  float64 // est/target ratio below which the release slew clamps
-	resync    int     // incremental gain updates since the last exact one
+
+	st [1]agcLane // Process's loop state: a lane of one
+}
+
+// agcLane is one lane's AGC loop state. The loop works from cached
+// derivatives of the dB gain: the linear gain is tracked incrementally, so
+// the loop needs no Pow per sample.
+type agcLane struct {
+	gainLin float64 // DBToVoltageGain(gainDB), tracked incrementally
+	gainDB  float64
+	est     float64 // smoothed output power estimate (watts)
+	resync  int     // incremental gain updates since the last exact one
 }
 
 // NewAGC builds the loop.
@@ -56,7 +63,6 @@ func NewAGC(cfg AGCConfig) (*AGC, error) {
 	}
 	a := &AGC{
 		cfg:     cfg,
-		gainDB:  clamp(cfg.InitialGainDB, cfg.MinGainDB, cfg.MaxGainDB),
 		alpha:   4 / cfg.TimeConstantSamples,
 		attack:  0.2,
 		release: 0.1 / cfg.TimeConstantSamples,
@@ -64,8 +70,7 @@ func NewAGC(cfg AGCConfig) (*AGC, error) {
 	if a.alpha > 0.5 {
 		a.alpha = 0.5
 	}
-	a.est = units.DBmToWatts(cfg.TargetDBm)
-	a.gainLin = units.DBToVoltageGain(a.gainDB)
+	a.resetLane(&a.st[0])
 	a.invTarget = 1 / units.DBmToWatts(cfg.TargetDBm)
 	// The slew clamps kick in at fixed error magnitudes; precompute the
 	// equivalent est/target power ratios so the clamped regimes need no
@@ -91,7 +96,9 @@ const tenOverLn10 = 10 / math.Ln10
 
 // agcResyncInterval is how many incremental linear-gain updates the loop
 // applies before recomputing the gain exactly from its dB value, bounding
-// series-truncation drift.
+// series-truncation drift. The count survives Reset, so a packet's last
+// gain bits depend on the packets before it; the lane receiver keeps it per
+// lane id.
 const agcResyncInterval = 256
 
 func clamp(v, lo, hi float64) float64 {
@@ -105,98 +112,64 @@ func clamp(v, lo, hi float64) float64 {
 }
 
 // GainDB returns the current loop gain.
-func (a *AGC) GainDB() float64 { return a.gainDB }
+func (a *AGC) GainDB() float64 { return a.st[0].gainDB }
 
 // SetFreeze holds (true) or releases (false) the gain.
 func (a *AGC) SetFreeze(f bool) { a.cfg.Freeze = f }
 
-// Reset restores the initial gain and estimator.
-func (a *AGC) Reset() {
-	a.gainDB = clamp(a.cfg.InitialGainDB, a.cfg.MinGainDB, a.cfg.MaxGainDB)
-	a.gainLin = units.DBToVoltageGain(a.gainDB)
-	a.est = units.DBmToWatts(a.cfg.TargetDBm)
-}
+// Reset restores the initial gain and estimator. The resync counter carries
+// (see agcResyncInterval).
+func (a *AGC) Reset() { a.resetLane(&a.st[0]) }
 
-// ProcessSample amplifies one sample and updates the loop.
-//
-// The loop logic is the classical dB-domain control law, but the hot path
-// works from cached derivatives: the linear gain is recomputed only when the
-// gain actually moves, and the error logarithm is skipped entirely while a
-// slew clamp is active (the step is then the clamp constant regardless of
-// the error magnitude, tested against the precomputed power ratios).
-func (a *AGC) ProcessSample(x complex128) complex128 {
-	y := complex(a.gainLin*real(x), a.gainLin*imag(x))
-	if !a.cfg.Freeze {
-		p := real(y)*real(y) + imag(y)*imag(y)
-		a.est += a.alpha * (p - a.est)
-		if a.est > 0 {
-			u := a.est * a.invTarget // output power as a ratio of the target
-			var step float64
-			switch {
-			case u >= a.uAttack:
-				// Output far too hot: the attack slew bound applies.
-				step = -attackClampDB
-			case u <= a.uRelease:
-				// Output far too quiet: creep up at the release slew cap.
-				// The cap sits far below the attack so idle-channel gain
-				// ramps stay gentle (a fast release would turn the residual
-				// DC offset into a correlated ramp that confuses packet
-				// detection downstream).
-				step = releaseClampDB
-			default:
-				// Unclamped regime: the step needs the actual error
-				// magnitude. Near lock (u close to 1, where the loop spends
-				// most samples) the direct series applies; further out the
-				// range-reduced series takes over — either way, no library
-				// logarithm in the loop.
-				var errDB float64
-				if u > 0.5 && u < 2 {
-					errDB = -tenOverLn10 * lnNear1(u)
-				} else {
-					errDB = -tenOverLn10 * lnWide(u)
-				}
-				if errDB < 0 {
-					step = a.attack * errDB
-				} else {
-					step = a.release * errDB
-				}
-			}
-			g := clamp(a.gainDB+step, a.cfg.MinGainDB, a.cfg.MaxGainDB)
-			//lint:ignore floateq exact no-movement check: skips the gain update only when the clamp returned the identical value, any tolerance would freeze small steps
-			if g != a.gainDB {
-				d := g - a.gainDB
-				a.gainDB = g
-				a.resync++
-				if a.resync >= agcResyncInterval || d > 2 || d < -2 {
-					a.gainLin = units.DBToVoltageGain(g)
-					a.resync = 0
-				} else {
-					a.gainLin *= expSmall(d * lnTenOver20)
-				}
-			}
-		}
-	}
-	return y
-}
-
-// Process amplifies a frame in place and returns it. The loop body performs
-// exactly the arithmetic of ProcessSample, but keeps the loop state (gain,
-// power estimate, resync counter) in locals across the frame — the AGC runs
-// at the composite oversampled rate, making this the receiver's longest
-// per-sample loop.
+// Process amplifies a frame in place and returns it: the lane loop
+// (stepLanes) over one lane, the AGC's own state.
 func (a *AGC) Process(x []complex128) []complex128 {
-	if a.cfg.Freeze {
-		g := a.gainLin
-		for i, v := range x {
-			x[i] = complex(g*real(v), g*imag(v))
-		}
-		return x
+	a.stepLanes([][]complex128{x}, a.st[:])
+	return x
+}
+
+// resetLane performs Reset on the lane state s: the initial gain and
+// estimator; resync carries.
+func (a *AGC) resetLane(s *agcLane) {
+	s.gainDB = clamp(a.cfg.InitialGainDB, a.cfg.MinGainDB, a.cfg.MaxGainDB)
+	s.gainLin = units.DBToVoltageGain(s.gainDB)
+	s.est = units.DBmToWatts(a.cfg.TargetDBm)
+}
+
+// stepLanes amplifies the equal-length lanes in place and updates the loop:
+// the AGC's one control law, lane l on state st[l]. It steps the lanes
+// interleaved — sample i of every lane before sample i+1 of any — and lanes
+// never mix, so the interleave only overlaps the lanes' serial est -> log ->
+// step -> exp -> gain dependency chains, which bound a single lane's
+// throughput. The state carries across calls, so a packet may be stepped
+// whole or in consecutive blocks with identical output; call resetLane on
+// each lane at the top of each packet.
+//
+// The law is the classical dB-domain loop, worked from cached derivatives:
+// the linear gain is updated only when the gain actually moves, and the
+// error logarithm is skipped entirely while a slew clamp is active (the step
+// is then the clamp constant regardless of the error magnitude, tested
+// against the precomputed power ratios).
+//
+//lint:hotpath AGC lane loop: per-sample gain recurrence across lanes
+func (a *AGC) stepLanes(lanes [][]complex128, st []agcLane) {
+	L := len(lanes)
+	if L == 0 {
+		return
 	}
+	st = st[:L]
+	if a.cfg.Freeze {
+		// Frozen gain has no recurrence.
+		for l, lane := range lanes {
+			g := st[l].gainLin
+			for i, v := range lane {
+				lane[i] = complex(g*real(v), g*imag(v))
+			}
+		}
+		return
+	}
+	n := len(lanes[0])
 	var (
-		gainLin = a.gainLin
-		gainDB  = a.gainDB
-		est     = a.est
-		resync  = a.resync
 		alpha   = a.alpha
 		invT    = a.invTarget
 		uAtt    = a.uAttack
@@ -206,50 +179,65 @@ func (a *AGC) Process(x []complex128) []complex128 {
 		minG    = a.cfg.MinGainDB
 		maxG    = a.cfg.MaxGainDB
 	)
-	for i, v := range x {
-		yr := gainLin * real(v)
-		yi := gainLin * imag(v)
-		x[i] = complex(yr, yi)
-		p := yr*yr + yi*yi
-		est += alpha * (p - est)
-		if est > 0 {
-			u := est * invT
-			var step float64
-			switch {
-			case u >= uAtt:
-				step = -attackClampDB
-			case u <= uRel:
-				step = releaseClampDB
-			default:
-				var errDB float64
-				if u > 0.5 && u < 2 {
-					errDB = -tenOverLn10 * lnNear1(u)
-				} else {
-					errDB = -tenOverLn10 * lnWide(u)
+	for i := 0; i < n; i++ {
+		for l := range st {
+			s := &st[l]
+			v := lanes[l][i]
+			gl := s.gainLin
+			yr := gl * real(v)
+			yi := gl * imag(v)
+			lanes[l][i] = complex(yr, yi)
+			p := yr*yr + yi*yi
+			e := s.est + alpha*(p-s.est)
+			s.est = e
+			if e > 0 {
+				u := e * invT // output power as a ratio of the target
+				var step float64
+				switch {
+				case u >= uAtt:
+					// Output far too hot: the attack slew bound applies.
+					step = -attackClampDB
+				case u <= uRel:
+					// Output far too quiet: creep up at the release slew
+					// cap. The cap sits far below the attack so idle-channel
+					// gain ramps stay gentle (a fast release would turn the
+					// residual DC offset into a correlated ramp that
+					// confuses packet detection downstream).
+					step = releaseClampDB
+				default:
+					// Unclamped regime: the step needs the actual error
+					// magnitude. Near lock (u close to 1, where the loop
+					// spends most samples) the direct series applies;
+					// further out the range-reduced series takes over —
+					// either way, no library logarithm in the loop.
+					var errDB float64
+					if u > 0.5 && u < 2 {
+						errDB = -tenOverLn10 * lnNear1(u)
+					} else {
+						errDB = -tenOverLn10 * lnWide(u)
+					}
+					if errDB < 0 {
+						step = attack * errDB
+					} else {
+						step = release * errDB
+					}
 				}
-				if errDB < 0 {
-					step = attack * errDB
-				} else {
-					step = release * errDB
-				}
-			}
-			g := clamp(gainDB+step, minG, maxG)
-			//lint:ignore floateq exact no-movement check: skips the gain update only when the clamp returned the identical value, any tolerance would freeze small steps
-			if g != gainDB {
-				d := g - gainDB
-				gainDB = g
-				resync++
-				if resync >= agcResyncInterval || d > 2 || d < -2 {
-					gainLin = units.DBToVoltageGain(g)
-					resync = 0
-				} else {
-					gainLin *= expSmall(d * lnTenOver20)
+				g := clamp(s.gainDB+step, minG, maxG)
+				//lint:ignore floateq exact no-movement check: skips the gain update only when the clamp returned the identical value, any tolerance would freeze small steps
+				if g != s.gainDB {
+					d := g - s.gainDB
+					s.gainDB = g
+					s.resync++
+					if s.resync >= agcResyncInterval || d > 2 || d < -2 {
+						s.gainLin = units.DBToVoltageGain(g)
+						s.resync = 0
+					} else {
+						s.gainLin = gl * expSmall(d*lnTenOver20)
+					}
 				}
 			}
 		}
 	}
-	a.gainLin, a.gainDB, a.est, a.resync = gainLin, gainDB, est, resync
-	return x
 }
 
 // ADCConfig parameterizes the analog-to-digital converter model.
@@ -317,17 +305,18 @@ func (a *ADC) ProcessSample(x complex128) complex128 {
 	return complex(i, q)
 }
 
-// Process converts a frame in place and returns it.
+// Process converts a frame in place and returns it: convertKeep keeping
+// every sample.
 func (a *ADC) Process(x []complex128) []complex128 {
-	for i, v := range x {
-		x[i] = a.ProcessSample(v)
-	}
+	x, clips := a.convertKeep(x[:0], x, 0, 1)
+	a.clip += clips
 	return x
 }
 
-// convertKeep converts the frame x as Process does and appends the samples
-// at indices first, first+factor, ... to dst — ADC then a decimator without
-// anti-alias filter in one pass. It returns dst and the number of samples in
+// convertKeep converts the frame x sample by sample as ProcessSample does
+// and appends the samples at indices first, first+factor, ... to dst — ADC
+// then a decimator without anti-alias filter in one pass. dst may be x[:0]:
+// sample i is read before it is written. It returns dst and the number of samples in
 // x that clipped. A sample that is not kept is only tested for clipping,
 // since its converted value is never read; the clip test is quantize's own.
 func (a *ADC) convertKeep(dst, x []complex128, first, factor int) ([]complex128, int) {

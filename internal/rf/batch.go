@@ -5,18 +5,17 @@ import (
 
 	"wlansim/internal/dsp"
 	"wlansim/internal/kernels"
-	"wlansim/internal/units"
 )
 
 // The lane receiver (BatchReceiver) runs several lanes of one behavioral
 // receiver in lock-step, one packet per call. A lane is a sweep point: lanes
 // agree on every block but the LNA nonlinearity and the channel-select
-// filter, and each lane keeps its own history by lane id. Exactness is the
-// contract: lane l is
-// bit-identical to Reset + Process (or Reset + ProcessFromFilter) on a
-// sequential receiver built from the lane's configuration and carrying the
-// same packet history, which the differential front-end tests pin frame for
-// frame.
+// filter, and each lane keeps its own history by lane id. It is the one
+// implementation of the behavioral front end: Receiver runs every call as
+// lane 0 of a lane receiver of its own. Exactness is the contract: lane l is
+// bit-identical to the sequential chain (the oracle in oracle_test.go)
+// built from the lane's configuration and carrying the same packet history,
+// which the differential front-end tests pin frame for frame.
 //
 // The lane wins come from four places, none of which changes a bit:
 //
@@ -38,131 +37,6 @@ import (
 //     finish the block. Every block's state (noise generators, LO phase,
 //     biquad delays, AGC loop) carries to the next, so the blocks compute
 //     the frame's samples exactly.
-
-// agcBatchState carries the AGC loop state of one call's lanes. Only resync
-// survives across packets (AGC.Reset deliberately preserves it; see
-// agcResyncInterval), and the lane receiver keeps it per lane id;
-// resetLanes reinitializes the gain and estimator lanes from the Reset
-// values at the top of every packet, and stepLanes carries all four across
-// the blocks of one packet.
-type agcBatchState struct {
-	resync  []int
-	gainLin []float64
-	gainDB  []float64
-	est     []float64
-}
-
-// grow sizes the state for lanes lanes.
-func (st *agcBatchState) grow(lanes int) {
-	if len(st.resync) >= lanes {
-		return
-	}
-	st.resync = make([]int, lanes)
-	st.gainLin = make([]float64, lanes)
-	st.gainDB = make([]float64, lanes)
-	st.est = make([]float64, lanes)
-}
-
-// resetLanes performs AGC.Reset on the first L lanes of st: the same three
-// assignments, fanned across the state lanes; resync is left as the caller
-// loaded it.
-func (a *AGC) resetLanes(st *agcBatchState, L int) {
-	g0 := clamp(a.cfg.InitialGainDB, a.cfg.MinGainDB, a.cfg.MaxGainDB)
-	lin0 := units.DBToVoltageGain(g0)
-	est0 := units.DBmToWatts(a.cfg.TargetDBm)
-	for l := 0; l < L; l++ {
-		st.gainDB[l] = g0
-		st.gainLin[l] = lin0
-		st.est[l] = est0
-	}
-}
-
-// stepLanes runs the AGC loop over the equal-length lanes lane-interleaved:
-// sample i of every lane is stepped before sample i+1 of any. Lane state
-// lives in st and lanes never mix, so lane l performs exactly the scalar
-// Process arithmetic in exactly its order — the interleave only overlaps the
-// lanes' serial est -> log -> step -> exp -> gain dependency chains, which
-// bound the scalar loop's throughput. The state carries across calls, so a
-// packet may be stepped whole or in consecutive blocks with identical
-// output; call resetLanes at the top of each packet.
-//
-//lint:hotpath AGC lane loop: per-sample gain recurrence across lanes
-func (a *AGC) stepLanes(lanes [][]complex128, st *agcBatchState) {
-	L := len(lanes)
-	if L == 0 {
-		return
-	}
-	gainLin, gainDB, est := st.gainLin[:L], st.gainDB[:L], st.est[:L]
-	resync := st.resync[:L]
-	if a.cfg.Freeze {
-		// Frozen gain has no recurrence: Process's frozen pass per lane.
-		for l, lane := range lanes {
-			g := gainLin[l]
-			for i, v := range lane {
-				lane[i] = complex(g*real(v), g*imag(v))
-			}
-		}
-		return
-	}
-	n := len(lanes[0])
-	var (
-		alpha   = a.alpha
-		invT    = a.invTarget
-		uAtt    = a.uAttack
-		uRel    = a.uRelease
-		attack  = a.attack
-		release = a.release
-		minG    = a.cfg.MinGainDB
-		maxG    = a.cfg.MaxGainDB
-	)
-	for i := 0; i < n; i++ {
-		for l := 0; l < L; l++ {
-			v := lanes[l][i]
-			gl := gainLin[l]
-			yr := gl * real(v)
-			yi := gl * imag(v)
-			lanes[l][i] = complex(yr, yi)
-			p := yr*yr + yi*yi
-			e := est[l] + alpha*(p-est[l])
-			est[l] = e
-			if e > 0 {
-				u := e * invT
-				var step float64
-				switch {
-				case u >= uAtt:
-					step = -attackClampDB
-				case u <= uRel:
-					step = releaseClampDB
-				default:
-					var errDB float64
-					if u > 0.5 && u < 2 {
-						errDB = -tenOverLn10 * lnNear1(u)
-					} else {
-						errDB = -tenOverLn10 * lnWide(u)
-					}
-					if errDB < 0 {
-						step = attack * errDB
-					} else {
-						step = release * errDB
-					}
-				}
-				g := clamp(gainDB[l]+step, minG, maxG)
-				//lint:ignore floateq exact no-movement check: skips the gain update only when the clamp returned the identical value, any tolerance would freeze small steps
-				if g != gainDB[l] {
-					d := g - gainDB[l]
-					gainDB[l] = g
-					resync[l]++
-					if resync[l] >= agcResyncInterval || d > 2 || d < -2 {
-						gainLin[l] = units.DBToVoltageGain(g)
-						resync[l] = 0
-					} else {
-						gainLin[l] = gl * expSmall(d*lnTenOver20)
-					}
-				}
-			}
-		}
-	}
-}
 
 // processBatch amplifies one block of B lanes into planar form: src[k] is
 // lane k's block, read only, and its output lands in xr[k] and xi[k]. It
@@ -235,19 +109,23 @@ func (m *Mixer) processBatchPlanar(xr, xi [][]float64, nre, nim []float64) {
 // BatchReceiver is the lane receiver: it runs several lanes of one
 // behavioral receiver — sweep points that agree on every block but the LNA
 // nonlinearity and the channel-select filter — through the front end in
-// lock-step, one packet per call. It has two entries. ProcessLanesInto
-// takes each lane's antenna frame and runs the whole chain, each lane
-// through its own LNA nonlinearity; ProcessFromFilterInto takes each lane's
-// ProcessToFilter waveform, which lanes differing only in the filter share,
-// and runs the filter onward. Both stream the packet in blocks and end in
-// one back half: the lane's own filter where it runs there, the
-// lane-interleaved AGC loop, then ADC and decimation fused. Both only read
-// their sources, so lanes may share one.
+// lock-step, one packet per call. It has two entries and one early exit.
+// ProcessLanesInto takes each lane's antenna frame and runs the whole chain,
+// each lane through its own LNA nonlinearity; ProcessToFilterInto runs the
+// same antenna entry but stops before any channel-select filter;
+// ProcessFromFilterInto takes each lane's ProcessToFilterInto waveform,
+// which lanes differing only in the filter share, and runs the filter
+// onward. Both entries stream the packet in blocks and end in one back
+// half: the lane's own filter where it runs there, the lane-interleaved AGC
+// loop, then ADC and decimation fused. Both only read their sources, so
+// lanes may share one.
 //
 // Lanes are named by id. A lane keeps its AGC resync counter, ADC clip
 // count, own LNA and own filter by id across calls, so a lane that sits out
 // a packet (a sweep point that reached its error target) leaves every other
-// lane's history untouched.
+// lane's history untouched. Every call of the entries and the exit starts a
+// packet; Receiver's one-lane calls instead continue lane 0's packet, which
+// only Receiver.Reset restarts.
 type BatchReceiver struct {
 	rx *Receiver
 	// shared reports that every lane's channel-select filter is rx's, so the
@@ -264,19 +142,20 @@ type BatchReceiver struct {
 	ownLNA bool
 
 	amps []*Amplifier   // per-call-lane LNAs
-	st   agcBatchState  // AGC state of the call's lanes
+	st   []agcLane      // AGC state of the call's lanes
 	blk  [][]complex128 // per-call-lane block buffers
 	view [][]complex128 // per-call-lane views of the current block
 	ids  []int          // 0, 1, ...: the lane ids of the positional entries
 	outs [][]complex128 // Process's per-lane outputs, reused
 }
 
-// laneState is what a lane carries across packets.
+// laneState is what a lane carries across calls.
 type laneState struct {
 	lna    *Amplifier // LNA whose nonlinearity the lane applies (rx's or its own)
 	filter *dsp.IIR   // own channel-select filter (nil: none)
-	resync int        // AGC resync counter
-	clip   int        // ADC clip count of the lane's last packet
+	agc    agcLane    // AGC loop state; only its resync counter spans packets
+	clip   int        // ADC clip count since the packet started
+	phase  int        // samples into the packet, mod the decimation factor
 }
 
 // laneBlock is the streaming block length in samples: a block of every lane
@@ -284,8 +163,9 @@ type laneState struct {
 const laneBlock = 256
 
 // NewBatchReceiver builds the lane receiver whose lanes all have rx's
-// configuration; lane ids are unbounded. The receiver remains usable
-// sequentially; the lane receiver owns all per-lane state.
+// configuration; lane ids are unbounded. The lane receiver owns all
+// per-lane state and shares rx's noise and LO blocks, so its calls and rx's
+// own must not overlap.
 func NewBatchReceiver(rx *Receiver) *BatchReceiver {
 	b := &BatchReceiver{rx: rx, shared: true,
 		nre: make([]float64, laneBlock), nim: make([]float64, laneBlock)}
@@ -375,7 +255,8 @@ func sameLO(a, b *LOConfig) bool {
 	return *a == *b
 }
 
-// ClippedSamples reports lane id's ADC clipping events in its last packet.
+// ClippedSamples reports lane id's ADC clipping events since its packet
+// started.
 func (b *BatchReceiver) ClippedSamples(id int) int { return b.lanes[id].clip }
 
 // Process runs one packet's antenna frames, frame l on lane l, and returns
@@ -402,34 +283,70 @@ func (b *BatchReceiver) ProcessInto(dst [][]complex128, lanes [][]complex128) []
 // destinations can alternate: one packet's basebands stay valid while the
 // next packet runs into the other. All frames must have equal length; they
 // are only read, so lanes may share one slice. Lane ids[k]'s output is
-// bit-identical to Reset followed by Process on a receiver built from the
-// lane's configuration and carrying the same packet history.
+// bit-identical to the sequential chain's Reset + Process on the lane's
+// configuration carrying the same packet history.
 func (b *BatchReceiver) ProcessLanesInto(dst [][]complex128, ids []int, src [][]complex128) [][]complex128 {
-	dst, _ = b.begin(dst, ids, src)
+	return b.run(dst, ids, src, true, true)
+}
+
+// ProcessToFilterInto runs one packet's antenna frames from the antenna up
+// to the channel-select filter — each lane's LNA, the mixers and the DC
+// block — frame k on lane ids[k], and writes lane ids[k]'s full-rate
+// waveform into dst[k] (grown if its capacity is short, reused otherwise).
+// It returns dst resliced to the frame count. All frames must have equal
+// length; dst[k] may share its backing array with src[k], since every block
+// of every frame is read before any of it is written. The waveform is the
+// source ProcessFromFilterInto takes.
+func (b *BatchReceiver) ProcessToFilterInto(dst [][]complex128, ids []int, src [][]complex128) [][]complex128 {
+	return b.toFilter(dst, ids, src, true)
+}
+
+// toFilter is ProcessToFilterInto; unless start is set, the noise and LO
+// streams and the DC block continue where the last call left them.
+func (b *BatchReceiver) toFilter(dst [][]complex128, ids []int, src [][]complex128, start bool) [][]complex128 {
+	dst, n := b.begin(dst, ids, src, 1)
 	if len(ids) == 0 {
 		return dst
 	}
-	// One Reset for the batch: every fixed-seed stream restarts once and its
-	// draws are shared across lanes (each lane's own restart would produce
-	// the identical sequence). The per-lane filter and AGC states live in
-	// the lane receiver and are reset or carried per lane.
-	b.rx.Reset()
+	if start {
+		b.restart()
+	}
+	for k := range dst {
+		dst[k] = dst[k][:n]
+	}
+	for s := 0; s < n; s += laneBlock {
+		e := min(s+laneBlock, n)
+		xr, xi := b.frontBlock(src, s, e)
+		for k := range dst {
+			kernels.Interleave(dst[k][s:e], xr[k], xi[k])
+		}
+	}
+	return dst
+}
+
+// restart starts a packet at the antenna. One restart for the batch: every
+// fixed-seed stream restarts once and its draws are shared across lanes
+// (each lane's own restart would produce the identical sequence), and the
+// shared DC block and filter clear their delays. The per-lane states are
+// resetLanes'.
+func (b *BatchReceiver) restart() {
+	b.rx.lna.Reset()
+	b.rx.mixer1.Reset()
+	b.rx.mixer2.Reset()
 	if b.dcb != nil {
 		b.dcb.Reset()
 	}
 	if b.chs != nil {
 		b.chs.Reset()
 	}
-	b.stream(dst, ids, src, true, !b.shared)
-	return dst
 }
 
 // frontBlock runs samples [s, e) of the call's antenna frames from the LNA
-// through the shared filter into the lanes' block buffers. The segment runs
-// planar: the LNA writes the planes, the noise adds, LO mixing and biquad
-// cascades all work them in place, and one interleave per lane leaves. The
-// conversions are pure load/store, so they change no arithmetic.
-func (b *BatchReceiver) frontBlock(src [][]complex128, s, e int) {
+// through the second mixer and returns the lanes' blocks as planes. The
+// segment runs planar: the LNA writes the planes, the noise adds, LO mixing
+// and DC-block biquads all work them in place. The conversions are pure
+// load/store, so they change no arithmetic.
+func (b *BatchReceiver) frontBlock(src [][]complex128, s, e int) (xr, xi [][]float64) {
 	L, m := len(src), e-s
 	xr, xi, in := b.xr[:L], b.xi[:L], b.view[:L]
 	for k := range xr {
@@ -443,36 +360,75 @@ func (b *BatchReceiver) frontBlock(src [][]complex128, s, e int) {
 		b.dcb.ProcessPlanar(xr, xi)
 	}
 	b.rx.mixer2.processBatchPlanar(xr, xi, b.nre, b.nim)
-	if b.chs != nil {
-		b.chs.ProcessPlanar(xr, xi)
-	}
-	for k := range xr {
-		kernels.Interleave(b.blk[k][:m], xr[k], xi[k])
-	}
+	return xr, xi
 }
 
-// ProcessFromFilterInto runs one packet from the ProcessToFilter waveform
-// on: src[k] is lane ids[k]'s waveform, streamed through the lane's own
-// channel-select filter, the AGC, ADC and decimation. The sources must have
-// equal length; they are only read, so lanes may share one slice. Outputs
-// go to dst as with ProcessLanesInto. Lane ids[k]'s output is bit-identical
-// to Reset followed by ProcessFromFilter on a receiver built from the lane's
-// configuration and carrying the same packet history. The waveform has
+// ProcessFromFilterInto runs one packet from the ProcessToFilterInto
+// waveform on: src[k] is lane ids[k]'s waveform, streamed through the lane's
+// own channel-select filter, the AGC, ADC and decimation. The sources must
+// have equal length; they are only read, so lanes may share one slice.
+// Outputs go to dst as with ProcessLanesInto. Lane ids[k]'s output is
+// bit-identical to the sequential chain's Reset + ProcessFromFilter on the
+// lane's configuration carrying the same packet history. The waveform has
 // passed an LNA already, so no lane may have an LNA of its own.
 func (b *BatchReceiver) ProcessFromFilterInto(dst [][]complex128, ids []int, src [][]complex128) [][]complex128 {
 	if b.ownLNA {
 		panic("rf: pre-filter entry on lanes with their own LNA")
 	}
-	dst, _ = b.begin(dst, ids, src)
-	if len(ids) > 0 {
-		b.stream(dst, ids, src, false, true)
+	return b.run(dst, ids, src, false, true)
+}
+
+// run streams the call's lanes from the antenna (front) or from the
+// pre-filter waveform into dst. A call that starts a packet first restarts
+// the streams it runs — the antenna's noise and LO streams, DC block and
+// shared filter when front is set, and each lane's filter, AGC, clip count
+// and decimation phase; otherwise every lane continues where its last call
+// ended.
+func (b *BatchReceiver) run(dst [][]complex128, ids []int, src [][]complex128, front, start bool) [][]complex128 {
+	dst, _ = b.begin(dst, ids, src, b.rx.cfg.Oversample)
+	if len(ids) == 0 {
+		return dst
 	}
+	if start {
+		if front {
+			b.restart()
+		}
+		b.resetLanes(ids)
+	}
+	b.stream(dst, ids, src, front, !front || !b.shared)
 	return dst
 }
 
-// begin checks one call's lanes, sizes dst and the per-call scratch, and
-// returns dst and the common frame length.
-func (b *BatchReceiver) begin(dst [][]complex128, ids []int, src [][]complex128) ([][]complex128, int) {
+// resetLanes starts a packet on lanes ids: each lane's own filter, AGC
+// gain and estimator, clip count and decimation phase restart; the AGC
+// resync counter carries (see agcResyncInterval).
+func (b *BatchReceiver) resetLanes(ids []int) {
+	for _, id := range ids {
+		ln := b.lane(id)
+		if ln.filter != nil {
+			ln.filter.Reset()
+		}
+		b.rx.agc.resetLane(&ln.agc)
+		ln.clip, ln.phase = 0, 0
+	}
+}
+
+// lane returns lane id's state, adding the lanes up to id with rx's
+// configuration.
+func (b *BatchReceiver) lane(id int) *laneState {
+	for len(b.lanes) <= id {
+		var f *dsp.IIR
+		if ch := b.rx.chanSel; ch != nil {
+			f = dsp.NewIIR(ch.iir.Gain, ch.iir.Sections)
+		}
+		b.lanes = append(b.lanes, laneState{lna: b.rx.lna, filter: f})
+	}
+	return &b.lanes[id]
+}
+
+// begin checks one call's lanes, sizes dst for factor-fold decimated output
+// and the per-call scratch, and returns dst and the common frame length.
+func (b *BatchReceiver) begin(dst [][]complex128, ids []int, src [][]complex128, factor int) ([][]complex128, int) {
 	L := len(ids)
 	if len(src) != L {
 		panic(fmt.Sprintf("rf: %d lanes given %d frames", L, len(src)))
@@ -490,7 +446,7 @@ func (b *BatchReceiver) begin(dst [][]complex128, ids []int, src [][]complex128)
 		dst = append(dst, make([][]complex128, L-len(dst))...)
 	}
 	dst = dst[:L]
-	out := (n + b.rx.cfg.Oversample - 1) / b.rx.cfg.Oversample // samples each lane keeps
+	out := (n + factor - 1) / factor // samples each lane keeps
 	for k := range dst {
 		if cap(dst[k]) < out {
 			dst[k] = make([]complex128, 0, out)
@@ -498,17 +454,11 @@ func (b *BatchReceiver) begin(dst [][]complex128, ids []int, src [][]complex128)
 	}
 	b.amps = b.amps[:0]
 	for _, id := range ids {
-		for len(b.lanes) <= id {
-			// A lane past the configured ones has rx's configuration.
-			var f *dsp.IIR
-			if ch := b.rx.chanSel; ch != nil {
-				f = dsp.NewIIR(ch.iir.Gain, ch.iir.Sections)
-			}
-			b.lanes = append(b.lanes, laneState{lna: b.rx.lna, filter: f})
-		}
-		b.amps = append(b.amps, b.lanes[id].lna)
+		b.amps = append(b.amps, b.lane(id).lna)
 	}
-	b.st.grow(L)
+	if len(b.st) < L {
+		b.st = make([]agcLane, L)
+	}
 	if len(b.view) < L {
 		b.view = make([][]complex128, L)
 	}
@@ -520,30 +470,32 @@ func (b *BatchReceiver) begin(dst [][]complex128, ids []int, src [][]complex128)
 	return dst, n
 }
 
-// stream runs the call's lanes block by block: src[k] feeds lane ids[k]'s
-// block buffer — through frontBlock when front is set, copied otherwise —
-// then the lane's own filter when filter is set, the lane-interleaved AGC
-// loop, and ADC and decimation into dst[k].
+// stream runs the call's lanes block by block, continuing each lane's
+// state: src[k] feeds lane ids[k]'s block buffer — through frontBlock and
+// the shared filter when front is set, copied otherwise — then the lane's
+// own filter when filter is set, the lane-interleaved AGC loop, and ADC and
+// decimation into dst[k].
 //
 //lint:hotpath lane pipeline: per-block front end, filter, AGC, ADC and decimation across lanes
 func (b *BatchReceiver) stream(dst [][]complex128, ids []int, src [][]complex128, front, filter bool) {
 	L, n := len(ids), len(src[0])
 	agc, adc, factor := b.rx.agc, b.rx.adc, b.rx.cfg.Oversample
+	st := b.st[:L]
 	for k, id := range ids {
-		ln := &b.lanes[id]
-		if filter && ln.filter != nil {
-			ln.filter.Reset()
-		}
-		b.st.resync[k] = ln.resync
-		ln.clip = 0
+		st[k] = b.lanes[id].agc
 		dst[k] = dst[k][:0]
 	}
-	agc.resetLanes(&b.st, L)
 	view := b.view[:L]
 	for s := 0; s < n; s += laneBlock {
 		e := min(s+laneBlock, n)
 		if front {
-			b.frontBlock(src, s, e)
+			xr, xi := b.frontBlock(src, s, e)
+			if b.chs != nil {
+				b.chs.ProcessPlanar(xr, xi)
+			}
+			for k := range xr {
+				kernels.Interleave(b.blk[k][:e-s], xr[k], xi[k])
+			}
 		}
 		for k, id := range ids {
 			v := b.blk[k][:e-s]
@@ -555,17 +507,20 @@ func (b *BatchReceiver) stream(dst [][]complex128, ids []int, src [][]complex128
 			}
 			view[k] = v
 		}
-		agc.stepLanes(view, &b.st)
-		// The decimator keeps every factor-th sample of the packet from
-		// sample 0 on; first is the block offset of the first kept sample.
-		first := (factor - s%factor) % factor
+		agc.stepLanes(view, st)
 		for k, id := range ids {
+			// The decimator keeps every factor-th sample of the packet from
+			// sample 0 on; first is the block offset of the first kept one.
+			ln := &b.lanes[id]
+			first := (factor - (ln.phase+s)%factor) % factor
 			var clips int
 			dst[k], clips = adc.convertKeep(dst[k], view[k], first, factor)
-			b.lanes[id].clip += clips
+			ln.clip += clips
 		}
 	}
 	for k, id := range ids {
-		b.lanes[id].resync = b.st.resync[k]
+		ln := &b.lanes[id]
+		ln.agc = st[k]
+		ln.phase = (ln.phase + n) % factor
 	}
 }

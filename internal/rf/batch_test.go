@@ -52,9 +52,9 @@ func TestBatchReceiverMatchesSequential(t *testing.T) {
 
 			// One sequential oracle per lane: its AGC resync state evolves
 			// per lane exactly as the batch driver's carried state must.
-			seq := make([]*Receiver, B)
+			seq := make([]*oracleReceiver, B)
 			for l := range seq {
-				if seq[l], err = NewReceiver(cfg); err != nil {
+				if seq[l], err = newOracleReceiver(cfg); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -124,9 +124,9 @@ func TestBatchReceiverLaneDropoutMatchesSequential(t *testing.T) {
 		if lanes.shared != shared {
 			t.Fatalf("shared=%v: lane receiver reports shared=%v", shared, lanes.shared)
 		}
-		seq := make([]*Receiver, len(cfgs))
+		seq := make([]*oracleReceiver, len(cfgs))
 		for l := range seq {
-			if seq[l], err = NewReceiver(cfgs[l]); err != nil {
+			if seq[l], err = newOracleReceiver(cfgs[l]); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -48,8 +48,8 @@ func preFilterFrame(t testing.TB, cfg ReceiverConfig, seed int64, n int, amp flo
 
 // TestFilterLanesBatchMatchesReceiver is the filter-lane differential test:
 // lane l of BatchReceiver.ProcessFromFilterInto must be bit-identical — baseband and ADC
-// clip count — to Reset + ProcessFromFilter on a receiver built from the
-// lane's configuration that carries the same packet history. Covered:
+// clip count — to Reset + ProcessFromFilter on the sequential oracle built
+// from the lane's configuration that carries the same packet history. Covered:
 // oversampling 1, 2 and 3; one to five lanes with differing filter orders
 // (including none) and ripples; frames shorter than one block, frames that
 // are not a whole number of blocks and a Figure 5-sized frame; an
@@ -93,9 +93,9 @@ func TestFilterLanesBatchMatchesReceiver(t *testing.T) {
 					t.Fatal(err)
 				}
 				var dst [][]complex128
-				seq := make([]*Receiver, L)
+				seq := make([]*oracleReceiver, L)
 				for l := range seq {
-					if seq[l], err = NewReceiver(cfgs[l]); err != nil {
+					if seq[l], err = newOracleReceiver(cfgs[l]); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -237,11 +237,10 @@ func BenchmarkBatchReceiverFromFilter(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(edges)), "us/packet-lane")
 }
 
-// BenchmarkProcessFromFilter is the sequential baseline of
-// BenchmarkBatchReceiverFromFilter:
-// the same frame and edges, one Reset + ProcessFromFilter per packet-lane on
-// a copy of the shared pre-filter waveform (the copy the sequential Bench
-// makes before filtering).
+// BenchmarkProcessFromFilter is the one-lane baseline of
+// BenchmarkBatchReceiverFromFilter: the same frame and edges, one Reset +
+// Receiver.ProcessFromFilter (a one-lane call of the pre-filter entry) per
+// packet-lane on a copy of the shared pre-filter waveform.
 func BenchmarkProcessFromFilter(b *testing.B) {
 	edges := []float64{6e6, 10e6, 14e6}
 	_, cfgs, src := fig5Lanes(b, edges)

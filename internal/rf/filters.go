@@ -38,10 +38,6 @@ func NewChebyshevLowpass(order int, passbandEdgeHz, rippleDB, sampleRateHz float
 // Process filters a frame in place and returns it.
 func (f *ChebyshevLowpass) Process(x []complex128) []complex128 { return f.iir.Process(x) }
 
-// ProcessPlanar filters a frame held as split re/im planes in place, over the
-// same streaming state as Process (see dsp.IIR.ProcessPlanar).
-func (f *ChebyshevLowpass) ProcessPlanar(xr, xi []float64) { f.iir.ProcessPlanar(xr, xi) }
-
 // Reset clears the filter state.
 func (f *ChebyshevLowpass) Reset() { f.iir.Reset() }
 
@@ -72,10 +68,6 @@ func NewDCBlock(cornerHz, sampleRateHz float64) (*DCBlock, error) {
 
 // Process filters a frame in place and returns it.
 func (f *DCBlock) Process(x []complex128) []complex128 { return f.iir.Process(x) }
-
-// ProcessPlanar filters a frame held as split re/im planes in place, over the
-// same streaming state as Process (see dsp.IIR.ProcessPlanar).
-func (f *DCBlock) ProcessPlanar(xr, xi []float64) { f.iir.ProcessPlanar(xr, xi) }
 
 // Reset clears the filter state.
 func (f *DCBlock) Reset() { f.iir.Reset() }

@@ -46,8 +46,8 @@ func lnaLaneConfigs(oversample int) []ReceiverConfig {
 // TestBatchReceiverLNALanesMatchSequential is the LNA-lane differential
 // test: lane l of BatchReceiver.ProcessLanesInto on lanes whose LNAs differ
 // must be bit-identical — baseband and ADC clip count — to Reset + Process on
-// a receiver built from the lane's own configuration that carries the same
-// packet history. Covered: Cubic via compression point, Cubic via IIP3,
+// the sequential oracle built from the lane's own configuration that carries
+// the same packet history. Covered: Cubic via compression point, Cubic via IIP3,
 // Rapp with AM/PM and Linear LNAs mixed in one group, lanes that also
 // differ in the filter, oversampling 1 and 3, a lane whose ADC clips, a
 // lane that sits out one packet and rejoins, and a lane that drops out
@@ -73,9 +73,9 @@ func TestBatchReceiverLNALanesMatchSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq := make([]*Receiver, len(cfgs))
+		seq := make([]*oracleReceiver, len(cfgs))
 		for l := range seq {
-			if seq[l], err = NewReceiver(cfgs[l]); err != nil {
+			if seq[l], err = newOracleReceiver(cfgs[l]); err != nil {
 				t.Fatal(err)
 			}
 		}

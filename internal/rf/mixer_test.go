@@ -3,10 +3,10 @@ package rf
 import (
 	"math"
 	"math/cmplx"
+	"math/rand"
 	"testing"
 
 	"wlansim/internal/dsp"
-	"wlansim/internal/randutil"
 	"wlansim/internal/units"
 )
 
@@ -175,7 +175,7 @@ func TestMixerProcessMatchesPerSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := randutil.NewRand(11)
+	rng := rand.New(rand.NewSource(11))
 	// Odd length exercises any unroll tail in the kernels layer.
 	x := make([]complex128, 1021)
 	for i := range x {
@@ -210,7 +210,7 @@ func TestMixerTabledLOMatchesRationalPhase(t *testing.T) {
 	if m.lo.table == nil {
 		t.Fatal("rational noiseless LO did not build a period table")
 	}
-	rng := randutil.NewRand(12)
+	rng := rand.New(rand.NewSource(12))
 	x := make([]complex128, 3*n+5) // non-multiple of the period
 	for i := range x {
 		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())

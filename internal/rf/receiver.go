@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"wlansim/internal/dsp"
-	"wlansim/internal/kernels"
 )
 
 // FrequencyPlan documents the double-conversion architecture of the paper
@@ -98,7 +97,9 @@ func DefaultReceiverConfig(oversample int) ReceiverConfig {
 // Receiver is the assembled double-conversion RF front end. Feed it the
 // composite (possibly oversampled) antenna signal; it returns the complex
 // baseband at the 20 MHz output rate, including every configured analog
-// impairment.
+// impairment. Every processing call is a one-lane call, lane 0, of a lane
+// receiver the Receiver owns, so the front end has one implementation; its
+// blocks double as the shared blocks of any lane receiver built on it.
 type Receiver struct {
 	cfg     ReceiverConfig
 	lna     *Amplifier
@@ -108,9 +109,8 @@ type Receiver struct {
 	chanSel *ChebyshevLowpass
 	agc     *AGC
 	adc     *ADC
-	decim   *dsp.Downsampler
-	out     []complex128 // decimator output, reused across packets
-	xv      kernels.Vec  // planar scratch for the fused mixer/filter segment
+	lane    *BatchReceiver  // runs every call as lane 0
+	frame   [1][]complex128 // the call's one-lane source, set during a call
 }
 
 // NewReceiver validates the configuration and assembles the front end.
@@ -151,13 +151,11 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	if r.adc, err = NewADC(cfg.ADC); err != nil {
 		return nil, err
 	}
-	// The ADC samples at 20 MHz: decimation with NO extra anti-alias
-	// filter — channel selection is the analog Chebyshev filter's job, so
-	// an underdimensioned filter lets adjacent-channel energy alias into
-	// the band (the failure mode swept in Fig. 5).
-	if r.decim, err = dsp.NewDownsampler(cfg.Oversample, 0, false); err != nil {
-		return nil, err
-	}
+	// The one lane runs its own filter on every call, so Process and the
+	// ProcessToFilter/ProcessFromFilter pair continue one filter state.
+	r.lane = NewBatchReceiver(r)
+	r.lane.shared, r.lane.chs = false, nil
+	r.lane.resetLanes(lane0)
 	return r, nil
 }
 
@@ -180,12 +178,6 @@ func (r *Receiver) OutputRateHz() float64 {
 	return r.cfg.SampleRateHz / float64(r.cfg.Oversample)
 }
 
-// ADCClippedSamples reports ADC clipping events since the last Reset.
-func (r *Receiver) ADCClippedSamples() int { return r.adc.ClippedSamples() }
-
-// AGCGainDB reports the current AGC gain.
-func (r *Receiver) AGCGainDB() float64 { return r.agc.GainDB() }
-
 // Cascade returns the small-signal Friis analysis of the line-up.
 func (r *Receiver) Cascade() (CascadeResult, error) {
 	lnaIP3 := math.Inf(1)
@@ -204,15 +196,22 @@ func (r *Receiver) Cascade() (CascadeResult, error) {
 }
 
 // Process runs the antenna frame through the complete front end and returns
-// the 20 MHz baseband output. The input slice is modified in place up to the
-// decimation stage, and the returned slice is owned by the receiver (reused
-// by the next Process call).
+// the 20 MHz baseband output. x is only read; the returned slice is owned by
+// the receiver (reused by the next Process or ProcessFromFilter call).
 //
-// Process is exactly ProcessToFilter followed by ProcessFromFilter: every
-// block consumes the whole frame before the next one runs, so the chain can
-// be split at any block boundary without changing a single output sample.
+// Consecutive calls stream: every block's state (noise and LO streams,
+// filter delays, AGC loop, ADC clip count, decimation phase) carries from
+// one call to the next, so a packet may arrive whole or in frames; Reset
+// starts the next packet. The ADC samples at 20 MHz: decimation keeps
+// every Oversample-th sample with NO extra anti-alias filter — channel
+// selection is the analog Chebyshev filter's job, so an underdimensioned
+// filter lets adjacent-channel energy alias into the band (the failure
+// mode swept in Fig. 5).
+//
+// Process is exactly ProcessToFilter followed by ProcessFromFilter, so the
+// chain can be split at the filter without changing a single output sample.
 func (r *Receiver) Process(x []complex128) []complex128 {
-	return r.ProcessFromFilter(r.ProcessToFilter(x))
+	return r.oneLane(x, true)
 }
 
 // ProcessToFilter runs the line-up strictly upstream of the channel-select
@@ -221,56 +220,41 @@ func (r *Receiver) Process(x []complex128) []complex128 {
 // channel filter or later blocks (e.g. the Fig. 5 passband-edge sweep) cache
 // this invariant, deterministic prefix per packet and replay only
 // ProcessFromFilter per sweep point. Call Reset first, as with Process.
-// The mixer/filter segment runs planar end to end: one deinterleave in, one
-// interleave out, with the noise adds, LO mixing and DC-block biquads all
-// working the same planes. The conversions are pure data movement and every
-// planar block is the bit-exact twin of its interleaved form, so the fused
-// segment produces the byte-identical waveform of the block-by-block chain.
 func (r *Receiver) ProcessToFilter(x []complex128) []complex128 {
-	x = r.lna.Process(x)
-	if len(x) == 0 {
-		return x
-	}
-	r.xv.From(x)
-	// Both oscillators' trajectories are data-independent; filling them in
-	// one interleaved pass overlaps the two serial rotation chains.
-	prefillLOPair(r.mixer1, r.mixer2, len(x))
-	r.mixer1.processPlanar(r.xv.Re, r.xv.Im)
-	if r.dcBlock != nil {
-		r.dcBlock.ProcessPlanar(r.xv.Re, r.xv.Im)
-	}
-	r.mixer2.processPlanar(r.xv.Re, r.xv.Im)
-	r.xv.CopyTo(x)
+	r.frame[0] = x
+	r.lane.toFilter(r.frame[:], lane0, r.frame[:], false)
+	r.frame[0] = nil
 	return x
 }
 
 // ProcessFromFilter runs the remainder of the chain — channel-select filter,
-// AGC, ADC and decimation — on a waveform produced by ProcessToFilter. The
-// returned slice is owned by the receiver (reused by the next call).
+// AGC, ADC and decimation — on a waveform produced by ProcessToFilter. x is
+// only read; the returned slice is owned by the receiver (reused by the next
+// Process or ProcessFromFilter call).
 func (r *Receiver) ProcessFromFilter(x []complex128) []complex128 {
-	if r.chanSel != nil {
-		x = r.chanSel.Process(x)
-	}
-	x = r.agc.Process(x)
-	x = r.adc.Process(x)
-	r.out = r.decim.ProcessInto(r.out[:0], x)
-	return r.out
+	return r.oneLane(x, false)
 }
 
-// Reset clears all block states.
+// lane0 names the receiver's one lane.
+var lane0 = []int{0}
+
+// oneLane continues lane 0's packet with x, from the antenna (front) or
+// from the pre-filter waveform, into the lane receiver's own output and
+// returns it.
+func (r *Receiver) oneLane(x []complex128, front bool) []complex128 {
+	r.frame[0] = x
+	r.lane.outs = r.lane.run(r.lane.outs, lane0, r.frame[:], front, false)
+	r.frame[0] = nil
+	return r.lane.outs[0]
+}
+
+// Reset starts a packet: the noise and LO streams restart from their seeds
+// and every filter, the AGC gain and estimator, the ADC clip count and the
+// decimation phase from their initial states. The AGC resync counter
+// carries (see agcResyncInterval).
 func (r *Receiver) Reset() {
-	r.lna.Reset()
-	r.mixer1.Reset()
-	if r.dcBlock != nil {
-		r.dcBlock.Reset()
-	}
-	r.mixer2.Reset()
-	if r.chanSel != nil {
-		r.chanSel.Reset()
-	}
-	r.agc.Reset()
-	r.adc.Reset()
-	r.decim.Reset()
+	r.lane.restart()
+	r.lane.resetLanes(lane0)
 }
 
 // BlockNames lists the processing chain for documentation and probes.

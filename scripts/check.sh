@@ -104,7 +104,7 @@ check_coverage ./internal/kernels 85
 # build-tag or rename ever removes the tests from the compiled set, the gate
 # fails loudly instead of passing on an empty run.
 echo "==> batch-equivalence differential suite"
-batch_pat='Batch.*(Matches|Invariant)|Matches.*Batch|DeferredBatch|DemapSoftSeparable|EVMSeparable|SweepBatch|FillNormPairsMatches|LNASweepGolden|RunMatchesSequentialOracle'
+batch_pat='Batch.*(Matches|Invariant)|Matches.*Batch|DeferredBatch|DemapSoftSeparable|EVMSeparable|SweepBatch|FillNormPairsMatches|LNASweepGolden|RunMatchesSequentialOracle|ReceiverMatchesOracle|AGCProcessMatchesOracle'
 for pkg in ./internal/kernels ./internal/dsp ./internal/randutil ./internal/rf \
            ./internal/phy ./internal/phy/viterbi ./internal/rxdsp ./internal/measure ./internal/sim ./internal/core; do
     n="$(go test -run '^$' -list "$batch_pat" "$pkg" | grep -c '^Test' || true)"
@@ -134,6 +134,18 @@ if [ "$n" -ne 1 ]; then
     exit 1
 fi
 echo "    internal/core: Bench.Run vs the sequential-loop oracle"
+# One behavioral front end: rf.Receiver's calls are one-lane calls of its
+# lane receiver, and AGC.Process a one-lane call of the lane AGC loop, both
+# pinned to the sequential chain they replaced, per packet and streamed in
+# frames without a Reset between them. The chain lives on as the oracle in
+# internal/rf/oracle_test.go (also the reference of the rf lane
+# differential tests above).
+n="$(go test -run '^$' -list 'TestReceiverMatchesOracle|TestAGCProcessMatchesOracle' ./internal/rf | grep -cx 'TestReceiverMatchesOracle\|TestAGCProcessMatchesOracle' || true)"
+if [ "$n" -ne 2 ]; then
+    echo "FAIL: internal/rf lists only $n of TestReceiverMatchesOracle, TestAGCProcessMatchesOracle (silent skip)" >&2
+    exit 1
+fi
+echo "    internal/rf: Receiver and AGC.Process vs the sequential-chain oracle"
 # One sweep body: every single-series sweep (Figure 5, Figure 6 / IP3, the
 # SNR waterfall on every front end, EVM vs SNR) runs its points as lane
 # groups of sim.Sweep's one entry. TestSweepBatchGolden's table pins them to
@@ -245,7 +257,7 @@ alloc_gate() {
     fi
     go test -run "$pat" -count=1 "$@"
 }
-alloc_gate 8 'AllocFree|TestFIRProcessSteadyStateAllocs|TestRestartAllocs' \
+alloc_gate 7 'AllocFree|TestFIRProcessSteadyStateAllocs' \
     ./internal/phy ./internal/phy/viterbi ./internal/dsp ./internal/randutil
 alloc_gate 1 'TestPacketRunAllocBounded' ./internal/core
 # The lane receiver's two entries: from the pre-filter waveform and from the

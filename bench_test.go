@@ -142,7 +142,7 @@ func BenchmarkTable2_SystemLevel(b *testing.B) {
 
 // BenchmarkTable2_CoSimulation times the analog co-simulation per packet:
 // the right column of Table 2. The ns/op ratio against
-// BenchmarkTable2_SystemLevel is this solver's slowdown (about 10x; the
+// BenchmarkTable2_SystemLevel is this solver's slowdown (about 9x; the
 // paper reports 30-40x for SpectreRF/AMS Designer).
 func BenchmarkTable2_CoSimulation(b *testing.B) {
 	cfg := smallConfig()

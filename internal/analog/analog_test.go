@@ -153,6 +153,24 @@ func TestCTNonlinearAmpCompression(t *testing.T) {
 	if math.Abs(gainDB-17) > 0.35 {
 		t.Errorf("gain at CP %v dB, want ~17", gainDB)
 	}
+
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range []struct {
+		name               string
+		gain, cp, nf, rate float64
+	}{
+		{"zero rate", 18, -10, 3, 0},
+		{"NaN rate", 18, -10, 3, nan},
+		{"infinite rate", 18, -10, 3, inf},
+		{"NaN noise figure", 18, -10, nan, fs},
+		{"infinite noise figure", 18, -10, inf, fs},
+		{"NaN gain", nan, -10, 3, fs},
+		{"infinite compression point", 18, inf, 3, fs},
+	} {
+		if _, err := NewCTNonlinearAmp(bad.gain, bad.cp, bad.nf, bad.rate, 1, true); err == nil {
+			t.Errorf("accepted %s", bad.name)
+		}
+	}
 }
 
 func TestCTNonlinearAmpNoiseToggle(t *testing.T) {
@@ -192,8 +210,24 @@ func TestCTOscillatorPurity(t *testing.T) {
 	if math.Abs(c0-1) > 1e-12 {
 		t.Errorf("phase after reset %v", c0)
 	}
-	if _, err := NewCTOscillator(-1, 0, fs, 1); err == nil {
-		t.Error("accepted negative frequency")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range []struct {
+		name                  string
+		freq, linewidth, rate float64
+	}{
+		{"negative frequency", -1, 0, fs},
+		{"NaN frequency", nan, 0, fs},
+		{"infinite frequency", inf, 0, fs},
+		{"negative linewidth", 80e6, -1, fs},
+		{"NaN linewidth", 80e6, nan, fs},
+		{"infinite linewidth", 80e6, inf, fs},
+		{"zero rate", 80e6, 0, 0},
+		{"NaN rate", 80e6, 0, nan},
+		{"infinite rate", 80e6, 0, inf},
+	} {
+		if _, err := NewCTOscillator(bad.freq, bad.linewidth, bad.rate, 1); err == nil {
+			t.Errorf("accepted %s", bad.name)
+		}
 	}
 }
 

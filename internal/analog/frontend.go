@@ -3,9 +3,10 @@ package analog
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"wlansim/internal/dsp"
+	"wlansim/internal/kernels"
+	"wlansim/internal/randutil"
 	"wlansim/internal/units"
 )
 
@@ -88,19 +89,21 @@ type CTNonlinearAmp struct {
 	g     float64
 	a3    float64 // negative for compression
 	vClip float64 // output clip level
-	noise *rand.Rand
+	noise *randutil.Rand
 	nsig  float64
-	seed  int64
 }
 
 // NewCTNonlinearAmp builds the LNA: gainDB small-signal power gain, input
 // 1 dB compression point (dBm, tone power), optional thermal noise with the
 // given noise figure over the solver bandwidth.
 func NewCTNonlinearAmp(gainDB, compressionDBm, noiseFigureDB, sampleRateHz float64, seed int64, enableNoise bool) (*CTNonlinearAmp, error) {
+	if !allFinite(gainDB, compressionDBm, noiseFigureDB, sampleRateHz) {
+		return nil, fmt.Errorf("analog: amplifier parameters not finite")
+	}
 	if sampleRateHz <= 0 {
 		return nil, fmt.Errorf("analog: amplifier sample rate %g", sampleRateHz)
 	}
-	a := &CTNonlinearAmp{g: units.DBToVoltageGain(gainDB), seed: seed}
+	a := &CTNonlinearAmp{g: units.DBToVoltageGain(gainDB)}
 	// Passband cubic: y = a1 v + a3 v^3. For a tone of peak amplitude A the
 	// fundamental gain is a1 + (3/4) a3 A^2. 1 dB compression at tone power
 	// P1 (A^2 = 2 P1): (3/4)|a3| 2 P1 = a1 (1 - 10^(-1/20)).
@@ -113,7 +116,7 @@ func NewCTNonlinearAmp(gainDB, compressionDBm, noiseFigureDB, sampleRateHz float
 	if enableNoise && noiseFigureDB > 0 {
 		f := units.DBToLinear(noiseFigureDB)
 		a.nsig = math.Sqrt(units.Boltzmann * units.RoomTemperature * (f - 1) * sampleRateHz / 2)
-		a.noise = rand.New(rand.NewSource(seed))
+		a.noise = randutil.NewRandDirect(seed)
 	}
 	return a, nil
 }
@@ -132,11 +135,11 @@ func (a *CTNonlinearAmp) Step(v float64) float64 {
 	return y
 }
 
-// Reset reseeds the noise source in place (the same stream a fresh
-// rand.New(rand.NewSource(seed)) draws, without allocating).
+// Reset rewinds the noise source to its seeded state, restarting the
+// stream a fresh rand.New(rand.NewSource(seed)) draws.
 func (a *CTNonlinearAmp) Reset() {
 	if a.noise != nil {
-		a.noise.Seed(a.seed)
+		a.noise.Rewind()
 	}
 }
 
@@ -147,25 +150,35 @@ type CTOscillator struct {
 	phase float64
 	t     float64
 	sigma float64
-	rng   *rand.Rand // nil for a zero-linewidth (noiseless) oscillator
-	seed  int64
+	rng   *randutil.Rand // nil for a zero-linewidth (noiseless) oscillator
 }
 
 // NewCTOscillator builds an oscillator at freqHz with the given Lorentzian
 // linewidth.
 func NewCTOscillator(freqHz, linewidthHz, sampleRateHz float64, seed int64) (*CTOscillator, error) {
-	if sampleRateHz <= 0 || freqHz < 0 || linewidthHz < 0 {
+	if !allFinite(freqHz, linewidthHz, sampleRateHz) ||
+		sampleRateHz <= 0 || freqHz < 0 || linewidthHz < 0 {
 		return nil, fmt.Errorf("analog: oscillator parameters invalid")
 	}
 	o := &CTOscillator{
 		w: 2 * math.Pi * freqHz, h: 1 / sampleRateHz,
 		sigma: math.Sqrt(2 * math.Pi * linewidthHz / sampleRateHz),
-		seed:  seed,
 	}
 	if o.sigma > 0 {
-		o.rng = rand.New(rand.NewSource(seed))
+		o.rng = randutil.NewRandDirect(seed)
 	}
 	return o, nil
+}
+
+// allFinite reports whether no value is NaN or ±Inf. The range checks of
+// the constructors are comparisons, which NaN passes by failing them.
+func allFinite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Next returns cos and -sin of the current LO phase and advances time.
@@ -178,47 +191,41 @@ func (o *CTOscillator) Next() (cosv, msinv float64) {
 	return math.Cos(ph), -math.Sin(ph)
 }
 
-// fillCos writes the next len(c) LO samples' cosines to c, advancing the
-// trajectory exactly as len(c) Next calls would.
+// fill writes the sine and cosine of the next len(ph) LO samples to s and
+// c, advancing the trajectory exactly as len(ph) Next calls would. ph is
+// scratch: on return it holds the samples' phases.
 //
 //lint:hotpath
-func (o *CTOscillator) fillCos(c []float64) {
-	t, phase := o.t, o.phase
-	for k := range c {
-		ph := o.w*t + phase
-		t += o.h
-		if o.rng != nil {
-			phase += o.rng.NormFloat64() * o.sigma
+func (o *CTOscillator) fill(s, c, ph []float64) {
+	w, h, t, phase := o.w, o.h, o.t, o.phase
+	if o.rng == nil {
+		for k := range ph {
+			ph[k] = w*t + phase
+			t += h
 		}
-		c[k] = math.Cos(ph)
+	} else {
+		// s holds the phase-noise increments until Sincos overwrites it.
+		// Each is 0 + draw*sigma, which differs from Next's draw*sigma at
+		// most in the sign of a zero, and the accumulated phase (never -0:
+		// it starts at +0) absorbs either zero alike.
+		inc := s[:len(ph)]
+		o.rng.FillNormMulAdd(inc, o.sigma, 0)
+		for k, d := range inc {
+			ph[k] = w*t + phase
+			t += h
+			phase += d
+		}
 	}
 	o.t, o.phase = t, phase
+	kernels.Sincos(s, c, ph)
 }
 
-// fillCosMSin writes the next len(c) LO samples' cos and -sin to c and ms
-// (math.Sincos computes both bit-identically to math.Cos and math.Sin).
-//
-//lint:hotpath
-func (o *CTOscillator) fillCosMSin(c, ms []float64) {
-	t, phase := o.t, o.phase
-	ms = ms[:len(c)]
-	for k := range c {
-		ph := o.w*t + phase
-		t += o.h
-		if o.rng != nil {
-			phase += o.rng.NormFloat64() * o.sigma
-		}
-		sn, cs := math.Sincos(ph)
-		c[k], ms[k] = cs, -sn
-	}
-	o.t, o.phase = t, phase
-}
-
-// Reset restarts the trajectory, reseeding the phase noise in place.
+// Reset restarts the trajectory, rewinding the phase noise to its seeded
+// state.
 func (o *CTOscillator) Reset() {
 	o.t, o.phase = 0, 0
 	if o.rng != nil {
-		o.rng.Seed(o.seed)
+		o.rng.Rewind()
 	}
 }
 
@@ -305,48 +312,66 @@ type FrontEnd struct {
 	decim   int
 	phase   int
 
-	// LO bank, computed one block ahead of the solver by a helper
-	// goroutine per Process call (see Process).
-	lo     [2]loBlock
-	loFree chan *loBlock // blocks ready to be refilled
-	loFull chan *loBlock // filled blocks, in frame order
-	loJob  chan loJob    // the frame handed to the helper
-	loDone chan struct{} // the helper has handed over its last block
-	runLO  func()        // fe.fillAhead, bound once: go runLO() does not allocate
+	// Drive stage: a helper goroutine per Process call runs the upsampler
+	// and the LO bank one block ahead of the solver (see Process). It owns
+	// up, carrier, lo1, lo2 and the scratch planes while Process runs.
+	drive      [2]driveBlock
+	driveFree  chan *driveBlock // blocks ready to be refilled
+	driveFull  chan *driveBlock // filled blocks in frame order, then nil
+	frame      []complex128     // the frame handed to the drive stage
+	ph, sn, cs []float64        // scratch: phase, sine and carrier cosine planes
+	runDrive   func()           // fe.driveAhead, bound once: go runDrive() does not allocate
 }
 
-// loJob describes one frame's LO bank: steps solver samples in blocks of
-// block (the last block may be shorter).
-type loJob struct{ steps, block int }
-
-// loBlock holds one solver block of the LO bank. None of it depends on the
-// input signal.
-type loBlock struct {
-	c, ms []float64 // up-conversion carrier: cos and -sin
-	c1    []float64 // first LO: cos
-	c2    []float64 // second LO: cos (I rail)
-	msk   []float64 // second LO: skewed -sin (Q rail)
+// driveBlock holds one solver block of the circuit's drive: the RF input
+// and the LO samples the circuit recurrence mixes it with. None of the LO
+// planes depends on the input signal.
+type driveBlock struct {
+	v   []float64 // RF drive: the envelope up-converted to the scaled carrier
+	c1  []float64 // first LO: cos
+	c2  []float64 // second LO: cos (I rail)
+	msk []float64 // second LO: skewed -sin (Q rail)
 }
 
-// fillLO computes the next n samples of every oscillator into b, growing
-// its buffers on first use. The Q rail's -sin(ph+theta) is formed here as
-// ms2*cos(theta) - c2*sin(theta).
+// growPlanes resizes each plane to n samples, carving all of them from one
+// fresh buffer when any lacks the capacity.
+func growPlanes(n int, planes ...*[]float64) {
+	if cap(*planes[0]) < n {
+		buf := make([]float64, len(planes)*n)
+		for k, p := range planes {
+			*p = buf[k*n : (k+1)*n : (k+1)*n]
+		}
+	}
+	for _, p := range planes {
+		*p = (*p)[:n]
+	}
+}
+
+// fillDrive computes the drive of one envelope block into b: the
+// up-converted RF input sqrt2*Re{e * exp(+jwt)}, the first LO's cosine and
+// the second LO's two rails. The Q rail's -sin(ph+theta) is formed here as
+// -sin(ph)*cos(theta) - cos(ph)*sin(theta).
 //
 //lint:hotpath
-func (fe *FrontEnd) fillLO(b *loBlock, n int) {
-	if cap(b.c) < n {
-		//lint:ignore escape one-time block buffers, reused across blocks and frames
-		buf := make([]float64, 5*n)
-		b.c, b.ms, b.c1, b.c2, b.msk = buf[:n:n], buf[n:2*n:2*n], buf[2*n:3*n:3*n], buf[3*n:4*n:4*n], buf[4*n:]
+func (fe *FrontEnd) fillDrive(b *driveBlock, env []complex128) {
+	const s2 = math.Sqrt2
+	n := len(env)
+	//lint:ignore escape one-time block buffers, reused across blocks and frames
+	growPlanes(n, &b.v, &b.c1, &b.c2, &b.msk)
+	//lint:ignore escape one-time scratch planes, reused across blocks and frames
+	growPlanes(n, &fe.ph, &fe.sn, &fe.cs)
+	ph, sn, cs := fe.ph, fe.sn, fe.cs
+	fe.carrier.fill(sn, cs, ph)
+	v := b.v
+	for k, e := range env {
+		v[k] = s2 * (real(e)*cs[k] - imag(e)*sn[k])
 	}
-	b.c, b.ms, b.c1, b.c2, b.msk = b.c[:n], b.ms[:n], b.c1[:n], b.c2[:n], b.msk[:n]
-	fe.carrier.fillCosMSin(b.c, b.ms)
-	fe.lo1.fillCos(b.c1)
-	fe.lo2.fillCosMSin(b.c2, b.msk)
+	fe.lo1.fill(sn, b.c1, ph)
+	fe.lo2.fill(sn, b.c2, ph)
 	qCos, qSin := fe.qCos, fe.qSin
-	c2 := b.c2
-	for k, ms2 := range b.msk {
-		b.msk[k] = ms2*qCos - c2[k]*qSin
+	c2, msk := b.c2, b.msk
+	for k, s := range sn {
+		msk[k] = -s*qCos - c2[k]*qSin
 	}
 }
 
@@ -408,15 +433,14 @@ func NewFrontEnd(cfg FrontEndConfig) (*FrontEnd, error) {
 		return nil, err
 	}
 	fe.decim = cfg.SolverOversample
-	// Both hand-over channels hold every LO block, so no send blocks.
-	fe.loFree = make(chan *loBlock, len(fe.lo))
-	fe.loFull = make(chan *loBlock, len(fe.lo))
-	fe.loJob = make(chan loJob, 1)
-	fe.loDone = make(chan struct{}, 1)
-	for k := range fe.lo {
-		fe.loFree <- &fe.lo[k]
+	// The hand-over channels hold every block (and the end mark), so no
+	// send blocks.
+	fe.driveFree = make(chan *driveBlock, len(fe.drive))
+	fe.driveFull = make(chan *driveBlock, len(fe.drive)+1)
+	for k := range fe.drive {
+		fe.driveFree <- &fe.drive[k]
 	}
-	fe.runLO = fe.fillAhead
+	fe.runDrive = fe.driveAhead
 	return fe, nil
 }
 
@@ -430,49 +454,52 @@ func (fe *FrontEnd) ScaledCarrierHz() float64 { return fe.fc }
 // Process runs the composite baseband frame through the analog receiver and
 // returns the baseband output at the input rate (20 MHz for native input).
 //
-// The solver streams the frame in the upsampler's blocks and steps every
-// circuit stage sample by sample in one loop per block: up-conversion to the
-// scaled RF carrier, LNA, first conversion, DC block, quadrature conversion,
-// the channel-select Chebyshev per rail, output gain and sampling at the
-// input rate. The LO bank (carrier, first and second LO) does not depend on
-// the input, so a helper goroutine computes it one block ahead, handing
-// blocks over on channels; Process returns only after the helper has
-// finished. The output is bit-identical to stepping every stage per sample.
+// The solver streams the frame in the upsampler's blocks in two stages. The
+// drive stage, a helper goroutine, interpolates the envelope, up-converts
+// it to the scaled RF carrier and computes the LO bank (first LO, second
+// LO and its skewed Q rail), none of which depends on the circuit's state;
+// it runs one block ahead and hands blocks over on channels, ending the
+// frame with a nil block. The caller runs the circuit recurrence, every
+// stateful stage sample by sample in one loop per block: LNA, first
+// conversion, DC block, quadrature conversion, the channel-select
+// Chebyshev per rail, output gain and sampling at the input rate. Process
+// returns only after the drive stage has finished. The output is
+// bit-identical to stepping every stage per sample.
 func (fe *FrontEnd) Process(x []complex128) []complex128 {
 	out := make([]complex128, 0, len(x))
-	fe.up.Begin(x)
-	fe.loJob <- loJob{steps: len(x) * fe.decim, block: fe.up.BlockLen()}
-	go fe.runLO()
-	for env := fe.up.Next(); env != nil; env = fe.up.Next() {
-		lo := <-fe.loFull
-		out = fe.solveBlock(out, env, lo)
-		fe.loFree <- lo
+	fe.frame = x
+	go fe.runDrive()
+	for b := <-fe.driveFull; b != nil; b = <-fe.driveFull {
+		out = fe.solveBlock(out, b)
+		fe.driveFree <- b
 	}
-	<-fe.loDone
 	return out
 }
 
-// fillAhead is the LO helper of one Process call: it fills the frame's LO
-// blocks in order, as fast as the solver frees buffers, then signals loDone.
+// driveAhead is the drive stage of one Process call: it fills the frame's
+// drive blocks in order, as fast as the solver frees buffers, then sends
+// the nil end mark.
 //
 //lint:hotpath
-func (fe *FrontEnd) fillAhead() {
-	job := <-fe.loJob
-	for start := 0; start < job.steps; start += job.block {
-		b := <-fe.loFree
-		fe.fillLO(b, min(job.block, job.steps-start))
-		fe.loFull <- b
+func (fe *FrontEnd) driveAhead() {
+	fe.up.Begin(fe.frame)
+	fe.frame = nil
+	for env := fe.up.Next(); env != nil; env = fe.up.Next() {
+		b := <-fe.driveFree
+		fe.fillDrive(b, env)
+		fe.driveFull <- b
 	}
-	fe.loDone <- struct{}{}
+	fe.driveFull <- nil
 }
 
-// solveBlock steps the circuit over one block of the interpolated envelope
-// with the block's LO samples and appends the decimated output to out.
+// solveBlock steps the circuit over one drive block and appends the
+// decimated output to out.
 //
 //lint:hotpath
-func (fe *FrontEnd) solveBlock(out, env []complex128, lo *loBlock) []complex128 {
+func (fe *FrontEnd) solveBlock(out []complex128, b *driveBlock) []complex128 {
 	const s2 = math.Sqrt2
-	c, ms, c1, c2, msk := lo.c[:len(env)], lo.ms[:len(env)], lo.c1[:len(env)], lo.c2[:len(env)], lo.msk[:len(env)]
+	n := len(b.v)
+	c1, c2, msk := b.c1[:n], b.c2[:n], b.msk[:n]
 	lna, hpf, lpfI, lpfQ := fe.lna, fe.hpf, fe.lpfI, fe.lpfQ
 	dc, qGain, outGain := fe.dc, fe.qGain, fe.outGain
 	phase, decim := fe.phase, fe.decim
@@ -480,10 +507,7 @@ func (fe *FrontEnd) solveBlock(out, env []complex128, lo *loBlock) []complex128 
 	if lpfI != nil {
 		bqI, bqQ = lpfI.bq, lpfQ.bq[:len(lpfI.bq)]
 	}
-	for k, e := range env {
-		// Up-convert to the scaled RF carrier: sqrt2*Re{e * exp(+jwt)}.
-		v := s2 * (real(e)*c[k] - imag(e)*(-ms[k]))
-
+	for k, v := range b.v {
 		// LNA (nonlinear, noisy) on the RF waveform.
 		v = lna.Step(v)
 

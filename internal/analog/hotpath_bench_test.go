@@ -11,20 +11,32 @@ import (
 // the 24 Mbit/s, 100-byte PPDU plus lead-in and tail, 2020 samples at 20 MHz.
 const table2Frame = 2020
 
-// BenchmarkFrontEndProcess times the co-sim front end on one Table 2 packet
-// with the default configuration, Reset before every frame as Bench does.
+// BenchmarkFrontEndProcess times the co-sim front end on one packet with the
+// default configuration, Reset before every frame as Bench does: /20MHz is
+// the Table 2 packet at the native rate, /60MHz the same packet as the 3x
+// oversampled composite the Figure 5 adjacent-channel runs feed the front
+// end (6060 samples, three times the solver steps per packet).
 func BenchmarkFrontEndProcess(b *testing.B) {
-	fe, err := NewFrontEnd(DefaultFrontEndConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := cosimInput(rand.New(rand.NewSource(1)), table2Frame)
-	fe.Process(x)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fe.Reset()
-		benchSink = fe.Process(x)
+	for _, tc := range []struct {
+		name string
+		os   int
+	}{{"20MHz", 1}, {"60MHz", 3}} {
+		b.Run(tc.name, func(b *testing.B) {
+			cfg := DefaultFrontEndConfig()
+			cfg.InputRateHz = 20e6 * float64(tc.os)
+			fe, err := NewFrontEnd(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			x := cosimInput(rand.New(rand.NewSource(1)), table2Frame*tc.os)
+			fe.Process(x)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fe.Reset()
+				benchSink = fe.Process(x)
+			}
+		})
 	}
 }
 
@@ -33,10 +45,10 @@ var benchSink []complex128
 
 // TestFrontEndProcessAllocs gates the co-sim front end's steady state:
 // Reset plus Process allocate only the returned output slice. The first
-// frames size the block buffers and warm the runtime's goroutine and
-// channel-wait caches, which the LO helper goroutine draws from; refilling
-// those caches after a GC is rare enough that AllocsPerRun's per-run
-// average truncates it away.
+// frames size the drive blocks and scratch planes and warm the runtime's
+// goroutine and channel-wait caches, which the drive-stage goroutine draws
+// from; refilling those caches after a GC is rare enough that
+// AllocsPerRun's per-run average truncates it away.
 func TestFrontEndProcessAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates per goroutine and channel operation; check.sh runs this gate without -race")

@@ -354,9 +354,10 @@ type TimingRow struct {
 	// Packets is the number of OFDM packets simulated.
 	Packets int
 	// FastSeconds is the wall-clock time of the pure system-level
-	// (complex-baseband) simulation.
+	// (complex-baseband) simulation, the fastest of timingRuns runs.
 	FastSeconds float64
-	// CoSimSeconds is the wall-clock time of the analog co-simulation.
+	// CoSimSeconds is the wall-clock time of the analog co-simulation, the
+	// fastest of timingRuns runs.
 	CoSimSeconds float64
 }
 
@@ -368,9 +369,16 @@ func (r TimingRow) Ratio() float64 {
 	return r.CoSimSeconds / r.FastSeconds
 }
 
+// timingRuns is how many times TimingComparison runs each side of a row.
+// Bench.Run repeats the same packets bit for bit, so the fastest run is the
+// one least disturbed by other work on the machine: a single run of a
+// sub-millisecond system-level packet can be inflated several-fold by one
+// preemption, which swings the row's ratio by as much.
+const timingRuns = 3
+
 // TimingComparison reproduces Table 2: wall-clock time of the pure
 // system-level simulation versus the analog co-simulation for increasing
-// packet counts.
+// packet counts, each the fastest of timingRuns runs of one Bench.
 //
 // Unlike the BER sweeps, rows run serially by default even when
 // base.Workers is 0, because concurrent rows contend for the CPU and
@@ -390,13 +398,19 @@ func TimingComparison(base Config, packetCounts []int) ([]TimingRow, error) {
 		if err != nil {
 			return 0, err
 		}
-		//lint:ignore detflow elapsed wall-clock time is the measured quantity of the timing comparison
-		start := time.Now()
-		if _, err := bench.Run(); err != nil {
-			return 0, err
+		var best float64
+		for k := range timingRuns {
+			//lint:ignore detflow elapsed wall-clock time is the measured quantity of the timing comparison
+			start := time.Now()
+			if _, err := bench.Run(); err != nil {
+				return 0, err
+			}
+			//lint:ignore detflow elapsed wall-clock time is the measured quantity of the timing comparison
+			if sec := time.Since(start).Seconds(); k == 0 || sec < best {
+				best = sec
+			}
 		}
-		//lint:ignore detflow elapsed wall-clock time is the measured quantity of the timing comparison
-		return time.Since(start).Seconds(), nil
+		return best, nil
 	}
 	row := func(n int) (TimingRow, error) {
 		fast := base

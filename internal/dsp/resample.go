@@ -88,17 +88,6 @@ func (u *Upsampler) Begin(x []complex128) {
 	u.next = 0
 }
 
-// BlockLen returns the length of every block of the frame begun by Begin
-// but the last, which may be shorter.
-func (u *Upsampler) BlockLen() int {
-	total := len(u.x) * u.factor
-	if u.filter == nil || !olsUsable(len(u.filter.taps), total) {
-		return total
-	}
-	t := len(u.filter.taps)
-	return olsSize(t) - (t - 1)
-}
-
 // Next returns the next block of the frame begun by Begin, or nil once the
 // frame is complete. A block stays valid until the following Next or Begin
 // call and must not be modified. Long frames come in blocks of exactly the

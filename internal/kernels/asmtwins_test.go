@@ -323,6 +323,69 @@ func TestPlaneAsmMatchesGo(t *testing.T) {
 	}
 }
 
+// sincosTwinPlane draws phases the way an oscillator bank produces them
+// (uniform over ±2e5 rad), small arguments, and π/4 octant edges nudged by
+// a few ulps; adversarial planes add NaN, ±Inf, ±0, subnormals and
+// arguments on both sides of the 2^29 reduction threshold.
+func sincosTwinPlane(rng *rand.Rand, n int, adversarial bool) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		switch rng.Intn(3) {
+		case 0:
+			out[i] = (2*rng.Float64() - 1) * 2e5
+		case 1:
+			out[i] = rng.NormFloat64()
+		default:
+			edge := float64(rng.Intn(4096)-2048) * (math.Pi / 4)
+			out[i] = math.Float64frombits(math.Float64bits(edge) + uint64(rng.Intn(5)) - 2)
+		}
+		if adversarial {
+			switch rng.Intn(16) {
+			case 0:
+				out[i] = math.NaN()
+			case 1:
+				out[i] = math.Inf(1 - 2*rng.Intn(2))
+			case 2:
+				out[i] = math.Copysign(0, float64(1-2*rng.Intn(2)))
+			case 3:
+				out[i] = math.SmallestNonzeroFloat64 * float64(rng.Intn(1000))
+			case 4:
+				out[i] = math.Float64frombits(math.Float64bits(sincosLimit) + uint64(rng.Intn(3)) - 1)
+			case 5:
+				out[i] = -1e300
+			}
+		}
+	}
+	return out
+}
+
+// TestSincosAsmMatchesGo drives sincosAsm and sincosGo over the same
+// planes: each call must stop at the same quad (the first with a lane
+// outside the branch-free domain) and write bit-identical sines and
+// cosines up to it. The test then steps over the stopping quad, as
+// Sincos does, so the quads after an out-of-domain lane are compared too.
+func TestSincosAsmMatchesGo(t *testing.T) {
+	requireAsmTier(t)
+	rng := rand.New(rand.NewSource(20))
+	for _, n := range []int{4, 8, 64, 252} {
+		for trial := 0; trial < 20; trial++ {
+			x := sincosTwinPlane(rng, n, trial%2 == 1)
+			sA, cA := make([]float64, n), make([]float64, n)
+			sG, cG := make([]float64, n), make([]float64, n)
+			for i := 0; i < n; i += 4 {
+				dA := sincosAsm(sA[i:], cA[i:], x[i:])
+				dG := sincosGo(sG[i:], cG[i:], x[i:])
+				if dA != dG {
+					t.Fatalf("n=%d trial %d from %d: asm did %d elements, go %d", n, trial, i, dA, dG)
+				}
+				i += dA
+			}
+			bitsEqual(t, "sin", sA, sG)
+			bitsEqual(t, "cos", cA, cG)
+		}
+	}
+}
+
 // TestSetDispatchToggles pins the dispatch API: forcing the pure-Go tier
 // always succeeds, requesting SIMD is granted exactly when the probe
 // accepted the CPU, and the reported name and lane width follow.
@@ -406,6 +469,14 @@ func TestExportedKernelsMatchRefBothTiers(t *testing.T) {
 				ScalePlane(dst, s)
 				ScalePlaneRef(dstW, s)
 				bitsEqual(t, "scaleplane", dst, dstW)
+
+				ph := sincosTwinPlane(rng, n, adv)
+				sG, cG := make([]float64, n), make([]float64, n)
+				sW, cW := make([]float64, n), make([]float64, n)
+				Sincos(sG, cG, ph)
+				SincosRef(sW, cW, ph)
+				bitsEqual(t, "sincos sin", sG, sW)
+				bitsEqual(t, "sincos cos", cG, cW)
 
 				x := twinRandCplx(rng, n, adv)
 				reG := make([]float64, n)

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// Fuzz differential targets for the two kernels with the widest input
+// Fuzz differential targets for the kernels with the widest input
 // domains: the fuzzer owns the raw float64 bit patterns, so it explores
 // NaN payloads, infinities, denormals and huge magnitudes that the seeded
 // Gaussian tests only sample. Both targets assert the unrolled kernel is
@@ -316,5 +316,59 @@ func FuzzFIRCplx(f *testing.F) {
 		FIRCplxRef(wr, wi, xr, xi, tr, ti)
 		bitsEqual(t, "re", gr, wr)
 		bitsEqual(t, "im", gi, wi)
+	})
+}
+
+// sincosFuzzSeed packs float64 values as the little-endian payload
+// FuzzSincos reads.
+func sincosFuzzSeed(vals ...float64) []byte {
+	b := make([]byte, 8*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+	}
+	return b
+}
+
+// FuzzSincos runs the phase-plane Sincos kernel under both dispatch tiers
+// on fuzzer-chosen raw float64 bit patterns and asserts strict bit
+// equality, NaN payloads included: every sine and cosine must equal
+// math.Sincos, and every cosine math.Cos. The payload length varies the
+// quad count and the ragged tail, and any quad holding a NaN, an infinity
+// or a magnitude from 2^29 on exercises the scalar fallback between
+// vector quads.
+func FuzzSincos(f *testing.F) {
+	limit := float64(sincosLimit)
+	f.Add(sincosFuzzSeed(0, math.Copysign(0, -1), 1, -1))
+	f.Add(sincosFuzzSeed(math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1022, -0x1p-1030, 1e-300, -1e-200, 0x1p-27, -0x1p-28))
+	f.Add(sincosFuzzSeed(math.Pi/4, math.Pi/2, 3*math.Pi/4, math.Pi,
+		5*math.Pi/4, 3*math.Pi/2, 7*math.Pi/4, 2*math.Pi, -math.Pi/4, -3*math.Pi/4, 1e4*math.Pi/4))
+	f.Add(sincosFuzzSeed(math.Nextafter(limit, 0), limit, math.Nextafter(limit, math.Inf(1)),
+		-math.Nextafter(limit, 0), 1, 2, 3, 4, -limit))
+	f.Add(sincosFuzzSeed(math.NaN(), 1, 2, 3, math.Inf(1), math.Inf(-1), 5, 6, 7))
+	f.Add(sincosFuzzSeed(1e300, -1e300, math.MaxFloat64, 1e22, 0x1p60, 12345.678, -0.5, 1.5))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		x := fuzzFloats(data, 256)
+		s := make([]float64, len(x))
+		c := make([]float64, len(x))
+		prev := DispatchName() != "purego"
+		defer SetDispatch(prev)
+		for _, simd := range []bool{true, false} {
+			SetDispatch(simd)
+			Sincos(s, c, x)
+			for i, v := range x {
+				ws, wc := math.Sincos(v)
+				if math.Float64bits(s[i]) != math.Float64bits(ws) ||
+					math.Float64bits(c[i]) != math.Float64bits(wc) {
+					t.Fatalf("tier %s: Sincos(%x) = (%x, %x), math.Sincos (%x, %x)", DispatchName(),
+						math.Float64bits(v), math.Float64bits(s[i]), math.Float64bits(c[i]),
+						math.Float64bits(ws), math.Float64bits(wc))
+				}
+				if math.Float64bits(c[i]) != math.Float64bits(math.Cos(v)) {
+					t.Fatalf("tier %s: cos plane at %x = %x, math.Cos %x", DispatchName(),
+						math.Float64bits(v), math.Float64bits(c[i]), math.Float64bits(math.Cos(v)))
+				}
+			}
+		}
 	})
 }

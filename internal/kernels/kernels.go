@@ -1,8 +1,9 @@
 // Package kernels is the instruction-level-parallelism layer of the
 // simulator: the handful of numeric inner loops that dominate packet run
-// time — Viterbi add-compare-select, FIR convolution, mixer/LO rotation —
-// rewritten on a planar (structure-of-arrays) split-complex representation
-// with explicit unrolling, and nothing else.
+// time — Viterbi add-compare-select, FIR convolution, mixer/LO rotation,
+// FFT butterfly stages, and the sine/cosine of the co-sim oscillator bank's
+// phase planes (Sincos) — rewritten on a planar (structure-of-arrays)
+// split-complex representation with explicit unrolling, and nothing else.
 //
 // The package carries two execution tiers behind one API. Every exported
 // kernel dispatches between a pure-Go twin (fooGo) and, on amd64 with AVX2,

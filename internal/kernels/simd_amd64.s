@@ -754,3 +754,140 @@ mulcplx_loop:
 	JLT     mulcplx_loop
 	VZEROUPPER
 	RET
+
+// sincosK holds sincosAsm's memory operands, each constant in four copies
+// (one ymm): 4/π, π/4 in three parts (math.Sincos's PI4A/PI4B/PI4C), 0.5,
+// the six Cephes sin and the six cos coefficients (math's _sin/_cos), bit
+// for bit.
+#define SINCOSK(off, v) \
+	DATA sincosK<>+(off)(SB)/8, v \
+	DATA sincosK<>+(off+8)(SB)/8, v \
+	DATA sincosK<>+(off+16)(SB)/8, v \
+	DATA sincosK<>+(off+24)(SB)/8, v
+
+SINCOSK(0, $0x3ff45f306dc9c883)   // 4/π
+SINCOSK(32, $0x3fe921fb40000000)  // PI4A
+SINCOSK(64, $0x3e64442d00000000)  // PI4B
+SINCOSK(96, $0x3ce8469898cc5170)  // PI4C
+SINCOSK(128, $0x3fe0000000000000) // 0.5
+SINCOSK(160, $0x3de5d8fd1fd19ccd) // _sin[0]
+SINCOSK(192, $0xbe5ae5e5a9291f5d) // _sin[1]
+SINCOSK(224, $0x3ec71de3567d48a1) // _sin[2]
+SINCOSK(256, $0xbf2a01a019bfdf03) // _sin[3]
+SINCOSK(288, $0x3f8111111110f7d0) // _sin[4]
+SINCOSK(320, $0xbfc5555555555548) // _sin[5]
+SINCOSK(352, $0xbda8fa49a0861a9b) // _cos[0]
+SINCOSK(384, $0x3e21ee9d7b4e3f05) // _cos[1]
+SINCOSK(416, $0xbe927e4f7eac4bc6) // _cos[2]
+SINCOSK(448, $0x3efa01a019c844f5) // _cos[3]
+SINCOSK(480, $0xbf56c16c16c14f91) // _cos[4]
+SINCOSK(512, $0x3fa555555555554b) // _cos[5]
+GLOBL sincosK<>(SB), RODATA|NOPTR, $544
+
+DATA sincosLimit<>+0(SB)/8, $0x41c0000000000000 // 2^29
+GLOBL sincosLimit<>(SB), RODATA|NOPTR, $8
+
+DATA sincosOne<>+0(SB)/8, $0x3ff0000000000000 // 1.0
+GLOBL sincosOne<>(SB), RODATA|NOPTR, $8
+
+// func sincosAsm(s, c, x []float64) int
+//
+// Four lanes per iteration, each lane one element of sincosGo: |x| and
+// the sign bit by mask, the octant by truncating |x|·4/π to int32
+// (VCVTTPD2DQ), the round-up to even in the integer domain, the three-part
+// reduction, both polynomials in math.Sincos's order with separate
+// multiplies and adds (no FMA), the swap by VBLENDVPD on octant bit 1, and
+// the sign flips by XOR with octant bits 2 and 1^2 shifted to the sign
+// position. A quad with a lane that fails |x| < 2^29 (NLT_UQ: NaN, ±Inf
+// and huge all fail) ends the call before anything of it is written; the
+// return value is the number of elements done. len(x) is a multiple of 4.
+//
+// Register plan: DI s, R8 c, SI x, CX len, DX index, Y15 sign bit, Y14
+// 2^29, Y13 1.0, X12 int32 -1, X11 int32 -2; Y0-Y7 per-quad work.
+TEXT ·sincosAsm(SB), NOSPLIT, $0-80
+	MOVQ         s_base+0(FP), DI
+	MOVQ         c_base+24(FP), R8
+	MOVQ         x_base+48(FP), SI
+	MOVQ         x_len+56(FP), CX
+	VBROADCASTSD signBit<>(SB), Y15
+	VBROADCASTSD sincosLimit<>(SB), Y14
+	VBROADCASTSD sincosOne<>(SB), Y13
+	VPCMPEQD     X12, X12, X12
+	VPSLLD       $1, X12, X11
+	XORQ         DX, DX
+
+sincos_loop:
+	CMPQ        DX, CX
+	JGE         sincos_done
+	VMOVUPD     (SI)(DX*8), Y0
+	VANDNPD     Y0, Y15, Y1                 // ax = |x|
+	VCMPPD      $0x15, Y14, Y1, Y2          // !(ax < 2^29)
+	VMOVMSKPD   Y2, AX
+	TESTL       AX, AX
+	JNZ         sincos_done
+	VANDPD      Y15, Y0, Y0                 // sign bit of x
+	VMULPD      sincosK<>+0(SB), Y1, Y2     // ax * 4/π
+	VCVTTPD2DQY Y2, X2                      // j = int32(ax * 4/π)
+	VPSUBD      X12, X2, X2                 // j + 1
+	VPAND       X11, X2, X2                 // &^ 1
+	VCVTDQ2PD   X2, Y3                      // y = float64(j)
+	VPMOVSXDQ   X2, Y2                      // j as int64 lanes
+	VMULPD      sincosK<>+32(SB), Y3, Y4
+	VSUBPD      Y4, Y1, Y1                  // ax - y*PI4A
+	VMULPD      sincosK<>+64(SB), Y3, Y4
+	VSUBPD      Y4, Y1, Y1                  // - y*PI4B
+	VMULPD      sincosK<>+96(SB), Y3, Y4
+	VSUBPD      Y4, Y1, Y1                  // z = ... - y*PI4C
+	VMULPD      Y1, Y1, Y3                  // zz
+
+	// sp = z + (z*zz)*((((((s0*zz)+s1)*zz+s2)*zz+s3)*zz+s4)*zz+s5)
+	VMULPD      sincosK<>+160(SB), Y3, Y4
+	VADDPD      sincosK<>+192(SB), Y4, Y4
+	VMULPD      Y3, Y4, Y4
+	VADDPD      sincosK<>+224(SB), Y4, Y4
+	VMULPD      Y3, Y4, Y4
+	VADDPD      sincosK<>+256(SB), Y4, Y4
+	VMULPD      Y3, Y4, Y4
+	VADDPD      sincosK<>+288(SB), Y4, Y4
+	VMULPD      Y3, Y4, Y4
+	VADDPD      sincosK<>+320(SB), Y4, Y4
+	VMULPD      Y3, Y1, Y5
+	VMULPD      Y4, Y5, Y5
+	VADDPD      Y5, Y1, Y5                  // sp
+
+	// cp = (1 - 0.5*zz) + (zz*zz)*((((((c0*zz)+c1)*zz+c2)*zz+c3)*zz+c4)*zz+c5)
+	VMULPD      sincosK<>+352(SB), Y3, Y4
+	VADDPD      sincosK<>+384(SB), Y4, Y4
+	VMULPD      Y3, Y4, Y4
+	VADDPD      sincosK<>+416(SB), Y4, Y4
+	VMULPD      Y3, Y4, Y4
+	VADDPD      sincosK<>+448(SB), Y4, Y4
+	VMULPD      Y3, Y4, Y4
+	VADDPD      sincosK<>+480(SB), Y4, Y4
+	VMULPD      Y3, Y4, Y4
+	VADDPD      sincosK<>+512(SB), Y4, Y4
+	VMULPD      Y3, Y3, Y6
+	VMULPD      Y4, Y6, Y6                  // (zz*zz)*P
+	VMULPD      sincosK<>+128(SB), Y3, Y7
+	VSUBPD      Y7, Y13, Y7                 // 1 - 0.5*zz
+	VADDPD      Y6, Y7, Y7                  // cp
+
+	VPSLLQ      $62, Y2, Y6                 // octant bit 1 -> sign position
+	VPSLLQ      $61, Y2, Y2                 // octant bit 2 -> sign position
+	VBLENDVPD   Y6, Y7, Y5, Y4              // sin: bit 1 ? cp : sp
+	VBLENDVPD   Y6, Y5, Y7, Y5              // cos: bit 1 ? sp : cp
+	VXORPD      Y2, Y6, Y6
+	VANDPD      Y15, Y6, Y6                 // cos flip: bit 1 ^ bit 2
+	VXORPD      Y0, Y2, Y2
+	VANDPD      Y15, Y2, Y2                 // sin flip: bit 2 ^ sign of x
+	VXORPD      Y2, Y4, Y4
+	VXORPD      Y6, Y5, Y5
+	VMOVUPD     Y4, (DI)(DX*8)
+	VMOVUPD     Y5, (R8)(DX*8)
+	ADDQ        $4, DX
+	JMP         sincos_loop
+
+sincos_done:
+	MOVQ        DX, ret+72(FP)
+	VZEROUPPER
+	RET

@@ -133,6 +133,14 @@ func scaleCplxAsm(re, im []float64, s float64)
 //go:noescape
 func mulCplxAsm(ar, ai, br, bi []float64)
 
+// sincosAsm evaluates the quads of x, four lanes per vector, and stops
+// before the first quad with a lane outside |x| < 2^29 (NaN and ±Inf
+// included), returning the number of elements written; len(x) must be a
+// multiple of 4 and s/c at least as long.
+//
+//go:noescape
+func sincosAsm(s, c, x []float64) int
+
 //lint:hotpath
 func acsStepSIMD(next, metric *[64]float64, mA, mB float64) uint64 {
 	return acsStepAsm(next, metric, mA, mB)
@@ -296,4 +304,9 @@ func mulCplxSIMD(ar, ai, br, bi []float64) {
 		ar[i] = xr*yr - xi*yi
 		ai[i] = xr*yi + xi*yr
 	}
+}
+
+//lint:hotpath
+func sincosSIMD(s, c, x []float64) int {
+	return sincosAsm(s, c, x)
 }

@@ -86,3 +86,8 @@ func scaleCplxSIMD(re, im []float64, s float64) {
 func mulCplxSIMD(ar, ai, br, bi []float64) {
 	mulCplxGo(ar, ai, br, bi)
 }
+
+//lint:hotpath
+func sincosSIMD(s, c, x []float64) int {
+	return sincosGo(s, c, x)
+}

@@ -37,7 +37,10 @@ go test -race ./...
 # Kernel dispatch tiers. The assembly tier must be bit-identical to the
 # pure-Go tier, and every configuration that can disable it must actually
 # run: the WLANSIM_SIMD=off env override, the purego build tag, and (on
-# amd64) the asm-twin differential suite itself. `go test -list` guards make
+# amd64) the asm-twin differential suite itself. The co-sim front end's LO
+# bank runs on the Sincos kernel, so internal/analog joins kernels and core
+# on both pure-Go configurations: its goldens, recorded before the kernel
+# existed, then hold on either tier. `go test -list` guards make
 # a silent skip impossible — if a build tag or rename ever drops the suites
 # from the compiled set, the gate fails loudly instead of passing on an
 # empty run.
@@ -45,7 +48,7 @@ echo "==> kernel dispatch tiers"
 if [ "$(go env GOARCH)" = "amd64" ]; then
     asm_pat='AsmMatchesGo|Exported.*KernelsMatchRefBothTiers|SetDispatchToggles|GoldenBERDispatchInvariant'
     n="$(go test -run '^$' -list "$asm_pat" ./internal/kernels | grep -c '^Test' || true)"
-    if [ "$n" -lt 16 ]; then
+    if [ "$n" -lt 17 ]; then
         echo "FAIL: internal/kernels lists only $n asm-twin differential tests matching '$asm_pat' (silent skip)" >&2
         exit 1
     fi
@@ -55,11 +58,11 @@ else
     echo "    $(go env GOARCH): no assembly tier; pure-Go path is the only tier"
 fi
 echo "    WLANSIM_SIMD=off (env-forced pure-Go dispatch)"
-WLANSIM_SIMD=off go test -race -count=1 ./internal/kernels > /dev/null
+WLANSIM_SIMD=off go test -race -count=1 ./internal/kernels ./internal/analog > /dev/null
 echo "    -tags purego (assembly tier compiled out)"
 go build -tags purego ./...
 go vet -tags purego ./...
-go test -tags purego -count=1 ./internal/kernels ./internal/core > /dev/null
+go test -tags purego -count=1 ./internal/kernels ./internal/core ./internal/analog > /dev/null
 
 # Benchmark module. wlanbench is its own Go module that drives the library
 # end to end with several sweep workers, so vetting it proves the library
@@ -161,12 +164,14 @@ fi
 echo "    internal/core: $n sweep golden tests (every sweep on lane groups)"
 go test -run "$sweep_pat" -count=1 ./internal/core > /dev/null
 
-# Co-sim front end. The analog solver streams each frame in blocks with its
-# LO bank computed one block ahead; its output is pinned bit for bit by
+# Co-sim front end. The analog solver streams each frame in blocks: a drive
+# stage computes the up-converted RF input and the LO bank (on the Sincos
+# kernel) one block ahead of the circuit recurrence; its output is pinned
+# bit for bit by
 # digests recorded from the per-sample solver (waveform and end-to-end
 # packets) and by differential tests against the per-sample oracle and the
 # whole-frame upsampler. The `go test -list` guard makes a silent skip
-# impossible; the named re-run under -race exercises the LO helper
+# impossible; the named re-run under -race exercises the drive-stage
 # goroutine's hand-over on every covered frame shape.
 echo "==> co-sim golden and differential suite"
 cosim_pat='CoSimGolden|MatchesOracle|StepsMatchUnhoisted|UpsamplerStreamMatchesFIR'

@@ -25,7 +25,10 @@ type cosimCase struct {
 // path), frames that are not a whole number of upsampler blocks, back-to-
 // back frames without Reset, LNA noise on and off, I/Q imbalance, DC,
 // zero LO linewidth, SolverOversample 16, no DC block and no channel filter,
-// and an oversampled composite input.
+// an oversampled composite input, and channel filters of order 1, 3, 7
+// (Figure 5's) and 10, which cover the solver kernel's section shapes: no
+// biquad, one, three and five biquad sections, with and without the real-pole
+// section.
 var cosimCases = []cosimCase{
 	{name: "default/2020", frames: []int{2020}, golden: 0xdf278fc86109f621},
 	{name: "default/streamed", frames: []int{37, 200, 2020, 4000, 20}, golden: 0xad94062fdc39b33e},
@@ -58,6 +61,25 @@ var cosimCases = []cosimCase{
 	{name: "input80MHz", tune: func(c *FrontEndConfig) {
 		c.InputRateHz = 80e6
 	}, frames: []int{500, 123}, golden: 0xaccd45f89a0cc725},
+	{name: "order3/noise", tune: func(c *FrontEndConfig) {
+		c.ChannelFilterOrder = 3
+		c.EnableNoise = true
+	}, frames: []int{2020, 37}, golden: 0xf61f0d5640727bd7},
+	{name: "order7/fig5", tune: func(c *FrontEndConfig) {
+		c.ChannelFilterOrder = 7
+		c.ChannelFilterEdgeHz = 8e6
+	}, frames: []int{37, 2020, 200}, reset: []bool{false, true, false}, golden: 0x6ce118db5a20fc3},
+	{name: "order10/no-hpf", tune: func(c *FrontEndConfig) {
+		c.ChannelFilterOrder = 10
+		c.DCBlockCornerHz = 0
+		c.IQGainImbalanceDB = -0.5
+		c.EnableDC = true
+		c.DCOffsetDBm = -60
+	}, frames: []int{2020, 500}, golden: 0xd1df0999564b055b},
+	{name: "order1", tune: func(c *FrontEndConfig) {
+		c.ChannelFilterOrder = 1
+		c.EnableNoise = true
+	}, frames: []int{300, 2020}, golden: 0xfe8e7754b4c53c03},
 }
 
 // cosimInput is a deterministic random frame at the wanted power of the

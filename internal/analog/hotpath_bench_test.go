@@ -77,3 +77,33 @@ func TestFrontEndProcessAllocs(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSolveBlock times the circuit recurrence alone: the drive blocks
+// of one default-configuration Table 2 packet (2020 samples, 32x) are
+// filled once, then every iteration resets the circuit and solves them all
+// into a reused output buffer.
+func BenchmarkSolveBlock(b *testing.B) {
+	fe, err := NewFrontEnd(DefaultFrontEndConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := cosimInput(rand.New(rand.NewSource(1)), table2Frame)
+	var blocks []*driveBlock
+	fe.up.Begin(x)
+	for env := fe.up.Next(); env != nil; env = fe.up.Next() {
+		blk := new(driveBlock)
+		fe.fillDrive(blk, env)
+		blocks = append(blocks, blk)
+	}
+	out := make([]complex128, 0, len(x))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fe.Reset()
+		out = out[:0]
+		for _, blk := range blocks {
+			out = fe.solveBlock(out, blk)
+		}
+	}
+	benchSink = out
+}

@@ -159,3 +159,27 @@ func BenchmarkFFTBatch(b *testing.B) {
 		p.ForwardMany(buf)
 	}
 }
+
+// BenchmarkUpsamplerStream times the co-sim front end's interpolator alone:
+// one 2020-sample frame (the Table 2 packet) streamed with Begin/Next
+// through a 32x upsampler with a 513-tap filter, the overlap-save path
+// (4096-point transforms, 3584 new samples per block).
+func BenchmarkUpsamplerStream(b *testing.B) {
+	u, err := NewUpsampler(32, 16*32+1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := benchFrame(2020, 4)
+	drain := func() {
+		u.Reset()
+		u.Begin(x)
+		for blk := u.Next(); blk != nil; blk = u.Next() {
+		}
+	}
+	drain()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drain()
+	}
+}

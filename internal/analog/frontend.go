@@ -3,6 +3,7 @@ package analog
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"wlansim/internal/dsp"
 	"wlansim/internal/kernels"
@@ -28,9 +29,10 @@ func NewCTChebyshevLowpass(order int, edgeHz, rippleDB, sampleRateHz float64) (*
 	return NewCTCascade(ch.gain, stages...), nil
 }
 
-// ctChebyshev is the concrete form of the Chebyshev ladder the front end
-// steps without interface dispatch: the passband gain, the biquad sections
-// and, for odd orders, the real-pole section last.
+// ctChebyshev is the concrete form of the Chebyshev ladder: the passband
+// gain, the biquad sections and, for odd orders, the real-pole section
+// last. NewCTChebyshevLowpass wraps it in a CTCascade; the front end copies
+// its coefficients into the circuit recurrence's kernels.CTSolver.
 type ctChebyshev struct {
 	gain float64
 	bq   []CTBiquad
@@ -71,15 +73,6 @@ func newCTChebyshev(order int, edgeHz, rippleDB, sampleRateHz float64) (*ctCheby
 		ch.gain = 1 / math.Sqrt(1+eps*eps)
 	}
 	return ch, nil
-}
-
-func (ch *ctChebyshev) reset() {
-	for k := range ch.bq {
-		ch.bq[k].Reset()
-	}
-	if ch.fo != nil {
-		ch.fo.Reset()
-	}
 }
 
 // CTNonlinearAmp is a memoryless passband amplifier with a third-order
@@ -299,18 +292,16 @@ type FrontEnd struct {
 	lna     *CTNonlinearAmp
 	lo1     *CTOscillator
 	lo2     *CTOscillator
-	hpf     *CTFirstOrder
-	lpfI    *ctChebyshev
-	lpfQ    *ctChebyshev
-	qGain   float64 // Q-rail amplitude skew (I/Q imbalance)
 	qCos    float64 // cos of the Q-rail phase error
 	qSin    float64 // sin of the Q-rail phase error
-	dc      float64 // self-mixing DC amplitude on the I rail
-	outGain float64
 	up      *dsp.Upsampler
 	carrier *CTOscillator // up-conversion carrier
-	decim   int
-	phase   int
+
+	// The circuit recurrence: the LNA, DC block, conversions, both rails of
+	// the channel-select Chebyshev and the decimation, coefficients and
+	// state, stepped by kernels.CTSolve. noise is the LNA's draw plane.
+	solver kernels.CTSolver
+	noise  []float64
 
 	// Drive stage: a helper goroutine per Process call runs the upsampler
 	// and the LO bank one block ahead of the solver (see Process). It owns
@@ -400,28 +391,50 @@ func NewFrontEnd(cfg FrontEndConfig) (*FrontEnd, error) {
 	if fe.lo2, err = NewCTOscillator(fe.fc/2, cfg.LOLinewidthHz, fe.fs, cfg.Seed+3); err != nil {
 		return nil, err
 	}
+	sv := &fe.solver
+	*sv = kernels.CTSolver{
+		G: fe.lna.g, A3: fe.lna.a3, Clip: fe.lna.vClip, NClip: -fe.lna.vClip, NSig: fe.lna.nsig,
+		IQMul:   pair(1),
+		IQAdd:   [2]float64{0, math.Copysign(0, -1)},
+		OutGain: pair(units.DBToVoltageGain(cfg.OutputGainDB)),
+		Decim:   cfg.SolverOversample,
+	}
 	if cfg.DCBlockCornerHz > 0 {
-		if fe.hpf, err = NewRCHighpass(cfg.DCBlockCornerHz, fe.fs); err != nil {
+		hpf, err := NewRCHighpass(cfg.DCBlockCornerHz, fe.fs)
+		if err != nil {
 			return nil, err
 		}
+		sv.HPF = true
+		sv.HK, sv.HH2, sv.HDen, sv.HC, sv.HD = hpf.k, hpf.h2, hpf.den, hpf.c, hpf.d
 	}
 	if cfg.ChannelFilterOrder > 0 {
-		if fe.lpfI, err = newCTChebyshev(cfg.ChannelFilterOrder,
-			cfg.ChannelFilterEdgeHz, cfg.ChannelFilterRippleDB, fe.fs); err != nil {
+		// One Chebyshev serves both rails: their coefficients are identical.
+		ch, err := newCTChebyshev(cfg.ChannelFilterOrder,
+			cfg.ChannelFilterEdgeHz, cfg.ChannelFilterRippleDB, fe.fs)
+		if err != nil {
 			return nil, err
 		}
-		if fe.lpfQ, err = newCTChebyshev(cfg.ChannelFilterOrder,
-			cfg.ChannelFilterEdgeHz, cfg.ChannelFilterRippleDB, fe.fs); err != nil {
-			return nil, err
+		sv.LPF = true
+		sv.Gain = pair(ch.gain)
+		sv.Sec = make([]kernels.CTSection, len(ch.bq))
+		for k, q := range ch.bq {
+			sv.Sec[k] = kernels.CTSection{
+				H2: pair(q.h2), NA0: pair(q.na0), K22: pair(q.k22),
+				M11: pair(q.m11), M12: pair(q.m12), M21: pair(q.m21), M22: pair(q.m22),
+				C0: pair(q.c0), C1: pair(q.c1), D: pair(q.d),
+			}
+		}
+		if fo := ch.fo; fo != nil {
+			sv.FO = true
+			sv.FK, sv.FH2, sv.FDen, sv.FC, sv.FD = pair(fo.k), pair(fo.h2), pair(fo.den), pair(fo.c), pair(fo.d)
 		}
 	}
-	fe.qGain = units.DBToVoltageGain(cfg.IQGainImbalanceDB)
+	sv.IQMul[1] = units.DBToVoltageGain(cfg.IQGainImbalanceDB)
 	theta := cfg.IQPhaseErrorDeg * math.Pi / 180
 	fe.qCos, fe.qSin = math.Cos(theta), math.Sin(theta)
 	if cfg.EnableDC {
-		fe.dc = units.DBmToAmplitude(cfg.DCOffsetDBm)
+		sv.IQAdd[0] = units.DBmToAmplitude(cfg.DCOffsetDBm)
 	}
-	fe.outGain = units.DBToVoltageGain(cfg.OutputGainDB)
 	// A moderate interpolator suffices here: the envelope entering the
 	// solver is already band-limited and the channel-select Chebyshev
 	// removes interpolation images after downconversion. (The sharp
@@ -432,7 +445,6 @@ func NewFrontEnd(cfg FrontEndConfig) (*FrontEnd, error) {
 	if fe.carrier, err = NewCTOscillator(fe.fc, 0, fe.fs, 0); err != nil {
 		return nil, err
 	}
-	fe.decim = cfg.SolverOversample
 	// The hand-over channels hold every block (and the end mark), so no
 	// send blocks.
 	fe.driveFree = make(chan *driveBlock, len(fe.drive))
@@ -459,12 +471,12 @@ func (fe *FrontEnd) ScaledCarrierHz() float64 { return fe.fc }
 // it to the scaled RF carrier and computes the LO bank (first LO, second
 // LO and its skewed Q rail), none of which depends on the circuit's state;
 // it runs one block ahead and hands blocks over on channels, ending the
-// frame with a nil block. The caller runs the circuit recurrence, every
-// stateful stage sample by sample in one loop per block: LNA, first
-// conversion, DC block, quadrature conversion, the channel-select
-// Chebyshev per rail, output gain and sampling at the input rate. Process
-// returns only after the drive stage has finished. The output is
-// bit-identical to stepping every stage per sample.
+// frame with a nil block. The caller runs the circuit recurrence, one
+// kernels.CTSolve call per block: LNA, first conversion, DC block,
+// quadrature conversion, the channel-select Chebyshev on both rails,
+// output gain and sampling at the input rate. Process returns only after
+// the drive stage has finished. The output is bit-identical to stepping
+// every stage per sample.
 func (fe *FrontEnd) Process(x []complex128) []complex128 {
 	out := make([]complex128, 0, len(x))
 	fe.frame = x
@@ -493,79 +505,37 @@ func (fe *FrontEnd) driveAhead() {
 }
 
 // solveBlock steps the circuit over one drive block and appends the
-// decimated output to out.
+// decimated output to out. The LNA's draws for the block come first, in
+// sample order, as one plane: FillNormMulAdd's 0 + d*1 is the draw d
+// itself, since no draw is -0, and the kernel adds d*nsig to the drive as
+// CTNonlinearAmp.Step does.
 //
 //lint:hotpath
 func (fe *FrontEnd) solveBlock(out []complex128, b *driveBlock) []complex128 {
-	const s2 = math.Sqrt2
 	n := len(b.v)
-	c1, c2, msk := b.c1[:n], b.c2[:n], b.msk[:n]
-	lna, hpf, lpfI, lpfQ := fe.lna, fe.hpf, fe.lpfI, fe.lpfQ
-	dc, qGain, outGain := fe.dc, fe.qGain, fe.outGain
-	phase, decim := fe.phase, fe.decim
-	var bqI, bqQ []CTBiquad
-	if lpfI != nil {
-		bqI, bqQ = lpfI.bq, lpfQ.bq[:len(lpfI.bq)]
+	var noise []float64
+	if rng := fe.lna.noise; rng != nil {
+		//lint:ignore escape one-time noise plane, reused across blocks and frames
+		growPlanes(n, &fe.noise)
+		noise = fe.noise
+		rng.FillNormMulAdd(noise, 1, 0)
 	}
-	for k, v := range b.v {
-		// LNA (nonlinear, noisy) on the RF waveform.
-		v = lna.Step(v)
-
-		// First conversion: x2 cos at fc/2 -> IF at fc/2 (+ image at
-		// 3fc/2, removed later by the channel filter).
-		v *= 2 * c1[k]
-
-		// Inter-stage DC block.
-		if hpf != nil {
-			v = hpf.Step(v)
-		}
-
-		// Second conversion to quadrature baseband; the Q rail carries the
-		// configured amplitude and phase skew.
-		i := v*s2*c2[k] + dc
-		q := v * s2 * msk[k] * qGain
-
-		// Channel-select Chebyshev low-pass per rail, the two rails'
-		// sections interleaved.
-		if lpfI != nil {
-			i *= lpfI.gain
-			q *= lpfQ.gain
-			for s := range bqI {
-				i = bqI[s].Step(i)
-				q = bqQ[s].Step(q)
-			}
-			if lpfI.fo != nil {
-				i = lpfI.fo.Step(i)
-				q = lpfQ.fo.Step(q)
-			}
-		}
-
-		// Output amplifier and ADC sampling at the input rate.
-		if phase == 0 {
-			out = append(out, complex(i*outGain, q*outGain))
-		}
-		phase++
-		if phase == decim {
-			phase = 0
-		}
-	}
-	fe.phase = phase
-	return out
+	m := len(out)
+	//lint:ignore escape grows only past the caller's capacity, which Process sizes for the frame
+	out = slices.Grow(out, fe.solver.Outputs(n))
+	m += kernels.CTSolve(out[m:cap(out)], b.v, b.c1, b.c2, b.msk, noise, &fe.solver)
+	return out[:m]
 }
+
+// pair duplicates a coefficient across the solver's I and Q lanes.
+func pair(x float64) [2]float64 { return [2]float64{x, x} }
 
 // Reset clears every stage.
 func (fe *FrontEnd) Reset() {
 	fe.lna.Reset()
 	fe.lo1.Reset()
 	fe.lo2.Reset()
-	if fe.hpf != nil {
-		fe.hpf.Reset()
-	}
-	if fe.lpfI != nil {
-		fe.lpfI.reset()
-		fe.lpfQ.reset()
-	}
+	fe.solver.Reset()
 	fe.up.Reset()
 	fe.carrier.Reset()
-	fe.phase = 0
 }

@@ -135,7 +135,7 @@ func (p *FFTPlan) transform(x []complex128, inverse bool) {
 	kernels.Deinterleave(s.sre, s.sim, x)
 	kernels.FFTPermute(s.pre, s.sre, p.rev64)
 	kernels.FFTPermute(s.pim, s.sim, p.rev64)
-	p.stagesInPlace(s.pre, s.pim, inverse)
+	p.stagesInPlace(s.pre, s.pim, inverse, 0, p.n)
 	if inverse {
 		kernels.ScaleCplx(s.pre, s.pim, 1/float64(p.n))
 	}
@@ -143,16 +143,27 @@ func (p *FFTPlan) transform(x []complex128, inverse bool) {
 	p.scratch.Put(s)
 }
 
-// stagesInPlace runs every butterfly stage over bit-reversed planar data.
+// stagesInPlace runs every butterfly stage over bit-reversed planar data
+// whose elements outside the aligned block [lo, lo+m) are all +0; m is a
+// power of two, and m = n (lo = 0) is a dense frame. A stage whose
+// butterfly blocks (2*half elements) fit in m runs on that block alone:
+// every butterfly outside it combines two +0 inputs, whose twiddle product
+// is ±0 for any finite twiddle, and so writes +0 back — skipping them
+// changes no bit.
 //
 //lint:hotpath
-func (p *FFTPlan) stagesInPlace(re, im []float64, inverse bool) {
+func (p *FFTPlan) stagesInPlace(re, im []float64, inverse bool, lo, m int) {
 	wi := p.fwdWi
 	if inverse {
 		wi = p.invWi
 	}
 	for st := 0; st < p.stages; st++ {
-		kernels.FFTStage(re, im, p.stageWr[st], wi[st], 1<<st)
+		half := 1 << st
+		r, i := re, im
+		if 2*half <= m {
+			r, i = re[lo:lo+m], im[lo:lo+m]
+		}
+		kernels.FFTStage(r, i, p.stageWr[st], wi[st], half)
 	}
 }
 

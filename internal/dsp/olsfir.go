@@ -33,6 +33,7 @@ type olsConv struct {
 	hre  []float64    // h deinterleaved: spectral product operands for MulCplx
 	him  []float64
 	seg  []complex128 // block scratch, reused across calls
+	grev []int64      // bit reversal of the last grid size block used
 }
 
 // newOLSConv builds the overlap-save engine for the given taps. The FFT size
@@ -93,15 +94,18 @@ func (c *olsConv) process(dst, ext []complex128) {
 		for i := copied; i < c.n; i++ {
 			c.seg[i] = 0
 		}
-		c.block()
+		c.block(1, 0)
 		copy(dst[start:start+cnt], c.seg[p:p+cnt])
 	}
 }
 
-// block convolves one overlap-save segment in place: on entry c.seg holds
-// the n extended-frame samples the block reads, on return c.seg[taps-1:]
-// holds its exact linear-convolution outputs (the first taps-1 samples are
-// circular-wrap garbage).
+// block convolves one overlap-save segment in place. On entry the segment
+// is given by its grid: stride is a power of two dividing n, c.seg[i]
+// holds segment sample phase + stride*i for i < n/stride, and every other
+// segment sample is +0. Stride 1 (phase 0) is a dense segment, all n
+// samples in c.seg. On return c.seg[taps-1:] holds the block's exact
+// linear-convolution outputs (the first taps-1 samples are circular-wrap
+// garbage).
 //
 // The round trip is planar: forward stages, spectral product against the
 // deinterleaved filter planes, inverse stages — staying split-complex
@@ -110,18 +114,47 @@ func (c *olsConv) process(dst, ext []complex128) {
 // element is identical (MulCplx and ScaleCplx are the compiler's complex128
 // lowering), so the output is bit-identical to the interleaved sequence.
 //
+// The bit reversal of the full segment sends the m = n/stride grid samples
+// to one aligned block of the forward planes, the block starting at the
+// reversed index of phase, in the order of the m-point bit reversal; the
+// rest of the planes is +0. The gather fills that block from the grid
+// samples alone and the forward transform's first log2(m) stages run on it
+// alone (see stagesInPlace), so the spectrum is bit-identical to the dense
+// segment's, NaN and ±Inf grid samples included.
+//
 //lint:hotpath
-func (c *olsConv) block() {
+func (c *olsConv) block(stride, phase int) {
 	s := c.plan.scratch.Get().(*fftScratch)
-	kernels.Deinterleave(s.sre, s.sim, c.seg)
-	kernels.FFTPermute(s.pre, s.sre, c.plan.rev64)
-	kernels.FFTPermute(s.pim, s.sim, c.plan.rev64)
-	c.plan.stagesInPlace(s.pre, s.pim, false)
+	m := c.n / stride
+	rev := c.plan.rev64
+	if m < c.n {
+		rev = c.gridRev(m)
+		clear(s.pre)
+		clear(s.pim)
+	}
+	lo := int(c.plan.rev64[phase])
+	kernels.Deinterleave(s.sre[:m], s.sim[:m], c.seg[:m])
+	kernels.FFTPermute(s.pre[lo:lo+m], s.sre, rev)
+	kernels.FFTPermute(s.pim[lo:lo+m], s.sim, rev)
+	c.plan.stagesInPlace(s.pre, s.pim, false, lo, m)
 	kernels.MulCplx(s.pre, s.pim, c.hre, c.him)
 	kernels.FFTPermute(s.sre, s.pre, c.plan.rev64)
 	kernels.FFTPermute(s.sim, s.pim, c.plan.rev64)
-	c.plan.stagesInPlace(s.sre, s.sim, true)
+	c.plan.stagesInPlace(s.sre, s.sim, true, 0, c.n)
 	kernels.ScaleCplx(s.sre, s.sim, 1/float64(c.n))
 	kernels.Interleave(c.seg, s.sre, s.sim)
 	c.plan.scratch.Put(s)
+}
+
+// gridRev returns the m-point bit-reversal table, taken once from the
+// shared plan of that size.
+func (c *olsConv) gridRev(m int) []int64 {
+	if len(c.grev) != m {
+		p, err := PlanFor(m)
+		if err != nil {
+			panic(err) // unreachable: m divides the power-of-two n
+		}
+		c.grev = p.rev64
+	}
+	return c.grev
 }

@@ -131,21 +131,51 @@ func (u *Upsampler) Next() []complex128 {
 	}
 	// The segment is ext[start : start+n] of the extended frame FIR.Process
 	// would build (history, then the zero-stuffed frame, then zero padding).
-	seg := c.seg
-	for i := range seg {
-		seg[i] = 0
-	}
+	// Only its samples on the stuffing grid can be nonzero: the history lies
+	// on the same grid, since every frame is a whole number of factor-sample
+	// periods and the history starts out zero. With a power-of-two factor
+	// dividing n the block takes just those samples; otherwise the whole
+	// segment.
 	p := len(f.hist)
-	if start < p {
-		copy(seg, f.hist[start:])
+	if fac := u.factor; fac&(fac-1) == 0 && fac <= c.n {
+		phase := ((p-start)%fac + fac) % fac
+		u.gather(c.seg[:c.n/fac], start+phase)
+		c.block(fac, phase)
+	} else {
+		seg := c.seg
+		for i := range seg {
+			seg[i] = 0
+		}
+		if start < p {
+			copy(seg, f.hist[start:])
+		}
+		u.stuff(seg, start-p)
+		c.block(1, 0)
 	}
-	u.stuff(seg, start-p)
-	c.block()
 	u.next += cnt
 	if u.next == total {
 		u.advanceHistory()
 	}
-	return seg[p : p+cnt]
+	return c.seg[p : p+cnt]
+}
+
+// gather writes the extended-frame samples e0, e0+factor, ... into dst,
+// where e0 lies on the stuffing grid: history samples, then gain-
+// compensated frame samples, then the zero padding past the frame.
+func (u *Upsampler) gather(dst []complex128, e0 int) {
+	hist := u.filter.hist
+	f := u.factor
+	i := 0
+	for ; i < len(dst) && e0+f*i < len(hist); i++ {
+		dst[i] = hist[e0+f*i]
+	}
+	g := complex(float64(f), 0)
+	for q := (e0 + f*i - len(hist)) / f; i < len(dst) && q < len(u.x); i, q = i+1, q+1 {
+		dst[i] = u.x[q] * g
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = 0
+	}
 }
 
 // stuff writes the zero-stuffed, gain-compensated frame samples that fall in

@@ -206,7 +206,7 @@ func upsampleRef(f *FIR, factor int, x []complex128) []complex128 {
 // overlap-save block split.
 func TestUpsamplerStreamMatchesFIR(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, tc := range []struct{ factor, taps int }{{32, 513}, {16, 257}, {4, 255}, {4, 0}, {3, 31}, {1, 0}} {
+	for _, tc := range []struct{ factor, taps int }{{32, 513}, {16, 257}, {4, 255}, {4, 0}, {3, 31}, {1, 0}, {8, 101}, {64, 371}} {
 		u, err := NewUpsampler(tc.factor, tc.taps)
 		if err != nil {
 			t.Fatal(err)

@@ -30,14 +30,20 @@ func twinStageTwiddles(rng *rand.Rand, half int, adversarial bool) (wr, wi []flo
 	return wr, wi
 }
 
+// TestFFTStageAsmMatchesGo covers both vector bodies: whole quads per
+// block (half a multiple of 4) and the shuffled eight-element iterations of
+// half 1 and 2, whose frames are a multiple of 8 elements.
 func TestFFTStageAsmMatchesGo(t *testing.T) {
 	requireAsmTier(t)
 	rng := rand.New(rand.NewSource(41))
-	for _, half := range []int{4, 8, 16, 32} {
+	for _, half := range []int{1, 2, 4, 8, 16, 32} {
 		for _, blocks := range []int{1, 2, 3} {
 			for trial := 0; trial < 6; trial++ {
 				adv := trial%2 == 1
 				n := 2 * half * blocks
+				if half < 4 {
+					n = 8 * blocks
+				}
 				wr, wi := twinStageTwiddles(rng, half, adv)
 				re := twinRandPlane(rng, n, adv)
 				im := twinRandPlane(rng, n, adv)

@@ -215,7 +215,8 @@ func FuzzFIRBatch(f *testing.F) {
 // FuzzFFTStage drives the planar FFT butterfly stage — single-transform and
 // lane-interleaved X4 — against the frozen references under both dispatch
 // tiers. The fuzzer owns the stage geometry (half and block count, so the
-// vector body, the half < 4 Go fallback and ragged shapes all get hit) and
+// quad body, the half 1 and 2 shuffled bodies, their Go fallback on frames
+// that are not a multiple of 8 elements, and ragged shapes all get hit) and
 // the raw float64 bit patterns of both the twiddle planes and the data
 // planes, so the no-FMA / ordered-rounding contract is checked on NaN
 // payloads, infinities and denormals the seeded tests only sample.
@@ -231,12 +232,20 @@ func FuzzFFTStage(f *testing.F) {
 	f.Add(seed(2, 0, 1, 0, 0, -1, 0.5, -0.5, 0.25, 1.5, 2, -2, 3, -3, 4, -4, 5, -5))
 	f.Add(seed(0, 1, math.Inf(1), math.NaN(), 1, -1, math.SmallestNonzeroFloat64, -1e308))
 	f.Add(seed(5, 2, 0.7071067811865476, -0.7071067811865476, 1, 1))
+	// Eight-element frames: the half 1 and 2 vector bodies.
+	ramp := make([]float64, 20)
+	for i := range ramp {
+		ramp[i] = float64(i) - 6.5
+	}
+	ramp[9], ramp[12] = math.NaN(), math.Inf(-1)
+	f.Add(seed(0, 3, ramp...))
+	f.Add(seed(1, 1, append([]float64{0.7071067811865476, -0.7071067811865476}, ramp...)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
 		half := 1 << (int(data[0]) % 6)
-		blocks := int(data[1])%3 + 1
+		blocks := int(data[1])%8 + 1
 		n := 2 * half * blocks
 		vals := fuzzFloats(data[2:], 2*half+2*n)
 		if len(vals) < 2*half+2*n {

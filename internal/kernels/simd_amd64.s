@@ -559,9 +559,14 @@ deinterleave_loop:
 // One radix-2 DIT butterfly stage over the planar frame, four butterflies
 // per vector. Each lane is one scalar butterfly chain in the twin's order:
 // tr = br*wr - bi*wi, ti = br*wi + bi*wr (the compiler's complex128
-// lowering, one rounding per operation, no FMA), then a+t / a-t. half is a
-// positive multiple of 4 and len(re) a positive multiple of 2*half, so
-// every block holds whole quads and quads never straddle blocks.
+// lowering, one rounding per operation, no FMA), then a+t / a-t. Either
+// half is a positive multiple of 4 and len(re) a positive multiple of
+// 2*half, so every block holds whole quads and quads never straddle
+// blocks; or half is 1 or 2 and len(re) a positive multiple of 8, and each
+// iteration splits eight elements into the a and b halves of four
+// butterflies (unpcklpd/unpckhpd for half 1, perm2f128 for half 2), runs
+// the same lane arithmetic and merges the results back with the inverse
+// shuffle. Shuffles move bits exactly, so the lanes stay the twin's chains.
 //
 // Register plan: DI re, SI im, R8 wr, R9 wi, BX half, CX len, DX block
 // base, AX k, R10/R11 the i/j element indices.
@@ -573,6 +578,10 @@ TEXT ·fftStageAsm(SB), NOSPLIT, $0-104
 	MOVQ wi_base+72(FP), R9
 	MOVQ half+96(FP), BX
 	XORQ DX, DX
+	CMPQ BX, $1
+	JEQ  fftstage_h1
+	CMPQ BX, $2
+	JEQ  fftstage_h2
 
 fftstage_block:
 	XORQ AX, AX
@@ -606,6 +615,80 @@ fftstage_quad:
 	LEAQ    (DX)(BX*2), DX     // base += 2*half
 	CMPQ    DX, CX
 	JLT     fftstage_block
+	VZEROUPPER
+	RET
+
+// FFTBFLY8 runs the four butterflies whose a halves are in Y2 (re) / Y6
+// (im) and b halves in Y3 / Y7 against the twiddles in Y12 (wr) / Y13
+// (wi), leaving a+t in Y0 / Y4 and a-t in Y1 / Y5.
+#define FFTBFLY8 \
+	VMULPD Y12, Y3, Y8  \ // br*wr
+	VMULPD Y13, Y7, Y9  \ // bi*wi
+	VSUBPD Y9, Y8, Y8   \ // tr = br*wr - bi*wi
+	VMULPD Y13, Y3, Y9  \ // br*wi
+	VMULPD Y12, Y7, Y10 \ // bi*wr
+	VADDPD Y10, Y9, Y9  \ // ti = br*wi + bi*wr
+	VADDPD Y8, Y2, Y0   \ // ar + tr
+	VSUBPD Y8, Y2, Y1   \ // ar - tr
+	VADDPD Y9, Y6, Y4   \ // ai + ti
+	VSUBPD Y9, Y6, Y5      // ai - ti
+
+// half 1: elements (2k, 2k+1) pair up with the one twiddle (wr[0], wi[0]).
+fftstage_h1:
+	VBROADCASTSD (R8), Y12
+	VBROADCASTSD (R9), Y13
+
+fftstage_h1_loop:
+	VMOVUPD   (DI)(DX*8), Y0     // [a0 b0 a1 b1]
+	VMOVUPD   32(DI)(DX*8), Y1   // [a2 b2 a3 b3]
+	VUNPCKLPD Y1, Y0, Y2         // ar = [a0 a2 a1 a3]
+	VUNPCKHPD Y1, Y0, Y3         // br = [b0 b2 b1 b3]
+	VMOVUPD   (SI)(DX*8), Y4
+	VMOVUPD   32(SI)(DX*8), Y5
+	VUNPCKLPD Y5, Y4, Y6         // ai
+	VUNPCKHPD Y5, Y4, Y7         // bi
+	FFTBFLY8
+	VUNPCKLPD Y1, Y0, Y2         // [a0' b0' a1' b1']
+	VUNPCKHPD Y1, Y0, Y3         // [a2' b2' a3' b3']
+	VUNPCKLPD Y5, Y4, Y6
+	VUNPCKHPD Y5, Y4, Y7
+	VMOVUPD   Y2, (DI)(DX*8)
+	VMOVUPD   Y3, 32(DI)(DX*8)
+	VMOVUPD   Y6, (SI)(DX*8)
+	VMOVUPD   Y7, 32(SI)(DX*8)
+	ADDQ      $8, DX
+	CMPQ      DX, CX
+	JLT       fftstage_h1_loop
+	VZEROUPPER
+	RET
+
+// half 2: blocks [a0 a1 b0 b1], butterfly k pairing ak with bk under
+// twiddle k; two blocks per iteration.
+fftstage_h2:
+	VBROADCASTF128 (R8), Y12     // [wr0 wr1 wr0 wr1]
+	VBROADCASTF128 (R9), Y13
+
+fftstage_h2_loop:
+	VMOVUPD    (DI)(DX*8), Y0    // [a0 a1 b0 b1]
+	VMOVUPD    32(DI)(DX*8), Y1  // [c0 c1 d0 d1]
+	VPERM2F128 $0x20, Y1, Y0, Y2 // ar = [a0 a1 c0 c1]
+	VPERM2F128 $0x31, Y1, Y0, Y3 // br = [b0 b1 d0 d1]
+	VMOVUPD    (SI)(DX*8), Y4
+	VMOVUPD    32(SI)(DX*8), Y5
+	VPERM2F128 $0x20, Y5, Y4, Y6 // ai
+	VPERM2F128 $0x31, Y5, Y4, Y7 // bi
+	FFTBFLY8
+	VPERM2F128 $0x20, Y1, Y0, Y2 // [a0' a1' b0' b1']
+	VPERM2F128 $0x31, Y1, Y0, Y3 // [c0' c1' d0' d1']
+	VPERM2F128 $0x20, Y5, Y4, Y6
+	VPERM2F128 $0x31, Y5, Y4, Y7
+	VMOVUPD    Y2, (DI)(DX*8)
+	VMOVUPD    Y3, 32(DI)(DX*8)
+	VMOVUPD    Y6, (SI)(DX*8)
+	VMOVUPD    Y7, 32(SI)(DX*8)
+	ADDQ       $8, DX
+	CMPQ       DX, CX
+	JLT        fftstage_h2_loop
 	VZEROUPPER
 	RET
 
@@ -890,4 +973,361 @@ sincos_loop:
 sincos_done:
 	MOVQ        DX, ret+72(FP)
 	VZEROUPPER
+	RET
+
+// CTSolver and CTSection field offsets (TestCTSolverLayout pins them to the
+// Go structs).
+#define CT_G 0
+#define CT_A3 8
+#define CT_CLIP 16
+#define CT_NCLIP 24
+#define CT_NSIG 32
+#define CT_HK 40
+#define CT_HH2 48
+#define CT_HDEN 56
+#define CT_HC 64
+#define CT_HD 72
+#define CT_HX 80
+#define CT_HU 88
+#define CT_IQMUL 96
+#define CT_IQADD 112
+#define CT_GAIN 128
+#define CT_SEC 144
+#define CT_NSEC 152
+#define CT_FK 168
+#define CT_FH2 184
+#define CT_FDEN 200
+#define CT_FC 216
+#define CT_FD 232
+#define CT_FX 248
+#define CT_FU 264
+#define CT_OUTG 280
+#define CT_DECIM 296
+#define CT_PHASE 304
+#define CT_HPF 312
+#define CT_LPF 313
+#define CT_FO 314
+
+#define SEC_H2 0
+#define SEC_NA0 16
+#define SEC_K22 32
+#define SEC_M11 48
+#define SEC_M12 64
+#define SEC_M21 80
+#define SEC_M22 96
+#define SEC_C0 112
+#define SEC_C1 128
+#define SEC_D 144
+#define SEC_X1 160
+#define SEC_X2 176
+#define SEC_U 192
+#define SEC_SIZE 208
+
+DATA ctSqrt2<>+0(SB)/8, $0x3ff6a09e667f3bcd // math.Sqrt2
+GLOBL ctSqrt2<>(SB), RODATA|NOPTR, $8
+
+// CTBQREG steps the biquad section at OFF(BX) whose state lives in
+// registers (S1 = x1, S2 = x2, SU = previous input) on the rail pair in X0,
+// leaving the section's output in X0; X1 and X2 are scratch. The update is
+// CTSection's in ctSolveGo's order:
+// r1 = x1 + h2*x2, r2 = (na0*x1 + k22*x2) + h2*(up+u),
+// x1 = m11*r1 + m12*r2, x2 = m21*r1 + m22*r2, y = (c0*x1 + c1*x2) + d*u.
+#define CTBQREG(OFF, S1, S2, SU) \
+	VADDPD  X0, SU, X1                \ // up + u
+	VMULPD  (OFF+SEC_H2)(BX), X1, X1  \ // h2*(up+u)
+	VMULPD  (OFF+SEC_NA0)(BX), S1, X2 \ // na0*x1
+	VMULPD  (OFF+SEC_K22)(BX), S2, SU \ // k22*x2 (up is dead)
+	VADDPD  SU, X2, X2                \
+	VADDPD  X1, X2, X2                \ // r2
+	VMOVAPD X0, SU                    \ // up = u
+	VMULPD  (OFF+SEC_H2)(BX), S2, X1  \ // h2*x2
+	VADDPD  X1, S1, X1                \ // r1
+	VMULPD  (OFF+SEC_M11)(BX), X1, S1 \ // m11*r1
+	VMULPD  (OFF+SEC_M12)(BX), X2, S2 \ // m12*r2
+	VADDPD  S2, S1, S1                \ // x1
+	VMULPD  (OFF+SEC_M21)(BX), X1, S2 \ // m21*r1
+	VMULPD  (OFF+SEC_M22)(BX), X2, X1 \ // m22*r2
+	VADDPD  X1, S2, S2                \ // x2
+	VMULPD  (OFF+SEC_C0)(BX), S1, X1  \ // c0*x1
+	VMULPD  (OFF+SEC_C1)(BX), S2, X2  \ // c1*x2
+	VADDPD  X2, X1, X1                \
+	VMULPD  (OFF+SEC_D)(BX), X0, X2   \ // d*u
+	VADDPD  X2, X1, X0                  // y
+
+// CTBQMEM is CTBQREG for the section at R13 whose state stays in memory
+// (sections past the third); with only X0-X2 free, the section's own x1
+// slot holds m11*r1 while m12*r2 is formed.
+#define CTBQMEM \
+	VADDPD  SEC_U(R13), X0, X1   \ // u + up
+	VMOVUPD X0, SEC_U(R13)       \ // up = u
+	VMULPD  SEC_H2(R13), X1, X1  \ // h2*(up+u)
+	VMOVUPD SEC_X1(R13), X0      \
+	VMULPD  SEC_NA0(R13), X0, X0 \ // na0*x1
+	VMOVUPD SEC_X2(R13), X2      \
+	VMULPD  SEC_K22(R13), X2, X2 \ // k22*x2
+	VADDPD  X2, X0, X0           \
+	VADDPD  X1, X0, X0           \ // r2
+	VMOVUPD SEC_X2(R13), X1      \
+	VMULPD  SEC_H2(R13), X1, X1  \ // h2*x2
+	VADDPD  SEC_X1(R13), X1, X1  \ // r1
+	VMULPD  SEC_M11(R13), X1, X2 \ // m11*r1
+	VMOVUPD X2, SEC_X1(R13)      \
+	VMULPD  SEC_M12(R13), X0, X2 \ // m12*r2
+	VADDPD  SEC_X1(R13), X2, X2  \ // x1
+	VMOVUPD X2, SEC_X1(R13)      \
+	VMULPD  SEC_M21(R13), X1, X1 \ // m21*r1
+	VMULPD  SEC_M22(R13), X0, X0 \ // m22*r2
+	VADDPD  X0, X1, X1           \ // x2
+	VMOVUPD X1, SEC_X2(R13)      \
+	VMULPD  SEC_C1(R13), X1, X1  \ // c1*x2
+	VMULPD  SEC_C0(R13), X2, X0  \ // c0*x1
+	VADDPD  X1, X0, X0           \
+	VMOVUPD SEC_U(R13), X1       \
+	VMULPD  SEC_D(R13), X1, X1   \ // d*u
+	VADDPD  X1, X0, X0             // y
+
+// func ctSolveAsm(out []complex128, v, c1, c2, msk, noise []float64, p *CTSolver) int
+//
+// The circuit recurrence over one drive block, one sample per iteration.
+// Up to the quadrature conversion the chain is scalar (the real RF and IF
+// waveform); from there the I and Q rails are the two lanes of one xmm
+// vector, each lane one rail of ctSolveGo in its order, no FMA. Products
+// with a shared operand and sums of two terms may take their operands in
+// the other order (exact: IEEE addition and multiplication commute). The
+// LNA clip is MINSD with the clip level first and MAXSD with its negation
+// first: each returns its second operand unless the first is strictly
+// smaller (larger), which is the twin's y > clip / y < -clip branch pair,
+// a NaN y passing through both. The decimated outputs are stored as
+// complex128 pairs straight from the rail vector.
+//
+// The state lives in registers for the whole block: X3/X4 the DC block's
+// x/u, X5-X13 the first three sections' x1/x2/u, X14/X15 the real-pole
+// section's x/u; sections past the third run CTBQMEM on their memory
+// state. X0 carries the sample, X1/X2 are scratch.
+//
+// Register plan: DI p, SI v, CX n, DX k, R8 c1, R9 c2, R10 msk, R11 noise
+// (0 when empty), R12 out write pointer, R14 phase, R15 decim, BX sections,
+// AX section count (0 without the filter), R13 memory-section pointer;
+// secend holds the end of the sections.
+TEXT ·ctSolveAsm(SB), NOSPLIT, $8-160
+	MOVQ p+144(FP), DI
+	MOVQ out_base+0(FP), R12
+	MOVQ v_base+24(FP), SI
+	MOVQ v_len+32(FP), CX
+	MOVQ c1_base+48(FP), R8
+	MOVQ c2_base+72(FP), R9
+	MOVQ msk_base+96(FP), R10
+	MOVQ noise_base+120(FP), R11
+	MOVQ noise_len+128(FP), AX
+	TESTQ AX, AX
+	JNE  ctsolve_noise
+	XORQ R11, R11
+
+ctsolve_noise:
+	// Pre-pass: the memoryless LNA and first conversion, four samples per
+	// ymm, v[k] = clip(g*x + a3*x*x*x) * (2*c1[k]) with x = v[k] (+ the
+	// scaled draw), overwriting v.
+	VBROADCASTSD CT_G(DI), Y5
+	VBROADCASTSD CT_A3(DI), Y6
+	VBROADCASTSD CT_CLIP(DI), Y7
+	VBROADCASTSD CT_NCLIP(DI), Y8
+	VBROADCASTSD CT_NSIG(DI), Y9
+	MOVQ         CX, R13
+	ANDQ         $~3, R13
+	XORQ         DX, DX
+
+ctsolve_pre4:
+	CMPQ    DX, R13
+	JGE     ctsolve_pre1
+	VMOVUPD (SI)(DX*8), Y0
+	TESTQ   R11, R11
+	JEQ     ctsolve_pre4lna
+	VMULPD  (R11)(DX*8), Y9, Y1 // d*nsig
+	VADDPD  Y1, Y0, Y0          // x + d*nsig
+
+ctsolve_pre4lna:
+	VMULPD  Y5, Y0, Y1 // g*x
+	VMULPD  Y6, Y0, Y2 // a3*x
+	VMULPD  Y0, Y2, Y2
+	VMULPD  Y0, Y2, Y2 // a3*x*x*x
+	VADDPD  Y2, Y1, Y1 // y
+	VMINPD  Y1, Y7, Y1 // clip < y ? clip : y
+	VMAXPD  Y1, Y8, Y1 // -clip > y ? -clip : y
+	VMOVUPD (R8)(DX*8), Y2
+	VADDPD  Y2, Y2, Y2 // 2*c1, exactly c1 + c1
+	VMULPD  Y2, Y1, Y1
+	VMOVUPD Y1, (SI)(DX*8)
+	ADDQ    $4, DX
+	JMP     ctsolve_pre4
+
+ctsolve_pre1:
+	CMPQ   DX, CX
+	JGE    ctsolve_state
+	VMOVSD (SI)(DX*8), X0
+	TESTQ  R11, R11
+	JEQ    ctsolve_pre1lna
+	VMULSD (R11)(DX*8), X9, X1
+	VADDSD X1, X0, X0
+
+ctsolve_pre1lna:
+	VMULSD  X5, X0, X1
+	VMULSD  X6, X0, X2
+	VMULSD  X0, X2, X2
+	VMULSD  X0, X2, X2
+	VADDSD  X2, X1, X1
+	VMINSD  X1, X7, X1
+	VMAXSD  X1, X8, X1
+	VMOVSD  (R8)(DX*8), X2
+	VADDSD  X2, X2, X2
+	VMULSD  X2, X1, X1
+	VMOVSD  X1, (SI)(DX*8)
+	INCQ    DX
+	JMP     ctsolve_pre1
+
+ctsolve_state:
+	VZEROUPPER
+	MOVQ CT_PHASE(DI), R14
+	MOVQ CT_DECIM(DI), R15
+	MOVQ CT_SEC(DI), BX
+	MOVQ CT_NSEC(DI), AX
+	CMPB CT_LPF(DI), $0
+	JNE  ctsolve_lpf
+	XORQ AX, AX
+
+ctsolve_lpf:
+	IMUL3Q  $SEC_SIZE, AX, DX
+	ADDQ    BX, DX
+	MOVQ    DX, secend-8(SP)
+	VMOVSD  CT_HX(DI), X3
+	VMOVSD  CT_HU(DI), X4
+	VMOVUPD CT_FX(DI), X14
+	VMOVUPD CT_FU(DI), X15
+	CMPQ    AX, $1
+	JLT     ctsolve_loaded
+	VMOVUPD (0*SEC_SIZE+SEC_X1)(BX), X5
+	VMOVUPD (0*SEC_SIZE+SEC_X2)(BX), X6
+	VMOVUPD (0*SEC_SIZE+SEC_U)(BX), X7
+	CMPQ    AX, $2
+	JLT     ctsolve_loaded
+	VMOVUPD (1*SEC_SIZE+SEC_X1)(BX), X8
+	VMOVUPD (1*SEC_SIZE+SEC_X2)(BX), X9
+	VMOVUPD (1*SEC_SIZE+SEC_U)(BX), X10
+	CMPQ    AX, $3
+	JLT     ctsolve_loaded
+	VMOVUPD (2*SEC_SIZE+SEC_X1)(BX), X11
+	VMOVUPD (2*SEC_SIZE+SEC_X2)(BX), X12
+	VMOVUPD (2*SEC_SIZE+SEC_U)(BX), X13
+
+ctsolve_loaded:
+	XORQ  DX, DX
+	TESTQ CX, CX
+	JEQ   ctsolve_done
+
+ctsolve_loop:
+	// The first conversion's output, from the pre-pass.
+	VMOVSD (SI)(DX*8), X0
+
+	// DC block.
+	CMPB    CT_HPF(DI), $0
+	JEQ     ctsolve_iq
+	VADDSD  X0, X4, X1         // hu + v
+	VMULSD  CT_HH2(DI), X1, X1 // h2*(hu+v)
+	VMULSD  CT_HK(DI), X3, X2  // k*hx
+	VADDSD  X1, X2, X2
+	VDIVSD  CT_HDEN(DI), X2, X3 // hx
+	VMOVAPD X0, X4             // hu = v
+	VMULSD  CT_HC(DI), X3, X1  // c*hx
+	VMULSD  CT_HD(DI), X0, X2  // d*v
+	VADDSD  X2, X1, X0
+
+ctsolve_iq:
+	// Quadrature conversion into the rail pair [i, q].
+	VMULSD   ctSqrt2<>(SB), X0, X0
+	VMOVDDUP X0, X0
+	VMOVSD   (R9)(DX*8), X1
+	VMOVHPD  (R10)(DX*8), X1, X1 // [c2, msk]
+	VMULPD   X1, X0, X0
+	VMULPD   CT_IQMUL(DI), X0, X0
+	VADDPD   CT_IQADD(DI), X0, X0
+
+	// Channel-select Chebyshev.
+	CMPB   CT_LPF(DI), $0
+	JEQ    ctsolve_out
+	VMULPD CT_GAIN(DI), X0, X0
+	CMPQ   AX, $1
+	JLT    ctsolve_fo
+	CTBQREG(0, X5, X6, X7)
+	CMPQ   AX, $2
+	JLT    ctsolve_fo
+	CTBQREG(SEC_SIZE, X8, X9, X10)
+	CMPQ   AX, $3
+	JLT    ctsolve_fo
+	CTBQREG(2*SEC_SIZE, X11, X12, X13)
+	LEAQ   (3*SEC_SIZE)(BX), R13
+
+ctsolve_mem:
+	CMPQ R13, secend-8(SP)
+	JGE  ctsolve_fo
+	CTBQMEM
+	ADDQ $SEC_SIZE, R13
+	JMP  ctsolve_mem
+
+ctsolve_fo:
+	CMPB    CT_FO(DI), $0
+	JEQ     ctsolve_out
+	VADDPD  X0, X15, X1        // fu + u
+	VMULPD  CT_FH2(DI), X1, X1 // h2*(fu+u)
+	VMULPD  CT_FK(DI), X14, X2 // k*fx
+	VADDPD  X1, X2, X2
+	VDIVPD  CT_FDEN(DI), X2, X14 // fx
+	VMOVAPD X0, X15            // fu = u
+	VMULPD  CT_FC(DI), X14, X1 // c*fx
+	VMULPD  CT_FD(DI), X0, X2  // d*u
+	VADDPD  X2, X1, X0
+
+ctsolve_out:
+	// Output gain and decimation.
+	TESTQ   R14, R14
+	JNE     ctsolve_next
+	VMULPD  CT_OUTG(DI), X0, X1
+	VMOVUPD X1, (R12)
+	ADDQ    $16, R12
+
+ctsolve_next:
+	INCQ R14
+	CMPQ R14, R15
+	JNE  ctsolve_step
+	XORQ R14, R14
+
+ctsolve_step:
+	INCQ DX
+	CMPQ DX, CX
+	JLT  ctsolve_loop
+
+ctsolve_done:
+	VMOVSD  X3, CT_HX(DI)
+	VMOVSD  X4, CT_HU(DI)
+	VMOVUPD X14, CT_FX(DI)
+	VMOVUPD X15, CT_FU(DI)
+	MOVQ    R14, CT_PHASE(DI)
+	CMPQ    AX, $1
+	JLT     ctsolve_stored
+	VMOVUPD X5, (0*SEC_SIZE+SEC_X1)(BX)
+	VMOVUPD X6, (0*SEC_SIZE+SEC_X2)(BX)
+	VMOVUPD X7, (0*SEC_SIZE+SEC_U)(BX)
+	CMPQ    AX, $2
+	JLT     ctsolve_stored
+	VMOVUPD X8, (1*SEC_SIZE+SEC_X1)(BX)
+	VMOVUPD X9, (1*SEC_SIZE+SEC_X2)(BX)
+	VMOVUPD X10, (1*SEC_SIZE+SEC_U)(BX)
+	CMPQ    AX, $3
+	JLT     ctsolve_stored
+	VMOVUPD X11, (2*SEC_SIZE+SEC_X1)(BX)
+	VMOVUPD X12, (2*SEC_SIZE+SEC_X2)(BX)
+	VMOVUPD X13, (2*SEC_SIZE+SEC_U)(BX)
+
+ctsolve_stored:
+	SUBQ out_base+0(FP), R12
+	SHRQ $4, R12
+	MOVQ R12, ret+152(FP)
 	RET

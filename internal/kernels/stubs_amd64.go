@@ -100,8 +100,9 @@ func interleaveAsm(x []complex128, re, im []float64)
 func deinterleaveAsm(re, im []float64, x []complex128)
 
 // fftStageAsm applies one butterfly stage, four butterflies per vector;
-// half must be a positive multiple of 4 and len(re) a positive multiple of
-// 2*half, with im/wr/wi sized as for FFTStage.
+// either half must be a positive multiple of 4 and len(re) a positive
+// multiple of 2*half, or half must be 1 or 2 and len(re) a positive
+// multiple of 8, with im/wr/wi sized as for FFTStage.
 //
 //go:noescape
 func fftStageAsm(re, im []float64, wr, wi []float64, half int)
@@ -140,6 +141,13 @@ func mulCplxAsm(ar, ai, br, bi []float64)
 //
 //go:noescape
 func sincosAsm(s, c, x []float64) int
+
+// ctSolveAsm steps the circuit over len(v) samples; c1/c2/msk must have
+// len(v) elements, noise none or len(v), out room for p.Outputs(len(v))
+// samples, and p.Decim >= 1 with 0 <= p.Phase < p.Decim.
+//
+//go:noescape
+func ctSolveAsm(out []complex128, v, c1, c2, msk, noise []float64, p *CTSolver) int
 
 //lint:hotpath
 func acsStepSIMD(next, metric *[64]float64, mA, mB float64) uint64 {
@@ -249,10 +257,12 @@ func deinterleaveSIMD(re, im []float64, x []complex128) {
 
 //lint:hotpath
 func fftStageSIMD(re, im []float64, wr, wi []float64, half int) {
-	// The vector body packs four butterflies of one block per ymm, so it
-	// needs whole quads inside each block: the half < 4 stages (and any
-	// ragged shape) run the scalar twin outright — no per-block tails.
-	if half&3 != 0 || len(re) == 0 || len(re)%(2*half) != 0 {
+	// The vector body packs four butterflies per ymm: whole quads inside
+	// each block for half >= 4, two blocks' worth (eight elements) per
+	// iteration for half 1 and 2. Other shapes (half 3 or 5, a ragged
+	// frame) run the scalar twin outright — no per-block tails.
+	if len(re) == 0 || len(re)%(2*half) != 0 ||
+		half&3 != 0 && (half > 2 || len(re)%8 != 0) {
 		fftStageGo(re, im, wr, wi, half)
 		return
 	}
@@ -309,4 +319,9 @@ func mulCplxSIMD(ar, ai, br, bi []float64) {
 //lint:hotpath
 func sincosSIMD(s, c, x []float64) int {
 	return sincosAsm(s, c, x)
+}
+
+//lint:hotpath
+func ctSolveSIMD(out []complex128, v, c1, c2, msk, noise []float64, p *CTSolver) int {
+	return ctSolveAsm(out, v, c1, c2, msk, noise, p)
 }

@@ -91,3 +91,8 @@ func mulCplxSIMD(ar, ai, br, bi []float64) {
 func sincosSIMD(s, c, x []float64) int {
 	return sincosGo(s, c, x)
 }
+
+//lint:hotpath
+func ctSolveSIMD(out []complex128, v, c1, c2, msk, noise []float64, p *CTSolver) int {
+	return ctSolveGo(out, v, c1, c2, msk, noise, p)
+}

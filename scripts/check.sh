@@ -38,9 +38,11 @@ go test -race ./...
 # pure-Go tier, and every configuration that can disable it must actually
 # run: the WLANSIM_SIMD=off env override, the purego build tag, and (on
 # amd64) the asm-twin differential suite itself. The co-sim front end's LO
-# bank runs on the Sincos kernel, so internal/analog joins kernels and core
-# on both pure-Go configurations: its goldens, recorded before the kernel
-# existed, then hold on either tier. `go test -list` guards make
+# bank runs on the Sincos kernel, its circuit recurrence on the CTSolve
+# kernel and its upsampler on the FFT stage kernels, so internal/analog and
+# internal/dsp join kernels and core on both pure-Go configurations: the
+# co-sim goldens, recorded before those kernels existed, then hold on
+# either tier. `go test -list` guards make
 # a silent skip impossible — if a build tag or rename ever drops the suites
 # from the compiled set, the gate fails loudly instead of passing on an
 # empty run.
@@ -48,7 +50,7 @@ echo "==> kernel dispatch tiers"
 if [ "$(go env GOARCH)" = "amd64" ]; then
     asm_pat='AsmMatchesGo|Exported.*KernelsMatchRefBothTiers|SetDispatchToggles|GoldenBERDispatchInvariant'
     n="$(go test -run '^$' -list "$asm_pat" ./internal/kernels | grep -c '^Test' || true)"
-    if [ "$n" -lt 17 ]; then
+    if [ "$n" -lt 18 ]; then
         echo "FAIL: internal/kernels lists only $n asm-twin differential tests matching '$asm_pat' (silent skip)" >&2
         exit 1
     fi
@@ -58,11 +60,11 @@ else
     echo "    $(go env GOARCH): no assembly tier; pure-Go path is the only tier"
 fi
 echo "    WLANSIM_SIMD=off (env-forced pure-Go dispatch)"
-WLANSIM_SIMD=off go test -race -count=1 ./internal/kernels ./internal/analog > /dev/null
+WLANSIM_SIMD=off go test -race -count=1 ./internal/kernels ./internal/dsp ./internal/analog > /dev/null
 echo "    -tags purego (assembly tier compiled out)"
 go build -tags purego ./...
 go vet -tags purego ./...
-go test -tags purego -count=1 ./internal/kernels ./internal/core ./internal/analog > /dev/null
+go test -tags purego -count=1 ./internal/kernels ./internal/core ./internal/dsp ./internal/analog > /dev/null
 
 # Benchmark module. wlanbench is its own Go module that drives the library
 # end to end with several sweep workers, so vetting it proves the library
@@ -165,23 +167,28 @@ echo "    internal/core: $n sweep golden tests (every sweep on lane groups)"
 go test -run "$sweep_pat" -count=1 ./internal/core > /dev/null
 
 # Co-sim front end. The analog solver streams each frame in blocks: a drive
-# stage computes the up-converted RF input and the LO bank (on the Sincos
-# kernel) one block ahead of the circuit recurrence; its output is pinned
-# bit for bit by
-# digests recorded from the per-sample solver (waveform and end-to-end
-# packets) and by differential tests against the per-sample oracle and the
-# whole-frame upsampler. The `go test -list` guard makes a silent skip
+# stage computes the up-converted RF input (the upsampler's grid-confined
+# overlap-save transforms) and the LO bank (on the Sincos kernel) one block
+# ahead of the circuit recurrence (the CTSolve kernel); its output is pinned
+# bit for bit by digests recorded from the per-sample solver (waveform and
+# end-to-end packets), by differential tests against the per-sample oracle
+# and the whole-frame upsampler, and by the CTSolve kernel's differential
+# tests against its Go twin. The `go test -list` guard makes a silent skip
 # impossible; the named re-run under -race exercises the drive-stage
 # goroutine's hand-over on every covered frame shape.
 echo "==> co-sim golden and differential suite"
-cosim_pat='CoSimGolden|MatchesOracle|StepsMatchUnhoisted|UpsamplerStreamMatchesFIR'
-n="$(go test -run '^$' -list "$cosim_pat" ./internal/analog ./internal/core ./internal/dsp | grep -c '^Test' || true)"
-if [ "$n" -lt 5 ]; then
+cosim_pat='CoSimGolden|MatchesOracle|StepsMatchUnhoisted|UpsamplerStreamMatchesFIR|CTSolveAsmMatchesGo|CTSolveMatchesGoBothTiers|CTSolverLayout'
+n="$(go test -run '^$' -list "$cosim_pat" ./internal/analog ./internal/core ./internal/dsp ./internal/kernels | grep -c '^Test' || true)"
+want=6
+if [ "$(go env GOARCH)" = "amd64" ]; then
+    want=8 # plus the asm-tier twin and layout tests
+fi
+if [ "$n" -lt "$want" ]; then
     echo "FAIL: only $n co-sim golden/differential tests match '$cosim_pat' (silent skip)" >&2
     exit 1
 fi
-echo "    internal/analog, internal/core, internal/dsp: $n co-sim golden/differential tests"
-go test -race -run "$cosim_pat" -count=1 ./internal/analog ./internal/core ./internal/dsp > /dev/null
+echo "    internal/analog, internal/core, internal/dsp, internal/kernels: $n co-sim golden/differential tests"
+go test -race -run "$cosim_pat" -count=1 ./internal/analog ./internal/core ./internal/dsp ./internal/kernels > /dev/null
 
 # Sweep service. The daemon's whole value rests on two properties: a served
 # series is byte-identical to the in-process run, and the content-addressed
@@ -276,10 +283,10 @@ echo "==> benchmark smoke (1 iteration per scenario)"
 go test -run '^$' -bench 'BenchmarkPacketBehavioral|BenchmarkSweepExecutor|BenchmarkSweepFilterBW|BenchmarkPacketIdeal24|BenchmarkSweepBatched|BenchmarkCompressionPointSweepWorkers' -benchtime 1x ./internal/core > /dev/null
 go test -run '^$' -bench 'BenchmarkDecodeSoft' -benchtime 1x ./internal/phy/viterbi > /dev/null
 go test -run '^$' -bench 'BenchmarkFFTStage' -benchtime 1x ./internal/kernels > /dev/null
-go test -run '^$' -bench 'BenchmarkFIRProcess|BenchmarkComplexFIRProcess|BenchmarkFFT|BenchmarkDFT|BenchmarkIIRCascade3' -benchtime 1x ./internal/dsp > /dev/null
+go test -run '^$' -bench 'BenchmarkFIRProcess|BenchmarkComplexFIRProcess|BenchmarkFFT|BenchmarkDFT|BenchmarkIIRCascade3|BenchmarkUpsamplerStream' -benchtime 1x ./internal/dsp > /dev/null
 go test -run '^$' -bench 'BenchmarkDemodulateSymbol|BenchmarkModulateSymbol' -benchtime 1x ./internal/phy > /dev/null
 go test -run '^$' -bench 'BenchmarkServiceJob' -benchtime 1x ./internal/service > /dev/null
-go test -run '^$' -bench 'BenchmarkFrontEndProcess' -benchtime 1x ./internal/analog > /dev/null
+go test -run '^$' -bench 'BenchmarkFrontEndProcess|BenchmarkSolveBlock' -benchtime 1x ./internal/analog > /dev/null
 go test -run '^$' -bench 'BenchmarkBatchReceiverFromFilter|BenchmarkBatchReceiverProcessInto|BenchmarkProcessFromFilter' -benchtime 1x ./internal/rf > /dev/null
 go test -run '^$' -bench 'BenchmarkEVM' -benchtime 1x ./internal/measure > /dev/null
 go test -run '^$' -bench 'BenchmarkTable2_CoSimulation' -benchtime 1x . > /dev/null

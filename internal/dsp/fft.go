@@ -43,7 +43,10 @@ type FFTPlan struct {
 // fftScratch holds the planar working set of one in-flight transform: the
 // deinterleaved input planes, the bit-reversed butterfly planes, and the
 // lane-interleaved quad planes used by the batched ForwardMany/InverseMany
-// path. One allocation per worker at steady state, reused via the plan pool.
+// path. One allocation per worker at steady state, reused via the plan pool;
+// the quad planes, twice the size of the rest together, are added on a
+// scratch's first batched transform, so single-frame users (the
+// overlap-save convolutions) never carry them.
 type fftScratch struct {
 	sre, sim []float64 // deinterleaved input (also inverse-path second pair)
 	pre, pim []float64 // bit-reversed working planes the stages run on
@@ -89,7 +92,6 @@ func NewFFTPlan(n int) (*FFTPlan, error) {
 		return &fftScratch{
 			sre: make([]float64, n), sim: make([]float64, n),
 			pre: make([]float64, n), pim: make([]float64, n),
-			qre: make([]float64, 4*n), qim: make([]float64, 4*n),
 		}
 	}
 	return p, nil
@@ -223,6 +225,10 @@ func (p *FFTPlan) transformMany(xs [][]complex128, inverse bool) {
 	g := 0
 	if len(xs) >= 4 {
 		s := p.scratch.Get().(*fftScratch)
+		if s.qre == nil {
+			//lint:ignore escape once per pooled scratch: only batched transforms need the quad planes
+			s.qre, s.qim = make([]float64, 4*p.n), make([]float64, 4*p.n)
+		}
 		wi := p.fwdWi
 		if inverse {
 			wi = p.invWi

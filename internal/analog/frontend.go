@@ -391,11 +391,19 @@ func NewFrontEnd(cfg FrontEndConfig) (*FrontEnd, error) {
 	if fe.lo2, err = NewCTOscillator(fe.fc/2, cfg.LOLinewidthHz, fe.fs, cfg.Seed+3); err != nil {
 		return nil, err
 	}
+	var dc float64 // self-mixing DC amplitude on the I rail
+	if cfg.EnableDC {
+		dc = units.DBmToAmplitude(cfg.DCOffsetDBm)
+	}
+	theta := cfg.IQPhaseErrorDeg * math.Pi / 180
+	fe.qCos, fe.qSin = math.Cos(theta), math.Sin(theta)
 	sv := &fe.solver
 	*sv = kernels.CTSolver{
 		G: fe.lna.g, A3: fe.lna.a3, Clip: fe.lna.vClip, NClip: -fe.lna.vClip, NSig: fe.lna.nsig,
-		IQMul:   pair(1),
-		IQAdd:   [2]float64{0, math.Copysign(0, -1)},
+		// i = m*c2*1 + dc and q = m*msk*qGain + -0 are the converter's
+		// i = m*c2 + dc and q = m*msk*qGain bit for bit.
+		IQMul:   [2]float64{1, units.DBToVoltageGain(cfg.IQGainImbalanceDB)},
+		IQAdd:   [2]float64{dc, math.Copysign(0, -1)},
 		OutGain: pair(units.DBToVoltageGain(cfg.OutputGainDB)),
 		Decim:   cfg.SolverOversample,
 	}
@@ -428,12 +436,6 @@ func NewFrontEnd(cfg FrontEndConfig) (*FrontEnd, error) {
 			sv.FO = true
 			sv.FK, sv.FH2, sv.FDen, sv.FC, sv.FD = pair(fo.k), pair(fo.h2), pair(fo.den), pair(fo.c), pair(fo.d)
 		}
-	}
-	sv.IQMul[1] = units.DBToVoltageGain(cfg.IQGainImbalanceDB)
-	theta := cfg.IQPhaseErrorDeg * math.Pi / 180
-	fe.qCos, fe.qSin = math.Cos(theta), math.Sin(theta)
-	if cfg.EnableDC {
-		sv.IQAdd[0] = units.DBmToAmplitude(cfg.DCOffsetDBm)
 	}
 	// A moderate interpolator suffices here: the envelope entering the
 	// solver is already band-limited and the channel-select Chebyshev

@@ -42,8 +42,9 @@ func FuzzUpsamplerStream(f *testing.F) {
 		case 1:
 			taps = 16*factor + 1 // the co-sim front end's
 		case 2:
-			// A history of 5*factor+50 samples: the stuffing grid's phase
-			// in a segment is no longer 0 (or factor/2).
+			// A history of 5*factor+50 samples, so the stuffing grid's
+			// phase in a segment is neither 0 nor factor/2 (for factor 8
+			// and up).
 			taps = 5*factor + 51
 		}
 		frames := 1 + int(data[1]>>2)%3

@@ -104,62 +104,74 @@ func CTSolve(out []complex128, v, c1, c2, msk, noise []float64, p *CTSolver) int
 // ctSolveGo is the pure-Go tier of CTSolve and the twin of ctSolveAsm: the
 // analog stages' Step updates written out per sample. The memoryless LNA
 // and first conversion run first, over the whole block, into v; then the
-// stateful stages run per sample, each rail of the quadrature conversion
-// onward in its own pass over the sections (the rails share no state).
-// ctSolveAsm runs the first pass four samples per vector and the two rails
-// as the two lanes of one vector, in the same operation order.
+// stateful stages run per sample, the two rails of the quadrature
+// conversion onward side by side (they share no state). ctSolveAsm runs the
+// first pass four samples per vector and the two rails as the two lanes of
+// one vector, in the same operation order.
 //
 //lint:hotpath
 func ctSolveGo(out []complex128, v, c1, c2, msk, noise []float64, p *CTSolver) int {
+	g, a3, clip, nclip, nsig := p.G, p.A3, p.Clip, p.NClip, p.NSig
+	for k, x := range v {
+		if len(noise) != 0 {
+			x += noise[k] * nsig
+		}
+		y := g*x + a3*x*x*x
+		if y > clip {
+			y = clip
+		} else if y < nclip {
+			y = nclip
+		}
+		v[k] = y * (2 * c1[k])
+	}
 	sec := p.Sec
 	if !p.LPF {
 		sec = nil
 	}
-	for k, x := range v {
-		if len(noise) != 0 {
-			x += noise[k] * p.NSig
-		}
-		y := p.G*x + p.A3*x*x*x
-		if y > p.Clip {
-			y = p.Clip
-		} else if y < p.NClip {
-			y = p.NClip
-		}
-		v[k] = y * (2 * c1[k])
-	}
+	hpf, lpf, fo := p.HPF, p.LPF, p.FO && p.LPF
+	hk, hh2, hden, hc, hd := p.HK, p.HH2, p.HDen, p.HC, p.HD
 	hx, hu, fx, fu := p.HX, p.HU, p.FX, p.FU
 	phase, decim := p.Phase, p.Decim
 	j := 0
 	for k, x := range v {
-		if p.HPF {
-			hx = (p.HK*hx + p.HH2*(hu+x)) / p.HDen
+		if hpf {
+			hx = (hk*hx + hh2*(hu+x)) / hden
 			hu = x
-			x = p.HC*hx + p.HD*x
+			x = hc*hx + hd*x
 		}
 		m := x * math.Sqrt2
-		r := [2]float64{m*c2[k]*p.IQMul[0] + p.IQAdd[0], m*msk[k]*p.IQMul[1] + p.IQAdd[1]}
-		if p.LPF {
-			for l := range r {
-				u := r[l] * p.Gain[l]
-				for s := range sec {
-					q := &sec[s]
-					r1 := q.X1[l] + q.H2[l]*q.X2[l]
-					r2 := q.NA0[l]*q.X1[l] + q.K22[l]*q.X2[l] + q.H2[l]*(q.U[l]+u)
-					q.X1[l] = q.M11[l]*r1 + q.M12[l]*r2
-					q.X2[l] = q.M21[l]*r1 + q.M22[l]*r2
-					q.U[l] = u
-					u = q.C0[l]*q.X1[l] + q.C1[l]*q.X2[l] + q.D[l]*u
-				}
-				if p.FO {
-					fx[l] = (p.FK[l]*fx[l] + p.FH2[l]*(fu[l]+u)) / p.FDen[l]
-					fu[l] = u
-					u = p.FC[l]*fx[l] + p.FD[l]*u
-				}
-				r[l] = u
+		i := m*c2[k]*p.IQMul[0] + p.IQAdd[0]
+		q := m*msk[k]*p.IQMul[1] + p.IQAdd[1]
+		if lpf {
+			i *= p.Gain[0]
+			q *= p.Gain[1]
+			for s := range sec {
+				// analog.CTBiquad.Step on each rail.
+				c := &sec[s]
+				r1 := c.X1[0] + c.H2[0]*c.X2[0]
+				r2 := c.NA0[0]*c.X1[0] + c.K22[0]*c.X2[0] + c.H2[0]*(c.U[0]+i)
+				c.X1[0] = c.M11[0]*r1 + c.M12[0]*r2
+				c.X2[0] = c.M21[0]*r1 + c.M22[0]*r2
+				c.U[0] = i
+				i = c.C0[0]*c.X1[0] + c.C1[0]*c.X2[0] + c.D[0]*i
+				r1 = c.X1[1] + c.H2[1]*c.X2[1]
+				r2 = c.NA0[1]*c.X1[1] + c.K22[1]*c.X2[1] + c.H2[1]*(c.U[1]+q)
+				c.X1[1] = c.M11[1]*r1 + c.M12[1]*r2
+				c.X2[1] = c.M21[1]*r1 + c.M22[1]*r2
+				c.U[1] = q
+				q = c.C0[1]*c.X1[1] + c.C1[1]*c.X2[1] + c.D[1]*q
+			}
+			if fo {
+				fx[0] = (p.FK[0]*fx[0] + p.FH2[0]*(fu[0]+i)) / p.FDen[0]
+				fu[0] = i
+				i = p.FC[0]*fx[0] + p.FD[0]*i
+				fx[1] = (p.FK[1]*fx[1] + p.FH2[1]*(fu[1]+q)) / p.FDen[1]
+				fu[1] = q
+				q = p.FC[1]*fx[1] + p.FD[1]*q
 			}
 		}
 		if phase == 0 {
-			out[j] = complex(r[0]*p.OutGain[0], r[1]*p.OutGain[1])
+			out[j] = complex(i*p.OutGain[0], q*p.OutGain[1])
 			j++
 		}
 		phase++

@@ -125,10 +125,7 @@ func ctSolveGo(out []complex128, v, c1, c2, msk, noise []float64, p *CTSolver) i
 		v[k] = y * (2 * c1[k])
 	}
 	sec := p.Sec
-	if !p.LPF {
-		sec = nil
-	}
-	hpf, lpf, fo := p.HPF, p.LPF, p.FO && p.LPF
+	hpf, lpf, fo := p.HPF, p.LPF, p.FO
 	hk, hh2, hden, hc, hd := p.HK, p.HH2, p.HDen, p.HC, p.HD
 	hx, hu, fx, fu := p.HX, p.HU, p.FX, p.FU
 	phase, decim := p.Phase, p.Decim

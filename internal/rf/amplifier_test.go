@@ -1,6 +1,7 @@
 package rf
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -188,6 +189,60 @@ func TestAmplifierNoiseDeterministicAfterReset(t *testing.T) {
 	for i := range first {
 		if first[i] != x2[i] {
 			t.Fatal("noise not reproducible after Reset")
+		}
+	}
+}
+
+// TestAmplifierProcessMatchesPerSample pins Amplifier.Process to a
+// ProcessSample loop on a twin amplifier bit for bit: every nonlinearity
+// model, AM/PM off and on, the noise source on and off. Three frames of an
+// odd length stream without a Reset between them, so the noise stream must
+// carry across calls, and a Reset then replays the first frame. The input
+// drives the nonlinear models into compression and the cubic past its
+// saturation clamp.
+func TestAmplifierProcessMatchesPerSample(t *testing.T) {
+	for _, model := range []NonlinearModel{Linear, Cubic, Rapp} {
+		for _, ampm := range []float64{0, 5} {
+			for _, noise := range []bool{true, false} {
+				cfg := AmplifierConfig{
+					Name: "eq", GainDB: 12, NoiseFigureDB: 4, Model: model,
+					UseCompression: true, CompressionDBm: -20, AMPMDegPerDB: ampm,
+					SampleRateHz: 20e6, NoiseSeed: 5, DisableNoise: !noise,
+				}
+				aFrame, err := NewAmplifier(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				aSample, err := NewAmplifier(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				frames := make([][]complex128, 3)
+				for f := range frames {
+					frames[f] = noiseSignal(1021, -26+4*float64(f), int64(20+f))
+				}
+				check := func(where string, x []complex128) {
+					t.Helper()
+					want := make([]complex128, len(x))
+					for i, v := range x {
+						want[i] = aSample.ProcessSample(v)
+					}
+					got := aFrame.Process(append([]complex128(nil), x...))
+					for i := range got {
+						if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+							math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+							t.Fatalf("model %d ampm %g noise %v %s sample %d: frame %v != per-sample %v",
+								model, ampm, noise, where, i, got[i], want[i])
+						}
+					}
+				}
+				for f, x := range frames {
+					check(fmt.Sprintf("frame %d", f), x)
+				}
+				aFrame.Reset()
+				aSample.Reset()
+				check("replay after Reset", frames[0])
+			}
 		}
 	}
 }

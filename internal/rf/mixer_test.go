@@ -156,9 +156,12 @@ func TestMixerValidation(t *testing.T) {
 // TestMixerProcessMatchesPerSample pins the frame path's pass split (noise,
 // LO fill, planar kernel) to the per-sample pipeline bit for bit, phase
 // noise and input noise included — the property that makes the kernels
-// integration safe for every gated output.
+// integration safe for every gated output. The rows take away the LO, the
+// DC term and the noise source one at a time, and one row streams three
+// consecutive frames with no Reset between them, so the noise and LO
+// streams must carry across calls.
 func TestMixerProcessMatchesPerSample(t *testing.T) {
-	cfg := MixerConfig{
+	full := MixerConfig{
 		Name: "eq", ConversionGainDB: 3, NoiseFigureDB: 7,
 		SampleRateHz: 20e6, NoiseSeed: 4,
 		IQGainImbalanceDB: 0.4, IQPhaseErrorDeg: 1.5,
@@ -167,28 +170,48 @@ func TestMixerProcessMatchesPerSample(t *testing.T) {
 		// one that must match the per-sample stream exactly.
 		LO: &LOConfig{LinewidthHz: 200, FrequencyOffsetHz: 1.1e5, Seed: 6},
 	}
-	mFrame, err := NewMixer(cfg)
-	if err != nil {
-		t.Fatal(err)
+	noLO, noDC, noNoise := full, full, full
+	noLO.LO = nil
+	noDC.EnableDC = false
+	noNoise.DisableNoise = true
+	// Odd lengths exercise any unroll tail in the kernels layer.
+	rows := []struct {
+		name   string
+		cfg    MixerConfig
+		frames []int
+	}{
+		{"full", full, []int{1021}},
+		{"no LO", noLO, []int{1021}},
+		{"DC off", noDC, []int{1021}},
+		{"noise off", noNoise, []int{1021}},
+		{"three frames", full, []int{1021, 256, 7}},
 	}
-	mSample, err := NewMixer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	// Odd length exercises any unroll tail in the kernels layer.
-	x := make([]complex128, 1021)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	want := make([]complex128, len(x))
-	for i, v := range x {
-		want[i] = mSample.ProcessSample(v)
-	}
-	got := mFrame.Process(x)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d: frame %v != per-sample %v", i, got[i], want[i])
+	for _, row := range rows {
+		mFrame, err := NewMixer(row.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mSample, err := NewMixer(row.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(11))
+		for f, n := range row.frames {
+			x := make([]complex128, n)
+			for i := range x {
+				x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			want := make([]complex128, len(x))
+			for i, v := range x {
+				want[i] = mSample.ProcessSample(v)
+			}
+			got := mFrame.Process(x)
+			for i := range got {
+				if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+					t.Fatalf("%s frame %d sample %d: frame %v != per-sample %v", row.name, f, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }

@@ -13,11 +13,11 @@ import (
 // oracleReceiver is the sequential reference of the behavioral front end:
 // the double-conversion chain as Receiver ran it before every call became a
 // one-lane call of its lane receiver. Every block consumes the whole frame
-// before the next one runs — the LNA, the planar mixer/DC-block segment, the
-// channel-select filter, the AGC's per-sample control law on scalar state,
-// the ADC sample by sample and a decimator without anti-alias filter. The
-// lane differential tests and TestReceiverMatchesOracle pin the production
-// chain to it bit for bit.
+// before the next one runs — the LNA's frame loop (oracleAmplify), each
+// mixer's planar pass (oracleMix), the DC block, the channel-select filter,
+// the AGC's per-sample control law on scalar state, the ADC sample by sample
+// and a decimator without anti-alias filter. The lane differential tests and
+// TestReceiverMatchesOracle pin the production chain to it bit for bit.
 type oracleReceiver struct {
 	cfg     ReceiverConfig
 	lna     *Amplifier
@@ -29,7 +29,8 @@ type oracleReceiver struct {
 	adc     *ADC
 	decim   *dsp.Downsampler
 	out     []complex128 // decimator output, reused across packets
-	xv      kernels.Vec  // planar scratch for the fused mixer/filter segment
+	xv      kernels.Vec  // planar scratch for the mixer passes
+	nv      kernels.Vec  // noise-plane scratch of the LNA and mixer passes
 }
 
 // newOracleReceiver validates the configuration and assembles the chain, as
@@ -90,22 +91,74 @@ func (r *oracleReceiver) Process(x []complex128) []complex128 {
 }
 
 // ProcessToFilter runs the LNA, first mixer, DC block and second mixer in
-// place and returns x. The mixer/DC-block segment runs planar: one
-// deinterleave in, one interleave out.
+// place and returns x. Each mixer pass runs planar: one deinterleave in, one
+// interleave out.
 func (r *oracleReceiver) ProcessToFilter(x []complex128) []complex128 {
-	x = r.lna.Process(x)
+	oracleAmplify(r.lna, x, &r.nv)
 	if len(x) == 0 {
 		return x
 	}
-	r.xv.From(x)
 	prefillLOPair(r.mixer1, r.mixer2, len(x))
-	r.mixer1.processPlanar(r.xv.Re, r.xv.Im)
+	r.xv.From(x)
+	oracleMix(r.mixer1, r.xv.Re, r.xv.Im, &r.nv)
+	r.xv.CopyTo(x)
 	if r.dcBlock != nil {
-		r.dcBlock.iir.ProcessPlanar(r.xv.Re, r.xv.Im)
+		r.dcBlock.Process(x)
 	}
-	r.mixer2.processPlanar(r.xv.Re, r.xv.Im)
+	r.xv.From(x)
+	oracleMix(r.mixer2, r.xv.Re, r.xv.Im, &r.nv)
 	r.xv.CopyTo(x)
 	return x
+}
+
+// oracleAmplify is the amplifier's frame loop as Amplifier.Process ran it on
+// its own: the frame's thermal-noise draws materialized into planes from the
+// one generator in re,im-per-sample order and scaled, then the memoryless
+// nonlinearity per sample after the noise add.
+func oracleAmplify(a *Amplifier, x []complex128, nv *kernels.Vec) {
+	if a.noise == nil {
+		for i, v := range x {
+			x[i] = a.amplify(v)
+		}
+		return
+	}
+	nv.Grow(len(x))
+	a.noise.FillNormPairs(nv.Re, nv.Im)
+	kernels.ScalePlane(nv.Re, a.nsig)
+	kernels.ScalePlane(nv.Im, a.nsig)
+	for i, v := range x {
+		x[i] = a.amplify(v + complex(nv.Re[i], nv.Im[i]))
+	}
+}
+
+// oracleMix is the mixer's single-lane planar pass as Mixer.Process ran it
+// on its own: the noise plane materialized and added component-wise, the LO
+// trajectory filled once (or taken from a pair prefill), then the planar
+// mixer kernel.
+func oracleMix(m *Mixer, xr, xi []float64, nv *kernels.Vec) {
+	n := len(xr)
+	if m.noise != nil {
+		nv.Grow(n)
+		m.noise.FillNormPairs(nv.Re, nv.Im)
+		kernels.ScalePlane(nv.Re, m.nsig)
+		kernels.ScalePlane(nv.Im, m.nsig)
+		kernels.AddPlane(xr, nv.Re)
+		kernels.AddPlane(xi, nv.Im)
+	}
+	mur, mui := real(m.mu), imag(m.mu)
+	nur, nui := real(m.nu), imag(m.nu)
+	dcr, dci := real(m.dc), imag(m.dc)
+	if m.lo == nil {
+		kernels.MixApply(xr, xi, mur, mui, nur, nui, m.g, dcr, dci)
+		return
+	}
+	if m.loFilled && m.lov.Len() == n {
+		m.loFilled = false
+	} else {
+		m.lov.Grow(n)
+		m.lo.fill(m.lov.Re, m.lov.Im)
+	}
+	kernels.MixApplyLO(xr, xi, m.lov.Re, m.lov.Im, mur, mui, nur, nui, m.g, dcr, dci)
 }
 
 // ProcessFromFilter runs the channel-select filter, AGC, ADC and decimation

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/cmplx"
 
-	"wlansim/internal/kernels"
 	"wlansim/internal/units"
 )
 
@@ -57,34 +56,6 @@ func (q *Biquad) Process(x []complex128) []complex128 {
 	q.s1 = complex(s1r, s1i)
 	q.s2 = complex(s2r, s2i)
 	return x
-}
-
-// ProcessPlanar filters a frame held as split re/im planes in place. It is
-// the planar twin of Process: the same recurrence over the same streaming
-// state (re chains through real(s1)/real(s2), im through the imaginary
-// parts), so planar and interleaved passes can be mixed freely on one section
-// without changing a single output bit.
-//
-//lint:hotpath
-func (q *Biquad) ProcessPlanar(xr, xi []float64) {
-	b0, b1, b2 := q.B0, q.B1, q.B2
-	a1, a2 := q.A1, q.A2
-	s1r, s1i := real(q.s1), imag(q.s1)
-	s2r, s2i := real(q.s2), imag(q.s2)
-	xi = xi[:len(xr)]
-	for i := range xr {
-		vr, vi := xr[i], xi[i]
-		yr := b0*vr + s1r
-		yi := b0*vi + s1i
-		s1r = b1*vr - a1*yr + s2r
-		s1i = b1*vi - a1*yi + s2i
-		s2r = b2*vr - a2*yr
-		s2i = b2*vi - a2*yi
-		xr[i] = yr
-		xi[i] = yi
-	}
-	q.s1 = complex(s1r, s1i)
-	q.s2 = complex(s2r, s2i)
 }
 
 // Reset clears the section state.
@@ -165,28 +136,6 @@ func (f *IIR) Process(x []complex128) []complex128 {
 		f.Sections[i].Process(x)
 	}
 	return x
-}
-
-// ProcessPlanar filters a frame held as split re/im planes in place: the
-// planar twin of Process, running each section's ProcessPlanar over the same
-// streaming state. The gain pass multiplies each component by the same gain
-// the interleaved pass applies, so the two forms stay bit-identical and
-// interchangeable mid-stream.
-//
-//lint:hotpath
-func (f *IIR) ProcessPlanar(xr, xi []float64) {
-	g := f.Gain
-	if g == 0 {
-		g = 1
-	}
-	//lint:ignore floateq multiplying by exactly 1.0 is a bit-exact identity, so the gain pass can be skipped
-	if g != 1 {
-		kernels.ScalePlane(xr, g)
-		kernels.ScalePlane(xi, g)
-	}
-	for i := range f.Sections {
-		f.Sections[i].ProcessPlanar(xr, xi)
-	}
 }
 
 // Response evaluates the cascade's transfer function at the normalized

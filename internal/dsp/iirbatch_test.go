@@ -6,8 +6,22 @@ import (
 	"testing"
 )
 
+// planes splits complex lanes into the planar form ProcessPlanar takes.
+func planes(lanes [][]complex128) (re, im [][]float64) {
+	re = make([][]float64, len(lanes))
+	im = make([][]float64, len(lanes))
+	for l, lane := range lanes {
+		re[l] = make([]float64, len(lane))
+		im[l] = make([]float64, len(lane))
+		for i, v := range lane {
+			re[l][i], im[l][i] = real(v), imag(v)
+		}
+	}
+	return re, im
+}
+
 // TestIIRBatchMatchesSequential pins lane b of the batched cascade
-// bit-identical to IIR.Process on that lane alone, across batch widths,
+// (ProcessPlanar) bit-identical to IIR.Process on that lane alone, across batch widths,
 // filter designs (odd/even Chebyshev order, DC block with its non-unity
 // gain) and multi-frame streaming state carry.
 func TestIIRBatchMatchesSequential(t *testing.T) {
@@ -37,25 +51,22 @@ func TestIIRBatchMatchesSequential(t *testing.T) {
 			}
 			for frame := 0; frame < 3; frame++ {
 				n := 1 + rng.Intn(300)
-				got := make([][]complex128, B)
 				want := make([][]complex128, B)
 				for l := 0; l < B; l++ {
-					got[l] = make([]complex128, n)
 					want[l] = make([]complex128, n)
-					for i := range got[l] {
-						v := complex(rng.NormFloat64(), rng.NormFloat64())
-						got[l][i] = v
-						want[l][i] = v
+					for i := range want[l] {
+						want[l][i] = complex(rng.NormFloat64(), rng.NormFloat64())
 					}
 				}
-				batch.Process(got)
+				re, im := planes(want)
+				batch.ProcessPlanar(re, im)
 				for l := 0; l < B; l++ {
 					seq[l].Process(want[l])
-					for i := range got[l] {
-						if math.Float64bits(real(got[l][i])) != math.Float64bits(real(want[l][i])) ||
-							math.Float64bits(imag(got[l][i])) != math.Float64bits(imag(want[l][i])) {
+					for i := range want[l] {
+						if math.Float64bits(re[l][i]) != math.Float64bits(real(want[l][i])) ||
+							math.Float64bits(im[l][i]) != math.Float64bits(imag(want[l][i])) {
 							t.Fatalf("%s B=%d frame %d lane %d sample %d: batch %v != sequential %v",
-								name, B, frame, l, i, got[l][i], want[l][i])
+								name, B, frame, l, i, complex(re[l][i], im[l][i]), want[l][i])
 						}
 					}
 				}
@@ -87,20 +98,20 @@ func TestIIRBatchReset(t *testing.T) {
 	_ = rng
 
 	batch := NewIIRBatch(f)
-	warm := mk(1)
-	batch.Process(warm)
+	batch.ProcessPlanar(planes(mk(1)))
 	batch.Reset()
-	second := mk(2)
-	batch.Process(second)
+	gr, gi := planes(mk(2))
+	batch.ProcessPlanar(gr, gi)
 
 	fresh := NewIIRBatch(f)
-	want := mk(2)
-	fresh.Process(want)
+	wr, wi := planes(mk(2))
+	fresh.ProcessPlanar(wr, wi)
 
 	for l := 0; l < B; l++ {
 		for i := 0; i < n; i++ {
-			if second[l][i] != want[l][i] {
-				t.Fatalf("lane %d sample %d: reset batch %v != fresh batch %v", l, i, second[l][i], want[l][i])
+			if gr[l][i] != wr[l][i] || gi[l][i] != wi[l][i] {
+				t.Fatalf("lane %d sample %d: reset batch %v != fresh batch %v", l, i,
+					complex(gr[l][i], gi[l][i]), complex(wr[l][i], wi[l][i]))
 			}
 		}
 	}

@@ -12,15 +12,14 @@ import "math"
 // per-lane operation sequence as the scalar kernel", which the differential
 // batch test suite pins on adversarial (NaN/±Inf) inputs as well.
 //
-// Two kernels do genuinely new lock-step work. ACSRunBatch runs one
-// trellis-step loop updating B metric planes, keeping the branch-sign tables
-// and decision machinery hot across lanes. BiquadBatch lane-interleaves a
-// latency-bound IIR recurrence: the scalar biquad's ~3-add critical path per
-// sample leaves the pipeline mostly idle, and B independent recurrences fill
-// it (measured ~2x at B=8). The FIR and mixer batch kernels are
-// amortization APIs: taps and LO planes are loaded once per batch and shared
-// across lanes, which is what lets the caller materialize one stochastic LO
-// trajectory per batch instead of one per lane.
+// There are two, and both do lock-step work a loop of scalar calls cannot.
+// ACSRunBatch runs one trellis-step loop updating B metric planes, keeping
+// the branch-sign tables and decision machinery hot across lanes.
+// BiquadBatch lane-interleaves a latency-bound IIR recurrence: the scalar
+// biquad's ~3-add critical path per sample leaves the pipeline mostly idle,
+// and B independent recurrences fill it (measured ~2x at B=8). Lane work
+// that shares only its inputs — one LO trajectory mixed into every lane —
+// is a loop of scalar kernel calls in the caller.
 
 // ACSRunBatch advances B independent trellises len(decisions[b]) steps in
 // lock-step: one step loop updates all B metric planes before moving to step
@@ -59,49 +58,6 @@ func ACSRunBatch(decisions [][]uint64, soft [][]float64, metric, scratch []*[64]
 				decisions[b][t] = ACSStepRef(next, cur, mA, mB)
 			}
 		}
-	}
-}
-
-// FIRRealBatch filters B planar extended inputs with one shared real tap
-// set, loading the taps once per batch. Lane b is bit-identical to
-// FIRReal(yr[b], yi[b], xr[b], xi[b], taps).
-//
-//lint:hotpath
-func FIRRealBatch(yr, yi, xr, xi [][]float64, taps []float64) {
-	for b := range yr {
-		FIRReal(yr[b], yi[b], xr[b], xi[b], taps)
-	}
-}
-
-// FIRCplxBatch filters B planar extended inputs with one shared complex tap
-// set. Lane b is bit-identical to FIRCplx(yr[b], yi[b], xr[b], xi[b], tr, ti).
-//
-//lint:hotpath
-func FIRCplxBatch(yr, yi, xr, xi [][]float64, tr, ti []float64) {
-	for b := range yr {
-		FIRCplx(yr[b], yi[b], xr[b], xi[b], tr, ti)
-	}
-}
-
-// MixApplyLOBatch applies the mixer frame pass to B planar frames sharing
-// one materialized LO trajectory — the amortization that lets a batched
-// front end draw the stochastic LO once per batch. Lane b is bit-identical
-// to MixApplyLO on that lane with the same planes.
-//
-//lint:hotpath
-func MixApplyLOBatch(xr, xi [][]float64, lor, loi []float64, mur, mui, nur, nui, g, dcr, dci float64) {
-	for b := range xr {
-		MixApplyLO(xr[b], xi[b], lor, loi, mur, mui, nur, nui, g, dcr, dci)
-	}
-}
-
-// MixApplyBatch applies the LO-free mixer frame pass to B planar frames.
-// Lane b is bit-identical to MixApply on that lane.
-//
-//lint:hotpath
-func MixApplyBatch(xr, xi [][]float64, mur, mui, nur, nui, g, dcr, dci float64) {
-	for b := range xr {
-		MixApply(xr[b], xi[b], mur, mui, nur, nui, g, dcr, dci)
 	}
 }
 

@@ -106,94 +106,6 @@ func TestACSRunBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestFIRBatchMatchesSequential checks both FIR batch kernels lane-for-lane
-// against per-lane scalar calls, over random tap counts including the
-// single-tap degenerate shape and unroll tails, with adversarial values.
-func TestFIRBatchMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, B := range batchWidths {
-		for trial := 0; trial < 20; trial++ {
-			tapN := 1 + rng.Intn(24)
-			n := 1 + rng.Intn(70)
-			extN := n + tapN - 1
-			adversarial := trial%2 == 1
-
-			taps := make([]float64, tapN)
-			ti := make([]float64, tapN)
-			acsRandSoft(rng, taps, adversarial)
-			acsRandSoft(rng, ti, adversarial)
-
-			xr := makePlanes(B, extN)
-			xi := makePlanes(B, extN)
-			fillPlanes(rng, xr, adversarial)
-			fillPlanes(rng, xi, adversarial)
-
-			gr, gi := makePlanes(B, n), makePlanes(B, n)
-			wr, wi := make([]float64, n), make([]float64, n)
-
-			FIRRealBatch(gr, gi, xr, xi, taps)
-			for b := 0; b < B; b++ {
-				FIRReal(wr, wi, xr[b], xi[b], taps)
-				bitsEqualLane(t, "fir-real re", b, gr[b], wr)
-				bitsEqualLane(t, "fir-real im", b, gi[b], wi)
-			}
-
-			FIRCplxBatch(gr, gi, xr, xi, taps, ti)
-			for b := 0; b < B; b++ {
-				FIRCplx(wr, wi, xr[b], xi[b], taps, ti)
-				bitsEqualLane(t, "fir-cplx re", b, gr[b], wr)
-				bitsEqualLane(t, "fir-cplx im", b, gi[b], wi)
-			}
-		}
-	}
-}
-
-// TestMixBatchMatchesSequential checks the mixer frame batch kernels, with
-// and without a shared LO trajectory, lane-for-lane against the scalar
-// kernels, including adversarial lane contents.
-func TestMixBatchMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, B := range batchWidths {
-		for trial := 0; trial < 20; trial++ {
-			n := 1 + rng.Intn(100)
-			adversarial := trial%2 == 1
-			mur, mui := rng.NormFloat64(), rng.NormFloat64()
-			nur, nui := rng.NormFloat64(), rng.NormFloat64()
-			g, dcr, dci := rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
-
-			lor := make([]float64, n)
-			loi := make([]float64, n)
-			acsRandSoft(rng, lor, false)
-			acsRandSoft(rng, loi, false)
-
-			xr := makePlanes(B, n)
-			xi := makePlanes(B, n)
-			fillPlanes(rng, xr, adversarial)
-			fillPlanes(rng, xi, adversarial)
-
-			gr, gi := clonePlanes(xr), clonePlanes(xi)
-			MixApplyLOBatch(gr, gi, lor, loi, mur, mui, nur, nui, g, dcr, dci)
-			for b := 0; b < B; b++ {
-				wr := append([]float64(nil), xr[b]...)
-				wi := append([]float64(nil), xi[b]...)
-				MixApplyLO(wr, wi, lor, loi, mur, mui, nur, nui, g, dcr, dci)
-				bitsEqualLane(t, "mix-lo re", b, gr[b], wr)
-				bitsEqualLane(t, "mix-lo im", b, gi[b], wi)
-			}
-
-			gr, gi = clonePlanes(xr), clonePlanes(xi)
-			MixApplyBatch(gr, gi, mur, mui, nur, nui, g, dcr, dci)
-			for b := 0; b < B; b++ {
-				wr := append([]float64(nil), xr[b]...)
-				wi := append([]float64(nil), xi[b]...)
-				MixApply(wr, wi, mur, mui, nur, nui, g, dcr, dci)
-				bitsEqualLane(t, "mix re", b, gr[b], wr)
-				bitsEqualLane(t, "mix im", b, gi[b], wi)
-			}
-		}
-	}
-}
-
 // TestBiquadBatchMatchesRef drives the lane-interleaved biquad and its
 // frozen lane-major reference over identical lanes, states and
 // coefficients, asserting bit equality of every output sample and every
@@ -247,10 +159,6 @@ func TestBiquadBatchMatchesRef(t *testing.T) {
 // panic, so ragged dispatch logic upstream can stay branch-free.
 func TestBatchKernelsEmptyBatch(t *testing.T) {
 	ACSRunBatch(nil, nil, nil, nil, nil)
-	FIRRealBatch(nil, nil, nil, nil, []float64{1})
-	FIRCplxBatch(nil, nil, nil, nil, []float64{1}, []float64{0})
-	MixApplyLOBatch(nil, nil, nil, nil, 1, 0, 0, 0, 1, 0, 0)
-	MixApplyBatch(nil, nil, 1, 0, 0, 0, 1, 0, 0)
 	BiquadBatch(nil, nil, 1, 0, 0, 0, 0, nil, nil, nil, nil)
 	BiquadBatchRef(nil, nil, 1, 0, 0, 0, 0, nil, nil, nil, nil)
 }

@@ -146,11 +146,11 @@ func FuzzACSBatch(f *testing.F) {
 	})
 }
 
-// FuzzFIRBatch splits the payload into a shared real tap set and a
-// fuzzer-chosen number of lanes, asserting the batched FIR equals per-lane
-// sequential FIRReal calls bit for bit across tap counts, lane widths and
-// raw float64 bit patterns.
-func FuzzFIRBatch(f *testing.F) {
+// FuzzFIRReal splits the payload into a shared real tap set and a
+// fuzzer-chosen number of lanes, asserting FIRReal on each lane is
+// bit-identical under both dispatch tiers across tap counts, lane counts
+// and raw float64 bit patterns.
+func FuzzFIRReal(f *testing.F) {
 	f.Add([]byte{3, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add(append([]byte{1, 1}, make([]byte, 8*8)...))
 	f.Add(append([]byte{24, 3}, make([]byte, 8*200)...))
@@ -190,8 +190,8 @@ func FuzzFIRBatch(f *testing.F) {
 			gi[b] = make([]float64, n)
 		}
 
-		// Sequential oracle once, then the batched kernel under both tiers:
-		// per-lane outputs must match bit for bit on each.
+		// The oracle once under the current tier, then every lane under both
+		// tiers: per-lane outputs must match bit for bit on each.
 		wr := make([][]float64, B)
 		wi := make([][]float64, B)
 		for b := 0; b < B; b++ {
@@ -203,8 +203,8 @@ func FuzzFIRBatch(f *testing.F) {
 		defer SetDispatch(prev)
 		for _, simd := range []bool{true, false} {
 			SetDispatch(simd)
-			FIRRealBatch(gr, gi, xr, xi, taps)
 			for b := 0; b < B; b++ {
+				FIRReal(gr[b], gi[b], xr[b], xi[b], taps)
 				bitsEqual(t, "re", gr[b], wr[b])
 				bitsEqual(t, "im", gi[b], wi[b])
 			}

@@ -94,8 +94,9 @@ type Amplifier struct {
 	aSat  float64 // envelope clamp (Cubic) or Rapp saturation amplitude
 	aCrit float64 // input envelope where the cubic peaks (Cubic only)
 	noise *randutil.Rand
-	nsig  float64     // per-dimension noise sigma at the input
-	nv    kernels.Vec // frame-pass noise plane scratch
+	nsig  float64 // per-dimension noise sigma at the input
+
+	xv, nv kernels.Vec // Process's planar frame and noise-plane scratch
 }
 
 // NewAmplifier validates the configuration and builds the model.
@@ -172,8 +173,8 @@ func (a *Amplifier) ProcessSample(x complex128) complex128 {
 
 // amplify is the deterministic part of ProcessSample: the AM/AM nonlinearity
 // and AM/PM rotation with the input noise already added. Split out so the
-// batched front end can share one materialized noise plane across lanes and
-// still run the exact per-sample arithmetic.
+// lane body can share one materialized noise plane across lanes and still
+// run the exact per-sample arithmetic.
 //
 //lint:hotpath
 func (a *Amplifier) amplify(x complex128) complex128 {
@@ -220,32 +221,26 @@ func (a *Amplifier) applyAMPM(y complex128, inAmp float64) complex128 {
 	return y * cmplx.Exp(complex(0, phase))
 }
 
-// Process amplifies a frame in place and returns it.
-//
-// The noisy path materializes the frame's thermal-noise draws into planes
-// first and then runs the deterministic nonlinearity — the same split the
-// batched front end uses. It is bit-exact against a ProcessSample loop: the
-// draws come from a single generator in the identical re,im-per-sample order,
-// and scale-then-add performs the same two rounding steps per component.
+// Process amplifies a frame in place and returns it: the lane body
+// (processBatch) over one lane, the amplifier's own. The frame's thermal-noise
+// draws come as one plane from the single generator in the identical
+// re,im-per-sample order, and scale-then-add performs the same two rounding
+// steps per component, so the output is a ProcessSample loop's bit for bit.
 //
 //lint:hotpath
 func (a *Amplifier) Process(x []complex128) []complex128 {
-	if a.noise == nil || len(x) == 0 {
-		for i, v := range x {
-			x[i] = a.amplify(v)
-		}
+	n := len(x)
+	if n == 0 {
 		return x
 	}
-	n := len(x)
 	//lint:ignore escape inlined Vec grow: first-use plane allocation, reused afterwards
-	a.nv.Grow(n)
-	nre, nim := a.nv.Re, a.nv.Im
-	a.noise.FillNormPairs(nre, nim)
-	kernels.ScalePlane(nre, a.nsig)
-	kernels.ScalePlane(nim, a.nsig)
-	for i, v := range x {
-		x[i] = a.amplify(v + complex(nre[i], nim[i]))
+	a.xv.Grow(n)
+	if a.noise != nil {
+		//lint:ignore escape inlined Vec grow: first-use plane allocation, reused afterwards
+		a.nv.Grow(n)
 	}
+	a.processBatch([][]float64{a.xv.Re}, [][]float64{a.xv.Im}, [][]complex128{x}, []*Amplifier{a}, a.nv.Re, a.nv.Im)
+	a.xv.CopyTo(x)
 	return x
 }
 

@@ -28,8 +28,8 @@ import (
 //     apply their own memoryless amplifier after the shared noise add.
 //   - The filters' biquad recurrences are latency-bound; a filter every
 //     lane shares runs lane-interleaved through kernels.BiquadBatch.
-//   - The mixer's planar frame pass amortizes its LO planes across lanes
-//     via kernels.MixApplyLOBatch.
+//   - Each mixer fills its LO trajectory once per block and applies it to
+//     every lane.
 //   - Both entries stream each packet in blocks that stay cache-resident:
 //     from the antenna the LNA, the mixers, the DC block and a shared
 //     filter run planar over a block of every lane, then a lane's own
@@ -38,12 +38,13 @@ import (
 //     biquad delays, AGC loop) carries to the next, so the blocks compute
 //     the frame's samples exactly.
 
-// processBatch amplifies one block of B lanes into planar form: src[k] is
-// lane k's block, read only, and its output lands in xr[k] and xi[k]. It
-// draws a's noise stream once for the block and applies lane k's own
-// amplifier amps[k] — the exact per-sample nonlinearity of its
-// configuration — after the shared noise add. Writing the planes is pure
-// data movement, so the values are the complex path's bit for bit.
+// processBatch is the amplifier's one frame body: it amplifies one block of
+// B lanes into planar form. src[k] is lane k's block, read only, and its
+// output lands in xr[k] and xi[k]. It draws a's noise stream once for the
+// block into nre/nim and applies lane k's own amplifier amps[k] — the exact
+// per-sample nonlinearity of its configuration — after the shared noise add.
+// Writing the planes is pure data movement, so the values are the complex
+// path's bit for bit. Amplifier.Process is a one-lane call.
 func (a *Amplifier) processBatch(xr, xi [][]float64, src [][]complex128, amps []*Amplifier, nre, nim []float64) {
 	n := len(src[0])
 	if a.noise == nil {
@@ -69,22 +70,22 @@ func (a *Amplifier) processBatch(xr, xi [][]float64, src [][]complex128, amps []
 	}
 }
 
-// processBatchPlanar mixes B planar lanes in place: one materialized noise
-// plane added component-wise (the same float adds the scalar path's complex
-// add performs), one LO trajectory fill, then the planar batch kernel over
-// all lanes.
+// processBatchPlanar is the mixer's one frame body: it mixes B planar lanes
+// in place. One materialized noise plane is added component-wise (the same
+// float adds the scalar path's complex add performs), the LO trajectory is
+// filled once (or taken from a pair prefill), then the planar mixer kernel
+// runs on each lane. Mixer.Process is a one-lane call.
 func (m *Mixer) processBatchPlanar(xr, xi [][]float64, nre, nim []float64) {
 	n := len(xr[0])
 	if n == 0 {
 		return
 	}
-	L := len(xr)
 	if m.noise != nil {
 		nre, nim = nre[:n], nim[:n]
 		m.noise.FillNormPairs(nre, nim)
 		kernels.ScalePlane(nre, m.nsig)
 		kernels.ScalePlane(nim, m.nsig)
-		for l := 0; l < L; l++ {
+		for l := range xr {
 			kernels.AddPlane(xr[l][:n], nre)
 			kernels.AddPlane(xi[l][:n], nim)
 		}
@@ -99,10 +100,13 @@ func (m *Mixer) processBatchPlanar(xr, xi [][]float64, nre, nim []float64) {
 			m.lov.Grow(n)
 			m.lo.fill(m.lov.Re, m.lov.Im)
 		}
-		kernels.MixApplyLOBatch(xr, xi, m.lov.Re, m.lov.Im,
-			mur, mui, nur, nui, m.g, dcr, dci)
-	} else {
-		kernels.MixApplyBatch(xr, xi, mur, mui, nur, nui, m.g, dcr, dci)
+	}
+	for l := range xr {
+		if m.lo != nil {
+			kernels.MixApplyLO(xr[l], xi[l], m.lov.Re, m.lov.Im, mur, mui, nur, nui, m.g, dcr, dci)
+		} else {
+			kernels.MixApply(xr[l], xi[l], mur, mui, nur, nui, m.g, dcr, dci)
+		}
 	}
 }
 

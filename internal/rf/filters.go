@@ -71,37 +71,3 @@ func (f *DCBlock) Process(x []complex128) []complex128 { return f.iir.Process(x)
 
 // Reset clears the filter state.
 func (f *DCBlock) Reset() { f.iir.Reset() }
-
-// Chain applies a sequence of blocks in order. It implements Block.
-type Chain struct {
-	blocks []Block
-	names  []string
-}
-
-// NewChain assembles blocks into a pipeline.
-func NewChain() *Chain { return &Chain{} }
-
-// Append adds a named block to the end of the chain and returns the chain.
-func (c *Chain) Append(name string, b Block) *Chain {
-	c.blocks = append(c.blocks, b)
-	c.names = append(c.names, name)
-	return c
-}
-
-// Names lists the block names in processing order.
-func (c *Chain) Names() []string { return append([]string(nil), c.names...) }
-
-// Process runs the frame through every block in order.
-func (c *Chain) Process(x []complex128) []complex128 {
-	for _, b := range c.blocks {
-		x = b.Process(x)
-	}
-	return x
-}
-
-// Reset resets every block.
-func (c *Chain) Reset() {
-	for _, b := range c.blocks {
-		b.Reset()
-	}
-}

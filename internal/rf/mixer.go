@@ -316,7 +316,7 @@ type Mixer struct {
 	noise *randutil.Rand
 	nsig  float64
 
-	xv, lov, nv kernels.Vec // planar frame, LO-trajectory and noise scratch
+	xv, lov, nv kernels.Vec // Process's planar frame, LO-trajectory and noise scratch
 	loFilled    bool        // lov already holds this frame's trajectory (pair prefill)
 }
 
@@ -398,9 +398,10 @@ func (m *Mixer) ProcessSample(x complex128) complex128 {
 	return y + m.dc
 }
 
-// Process mixes a frame in place and returns it.
+// Process mixes a frame in place and returns it: the lane body
+// (processBatchPlanar) over one planar lane, the mixer's own.
 //
-// The frame is run as three passes — noise injection, LO trajectory fill,
+// The frame runs as three passes — noise injection, LO trajectory fill,
 // planar mixer arithmetic — instead of the per-sample pipeline. The split is
 // bit-exact against ProcessSample: the noise and phase-noise streams come
 // from separate generators, so draining one fully before the other preserves
@@ -411,58 +412,23 @@ func (m *Mixer) ProcessSample(x complex128) complex128 {
 //
 //lint:hotpath
 func (m *Mixer) Process(x []complex128) []complex128 {
-	if len(x) == 0 {
+	n := len(x)
+	if n == 0 {
 		return x
 	}
 	m.xv.From(x)
-	m.processPlanar(m.xv.Re, m.xv.Im)
+	if m.noise != nil {
+		//lint:ignore escape inlined Vec grow: first-use plane allocation, reused afterwards
+		m.nv.Grow(n)
+	}
+	m.processBatchPlanar([][]float64{m.xv.Re}, [][]float64{m.xv.Im}, m.nv.Re, m.nv.Im)
 	m.xv.CopyTo(x)
 	return x
 }
 
-// processPlanar mixes one planar frame in place. It is the single-lane core
-// shared by Process and the receiver's fused planar segment: noise plane
-// materialized and added component-wise (the same scale-then-add float ops
-// the per-sample path performs), LO trajectory filled once, then the planar
-// mixer kernel.
-//
-//lint:hotpath
-func (m *Mixer) processPlanar(xr, xi []float64) {
-	n := len(xr)
-	if n == 0 {
-		return
-	}
-	if m.noise != nil {
-		//lint:ignore escape inlined Vec grow: first-use plane allocation, reused afterwards
-		m.nv.Grow(n)
-		nre, nim := m.nv.Re, m.nv.Im
-		m.noise.FillNormPairs(nre, nim)
-		kernels.ScalePlane(nre, m.nsig)
-		kernels.ScalePlane(nim, m.nsig)
-		kernels.AddPlane(xr, nre)
-		kernels.AddPlane(xi, nim)
-	}
-	mur, mui := real(m.mu), imag(m.mu)
-	nur, nui := real(m.nu), imag(m.nu)
-	dcr, dci := real(m.dc), imag(m.dc)
-	if m.lo != nil {
-		if m.loFilled && m.lov.Len() == n {
-			m.loFilled = false
-		} else {
-			//lint:ignore escape inlined Vec grow: first-use plane allocation, reused afterwards
-			m.lov.Grow(n)
-			m.lo.fill(m.lov.Re, m.lov.Im)
-		}
-		kernels.MixApplyLO(xr, xi, m.lov.Re, m.lov.Im,
-			mur, mui, nur, nui, m.g, dcr, dci)
-	} else {
-		kernels.MixApply(xr, xi, mur, mui, nur, nui, m.g, dcr, dci)
-	}
-}
-
 // prefillLOPair fills both mixers' LO trajectory planes for an n-sample
 // frame in one interleaved rotation pass (see rotateIncrementsPair), marking
-// them consumed-once for the following processPlanar calls. It applies only
+// them consumed-once for the following processBatchPlanar calls. It applies only
 // when both oscillators run the increment recurrence; table-driven and
 // absent LOs keep their own fills.
 func prefillLOPair(m1, m2 *Mixer, n int) {

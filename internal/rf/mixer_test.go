@@ -299,3 +299,32 @@ func TestMixerResetReproducible(t *testing.T) {
 		}
 	}
 }
+
+// TestAmplifierMixerProcessAllocFree pins that the frame calls, one-lane
+// calls of the lane bodies, allocate nothing once their scratch is sized:
+// the noise sources and the LO phase noise on.
+func TestAmplifierMixerProcessAllocFree(t *testing.T) {
+	amp, err := NewAmplifier(AmplifierConfig{
+		Name: "a", GainDB: 12, NoiseFigureDB: 4, Model: Cubic, IIP3DBm: -10,
+		SampleRateHz: 20e6, NoiseSeed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix, err := NewMixer(MixerConfig{
+		Name: "m", ConversionGainDB: 3, NoiseFigureDB: 7, SampleRateHz: 20e6, NoiseSeed: 4,
+		LO: &LOConfig{LinewidthHz: 200, Seed: 6},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := noiseSignal(1021, -30, 3)
+	amp.Process(x)
+	mix.Process(x)
+	if allocs := testing.AllocsPerRun(20, func() {
+		amp.Process(x)
+		mix.Process(x)
+	}); allocs != 0 {
+		t.Fatalf("warm Amplifier.Process + Mixer.Process allocate %v times per call", allocs)
+	}
+}

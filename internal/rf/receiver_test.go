@@ -99,20 +99,6 @@ func TestDCBlockHzInterface(t *testing.T) {
 	}
 }
 
-func TestChainAppliesInOrder(t *testing.T) {
-	a1, _ := NewAmplifier(AmplifierConfig{Name: "a", GainDB: 10, Model: Linear})
-	a2, _ := NewAmplifier(AmplifierConfig{Name: "b", GainDB: 10, Model: Linear})
-	c := NewChain().Append("a", a1).Append("b", a2)
-	out := c.Process([]complex128{1})
-	if math.Abs(real(out[0])-10) > 1e-12 { // 20 dB total voltage gain = x10
-		t.Errorf("chain output %v, want 10", out[0])
-	}
-	if n := c.Names(); len(n) != 2 || n[0] != "a" {
-		t.Errorf("chain names %v", n)
-	}
-	c.Reset() // must not panic
-}
-
 func TestReceiverOutputRateAndGeometry(t *testing.T) {
 	cfg := DefaultReceiverConfig(4)
 	rx, err := NewReceiver(cfg)

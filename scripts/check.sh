@@ -42,6 +42,8 @@ go test -race ./...
 # kernel and its upsampler on the FFT stage kernels, so internal/analog and
 # internal/dsp join kernels and core on both pure-Go configurations: the
 # co-sim goldens, recorded before those kernels existed, then hold on
+# either tier. internal/rf joins them for the behavioral front end's mixer,
+# biquad and plane kernels: its oracle and lane differential tests hold on
 # either tier. `go test -list` guards make
 # a silent skip impossible — if a build tag or rename ever drops the suites
 # from the compiled set, the gate fails loudly instead of passing on an
@@ -60,11 +62,11 @@ else
     echo "    $(go env GOARCH): no assembly tier; pure-Go path is the only tier"
 fi
 echo "    WLANSIM_SIMD=off (env-forced pure-Go dispatch)"
-WLANSIM_SIMD=off go test -race -count=1 ./internal/kernels ./internal/dsp ./internal/analog > /dev/null
+WLANSIM_SIMD=off go test -race -count=1 ./internal/kernels ./internal/dsp ./internal/analog ./internal/rf > /dev/null
 echo "    -tags purego (assembly tier compiled out)"
 go build -tags purego ./...
 go vet -tags purego ./...
-go test -tags purego -count=1 ./internal/kernels ./internal/core ./internal/dsp ./internal/analog > /dev/null
+go test -tags purego -count=1 ./internal/kernels ./internal/core ./internal/dsp ./internal/analog ./internal/rf > /dev/null
 
 # Benchmark module. wlanbench is its own Go module that drives the library
 # end to end with several sweep workers, so vetting it proves the library
@@ -144,13 +146,17 @@ echo "    internal/core: Bench.Run vs the sequential-loop oracle"
 # pinned to the sequential chain they replaced, per packet and streamed in
 # frames without a Reset between them. The chain lives on as the oracle in
 # internal/rf/oracle_test.go (also the reference of the rf lane
-# differential tests above).
-n="$(go test -run '^$' -list 'TestReceiverMatchesOracle|TestAGCProcessMatchesOracle' ./internal/rf | grep -cx 'TestReceiverMatchesOracle\|TestAGCProcessMatchesOracle' || true)"
-if [ "$n" -ne 2 ]; then
-    echo "FAIL: internal/rf lists only $n of TestReceiverMatchesOracle, TestAGCProcessMatchesOracle (silent skip)" >&2
+# differential tests above). Amplifier.Process and Mixer.Process, one-lane
+# calls of the amplifier and mixer lane bodies, are pinned to ProcessSample
+# loops over streamed frames.
+rf_oracle_pat='TestReceiverMatchesOracle|TestAGCProcessMatchesOracle|TestAmplifierProcessMatchesPerSample|TestMixerProcessMatchesPerSample'
+n="$(go test -run '^$' -list "$rf_oracle_pat" ./internal/rf | grep -cxE "$rf_oracle_pat" || true)"
+if [ "$n" -ne 4 ]; then
+    echo "FAIL: internal/rf lists only $n of the 4 tests matching '$rf_oracle_pat' (silent skip)" >&2
     exit 1
 fi
-echo "    internal/rf: Receiver and AGC.Process vs the sequential-chain oracle"
+go test -run "^($rf_oracle_pat)\$" -count=1 ./internal/rf > /dev/null
+echo "    internal/rf: Receiver and AGC.Process vs the sequential-chain oracle, Amplifier/Mixer.Process vs ProcessSample"
 # One sweep body: every single-series sweep (Figure 5, Figure 6 / IP3, the
 # SNR waterfall on every front end, EVM vs SNR) runs its points as lane
 # groups of sim.Sweep's one entry. TestSweepBatchGolden's table pins them to
@@ -273,8 +279,9 @@ alloc_gate 7 'AllocFree|TestFIRProcessSteadyStateAllocs' \
     ./internal/phy ./internal/phy/viterbi ./internal/dsp ./internal/randutil
 alloc_gate 1 'TestPacketRunAllocBounded' ./internal/core
 # The lane receiver's two entries: from the pre-filter waveform and from the
-# antenna, the latter also with per-lane LNAs.
-alloc_gate 3 'TestFilterLanesAllocFree|TestBatchReceiverProcessIntoAllocFree|TestBatchReceiverLNALanesAllocFree' ./internal/rf
+# antenna, the latter also with per-lane LNAs; and the amplifier's and
+# mixer's one-lane frame calls.
+alloc_gate 4 'TestFilterLanesAllocFree|TestBatchReceiverProcessIntoAllocFree|TestBatchReceiverLNALanesAllocFree|TestAmplifierMixerProcessAllocFree' ./internal/rf
 alloc_gate 1 'TestEVMAllocFree' ./internal/measure
 alloc_gate 1 'TestFrontEndProcessAllocs' ./internal/analog
 alloc_gate 2 'TestSweepExecutorBuffersPooled|TestSweepScratchPooledAcrossConcurrentExecutes' ./internal/sim

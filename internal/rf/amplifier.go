@@ -239,7 +239,8 @@ func (a *Amplifier) Process(x []complex128) []complex128 {
 		//lint:ignore escape inlined Vec grow: first-use plane allocation, reused afterwards
 		a.nv.Grow(n)
 	}
-	a.processBatch([][]float64{a.xv.Re}, [][]float64{a.xv.Im}, [][]complex128{x}, []*Amplifier{a}, a.nv.Re, a.nv.Im)
+	xr, xi := [][]float64{a.xv.Re}, [][]float64{a.xv.Im}
+	a.processBatch(xr, xi, [][]complex128{x}, []*Amplifier{a}, a.nv.Re, a.nv.Im)
 	a.xv.CopyTo(x)
 	return x
 }

@@ -316,8 +316,9 @@ type Mixer struct {
 	noise *randutil.Rand
 	nsig  float64
 
-	xv, lov, nv kernels.Vec // Process's planar frame, LO-trajectory and noise scratch
-	loFilled    bool        // lov already holds this frame's trajectory (pair prefill)
+	xv, nv   kernels.Vec // Process's planar frame and noise-plane scratch
+	lov      kernels.Vec // LO trajectory of the current frame or block
+	loFilled bool        // lov already holds this frame's trajectory (pair prefill)
 }
 
 // NewMixer validates the configuration and builds the model.
@@ -401,7 +402,7 @@ func (m *Mixer) ProcessSample(x complex128) complex128 {
 // Process mixes a frame in place and returns it: the lane body
 // (processBatchPlanar) over one planar lane, the mixer's own.
 //
-// The frame runs as three passes — noise injection, LO trajectory fill,
+// The frame is run as three passes — noise injection, LO trajectory fill,
 // planar mixer arithmetic — instead of the per-sample pipeline. The split is
 // bit-exact against ProcessSample: the noise and phase-noise streams come
 // from separate generators, so draining one fully before the other preserves

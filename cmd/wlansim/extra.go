@@ -87,7 +87,14 @@ func cmdRFCheck(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("LNA1 (configured: gain 18 dB, NF 2.5 dB, CP1dB -10 dBm):")
+	// The circuit model of the same line-up; its LNA compression point is
+	// the configured one, or the cubic's from the configured IIP3.
+	aCfg, err := analog.ConfigFor(rxCfg)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%s (configured: gain %g dB, NF %g dB, CP1dB %g dBm):\n",
+		rxCfg.LNA.Name, rxCfg.LNA.GainDB, rxCfg.LNA.NoiseFigureDB, aCfg.LNACompressionDBm)
 	fmt.Println("  measured:", bench.Characterize(lna))
 
 	mix2, err := rf.NewMixer(rxCfg.Mixer2)
@@ -103,7 +110,6 @@ func cmdRFCheck(args []string) error {
 
 	// The same LNA in the continuous-time solver, measured with the
 	// passband two-tone bench.
-	aCfg := analog.DefaultFrontEndConfig()
 	fsSolver := aCfg.InputRateHz * float64(aCfg.SolverOversample)
 	ctLNA, err := analog.NewCTNonlinearAmp(aCfg.LNAGainDB, aCfg.LNACompressionDBm,
 		aCfg.LNANoiseFigureDB, fsSolver, 1, false)

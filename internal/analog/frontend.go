@@ -222,7 +222,10 @@ func (o *CTOscillator) Reset() {
 	}
 }
 
-// FrontEndConfig parameterizes the analog co-simulation receiver.
+// FrontEndConfig parameterizes the analog co-simulation receiver. ConfigFor
+// derives its circuit parameters from the behavioral line-up,
+// rf.ReceiverConfig; the I/Q imbalance, DC offset and solver fields are its
+// own.
 type FrontEndConfig struct {
 	// InputRateHz is the complex-baseband rate of the incoming composite
 	// signal (20 MHz when no interferers are modeled).
@@ -261,25 +264,6 @@ type FrontEndConfig struct {
 	EnableNoise bool
 	// Seed seeds all stochastic elements.
 	Seed int64
-}
-
-// DefaultFrontEndConfig mirrors rf.DefaultReceiverConfig for the analog
-// solver at the native 20 MHz input rate.
-func DefaultFrontEndConfig() FrontEndConfig {
-	return FrontEndConfig{
-		InputRateHz:           20e6,
-		SolverOversample:      32,
-		LNAGainDB:             18,
-		LNACompressionDBm:     -10,
-		LNANoiseFigureDB:      2.5,
-		DCBlockCornerHz:       150e3,
-		LOLinewidthHz:         50,
-		ChannelFilterOrder:    5,
-		ChannelFilterEdgeHz:   9.5e6,
-		ChannelFilterRippleDB: 0.5,
-		OutputGainDB:          15,
-		Seed:                  1,
-	}
 }
 
 // FrontEnd is the analog co-simulated double-conversion receiver. It

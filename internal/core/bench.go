@@ -104,8 +104,10 @@ type Config struct {
 	Interferers []InterfererSpec
 	// FrontEnd selects the analog model abstraction level.
 	FrontEnd FrontEndKind
-	// TuneRF, if set, adjusts the behavioral receiver configuration after
-	// defaults are applied (used by the parameter sweeps).
+	// TuneRF, if set, adjusts the receiver line-up after defaults are
+	// applied (used by the parameter sweeps). The behavioral front end runs
+	// it as tuned; the co-sim and black-box front ends run its
+	// analog.ConfigFor mapping.
 	TuneRF func(*rf.ReceiverConfig)
 	// SweptFrontEndFilterOnly is a sweep harness's promise that its swept
 	// front-end parameter (applied through TuneRF) only alters the behavioral
@@ -119,7 +121,10 @@ type Config struct {
 	// of one RunBenchBatch group that carry it start from that shared
 	// pre-filter waveform instead of the antenna.
 	SweptFrontEndFilterOnly bool
-	// TuneCoSim likewise adjusts the analog solver configuration.
+	// TuneCoSim, if set, adjusts the co-sim and black-box circuit
+	// configuration after the TuneRF line-up is mapped: the solver settings
+	// and the circuit-only fields (I/Q imbalance, DC offset) that
+	// analog.ConfigFor does not map.
 	TuneCoSim func(*analog.FrontEndConfig)
 	// UseIdealRxTiming decodes with genie timing instead of the
 	// synchronizing receiver (only valid without interferers and with the
@@ -305,28 +310,31 @@ func (b *Bench) buildFrontEnd(os int) (rf.FrontEnd, error) {
 		return rf.NewIdealFrontEnd(os)
 	case FrontEndBehavioral:
 		return rf.NewReceiver(b.receiverConfig(os))
-	case FrontEndCoSim:
-		cfg := analog.DefaultFrontEndConfig()
-		cfg.InputRateHz = 20e6 * float64(os)
-		cfg.Seed = b.cfg.Seed + 7
-		if b.cfg.TuneCoSim != nil {
-			b.cfg.TuneCoSim(&cfg)
+	case FrontEndCoSim, FrontEndBlackBox:
+		// Both circuit-level front ends run the line-up the behavioral one
+		// would, sweeps' TuneRF included.
+		cfg, err := analog.ConfigFor(b.receiverConfig(os))
+		if err != nil {
+			return nil, err
 		}
-		return analog.NewFrontEnd(cfg)
-	case FrontEndBlackBox:
-		cfg := analog.DefaultFrontEndConfig()
-		cfg.InputRateHz = 20e6 * float64(os)
-		cfg.EnableNoise = false
-		cfg.LOLinewidthHz = 0
-		// A coarser solver step suffices for the deterministic extraction
-		// sweeps and keeps the one-off extraction cost low.
-		cfg.SolverOversample = 16
+		cfg.Seed = b.cfg.Seed + 7
+		blackBox := b.cfg.FrontEnd == FrontEndBlackBox
+		if blackBox {
+			// The extraction sweeps are deterministic, and a coarser solver
+			// step suffices for them and keeps the one-off cost low.
+			cfg.EnableNoise = false
+			cfg.LOLinewidthHz = 0
+			cfg.SolverOversample = 16
+		}
 		if b.cfg.TuneCoSim != nil {
 			b.cfg.TuneCoSim(&cfg)
 		}
 		detailed, err := analog.NewFrontEnd(cfg)
 		if err != nil {
 			return nil, err
+		}
+		if !blackBox {
+			return detailed, nil
 		}
 		kCfg := rf.DefaultKModelConfig()
 		kCfg.SampleRateHz = cfg.InputRateHz

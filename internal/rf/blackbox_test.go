@@ -1,4 +1,4 @@
-package rf
+package rf_test
 
 import (
 	"math"
@@ -10,6 +10,7 @@ import (
 
 	"wlansim/internal/analog"
 	"wlansim/internal/dsp"
+	"wlansim/internal/rf"
 	"wlansim/internal/units"
 )
 
@@ -29,21 +30,21 @@ func deterministicAnalogFE(t *testing.T) *analog.FrontEnd {
 }
 
 var (
-	cachedKModel    *KModel
+	cachedKModel    *rf.KModel
 	cachedKModelErr error
 	kmodelOnce      sync.Once
 )
 
 // extractTestKModel performs the (expensive) extraction once per test run.
-func extractTestKModel(t *testing.T) *KModel {
+func extractTestKModel(t *testing.T) *rf.KModel {
 	t.Helper()
 	kmodelOnce.Do(func() {
-		cfg := DefaultKModelConfig()
+		cfg := rf.DefaultKModelConfig()
 		cfg.FilterTaps = 64
 		cfg.SettleSamples = 1024
 		cfg.MeasureSamples = 1024
 		cfg.SweepStepDB = 4
-		cachedKModel, cachedKModelErr = ExtractKModel(deterministicAnalogFE(t), cfg)
+		cachedKModel, cachedKModelErr = rf.ExtractKModel(deterministicAnalogFE(t), cfg)
 	})
 	if cachedKModelErr != nil {
 		t.Fatal(cachedKModelErr)
@@ -53,20 +54,20 @@ func extractTestKModel(t *testing.T) *KModel {
 
 func TestKModelExtractionValidation(t *testing.T) {
 	fe := deterministicAnalogFE(t)
-	cfg := DefaultKModelConfig()
+	cfg := rf.DefaultKModelConfig()
 	cfg.SampleRateHz = 0
-	if _, err := ExtractKModel(fe, cfg); err == nil {
+	if _, err := rf.ExtractKModel(fe, cfg); err == nil {
 		t.Error("accepted zero sample rate")
 	}
-	cfg = DefaultKModelConfig()
+	cfg = rf.DefaultKModelConfig()
 	cfg.FilterTaps = 37
-	if _, err := ExtractKModel(fe, cfg); err == nil {
+	if _, err := rf.ExtractKModel(fe, cfg); err == nil {
 		t.Error("accepted non-power-of-two taps")
 	}
-	cfg = DefaultKModelConfig()
+	cfg = rf.DefaultKModelConfig()
 	cfg.SweepFromDBm = -10
 	cfg.SweepToDBm = -40
-	if _, err := ExtractKModel(fe, cfg); err == nil {
+	if _, err := rf.ExtractKModel(fe, cfg); err == nil {
 		t.Error("accepted inverted sweep bounds")
 	}
 }

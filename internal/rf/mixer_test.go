@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"wlansim/internal/dsp"
+	"wlansim/internal/kernels"
 	"wlansim/internal/units"
 )
 
@@ -326,5 +327,78 @@ func TestAmplifierMixerProcessAllocFree(t *testing.T) {
 		mix.Process(x)
 	}); allocs != 0 {
 		t.Fatalf("warm Amplifier.Process + Mixer.Process allocate %v times per call", allocs)
+	}
+}
+
+// TestLOPairFillMatchesNext pins the interleaved two-LO frame fill
+// (prefillLOPair over rotateIncrementsPair) bit for bit to two LO.Next
+// streams, on both kernel tiers. The two noisy LOs differ in seed and
+// linewidth; the frames stream without a Reset, so their boundaries fall
+// anywhere in the loRenormInterval cycle, and the wide LO's increments
+// cross the small-angle bound. After Reset the frames replay the same
+// trajectories.
+func TestLOPairFillMatchesNext(t *testing.T) {
+	const fs = 20e6
+	// sigma = sqrt(2*pi*40 kHz/fs) ~ 0.11 rad: ~1% of the wide LO's
+	// increments exceed smallAngleMax and take the exact resync.
+	narrow := LOConfig{LinewidthHz: 50, FrequencyOffsetHz: 1e5, SampleRateHz: fs, Seed: 7}
+	wide := LOConfig{LinewidthHz: 40e3, SampleRateHz: fs, Seed: 11}
+	frames := []int{700, 1, 333, 1500, loRenormInterval, 64}
+
+	prev := kernels.DispatchName() != "purego"
+	t.Cleanup(func() { kernels.SetDispatch(prev) })
+	for _, simd := range []bool{true, false} {
+		tier := kernels.SetDispatch(simd)
+		m1, err := NewMixer(MixerConfig{Name: "m1", LO: &narrow, SampleRateHz: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m2, err := NewMixer(MixerConfig{Name: "m2", LO: &wide, SampleRateHz: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref1, err := NewLO(narrow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref2, err := NewLO(wide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			if pass == 1 {
+				m1.Reset()
+				m2.Reset()
+				ref1.Reset()
+				ref2.Reset()
+			}
+			beyondSmallAngle := 0
+			for f, n := range frames {
+				prefillLOPair(m1, m2, n)
+				for i := 0; i < n; i++ {
+					before := ref2.phase
+					for _, c := range []struct {
+						ref  *LO
+						m    *Mixer
+						name string
+					}{{ref1, m1, "narrow"}, {ref2, m2, "wide"}} {
+						want := c.ref.Next()
+						gotRe, gotIm := c.m.lov.Re[i], c.m.lov.Im[i]
+						if math.Float64bits(gotRe) != math.Float64bits(real(want)) ||
+							math.Float64bits(gotIm) != math.Float64bits(imag(want)) {
+							t.Fatalf("%s pass %d frame %d sample %d, %s LO: pair fill %v, Next %v",
+								tier, pass, f, i, c.name, complex(gotRe, gotIm), want)
+						}
+					}
+					d := math.Remainder(ref2.phase-before, 2*math.Pi)
+					if d > smallAngleMax || d < -smallAngleMax {
+						beyondSmallAngle++
+					}
+				}
+			}
+			if beyondSmallAngle == 0 {
+				t.Fatalf("%s pass %d: no wide-LO increment crossed the small-angle bound", tier, pass)
+			}
+		}
 	}
 }

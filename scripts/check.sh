@@ -148,15 +148,16 @@ echo "    internal/core: Bench.Run vs the sequential-loop oracle"
 # internal/rf/oracle_test.go (also the reference of the rf lane
 # differential tests above). Amplifier.Process and Mixer.Process, one-lane
 # calls of the amplifier and mixer lane bodies, are pinned to ProcessSample
-# loops over streamed frames.
-rf_oracle_pat='TestReceiverMatchesOracle|TestAGCProcessMatchesOracle|TestAmplifierProcessMatchesPerSample|TestMixerProcessMatchesPerSample'
+# loops over streamed frames, and the two mixers' interleaved LO fill
+# (prefillLOPair, which the oracle calls too) to two LO.Next streams.
+rf_oracle_pat='TestReceiverMatchesOracle|TestAGCProcessMatchesOracle|TestAmplifierProcessMatchesPerSample|TestMixerProcessMatchesPerSample|TestLOPairFillMatchesNext'
 n="$(go test -run '^$' -list "$rf_oracle_pat" ./internal/rf | grep -cxE "$rf_oracle_pat" || true)"
-if [ "$n" -ne 4 ]; then
-    echo "FAIL: internal/rf lists only $n of the 4 tests matching '$rf_oracle_pat' (silent skip)" >&2
+if [ "$n" -ne 5 ]; then
+    echo "FAIL: internal/rf lists only $n of the 5 tests matching '$rf_oracle_pat' (silent skip)" >&2
     exit 1
 fi
 go test -run "^($rf_oracle_pat)\$" -count=1 ./internal/rf > /dev/null
-echo "    internal/rf: Receiver and AGC.Process vs the sequential-chain oracle, Amplifier/Mixer.Process vs ProcessSample"
+echo "    internal/rf: Receiver and AGC.Process vs the sequential-chain oracle, Amplifier/Mixer.Process vs ProcessSample, the LO pair fill vs LO.Next"
 # One sweep body: every single-series sweep (Figure 5, Figure 6 / IP3, the
 # SNR waterfall on every front end, EVM vs SNR) runs its points as lane
 # groups of sim.Sweep's one entry. TestSweepBatchGolden's table pins them to
@@ -179,15 +180,19 @@ go test -run "$sweep_pat" -count=1 ./internal/core > /dev/null
 # bit for bit by digests recorded from the per-sample solver (waveform and
 # end-to-end packets), by differential tests against the per-sample oracle
 # and the whole-frame upsampler, and by the CTSolve kernel's differential
-# tests against its Go twin. The `go test -list` guard makes a silent skip
-# impossible; the named re-run under -race exercises the drive-stage
-# goroutine's hand-over on every covered frame shape.
+# tests against its Go twin. The circuit parameters come from the
+# behavioral line-up (analog.ConfigFor): the mapping's reflection test, the
+# pinned defaults, the block-level LNA and Chebyshev cross tests and the
+# gate that co-sim and black-box sweeps respond to their parameter join the
+# suite. The `go test -list` guard makes a silent skip impossible; the named
+# re-run under -race exercises the drive-stage goroutine's hand-over on
+# every covered frame shape.
 echo "==> co-sim golden and differential suite"
-cosim_pat='CoSimGolden|MatchesOracle|StepsMatchUnhoisted|UpsamplerStreamMatchesFIR|CTSolveAsmMatchesGo|CTSolveMatchesGoBothTiers|CTSolverLayout'
+cosim_pat='CoSimGolden|MatchesOracle|StepsMatchUnhoisted|UpsamplerStreamMatchesFIR|CTSolveAsmMatchesGo|CTSolveMatchesGoBothTiers|CTSolverLayout|ConfigForCoversReceiverConfig|DefaultFrontEndConfigPinned|CircuitLNAMatchesBehavioral|CircuitChebyshevMatchesBehavioral|CircuitSweepsRespond'
 n="$(go test -run '^$' -list "$cosim_pat" ./internal/analog ./internal/core ./internal/dsp ./internal/kernels | grep -c '^Test' || true)"
-want=6
+want=11
 if [ "$(go env GOARCH)" = "amd64" ]; then
-    want=8 # plus the asm-tier twin and layout tests
+    want=13 # plus the asm-tier twin and layout tests
 fi
 if [ "$n" -lt "$want" ]; then
     echo "FAIL: only $n co-sim golden/differential tests match '$cosim_pat' (silent skip)" >&2

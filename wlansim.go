@@ -187,7 +187,9 @@ type (
 	// CascadeStage and CascadeResult support Friis line-up analysis.
 	CascadeStage  = rf.Stage
 	CascadeResult = rf.CascadeResult
-	// AnalogFrontEndConfig parameterizes the co-simulation solver.
+	// AnalogFrontEndConfig parameterizes the co-simulation solver. A Bench
+	// derives its circuit parameters from the ReceiverConfig line-up (TuneRF
+	// included); TuneCoSim adjusts the solver and circuit-only fields.
 	AnalogFrontEndConfig = analog.FrontEndConfig
 )
 
@@ -214,7 +216,8 @@ var (
 	NewIdealFrontEnd = rf.NewIdealFrontEnd
 	// NewAnalogFrontEnd builds the co-simulation solver.
 	NewAnalogFrontEnd = analog.NewFrontEnd
-	// DefaultAnalogFrontEndConfig returns the solver defaults.
+	// DefaultAnalogFrontEndConfig returns the circuit model of
+	// DefaultReceiverConfig(1) with the solver defaults.
 	DefaultAnalogFrontEndConfig = analog.DefaultFrontEndConfig
 	// Cascade computes Friis gain/NF/IIP3 of a line-up.
 	Cascade = rf.Cascade

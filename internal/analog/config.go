@@ -22,7 +22,8 @@ func DefaultFrontEndConfig() FrontEndConfig {
 // cubic relation when UseCompression is off), the DC-block corner, the LO
 // linewidth and the channel-select Chebyshev. The solver settings take their
 // defaults: 32x oversampling, 15 dB output gain, noise off (the §4.3
-// artifact) and seed 1. Differences lists the fields it leaves out.
+// artifact) and seed 1. The differences table lists the fields it leaves
+// out.
 //
 // The circuit LNA is a cubic, so a Linear LNA is an error (a Rapp LNA maps
 // to the cubic with its compression point); so are LOs of different
@@ -65,17 +66,17 @@ func linewidth(lo *rf.LOConfig) float64 {
 	return lo.LinewidthHz
 }
 
-// Difference names rf.ReceiverConfig fields ConfigFor leaves out, by path
+// A difference names rf.ReceiverConfig fields ConfigFor leaves out, by path
 // (a struct's path covers all its fields), and why.
-type Difference struct {
-	Fields []string
-	Why    string
+type difference struct {
+	fields []string
+	why    string
 }
 
-// Differences lists every rf.ReceiverConfig field that has no effect on the
+// differences lists every rf.ReceiverConfig field that has no effect on the
 // circuit model: the modelling differences between the behavioral and the
 // circuit-level front ends.
-var Differences = []Difference{
+var differences = []difference{
 	{[]string{"Mixer2.IQGainImbalanceDB", "Mixer2.IQPhaseErrorDeg", "Mixer2.DCOffsetDBm", "Mixer2.EnableDC"},
 		"the circuit's I/Q imbalance and self-mixing DC are its own fields, off by default, so the recorded co-sim goldens hold"},
 	{[]string{"Mixer1.IQGainImbalanceDB", "Mixer1.IQPhaseErrorDeg", "Mixer1.DCOffsetDBm", "Mixer1.EnableDC"},

@@ -110,23 +110,23 @@ func perturbed(rc rf.ReceiverConfig, path string) []rf.ReceiverConfig {
 	return out
 }
 
-// listedDifference reports whether Differences names path or a struct
-// containing it.
-func listedDifference(path string) bool {
-	for _, d := range Differences {
-		for _, f := range d.Fields {
+// listedDifference returns the reason differences gives for path, or for a
+// struct containing it, and whether it lists it.
+func listedDifference(path string) (string, bool) {
+	for _, d := range differences {
+		for _, f := range d.fields {
 			if path == f || strings.HasPrefix(path, f+".") {
-				return true
+				return d.why, true
 			}
 		}
 	}
-	return false
+	return "", false
 }
 
 // TestConfigForCoversReceiverConfig perturbs every leaf field of
 // rf.ReceiverConfig, on the default line-up and on one whose LNA is set by
 // its IIP3, and requires each field either to move ConfigFor's result (or
-// its error) or to be listed in Differences, never both. A field added to
+// its error) or to be listed in differences, never both. A field added to
 // the line-up, or a mapping line deleted, fails it until the field is
 // mapped or named as a modelling difference. EXPERIMENTS.md must name every
 // listed field too.
@@ -151,12 +151,12 @@ func TestConfigForCoversReceiverConfig(t *testing.T) {
 				}
 			}
 		}
-		listed := listedDifference(path)
+		why, listed := listedDifference(path)
 		switch {
 		case responds && listed:
-			t.Errorf("%s is mapped by ConfigFor but listed in Differences", path)
+			t.Errorf("%s is mapped by ConfigFor but listed in differences: %s", path, why)
 		case !responds && !listed:
-			t.Errorf("%s is neither mapped by ConfigFor nor listed in Differences", path)
+			t.Errorf("%s is neither mapped by ConfigFor nor listed in differences", path)
 		}
 	}
 
@@ -164,14 +164,14 @@ func TestConfigForCoversReceiverConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range Differences {
-		for _, f := range d.Fields {
+	for _, d := range differences {
+		for _, f := range d.fields {
 			known := false
 			for _, p := range paths {
 				known = known || p == f || strings.HasPrefix(p, f+".")
 			}
 			if !known {
-				t.Errorf("Differences lists %s, which is no rf.ReceiverConfig field", f)
+				t.Errorf("differences lists %s, which is no rf.ReceiverConfig field", f)
 			}
 			if !strings.Contains(string(doc), "`"+f+"`") {
 				t.Errorf("EXPERIMENTS.md does not list the modelling difference `%s`", f)

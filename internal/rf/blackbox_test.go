@@ -178,12 +178,17 @@ func TestKModelMuchFasterThanDetailed(t *testing.T) {
 	for i := range x {
 		x[i] = complex(1e-4, -1e-4)
 	}
-	t0 := time.Now()
-	fe.Process(dsp.Clone(x))
-	detailed := time.Since(t0)
-	t0 = time.Now()
-	km.Process(dsp.Clone(x))
-	blackBox := time.Since(t0)
+	// Each side's time is the fastest of three alternated runs, so a
+	// scheduler or GC pause during one run does not decide the comparison.
+	detailed, blackBox := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for range 3 {
+		t0 := time.Now()
+		fe.Process(dsp.Clone(x))
+		detailed = min(detailed, time.Since(t0))
+		t0 = time.Now()
+		km.Process(dsp.Clone(x))
+		blackBox = min(blackBox, time.Since(t0))
+	}
 	if blackBox*5 > detailed {
 		t.Errorf("K-model (%v) not much faster than detailed model (%v)", blackBox, detailed)
 	}

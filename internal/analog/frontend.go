@@ -184,35 +184,6 @@ func (o *CTOscillator) Next() (cosv, msinv float64) {
 	return math.Cos(ph), -math.Sin(ph)
 }
 
-// fill writes the sine and cosine of the next len(ph) LO samples to s and
-// c, advancing the trajectory exactly as len(ph) Next calls would. ph is
-// scratch: on return it holds the samples' phases.
-//
-//lint:hotpath
-func (o *CTOscillator) fill(s, c, ph []float64) {
-	w, h, t, phase := o.w, o.h, o.t, o.phase
-	if o.rng == nil {
-		for k := range ph {
-			ph[k] = w*t + phase
-			t += h
-		}
-	} else {
-		// s holds the phase-noise increments until Sincos overwrites it.
-		// Each is 0 + draw*sigma, which differs from Next's draw*sigma at
-		// most in the sign of a zero, and the accumulated phase (never -0:
-		// it starts at +0) absorbs either zero alike.
-		inc := s[:len(ph)]
-		o.rng.FillNormMulAdd(inc, o.sigma, 0)
-		for k, d := range inc {
-			ph[k] = w*t + phase
-			t += h
-			phase += d
-		}
-	}
-	o.t, o.phase = t, phase
-	kernels.Sincos(s, c, ph)
-}
-
 // Reset restarts the trajectory, rewinding the phase noise to its seeded
 // state.
 func (o *CTOscillator) Reset() {
@@ -270,16 +241,14 @@ type FrontEndConfig struct {
 // implements the same FrontEnd contract as rf.Receiver: complex baseband
 // composite in, 20 MHz complex baseband out.
 type FrontEnd struct {
-	cfg     FrontEndConfig
-	fs      float64 // solver rate
-	fc      float64 // scaled RF carrier
-	lna     *CTNonlinearAmp
-	lo1     *CTOscillator
-	lo2     *CTOscillator
-	qCos    float64 // cos of the Q-rail phase error
-	qSin    float64 // sin of the Q-rail phase error
-	up      *dsp.Upsampler
-	carrier *CTOscillator // up-conversion carrier
+	cfg  FrontEndConfig
+	fs   float64 // solver rate
+	fc   float64 // scaled RF carrier
+	lna  *CTNonlinearAmp
+	lo   loBank  // up-conversion carrier and both LOs
+	qCos float64 // cos of the Q-rail phase error
+	qSin float64 // sin of the Q-rail phase error
+	up   *dsp.Upsampler
 
 	// The circuit recurrence: the LNA, DC block, conversions, both rails of
 	// the channel-select Chebyshev and the decimation, coefficients and
@@ -289,13 +258,54 @@ type FrontEnd struct {
 
 	// Drive stage: a helper goroutine per Process call runs the upsampler
 	// and the LO bank one block ahead of the solver (see Process). It owns
-	// up, carrier, lo1, lo2 and the scratch planes while Process runs.
-	drive      [2]driveBlock
-	driveFree  chan *driveBlock // blocks ready to be refilled
-	driveFull  chan *driveBlock // filled blocks in frame order, then nil
-	frame      []complex128     // the frame handed to the drive stage
-	ph, sn, cs []float64        // scratch: phase, sine and carrier cosine planes
-	runDrive   func()           // fe.driveAhead, bound once: go runDrive() does not allocate
+	// up, lo and the scratch planes while Process runs.
+	drive     [2]driveBlock
+	driveFree chan *driveBlock // blocks ready to be refilled
+	driveFull chan *driveBlock // filled blocks in frame order, then nil
+	frame     []complex128     // the frame handed to the drive stage
+	ph, sn    []float64        // scratch: the first LO's phase, then a sine plane
+	runDrive  func()           // fe.driveAhead, bound once: go runDrive() does not allocate
+}
+
+// loBank is the drive stage's three oscillators: the up-conversion carrier
+// (at fc, noiseless) and the two LOs (at fc/2, each with its own Wiener
+// phase noise). All three step h = 1/fs from t = 0, so one time t serves
+// them, and the LOs share w*t. fillDrive advances them sample for sample as
+// Next on the CTOscillators they are built from would.
+type loBank struct {
+	wc, w, h, sigma float64
+	t               float64
+	phase           [2]float64
+	rng             [2]*randutil.Rand // nil for noiseless LOs
+}
+
+// newLOBank builds the carrier and the LOs as NewCTOscillator does, the
+// LOs seeded seed+2 and seed+3.
+func newLOBank(fc, linewidthHz, fs float64, seed int64) (loBank, error) {
+	carrier, err := NewCTOscillator(fc, 0, fs, 0)
+	if err != nil {
+		return loBank{}, err
+	}
+	lo1, err := NewCTOscillator(fc/2, linewidthHz, fs, seed+2)
+	if err != nil {
+		return loBank{}, err
+	}
+	lo2, err := NewCTOscillator(fc/2, linewidthHz, fs, seed+3)
+	if err != nil {
+		return loBank{}, err
+	}
+	return loBank{wc: carrier.w, w: lo1.w, h: lo1.h, sigma: lo1.sigma,
+		rng: [2]*randutil.Rand{lo1.rng, lo2.rng}}, nil
+}
+
+// reset restarts the time base and both LOs' phase noise.
+func (o *loBank) reset() {
+	o.t, o.phase = 0, [2]float64{}
+	for _, r := range o.rng {
+		if r != nil {
+			r.Rewind()
+		}
+	}
 }
 
 // driveBlock holds one solver block of the circuit's drive: the RF input
@@ -327,6 +337,10 @@ func growPlanes(n int, planes ...*[]float64) {
 // the second LO's two rails. The Q rail's -sin(ph+theta) is formed here as
 // -sin(ph)*cos(theta) - cos(ph)*sin(theta).
 //
+// One pass over the time base writes the three phase planes: the carrier's
+// to v, the first LO's to ph, the second's to msk, each overwritten once its
+// Sincos has run.
+//
 //lint:hotpath
 func (fe *FrontEnd) fillDrive(b *driveBlock, env []complex128) {
 	const s2 = math.Sqrt2
@@ -334,19 +348,42 @@ func (fe *FrontEnd) fillDrive(b *driveBlock, env []complex128) {
 	//lint:ignore escape one-time block buffers, reused across blocks and frames
 	growPlanes(n, &b.v, &b.c1, &b.c2, &b.msk)
 	//lint:ignore escape one-time scratch planes, reused across blocks and frames
-	growPlanes(n, &fe.ph, &fe.sn, &fe.cs)
-	ph, sn, cs := fe.ph, fe.sn, fe.cs
-	fe.carrier.fill(sn, cs, ph)
-	v := b.v
-	for k, e := range env {
-		v[k] = s2 * (real(e)*cs[k] - imag(e)*sn[k])
+	growPlanes(n, &fe.ph, &fe.sn)
+	v, c1, c2, msk, ph, sn := b.v, b.c1[:n], b.c2[:n], b.msk[:n], fe.ph[:n], fe.sn[:n]
+	o := &fe.lo
+	// c1 and c2 hold the LOs' phase-noise increments until their Sincos
+	// overwrites them. Each is 0 + draw*sigma, which differs from Next's
+	// draw*sigma at most in the sign of a zero, and the accumulated phase
+	// (never -0: it starts at +0) absorbs either zero alike; a noiseless LO
+	// adds +0 and keeps its phase.
+	if o.rng[0] != nil {
+		o.rng[0].FillNormMulAdd(c1, o.sigma, 0)
+		o.rng[1].FillNormMulAdd(c2, o.sigma, 0)
+	} else {
+		clear(c1)
+		clear(c2)
 	}
-	fe.lo1.fill(sn, b.c1, ph)
-	fe.lo2.fill(sn, b.c2, ph)
+	wc, w, h, t := o.wc, o.w, o.h, o.t
+	p1, p2 := o.phase[0], o.phase[1]
+	for k := range v {
+		wt := w * t
+		v[k] = wc * t // the carrier's wc*t + 0: wc*t is never -0
+		ph[k] = wt + p1
+		msk[k] = wt + p2
+		t += h
+		p1 += c1[k]
+		p2 += c2[k]
+	}
+	o.t, o.phase[0], o.phase[1] = t, p1, p2
+	kernels.Sincos(sn, c1, ph)
+	kernels.Sincos(sn, c2, msk)
 	qCos, qSin := fe.qCos, fe.qSin
-	c2, msk := b.c2, b.msk
 	for k, s := range sn {
 		msk[k] = -s*qCos - c2[k]*qSin
+	}
+	kernels.Sincos(sn, ph, v)
+	for k, e := range env {
+		v[k] = s2 * (real(e)*ph[k] - imag(e)*sn[k])
 	}
 }
 
@@ -369,10 +406,7 @@ func NewFrontEnd(cfg FrontEndConfig) (*FrontEnd, error) {
 		cfg.LNANoiseFigureDB, fe.fs, cfg.Seed+1, cfg.EnableNoise); err != nil {
 		return nil, err
 	}
-	if fe.lo1, err = NewCTOscillator(fe.fc/2, cfg.LOLinewidthHz, fe.fs, cfg.Seed+2); err != nil {
-		return nil, err
-	}
-	if fe.lo2, err = NewCTOscillator(fe.fc/2, cfg.LOLinewidthHz, fe.fs, cfg.Seed+3); err != nil {
+	if fe.lo, err = newLOBank(fe.fc, cfg.LOLinewidthHz, fe.fs, cfg.Seed); err != nil {
 		return nil, err
 	}
 	var dc float64 // self-mixing DC amplitude on the I rail
@@ -426,9 +460,6 @@ func NewFrontEnd(cfg FrontEndConfig) (*FrontEnd, error) {
 	// removes interpolation images after downconversion. (The sharp
 	// default interpolator would triple the per-step cost.)
 	if fe.up, err = dsp.NewUpsampler(cfg.SolverOversample, 16*cfg.SolverOversample+1); err != nil {
-		return nil, err
-	}
-	if fe.carrier, err = NewCTOscillator(fe.fc, 0, fe.fs, 0); err != nil {
 		return nil, err
 	}
 	// The hand-over channels hold every block (and the end mark), so no
@@ -519,9 +550,7 @@ func pair(x float64) [2]float64 { return [2]float64{x, x} }
 // Reset clears every stage.
 func (fe *FrontEnd) Reset() {
 	fe.lna.Reset()
-	fe.lo1.Reset()
-	fe.lo2.Reset()
+	fe.lo.reset()
 	fe.solver.Reset()
 	fe.up.Reset()
-	fe.carrier.Reset()
 }

@@ -78,6 +78,34 @@ func TestFrontEndProcessAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkFillDrive times the drive stage's fills alone, the counterpart
+// of BenchmarkSolveBlock: the envelope blocks of one default-configuration
+// Table 2 packet (2020 samples, 32x) are interpolated once, then every
+// iteration restarts the LO bank and fills every block's drive (the
+// up-converted RF input, both LOs' phase-noise draws and planes, the Q
+// rail) into one reused block, as the drive stage does per packet.
+func BenchmarkFillDrive(b *testing.B) {
+	fe, err := NewFrontEnd(DefaultFrontEndConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := cosimInput(rand.New(rand.NewSource(1)), table2Frame)
+	var envs [][]complex128
+	fe.up.Begin(x)
+	for env := fe.up.Next(); env != nil; env = fe.up.Next() {
+		envs = append(envs, append([]complex128(nil), env...))
+	}
+	var blk driveBlock
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fe.lo.reset()
+		for _, env := range envs {
+			fe.fillDrive(&blk, env)
+		}
+	}
+}
+
 // BenchmarkSolveBlock times the circuit recurrence alone: the drive blocks
 // of one default-configuration Table 2 packet (2020 samples, 32x) are
 // filled once, then every iteration resets the circuit and solves them all

@@ -386,6 +386,47 @@ func TestSincosAsmMatchesGo(t *testing.T) {
 	}
 }
 
+// TestNormQuadsAsmMatchesGo drives normQuadsAsm and normQuadsGo from
+// copies of one register, contiguous and in pairs: each call must stop at
+// the same draw (a rejected one, or the quad limit), leave the same
+// register and write the same draws. After a stop the test steps the
+// register once, as a generator's scalar draw would, and resumes, so the
+// quads after a rejection are compared too.
+func TestNormQuadsAsmMatchesGo(t *testing.T) {
+	requireAsmTier(t)
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 200; trial++ {
+		s0 := normTestState(rng, trial%2 == 1)
+		n := 4 + rng.Intn(400)
+		k := twinRandPlane(rng, 2, trial%4 == 3)
+		for _, pairs := range []bool{false, true} {
+			body := func(lo, hi []float64, quads func(lo, hi []float64, reg *[NormRegLen]int64, tap, feed int, tab *NormTable, mul, add float64, pairs bool) int) func(*normState, int) int {
+				return func(s *normState, i int) int {
+					if !pairs {
+						return quads(lo[i:], nil, &s.reg, s.tap, s.feed, &s.tab, k[0], k[1], false)
+					}
+					if i&1 != 0 {
+						return 0
+					}
+					return quads(lo[i/2:], hi[i/2:], &s.reg, s.tap, s.feed, &s.tab, k[0], k[1], true)
+				}
+			}
+			a, g := *s0, *s0
+			loA, hiA := make([]float64, n), make([]float64, n/2)
+			loG, hiG := make([]float64, n), make([]float64, n/2)
+			m := n
+			if pairs {
+				loA, loG, m = loA[:n/2], loG[:n/2], n&^1
+			}
+			stA := normFillPlane(&a, m, body(loA, hiA, normQuadsAsm))
+			stG := normFillPlane(&g, m, body(loG, hiG, normQuadsGo))
+			normCheckRun(t, "normQuads", &a, &g, stA, stG)
+			bitsEqual(t, "normQuads lo", loA, loG)
+			bitsEqual(t, "normQuads hi", hiA, hiG)
+		}
+	}
+}
+
 // TestSetDispatchToggles pins the dispatch API: forcing the pure-Go tier
 // always succeeds, requesting SIMD is granted exactly when the probe
 // accepted the CPU, and the reported name and lane width follow.
@@ -477,6 +518,9 @@ func TestExportedKernelsMatchRefBothTiers(t *testing.T) {
 				SincosRef(sW, cW, ph)
 				bitsEqual(t, "sincos sin", sG, sW)
 				bitsEqual(t, "sincos cos", cG, cW)
+
+				k := twinRandPlane(rng, 2, adv)
+				normCheckKernels(t, normTestState(rng, adv), 40*n+n%3, k[0], k[1])
 
 				x := twinRandCplx(rng, n, adv)
 				reG := make([]float64, n)

@@ -1331,3 +1331,161 @@ ctsolve_stored:
 	SHRQ $4, R12
 	MOVQ R12, ret+152(FP)
 	RET
+
+// normQuadsAsm's constants: the VPERMD index that gathers the four j = x>>31
+// dwords in draw order (the register slots of a quad ascend, its draws
+// descend), the one that splits four strips into their kn and wn halves,
+// the strip mask, and the draw and register-slot numbers of a quad's lanes
+// for the partial commit's masks.
+DATA normPerm<>+0(SB)/4, $6
+DATA normPerm<>+4(SB)/4, $4
+DATA normPerm<>+8(SB)/4, $2
+DATA normPerm<>+12(SB)/4, $0
+DATA normPerm<>+16(SB)/4, $0
+DATA normPerm<>+20(SB)/4, $0
+DATA normPerm<>+24(SB)/4, $0
+DATA normPerm<>+28(SB)/4, $0
+GLOBL normPerm<>(SB), RODATA|NOPTR, $32
+
+DATA normSplit<>+0(SB)/4, $0
+DATA normSplit<>+4(SB)/4, $2
+DATA normSplit<>+8(SB)/4, $4
+DATA normSplit<>+12(SB)/4, $6
+DATA normSplit<>+16(SB)/4, $1
+DATA normSplit<>+20(SB)/4, $3
+DATA normSplit<>+24(SB)/4, $5
+DATA normSplit<>+28(SB)/4, $7
+GLOBL normSplit<>(SB), RODATA|NOPTR, $32
+
+DATA normStrip<>+0(SB)/4, $0x7f
+GLOBL normStrip<>(SB), RODATA|NOPTR, $4
+
+DATA normDraw<>+0(SB)/8, $0
+DATA normDraw<>+8(SB)/8, $1
+DATA normDraw<>+16(SB)/8, $2
+DATA normDraw<>+24(SB)/8, $3
+GLOBL normDraw<>(SB), RODATA|NOPTR, $32
+
+DATA normSlot<>+0(SB)/8, $3
+DATA normSlot<>+8(SB)/8, $2
+DATA normSlot<>+16(SB)/8, $1
+DATA normSlot<>+24(SB)/8, $0
+GLOBL normSlot<>(SB), RODATA|NOPTR, $32
+
+// func normQuadsAsm(lo, hi []float64, reg *[NormRegLen]int64, tap, feed int, tab *NormTable, mul, add float64, pairs bool) int
+//
+// Four draws per iteration, each lane one draw of normQuadsGo: the tap and
+// feed slots of a quad are four ascending int64s each, summed by one
+// VPADDQ; j = x>>31 is taken as the low dword of each lane, permuted into
+// draw order; the strip k = j&0x7F indexes an 8-byte gather of (kn, wn);
+// |j| by VPABSD (MinInt32 stays 0x80000000, which is 2^31 unsigned, as
+// uint32(-j)) and the unsigned test |j| >= kn as max(|j|, kn) == |j|. The
+// draw is float64(j)*float64(wn), then v*mul, then add + that, no FMA. A
+// quad whose strip tests all pass is committed whole: the sums to the feed
+// slots, the draws to lo (or, with pairs, d0 d2 to lo and d1 d3 to hi).
+// Otherwise only the m draws before the first rejected one are committed,
+// by masked stores, and the call returns there.
+//
+// Register plan: DI lo, R8 hi, SI reg, BX tap, CX feed, R9 tab, DX draws
+// done, R10 draw limit, R11 pairs; Y15 mul, Y14 add, Y13 normPerm, X12
+// strip mask, Y11 normSplit; Y0-Y10 per-quad work.
+TEXT ·normQuadsAsm(SB), NOSPLIT, $0-112
+	MOVQ         lo_base+0(FP), DI
+	MOVQ         lo_len+8(FP), R10
+	MOVQ         hi_base+24(FP), R8
+	MOVQ         hi_len+32(FP), AX
+	MOVQ         reg+48(FP), SI
+	MOVQ         tap+56(FP), BX
+	MOVQ         feed+64(FP), CX
+	MOVQ         tab+72(FP), R9
+	VBROADCASTSD mul+80(FP), Y15
+	VBROADCASTSD add+88(FP), Y14
+	MOVBQZX      pairs+96(FP), R11
+	TESTQ        R11, R11
+	JZ           norm_limit
+	CMPQ         AX, R10
+	CMOVQLT      AX, R10
+	SHLQ         $1, R10                   // pairs: 2*min(len(lo), len(hi))
+
+norm_limit:
+	CMPQ         BX, R10
+	CMOVQLT      BX, R10
+	CMPQ         CX, R10
+	CMOVQLT      CX, R10
+	ANDQ         $-4, R10                  // whole quads above index 0
+	VMOVDQU      normPerm<>(SB), Y13
+	VPBROADCASTD normStrip<>(SB), X12
+	VMOVDQU      normSplit<>(SB), Y11
+	XORQ         DX, DX
+
+norm_loop:
+	CMPQ         DX, R10
+	JGE          norm_done
+	VMOVDQU      -32(SI)(BX*8), Y0
+	VPADDQ       -32(SI)(CX*8), Y0, Y0     // x, slot-ascending
+	VPSRLQ       $31, Y0, Y1
+	VPERMD       Y1, Y13, Y1               // X1: j in draw order
+	VPAND        X12, X1, X2               // k = j & 0x7f
+	VPCMPEQD     Y4, Y4, Y4
+	VPGATHERDQ   Y4, (R9)(X2*8), Y5        // strips: kn | wn<<32
+	VPERMD       Y5, Y11, Y5               // X5: kn; high half: wn
+	VPABSD       X1, X3                    // |j|
+	VPMAXUD      X5, X3, X6
+	VPCMPEQD     X6, X3, X6                // |j| >= kn: rejected
+	VEXTRACTI128 $1, Y5, X7
+	VCVTPS2PD    X7, Y7                    // float64(wn)
+	VCVTDQ2PD    X1, Y8                    // float64(j)
+	VMULPD       Y7, Y8, Y8                // v
+	VMULPD       Y15, Y8, Y8               // v*mul
+	VADDPD       Y8, Y14, Y8               // add + v*mul
+	VPTEST       X6, X6
+	JNZ          norm_reject
+	VMOVDQU      Y0, -32(SI)(CX*8)
+	SUBQ         $4, BX
+	SUBQ         $4, CX
+	TESTQ        R11, R11
+	JNZ          norm_pairs
+	VMOVUPD      Y8, (DI)(DX*8)
+	ADDQ         $4, DX
+	JMP          norm_loop
+
+norm_pairs:
+	MOVQ         DX, AX
+	SHRQ         $1, AX
+	VPERMPD      $0xd8, Y8, Y8             // d0 d2 | d1 d3
+	VMOVUPD      X8, (DI)(AX*8)
+	VEXTRACTF128 $1, Y8, (R8)(AX*8)
+	ADDQ         $4, DX
+	JMP          norm_loop
+
+norm_reject:
+	VMOVMSKPS    X6, AX
+	BSFL         AX, AX                    // m: draws before the first rejection
+	TESTQ        AX, AX
+	JZ           norm_done
+	VMOVQ        AX, X9
+	VPBROADCASTQ X9, Y9
+	VPCMPGTQ     normSlot<>(SB), Y9, Y3    // slots of draws < m
+	VPCMPGTQ     normDraw<>(SB), Y9, Y10   // draws < m
+	VPMASKMOVQ   Y0, Y3, -32(SI)(CX*8)
+	TESTQ        R11, R11
+	JNZ          norm_reject_pairs
+	VMASKMOVPD   Y8, Y10, (DI)(DX*8)
+	ADDQ         AX, DX
+	JMP          norm_done
+
+norm_reject_pairs:
+	MOVQ         DX, R12
+	SHRQ         $1, R12
+	VPERMPD      $0xd8, Y8, Y8
+	VPERMPD      $0xd8, Y10, Y10
+	VMASKMOVPD   X8, X10, (DI)(R12*8)
+	VEXTRACTF128 $1, Y8, X8
+	VEXTRACTF128 $1, Y10, X10
+	VMASKMOVPD   X8, X10, (R8)(R12*8)
+	ADDQ         AX, DX
+
+norm_done:
+	MOVQ         DX, ret+104(FP)
+	VZEROUPPER
+	RET

@@ -142,6 +142,12 @@ func mulCplxAsm(ar, ai, br, bi []float64)
 //go:noescape
 func sincosAsm(s, c, x []float64) int
 
+// normQuadsAsm takes normQuadsGo's draws, four per vector, and stops at
+// the same draw; the walkers must be in range and hold math/rand's lag.
+//
+//go:noescape
+func normQuadsAsm(lo, hi []float64, reg *[NormRegLen]int64, tap, feed int, tab *NormTable, mul, add float64, pairs bool) int
+
 // ctSolveAsm steps the circuit over len(v) samples; c1/c2/msk must have
 // len(v) elements, noise none or len(v), out room for p.Outputs(len(v))
 // samples, and p.Decim >= 1 with 0 <= p.Phase < p.Decim.
@@ -319,6 +325,11 @@ func mulCplxSIMD(ar, ai, br, bi []float64) {
 //lint:hotpath
 func sincosSIMD(s, c, x []float64) int {
 	return sincosAsm(s, c, x)
+}
+
+//lint:hotpath
+func normQuadsSIMD(lo, hi []float64, reg *[NormRegLen]int64, tap, feed int, tab *NormTable, mul, add float64, pairs bool) int {
+	return normQuadsAsm(lo, hi, reg, tap, feed, tab, mul, add, pairs)
 }
 
 //lint:hotpath

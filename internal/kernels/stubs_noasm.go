@@ -93,6 +93,11 @@ func sincosSIMD(s, c, x []float64) int {
 }
 
 //lint:hotpath
+func normQuadsSIMD(lo, hi []float64, reg *[NormRegLen]int64, tap, feed int, tab *NormTable, mul, add float64, pairs bool) int {
+	return normQuadsGo(lo, hi, reg, tap, feed, tab, mul, add, pairs)
+}
+
+//lint:hotpath
 func ctSolveSIMD(out []complex128, v, c1, c2, msk, noise []float64, p *CTSolver) int {
 	return ctSolveGo(out, v, c1, c2, msk, noise, p)
 }

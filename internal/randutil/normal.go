@@ -1,6 +1,10 @@
 package randutil
 
-import "math"
+import (
+	"math"
+
+	"wlansim/internal/kernels"
+)
 
 // Rand is a concrete generator over the fibSource register carrying the draw
 // methods the RF noise paths use, each replicating the corresponding
@@ -77,7 +81,7 @@ const zigguratRN = 3.442619855899
 // remaining fast path is over the compiler's inlining budget (cost 174
 // against 80 in `go build -gcflags=-m=2`), so every NormFloat64 is a call.
 // Loops that draw a plane of values use FillNormPairs or FillNormMulAdd,
-// which carry the fast path inline.
+// which run the fast path in the vector draw kernels.
 func (r *Rand) NormFloat64() float64 {
 	j := int32(r.Uint32()) // possibly negative, selects sign and strip
 	i := j & 0x7F
@@ -141,108 +145,59 @@ func (r *Rand) normSlow(j, i int32, x float64) float64 {
 // own rewound generator would — while paying for the stream once instead
 // of B times. TestFillNormPairsMatchesPerPacketRestart pins that property.
 //
-// The ziggurat fast path is written out inline with the register walkers in
-// locals: NormFloat64 is beyond the compiler's inlining budget, and a call
-// plus state round-trip per draw is the dominant cost of a fill. The step is
-// the exact fibSource.Uint64 arithmetic; the rare rejected draw writes the
-// walkers back, runs the out-of-line slow path, and reloads.
+// The ziggurat's fast path runs in kernels.NormDrawPairs, four draws per
+// vector on the AVX2 tier; the draws it leaves — a rejected strip test or
+// a walker wrapping through index 0 — are NormFloat64 calls, which redo
+// the step and finish the draw in normSlow.
 //
 //lint:hotpath
 func (r *Rand) FillNormPairs(re, im []float64) {
 	im = im[:len(re)]
 	s := &r.src
-	tap, feed := s.tap, s.feed
-	vec := &s.vec
-	for i := range re {
-		tap--
-		if tap < 0 {
-			tap += rngLen
+	for i := 0; i < len(re); {
+		d := kernels.NormDrawPairs(re[i:], im[i:], &s.vec, s.tap, s.feed, &zigguratStrips)
+		s.tap -= d
+		s.feed -= d
+		i += d >> 1
+		if i == len(re) {
+			break
 		}
-		feed--
-		if feed < 0 {
-			feed += rngLen
+		if d&1 == 0 {
+			re[i] = r.NormFloat64()
 		}
-		x := vec[feed] + vec[tap]
-		vec[feed] = x
-		j := int32(uint32(uint64(x) >> 31))
-		k := j & 0x7F
-		v := float64(j) * float64(zigguratWN[k])
-		a := uint32(j)
-		if j < 0 {
-			a = uint32(-j)
-		}
-		if a >= zigguratKN[k] {
-			s.tap, s.feed = tap, feed
-			v = r.normSlow(j, k, v)
-			tap, feed = s.tap, s.feed
-		}
-		re[i] = v
-
-		tap--
-		if tap < 0 {
-			tap += rngLen
-		}
-		feed--
-		if feed < 0 {
-			feed += rngLen
-		}
-		x = vec[feed] + vec[tap]
-		vec[feed] = x
-		j = int32(uint32(uint64(x) >> 31))
-		k = j & 0x7F
-		v = float64(j) * float64(zigguratWN[k])
-		a = uint32(j)
-		if j < 0 {
-			a = uint32(-j)
-		}
-		if a >= zigguratKN[k] {
-			s.tap, s.feed = tap, feed
-			v = r.normSlow(j, k, v)
-			tap, feed = s.tap, s.feed
-		}
-		im[i] = v
+		im[i] = r.NormFloat64()
+		i++
 	}
-	s.tap, s.feed = tap, feed
 }
 
 // FillNormMulAdd fills dst[i] = add + NormFloat64()*mul, draws in index
 // order — the fused form of the scalar `add + draw*mul` the LO phase-noise
-// loop computes per sample, with the same inlined fast path as
-// FillNormPairs. The two float operations per element match the scalar
-// expression exactly.
+// loop computes per sample, on the same kernel as FillNormPairs. The two
+// float operations per element match the scalar expression exactly.
 //
 //lint:hotpath
 func (r *Rand) FillNormMulAdd(dst []float64, mul, add float64) {
 	s := &r.src
-	tap, feed := s.tap, s.feed
-	vec := &s.vec
-	for i := range dst {
-		tap--
-		if tap < 0 {
-			tap += rngLen
+	for i := 0; i < len(dst); {
+		d := kernels.NormDraws(dst[i:], &s.vec, s.tap, s.feed, &zigguratStrips, mul, add)
+		s.tap -= d
+		s.feed -= d
+		i += d
+		if i < len(dst) {
+			dst[i] = add + r.NormFloat64()*mul
+			i++
 		}
-		feed--
-		if feed < 0 {
-			feed += rngLen
-		}
-		x := vec[feed] + vec[tap]
-		vec[feed] = x
-		j := int32(uint32(uint64(x) >> 31))
-		k := j & 0x7F
-		v := float64(j) * float64(zigguratWN[k])
-		a := uint32(j)
-		if j < 0 {
-			a = uint32(-j)
-		}
-		if a >= zigguratKN[k] {
-			s.tap, s.feed = tap, feed
-			v = r.normSlow(j, k, v)
-			tap, feed = s.tap, s.feed
-		}
-		dst[i] = add + v*mul
 	}
-	s.tap, s.feed = tap, feed
 }
+
+// zigguratStrips is zigguratKN and zigguratWN side by side, the layout the
+// draw kernels read.
+var zigguratStrips = func() (t kernels.NormTable) {
+	for k := range t {
+		t[k] = kernels.NormStrip{KN: zigguratKN[k], WN: zigguratWN[k]}
+	}
+	return t
+}()
 
 // The ziggurat strip tables, identical to math/rand's kn/wn/fn (derived from
 // the Marsaglia & Tsang construction with 128 strips; Go's values are the

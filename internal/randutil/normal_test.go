@@ -129,3 +129,31 @@ func BenchmarkNormFloat64MathRand(b *testing.B) {
 		rng.NormFloat64()
 	}
 }
+
+// fillBenchDraws is the draws per fill in the fill benchmarks: a plane of
+// the size the co-sim LO bank and the behavioral noise lanes draw per block.
+const fillBenchDraws = 4096
+
+// BenchmarkFillNormMulAdd times the LO phase-increment form of the fill
+// (mul sigma, add the nominal step) in ns per draw.
+func BenchmarkFillNormMulAdd(b *testing.B) {
+	rng := NewRandDirect(3)
+	dst := make([]float64, fillBenchDraws)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rng.FillNormMulAdd(dst, 1.7724538509055159e-3, 0.39269908169872414)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fillBenchDraws), "ns/draw")
+}
+
+// BenchmarkFillNormPairs times the complex-noise fill in ns per draw (two
+// draws per pair).
+func BenchmarkFillNormPairs(b *testing.B) {
+	rng := NewRandDirect(3)
+	re, im := make([]float64, fillBenchDraws/2), make([]float64, fillBenchDraws/2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rng.FillNormPairs(re, im)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fillBenchDraws), "ns/draw")
+}

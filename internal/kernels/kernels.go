@@ -1,9 +1,11 @@
 // Package kernels is the instruction-level-parallelism layer of the
 // simulator: the handful of numeric inner loops that dominate packet run
 // time — Viterbi add-compare-select, FIR convolution, mixer/LO rotation,
-// FFT butterfly stages, and the sine/cosine of the co-sim oscillator bank's
-// phase planes (Sincos) — rewritten on a planar (structure-of-arrays)
-// split-complex representation with explicit unrolling, and nothing else.
+// FFT butterfly stages, the sine/cosine of the co-sim oscillator bank's
+// phase planes (Sincos), and the fast path of the ziggurat normal draw
+// behind every noise plane (NormDraws) — rewritten on a planar
+// (structure-of-arrays) split-complex representation with explicit
+// unrolling, and nothing else.
 //
 // The package carries two execution tiers behind one API. Every exported
 // kernel dispatches between a pure-Go twin (fooGo) and, on amd64 with AVX2,
@@ -25,8 +27,9 @@
 //     signature, bit-identical on all inputs, exercised differentially by
 //     the asmtwins suite under both dispatch settings;
 //   - the package imports only "math" (kernels) and "os" (the dispatch
-//     gate): no allocation sources, no I/O, no RNGs (stochastic inputs are
-//     produced by the caller and passed in);
+//     gate): no allocation sources, no I/O, no RNG state of its own
+//     (stochastic inputs, and the generator register the normal-draw
+//     kernels advance, are owned by the caller and passed in);
 //   - hot functions allocate nothing — buffers are owned by the caller,
 //     typically as Vec fields grown once via Grow;
 //   - Go loop bodies contain no complex128 arithmetic: operands arrive

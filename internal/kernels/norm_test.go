@@ -155,7 +155,7 @@ func normCheckRun(t *testing.T, name string, got, want *normState, stG, stW []in
 // hand-made state: a rejected draw (strip bound 0) and a walker at index 0
 // each end a call with the register untouched from there on.
 func TestNormDrawsStopAtRejectAndWrap(t *testing.T) {
-	restoreDispatch(t)
+	fftRestoreDispatch(t)
 	for _, simd := range []bool{true, false} {
 		SetDispatch(simd)
 		s := &normState{tap: 300, feed: 27}
@@ -175,6 +175,21 @@ func TestNormDrawsStopAtRejectAndWrap(t *testing.T) {
 		s.tap, s.feed = s.tap-10, s.feed-10 // the caller's scalar draw
 		if d := NormDraws(dst, &s.reg, s.tap, s.feed, &s.tab, 1, 0); d != s.feed {
 			t.Fatalf("tier %s: stopped after %d draws, want %d (the feed walker's wrap)", DispatchName(), d, s.feed)
+		}
+	}
+}
+
+// TestNormDrawsMatchRefBothTiers runs NormDraws and NormDrawPairs against
+// their references from random and adversarial states on both dispatch
+// tiers, over fills long enough to pass several rejections and a wrap.
+func TestNormDrawsMatchRefBothTiers(t *testing.T) {
+	fftRestoreDispatch(t)
+	rng := rand.New(rand.NewSource(22))
+	for _, simd := range []bool{true, false} {
+		SetDispatch(simd)
+		for trial := 0; trial < 40; trial++ {
+			mul, add := rng.NormFloat64(), rng.NormFloat64()
+			normCheckKernels(t, normTestState(rng, trial%2 == 1), 1+rng.Intn(1500), mul, add)
 		}
 	}
 }

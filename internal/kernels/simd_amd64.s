@@ -1437,7 +1437,7 @@ norm_loop:
 	VCVTDQ2PD    X1, Y8                    // float64(j)
 	VMULPD       Y7, Y8, Y8                // v
 	VMULPD       Y15, Y8, Y8               // v*mul
-	VADDPD       Y8, Y14, Y8               // add + v*mul
+	VADDPD       Y14, Y8, Y8               // add + v*mul (a NaN product wins, as in Go)
 	VPTEST       X6, X6
 	JNZ          norm_reject
 	VMOVDQU      Y0, -32(SI)(CX*8)

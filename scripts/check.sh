@@ -44,7 +44,9 @@ go test -race ./...
 # co-sim goldens, recorded before those kernels existed, then hold on
 # either tier. internal/rf joins them for the behavioral front end's mixer,
 # biquad and plane kernels: its oracle and lane differential tests hold on
-# either tier. `go test -list` guards make
+# either tier. internal/randutil joins them for the normal-draw kernels
+# under its plane fills: its math/rand stream tests and FuzzNormFill's
+# corpus hold on either tier. `go test -list` guards make
 # a silent skip impossible — if a build tag or rename ever drops the suites
 # from the compiled set, the gate fails loudly instead of passing on an
 # empty run.
@@ -52,7 +54,7 @@ echo "==> kernel dispatch tiers"
 if [ "$(go env GOARCH)" = "amd64" ]; then
     asm_pat='AsmMatchesGo|Exported.*KernelsMatchRefBothTiers|SetDispatchToggles|GoldenBERDispatchInvariant'
     n="$(go test -run '^$' -list "$asm_pat" ./internal/kernels | grep -c '^Test' || true)"
-    if [ "$n" -lt 18 ]; then
+    if [ "$n" -lt 19 ]; then
         echo "FAIL: internal/kernels lists only $n asm-twin differential tests matching '$asm_pat' (silent skip)" >&2
         exit 1
     fi
@@ -62,11 +64,11 @@ else
     echo "    $(go env GOARCH): no assembly tier; pure-Go path is the only tier"
 fi
 echo "    WLANSIM_SIMD=off (env-forced pure-Go dispatch)"
-WLANSIM_SIMD=off go test -race -count=1 ./internal/kernels ./internal/dsp ./internal/analog ./internal/rf > /dev/null
+WLANSIM_SIMD=off go test -race -count=1 ./internal/kernels ./internal/dsp ./internal/analog ./internal/rf ./internal/randutil > /dev/null
 echo "    -tags purego (assembly tier compiled out)"
 go build -tags purego ./...
 go vet -tags purego ./...
-go test -tags purego -count=1 ./internal/kernels ./internal/core ./internal/dsp ./internal/analog ./internal/rf > /dev/null
+go test -tags purego -count=1 ./internal/kernels ./internal/core ./internal/dsp ./internal/analog ./internal/rf ./internal/randutil > /dev/null
 
 # Benchmark module. wlanbench is its own Go module that drives the library
 # end to end with several sweep workers, so vetting it proves the library
@@ -298,7 +300,8 @@ go test -run '^$' -bench 'BenchmarkFFTStage' -benchtime 1x ./internal/kernels > 
 go test -run '^$' -bench 'BenchmarkFIRProcess|BenchmarkComplexFIRProcess|BenchmarkFFT|BenchmarkDFT|BenchmarkIIRCascade3|BenchmarkUpsamplerStream' -benchtime 1x ./internal/dsp > /dev/null
 go test -run '^$' -bench 'BenchmarkDemodulateSymbol|BenchmarkModulateSymbol' -benchtime 1x ./internal/phy > /dev/null
 go test -run '^$' -bench 'BenchmarkServiceJob' -benchtime 1x ./internal/service > /dev/null
-go test -run '^$' -bench 'BenchmarkFrontEndProcess|BenchmarkSolveBlock' -benchtime 1x ./internal/analog > /dev/null
+go test -run '^$' -bench 'BenchmarkFrontEndProcess|BenchmarkSolveBlock|BenchmarkFillDrive' -benchtime 1x ./internal/analog > /dev/null
+go test -run '^$' -bench 'BenchmarkFillNormMulAdd|BenchmarkFillNormPairs' -benchtime 1x ./internal/randutil > /dev/null
 go test -run '^$' -bench 'BenchmarkBatchReceiverFromFilter|BenchmarkBatchReceiverProcessInto|BenchmarkProcessFromFilter' -benchtime 1x ./internal/rf > /dev/null
 go test -run '^$' -bench 'BenchmarkEVM' -benchtime 1x ./internal/measure > /dev/null
 go test -run '^$' -bench 'BenchmarkTable2_CoSimulation' -benchtime 1x . > /dev/null

@@ -99,7 +99,8 @@ func (r *Rand) NormFloat64() float64 {
 
 // normSlow finishes a draw whose first strip test rejected: the base-strip
 // tail, the wedge accept/reject, and any redraws — exactly the remainder of
-// the stdlib ziggurat loop, consuming the identical variates.
+// the stdlib ziggurat loop, consuming the identical variates. The wedge
+// test runs through underCurve's squeeze, which takes the same branch.
 func (r *Rand) normSlow(j, i int32, x float64) float64 {
 	for {
 		if i == 0 {
@@ -116,7 +117,7 @@ func (r *Rand) normSlow(j, i int32, x float64) float64 {
 			}
 			return -zigguratRN - x
 		}
-		if zigguratFN[i]+float32(r.Float64())*(zigguratFN[i-1]-zigguratFN[i]) < float32(math.Exp(-.5*x*x)) {
+		if underCurve(i, x, zigguratFN[i]+float32(r.Float64())*(zigguratFN[i-1]-zigguratFN[i])) {
 			return x
 		}
 		j = int32(r.Uint32())

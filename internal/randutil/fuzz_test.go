@@ -25,11 +25,10 @@ func FuzzNormFill(f *testing.F) {
 		base := NewRandDirect(int64(feed) * 7919)
 		s := &base.src
 		s.feed = int(feed) % rngLen
-		s.tap = (s.feed + rngLen - rngLen + 273) % rngLen
-		for i := 0; i+8 <= len(words) && i < 8*64; i += 8 {
-			f, tp := (s.feed-1-i/8+rngLen)%rngLen, (s.tap-1-i/8+rngLen)%rngLen
-			s.vec[f] = int64(binary.LittleEndian.Uint64(words[i:]))
-			s.vec[tp] = 0
+		s.tap = (s.feed + 273) % rngLen
+		for k := 0; k < min(len(words)/8, 64); k++ {
+			s.vec[(s.feed-1-k+rngLen)%rngLen] = int64(binary.LittleEndian.Uint64(words[8*k:]))
+			s.vec[(s.tap-1-k+rngLen)%rngLen] = 0
 		}
 		prev := kernels.DispatchName() != "purego"
 		defer kernels.SetDispatch(prev)

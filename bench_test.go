@@ -13,6 +13,7 @@ package wlansim_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"wlansim"
@@ -128,7 +129,11 @@ func BenchmarkFigure6_BERvsCompressionPoint(b *testing.B) {
 	high, _ := with.YAt(-5)
 	b.ReportMetric(low, "ber_cp_-30dBm_adj")
 	b.ReportMetric(high, "ber_cp_-5dBm_adj")
-	b.ReportMetric(without.Max().Y, "ber_worst_no_adj")
+	worst := 0.0
+	for _, p := range without.Points {
+		worst = math.Max(worst, p.Y)
+	}
+	b.ReportMetric(worst, "ber_worst_no_adj")
 }
 
 // BenchmarkTable2_SystemLevel times the pure system-level (complex

@@ -1,8 +1,9 @@
 // Command wlanlint runs the simulator's domain-invariant static-analysis
 // suite (internal/lint) over the module: dB/linear conversion discipline and
 // cross-function unit dataflow, seeded-RNG enforcement, determinism routes,
-// float equality, unkeyed config literals, hot-path allocation patterns, and
-// a compiler-backed heap-escape gate for //lint:hotpath functions.
+// float equality, unkeyed config literals, hot-path allocation patterns,
+// exported internal code that only tests reach, and a compiler-backed
+// heap-escape gate for //lint:hotpath functions.
 //
 // Usage:
 //

@@ -252,7 +252,7 @@ func TestFrontEndPassesBasebandTone(t *testing.T) {
 		t.Fatalf("output length %d, want %d", len(out), n)
 	}
 	settled := out[n/2:]
-	gotP := units.MeanPowerDBm(settled)
+	gotP := units.WattsToDBm(units.MeanPower(settled))
 	if math.Abs(gotP-(-50+33)) > 1 {
 		t.Errorf("output power %v dBm, want ~-17", gotP)
 	}
@@ -286,7 +286,7 @@ func TestFrontEndRejectsAdjacentChannel(t *testing.T) {
 			in[i] = complex(a, 0) * cmplx.Exp(complex(0, 2*math.Pi*freq*float64(i)/80e6))
 		}
 		out := fe.Process(in)
-		return units.MeanPowerDBm(out[len(out)/2:])
+		return units.WattsToDBm(units.MeanPower(out[len(out)/2:]))
 	}
 	inband := gain(3e6)
 	adjacent := gain(20e6)
@@ -401,7 +401,7 @@ func TestFrontEndDCOffsetAppears(t *testing.T) {
 	}
 	mean /= complex(float64(len(tail)), 0)
 	wantP := -45.0 + cfg.OutputGainDB
-	gotP := units.AmplitudeToDBm(cmplx.Abs(mean))
+	gotP := units.WattsToDBm(real(mean)*real(mean) + imag(mean)*imag(mean))
 	if math.Abs(gotP-wantP) > 1.5 {
 		t.Errorf("DC level %v dBm, want ~%v", gotP, wantP)
 	}

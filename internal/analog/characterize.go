@@ -141,37 +141,3 @@ func (b *CTBench) MeasureIIP3(s Stage, centerHz, spacingHz, pinDBm float64) (flo
 	pi := b.binPower(s, []int{b1, b2}, []float64{peak, peak}, im3)
 	return pinDBm + (pf-pi)/2, nil
 }
-
-// MeasureResponseDB returns the stage's magnitude response (dB) at freqHz
-// measured with a small tone.
-func (b *CTBench) MeasureResponseDB(s Stage, freqHz float64) (float64, error) {
-	return b.MeasureGain(s, freqHz, -40)
-}
-
-// MeasureNoiseFigure measures the stage's output noise with a silent input
-// and returns the implied noise figure in dB: the stage's internal noise
-// referred to its input over the bench bandwidth, NF = 1 + Pn_in/(kTB).
-// gainDB must be the stage's small-signal power gain.
-func (b *CTBench) MeasureNoiseFigure(s Stage, gainDB float64) (float64, error) {
-	if b.SampleRateHz <= 0 {
-		return 0, fmt.Errorf("analog: bench needs a sample rate")
-	}
-	n := b.capture() * 4
-	s.Reset()
-	var acc float64
-	for i := 0; i < n; i++ {
-		v := s.Step(0)
-		if i >= n/4 {
-			acc += v * v
-		}
-	}
-	pn := acc / float64(n-n/4)
-	if pn <= 0 {
-		return 0, fmt.Errorf("analog: stage is noiseless")
-	}
-	// Real-signal bench: thermal reference power is kT*fs/2 over the
-	// sampled band (the noise sources here are calibrated the same way).
-	ktb := units.Boltzmann * units.RoomTemperature * b.SampleRateHz / 2
-	f := pn/(ktb*units.DBToLinear(gainDB)) + 1
-	return units.LinearToDB(f), nil
-}

@@ -1,8 +1,11 @@
 package analog
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"wlansim/internal/units"
 )
 
 const benchFS = 320e6
@@ -57,14 +60,14 @@ func TestCTBenchMeasuresFilterResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := NewCTBench(benchFS)
-	pass, err := b.MeasureResponseDB(lp, 2.5e6)
+	pass, err := b.MeasureGain(lp, 2.5e6, -40)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pass > 0.1 || pass < -0.7 {
 		t.Errorf("passband response %v dB", pass)
 	}
-	stop, err := b.MeasureResponseDB(lp, 20e6)
+	stop, err := b.MeasureGain(lp, 20e6, -40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,4 +116,32 @@ func TestCTBenchMeasuresNoiseFigure(t *testing.T) {
 	if _, err := bad.MeasureNoiseFigure(a, 18); err == nil {
 		t.Error("accepted zero sample rate")
 	}
+}
+
+// MeasureNoiseFigure measures the stage's output noise with a silent input
+// and returns the implied noise figure in dB: the stage's internal noise
+// referred to its input over the bench bandwidth, NF = 1 + Pn_in/(kTB).
+// gainDB must be the stage's small-signal power gain.
+func (b *CTBench) MeasureNoiseFigure(s Stage, gainDB float64) (float64, error) {
+	if b.SampleRateHz <= 0 {
+		return 0, fmt.Errorf("analog: bench needs a sample rate")
+	}
+	n := b.capture() * 4
+	s.Reset()
+	var acc float64
+	for i := 0; i < n; i++ {
+		v := s.Step(0)
+		if i >= n/4 {
+			acc += v * v
+		}
+	}
+	pn := acc / float64(n-n/4)
+	if pn <= 0 {
+		return 0, fmt.Errorf("analog: stage is noiseless")
+	}
+	// Real-signal bench: thermal reference power is kT*fs/2 over the
+	// sampled band (the noise sources here are calibrated the same way).
+	ktb := units.Boltzmann * units.RoomTemperature * b.SampleRateHz / 2
+	f := pn/(ktb*units.DBToLinear(gainDB)) + 1
+	return units.LinearToDB(f), nil
 }

@@ -11,28 +11,10 @@ import (
 	"wlansim/internal/units"
 )
 
-// NewCTChebyshevLowpass builds a continuous-time type-I Chebyshev low-pass
-// from second-order (and one first-order for odd orders) trapezoidal stages,
-// with the passband edge at edgeHz.
-func NewCTChebyshevLowpass(order int, edgeHz, rippleDB, sampleRateHz float64) (*CTCascade, error) {
-	ch, err := newCTChebyshev(order, edgeHz, rippleDB, sampleRateHz)
-	if err != nil {
-		return nil, err
-	}
-	stages := make([]Stage, 0, len(ch.bq)+1)
-	for k := range ch.bq {
-		stages = append(stages, &ch.bq[k])
-	}
-	if ch.fo != nil {
-		stages = append(stages, ch.fo)
-	}
-	return NewCTCascade(ch.gain, stages...), nil
-}
-
 // ctChebyshev is the concrete form of the Chebyshev ladder: the passband
 // gain, the biquad sections and, for odd orders, the real-pole section
-// last. NewCTChebyshevLowpass wraps it in a CTCascade; the front end copies
-// its coefficients into the circuit recurrence's kernels.CTSolver.
+// last. The front end copies its coefficients into the circuit recurrence's
+// kernels.CTSolver; the tests' NewCTChebyshevLowpass wraps it in a CTCascade.
 type ctChebyshev struct {
 	gain float64
 	bq   []CTBiquad
@@ -172,25 +154,6 @@ func allFinite(vs ...float64) bool {
 		}
 	}
 	return true
-}
-
-// Next returns cos and -sin of the current LO phase and advances time.
-func (o *CTOscillator) Next() (cosv, msinv float64) {
-	ph := o.w*o.t + o.phase
-	o.t += o.h
-	if o.rng != nil {
-		o.phase += o.rng.NormFloat64() * o.sigma
-	}
-	return math.Cos(ph), -math.Sin(ph)
-}
-
-// Reset restarts the trajectory, rewinding the phase noise to its seeded
-// state.
-func (o *CTOscillator) Reset() {
-	o.t, o.phase = 0, 0
-	if o.rng != nil {
-		o.rng.Rewind()
-	}
 }
 
 // FrontEndConfig parameterizes the analog co-simulation receiver. ConfigFor
@@ -472,13 +435,6 @@ func NewFrontEnd(cfg FrontEndConfig) (*FrontEnd, error) {
 	fe.runDrive = fe.driveAhead
 	return fe, nil
 }
-
-// SolverRateHz returns the analog integration rate.
-func (fe *FrontEnd) SolverRateHz() float64 { return fe.fs }
-
-// ScaledCarrierHz returns the scaled RF carrier used by the solver
-// (stands in for the 5.2 GHz carrier of the real design).
-func (fe *FrontEnd) ScaledCarrierHz() float64 { return fe.fc }
 
 // Process runs the composite baseband frame through the analog receiver and
 // returns the baseband output at the input rate (20 MHz for native input).

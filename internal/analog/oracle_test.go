@@ -219,3 +219,67 @@ func TestCTStageStepsMatchUnhoisted(t *testing.T) {
 		}
 	}
 }
+
+// NewCTChebyshevLowpass builds a continuous-time type-I Chebyshev low-pass
+// from second-order (and one first-order for odd orders) trapezoidal stages,
+// with the passband edge at edgeHz.
+func NewCTChebyshevLowpass(order int, edgeHz, rippleDB, sampleRateHz float64) (*CTCascade, error) {
+	ch, err := newCTChebyshev(order, edgeHz, rippleDB, sampleRateHz)
+	if err != nil {
+		return nil, err
+	}
+	stages := make([]Stage, 0, len(ch.bq)+1)
+	for k := range ch.bq {
+		stages = append(stages, &ch.bq[k])
+	}
+	if ch.fo != nil {
+		stages = append(stages, ch.fo)
+	}
+	return NewCTCascade(ch.gain, stages...), nil
+}
+
+// Next returns cos and -sin of the current LO phase and advances time.
+func (o *CTOscillator) Next() (cosv, msinv float64) {
+	ph := o.w*o.t + o.phase
+	o.t += o.h
+	if o.rng != nil {
+		o.phase += o.rng.NormFloat64() * o.sigma
+	}
+	return math.Cos(ph), -math.Sin(ph)
+}
+
+// Reset restarts the trajectory, rewinding the phase noise to its seeded
+// state.
+func (o *CTOscillator) Reset() {
+	o.t, o.phase = 0, 0
+	if o.rng != nil {
+		o.rng.Rewind()
+	}
+}
+
+// CTCascade runs stages in series.
+type CTCascade struct {
+	gain   float64
+	stages []Stage
+}
+
+// NewCTCascade assembles a gained cascade.
+func NewCTCascade(gain float64, stages ...Stage) *CTCascade {
+	return &CTCascade{gain: gain, stages: stages}
+}
+
+// Step advances the whole cascade.
+func (c *CTCascade) Step(u float64) float64 {
+	v := u * c.gain
+	for _, s := range c.stages {
+		v = s.Step(v)
+	}
+	return v
+}
+
+// Reset clears every stage.
+func (c *CTCascade) Reset() {
+	for _, s := range c.stages {
+		s.Reset()
+	}
+}

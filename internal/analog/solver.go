@@ -117,30 +117,3 @@ func NewRCHighpass(cornerHz, sampleRateHz float64) (*CTFirstOrder, error) {
 	w0 := 2 * math.Pi * cornerHz
 	return NewCTFirstOrder(0, 1, w0, sampleRateHz)
 }
-
-// CTCascade runs stages in series.
-type CTCascade struct {
-	gain   float64
-	stages []Stage
-}
-
-// NewCTCascade assembles a gained cascade.
-func NewCTCascade(gain float64, stages ...Stage) *CTCascade {
-	return &CTCascade{gain: gain, stages: stages}
-}
-
-// Step advances the whole cascade.
-func (c *CTCascade) Step(u float64) float64 {
-	v := u * c.gain
-	for _, s := range c.stages {
-		v = s.Step(v)
-	}
-	return v
-}
-
-// Reset clears every stage.
-func (c *CTCascade) Reset() {
-	for _, s := range c.stages {
-		s.Reset()
-	}
-}

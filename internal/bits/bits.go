@@ -36,15 +36,6 @@ func ToBytes(bits []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Random returns n pseudo-random bits from the given source.
-func Random(r *rand.Rand, n int) []byte {
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = byte(r.Intn(2))
-	}
-	return out
-}
-
 // RandomBytes returns n pseudo-random bytes from the given source.
 func RandomBytes(r *rand.Rand, n int) []byte {
 	return RandomBytesInto(nil, r, n)
@@ -65,32 +56,6 @@ func RandomBytesInto(dst []byte, r *rand.Rand, n int) []byte {
 	}
 	return dst
 }
-
-// CountErrors returns the number of positions where a and b differ, comparing
-// up to the shorter length, plus the length difference (missing bits count as
-// errors).
-func CountErrors(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	errs := 0
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			errs++
-		}
-	}
-	if len(a) > n {
-		errs += len(a) - n
-	}
-	if len(b) > n {
-		errs += len(b) - n
-	}
-	return errs
-}
-
-// Equal reports whether two bit slices are identical.
-func Equal(a, b []byte) bool { return CountErrors(a, b) == 0 }
 
 // Parity returns the even parity bit over the given bits (1 if the number of
 // ones is odd).

@@ -1,6 +1,7 @@
 package bits
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,7 +10,7 @@ import (
 func TestFromBytesLSBFirst(t *testing.T) {
 	got := FromBytes([]byte{0x01, 0x80})
 	want := []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1}
-	if !Equal(got, want) {
+	if !bytes.Equal(got, want) {
 		t.Errorf("FromBytes = %v, want %v", got, want)
 	}
 }
@@ -44,27 +45,6 @@ func TestToBytesValidation(t *testing.T) {
 	}
 }
 
-func TestCountErrors(t *testing.T) {
-	if n := CountErrors([]byte{1, 0, 1}, []byte{1, 1, 1}); n != 1 {
-		t.Errorf("CountErrors = %d, want 1", n)
-	}
-	if n := CountErrors([]byte{1, 0}, []byte{1, 0, 1, 1}); n != 2 {
-		t.Errorf("length mismatch errors = %d, want 2", n)
-	}
-	if n := CountErrors(nil, nil); n != 0 {
-		t.Errorf("CountErrors(nil,nil) = %d", n)
-	}
-}
-
-func TestEqual(t *testing.T) {
-	if !Equal([]byte{1, 0}, []byte{1, 0}) {
-		t.Error("equal slices reported unequal")
-	}
-	if Equal([]byte{1}, []byte{1, 0}) {
-		t.Error("different lengths reported equal")
-	}
-}
-
 func TestParity(t *testing.T) {
 	if Parity([]byte{1, 1, 0}) != 0 {
 		t.Error("even ones should give parity 0")
@@ -92,7 +72,7 @@ func TestUintLSBRoundTrip(t *testing.T) {
 
 func TestRandomBits(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	b := Random(r, 1000)
+	b := FromBytes(RandomBytes(r, 125))
 	if len(b) != 1000 {
 		t.Fatalf("length %d", len(b))
 	}
@@ -106,8 +86,5 @@ func TestRandomBits(t *testing.T) {
 	// Roughly balanced (binomial: 500 +- ~5 sigma).
 	if ones < 400 || ones > 600 {
 		t.Errorf("ones = %d, expected roughly 500", ones)
-	}
-	if len(RandomBytes(r, 16)) != 16 {
-		t.Error("RandomBytes length")
 	}
 }

@@ -47,15 +47,9 @@ func AWGNFrom(powerW float64, rng *randutil.Rand) *AWGN {
 	return &AWGN{sigma: math.Sqrt(powerW / 2), rng: rng}
 }
 
-// Sample returns one noise sample.
-func (a *AWGN) Sample() complex128 {
-	return complex(a.rng.NormFloat64()*a.sigma, a.rng.NormFloat64()*a.sigma)
-}
-
 // AddTo adds noise to x in place and returns x. The draws are materialized
-// chunk-wise through the generator's inlined-fast-path fill — the same
-// re,im-per-sample draw order as a Sample loop — and the scale-and-add per
-// component matches Sample's arithmetic operation for operation.
+// chunk-wise through the generator's inlined-fast-path fill, a real and
+// then an imaginary draw per sample, each scaled by the per-component sigma.
 func (a *AWGN) AddTo(x []complex128) []complex128 {
 	const chunk = 256
 	var re, im [chunk]float64
@@ -135,24 +129,6 @@ func NewRayleighChannel(nTaps int, rmsDelaySamples float64, seed int64) (*Multip
 		taps[i] *= g
 	}
 	return NewMultipath(taps)
-}
-
-// Taps returns a copy of the channel tap gains.
-func (m *Multipath) Taps() []complex128 {
-	out := make([]complex128, len(m.taps))
-	copy(out, m.taps)
-	return out
-}
-
-// FrequencyResponse evaluates the channel response at normalized frequency
-// nu (cycles per sample).
-func (m *Multipath) FrequencyResponse(nu float64) complex128 {
-	var h complex128
-	for n, t := range m.taps {
-		phase := -2 * math.Pi * nu * float64(n)
-		h += t * complex(math.Cos(phase), math.Sin(phase))
-	}
-	return h
 }
 
 // Reset clears the delay line.

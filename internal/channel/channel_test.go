@@ -24,8 +24,7 @@ func TestAWGNPowerAndStatistics(t *testing.T) {
 	n := 200000
 	var sumP float64
 	var sum complex128
-	for i := 0; i < n; i++ {
-		s := a.Sample()
+	for _, s := range a.AddTo(make([]complex128, n)) {
 		sumP += real(s)*real(s) + imag(s)*imag(s)
 		sum += s
 	}
@@ -40,11 +39,11 @@ func TestAWGNPowerAndStatistics(t *testing.T) {
 
 func TestAWGNZeroAndNegativePower(t *testing.T) {
 	a := NewAWGN(0, 2)
-	if a.Sample() != 0 {
+	if a.AddTo(make([]complex128, 1))[0] != 0 {
 		t.Error("zero-power noise not zero")
 	}
 	b := NewAWGN(-5, 3)
-	if b.Sample() != 0 {
+	if b.AddTo(make([]complex128, 1))[0] != 0 {
 		t.Error("negative power should clamp to zero noise")
 	}
 }
@@ -124,7 +123,7 @@ func TestRayleighChannelNormalization(t *testing.T) {
 			t.Fatal(err)
 		}
 		var p float64
-		for _, tap := range m.Taps() {
+		for _, tap := range m.taps {
 			p += real(tap)*real(tap) + imag(tap)*imag(tap)
 		}
 		if math.Abs(p-1) > 1e-12 {
@@ -142,7 +141,7 @@ func TestRayleighChannelExponentialProfile(t *testing.T) {
 	powers := make([]float64, 6)
 	for seed := int64(0); seed < trials; seed++ {
 		m, _ := NewRayleighChannel(6, 2, seed)
-		for i, tap := range m.Taps() {
+		for i, tap := range m.taps {
 			powers[i] += real(tap)*real(tap) + imag(tap)*imag(tap)
 		}
 	}
@@ -199,7 +198,7 @@ func TestComposerSingleEmitterPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := units.MeanPowerDBm(out); math.Abs(got+30) > 0.01 {
+	if got := units.WattsToDBm(units.MeanPower(out)); math.Abs(got+30) > 0.01 {
 		t.Errorf("composite power %v dBm, want -30", got)
 	}
 }
@@ -210,10 +209,7 @@ func TestComposerAdjacentChannelSpectrum(t *testing.T) {
 	c, _ := NewComposer(4) // 80 MHz composite rate
 	rng := NewAWGN(1, 9)
 	mk := func(n int) []complex128 {
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = rng.Sample()
-		}
+		x := rng.AddTo(make([]complex128, n))
 		// Bandlimit to ~8 MHz (half band at 20 MHz rate).
 		f, _ := dsp.DesignLowpassFIR(63, 0.4, dsp.Blackman)
 		return f.Process(x)
@@ -352,10 +348,21 @@ func TestComposerPowerAccuracyProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got := units.MeanPowerDBm(out[:len(sig)*2])
+		got := units.WattsToDBm(units.MeanPower(out[:len(sig)*2]))
 		return math.Abs(got-target) < 0.5
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FrequencyResponse evaluates the channel response at normalized frequency
+// nu (cycles per sample).
+func (m *Multipath) FrequencyResponse(nu float64) complex128 {
+	var h complex128
+	for n, t := range m.taps {
+		phase := -2 * math.Pi * nu * float64(n)
+		h += t * complex(math.Cos(phase), math.Sin(phase))
+	}
+	return h
 }

@@ -91,13 +91,6 @@ func (f *FadingChannel) updateTaps() {
 	}
 }
 
-// Taps returns the current tap realization.
-func (f *FadingChannel) Taps() []complex128 {
-	out := make([]complex128, len(f.taps))
-	copy(out, f.taps)
-	return out
-}
-
 // Reset restarts time and clears the delay line (the Doppler trajectory
 // replays identically).
 func (f *FadingChannel) Reset() {

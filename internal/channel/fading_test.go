@@ -29,7 +29,7 @@ func TestFadingChannelMeanPowerNormalized(t *testing.T) {
 			t.Fatal(err)
 		}
 		var p float64
-		for _, tap := range f.Taps() {
+		for _, tap := range f.taps {
 			p += real(tap)*real(tap) + imag(tap)*imag(tap)
 		}
 		acc += p
@@ -45,13 +45,13 @@ func TestFadingChannelStaticWithZeroDoppler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := f.Taps()
+	before := append([]complex128(nil), f.taps...)
 	x := make([]complex128, 5000)
 	for i := range x {
 		x[i] = 1
 	}
 	f.Process(x)
-	after := f.Taps()
+	after := f.taps
 	for i := range before {
 		if cmplx.Abs(before[i]-after[i]) > 1e-12 {
 			t.Fatalf("taps moved with zero Doppler: %v -> %v", before[i], after[i])
@@ -64,10 +64,10 @@ func TestFadingChannelTapsEvolveWithDoppler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := f.Taps()[0]
+	before := f.taps[0]
 	x := make([]complex128, 40000) // 2 ms at 20 MHz, 4 Doppler periods
 	f.Process(x)
-	after := f.Taps()[0]
+	after := f.taps[0]
 	if cmplx.Abs(before-after) < 0.05 {
 		t.Errorf("tap barely moved over 4 Doppler periods: %v -> %v", before, after)
 	}

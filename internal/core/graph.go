@@ -8,7 +8,6 @@ import (
 	"wlansim/internal/bits"
 	"wlansim/internal/channel"
 	"wlansim/internal/dsp"
-	"wlansim/internal/measure"
 	"wlansim/internal/phy"
 	"wlansim/internal/rxdsp"
 	"wlansim/internal/sim"
@@ -33,7 +32,7 @@ type SystemGraph struct {
 	frameLen int
 	frames   []*phy.Frame
 	baseband *[]complex128
-	cfg      Config
+	bench    *Bench
 }
 
 // BuildSystemGraph wires the scenario as a block diagram. Multipath and
@@ -59,7 +58,7 @@ func (b *Bench) BuildSystemGraph() (*SystemGraph, error) {
 	tx := &phy.Transmitter{Mode: mode}
 
 	g := sim.NewGraph()
-	sys := &SystemGraph{Graph: g, frameLen: 200, cfg: cfg}
+	sys := &SystemGraph{Graph: g, frameLen: 200, bench: b}
 
 	// Wanted transmitter: all packets back to back with lead-in/tail gaps.
 	var wanted []complex128
@@ -195,28 +194,30 @@ func (b *Bench) BuildSystemGraph() (*SystemGraph, error) {
 }
 
 // Run schedules the diagram to completion and decodes the captured
-// baseband, returning the same statistics as Bench.Run.
+// baseband, returning the same statistics as Bench.Run: every packet is
+// accounted by the Bench's own rule (accountPacket), so the EVM is the
+// symbol-weighted RMS over delivered packets and TargetErrors stops the
+// decode loop as it stops Bench.Run's packet loop.
 func (s *SystemGraph) Run() (*Result, error) {
 	if _, err := s.Graph.Run(s.frameLen, 0); err != nil {
 		return nil, err
 	}
-	res := &Result{FrontEnd: s.cfg.FrontEnd}
+	cfg := s.bench.cfg
+	res := &Result{FrontEnd: cfg.FrontEnd}
+	var evm evmAccum
 	rx := rxdsp.NewReceiver()
-	rx.HardDecisions = s.cfg.HardDecisions
-	rx.DisableCSI = s.cfg.DisableCSI
+	rx.HardDecisions = cfg.HardDecisions
+	rx.DisableCSI = cfg.DisableCSI
 	from := 0
 	for _, frame := range s.frames {
-		refBits := bits.FromBytes(frame.PSDU)
 		pkt, err := rx.Receive(*s.baseband, from)
-		if err != nil {
-			res.Counter.AddLostPacket(len(refBits))
-			continue
+		if err == nil {
+			from = pkt.EndIndex
 		}
-		from = pkt.EndIndex
-		res.Counter.AddPacket(refBits, bits.FromBytes(pkt.PSDU))
-		if ev, err := measure.EVM(pkt.EqualizedCarriers, frame.Mode.Modulation); err == nil && ev.RMS > res.EVM.RMS {
-			res.EVM = ev
+		if s.bench.accountPacket(pkt, err, bits.FromBytes(frame.PSDU), frame.Mode, res, &evm) {
+			break
 		}
 	}
+	evm.finish(res)
 	return res, nil
 }

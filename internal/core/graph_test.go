@@ -5,6 +5,9 @@ import (
 	"hash/fnv"
 	"math"
 	"testing"
+
+	"wlansim/internal/measure"
+	"wlansim/internal/rxdsp"
 )
 
 func TestSystemGraphMatchesDirectRun(t *testing.T) {
@@ -28,6 +31,53 @@ func TestSystemGraphMatchesDirectRun(t *testing.T) {
 	}
 	if res.Counter.Packets != 2 {
 		t.Errorf("decoded %d packets", res.Counter.Packets)
+	}
+}
+
+// TestSystemGraphEVMIsSymbolWeighted pins the graph's EVM to Bench's
+// accounting rule: the symbol-weighted RMS over the delivered packets, not
+// the worst packet's EVM. The packets are decoded again from the captured
+// baseband and measured one by one.
+func TestSystemGraphEVMIsSymbolWeighted(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Packets = 3
+	cfg.PSDULen = 80
+	bench, err := NewBench(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := bench.BuildSystemGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rx := rxdsp.NewReceiver()
+	var acc, worst float64
+	symbols, from := 0, 0
+	for _, frame := range sys.frames {
+		pkt, err := rx.Receive(*sys.baseband, from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		from = pkt.EndIndex
+		ev, err := measure.EVM(pkt.EqualizedCarriers, frame.Mode.Modulation)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc += ev.RMS * ev.RMS * float64(ev.Symbols)
+		symbols += ev.Symbols
+		worst = math.Max(worst, ev.RMS)
+	}
+	want := math.Sqrt(acc / float64(symbols))
+	if worst-want < 1e-6*want {
+		t.Fatalf("packet EVMs too alike (worst %v, weighted %v) to tell the rules apart", worst, want)
+	}
+	if math.Abs(res.EVM.RMS-want) > 1e-12*want || res.EVM.Symbols != symbols {
+		t.Errorf("graph EVM %v over %d symbols, want the symbol-weighted %v over %d (worst packet %v)",
+			res.EVM.RMS, res.EVM.Symbols, want, symbols, worst)
 	}
 }
 

@@ -2,8 +2,6 @@ package dsp
 
 import (
 	"fmt"
-	"math"
-	"math/cmplx"
 
 	"wlansim/internal/kernels"
 )
@@ -37,32 +35,11 @@ func NewComplexFIR(taps []complex128) (*ComplexFIR, error) {
 	return f, nil
 }
 
-// Taps returns a copy of the coefficients.
-func (f *ComplexFIR) Taps() []complex128 {
-	out := make([]complex128, len(f.taps))
-	copy(out, f.taps)
-	return out
-}
-
 // Reset clears the filter state.
 func (f *ComplexFIR) Reset() {
 	for i := range f.hist {
 		f.hist[i] = 0
 	}
-}
-
-// ProcessSample filters one sample.
-func (f *ComplexFIR) ProcessSample(x complex128) complex128 {
-	acc := x * f.taps[0]
-	p := len(f.hist)
-	for j := 1; j < len(f.taps); j++ {
-		acc += f.hist[p-j] * f.taps[j]
-	}
-	if p > 0 {
-		copy(f.hist, f.hist[1:])
-		f.hist[p-1] = x
-	}
-	return acc
 }
 
 // Process filters a frame in place and returns it. Steady-state frames of a
@@ -104,16 +81,6 @@ func (f *ComplexFIR) Process(x []complex128) []complex128 {
 	}
 	copy(f.hist, ext[len(ext)-p:])
 	return x
-}
-
-// Response evaluates the frequency response at normalized frequency nu.
-func (f *ComplexFIR) Response(nu float64) complex128 {
-	var h complex128
-	for n, t := range f.taps {
-		//lint:ignore hotpathexp analysis helper evaluated per frequency point, not per sample
-		h += t * cmplx.Exp(complex(0, -2*math.Pi*nu*float64(n)))
-	}
-	return h
 }
 
 // FIRFromFrequencyResponse designs complex FIR taps whose response matches

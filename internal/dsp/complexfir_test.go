@@ -61,7 +61,7 @@ func TestComplexFIRStreamingMatchesBatch(t *testing.T) {
 		t.Errorf("streaming differs by %g", d)
 	}
 	f2.Reset()
-	if got := f2.ProcessSample(1); cmplx.Abs(got-taps[0]) > 1e-15 {
+	if got := f2.Process([]complex128{1})[0]; cmplx.Abs(got-taps[0]) > 1e-15 {
 		t.Error("Reset did not clear state")
 	}
 }
@@ -80,7 +80,7 @@ func TestFIRFromFrequencyResponseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	taps := rebuilt.Taps()
+	taps := rebuilt.taps
 	for i := range orig {
 		if cmplx.Abs(taps[i]-orig[i]) > 1e-12 {
 			t.Fatalf("tap %d = %v, want %v", i, taps[i], orig[i])
@@ -94,4 +94,14 @@ func TestFIRFromFrequencyResponseRoundTrip(t *testing.T) {
 	if _, err := FIRFromFrequencyResponse(make([]complex128, 5)); err == nil {
 		t.Error("accepted non-power-of-two grid")
 	}
+}
+
+// Response evaluates the frequency response at normalized frequency nu.
+func (f *ComplexFIR) Response(nu float64) complex128 {
+	var h complex128
+	for n, t := range f.taps {
+		//lint:ignore hotpathexp analysis helper evaluated per frequency point, not per sample
+		h += t * cmplx.Exp(complex(0, -2*math.Pi*nu*float64(n)))
+	}
+	return h
 }

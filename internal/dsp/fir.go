@@ -13,11 +13,10 @@ import (
 //
 // Process filters whole frames by linear block convolution over a carried
 // history prefix (the last len(taps)-1 inputs), switching to an FFT
-// overlap-save engine for long tap sets; ProcessSample remains the
-// one-sample streaming form. Both produce the same stream a per-sample
-// direct filter would (the FFT path up to transform round-off), and both
-// advance the same history, so frames and single samples can be mixed
-// freely. A FIR must not be shared between goroutines.
+// overlap-save engine for long tap sets. It produces the same stream a
+// per-sample direct filter would (the FFT path up to transform round-off);
+// the tests keep that per-sample form as FIR.ProcessSample. A FIR must not
+// be shared between goroutines.
 type FIR struct {
 	taps []float64
 	hist []complex128 // last len(taps)-1 inputs, oldest first
@@ -40,41 +39,11 @@ func NewFIR(taps []float64) *FIR {
 	return &FIR{taps: t, hist: make([]complex128, len(taps)-1)}
 }
 
-// Taps returns a copy of the filter coefficients.
-func (f *FIR) Taps() []float64 {
-	out := make([]float64, len(f.taps))
-	copy(out, f.taps)
-	return out
-}
-
-// Len returns the number of taps.
-func (f *FIR) Len() int { return len(f.taps) }
-
-// GroupDelay returns the delay in samples of a linear-phase (symmetric)
-// filter: (N-1)/2.
-func (f *FIR) GroupDelay() float64 { return float64(len(f.taps)-1) / 2 }
-
 // Reset clears the filter state.
 func (f *FIR) Reset() {
 	for i := range f.hist {
 		f.hist[i] = 0
 	}
-}
-
-// ProcessSample filters one sample, updating the internal state.
-//
-//lint:hotpath
-func (f *FIR) ProcessSample(x complex128) complex128 {
-	acc := x * complex(f.taps[0], 0)
-	p := len(f.hist)
-	for j := 1; j < len(f.taps); j++ {
-		acc += f.hist[p-j] * complex(f.taps[j], 0)
-	}
-	if p > 0 {
-		copy(f.hist, f.hist[1:])
-		f.hist[p-1] = x
-	}
-	return acc
 }
 
 // Process filters a frame in place and returns it. Steady-state frames of a
@@ -120,18 +89,6 @@ func (f *FIR) Process(x []complex128) []complex128 {
 	return x
 }
 
-// Response evaluates the filter's frequency response at the normalized
-// frequency nu in cycles per sample (nu = f/fs, in [-0.5, 0.5]).
-func (f *FIR) Response(nu float64) complex128 {
-	var re, im float64
-	for n, t := range f.taps {
-		phase := -2 * math.Pi * nu * float64(n)
-		re += t * math.Cos(phase)
-		im += t * math.Sin(phase)
-	}
-	return complex(re, im)
-}
-
 // DesignLowpassFIR designs a linear-phase lowpass filter with the
 // windowed-sinc method. cutoff is the -6 dB edge as a fraction of the sample
 // rate (0 < cutoff < 0.5); taps is the filter length.
@@ -166,25 +123,4 @@ func DesignLowpassFIR(taps int, cutoff float64, w Window) (*FIR, error) {
 		}
 	}
 	return NewFIR(h), nil
-}
-
-// DesignHalfbandFIR designs a lowpass suitable for factor-2 rate changes,
-// with the cutoff at a quarter of the sample rate.
-func DesignHalfbandFIR(taps int, w Window) (*FIR, error) {
-	return DesignLowpassFIR(taps, 0.25, w)
-}
-
-// Convolve returns the full linear convolution of x and h
-// (length len(x)+len(h)-1).
-func Convolve(x []complex128, h []float64) []complex128 {
-	if len(x) == 0 || len(h) == 0 {
-		return nil
-	}
-	out := make([]complex128, len(x)+len(h)-1)
-	for i, xv := range x {
-		for j, hv := range h {
-			out[i+j] += xv * complex(hv, 0)
-		}
-	}
-	return out
 }

@@ -233,3 +233,17 @@ func TestFIRProcessSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// ProcessSample filters one sample, updating the internal state.
+func (f *FIR) ProcessSample(x complex128) complex128 {
+	acc := x * complex(f.taps[0], 0)
+	p := len(f.hist)
+	for j := 1; j < len(f.taps); j++ {
+		acc += f.hist[p-j] * complex(f.taps[j], 0)
+	}
+	if p > 0 {
+		copy(f.hist, f.hist[1:])
+		f.hist[p-1] = x
+	}
+	return acc
+}

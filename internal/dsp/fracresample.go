@@ -28,9 +28,6 @@ func NewFractionalResampler(ratio float64) (*FractionalResampler, error) {
 	return &FractionalResampler{ratio: ratio, step: 1 / ratio}, nil
 }
 
-// Ratio returns the configured rate ratio.
-func (r *FractionalResampler) Ratio() float64 { return r.ratio }
-
 // Reset clears the interpolation state.
 func (r *FractionalResampler) Reset() {
 	r.hist = [3]complex128{}

@@ -15,8 +15,8 @@ func TestFractionalResamplerValidation(t *testing.T) {
 		t.Error("accepted negative ratio")
 	}
 	r, err := NewFractionalResampler(1.5)
-	if err != nil || r.Ratio() != 1.5 {
-		t.Errorf("ratio %v err %v", r.Ratio(), err)
+	if err != nil || r.ratio != 1.5 {
+		t.Errorf("ratio %v err %v", r.ratio, err)
 	}
 }
 

@@ -18,20 +18,6 @@ type Biquad struct {
 	s1, s2     complex128
 }
 
-// ProcessSample filters one sample through the section. The update is
-// written over the real and imaginary parts separately: the coefficients are
-// real, so the full complex products would spend half their multiplies on
-// zero imaginary parts — this is the innermost loop of every filter in the
-// receiver chain.
-func (q *Biquad) ProcessSample(x complex128) complex128 {
-	xr, xi := real(x), imag(x)
-	yr := q.B0*xr + real(q.s1)
-	yi := q.B0*xi + imag(q.s1)
-	q.s1 = complex(q.B1*xr-q.A1*yr+real(q.s2), q.B1*xi-q.A1*yi+imag(q.s2))
-	q.s2 = complex(q.B2*xr-q.A2*yr, q.B2*xi-q.A2*yi)
-	return complex(yr, yi)
-}
-
 // Process filters a frame in place through the section. It performs exactly
 // the per-sample arithmetic of ProcessSample, but keeps the coefficients and
 // streaming state in locals across the frame so the compiler can register-
@@ -84,37 +70,11 @@ func NewIIR(gain float64, sections []Biquad) *IIR {
 	return &IIR{Gain: gain, Sections: s}
 }
 
-// Order returns the filter order (sum of section orders).
-func (f *IIR) Order() int {
-	order := 0
-	for i := range f.Sections {
-		if f.Sections[i].B2 != 0 || f.Sections[i].A2 != 0 {
-			order += 2
-		} else {
-			order++
-		}
-	}
-	return order
-}
-
 // Reset clears all section states.
 func (f *IIR) Reset() {
 	for i := range f.Sections {
 		f.Sections[i].Reset()
 	}
-}
-
-// ProcessSample filters one sample through the cascade.
-func (f *IIR) ProcessSample(x complex128) complex128 {
-	g := f.Gain
-	if g == 0 {
-		g = 1 // zero value acts as identity
-	}
-	y := complex(g*real(x), g*imag(x))
-	for i := range f.Sections {
-		y = f.Sections[i].ProcessSample(y)
-	}
-	return y
 }
 
 // Process filters a frame in place and returns it. The cascade runs
@@ -170,25 +130,11 @@ const (
 	Highpass
 )
 
-// ButterworthAnalogPoles returns the normalized (cutoff 1 rad/s) analog
-// poles of a Butterworth prototype, for use by continuous-time solvers.
-func ButterworthAnalogPoles(order int) []complex128 { return butterworthPoles(order) }
-
 // Chebyshev1AnalogPoles returns the normalized analog poles and ripple
 // factor epsilon of a type-I Chebyshev prototype, for use by
 // continuous-time solvers.
 func Chebyshev1AnalogPoles(order int, rippleDB float64) ([]complex128, float64) {
 	return chebyshev1Poles(order, rippleDB)
-}
-
-// butterworthPoles returns the normalized (cutoff 1 rad/s) analog poles.
-func butterworthPoles(order int) []complex128 {
-	poles := make([]complex128, order)
-	for k := 1; k <= order; k++ {
-		theta := math.Pi * float64(2*k-1) / float64(2*order)
-		poles[k-1] = complex(-math.Sin(theta), math.Cos(theta))
-	}
-	return poles
 }
 
 // chebyshev1Poles returns the normalized analog poles for a type-I Chebyshev
@@ -264,15 +210,6 @@ func designFromPoles(analog []complex128, shape FilterShape, cutoff, passbandGai
 	}
 	f.Gain = passbandGain / h
 	return f, nil
-}
-
-// DesignButterworth designs an order-n Butterworth filter with the passband
-// edge at cutoff (fraction of the sample rate, 0 < cutoff < 0.5).
-func DesignButterworth(order int, shape FilterShape, cutoff float64) (*IIR, error) {
-	if order < 1 {
-		return nil, fmt.Errorf("dsp: filter order %d < 1", order)
-	}
-	return designFromPoles(butterworthPoles(order), shape, cutoff, 1)
 }
 
 // DesignChebyshev1 designs an order-n type-I Chebyshev filter with the given

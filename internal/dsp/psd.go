@@ -43,11 +43,6 @@ func (p *PSD) BandPowerW(lo, hi float64) float64 {
 	return sum
 }
 
-// TotalPowerW integrates the full estimate.
-func (p *PSD) TotalPowerW() float64 {
-	return p.BandPowerW(math.Inf(-1), math.Inf(1))
-}
-
 // WelchPSD estimates the two-sided PSD of x sampled at sampleRateHz using
 // Welch's method with 50% overlapped segments of length segLen (a power of
 // two) tapered by window w. The estimate is centered (FFT-shifted) so that

@@ -51,9 +51,6 @@ func NewUpsampler(factor, taps int) (*Upsampler, error) {
 	return &Upsampler{factor: factor, filter: f}, nil
 }
 
-// Factor returns the rate-change factor.
-func (u *Upsampler) Factor() int { return u.factor }
-
 // Reset clears the filter state.
 func (u *Upsampler) Reset() {
 	if u.filter != nil {
@@ -239,9 +236,6 @@ func NewDownsampler(factor, taps int, filtered bool) (*Downsampler, error) {
 	return d, nil
 }
 
-// Factor returns the rate-change factor.
-func (d *Downsampler) Factor() int { return d.factor }
-
 // Reset clears the filter state and decimation phase.
 func (d *Downsampler) Reset() {
 	if d.filter != nil {
@@ -330,12 +324,4 @@ func (o *Oscillator) MixInto(x []complex128) []complex128 {
 		x[i] *= o.Next()
 	}
 	return x
-}
-
-// FrequencyShift returns a copy of x shifted by nu cycles per sample.
-func FrequencyShift(x []complex128, nu float64) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	NewOscillator(nu, 0).MixInto(out)
-	return out
 }

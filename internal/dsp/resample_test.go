@@ -5,6 +5,8 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"wlansim/internal/units"
 )
 
 func tone(n int, nu float64) []complex128 {
@@ -43,7 +45,7 @@ func TestUpsamplerPreservesTone(t *testing.T) {
 		t.Errorf("dominant bin %d, want 8", bin)
 	}
 	// Amplitude preserved within 5%.
-	p := Energy(y[256:768]) / 512
+	p := units.MeanPower(y[256:768])
 	if math.Abs(p-1) > 0.05 {
 		t.Errorf("tone power after upsampling %v, want ~1", p)
 	}
@@ -107,7 +109,7 @@ func TestUnfilteredDownsamplerAliases(t *testing.T) {
 	}
 	y := d.Process(x)
 	// 0.4*4 = 1.6 -> folds to 0.6 (equivalently -0.4): full power remains.
-	p := Energy(y) / float64(len(y))
+	p := units.MeanPower(y)
 	if p < 0.9 {
 		t.Errorf("aliased tone power %v, want ~1", p)
 	}
@@ -165,23 +167,6 @@ func TestOscillatorAmplitudeStable(t *testing.T) {
 	}
 	if m := cmplx.Abs(o.Next()); math.Abs(m-1) > 1e-6 {
 		t.Errorf("oscillator amplitude drifted to %v", m)
-	}
-}
-
-func TestFrequencyShiftRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	x := randomSignal(r, 512)
-	y := FrequencyShift(FrequencyShift(x, 0.123), -0.123)
-	if d := maxAbsDiff(x, y); d > 1e-9 {
-		t.Errorf("shift round trip error %g", d)
-	}
-}
-
-func TestFrequencyShiftMovesTone(t *testing.T) {
-	x := tone(512, 1.0/64) // bin 8
-	y := FrequencyShift(x, 1.0/32)
-	if bin := dominantBin(y); bin != 24 { // 8 + 16
-		t.Errorf("shifted bin %d, want 24", bin)
 	}
 }
 

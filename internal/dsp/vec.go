@@ -1,92 +1,5 @@
 package dsp
 
-import "math/cmplx"
-
-// Add returns the element-wise sum a+b in a new slice. The inputs must have
-// equal length.
-func Add(a, b []complex128) []complex128 {
-	if len(a) != len(b) {
-		panic("dsp: Add length mismatch")
-	}
-	out := make([]complex128, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// AddInto accumulates b into a in place (a += b) and returns a. b may be
-// shorter than a; the tail of a is left unchanged.
-func AddInto(a, b []complex128) []complex128 {
-	if len(b) > len(a) {
-		panic("dsp: AddInto second operand longer than first")
-	}
-	for i := range b {
-		a[i] += b[i]
-	}
-	return a
-}
-
-// Mul returns the element-wise product in a new slice.
-func Mul(a, b []complex128) []complex128 {
-	if len(a) != len(b) {
-		panic("dsp: Mul length mismatch")
-	}
-	out := make([]complex128, len(a))
-	for i := range a {
-		out[i] = a[i] * b[i]
-	}
-	return out
-}
-
-// Conj returns the element-wise complex conjugate in a new slice.
-func Conj(a []complex128) []complex128 {
-	out := make([]complex128, len(a))
-	for i := range a {
-		out[i] = cmplx.Conj(a[i])
-	}
-	return out
-}
-
-// Energy returns sum |a[i]|^2.
-func Energy(a []complex128) float64 {
-	var e float64
-	for _, v := range a {
-		e += real(v)*real(v) + imag(v)*imag(v)
-	}
-	return e
-}
-
-// Dot returns sum a[i] * conj(b[i]), the complex inner product.
-func Dot(a, b []complex128) complex128 {
-	if len(a) != len(b) {
-		panic("dsp: Dot length mismatch")
-	}
-	var s complex128
-	for i := range a {
-		s += a[i] * cmplx.Conj(b[i])
-	}
-	return s
-}
-
-// CrossCorrelate returns c[l] = sum_n x[n+l] * conj(ref[n]) for lags
-// l in [0, len(x)-len(ref)]. It is the sliding correlation used by the
-// packet detector. len(ref) must not exceed len(x).
-func CrossCorrelate(x, ref []complex128) []complex128 {
-	if len(ref) == 0 || len(ref) > len(x) {
-		return nil
-	}
-	out := make([]complex128, len(x)-len(ref)+1)
-	for l := range out {
-		var s complex128
-		for n, r := range ref {
-			s += x[l+n] * cmplx.Conj(r)
-		}
-		out[l] = s
-	}
-	return out
-}
-
 // Clone returns a copy of x.
 func Clone(x []complex128) []complex128 {
 	out := make([]complex128, len(x))

@@ -2,86 +2,10 @@ package dsp
 
 import (
 	"math"
-	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
-
-func TestVecOps(t *testing.T) {
-	a := []complex128{1, 2i}
-	b := []complex128{3, -1}
-	sum := Add(a, b)
-	if sum[0] != 4 || sum[1] != -1+2i {
-		t.Errorf("Add = %v", sum)
-	}
-	prod := Mul(a, b)
-	if prod[0] != 3 || prod[1] != -2i {
-		t.Errorf("Mul = %v", prod)
-	}
-	cj := Conj(a)
-	if cj[1] != -2i {
-		t.Errorf("Conj = %v", cj)
-	}
-	if e := Energy(a); math.Abs(e-5) > 1e-15 {
-		t.Errorf("Energy = %v, want 5", e)
-	}
-	if d := Dot(a, a); cmplx.Abs(d-5) > 1e-15 {
-		t.Errorf("Dot(a,a) = %v, want 5", d)
-	}
-}
-
-func TestAddInto(t *testing.T) {
-	a := []complex128{1, 2, 3}
-	AddInto(a, []complex128{10, 20})
-	if a[0] != 11 || a[1] != 22 || a[2] != 3 {
-		t.Errorf("AddInto = %v", a)
-	}
-}
-
-func TestVecPanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic on mismatched lengths", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("Add", func() { Add([]complex128{1}, []complex128{1, 2}) })
-	mustPanic("Mul", func() { Mul([]complex128{1}, []complex128{1, 2}) })
-	mustPanic("Dot", func() { Dot([]complex128{1}, []complex128{1, 2}) })
-	mustPanic("AddInto", func() { AddInto([]complex128{1}, []complex128{1, 2}) })
-}
-
-func TestCrossCorrelatePeakAtOffset(t *testing.T) {
-	ref := []complex128{1, -1, 1i, -1i}
-	x := make([]complex128, 32)
-	copy(x[10:], ref)
-	c := CrossCorrelate(x, ref)
-	best, bestMag := 0, 0.0
-	for i, v := range c {
-		if m := cmplx.Abs(v); m > bestMag {
-			best, bestMag = i, m
-		}
-	}
-	if best != 10 {
-		t.Errorf("correlation peak at %d, want 10", best)
-	}
-	if math.Abs(bestMag-4) > 1e-12 {
-		t.Errorf("peak magnitude %v, want 4 (ref energy)", bestMag)
-	}
-}
-
-func TestCrossCorrelateEdgeCases(t *testing.T) {
-	if CrossCorrelate([]complex128{1}, nil) != nil {
-		t.Error("empty ref should return nil")
-	}
-	if CrossCorrelate([]complex128{1}, []complex128{1, 2}) != nil {
-		t.Error("ref longer than x should return nil")
-	}
-}
 
 func TestWindowProperties(t *testing.T) {
 	for _, w := range []Window{Rectangular, Hann, Hamming, Blackman, BlackmanHarris} {
@@ -142,7 +66,7 @@ func TestWelchPSDWhiteNoiseLevel(t *testing.T) {
 		t.Errorf("mean density %g, want %g +-10%%", mean, want)
 	}
 	// Total integrated power equals the signal power (~1 W).
-	if p := psd.TotalPowerW(); math.Abs(p-1) > 0.1 {
+	if p := psd.BandPowerW(math.Inf(-1), math.Inf(1)); math.Abs(p-1) > 0.1 {
 		t.Errorf("total power %v, want ~1", p)
 	}
 }

@@ -62,16 +62,6 @@ func (w Window) Coefficients(n int) []float64 {
 	return out
 }
 
-// Apply multiplies x element-wise by the n-point window in place and returns
-// x. len(x) determines n.
-func (w Window) Apply(x []complex128) []complex128 {
-	c := w.Coefficients(len(x))
-	for i := range x {
-		x[i] *= complex(c[i], 0)
-	}
-	return x
-}
-
 // PowerGain returns the mean squared window value, used to normalize power
 // spectral density estimates.
 func (w Window) PowerGain(n int) float64 {

@@ -159,23 +159,3 @@ func biquadLane(r0, i0 []float64, b0, b1, b2, a1, a2 float64, s1r, s1i, s2r, s2i
 	}
 	s1r[0], s1i[0], s2r[0], s2i[0] = p1r, p1i, p2r, p2i
 }
-
-// BiquadBatchRef is the retained naive reference for BiquadBatch: one lane
-// at a time through the textbook transposed direct-form-II update. It is the
-// differential-test oracle and must stay semantically frozen; it is also, by
-// construction, the arithmetic of dsp.Biquad applied lane-wise.
-func BiquadBatchRef(re, im [][]float64, b0, b1, b2, a1, a2 float64, s1r, s1i, s2r, s2i []float64) {
-	for b := range re {
-		for i := range re[b] {
-			xr, xi := re[b][i], im[b][i]
-			yr := b0*xr + s1r[b]
-			yi := b0*xi + s1i[b]
-			s1r[b] = b1*xr - a1*yr + s2r[b]
-			s1i[b] = b1*xi - a1*yi + s2i[b]
-			s2r[b] = b2*xr - a2*yr
-			s2i[b] = b2*xi - a2*yi
-			re[b][i] = yr
-			im[b][i] = yi
-		}
-	}
-}

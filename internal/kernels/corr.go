@@ -1,23 +1,5 @@
 package kernels
 
-// CorrPairRef is the retained naive reference for CorrPair: the two
-// conjugate dot products in complex arithmetic, one accumulator each. Frozen
-// as the differential-test oracle.
-//
-// The split-complex kernels below are bit-identical to it because each tap
-// of s += z*conj(r) expands to re += a*rr - b*(-ri), im += a*(-ri) + b*rr,
-// and IEEE-754 negation is exact, so each expression rounds identically to
-// the single-rounding forms a*rr + b*ri and b*rr - a*ri the kernels use.
-func CorrPairRef(x1, x2, ref []complex128) (s1, s2 complex128) {
-	for k, r := range ref {
-		//lint:ignore kernelpure naive complex-arithmetic oracle, deliberately kept in the serialized complex form the optimized kernels are verified against
-		s1 += x1[k] * complex(real(r), -imag(r))
-		//lint:ignore kernelpure naive complex-arithmetic oracle, second accumulator of the same frozen reference
-		s2 += x2[k] * complex(real(r), -imag(r))
-	}
-	return s1, s2
-}
-
 // CorrPair evaluates the two conjugate dot products sum(x1[k]*conj(ref[k]))
 // and sum(x2[k]*conj(ref[k])) over len(ref) taps in split-complex form. x1
 // and x2 must have at least len(ref) elements. The four accumulators are

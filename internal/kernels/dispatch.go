@@ -43,6 +43,8 @@ func SIMDAvailable() bool { return simdAvailable }
 // of the tier now active, and is intended for startup configuration and for
 // differential tests that must exercise both paths — it is not safe to call
 // concurrently with running kernels.
+//
+//lint:ignore testonly flips the unexported useSIMD for the dual-tier tests in core, dsp, phy, rf and randutil
 func SetDispatch(on bool) string {
 	useSIMD = on && simdAvailable
 	return DispatchName()

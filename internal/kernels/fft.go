@@ -19,22 +19,6 @@ package kernels
 // negated wi) tables — so the stage loop carries no index arithmetic and no
 // inverse branch.
 
-// FFTStageRef is the retained naive reference for FFTStage. Frozen as the
-// differential-test oracle.
-func FFTStageRef(re, im []float64, wr, wi []float64, half int) {
-	for base := 0; base+2*half <= len(re); base += 2 * half {
-		for k := 0; k < half; k++ {
-			i, j := base+k, base+k+half
-			br, bi := re[j], im[j]
-			tr := br*wr[k] - bi*wi[k]
-			ti := br*wi[k] + bi*wr[k]
-			ar, ai := re[i], im[i]
-			re[i], im[i] = ar+tr, ai+ti
-			re[j], im[j] = ar-tr, ai-ti
-		}
-	}
-}
-
 // FFTStage applies one radix-2 DIT butterfly stage in place over the planar
 // frame re/im: blocks of 2*half elements, the k-th butterfly of every block
 // combining elements k and k+half with twiddle (wr[k], wi[k]). len(wr) and
@@ -65,25 +49,6 @@ func fftStageGo(re, im []float64, wr, wi []float64, half int) {
 			ar, ai := re[i], im[i]
 			re[i], im[i] = ar+tr, ai+ti
 			re[j], im[j] = ar-tr, ai-ti
-		}
-	}
-}
-
-// FFTStageX4Ref is the retained naive reference for FFTStageX4. Frozen as
-// the differential-test oracle.
-func FFTStageX4Ref(re, im []float64, wr, wi []float64, half int) {
-	n := len(re) / 4
-	for base := 0; base+2*half <= n; base += 2 * half {
-		for k := 0; k < half; k++ {
-			for l := 0; l < 4; l++ {
-				i, j := 4*(base+k)+l, 4*(base+k+half)+l
-				br, bi := re[j], im[j]
-				tr := br*wr[k] - bi*wi[k]
-				ti := br*wi[k] + bi*wr[k]
-				ar, ai := re[i], im[i]
-				re[i], im[i] = ar+tr, ai+ti
-				re[j], im[j] = ar-tr, ai-ti
-			}
 		}
 	}
 }
@@ -129,14 +94,6 @@ func fftStageX4Go(re, im []float64, wr, wi []float64, half int) {
 	}
 }
 
-// FFTPermuteRef is the retained naive reference for FFTPermute. Frozen as
-// the differential-test oracle.
-func FFTPermuteRef(dst, src []float64, idx []int64) {
-	for i, j := range idx {
-		dst[i] = src[j]
-	}
-}
-
 // FFTPermute gathers src through the index table into dst:
 // dst[i] = src[idx[i]] for i < len(idx). dst must have at least len(idx)
 // elements and every index must be within src. dst and src must not
@@ -160,16 +117,6 @@ func fftPermuteGo(dst, src []float64, idx []int64) {
 	dst = dst[:len(idx)]
 	for i, j := range idx {
 		dst[i] = src[j]
-	}
-}
-
-// ScaleCplxRef is the retained naive reference for ScaleCplx. Frozen as the
-// differential-test oracle.
-func ScaleCplxRef(re, im []float64, s float64) {
-	for i := range re {
-		xr, xi := re[i], im[i]
-		re[i] = xr*s - xi*0
-		im[i] = xr*0 + xi*s
 	}
 }
 
@@ -199,17 +146,6 @@ func scaleCplxGo(re, im []float64, s float64) {
 		xr, xi := re[i], im[i]
 		re[i] = xr*s - xi*0
 		im[i] = xr*0 + xi*s
-	}
-}
-
-// MulCplxRef is the retained naive reference for MulCplx. Frozen as the
-// differential-test oracle.
-func MulCplxRef(ar, ai, br, bi []float64) {
-	for i := range ar {
-		xr, xi := ar[i], ai[i]
-		yr, yi := br[i], bi[i]
-		ar[i] = xr*yr - xi*yi
-		ai[i] = xr*yi + xi*yr
 	}
 }
 

@@ -16,23 +16,6 @@ package kernels
 // simd_amd64.s); per-output arithmetic is unchanged, so it is bit-identical
 // too.
 
-// FIRRealRef is the retained naive reference for FIRReal: one output at a
-// time, tap index ascending over the newest-first window. Frozen as the
-// differential-test oracle.
-func FIRRealRef(yr, yi, xr, xi, taps []float64) {
-	last := len(taps) - 1
-	for i := range yr {
-		var re, im float64
-		base := i + last
-		for d, t := range taps {
-			re += xr[base-d] * t
-			im += xi[base-d] * t
-		}
-		yr[i] = re
-		yi[i] = im
-	}
-}
-
 // FIRReal filters the planar extended input xr/xi (history prefix of
 // len(taps)-1 samples, then the frame) with real taps, writing len(yr)
 // outputs. yr/yi must not alias the tail of xr/xi that the remaining windows
@@ -88,28 +71,6 @@ func firRealTail(i int, yr, yi, xr, xi, taps []float64) {
 		for d, t := range taps {
 			re += xr[base-d] * t
 			im += xi[base-d] * t
-		}
-		yr[i] = re
-		yi[i] = im
-	}
-}
-
-// FIRCplxRef is the retained naive reference for FIRCplx: complex taps
-// tr/ti, one output at a time. Each product mirrors Go's complex128 multiply
-// lowering — re = wr·tr − wi·ti and im = wr·ti + wi·tr, each of the two
-// multiplies rounded individually before the combine — followed by one add
-// into the accumulator, exactly the interleaved form's sequence. Frozen as
-// the differential-test oracle.
-func FIRCplxRef(yr, yi, xr, xi, tr, ti []float64) {
-	last := len(tr) - 1
-	for i := range yr {
-		var re, im float64
-		base := i + last
-		for d := range tr {
-			wr, wi := xr[base-d], xi[base-d]
-			cr, ci := tr[d], ti[d]
-			re += wr*cr - wi*ci
-			im += wr*ci + wi*cr
 		}
 		yr[i] = re
 		yi[i] = im

@@ -21,8 +21,9 @@
 // the package's differential test suite:
 //
 //   - every kernel is bit-exact against a retained naive reference
-//     implementation (the *Ref functions) on all inputs, adversarial values
-//     included — callers may switch between the two freely;
+//     implementation (the *Ref functions, kept in ref_test.go unless
+//     production also calls them, like ACSStepRef and NormDrawsRef) on all
+//     inputs, adversarial values included;
 //   - every assembly stub fooAsm has a pure-Go twin fooGo of identical
 //     signature, bit-identical on all inputs, exercised differentially by
 //     the asmtwins suite under both dispatch settings;

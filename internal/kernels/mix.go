@@ -16,22 +16,6 @@ import "math"
 // the pass split bit-exact — the two random streams come from separate
 // generators, so draining them in separate passes preserves each draw order.
 
-// MixApplyLORef is the retained naive reference for MixApplyLO. Frozen as
-// the differential-test oracle.
-func MixApplyLORef(xr, xi, lor, loi []float64, mur, mui, nur, nui, g, dcr, dci float64) {
-	for i := range xr {
-		vr, vi := xr[i], xi[i]
-		ci := -vi
-		yr := (mur*vr - mui*vi) + (nur*vr - nui*ci)
-		yi := (mur*vi + mui*vr) + (nur*ci + nui*vr)
-		lr, li := lor[i], loi[i]
-		zr := yr*lr - yi*li
-		zi := yr*li + yi*lr
-		xr[i] = g*zr + dcr
-		xi[i] = g*zi + dci
-	}
-}
-
 // MixApplyLO applies imbalance, LO rotation, gain and DC in place on the
 // planar frame xr/xi, with the LO trajectory in lor/loi. Bit-identical to
 // MixApplyLORef on either dispatch tier (every sample is an independent
@@ -71,19 +55,6 @@ func mixApplyLOTail(i int, xr, xi, lor, loi []float64, mur, mui, nur, nui, g, dc
 		zi := yr*li + yi*lr
 		xr[i] = g*zr + dcr
 		xi[i] = g*zi + dci
-	}
-}
-
-// MixApplyRef is the retained naive reference for MixApply (no LO rotation).
-// Frozen as the differential-test oracle.
-func MixApplyRef(xr, xi []float64, mur, mui, nur, nui, g, dcr, dci float64) {
-	for i := range xr {
-		vr, vi := xr[i], xi[i]
-		ci := -vi
-		yr := (mur*vr - mui*vi) + (nur*vr - nui*ci)
-		yi := (mur*vi + mui*vr) + (nur*ci + nui*vr)
-		xr[i] = g*yr + dcr
-		xi[i] = g*yi + dci
 	}
 }
 
@@ -148,15 +119,6 @@ func NewLOTable(k, n int) *LOTable {
 		t.im[j] = s
 	}
 	return t
-}
-
-// PhasorRef returns the exact reference phasor for absolute sample index t:
-// math.Sincos of the rational phase. It is the differential-test oracle for
-// Fill and must stay frozen.
-func (l *LOTable) PhasorRef(t int) (re, im float64) {
-	j := ((l.k*t)%l.n + l.n) % l.n
-	s, c := math.Sincos(2 * math.Pi * float64(j) / float64(l.n))
-	return c, s
 }
 
 // Fill writes the next len(re) phasors into the planes re/im, advancing the

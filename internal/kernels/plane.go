@@ -7,14 +7,6 @@ package kernels
 // vector instead of per-element scalar loads and the complex128 two-phase
 // load/store the compiler emits for interleaved frames).
 
-// AddPlaneRef is the retained naive reference for AddPlane. Frozen as the
-// differential-test oracle.
-func AddPlaneRef(dst, src []float64) {
-	for i := range dst {
-		dst[i] += src[i]
-	}
-}
-
 // AddPlane adds src into dst elementwise: dst[i] += src[i]. src must have at
 // least len(dst) elements. Bit-identical to AddPlaneRef on either tier.
 //
@@ -37,14 +29,6 @@ func addPlaneGo(dst, src []float64) {
 	}
 }
 
-// ScalePlaneRef is the retained naive reference for ScalePlane. Frozen as
-// the differential-test oracle.
-func ScalePlaneRef(dst []float64, s float64) {
-	for i := range dst {
-		dst[i] *= s
-	}
-}
-
 // ScalePlane scales dst elementwise: dst[i] *= s. Bit-identical to
 // ScalePlaneRef on either tier.
 //
@@ -64,15 +48,6 @@ func ScalePlane(dst []float64, s float64) {
 func scalePlaneGo(dst []float64, s float64) {
 	for i := range dst {
 		dst[i] *= s
-	}
-}
-
-// DeinterleaveRef is the retained naive reference for Deinterleave. Frozen
-// as the differential-test oracle.
-func DeinterleaveRef(re, im []float64, x []complex128) {
-	for i, c := range x {
-		re[i] = real(c)
-		im[i] = imag(c)
 	}
 }
 
@@ -100,14 +75,6 @@ func deinterleaveGo(re, im []float64, x []complex128) {
 	for i, c := range x {
 		re[i] = real(c)
 		im[i] = imag(c)
-	}
-}
-
-// InterleaveRef is the retained naive reference for Interleave. Frozen as
-// the differential-test oracle.
-func InterleaveRef(x []complex128, re, im []float64) {
-	for i := range x {
-		x[i] = complex(re[i], im[i])
 	}
 }
 

@@ -168,11 +168,9 @@ var unitsFuncFacts = map[string]FuncFact{
 	"DBmToWatts":        {Params: []Domain{DomainDB}, Result: DomainLinear},
 	"WattsToDBm":        {Params: []Domain{DomainLinear}, Result: DomainDB},
 	"DBmToAmplitude":    {Params: []Domain{DomainDB}, Result: DomainLinear},
-	"AmplitudeToDBm":    {Params: []Domain{DomainLinear}, Result: DomainDB},
 	"ThermalNoisePower": {Params: []Domain{DomainLinear}, Result: DomainLinear},
 	"ThermalNoiseDBm":   {Params: []Domain{DomainLinear}, Result: DomainDB},
 	"MeanPower":         {Params: []Domain{DomainNone}, Result: DomainLinear},
-	"MeanPowerDBm":      {Params: []Domain{DomainNone}, Result: DomainDB},
 	"PeakPower":         {Params: []Domain{DomainNone}, Result: DomainLinear},
 	"PAPRdB":            {Params: []Domain{DomainNone}, Result: DomainDB},
 	"SetPowerDBm":       {Params: []Domain{DomainNone, DomainDB}, Result: DomainLinear},

@@ -20,6 +20,9 @@
 // may publish facts about exported declarations (see FactStore) that
 // downstream packages' passes consume, which is how unitsflow tracks dB- and
 // linear-domain values across assignments, calls and package boundaries.
+// Facts flow only from a package to its importers; testonly needs the
+// reverse view (who references this function), so it builds a module-wide
+// use index once per Loader instead.
 // The compiler-backed escape gate (EscapeCheck) is separate from the AST
 // analyzers: it shells out to go build -gcflags=-m and holds functions
 // annotated //lint:hotpath to a no-heap-escape contract.
@@ -120,7 +123,7 @@ func (p *Pass) Reportf(pos token.Pos, hint, format string, args ...any) {
 func All() []*Analyzer {
 	return []*Analyzer{
 		UnitsDiscipline, SeededRand, FloatEq, UnkeyedConfig, HotPathExp,
-		KernelPure, AsmTwin, UnitsFlow, DetFlow,
+		KernelPure, AsmTwin, UnitsFlow, DetFlow, TestOnly,
 	}
 }
 
@@ -245,12 +248,6 @@ type Options struct {
 	// diagnostic. Enable it only when running the full suite: under a
 	// subset, directives for unselected analyzers are trivially unused.
 	StaleIgnores bool
-}
-
-// Run applies the analyzers to every package and returns the surviving
-// diagnostics sorted by position. It is RunOpts with default options.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunOpts(pkgs, analyzers, Options{})
 }
 
 // RunOpts applies the analyzers to every package, in dependency order so

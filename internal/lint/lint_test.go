@@ -454,3 +454,9 @@ var x = 3
 		checkFindings(t, diags, nil)
 	})
 }
+
+// Run applies the analyzers to every package and returns the surviving
+// diagnostics sorted by position. It is RunOpts with default options.
+func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	return RunOpts(pkgs, analyzers, Options{})
+}

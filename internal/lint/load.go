@@ -27,6 +27,9 @@ type Package struct {
 	TPkg *types.Package
 	// Info holds the type-checker's expression and identifier facts.
 	Info *types.Info
+	// loader is the Loader that produced the package; nil for a package
+	// type-checked outside one (a single-file test fixture).
+	loader *Loader
 }
 
 // Loader parses and type-checks module packages using only the standard
@@ -40,6 +43,7 @@ type Loader struct {
 	pkgs       map[string]*Package
 	loading    map[string]bool
 	std        types.Importer
+	uses       *useIndex // module-wide use index, built on first request
 }
 
 // NewLoader locates the module containing dir and prepares a loader for it.
@@ -171,9 +175,52 @@ func (l *Loader) load(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	p := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, TPkg: tpkg, Info: info}
+	p := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, TPkg: tpkg, Info: info, loader: l}
 	l.pkgs[path] = p
 	return p, nil
+}
+
+// walkPackageDirs calls visit for every directory under root (root
+// included) that holds non-test Go files, skipping directories named
+// testdata or vendor and hidden or _-prefixed ones.
+func walkPackageDirs(root string, visit func(dir string) error) error {
+	return filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() {
+			return nil
+		}
+		name := d.Name()
+		if p != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+			name == "testdata" || name == "vendor") {
+			return filepath.SkipDir
+		}
+		names, err := goFilesIn(p)
+		if err != nil || len(names) == 0 {
+			return nil
+		}
+		return visit(p)
+	})
+}
+
+// loadModule loads every package under the module root (memoized per
+// package, so packages a run already loaded are reused).
+func (l *Loader) loadModule() ([]*Package, error) {
+	var pkgs []*Package
+	err := walkPackageDirs(l.moduleDir, func(dir string) error {
+		path, err := l.importPathFor(dir)
+		if err != nil {
+			return err
+		}
+		p, err := l.load(path)
+		if err != nil {
+			return err
+		}
+		pkgs = append(pkgs, p)
+		return nil
+	})
+	return pkgs, err
 }
 
 // newInfo allocates the types.Info maps the analyzers rely on.
@@ -240,25 +287,7 @@ func LoadPackages(dir string, patterns []string) ([]*Package, error) {
 			}
 			continue
 		}
-		err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() {
-				return nil
-			}
-			name := d.Name()
-			if p != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-				name == "testdata" || name == "vendor") {
-				return filepath.SkipDir
-			}
-			names, err := goFilesIn(p)
-			if err != nil || len(names) == 0 {
-				return nil
-			}
-			return add(p)
-		})
-		if err != nil {
+		if err := walkPackageDirs(root, add); err != nil {
 			return nil, err
 		}
 	}

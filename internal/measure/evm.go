@@ -91,33 +91,3 @@ func nearestAxisSq(x float64, levels []float64) float64 {
 	}
 	return best
 }
-
-// EVMDataAided measures EVM against the known transmitted constellation
-// points, avoiding decision errors at low SNR. ref must be the same shape as
-// carriers.
-func EVMDataAided(carriers, ref [][]complex128) (EVMResult, error) {
-	var res EVMResult
-	var acc float64
-	if len(carriers) != len(ref) {
-		return res, fmt.Errorf("measure: EVM reference shape mismatch (%d vs %d symbols)", len(carriers), len(ref))
-	}
-	for s := range carriers {
-		if len(carriers[s]) != len(ref[s]) {
-			return res, fmt.Errorf("measure: EVM reference shape mismatch at symbol %d", s)
-		}
-		for i, y := range carriers[s] {
-			d := y - ref[s][i]
-			e2 := real(d)*real(d) + imag(d)*imag(d)
-			acc += e2
-			if e := math.Sqrt(e2); e > res.Peak {
-				res.Peak = e
-			}
-			res.Symbols++
-		}
-	}
-	if res.Symbols == 0 {
-		return res, fmt.Errorf("measure: no symbols for EVM")
-	}
-	res.RMS = math.Sqrt(acc / float64(res.Symbols))
-	return res, nil
-}

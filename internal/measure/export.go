@@ -8,55 +8,6 @@ import (
 	"strconv"
 )
 
-// WriteCSV renders the series as CSV with a header row. Points annotated
-// with confidence intervals (BER sweeps) gain ci95_lo/ci95_hi/bits columns;
-// plain series keep the two-column format.
-func (s *Series) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	x := s.XLabel
-	if x == "" {
-		x = "x"
-	}
-	y := s.YLabel
-	if y == "" {
-		y = s.Label
-	}
-	if y == "" {
-		y = "y"
-	}
-	withCI := false
-	for _, p := range s.Points {
-		if p.CIHi > p.CILo || p.Bits > 0 {
-			withCI = true
-			break
-		}
-	}
-	header := []string{x, y}
-	if withCI {
-		header = append(header, "ci95_lo", "ci95_hi", "bits")
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, p := range s.Points {
-		row := []string{
-			strconv.FormatFloat(p.X, 'g', -1, 64),
-			strconv.FormatFloat(p.Y, 'g', -1, 64),
-		}
-		if withCI {
-			row = append(row,
-				strconv.FormatFloat(p.CILo, 'g', -1, 64),
-				strconv.FormatFloat(p.CIHi, 'g', -1, 64),
-				strconv.Itoa(p.Bits))
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // WriteCSV renders the figure as CSV: the first column is the union of X
 // values, one column per series; missing points are empty cells.
 func (f *Figure) WriteCSV(w io.Writer) error {

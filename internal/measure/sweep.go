@@ -65,17 +65,6 @@ func (s *Series) Min() Point {
 	return best
 }
 
-// Max returns the point with the largest Y.
-func (s *Series) Max() Point {
-	var best Point
-	for i, p := range s.Points {
-		if i == 0 || p.Y > best.Y {
-			best = p
-		}
-	}
-	return best
-}
-
 // YAt returns the Y value at the given X (exact match) and whether it exists.
 func (s *Series) YAt(x float64) (float64, bool) {
 	for _, p := range s.Points {
@@ -92,13 +81,6 @@ type Figure struct {
 	// Title names the figure (e.g. "Figure 5: BER vs filter bandwidth").
 	Title  string
 	Series []*Series
-}
-
-// AddSeries appends and returns a new series.
-func (f *Figure) AddSeries(label, xLabel, yLabel string) *Series {
-	s := &Series{Label: label, XLabel: xLabel, YLabel: yLabel}
-	f.Series = append(f.Series, s)
-	return s
 }
 
 // String renders the figure as an aligned text table, one row per X value

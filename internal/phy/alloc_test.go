@@ -29,15 +29,15 @@ func TestOFDMDemodAllocFree(t *testing.T) {
 		sym[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
 
-	spec, err := DemodulateSymbol(sym)
+	spec, err := DemodulateSymbolInto(nil, sym)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := ExtractData(spec)
+	data, err := ExtractDataInto(nil, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pilots, err := ExtractPilots(spec)
+	pilots, err := ExtractPilotsInto(nil, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,18 +186,9 @@ func MapBitsInto(dst []complex128, bits []byte, m Modulation) ([]complex128, err
 	return out, nil
 }
 
-// DemapHard slices each received symbol to the nearest constellation point
-// and returns the corresponding bits.
-func DemapHard(symbols []complex128, m Modulation) ([]byte, error) {
-	t, ok := tables[m]
-	if !ok {
-		return nil, fmt.Errorf("phy: unknown modulation %d", m)
-	}
-	return DemapHardAppend(make([]byte, 0, len(symbols)*t.nbpsc), symbols, m)
-}
-
-// DemapHardAppend is DemapHard appending the bits to dst and returning it,
-// reusing dst's capacity.
+// DemapHardAppend slices each received symbol to the nearest constellation
+// point and appends the corresponding bits to dst, returning it (dst's
+// capacity is reused).
 func DemapHardAppend(dst []byte, symbols []complex128, m Modulation) ([]byte, error) {
 	t, ok := tables[m]
 	if !ok {
@@ -220,24 +211,11 @@ func DemapHardAppend(dst []byte, symbols []complex128, m Modulation) ([]byte, er
 	return out, nil
 }
 
-// DemapSoft computes max-log LLR metrics for each coded bit of each symbol.
+// DemapSoftAppend computes max-log LLR metrics for each coded bit of each
+// symbol and appends them to dst, returning it (dst's capacity is reused).
 // Positive values favor bit 0 (matching the Viterbi decoder convention).
 // csi optionally weights each symbol's metrics by its channel-state
 // information (e.g. |H|^2); pass nil for unweighted metrics.
-func DemapSoft(symbols []complex128, m Modulation, csi []float64) ([]float64, error) {
-	t, ok := tables[m]
-	if !ok {
-		return nil, fmt.Errorf("phy: unknown modulation %d", m)
-	}
-	out, err := DemapSoftAppend(make([]float64, 0, len(symbols)*t.nbpsc), symbols, m, csi)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DemapSoftAppend is DemapSoft appending the metrics to dst and returning
-// it, reusing dst's capacity.
 //
 // The max-log metrics are computed separably: per symbol only the 2^bitsI +
 // 2^bitsQ per-axis squared distances are formed, and each bit's nearest-point

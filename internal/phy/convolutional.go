@@ -60,14 +60,9 @@ func punctureKeep(rate CodeRate) ([]bool, error) {
 	}
 }
 
-// Puncture removes the stolen bits from a rate-1/2 coded stream to realize
-// the requested rate, per clause 17.3.5.6.
-func Puncture(coded []byte, rate CodeRate) ([]byte, error) {
-	return PunctureAppend(make([]byte, 0, len(coded)), coded, rate)
-}
-
-// PunctureAppend is Puncture appending the surviving bits to dst and
-// returning it, reusing dst's capacity.
+// PunctureAppend removes the stolen bits from a rate-1/2 coded stream to
+// realize the requested rate, per clause 17.3.5.6, appending the surviving
+// bits to dst and returning it (dst's capacity is reused).
 func PunctureAppend(dst, coded []byte, rate CodeRate) ([]byte, error) {
 	keep, err := punctureKeep(rate)
 	if err != nil {
@@ -96,15 +91,10 @@ func PunctureAppend(dst, coded []byte, rate CodeRate) ([]byte, error) {
 	return dst, nil
 }
 
-// Depuncture re-inserts erasures at the stolen-bit positions of a punctured
-// soft-metric stream. Erasure positions are filled with the neutral metric 0.
-// Inputs are LLR-like soft values (positive favors bit 0).
-func Depuncture(punctured []float64, rate CodeRate) ([]float64, error) {
-	return DepunctureAppend(nil, punctured, rate)
-}
-
-// DepunctureAppend is Depuncture appending the expanded metrics to dst and
-// returning it, reusing dst's capacity.
+// DepunctureAppend re-inserts erasures at the stolen-bit positions of a
+// punctured soft-metric stream, appending the expanded metrics to dst and
+// returning it. Erasure positions get the neutral metric 0; inputs are
+// LLR-like soft values (positive favors bit 0).
 func DepunctureAppend(dst, punctured []float64, rate CodeRate) ([]float64, error) {
 	keep, err := punctureKeep(rate)
 	if err != nil {
@@ -135,20 +125,4 @@ func DepunctureAppend(dst, punctured []float64, rate CodeRate) ([]float64, error
 		}
 	}
 	return dst, nil
-}
-
-// CodedLength returns the number of coded bits produced from n data bits at
-// the given rate (n must yield an integral number of puncturing periods for
-// the punctured rates; clause 17 guarantees this by construction).
-func CodedLength(n int, rate CodeRate) int {
-	switch rate {
-	case Rate1_2:
-		return 2 * n
-	case Rate2_3:
-		return n * 3 / 2
-	case Rate3_4:
-		return n * 4 / 3
-	default:
-		return 0
-	}
 }

@@ -1,10 +1,10 @@
 package phy
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
-	"wlansim/internal/bits"
 	"wlansim/internal/phy/viterbi"
 )
 
@@ -30,8 +30,8 @@ func TestConvolutionalEncodeKnownVector(t *testing.T) {
 func TestConvolutionalEncodeLinearity(t *testing.T) {
 	// Convolutional codes are linear: enc(a XOR b) = enc(a) XOR enc(b).
 	r := rand.New(rand.NewSource(1))
-	a := bits.Random(r, 64)
-	b := bits.Random(r, 64)
+	a := randomBits(r, 64)
+	b := randomBits(r, 64)
 	sum := make([]byte, 64)
 	for i := range sum {
 		sum[i] = a[i] ^ b[i]
@@ -49,19 +49,19 @@ func TestPunctureRates(t *testing.T) {
 	for i := range coded {
 		coded[i] = byte(i % 2)
 	}
-	p12, err := Puncture(coded, Rate1_2)
+	p12, err := PunctureAppend(nil, coded, Rate1_2)
 	if err != nil || len(p12) != 24 {
 		t.Fatalf("rate 1/2: len %d err %v", len(p12), err)
 	}
-	p23, err := Puncture(coded, Rate2_3)
+	p23, err := PunctureAppend(nil, coded, Rate2_3)
 	if err != nil || len(p23) != 18 {
 		t.Fatalf("rate 2/3: len %d err %v", len(p23), err)
 	}
-	p34, err := Puncture(coded, Rate3_4)
+	p34, err := PunctureAppend(nil, coded, Rate3_4)
 	if err != nil || len(p34) != 16 {
 		t.Fatalf("rate 3/4: len %d err %v", len(p34), err)
 	}
-	if _, err := Puncture(coded, CodeRate(9)); err == nil {
+	if _, err := PunctureAppend(nil, coded, CodeRate(9)); err == nil {
 		t.Error("accepted unknown rate")
 	}
 }
@@ -72,7 +72,7 @@ func TestPunctureKeepsRightPositions(t *testing.T) {
 	for i := range coded {
 		coded[i] = byte(i)
 	}
-	p34, _ := Puncture(coded, Rate3_4)
+	p34, _ := PunctureAppend(nil, coded, Rate3_4)
 	// Period 6: keep 0,1,3,4 (A1 B1 B2 A3); stolen 2 (A2) and 5 (B3).
 	want := []byte{0, 1, 3, 4, 6, 7, 9, 10}
 	for i, w := range want {
@@ -80,7 +80,7 @@ func TestPunctureKeepsRightPositions(t *testing.T) {
 			t.Fatalf("rate 3/4 kept %v, want %v", p34, want)
 		}
 	}
-	p23, _ := Puncture(coded, Rate2_3)
+	p23, _ := PunctureAppend(nil, coded, Rate2_3)
 	want23 := []byte{0, 1, 2, 4, 5, 6, 8, 9, 10}
 	for i, w := range want23 {
 		if p23[i] != w {
@@ -91,7 +91,7 @@ func TestPunctureKeepsRightPositions(t *testing.T) {
 
 func TestDepunctureRestoresPositions(t *testing.T) {
 	soft := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	out, err := Depuncture(soft, Rate3_4)
+	out, err := DepunctureAppend(nil, soft, Rate3_4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestDepunctureRestoresPositions(t *testing.T) {
 }
 
 func TestDepunctureValidation(t *testing.T) {
-	if _, err := Depuncture(make([]float64, 7), Rate3_4); err == nil {
+	if _, err := DepunctureAppend(nil, make([]float64, 7), Rate3_4); err == nil {
 		t.Error("accepted length not matching puncture period")
 	}
 }
@@ -117,9 +117,9 @@ func TestPunctureDepunctureRoundTripDecodes(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for _, rate := range []CodeRate{Rate1_2, Rate2_3, Rate3_4} {
 		n := 144 // divisible by all puncture periods after encoding
-		data := append(bits.Random(r, n), make([]byte, TailBits)...)
+		data := append(randomBits(r, n), make([]byte, TailBits)...)
 		coded := ConvolutionalEncode(data)
-		punct, err := Puncture(coded, rate)
+		punct, err := PunctureAppend(nil, coded, rate)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,18 +131,18 @@ func TestPunctureDepunctureRoundTripDecodes(t *testing.T) {
 				soft[i] = -1
 			}
 		}
-		dep, err := Depuncture(soft, rate)
+		dep, err := DepunctureAppend(nil, soft, rate)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(dep) != len(coded) {
 			t.Fatalf("rate %v: depunctured %d, want %d", rate, len(dep), len(coded))
 		}
-		dec, err := viterbi.New().DecodeSoft(dep)
+		dec, err := viterbi.New().DecodeSoftInto(nil, dep)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bits.Equal(dec, data) {
+		if !bytes.Equal(dec, data) {
 			t.Errorf("rate %v: punctured round trip failed", rate)
 		}
 	}
@@ -160,5 +160,21 @@ func TestCodedLength(t *testing.T) {
 	}
 	if CodedLength(10, CodeRate(9)) != 0 {
 		t.Error("unknown rate should give 0")
+	}
+}
+
+// CodedLength returns the number of coded bits produced from n data bits at
+// the given rate (n must yield an integral number of puncturing periods for
+// the punctured rates; clause 17 guarantees this by construction).
+func CodedLength(n int, rate CodeRate) int {
+	switch rate {
+	case Rate1_2:
+		return 2 * n
+	case Rate2_3:
+		return n * 3 / 2
+	case Rate3_4:
+		return n * 4 / 3
+	default:
+		return 0
 	}
 }

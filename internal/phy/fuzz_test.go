@@ -108,7 +108,7 @@ func FuzzInterleaverRoundTrip(f *testing.F) {
 		for i, b := range tx {
 			soft[i] = float64(b)*2 - 1
 		}
-		softOut, err := DeinterleaveSoft(soft, mode)
+		softOut, err := DeinterleaveSoftInto(nil, soft, mode)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -73,26 +73,9 @@ func InterleaveInto(dst, bits []byte, mode Mode) ([]byte, error) {
 	return out, nil
 }
 
-// Deinterleave inverts Interleave on hard bits.
-func Deinterleave(bits []byte, mode Mode) ([]byte, error) {
-	ncbps := mode.NCBPS()
-	if len(bits) != ncbps {
-		return nil, fmt.Errorf("phy: deinterleaver input %d bits, want %d", len(bits), ncbps)
-	}
-	out := make([]byte, ncbps)
-	for k, pos := range interleaveTable(mode) {
-		out[k] = bits[pos]
-	}
-	return out, nil
-}
-
-// DeinterleaveSoft inverts the interleaver on soft metrics.
-func DeinterleaveSoft(soft []float64, mode Mode) ([]float64, error) {
-	return DeinterleaveSoftInto(nil, soft, mode)
-}
-
-// DeinterleaveSoftInto is DeinterleaveSoft writing into dst (grown if its
-// capacity is short, reused otherwise). dst must not alias soft.
+// DeinterleaveSoftInto inverts the interleaver on soft metrics, writing into
+// dst (grown if its capacity is short, reused otherwise). dst must not alias
+// soft.
 func DeinterleaveSoftInto(dst, soft []float64, mode Mode) ([]float64, error) {
 	ncbps := mode.NCBPS()
 	if len(soft) != ncbps {

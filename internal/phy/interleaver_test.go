@@ -1,10 +1,10 @@
 package phy
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
-
-	"wlansim/internal/bits"
 )
 
 func TestInterleaverIsPermutation(t *testing.T) {
@@ -27,7 +27,7 @@ func TestInterleaverIsPermutation(t *testing.T) {
 func TestInterleaveDeinterleaveRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, mode := range Modes {
-		in := bits.Random(r, mode.NCBPS())
+		in := randomBits(r, mode.NCBPS())
 		inter, err := Interleave(in, mode)
 		if err != nil {
 			t.Fatal(err)
@@ -36,7 +36,7 @@ func TestInterleaveDeinterleaveRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bits.Equal(in, out) {
+		if !bytes.Equal(in, out) {
 			t.Errorf("%v: round trip failed", mode)
 		}
 	}
@@ -45,13 +45,13 @@ func TestInterleaveDeinterleaveRoundTrip(t *testing.T) {
 func TestDeinterleaveSoftMatchesHard(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	mode := Modes[6] // 48 Mbps, 64-QAM
-	in := bits.Random(r, mode.NCBPS())
+	in := randomBits(r, mode.NCBPS())
 	inter, _ := Interleave(in, mode)
 	soft := make([]float64, len(inter))
 	for i, b := range inter {
 		soft[i] = float64(1 - 2*int(b))
 	}
-	deSoft, err := DeinterleaveSoft(soft, mode)
+	deSoft, err := DeinterleaveSoftInto(nil, soft, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,20 @@ func TestInterleaverValidation(t *testing.T) {
 	if _, err := Deinterleave(make([]byte, 10), mode); err == nil {
 		t.Error("accepted wrong length")
 	}
-	if _, err := DeinterleaveSoft(make([]float64, 10), mode); err == nil {
+	if _, err := DeinterleaveSoftInto(nil, make([]float64, 10), mode); err == nil {
 		t.Error("accepted wrong length")
 	}
+}
+
+// Deinterleave inverts Interleave on hard bits.
+func Deinterleave(bits []byte, mode Mode) ([]byte, error) {
+	ncbps := mode.NCBPS()
+	if len(bits) != ncbps {
+		return nil, fmt.Errorf("phy: deinterleaver input %d bits, want %d", len(bits), ncbps)
+	}
+	out := make([]byte, ncbps)
+	for k, pos := range interleaveTable(mode) {
+		out[k] = bits[pos]
+	}
+	return out, nil
 }

@@ -151,16 +151,10 @@ func ModulateSymbolsAppend(dst []complex128, specs [][]complex128, views [][]com
 	return dst, views, nil
 }
 
-// DemodulateSymbol converts one 80-sample OFDM symbol back into the 64-bin
-// frequency-domain vector (inverse of ModulateSymbol, assuming perfect
-// timing).
-func DemodulateSymbol(sym []complex128) ([]complex128, error) {
-	return DemodulateSymbolInto(nil, sym)
-}
-
-// DemodulateSymbolInto is DemodulateSymbol writing the 64-bin spectrum into
-// dst (grown if its capacity is short, reused otherwise — pass the previous
-// return value to stop allocating).
+// DemodulateSymbolInto converts one 80-sample OFDM symbol back into the
+// 64-bin frequency-domain vector (inverse of ModulateSymbol, assuming
+// perfect timing), writing into dst (grown if its capacity is short, reused
+// otherwise — pass the previous return value to stop allocating).
 func DemodulateSymbolInto(dst, sym []complex128) ([]complex128, error) {
 	if cap(dst) < FFTSize {
 		dst = make([]complex128, FFTSize)
@@ -199,14 +193,9 @@ func DemodulateSymbols(dst, syms [][]complex128) error {
 	return nil
 }
 
-// ExtractData returns the 48 data-carrier values of a frequency-domain
-// vector in logical order.
-func ExtractData(spec []complex128) ([]complex128, error) {
-	return ExtractDataInto(nil, spec)
-}
-
-// ExtractDataInto is ExtractData writing into dst (grown if its capacity is
-// short, reused otherwise).
+// ExtractDataInto writes the 48 data-carrier values of a frequency-domain
+// vector in logical order into dst (grown if its capacity is short, reused
+// otherwise).
 func ExtractDataInto(dst, spec []complex128) ([]complex128, error) {
 	if len(spec) != FFTSize {
 		return nil, fmt.Errorf("phy: spectrum length %d, want %d", len(spec), FFTSize)
@@ -221,14 +210,9 @@ func ExtractDataInto(dst, spec []complex128) ([]complex128, error) {
 	return out, nil
 }
 
-// ExtractPilots returns the four pilot-carrier values of a frequency-domain
-// vector, in the order -21, -7, +7, +21.
-func ExtractPilots(spec []complex128) ([]complex128, error) {
-	return ExtractPilotsInto(nil, spec)
-}
-
-// ExtractPilotsInto is ExtractPilots writing into dst (grown if its capacity
-// is short, reused otherwise).
+// ExtractPilotsInto writes the four pilot-carrier values of a
+// frequency-domain vector, in the order -21, -7, +7, +21, into dst (grown if
+// its capacity is short, reused otherwise).
 func ExtractPilotsInto(dst, spec []complex128) ([]complex128, error) {
 	if len(spec) != FFTSize {
 		return nil, fmt.Errorf("phy: spectrum length %d, want %d", len(spec), FFTSize)

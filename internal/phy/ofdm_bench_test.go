@@ -33,7 +33,7 @@ func BenchmarkDemodulateSymbol(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DemodulateSymbol(sym); err != nil {
+		if _, err := DemodulateSymbolInto(nil, sym); err != nil {
 			b.Fatal(err)
 		}
 	}

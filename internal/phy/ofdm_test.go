@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"wlansim/internal/bits"
 	"wlansim/internal/units"
 )
 
@@ -39,7 +38,7 @@ func TestDataCarrierLayout(t *testing.T) {
 
 func TestModulateDemodulateRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	data, _ := MapBits(bits.Random(r, 48*2), QPSK)
+	data, _ := MapBits(randomBits(r, 48*2), QPSK)
 	spec, err := AssembleSpectrum(data, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -57,11 +56,11 @@ func TestModulateDemodulateRoundTrip(t *testing.T) {
 			t.Fatalf("cyclic prefix mismatch at %d", i)
 		}
 	}
-	back, err := DemodulateSymbol(td)
+	back, err := DemodulateSymbolInto(nil, td)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExtractData(back)
+	got, err := ExtractDataInto(nil, back)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestModulateDemodulateRoundTrip(t *testing.T) {
 func TestPilotInsertion(t *testing.T) {
 	data := make([]complex128, 48)
 	spec, _ := AssembleSpectrum(data, 0) // p_0 = +1
-	pilots, _ := ExtractPilots(spec)
+	pilots, _ := ExtractPilotsInto(nil, spec)
 	want := []complex128{1, 1, 1, -1}
 	for i := range want {
 		if pilots[i] != want[i] {
@@ -83,7 +82,7 @@ func TestPilotInsertion(t *testing.T) {
 		}
 	}
 	spec4, _ := AssembleSpectrum(data, 4) // p_4 = -1
-	pilots4, _ := ExtractPilots(spec4)
+	pilots4, _ := ExtractPilotsInto(nil, spec4)
 	for i := range want {
 		if pilots4[i] != -want[i] {
 			t.Errorf("pilot %d with p_4: %v, want %v", i, pilots4[i], -want[i])
@@ -99,7 +98,7 @@ func TestPilotInsertion(t *testing.T) {
 
 func TestDCAndGuardCarriersEmpty(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	data, _ := MapBits(bits.Random(r, 48*6), QAM64)
+	data, _ := MapBits(randomBits(r, 48*6), QAM64)
 	spec, _ := AssembleSpectrum(data[:48], 1)
 	if spec[0] != 0 {
 		t.Error("DC carrier not empty")
@@ -118,7 +117,7 @@ func TestOFDMSymbolPowerNormalization(t *testing.T) {
 	var acc float64
 	const n = 200
 	for k := 0; k < n; k++ {
-		data, _ := MapBits(bits.Random(r, 48*4), QAM16)
+		data, _ := MapBits(randomBits(r, 48*4), QAM16)
 		spec, _ := AssembleSpectrum(data, k)
 		td, _ := ModulateSymbol(spec)
 		acc += units.MeanPower(td[CPLen:])
@@ -136,13 +135,13 @@ func TestOFDMValidation(t *testing.T) {
 	if _, err := ModulateSymbol(make([]complex128, 10)); err == nil {
 		t.Error("accepted short spectrum")
 	}
-	if _, err := DemodulateSymbol(make([]complex128, 10)); err == nil {
+	if _, err := DemodulateSymbolInto(nil, make([]complex128, 10)); err == nil {
 		t.Error("accepted short symbol")
 	}
-	if _, err := ExtractData(make([]complex128, 10)); err == nil {
+	if _, err := ExtractDataInto(nil, make([]complex128, 10)); err == nil {
 		t.Error("accepted short spectrum")
 	}
-	if _, err := ExtractPilots(make([]complex128, 10)); err == nil {
+	if _, err := ExtractPilotsInto(nil, make([]complex128, 10)); err == nil {
 		t.Error("accepted short spectrum")
 	}
 }

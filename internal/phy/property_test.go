@@ -1,23 +1,31 @@
 package phy
 
 import (
+	"bytes"
 	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"wlansim/internal/bits"
 )
 
 // Property-based invariants over the PHY's core data transforms, driven by
 // testing/quick.
+
+// randomBits returns n pseudo-random bits from the given source.
+func randomBits(r *rand.Rand, n int) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = byte(r.Intn(2))
+	}
+	return out
+}
 
 func TestPropertyInterleaveRoundTripAllModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	f := func(modeIdx uint8, seed int64) bool {
 		mode := Modes[int(modeIdx)%len(Modes)]
 		rng.Seed(seed)
-		in := bits.Random(rng, mode.NCBPS())
+		in := randomBits(rng, mode.NCBPS())
 		inter, err := Interleave(in, mode)
 		if err != nil {
 			return false
@@ -26,7 +34,7 @@ func TestPropertyInterleaveRoundTripAllModes(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return bits.Equal(in, out)
+		return bytes.Equal(in, out)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -39,7 +47,7 @@ func TestPropertyInterleavePreservesMultiset(t *testing.T) {
 	f := func(modeIdx uint8, seed int64) bool {
 		mode := Modes[int(modeIdx)%len(Modes)]
 		rng.Seed(seed)
-		in := bits.Random(rng, mode.NCBPS())
+		in := randomBits(rng, mode.NCBPS())
 		inter, err := Interleave(in, mode)
 		if err != nil {
 			return false
@@ -64,16 +72,16 @@ func TestPropertyMapDemapRoundTrip(t *testing.T) {
 	f := func(mIdx uint8, seed int64) bool {
 		m := mods[int(mIdx)%len(mods)]
 		rng.Seed(seed)
-		in := bits.Random(rng, m.BitsPerSymbol()*16)
+		in := randomBits(rng, m.BitsPerSymbol()*16)
 		syms, err := MapBits(in, m)
 		if err != nil {
 			return false
 		}
-		out, err := DemapHard(syms, m)
+		out, err := DemapHardAppend(nil, syms, m)
 		if err != nil {
 			return false
 		}
-		return bits.Equal(in, out)
+		return bytes.Equal(in, out)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -84,7 +92,7 @@ func TestPropertyOFDMSymbolRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	f := func(seed int64, symIdx uint8) bool {
 		rng.Seed(seed)
-		data, err := MapBits(bits.Random(rng, 48*2), QPSK)
+		data, err := MapBits(randomBits(rng, 48*2), QPSK)
 		if err != nil {
 			return false
 		}
@@ -96,11 +104,11 @@ func TestPropertyOFDMSymbolRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back, err := DemodulateSymbol(td)
+		back, err := DemodulateSymbolInto(nil, td)
 		if err != nil {
 			return false
 		}
-		got, err := ExtractData(back)
+		got, err := ExtractDataInto(nil, back)
 		if err != nil {
 			return false
 		}
@@ -123,9 +131,9 @@ func TestPropertyPunctureLengths(t *testing.T) {
 	f := func(blocks uint8, seed int64) bool {
 		n := (int(blocks)%20 + 1) * 6 // data bits, multiple of 6
 		rng.Seed(seed)
-		coded := ConvolutionalEncode(bits.Random(rng, n)) // 12*blocks bits
+		coded := ConvolutionalEncode(randomBits(rng, n)) // 12*blocks bits
 		for _, rate := range []CodeRate{Rate1_2, Rate2_3, Rate3_4} {
-			p, err := Puncture(coded, rate)
+			p, err := PunctureAppend(nil, coded, rate)
 			if err != nil {
 				return false
 			}
@@ -145,8 +153,8 @@ func TestPropertyConvolutionalCodeLinearity(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng.Seed(seed)
 		length := int(n)%96 + 8
-		a := bits.Random(rng, length)
-		b := bits.Random(rng, length)
+		a := randomBits(rng, length)
+		b := randomBits(rng, length)
 		sum := make([]byte, length)
 		for i := range sum {
 			sum[i] = a[i] ^ b[i]
@@ -196,15 +204,15 @@ func TestPropertySignalFieldRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		spec, err := DemodulateSymbol(sym)
+		spec, err := DemodulateSymbolInto(nil, sym)
 		if err != nil {
 			return false
 		}
-		data, err := ExtractData(spec)
+		data, err := ExtractDataInto(nil, spec)
 		if err != nil {
 			return false
 		}
-		sf, err := DecodeSignal(data)
+		sf, err := NewPacketDecoder().DecodeSignal(data)
 		if err != nil {
 			return false
 		}

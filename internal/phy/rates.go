@@ -8,11 +8,7 @@
 // unless stated otherwise.
 package phy
 
-import (
-	"fmt"
-
-	"wlansim/internal/units"
-)
+import "fmt"
 
 // Fundamental clause-17 OFDM dimensions.
 const (
@@ -28,8 +24,6 @@ const (
 	NumPilots = 4
 	// SampleRate is the native baseband sample rate in Hz.
 	SampleRate = 20e6
-	// ChannelSpacing is the 802.11a channel raster in Hz.
-	ChannelSpacing = 20e6
 	// CarrierFrequency is the paper's RF carrier in Hz (5.2 GHz band).
 	CarrierFrequency = 5.2e9
 )
@@ -186,56 +180,4 @@ var StandardsTable = []Standard{
 	{1999, "802.11a", 5.2, []float64{54, 48, 36, 24, 18, 12, 9, 6}},
 	{1999, "802.11b", 2.4, []float64{11, 5.5, 2, 1}},
 	{0, "802.11g", 2.4, []float64{54, 48, 36, 24, 18, 12, 9, 6, 5.5, 2, 1}},
-}
-
-// SpectralEfficiency returns the mode's data rate per occupied bandwidth in
-// bits/s/Hz (NDBPS per 4 us symbol over the 20 MHz channel raster).
-func (m Mode) SpectralEfficiency() float64 {
-	return float64(m.NDBPS()) / 4e-6 / ChannelSpacing
-}
-
-// SNRFromEbN0 converts an information-bit Eb/N0 (dB) to the equivalent
-// in-band SNR (dB) over the 20 MHz channel: SNR = Eb/N0 + 10 log10(R/B).
-func (m Mode) SNRFromEbN0(ebn0DB float64) float64 {
-	return ebn0DB + units.LinearToDB(m.SpectralEfficiency())
-}
-
-// EbN0FromSNR is the inverse of SNRFromEbN0.
-func (m Mode) EbN0FromSNR(snrDB float64) float64 {
-	return snrDB - units.LinearToDB(m.SpectralEfficiency())
-}
-
-// PPDU timing constants (clause 17.4.3).
-const (
-	// PreambleDurationSec is the 16 us PLCP preamble.
-	PreambleDurationSec = 16e-6
-	// SignalDurationSec is the 4 us SIGNAL symbol.
-	SignalDurationSec = 4e-6
-	// SymbolDurationSec is the 4 us OFDM symbol.
-	SymbolDurationSec = 4e-6
-)
-
-// NumDataSymbols returns the number of DATA OFDM symbols for a PSDU of the
-// given length in octets (SERVICE + PSDU + tail, padded to a whole symbol).
-func (m Mode) NumDataSymbols(psduOctets int) int {
-	nBits := 16 + 8*psduOctets + 6
-	return (nBits + m.NDBPS() - 1) / m.NDBPS()
-}
-
-// TXTime returns the clause-17.4.3 frame duration in seconds:
-// preamble + SIGNAL + 4 us per data symbol.
-func (m Mode) TXTime(psduOctets int) float64 {
-	return PreambleDurationSec + SignalDurationSec +
-		SymbolDurationSec*float64(m.NumDataSymbols(psduOctets))
-}
-
-// Throughput returns the effective MAC-payload throughput in bits per
-// second for back-to-back frames of the given PSDU size (payload bits over
-// air time, preamble overhead included).
-func (m Mode) Throughput(psduOctets int) float64 {
-	t := m.TXTime(psduOctets)
-	if t <= 0 {
-		return 0
-	}
-	return float64(8*psduOctets) / t
 }

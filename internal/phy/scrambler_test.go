@@ -1,10 +1,9 @@
 package phy
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
-
-	"wlansim/internal/bits"
 )
 
 func TestScramblerSequence127(t *testing.T) {
@@ -56,7 +55,7 @@ func TestScramblerInvolutionProperty(t *testing.T) {
 		buf := append([]byte(nil), in...)
 		NewScrambler(seed).Process(buf)
 		NewScrambler(seed).Process(buf)
-		return bits.Equal(buf, in)
+		return bytes.Equal(buf, in)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -56,12 +56,6 @@ func EncodeSignal(mode Mode, length int) ([]complex128, error) {
 
 // DecodeSignal parses the 48 equalized data-carrier values of the SIGNAL
 // symbol. It validates the parity bit and the RATE encoding.
-func DecodeSignal(dataCarriers []complex128) (SignalField, error) {
-	return NewPacketDecoder().DecodeSignal(dataCarriers)
-}
-
-// DecodeSignal is the scratch-reusing form of the package function of the
-// same name.
 func (d *PacketDecoder) DecodeSignal(dataCarriers []complex128) (SignalField, error) {
 	var sf SignalField
 	soft, err := DemapSoftAppend(d.sym[:0], dataCarriers, BPSK, nil)

@@ -105,7 +105,7 @@ func TestSymbolMajorModDemodBitExact(t *testing.T) {
 			for n := range syms {
 				ref := refDemodulate(plan, syms[n])
 				complexSlicesBitEqual(t, "demodulate train", dst[n], ref)
-				got, err := DemodulateSymbol(syms[n])
+				got, err := DemodulateSymbolInto(nil, syms[n])
 				if err != nil {
 					t.Fatal(err)
 				}

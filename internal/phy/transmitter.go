@@ -31,33 +31,6 @@ type Frame struct {
 	Samples []complex128
 }
 
-// DataLen returns the total frame length in samples.
-func (f *Frame) DataLen() int { return len(f.Samples) }
-
-// DataFieldBits assembles and scrambles the DATA field bit stream for a PSDU:
-// SERVICE + PSDU + tail + pad, scrambled, with the tail-bit positions zeroed
-// after scrambling (clause 17.3.5.2). It returns the scrambled stream and
-// the number of OFDM symbols.
-func DataFieldBits(psdu []byte, mode Mode, seed byte) ([]byte, int) {
-	payload := bits.FromBytes(psdu)
-	nBits := ServiceBits + len(payload) + TailBits
-	ndbps := mode.NDBPS()
-	nSym := (nBits + ndbps - 1) / ndbps
-	total := nSym * ndbps
-
-	stream := make([]byte, total)
-	copy(stream[ServiceBits:], payload)
-
-	s := NewScrambler(seed)
-	s.Process(stream)
-	// Zero the scrambled tail bits so the encoder terminates.
-	tailStart := ServiceBits + len(payload)
-	for i := 0; i < TailBits; i++ {
-		stream[tailStart+i] = 0
-	}
-	return stream, nSym
-}
-
 // Transmitter builds clause-17 PPDUs. It carries reusable scratch for the
 // bit pipeline and caches the (constant) preamble and SIGNAL symbol, so a
 // long-lived transmitter allocates only the returned Frame per packet. A
@@ -137,7 +110,8 @@ func (t *Transmitter) TransmitInto(f *Frame, psdu []byte) error {
 		seed = 0x5D
 	}
 
-	// DATA field bit stream (the DataFieldBits logic over reused scratch).
+	// DATA field bit stream: SERVICE + PSDU + tail + pad, scrambled, with
+	// the tail-bit positions zeroed after scrambling (clause 17.3.5.2).
 	nBits := ServiceBits + 8*len(psdu) + TailBits
 	ndbps := t.Mode.NDBPS()
 	nSym := (nBits + ndbps - 1) / ndbps
@@ -257,12 +231,6 @@ func NewPacketDecoder() *PacketDecoder {
 // equalized data-carrier values of each DATA OFDM symbol in order; csi, if
 // non-nil, holds the matching channel-state weights. It returns the decoded
 // PSDU.
-func DecodeDataCarriers(carriers [][]complex128, csi [][]float64, mode Mode, psduLen int) ([]byte, error) {
-	return NewPacketDecoder().DecodeDataCarriers(carriers, csi, mode, psduLen)
-}
-
-// DecodeDataCarriers is the scratch-reusing form of the package function of
-// the same name.
 func (d *PacketDecoder) DecodeDataCarriers(carriers [][]complex128, csi [][]float64, mode Mode, psduLen int) ([]byte, error) {
 	dep, err := d.prepareSoft(carriers, csi, mode, psduLen)
 	if err != nil {
@@ -315,19 +283,11 @@ func (d *PacketDecoder) prepareSoft(carriers [][]complex128, csi [][]float64, mo
 // DecodeDataCarriersHard is the hard-decision variant of
 // DecodeDataCarriers: each carrier is sliced to the nearest constellation
 // point before deinterleaving, discarding the soft reliability information
-// (an ablation worth ~2 dB of coding gain). csi is accepted for signature
-// compatibility and ignored.
-func DecodeDataCarriersHard(carriers [][]complex128, csi [][]float64, mode Mode, psduLen int) ([]byte, error) {
-	return NewPacketDecoder().DecodeDataCarriersHard(carriers, csi, mode, psduLen)
-}
-
-// DecodeDataCarriersHard is the scratch-reusing form of the package function
-// of the same name.
-func (d *PacketDecoder) DecodeDataCarriersHard(carriers [][]complex128, csi [][]float64, mode Mode, psduLen int) ([]byte, error) {
+// (an ablation worth ~2 dB of coding gain).
+func (d *PacketDecoder) DecodeDataCarriersHard(carriers [][]complex128, mode Mode, psduLen int) ([]byte, error) {
 	if psduLen < 1 {
 		return nil, fmt.Errorf("phy: psduLen %d invalid", psduLen)
 	}
-	_ = csi
 	ncbps := mode.NCBPS()
 	soft := d.growSoft(len(carriers) * ncbps)
 	for _, c := range carriers {

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -17,12 +18,12 @@ func TestSignalFieldRoundTrip(t *testing.T) {
 			if len(sym) != SymbolLen {
 				t.Fatalf("SIGNAL symbol length %d", len(sym))
 			}
-			spec, err := DemodulateSymbol(sym)
+			spec, err := DemodulateSymbolInto(nil, sym)
 			if err != nil {
 				t.Fatal(err)
 			}
-			data, _ := ExtractData(spec)
-			sf, err := DecodeSignal(data)
+			data, _ := ExtractDataInto(nil, spec)
+			sf, err := NewPacketDecoder().DecodeSignal(data)
 			if err != nil {
 				t.Fatalf("%v len %d: %v", mode, length, err)
 			}
@@ -48,15 +49,15 @@ func TestSignalFieldValidation(t *testing.T) {
 	for i := range zero {
 		zero[i] = -1 // all bits 0
 	}
-	if _, err := DecodeSignal(zero); err == nil {
+	if _, err := NewPacketDecoder().DecodeSignal(zero); err == nil {
 		t.Error("accepted all-zero SIGNAL field")
 	}
 }
 
 func TestSignalSymbolIsBPSK(t *testing.T) {
 	sym, _ := EncodeSignal(Modes[4], 256)
-	spec, _ := DemodulateSymbol(sym)
-	data, _ := ExtractData(spec)
+	spec, _ := DemodulateSymbolInto(nil, sym)
+	data, _ := ExtractDataInto(nil, spec)
 	for i, v := range data {
 		if imag(v) > 1e-9 || imag(v) < -1e-9 {
 			t.Fatalf("SIGNAL carrier %d has imaginary part %v", i, v)
@@ -64,13 +65,19 @@ func TestSignalSymbolIsBPSK(t *testing.T) {
 	}
 }
 
+// TestDataFieldBitsLayout checks the DATA field bit stream Transmit
+// assembles: SERVICE + PSDU + tail + pad, scrambled.
 func TestDataFieldBitsLayout(t *testing.T) {
 	psdu := []byte{0xA5, 0x3C}
-	mode := Modes[0] // NDBPS 24
-	stream, nSym := DataFieldBits(psdu, mode, 0x11)
+	tx := &Transmitter{Mode: Modes[0], ScramblerSeed: 0x11} // NDBPS 24
+	frame, err := tx.Transmit(psdu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := tx.stream
 	// 16 service + 16 payload + 6 tail = 38 -> 2 symbols of 24 = 48 bits.
-	if nSym != 2 || len(stream) != 48 {
-		t.Fatalf("nSym=%d len=%d", nSym, len(stream))
+	if frame.NumDataSymbols != 2 || len(stream) != 48 {
+		t.Fatalf("nSym=%d len=%d", frame.NumDataSymbols, len(stream))
 	}
 	// Descrambling restores service zeros and payload.
 	buf := append([]byte(nil), stream...)
@@ -82,7 +89,7 @@ func TestDataFieldBitsLayout(t *testing.T) {
 			t.Errorf("service bit %d = %d after descrambling", i, buf[i])
 		}
 	}
-	if !bits.Equal(buf[ServiceBits:ServiceBits+16], bits.FromBytes(psdu)) {
+	if !bytes.Equal(buf[ServiceBits:ServiceBits+16], bits.FromBytes(psdu)) {
 		t.Error("payload corrupted by scrambling")
 	}
 }
@@ -131,17 +138,17 @@ func decodeFrameIdeal(t *testing.T, frame *Frame) []byte {
 	var carriers [][]complex128
 	for n := 0; n < frame.NumDataSymbols; n++ {
 		sym := frame.Samples[start+n*SymbolLen : start+(n+1)*SymbolLen]
-		spec, err := DemodulateSymbol(sym)
+		spec, err := DemodulateSymbolInto(nil, sym)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := ExtractData(spec)
+		data, err := ExtractDataInto(nil, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		carriers = append(carriers, data)
 	}
-	psdu, err := DecodeDataCarriers(carriers, nil, frame.Mode, len(frame.PSDU))
+	psdu, err := NewPacketDecoder().DecodeDataCarriers(carriers, nil, frame.Mode, len(frame.PSDU))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +186,7 @@ func TestTransmitDecodeLoopbackAllSeeds(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := decodeFrameIdeal(t, frame)
-		if !bits.Equal(bits.FromBytes(got), bits.FromBytes(psdu)) {
+		if !bytes.Equal(got, psdu) {
 			t.Fatalf("seed %#x: loopback failed", seed)
 		}
 	}
@@ -197,10 +204,10 @@ func TestDefaultScramblerSeed(t *testing.T) {
 }
 
 func TestDecodeDataCarriersValidation(t *testing.T) {
-	if _, err := DecodeDataCarriers(nil, nil, Modes[0], 0); err == nil {
+	if _, err := NewPacketDecoder().DecodeDataCarriers(nil, nil, Modes[0], 0); err == nil {
 		t.Error("accepted zero psduLen")
 	}
-	if _, err := DecodeDataCarriers(nil, nil, Modes[0], 10); err == nil {
+	if _, err := NewPacketDecoder().DecodeDataCarriers(nil, nil, Modes[0], 10); err == nil {
 		t.Error("accepted empty carriers for nonzero PSDU")
 	}
 }

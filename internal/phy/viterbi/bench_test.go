@@ -48,7 +48,7 @@ func BenchmarkDecodeSoft(b *testing.B) {
 			b.SetBytes(int64(n) / 8)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := New().DecodeSoft(soft); err != nil {
+				if _, err := New().DecodeSoftInto(nil, soft); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -65,7 +65,7 @@ func BenchmarkDecodeSoftReused(b *testing.B) {
 	b.SetBytes(8112 / 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.DecodeSoft(soft); err != nil {
+		if _, err := d.DecodeSoftInto(nil, soft); err != nil {
 			b.Fatal(err)
 		}
 	}

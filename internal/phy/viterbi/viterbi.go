@@ -1,7 +1,7 @@
 // Package viterbi implements a maximum-likelihood decoder for the IEEE
 // 802.11a rate-1/2, K=7 convolutional code (generators 133/171 octal), with
-// hard- and soft-decision inputs and support for the punctured rates via
-// erasure metrics.
+// soft-decision inputs and support for the punctured rates via erasure
+// metrics.
 package viterbi
 
 import (
@@ -68,8 +68,6 @@ type Decoder struct {
 	// says which predecessor (r in p = ((s<<1)|r)&63) survived into state
 	// s at step t. Grown on demand, retained across calls.
 	decisions []uint64
-	// soft is scratch for DecodeHard's metric conversion.
-	soft []float64
 	// batch is the lane-parallel scratch DecodeSoftBatch ping-pongs.
 	batch batchScratch
 }
@@ -77,17 +75,13 @@ type Decoder struct {
 // New returns a decoder for a terminated (tail-bited-to-zero) trellis.
 func New() *Decoder { return &Decoder{Terminated: true} }
 
-// DecodeSoft decodes a soft-metric stream of 2n values (A and B metric for
-// each of the n trellis steps) into n bits. Positive metric values favor
+// DecodeSoftInto decodes a soft-metric stream of 2n values (A and B metric
+// for each of the n trellis steps) into n bits, written into dst (grown if
+// its capacity is short, reused otherwise). Positive metric values favor
 // coded bit 0, negative favor 1, zero is an erasure (depunctured position).
-// It returns the decoded bits including any tail bits the encoder appended.
-func (d *Decoder) DecodeSoft(soft []float64) ([]byte, error) {
-	return d.DecodeSoftInto(nil, soft)
-}
-
-// DecodeSoftInto is DecodeSoft writing the decoded bits into dst (grown if
-// its capacity is short, reused otherwise). It allocates nothing when dst
-// and the decoder scratch are already large enough.
+// It returns the decoded bits including any tail bits the encoder appended,
+// and allocates nothing when dst and the decoder scratch are already large
+// enough.
 //
 //lint:hotpath
 func (d *Decoder) DecodeSoftInto(dst []byte, soft []float64) ([]byte, error) {
@@ -144,28 +138,4 @@ func (d *Decoder) DecodeSoftInto(dst []byte, soft []float64) ([]byte, error) {
 		state = ((state << 1) | int(r)) & (numStates - 1)
 	}
 	return out, nil
-}
-
-// DecodeHard decodes hard-decision coded bits (the interleaved A/B stream of
-// the encoder). Bits beyond 1 are rejected.
-//
-//lint:hotpath
-func (d *Decoder) DecodeHard(coded []byte) ([]byte, error) {
-	if cap(d.soft) < len(coded) {
-		//lint:ignore escape one-time scratch grow, amortized across decodes
-		d.soft = make([]float64, len(coded))
-	}
-	soft := d.soft[:len(coded)]
-	for i, b := range coded {
-		switch b {
-		case 0:
-			soft[i] = 1
-		case 1:
-			soft[i] = -1
-		default:
-			//lint:ignore escape error path only: the formatted arguments box
-			return nil, fmt.Errorf("viterbi: value %d at index %d is not a bit", b, i)
-		}
-	}
-	return d.DecodeSoftInto(nil, soft)
 }

@@ -1,6 +1,7 @@
 package viterbi
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -134,7 +135,7 @@ func TestDecodeSoftBeatsHardWithErasures(t *testing.T) {
 			soft[i] = -1
 		}
 	}
-	got, err := New().DecodeSoft(soft)
+	got, err := New().DecodeSoftInto(nil, soft)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestDecodeSoftWeighting(t *testing.T) {
 	// Inject weak opposite-sign noise on a few positions.
 	soft[2] = -soft[2] / 10
 	soft[9] = -soft[9] / 10
-	got, err := New().DecodeSoft(soft)
+	got, err := New().DecodeSoftInto(nil, soft)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,13 +190,13 @@ func TestUnterminatedDecoding(t *testing.T) {
 }
 
 func TestDecodeValidation(t *testing.T) {
-	if _, err := New().DecodeSoft(make([]float64, 3)); err == nil {
+	if _, err := New().DecodeSoftInto(nil, make([]float64, 3)); err == nil {
 		t.Error("accepted odd-length soft stream")
 	}
 	if _, err := New().DecodeHard([]byte{0, 2}); err == nil {
 		t.Error("accepted non-bit value")
 	}
-	if out, err := New().DecodeSoft(nil); err != nil || out != nil {
+	if out, err := New().DecodeSoftInto(nil, nil); err != nil || out != nil {
 		t.Error("empty stream should decode to nothing")
 	}
 }
@@ -218,4 +219,21 @@ func TestRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// DecodeHard decodes hard-decision coded bits (the interleaved A/B stream of
+// the encoder). Bits beyond 1 are rejected.
+func (d *Decoder) DecodeHard(coded []byte) ([]byte, error) {
+	soft := make([]float64, len(coded))
+	for i, b := range coded {
+		switch b {
+		case 0:
+			soft[i] = 1
+		case 1:
+			soft[i] = -1
+		default:
+			return nil, fmt.Errorf("viterbi: value %d at index %d is not a bit", b, i)
+		}
+	}
+	return d.DecodeSoftInto(nil, soft)
 }

@@ -111,12 +111,6 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// GainDB returns the current loop gain.
-func (a *AGC) GainDB() float64 { return a.st[0].gainDB }
-
-// SetFreeze holds (true) or releases (false) the gain.
-func (a *AGC) SetFreeze(f bool) { a.cfg.Freeze = f }
-
 // Reset restores the initial gain and estimator. The resync counter carries
 // (see agcResyncInterval).
 func (a *AGC) Reset() { a.resetLane(&a.st[0]) }
@@ -269,9 +263,6 @@ func NewADC(cfg ADCConfig) (*ADC, error) {
 	return a, nil
 }
 
-// ClippedSamples returns how many samples clipped since the last Reset.
-func (a *ADC) ClippedSamples() int { return a.clip }
-
 // Reset clears the clip counter.
 func (a *ADC) Reset() { a.clip = 0 }
 
@@ -293,16 +284,6 @@ func (a *ADC) quantize(v float64) (float64, bool) {
 		}
 	}
 	return v, clipped
-}
-
-// ProcessSample converts one sample.
-func (a *ADC) ProcessSample(x complex128) complex128 {
-	i, ci := a.quantize(real(x))
-	q, cq := a.quantize(imag(x))
-	if ci || cq {
-		a.clip++
-	}
-	return complex(i, q)
 }
 
 // Process converts a frame in place and returns it: convertKeep keeping

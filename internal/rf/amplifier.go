@@ -149,9 +149,6 @@ func NewAmplifier(cfg AmplifierConfig) (*Amplifier, error) {
 	return a, nil
 }
 
-// Config returns the amplifier configuration.
-func (a *Amplifier) Config() AmplifierConfig { return a.cfg }
-
 // Reset restarts the noise source (memoryless otherwise). Rewinding to the
 // construction mark restarts the identical noise stream without re-running
 // the seeding procedure.
@@ -159,16 +156,6 @@ func (a *Amplifier) Reset() {
 	if a.noise != nil {
 		a.noise.Rewind()
 	}
-}
-
-// ProcessSample amplifies one sample.
-//
-//lint:hotpath
-func (a *Amplifier) ProcessSample(x complex128) complex128 {
-	if a.noise != nil {
-		x += complex(a.noise.NormFloat64()*a.nsig, a.noise.NormFloat64()*a.nsig)
-	}
-	return a.amplify(x)
 }
 
 // amplify is the deterministic part of ProcessSample: the AM/AM nonlinearity
@@ -243,13 +230,4 @@ func (a *Amplifier) Process(x []complex128) []complex128 {
 	a.processBatch(xr, xi, [][]complex128{x}, []*Amplifier{a}, a.nv.Re, a.nv.Im)
 	a.xv.CopyTo(x)
 	return x
-}
-
-// OutputSaturationDBm returns the block's maximum output envelope power
-// (+Inf for a linear amplifier).
-func (a *Amplifier) OutputSaturationDBm() float64 {
-	if a.cfg.Model == Linear {
-		return math.Inf(1)
-	}
-	return units.AmplitudeToDBm(a.aSat)
 }

@@ -34,7 +34,7 @@ func TestAmplifierSmallSignalGain(t *testing.T) {
 	// -40 dBm input, 40 dB below IIP3: negligible compression.
 	in := toneAt(1024, 1.0/16, units.DBmToAmplitude(-40))
 	out := a.Process(in)
-	if got := units.MeanPowerDBm(out); math.Abs(got-(-20)) > 0.01 {
+	if got := units.WattsToDBm(units.MeanPower(out)); math.Abs(got-(-20)) > 0.01 {
 		t.Errorf("output power %v dBm, want -20", got)
 	}
 }
@@ -51,7 +51,7 @@ func TestAmplifierCompressionPoint(t *testing.T) {
 		}
 		in := toneAt(256, 0.25, units.DBmToAmplitude(cp))
 		out := a.Process(in)
-		gain := units.MeanPowerDBm(out) - cp
+		gain := units.WattsToDBm(units.MeanPower(out)) - cp
 		if math.Abs(gain-14) > 0.02 {
 			t.Errorf("CP %v dBm: gain %v dB at compression, want 14", cp, gain)
 		}
@@ -97,7 +97,7 @@ func TestAmplifierSaturationClamp(t *testing.T) {
 	sat := a.OutputSaturationDBm()
 	in := toneAt(64, 0.25, units.DBmToAmplitude(+10)) // 30 dB over CP
 	out := a.Process(in)
-	got := units.MeanPowerDBm(out)
+	got := units.WattsToDBm(units.MeanPower(out))
 	if math.Abs(got-sat) > 0.01 {
 		t.Errorf("saturated output %v dBm, want clamp at %v", got, sat)
 	}
@@ -106,7 +106,7 @@ func TestAmplifierSaturationClamp(t *testing.T) {
 	prev := math.Inf(-1)
 	for pin := -40.0; pin <= 10; pin += 2 {
 		out := a.Process(toneAt(64, 0.25, units.DBmToAmplitude(pin)))
-		p := units.MeanPowerDBm(out)
+		p := units.WattsToDBm(units.MeanPower(out))
 		if p < prev-1e-9 {
 			t.Fatalf("output power fell from %v to %v dBm at Pin %v", prev, p, pin)
 		}
@@ -123,20 +123,20 @@ func TestAmplifierRappModel(t *testing.T) {
 	}
 	// Gain down 1 dB at the compression point.
 	out := a.Process(toneAt(128, 0.25, units.DBmToAmplitude(-15)))
-	gain := units.MeanPowerDBm(out) - (-15)
+	gain := units.WattsToDBm(units.MeanPower(out)) - (-15)
 	if math.Abs(gain-11) > 0.05 {
 		t.Errorf("Rapp gain at CP %v dB, want 11", gain)
 	}
 	// Small-signal gain intact.
 	a.Reset()
 	out = a.Process(toneAt(128, 0.25, units.DBmToAmplitude(-60)))
-	gain = units.MeanPowerDBm(out) - (-60)
+	gain = units.WattsToDBm(units.MeanPower(out)) - (-60)
 	if math.Abs(gain-12) > 0.05 {
 		t.Errorf("Rapp small-signal gain %v dB, want 12", gain)
 	}
 	// Hard saturation: output approaches Asat from below.
 	out = a.Process(toneAt(128, 0.25, units.DBmToAmplitude(20)))
-	if got, sat := units.MeanPowerDBm(out), a.OutputSaturationDBm(); got > sat {
+	if got, sat := units.WattsToDBm(units.MeanPower(out)), a.OutputSaturationDBm(); got > sat {
 		t.Errorf("Rapp output %v dBm above saturation %v", got, sat)
 	}
 }
@@ -154,7 +154,7 @@ func TestAmplifierNoiseFigure(t *testing.T) {
 	}
 	in := make([]complex128, 200000)
 	out := a.Process(in)
-	got := units.MeanPowerDBm(out)
+	got := units.WattsToDBm(units.MeanPower(out))
 	f := units.DBToLinear(6.0)
 	want := units.WattsToDBm(units.Boltzmann*units.RoomTemperature*fs*(f-1)) + 20
 	if math.Abs(got-want) > 0.2 {
@@ -290,4 +290,21 @@ func TestP1dBIIP3Relation(t *testing.T) {
 	if got := IIP3FromP1dB(P1dBFromIIP3(-7)); math.Abs(got+7) > 1e-12 {
 		t.Errorf("round trip %v", got)
 	}
+}
+
+// ProcessSample amplifies one sample.
+func (a *Amplifier) ProcessSample(x complex128) complex128 {
+	if a.noise != nil {
+		x += complex(a.noise.NormFloat64()*a.nsig, a.noise.NormFloat64()*a.nsig)
+	}
+	return a.amplify(x)
+}
+
+// OutputSaturationDBm returns the block's maximum output envelope power
+// (+Inf for a linear amplifier).
+func (a *Amplifier) OutputSaturationDBm() float64 {
+	if a.cfg.Model == Linear {
+		return math.Inf(1)
+	}
+	return units.WattsToDBm(a.aSat * a.aSat)
 }

@@ -113,23 +113,22 @@ func (m *Mixer) processBatchPlanar(xr, xi [][]float64, nre, nim []float64) {
 // BatchReceiver is the lane receiver: it runs several lanes of one
 // behavioral receiver — sweep points that agree on every block but the LNA
 // nonlinearity and the channel-select filter — through the front end in
-// lock-step, one packet per call. It has two entries and one early exit.
-// ProcessLanesInto takes each lane's antenna frame and runs the whole chain,
-// each lane through its own LNA nonlinearity; ProcessToFilterInto runs the
-// same antenna entry but stops before any channel-select filter;
-// ProcessFromFilterInto takes each lane's ProcessToFilterInto waveform,
-// which lanes differing only in the filter share, and runs the filter
-// onward. Both entries stream the packet in blocks and end in one back
-// half: the lane's own filter where it runs there, the lane-interleaved AGC
-// loop, then ADC and decimation fused. Both only read their sources, so
-// lanes may share one.
+// lock-step, one packet per call. It has two entries. ProcessLanesInto
+// takes each lane's antenna frame and runs the whole chain, each lane
+// through its own LNA nonlinearity; ProcessFromFilterInto takes each lane's
+// pre-filter waveform (what Receiver.ProcessToFilter computes), which lanes
+// differing only in the filter share, and runs the filter onward. Both
+// entries stream the packet in blocks and end in one back half: the lane's
+// own filter where it runs there, the lane-interleaved AGC loop, then ADC
+// and decimation fused. Both only read their sources, so lanes may share
+// one.
 //
 // Lanes are named by id. A lane keeps its AGC resync counter, ADC clip
 // count, own LNA and own filter by id across calls, so a lane that sits out
 // a packet (a sweep point that reached its error target) leaves every other
-// lane's history untouched. Every call of the entries and the exit starts a
-// packet; Receiver's one-lane calls instead continue lane 0's packet, which
-// only Receiver.Reset restarts.
+// lane's history untouched. Every call of the entries starts a packet;
+// Receiver's one-lane calls instead continue lane 0's packet, which only
+// Receiver.Reset restarts.
 type BatchReceiver struct {
 	rx *Receiver
 	// shared reports that every lane's channel-select filter is rx's, so the
@@ -259,10 +258,6 @@ func sameLO(a, b *LOConfig) bool {
 	return *a == *b
 }
 
-// ClippedSamples reports lane id's ADC clipping events since its packet
-// started.
-func (b *BatchReceiver) ClippedSamples(id int) int { return b.lanes[id].clip }
-
 // Process runs one packet's antenna frames, frame l on lane l, and returns
 // the per-lane 20 MHz baseband. The returned slices are owned by the lane
 // receiver (reused by the next call); otherwise it is ProcessLanesInto.
@@ -293,27 +288,20 @@ func (b *BatchReceiver) ProcessLanesInto(dst [][]complex128, ids []int, src [][]
 	return b.run(dst, ids, src, true, true)
 }
 
-// ProcessToFilterInto runs one packet's antenna frames from the antenna up
-// to the channel-select filter — each lane's LNA, the mixers and the DC
-// block — frame k on lane ids[k], and writes lane ids[k]'s full-rate
-// waveform into dst[k] (grown if its capacity is short, reused otherwise).
-// It returns dst resliced to the frame count. All frames must have equal
-// length; dst[k] may share its backing array with src[k], since every block
-// of every frame is read before any of it is written. The waveform is the
-// source ProcessFromFilterInto takes.
-func (b *BatchReceiver) ProcessToFilterInto(dst [][]complex128, ids []int, src [][]complex128) [][]complex128 {
-	return b.toFilter(dst, ids, src, true)
-}
-
-// toFilter is ProcessToFilterInto; unless start is set, the noise and LO
-// streams and the DC block continue where the last call left them.
-func (b *BatchReceiver) toFilter(dst [][]complex128, ids []int, src [][]complex128, start bool) [][]complex128 {
+// toFilter runs one packet's antenna frames from the antenna up to the
+// channel-select filter — each lane's LNA, the mixers and the DC block —
+// frame k on lane ids[k], and writes lane ids[k]'s full-rate waveform into
+// dst[k] (grown if its capacity is short, reused otherwise). It returns dst
+// resliced to the frame count. All frames must have equal length; dst[k]
+// may share its backing array with src[k], since every block of every frame
+// is read before any of it is written. The waveform is the source
+// ProcessFromFilterInto takes. The noise and LO streams and the DC block
+// continue where the last call left them: it serves Receiver.ProcessToFilter,
+// whose calls stream one packet.
+func (b *BatchReceiver) toFilter(dst [][]complex128, ids []int, src [][]complex128) [][]complex128 {
 	dst, n := b.begin(dst, ids, src, 1)
 	if len(ids) == 0 {
 		return dst
-	}
-	if start {
-		b.restart()
 	}
 	for k := range dst {
 		dst[k] = dst[k][:n]
@@ -367,11 +355,11 @@ func (b *BatchReceiver) frontBlock(src [][]complex128, s, e int) (xr, xi [][]flo
 	return xr, xi
 }
 
-// ProcessFromFilterInto runs one packet from the ProcessToFilterInto
-// waveform on: src[k] is lane ids[k]'s waveform, streamed through the lane's
-// own channel-select filter, the AGC, ADC and decimation. The sources must
-// have equal length; they are only read, so lanes may share one slice.
-// Outputs go to dst as with ProcessLanesInto. Lane ids[k]'s output is
+// ProcessFromFilterInto runs one packet from the pre-filter waveform
+// (Receiver.ProcessToFilter's output) on: src[k] is lane ids[k]'s waveform,
+// streamed through the lane's own channel-select filter, the AGC, ADC and
+// decimation. The sources must have equal length; they are only read, so
+// lanes may share one slice. Outputs go to dst as with ProcessLanesInto. Lane ids[k]'s output is
 // bit-identical to the sequential chain's Reset + ProcessFromFilter on the
 // lane's configuration carrying the same packet history. The waveform has
 // passed an LNA already, so no lane may have an LNA of its own.

@@ -2,7 +2,6 @@ package rf
 
 import (
 	"fmt"
-	"math"
 	"math/cmplx"
 	"sort"
 
@@ -217,13 +216,3 @@ func (k *KModel) Process(x []complex128) []complex128 {
 
 // Reset clears the filter state.
 func (k *KModel) Reset() { k.fir.Reset() }
-
-// ResponseDB reports the fitted linear response at freqHz for the given
-// sample rate (diagnostics).
-func (k *KModel) ResponseDB(freqHz, sampleRateHz float64) float64 {
-	m := cmplx.Abs(k.fir.Response(freqHz / sampleRateHz))
-	if m <= 0 {
-		return math.Inf(-1)
-	}
-	return units.VoltageGainToDB(m)
-}

@@ -42,6 +42,8 @@ func (f *ChebyshevLowpass) Process(x []complex128) []complex128 { return f.iir.P
 func (f *ChebyshevLowpass) Reset() { f.iir.Reset() }
 
 // MagnitudeDB evaluates the response at freqHz for the given sample rate.
+//
+//lint:ignore testonly the circuit-level Chebyshev cross test in internal/analog reads the behavioral filter's response through it
 func (f *ChebyshevLowpass) MagnitudeDB(freqHz, sampleRateHz float64) float64 {
 	return f.iir.MagnitudeDB(freqHz / sampleRateHz)
 }

@@ -98,39 +98,6 @@ func NewLO(cfg LOConfig) (*LO, error) {
 // the series-truncation drift to ~512 * 5e-12 rad.
 const loRenormInterval = 512
 
-// Next returns the LO phasor for the next sample.
-//
-// The phasor advances by multiplying with the small-angle rotation of the
-// per-sample phase increment instead of evaluating Sincos of the absolute
-// phase — one transcendental call per sample removed from the mixing hot
-// loop. The absolute phase is still accumulated exactly and the phasor is
-// resynchronized from it every loRenormInterval samples (and whenever the
-// increment exceeds the small-angle bound), so amplitude and phase drift
-// stay below ~3e-9 rad — orders of magnitude under the phase-noise process
-// being modeled.
-//
-//lint:hotpath
-func (l *LO) Next() complex128 {
-	v := l.phasor
-	d := l.step
-	if l.sigma > 0 {
-		d += l.rng.NormFloat64() * l.sigma
-	}
-	l.phase += d
-	if l.phase > math.Pi || l.phase < -math.Pi {
-		l.phase = math.Mod(l.phase, 2*math.Pi)
-	}
-	l.renorm++
-	if d > smallAngleMax || d < -smallAngleMax || l.renorm >= loRenormInterval {
-		s, c := math.Sincos(l.phase)
-		l.phasor = complex(c, s)
-		l.renorm = 0
-	} else {
-		l.phasor *= rotateSmall(d)
-	}
-	return v
-}
-
 // fill materializes the phasors of the next len(re) samples into planar
 // planes, advancing the oscillator. Noiseless rational-ratio oscillators walk
 // the precomputed period table (each value the exact Sincos of its rational
@@ -360,9 +327,6 @@ func NewMixer(cfg MixerConfig) (*Mixer, error) {
 	return m, nil
 }
 
-// Config returns the mixer configuration.
-func (m *Mixer) Config() MixerConfig { return m.cfg }
-
 // ImageRejectionDB returns the I/Q image rejection ratio implied by the
 // imbalance settings (+Inf for a perfectly balanced mixer).
 func (m *Mixer) ImageRejectionDB() float64 {
@@ -382,21 +346,6 @@ func (m *Mixer) Reset() {
 	if m.noise != nil {
 		m.noise.Rewind()
 	}
-}
-
-// ProcessSample mixes one sample.
-//
-//lint:hotpath
-func (m *Mixer) ProcessSample(x complex128) complex128 {
-	if m.noise != nil {
-		x += complex(m.noise.NormFloat64()*m.nsig, m.noise.NormFloat64()*m.nsig)
-	}
-	y := m.mu*x + m.nu*cmplx.Conj(x)
-	if m.lo != nil {
-		y *= m.lo.Next()
-	}
-	y = complex(m.g*real(y), m.g*imag(y))
-	return y + m.dc
 }
 
 // Process mixes a frame in place and returns it: the lane body

@@ -456,3 +456,26 @@ func TestAGCProcessMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// GainDB returns the current loop gain.
+func (a *AGC) GainDB() float64 { return a.st[0].gainDB }
+
+// SetFreeze holds (true) or releases (false) the gain.
+func (a *AGC) SetFreeze(f bool) { a.cfg.Freeze = f }
+
+// ClippedSamples returns how many samples clipped since the last Reset.
+func (a *ADC) ClippedSamples() int { return a.clip }
+
+// ProcessSample converts one sample.
+func (a *ADC) ProcessSample(x complex128) complex128 {
+	i, ci := a.quantize(real(x))
+	q, cq := a.quantize(imag(x))
+	if ci || cq {
+		a.clip++
+	}
+	return complex(i, q)
+}
+
+// ClippedSamples reports lane id's ADC clipping events since its packet
+// started.
+func (b *BatchReceiver) ClippedSamples(id int) int { return b.lanes[id].clip }

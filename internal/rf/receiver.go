@@ -26,7 +26,7 @@ func DefaultFrequencyPlan() FrequencyPlan {
 // model in the equivalent complex baseband.
 type ReceiverConfig struct {
 	// SampleRateHz is the input (composite) sample rate; the output is
-	// decimated to SampleRateHz / Oversample... see OutputRateHz.
+	// decimated to SampleRateHz / Oversample.
 	SampleRateHz float64
 	// Oversample is the input oversampling factor relative to the 20 MHz
 	// output rate (1 when no interferers are present).
@@ -170,14 +170,6 @@ func (cfg ReceiverConfig) asBuilt() ReceiverConfig {
 	return cfg
 }
 
-// Config returns the receiver configuration.
-func (r *Receiver) Config() ReceiverConfig { return r.cfg }
-
-// OutputRateHz returns the ADC output sample rate.
-func (r *Receiver) OutputRateHz() float64 {
-	return r.cfg.SampleRateHz / float64(r.cfg.Oversample)
-}
-
 // Cascade returns the small-signal Friis analysis of the line-up.
 func (r *Receiver) Cascade() (CascadeResult, error) {
 	lnaIP3 := math.Inf(1)
@@ -222,7 +214,7 @@ func (r *Receiver) Process(x []complex128) []complex128 {
 // ProcessFromFilter per sweep point. Call Reset first, as with Process.
 func (r *Receiver) ProcessToFilter(x []complex128) []complex128 {
 	r.frame[0] = x
-	r.lane.toFilter(r.frame[:], lane0, r.frame[:], false)
+	r.lane.toFilter(r.frame[:], lane0, r.frame[:])
 	r.frame[0] = nil
 	return x
 }

@@ -1,10 +1,10 @@
 package rxdsp
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
-	"wlansim/internal/bits"
 	"wlansim/internal/channel"
 	"wlansim/internal/dsp"
 	"wlansim/internal/phy"
@@ -54,7 +54,7 @@ func checkLaneEquivalence(t *testing.T, seqPkts []*PacketResult, seqErrs []error
 			}
 			continue
 		}
-		if !bits.Equal(bits.FromBytes(seqPkts[l].PSDU), bits.FromBytes(batchPkts[l].PSDU)) {
+		if !bytes.Equal(seqPkts[l].PSDU, batchPkts[l].PSDU) {
 			t.Errorf("lane %d: deferred-batch PSDU differs from sequential", l)
 		}
 	}
@@ -126,7 +126,7 @@ func TestDeferredBatchDivergentSignalGrouping(t *testing.T) {
 		if derrs[l] != nil {
 			t.Fatalf("lane %d: deferred decode failed: %v", l, derrs[l])
 		}
-		if !bits.Equal(bits.FromBytes(pkts[l].PSDU), bits.FromBytes(frames[l].PSDU)) {
+		if !bytes.Equal(pkts[l].PSDU, frames[l].PSDU) {
 			t.Errorf("lane %d: PSDU corrupted across divergent-SIGNAL grouping", l)
 		}
 	}
@@ -159,12 +159,12 @@ func TestDeferredBatchSkipsHardDecisionLanes(t *testing.T) {
 		if derrs[l] != nil {
 			t.Fatalf("lane %d: %v", l, derrs[l])
 		}
-		if !bits.Equal(bits.FromBytes(pkts[l].PSDU), bits.FromBytes(frames[l].PSDU)) {
+		if !bytes.Equal(pkts[l].PSDU, frames[l].PSDU) {
 			t.Errorf("lane %d: PSDU errors", l)
 		}
 	}
-	if !bits.Equal(bits.FromBytes(pkts[0].PSDU), bits.FromBytes(hardPSDUs[0])) ||
-		!bits.Equal(bits.FromBytes(pkts[2].PSDU), bits.FromBytes(hardPSDUs[1])) {
+	if !bytes.Equal(pkts[0].PSDU, hardPSDUs[0]) ||
+		!bytes.Equal(pkts[2].PSDU, hardPSDUs[1]) {
 		t.Error("batch completion rewrote an eagerly-decoded hard lane")
 	}
 }
@@ -186,7 +186,7 @@ func TestDeferredBatchSkipsNilLanes(t *testing.T) {
 	if derrs[1] != nil {
 		t.Fatalf("live lane failed: %v", derrs[1])
 	}
-	if !bits.Equal(bits.FromBytes(pkts[1].PSDU), bits.FromBytes(frame.PSDU)) {
+	if !bytes.Equal(pkts[1].PSDU, frame.PSDU) {
 		t.Error("live lane PSDU corrupted by nil neighbors")
 	}
 }
@@ -240,7 +240,7 @@ func TestDecodeDataCarriersBatchMatchesSequential(t *testing.T) {
 				if errs[l] != nil {
 					t.Fatalf("rate %d B %d lane %d: %v", rate, B, l, errs[l])
 				}
-				if !bits.Equal(bits.FromBytes(psdus[l]), bits.FromBytes(want[l])) {
+				if !bytes.Equal(psdus[l], want[l]) {
 					t.Errorf("rate %d B %d lane %d: batch PSDU differs from sequential", rate, B, l)
 				}
 			}
@@ -251,7 +251,7 @@ func TestDecodeDataCarriersBatchMatchesSequential(t *testing.T) {
 				if errs2[l] != nil {
 					t.Fatalf("second pass lane %d: %v", l, errs2[l])
 				}
-				if !bits.Equal(bits.FromBytes(again[l]), bits.FromBytes(want[l])) {
+				if !bytes.Equal(again[l], want[l]) {
 					t.Errorf("second pass lane %d: scratch reuse changed the decode", l)
 				}
 			}

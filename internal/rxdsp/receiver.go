@@ -2,7 +2,6 @@ package rxdsp
 
 import (
 	"fmt"
-	"math"
 	"math/cmplx"
 
 	"wlansim/internal/dsp"
@@ -85,22 +84,6 @@ func EstimateChannel(x []complex128, t1 int) (*ChannelEstimate, error) {
 }
 
 const sqrt52 = 7.211102550927978
-
-// MeanGain returns the rms channel magnitude over the occupied carriers.
-func (c *ChannelEstimate) MeanGain() float64 {
-	var acc float64
-	n := 0
-	for _, v := range c.H {
-		if v != 0 {
-			acc += real(v)*real(v) + imag(v)*imag(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Sqrt(acc / float64(n))
-}
 
 // eqScratch carries the per-symbol buffers of the one-tap equalizer so each
 // symbol is processed without allocation.
@@ -278,11 +261,6 @@ type Receiver struct {
 	// CSI-weighted soft metrics both perform alike; MMSE keeps hard
 	// decisions and blind EVM sane on deeply faded carriers.
 	MMSE bool
-	// DisableDCRemoval skips the digital DC-offset notch ahead of packet
-	// detection. The notch is required with real front ends: the second
-	// mixer's self-mixing DC offset otherwise autocorrelates perfectly at
-	// the short-preamble lag and fakes a detection plateau.
-	DisableDCRemoval bool
 	// ReuseBuffers makes Receive reuse the PacketResult and the equalized-
 	// carrier backing store across calls instead of allocating them fresh
 	// per packet. The returned result (including EqualizedCarriers) is then
@@ -341,18 +319,19 @@ func (r *Receiver) Receive(x []complex128, from int) (*PacketResult, error) {
 	}
 	r.buf = append(r.buf[:0], x[from:]...)
 	buf := r.buf
-	if !r.DisableDCRemoval {
-		if r.notch == nil {
-			notch, err := dsp.DesignDCBlock(dcNotchCutoff)
-			if err != nil {
-				return nil, err
-			}
-			r.notch = notch
-		} else {
-			r.notch.Reset()
+	// The digital DC-offset notch ahead of packet detection: the second
+	// mixer's self-mixing DC offset otherwise autocorrelates perfectly at
+	// the short-preamble lag and fakes a detection plateau.
+	if r.notch == nil {
+		notch, err := dsp.DesignDCBlock(dcNotchCutoff)
+		if err != nil {
+			return nil, err
 		}
-		r.notch.Process(buf)
+		r.notch = notch
+	} else {
+		r.notch.Reset()
 	}
+	r.notch.Process(buf)
 	d, err := det.Detect(buf, 0)
 	if err != nil {
 		return nil, err
@@ -440,7 +419,7 @@ func (r *Receiver) Receive(x []complex128, from int) (*PacketResult, error) {
 	var deferredCSI [][]float64
 	switch {
 	case r.HardDecisions:
-		psdu, err = r.dec.DecodeDataCarriersHard(carriers, nil, sf.Mode, sf.Length)
+		psdu, err = r.dec.DecodeDataCarriersHard(carriers, sf.Mode, sf.Length)
 	case r.DeferDataDecode:
 		// The bit-level decode happens later, across packets, in
 		// DecodeDeferredBatch; hand it the CSI weights alongside the

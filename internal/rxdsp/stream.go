@@ -38,39 +38,6 @@ func (r *Receiver) ReceiveAll(x []complex128) []*PacketResult {
 	return out
 }
 
-// SmoothChannelEstimate applies a three-tap frequency-domain smoother to the
-// channel estimate in place and returns it. Smoothing trades delay-spread
-// robustness for ~2 dB lower estimation noise on near-flat channels — the
-// kind of accuracy/robustness knob the paper's receiver exposes.
-func (c *ChannelEstimate) Smooth() *ChannelEstimate {
-	h := c.H
-	smoothed := make([]complex128, len(h))
-	occupied := func(i int) bool { return h[i] != 0 }
-	for i := range h {
-		if !occupied(i) {
-			continue
-		}
-		sum := h[i]
-		n := 1.0
-		// Neighbors in subcarrier order: FFT bins wrap, and bin neighbors
-		// adjacent across the DC/guard gap must not smear, so only use
-		// occupied immediate neighbors.
-		prev := (i - 1 + len(h)) % len(h)
-		next := (i + 1) % len(h)
-		if occupied(prev) {
-			sum += h[prev]
-			n++
-		}
-		if occupied(next) {
-			sum += h[next]
-			n++
-		}
-		smoothed[i] = sum / complex(n, 0)
-	}
-	c.H = smoothed
-	return c
-}
-
 // EstimationSNR estimates the channel-estimate quality by comparing the two
 // individual long-training-symbol estimates: their difference is twice the
 // per-symbol noise. It returns the estimated SNR in dB of the averaged

@@ -1,10 +1,10 @@
 package rxdsp
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
-	"wlansim/internal/bits"
 	"wlansim/internal/channel"
 	"wlansim/internal/phy"
 )
@@ -36,7 +36,7 @@ func TestReceiveAllDecodesBurstOfPackets(t *testing.T) {
 		if res.Signal.Mode.RateMbps != frames[i].Mode.RateMbps {
 			t.Errorf("packet %d rate %d, want %d", i, res.Signal.Mode.RateMbps, frames[i].Mode.RateMbps)
 		}
-		if !bits.Equal(bits.FromBytes(res.PSDU), bits.FromBytes(frames[i].PSDU)) {
+		if !bytes.Equal(res.PSDU, frames[i].PSDU) {
 			t.Errorf("packet %d payload corrupted", i)
 		}
 	}
@@ -65,10 +65,10 @@ func TestReceiveAllSkipsCorruptedPacket(t *testing.T) {
 	if len(results) != 2 {
 		t.Fatalf("decoded %d packets, want 2 (skipping the corrupted one)", len(results))
 	}
-	if !bits.Equal(bits.FromBytes(results[0].PSDU), bits.FromBytes(good1.PSDU)) {
+	if !bytes.Equal(results[0].PSDU, good1.PSDU) {
 		t.Error("first packet corrupted")
 	}
-	if !bits.Equal(bits.FromBytes(results[1].PSDU), bits.FromBytes(good2.PSDU)) {
+	if !bytes.Equal(results[1].PSDU, good2.PSDU) {
 		t.Error("second good packet not recovered after the corrupted one")
 	}
 }
@@ -79,47 +79,6 @@ func TestReceiveAllEmptyStream(t *testing.T) {
 	}
 	if got := NewReceiver().ReceiveAll(nil); len(got) != 0 {
 		t.Error("nil stream decoded packets")
-	}
-}
-
-func TestSmoothChannelEstimate(t *testing.T) {
-	frame := makeFrame(t, 6, 40, 120)
-	x := withPadding(frame, 0, 0)
-	channel.AddNoiseSNR(x, 15, 121)
-	est, err := EstimateChannel(x, phy.ShortPreambleLen+32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Count occupied carriers before and after: smoothing must not create
-	// or destroy carriers.
-	occupied := func(h []complex128) int {
-		n := 0
-		for _, v := range h {
-			if v != 0 {
-				n++
-			}
-		}
-		return n
-	}
-	before := occupied(est.H)
-	// Measure deviation from the known flat channel H=1.
-	dev := func(h []complex128) float64 {
-		var acc float64
-		for _, v := range h {
-			if v != 0 {
-				d := v - 1
-				acc += real(d)*real(d) + imag(d)*imag(d)
-			}
-		}
-		return acc
-	}
-	devBefore := dev(est.H)
-	est.Smooth()
-	if occupied(est.H) != before {
-		t.Errorf("smoothing changed carrier count: %d -> %d", before, occupied(est.H))
-	}
-	if devAfter := dev(est.H); devAfter >= devBefore {
-		t.Errorf("smoothing did not reduce estimation noise: %v -> %v", devBefore, devAfter)
 	}
 }
 

@@ -36,12 +36,11 @@ func Derive(root int64, labels ...uint64) int64 {
 	return int64(s)
 }
 
-// Domain-separation labels keep the per-point, per-packet, per-stage and
+// Domain-separation labels keep the per-point, per-series, per-stage and
 // content-key derivation trees disjoint even when their numeric labels
 // coincide.
 const (
 	domainPoint   uint64 = 0x706F696E74 // "point"
-	domainPacket  uint64 = 0x70616B6574 // "paket"
 	domainSeries  uint64 = 0x7365726965 // "serie"
 	domainStage   uint64 = 0x7374616765 // "stage"
 	domainContent uint64 = 0x636F6E7465 // "conte"
@@ -55,12 +54,6 @@ const (
 // -0.0 count as different labels.
 func ForPoint(root int64, value float64) int64 {
 	return Derive(root, domainPoint, math.Float64bits(value))
-}
-
-// ForPacket derives the seed of one Monte-Carlo packet (trial) from the
-// enclosing run's seed and the packet index.
-func ForPacket(root int64, packet int) int64 {
-	return Derive(root, domainPacket, uint64(packet))
 }
 
 // ForSeries derives a per-series root from an experiment seed and a series

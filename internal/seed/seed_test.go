@@ -56,7 +56,7 @@ func TestNoCollisionsOnGrid(t *testing.T) {
 			ps := ForPoint(root, value)
 			add(ps)
 			for k := 0; k < 10; k++ {
-				add(ForPacket(ps, k))
+				add(ForStage(ps, 0, k))
 			}
 		}
 		for r := uint64(0); r < 8; r++ {
@@ -69,11 +69,11 @@ func TestDomainSeparation(t *testing.T) {
 	// The same numeric label through different domains must give different
 	// seeds; otherwise point 3 and packet 3 of the same root would share a
 	// noise realization.
-	if ForPacket(7, 3) == ForSeries(7, 3) {
-		t.Error("packet and series domains collide")
+	if ForStage(7, 0, 3) == ForSeries(7, 3) {
+		t.Error("stage and series domains collide")
 	}
-	if ForPoint(7, 3) == ForPacket(7, int(math.Float64bits(3))) {
-		t.Error("point and packet domains collide")
+	if ForPoint(7, 3) == ForStage(7, 0, int(math.Float64bits(3))) {
+		t.Error("point and stage domains collide")
 	}
 }
 

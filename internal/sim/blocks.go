@@ -8,9 +8,9 @@ import (
 )
 
 // Standard block library — the counterpart of SPW's stock libraries (§3.1):
-// sources, gains, adders, mixers/frequency shifters, filter and resampler
-// wrappers, and noise sources, all as ProcessFunc/SourceFunc factories ready
-// for Graph.AddBlock.
+// sources, gains, adders, mixers/frequency shifters, the upsampler wrapper
+// and noise sources, all as ProcessFunc/SourceFunc factories ready for
+// Graph.AddBlock.
 
 // SliceSource emits data in frameLen chunks, padding with zeros until total
 // samples have been produced, then reports done. total <= len(data) simply
@@ -80,27 +80,6 @@ func FrequencyShiftBlock(nu float64) ProcessFunc {
 func UpsamplerBlock(u *dsp.Upsampler) ProcessFunc {
 	return func(in [][]complex128) ([][]complex128, error) {
 		return [][]complex128{u.Process(in[0])}, nil
-	}
-}
-
-// DownsamplerBlock wraps a stateful decimator (rate-changing).
-func DownsamplerBlock(d *dsp.Downsampler) ProcessFunc {
-	return func(in [][]complex128) ([][]complex128, error) {
-		return [][]complex128{d.Process(in[0])}, nil
-	}
-}
-
-// FIRBlock wraps a streaming FIR filter.
-func FIRBlock(f *dsp.FIR) ProcessFunc {
-	return func(in [][]complex128) ([][]complex128, error) {
-		return [][]complex128{f.Process(dsp.Clone(in[0]))}, nil
-	}
-}
-
-// IIRBlock wraps a streaming IIR filter.
-func IIRBlock(f *dsp.IIR) ProcessFunc {
-	return func(in [][]complex128) ([][]complex128, error) {
-		return [][]complex128{f.Process(dsp.Clone(in[0]))}, nil
 	}
 }
 

@@ -162,16 +162,6 @@ func (c *StageCache) removeLocked(e *cacheEntry) {
 	}
 }
 
-// Len returns the number of resident entries.
-func (c *StageCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Stats snapshots the hit/miss/byte counters.
 func (c *StageCache) Stats() measure.CacheStats {
 	if c == nil {

@@ -195,3 +195,13 @@ func TestStageCacheErrorNotCached(t *testing.T) {
 		t.Errorf("failed entries left %d residents", c.Len())
 	}
 }
+
+// Len returns the number of resident entries.
+func (c *StageCache) Len() int {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}

@@ -58,10 +58,6 @@ func WattsToDBm(w float64) float64 {
 // mean power P, the rms amplitude is sqrt(P).
 func DBmToAmplitude(dbm float64) float64 { return math.Sqrt(DBmToWatts(dbm)) }
 
-// AmplitudeToDBm returns the power in dBm of a signal with the given rms
-// amplitude into a 1 ohm load.
-func AmplitudeToDBm(a float64) float64 { return WattsToDBm(a * a) }
-
 // ThermalNoisePower returns the thermal noise power kTB in watts for the
 // given bandwidth in hertz at the standard reference temperature.
 func ThermalNoisePower(bandwidthHz float64) float64 {
@@ -86,9 +82,6 @@ func MeanPower(x []complex128) float64 {
 	}
 	return sum / float64(len(x))
 }
-
-// MeanPowerDBm returns the average power of a complex signal in dBm.
-func MeanPowerDBm(x []complex128) float64 { return WattsToDBm(MeanPower(x)) }
 
 // PeakPower returns the maximum instantaneous power of a complex signal.
 func PeakPower(x []complex128) float64 {

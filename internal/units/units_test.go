@@ -104,7 +104,7 @@ func TestSetPowerDBm(t *testing.T) {
 		x[i] = complex(float64(i%7)-3, float64(i%5)-2)
 	}
 	SetPowerDBm(x, -40)
-	approx(t, MeanPowerDBm(x), -40, 1e-9, "scaled power")
+	approx(t, WattsToDBm(MeanPower(x)), -40, 1e-9, "scaled power")
 
 	zero := make([]complex128, 8)
 	if g := SetPowerDBm(zero, -10); g != 1 {
@@ -121,7 +121,7 @@ func TestSetPowerDBmProperty(t *testing.T) {
 		}
 		dbm := float64(target%80) - 40
 		SetPowerDBm(x, dbm)
-		return math.Abs(MeanPowerDBm(x)-dbm) < 1e-6
+		return math.Abs(WattsToDBm(MeanPower(x))-dbm) < 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -28,6 +28,21 @@ go vet ./...
 echo "==> wlanlint ./..."
 go run ./cmd/wlanlint ./...
 
+# The testonly analyzer keeps test-only code out of the production packages.
+# Its fixture suite (a helper only tests call is flagged; callers in cmd/,
+# the root package and another internal package clear it; the interface
+# exemptions; the ignore form and its stale report; a one-package run) must
+# be compiled in: the `go test -list` guard fails loudly on a silent skip.
+echo "==> testonly analyzer fixture suite"
+testonly_pat='TestTestOnly'
+n="$(go test -run '^$' -list "$testonly_pat" ./internal/lint | grep -c '^TestTestOnly' || true)"
+if [ "$n" -lt 4 ]; then
+    echo "FAIL: internal/lint lists only $n testonly fixture tests matching '$testonly_pat' (silent skip)" >&2
+    exit 1
+fi
+echo "    internal/lint: $n testonly fixture tests"
+go test -run "$testonly_pat" -count=1 ./internal/lint > /dev/null
+
 echo "==> wlanlint -escape ./... (compiler-backed hot-path allocation gate)"
 go run ./cmd/wlanlint -escape ./...
 

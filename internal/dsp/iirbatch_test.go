@@ -116,3 +116,68 @@ func TestIIRBatchReset(t *testing.T) {
 		}
 	}
 }
+
+// TestIIRBatchLanesMatchesSequential pins ProcessLanes with a design per
+// lane — Chebyshev orders 5 and 4 (different section counts, so separate
+// kernel groups), the DC block's non-unity gain and an unfiltered lane —
+// to one cascade clone per lane, over streamed frames on which the call's
+// lanes are a changing subset of the lane ids in a changing order.
+func TestIIRBatchLanesMatchesSequential(t *testing.T) {
+	cheb5, err := DesignChebyshev1(5, Lowpass, 9.5e6/20e6, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cheb5b, err := DesignChebyshev1(5, Lowpass, 0.2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cheb4, err := DesignChebyshev1(4, Lowpass, 0.3, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dcb, err := DesignDCBlock(150e3 / 20e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	designs := []*IIR{cheb5, cheb4, dcb, nil, cheb5b, cheb4, cheb5, cheb5b, dcb}
+	batch := NewIIRBatch(cheb5)
+	seq := make([]*IIR, len(designs))
+	for l, f := range designs {
+		batch.SetLane(l, f)
+		if f != nil {
+			seq[l] = NewIIR(f.Gain, f.Sections)
+		}
+	}
+	rng := rand.New(rand.NewSource(33))
+	for frame := 0; frame < 12; frame++ {
+		ids := rng.Perm(len(designs))[:1+rng.Intn(len(designs))]
+		n := rng.Intn(200)
+		want := make([][]complex128, len(ids))
+		for k := range want {
+			want[k] = make([]complex128, n)
+			for i := range want[k] {
+				want[k][i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+		}
+		re, im := planes(want)
+		batch.ProcessLanes(re, im, ids)
+		for k, id := range ids {
+			if seq[id] != nil {
+				seq[id].Process(want[k])
+			}
+			for i := range want[k] {
+				if math.Float64bits(re[k][i]) != math.Float64bits(real(want[k][i])) ||
+					math.Float64bits(im[k][i]) != math.Float64bits(imag(want[k][i])) {
+					t.Fatalf("frame %d lane %d sample %d: batch %v != sequential %v",
+						frame, id, i, complex(re[k][i], im[k][i]), want[k][i])
+				}
+			}
+		}
+		if frame == 6 {
+			batch.ResetLane(ids[0])
+			if seq[ids[0]] != nil {
+				seq[ids[0]].Reset()
+			}
+		}
+	}
+}

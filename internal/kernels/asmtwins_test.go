@@ -200,51 +200,76 @@ func TestMixApplyLOAsmMatchesGo(t *testing.T) {
 }
 
 // TestBiquadQuadAsmMatchesGo advances four IIR lanes through both tiers from
-// identical planes and delay states, asserting outputs and final states
-// agree bit for bit.
+// identical planes, per-lane coefficients and delay states, asserting
+// outputs and final states agree bit for bit.
 func TestBiquadQuadAsmMatchesGo(t *testing.T) {
 	requireAsmTier(t)
 	rng := rand.New(rand.NewSource(16))
 	for _, n := range []int{0, 1, 7, 64} {
 		for trial := 0; trial < 10; trial++ {
 			adv := trial%2 == 1
-			mk := func() ([][]float64, [][]float64) {
-				re := make([][]float64, 4)
-				im := make([][]float64, 4)
-				for l := range re {
-					re[l] = twinRandPlane(rng, n, adv)
-					im[l] = twinRandPlane(rng, n, adv)
-				}
-				return re, im
-			}
-			re, im := mk()
-			reA := make([][]float64, 4)
-			imA := make([][]float64, 4)
+			re, im := makePlanes(4, n), makePlanes(4, n)
 			for l := range re {
-				reA[l] = append([]float64(nil), re[l]...)
-				imA[l] = append([]float64(nil), im[l]...)
+				re[l] = twinRandPlane(rng, n, adv)
+				im[l] = twinRandPlane(rng, n, adv)
 			}
-			b0, b1, b2 := rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
-			a1, a2 := rng.NormFloat64()*0.5, rng.NormFloat64()*0.5
-			s1r := twinRandPlane(rng, 4, false)
-			s1i := twinRandPlane(rng, 4, false)
-			s2r := twinRandPlane(rng, 4, false)
-			s2i := twinRandPlane(rng, 4, false)
-			s1rA := append([]float64(nil), s1r...)
-			s1iA := append([]float64(nil), s1i...)
-			s2rA := append([]float64(nil), s2r...)
-			s2iA := append([]float64(nil), s2i...)
+			reA, imA := clonePlanes(re), clonePlanes(im)
+			b0, b1, b2, a1, a2 := biquadCoefs(rng, 4, trial%3 == 0)
+			st := [][]float64{twinRandPlane(rng, 4, false), twinRandPlane(rng, 4, false),
+				twinRandPlane(rng, 4, false), twinRandPlane(rng, 4, false)}
+			stA := clonePlanes(st)
 
-			biquadQuadAsm(reA, imA, b0, b1, b2, a1, a2, s1rA, s1iA, s2rA, s2iA)
-			biquadQuadGo(re, im, b0, b1, b2, a1, a2, s1r, s1i, s2r, s2i)
+			biquadQuadAsm(reA, imA, b0, b1, b2, a1, a2, stA[0], stA[1], stA[2], stA[3])
+			biquadQuadGo(re, im, b0, b1, b2, a1, a2, st[0], st[1], st[2], st[3])
 			for l := range re {
 				bitsEqualLane(t, "re", l, reA[l], re[l])
 				bitsEqualLane(t, "im", l, imA[l], im[l])
 			}
-			bitsEqual(t, "s1r", s1rA, s1r)
-			bitsEqual(t, "s1i", s1iA, s1i)
-			bitsEqual(t, "s2r", s2rA, s2r)
-			bitsEqual(t, "s2i", s2iA, s2i)
+			for k := range st {
+				bitsEqualLane(t, "state", k, stA[k], st[k])
+			}
+		}
+	}
+}
+
+// TestBiquadBatchPerLaneAsmMatchesGo runs BiquadBatch on the assembly tier
+// against the pure-Go tier over 1-9 lanes (whole quads, pair and single
+// remainders) with a design of its own per lane, adversarial payloads and
+// streamed blocks, asserting outputs and delay states agree bit for bit.
+func TestBiquadBatchPerLaneAsmMatchesGo(t *testing.T) {
+	requireAsmTier(t)
+	restoreDispatch(t)
+	rng := rand.New(rand.NewSource(20))
+	for B := 1; B <= 9; B++ {
+		for trial := 0; trial < 8; trial++ {
+			adv := trial%2 == 1
+			b0, b1, b2, a1, a2 := biquadCoefs(rng, B, false)
+			var st [2][4][]float64
+			for k := range st[0] {
+				st[0][k] = twinRandPlane(rng, B, false)
+				st[1][k] = append([]float64(nil), st[0][k]...)
+			}
+			for block := 0; block < 3; block++ {
+				n := rng.Intn(70)
+				re, im := makePlanes(B, n), makePlanes(B, n)
+				for l := range re {
+					re[l] = twinRandPlane(rng, n, adv)
+					im[l] = twinRandPlane(rng, n, adv)
+				}
+				out := [2][2][][]float64{{clonePlanes(re), clonePlanes(im)}, {re, im}}
+				for tier, simd := range []bool{true, false} {
+					SetDispatch(simd)
+					s := st[tier]
+					BiquadBatch(out[tier][0], out[tier][1], b0, b1, b2, a1, a2, s[0], s[1], s[2], s[3])
+				}
+				for l := 0; l < B; l++ {
+					bitsEqualLane(t, "re", l, out[0][0][l], out[1][0][l])
+					bitsEqualLane(t, "im", l, out[0][1][l], out[1][1][l])
+				}
+				for k := range st[0] {
+					bitsEqualLane(t, "state", k, st[0][k], st[1][k])
+				}
+			}
 		}
 	}
 }

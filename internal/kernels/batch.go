@@ -61,16 +61,18 @@ func ACSRunBatch(decisions [][]uint64, soft [][]float64, metric, scratch []*[64]
 	}
 }
 
-// BiquadBatch advances one direct-form-II-transposed biquad section over B
-// planar lanes in lock-step, sample-major: the B recurrences are independent,
-// so interleaving them fills the pipeline stalls of the scalar section's
-// latency-bound update chain. s1r/s1i/s2r/s2i hold lane b's two delay states
-// at index b and are updated in place. Lane b is bit-identical to
+// BiquadBatch advances one direct-form-II-transposed biquad section per
+// lane over B planar lanes in lock-step, sample-major: the B recurrences are
+// independent, so interleaving them fills the pipeline stalls of the scalar
+// section's latency-bound update chain. Lane b runs the section whose
+// coefficients are b0[b], b1[b], b2[b], a1[b] and a2[b] (lanes may share a
+// design or each have their own); s1r/s1i/s2r/s2i hold lane b's two delay
+// states at index b and are updated in place. Lane b is bit-identical to
 // BiquadBatchRef on that lane alone: the per-sample update is the same five
 // multiplies and four adds in the same order, and lanes never mix.
 //
 //lint:hotpath
-func BiquadBatch(re, im [][]float64, b0, b1, b2, a1, a2 float64, s1r, s1i, s2r, s2i []float64) {
+func BiquadBatch(re, im [][]float64, b0, b1, b2, a1, a2, s1r, s1i, s2r, s2i []float64) {
 	if useSIMD {
 		biquadBatchSIMD(re, im, b0, b1, b2, a1, a2, s1r, s1i, s2r, s2i)
 		return
@@ -82,13 +84,13 @@ func BiquadBatch(re, im [][]float64, b0, b1, b2, a1, a2 float64, s1r, s1i, s2r, 
 // recurrences in registers, single-lane remainder.
 //
 //lint:hotpath
-func biquadBatchGo(re, im [][]float64, b0, b1, b2, a1, a2 float64, s1r, s1i, s2r, s2i []float64) {
+func biquadBatchGo(re, im [][]float64, b0, b1, b2, a1, a2, s1r, s1i, s2r, s2i []float64) {
 	b := 0
 	for ; b+2 <= len(re); b += 2 {
-		biquadPair(re[b], im[b], re[b+1], im[b+1], b0, b1, b2, a1, a2, s1r[b:], s1i[b:], s2r[b:], s2i[b:])
+		biquadPair(re[b:], im[b:], b0[b:], b1[b:], b2[b:], a1[b:], a2[b:], s1r[b:], s1i[b:], s2r[b:], s2i[b:])
 	}
 	if b < len(re) {
-		biquadLane(re[b], im[b], b0, b1, b2, a1, a2, s1r[b:], s1i[b:], s2r[b:], s2i[b:])
+		biquadLane(re[b], im[b], b0[b], b1[b], b2[b], a1[b], a2[b], s1r[b:], s1i[b:], s2r[b:], s2i[b:])
 	}
 }
 
@@ -98,37 +100,39 @@ func biquadBatchGo(re, im [][]float64, b0, b1, b2, a1, a2 float64, s1r, s1i, s2r
 // advance lane b exactly as biquadLane would.
 //
 //lint:hotpath
-func biquadQuadGo(re, im [][]float64, b0, b1, b2, a1, a2 float64, s1r, s1i, s2r, s2i []float64) {
-	biquadPair(re[0], im[0], re[1], im[1], b0, b1, b2, a1, a2, s1r, s1i, s2r, s2i)
-	biquadPair(re[2], im[2], re[3], im[3], b0, b1, b2, a1, a2, s1r[2:], s1i[2:], s2r[2:], s2i[2:])
+func biquadQuadGo(re, im [][]float64, b0, b1, b2, a1, a2, s1r, s1i, s2r, s2i []float64) {
+	biquadPair(re, im, b0, b1, b2, a1, a2, s1r, s1i, s2r, s2i)
+	biquadPair(re[2:], im[2:], b0[2:], b1[2:], b2[2:], a1[2:], a2[2:], s1r[2:], s1i[2:], s2r[2:], s2i[2:])
 }
 
-// biquadPair advances two lanes (four independent recurrences) with all four
-// delay-state pairs held in registers across the sample loop. Each lane's
-// per-sample update is the exact scalar sequence; the two lanes never mix.
+// biquadPair advances lanes 0 and 1 (four independent recurrences) with all
+// four delay-state pairs held in registers across the sample loop. Each
+// lane's per-sample update is the exact scalar sequence with its own
+// coefficients; the two lanes never mix.
 //
 //lint:hotpath
-func biquadPair(r0, i0, r1, i1 []float64, b0, b1, b2, a1, a2 float64, s1r, s1i, s2r, s2i []float64) {
+func biquadPair(re, im [][]float64, b0, b1, b2, a1, a2, s1r, s1i, s2r, s2i []float64) {
+	pb0, pb1, pb2, pa1, pa2 := b0[0], b1[0], b2[0], a1[0], a2[0]
+	qb0, qb1, qb2, qa1, qa2 := b0[1], b1[1], b2[1], a1[1], a2[1]
 	p1r, p1i, p2r, p2i := s1r[0], s1i[0], s2r[0], s2i[0]
 	q1r, q1i, q2r, q2i := s1r[1], s1i[1], s2r[1], s2i[1]
-	i1 = i1[:len(r0)]
-	r1 = r1[:len(r0)]
-	i0 = i0[:len(r0)]
+	r0 := re[0]
+	i0, r1, i1 := im[0][:len(r0)], re[1][:len(r0)], im[1][:len(r0)]
 	for k := range r0 {
 		xr0, xi0 := r0[k], i0[k]
 		xr1, xi1 := r1[k], i1[k]
-		yr0 := b0*xr0 + p1r
-		yi0 := b0*xi0 + p1i
-		yr1 := b0*xr1 + q1r
-		yi1 := b0*xi1 + q1i
-		p1r = b1*xr0 - a1*yr0 + p2r
-		p1i = b1*xi0 - a1*yi0 + p2i
-		q1r = b1*xr1 - a1*yr1 + q2r
-		q1i = b1*xi1 - a1*yi1 + q2i
-		p2r = b2*xr0 - a2*yr0
-		p2i = b2*xi0 - a2*yi0
-		q2r = b2*xr1 - a2*yr1
-		q2i = b2*xi1 - a2*yi1
+		yr0 := pb0*xr0 + p1r
+		yi0 := pb0*xi0 + p1i
+		yr1 := qb0*xr1 + q1r
+		yi1 := qb0*xi1 + q1i
+		p1r = pb1*xr0 - pa1*yr0 + p2r
+		p1i = pb1*xi0 - pa1*yi0 + p2i
+		q1r = qb1*xr1 - qa1*yr1 + q2r
+		q1i = qb1*xi1 - qa1*yi1 + q2i
+		p2r = pb2*xr0 - pa2*yr0
+		p2i = pb2*xi0 - pa2*yi0
+		q2r = qb2*xr1 - qa2*yr1
+		q2i = qb2*xi1 - qa2*yi1
 		r0[k] = yr0
 		i0[k] = yi0
 		r1[k] = yr1

@@ -106,21 +106,40 @@ func TestACSRunBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// biquadCoefs returns B lanes' section coefficients: plausible magnitudes
+// (stability is irrelevant to bit equality), one design shared by every
+// lane when shared is set, else one per lane.
+func biquadCoefs(rng *rand.Rand, B int, shared bool) (b0, b1, b2, a1, a2 []float64) {
+	c := make([][]float64, 5)
+	for k := range c {
+		c[k] = make([]float64, B)
+		for b := range c[k] {
+			if shared && b > 0 {
+				c[k][b] = c[k][0]
+				continue
+			}
+			c[k][b] = rng.NormFloat64()
+			if k >= 3 {
+				c[k][b] *= 0.5
+			}
+		}
+	}
+	return c[0], c[1], c[2], c[3], c[4]
+}
+
 // TestBiquadBatchMatchesRef drives the lane-interleaved biquad and its
 // frozen lane-major reference over identical lanes, states and
-// coefficients, asserting bit equality of every output sample and every
-// final delay state — including NaN/±Inf lane contents, which each lane
-// must propagate exactly as its own scalar recurrence would.
+// coefficients — one design shared by the lanes and one per lane —
+// asserting bit equality of every output sample and every final delay
+// state, including NaN/±Inf lane contents, which each lane must propagate
+// exactly as its own scalar recurrence would.
 func TestBiquadBatchMatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for _, B := range batchWidths {
 		for trial := 0; trial < 20; trial++ {
 			n := 1 + rng.Intn(200)
 			adversarial := trial%2 == 1
-			// Plausible-magnitude section coefficients; stability is
-			// irrelevant to bit equality.
-			b0, b1, b2 := rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
-			a1, a2 := rng.NormFloat64()*0.5, rng.NormFloat64()*0.5
+			b0, b1, b2, a1, a2 := biquadCoefs(rng, B, trial%4 < 2)
 
 			re := makePlanes(B, n)
 			im := makePlanes(B, n)
@@ -159,14 +178,15 @@ func TestBiquadBatchMatchesRef(t *testing.T) {
 // panic, so ragged dispatch logic upstream can stay branch-free.
 func TestBatchKernelsEmptyBatch(t *testing.T) {
 	ACSRunBatch(nil, nil, nil, nil, nil)
-	BiquadBatch(nil, nil, 1, 0, 0, 0, 0, nil, nil, nil, nil)
-	BiquadBatchRef(nil, nil, 1, 0, 0, 0, 0, nil, nil, nil, nil)
+	BiquadBatch(nil, nil, nil, nil, nil, nil, nil, nil, nil, nil, nil)
+	BiquadBatchRef(nil, nil, nil, nil, nil, nil, nil, nil, nil, nil, nil)
 }
 
 // benchBiquadBatch measures the lane-interleaved biquad against the
 // lane-major reference at B=8 — the latency-bound recurrence the batch
-// layer exists to fill.
-func benchBiquadBatch(b *testing.B, run func(re, im [][]float64, b0, b1, b2, a1, a2 float64, s1r, s1i, s2r, s2i []float64)) {
+// layer exists to fill — with one design shared by the lanes or one per
+// lane.
+func benchBiquadBatch(b *testing.B, perLane bool, run func(re, im [][]float64, b0, b1, b2, a1, a2, s1r, s1i, s2r, s2i []float64)) {
 	const B, n = 8, 4096
 	rng := rand.New(rand.NewSource(11))
 	src := makePlanes(B, 2*n) // one backing set: first B are re, next B are im
@@ -175,6 +195,16 @@ func benchBiquadBatch(b *testing.B, run func(re, im [][]float64, b0, b1, b2, a1,
 	im := makePlanes(B, n)
 	s1r, s1i := make([]float64, B), make([]float64, B)
 	s2r, s2i := make([]float64, B), make([]float64, B)
+	c := [5][]float64{}
+	for k, v := range []float64{0.067455, 0.134911, 0.067455, -1.142981, 0.412802} {
+		c[k] = make([]float64, B)
+		for l := range c[k] {
+			c[k][l] = v
+			if perLane {
+				c[k][l] *= 1 + 0.01*float64(l)
+			}
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Refill from the pristine source each iteration: filtering in place
@@ -184,9 +214,10 @@ func benchBiquadBatch(b *testing.B, run func(re, im [][]float64, b0, b1, b2, a1,
 			copy(im[k], src[k][n:])
 			s1r[k], s1i[k], s2r[k], s2i[k] = 0, 0, 0, 0
 		}
-		run(re, im, 0.067455, 0.134911, 0.067455, -1.142981, 0.412802, s1r, s1i, s2r, s2i)
+		run(re, im, c[0], c[1], c[2], c[3], c[4], s1r, s1i, s2r, s2i)
 	}
 }
 
-func BenchmarkBiquadBatch(b *testing.B)    { benchBiquadBatch(b, BiquadBatch) }
-func BenchmarkBiquadBatchRef(b *testing.B) { benchBiquadBatch(b, BiquadBatchRef) }
+func BenchmarkBiquadBatch(b *testing.B)        { benchBiquadBatch(b, false, BiquadBatch) }
+func BenchmarkBiquadBatchPerLane(b *testing.B) { benchBiquadBatch(b, true, BiquadBatch) }
+func BenchmarkBiquadBatchRef(b *testing.B)     { benchBiquadBatch(b, false, BiquadBatchRef) }

@@ -2,20 +2,20 @@
 // simulator: the handful of numeric inner loops that dominate packet run
 // time — Viterbi add-compare-select, FIR convolution, mixer/LO rotation,
 // FFT butterfly stages, the sine/cosine of the co-sim oscillator bank's
-// phase planes (Sincos), and the fast path of the ziggurat normal draw
-// behind every noise plane (NormDraws) — rewritten on a planar
-// (structure-of-arrays) split-complex representation with explicit
-// unrolling, and nothing else.
+// phase planes (Sincos), the fast path of the ziggurat normal draw behind
+// every noise plane (NormDraws) and the receiver's AGC law (AGCLanes) —
+// rewritten on a planar (structure-of-arrays) split-complex representation
+// with explicit unrolling, and nothing else.
 //
 // The package carries two execution tiers behind one API. Every exported
 // kernel dispatches between a pure-Go twin (fooGo) and, on amd64 with AVX2,
-// a hand-written assembly body (fooAsm in simd_amd64.s) that maps one ymm
-// lane to one independent scalar chain — same operations, same order, one
-// rounding per operation, no FMA — so the tiers are bit-identical by
-// construction, not by tolerance. Selection is runtime CPU detection
-// (cpu_amd64.s, no external deps) gated by the WLANSIM_SIMD environment
-// variable and SetDispatch; building with -tags purego removes the assembly
-// tier entirely.
+// a hand-written assembly body (fooAsm in simd_amd64.s, the AGC's in
+// agc_amd64.s) that maps one ymm lane to one independent scalar chain —
+// same operations, same order, one rounding per operation, no FMA — so the
+// tiers are bit-identical by construction, not by tolerance. Selection is
+// runtime CPU detection (cpu_amd64.s, no external deps) gated by the
+// WLANSIM_SIMD environment variable and SetDispatch; building with -tags
+// purego removes the assembly tier entirely.
 //
 // Contract, enforced by the wlanlint kernelpure and asmtwin analyzers and
 // the package's differential test suite:

@@ -3,11 +3,13 @@ package kernels
 import "math"
 
 // BiquadBatchRef is the retained naive reference for BiquadBatch: one lane
-// at a time through the textbook transposed direct-form-II update. It is the
-// differential-test oracle and must stay semantically frozen; it is also, by
-// construction, the arithmetic of dsp.Biquad applied lane-wise.
-func BiquadBatchRef(re, im [][]float64, b0, b1, b2, a1, a2 float64, s1r, s1i, s2r, s2i []float64) {
+// at a time through the textbook transposed direct-form-II update, lane b
+// with its own coefficients. It is the differential-test oracle and must
+// stay semantically frozen; it is also, by construction, the arithmetic of
+// dsp.Biquad applied lane-wise.
+func BiquadBatchRef(re, im [][]float64, cb0, cb1, cb2, ca1, ca2, s1r, s1i, s2r, s2i []float64) {
 	for b := range re {
+		b0, b1, b2, a1, a2 := cb0[b], cb1[b], cb2[b], ca1[b], ca2[b]
 		for i := range re[b] {
 			xr, xi := re[b][i], im[b][i]
 			yr := b0*xr + s1r[b]

@@ -318,14 +318,15 @@ mixapplylo_loop:
 	VZEROUPPER
 	RET
 
-// func biquadQuadAsm(re, im [][]float64, b0, b1, b2, a1, a2 float64, s1r, s1i, s2r, s2i []float64)
+// func biquadQuadAsm(re, im [][]float64, b0, b1, b2, a1, a2, s1r, s1i, s2r, s2i []float64)
 //
 // Four lanes, one per vector lane, sample-major; the four delay-state pairs
-// live in Y0-Y3 across the whole sample loop. Per sample the update is the
-// scalar sequence: yr = b0*xr + s1, s1' = (b1*xr - a1*yr) + s2,
-// s2' = b2*xr - a2*yr (same for the imaginary plane). Lane gathers and
-// scatters are scalar 8-byte moves (pure data movement).
-TEXT ·biquadQuadAsm(SB), NOSPLIT, $0-184
+// live in Y0-Y3 and each lane's own coefficients in Y11-Y15 across the
+// whole sample loop. Per sample the update is the scalar sequence:
+// yr = b0*xr + s1, s1' = (b1*xr - a1*yr) + s2, s2' = b2*xr - a2*yr (same
+// for the imaginary plane). Lane gathers and scatters are scalar 8-byte
+// moves (pure data movement).
+TEXT ·biquadQuadAsm(SB), NOSPLIT, $0-264
 	MOVQ re_base+0(FP), AX
 	MOVQ 0(AX), R8   // re[0] data
 	MOVQ 24(AX), R9  // re[1]
@@ -338,19 +339,24 @@ TEXT ·biquadQuadAsm(SB), NOSPLIT, $0-184
 	MOVQ 72(BX), R15
 	MOVQ 8(AX), DX   // n = len(re[0])
 
-	VBROADCASTSD b0+48(FP), Y11
-	VBROADCASTSD b1+56(FP), Y12
-	VBROADCASTSD b2+64(FP), Y13
-	VBROADCASTSD a1+72(FP), Y14
-	VBROADCASTSD a2+80(FP), Y15
+	MOVQ    b0_base+48(FP), AX
+	VMOVUPD (AX), Y11
+	MOVQ    b1_base+72(FP), AX
+	VMOVUPD (AX), Y12
+	MOVQ    b2_base+96(FP), AX
+	VMOVUPD (AX), Y13
+	MOVQ    a1_base+120(FP), AX
+	VMOVUPD (AX), Y14
+	MOVQ    a2_base+144(FP), AX
+	VMOVUPD (AX), Y15
 
-	MOVQ    s1r_base+88(FP), AX
+	MOVQ    s1r_base+168(FP), AX
 	VMOVUPD (AX), Y0
-	MOVQ    s1i_base+112(FP), AX
+	MOVQ    s1i_base+192(FP), AX
 	VMOVUPD (AX), Y1
-	MOVQ    s2r_base+136(FP), AX
+	MOVQ    s2r_base+216(FP), AX
 	VMOVUPD (AX), Y2
-	MOVQ    s2i_base+160(FP), AX
+	MOVQ    s2i_base+240(FP), AX
 	VMOVUPD (AX), Y3
 	XORQ    CX, CX
 
@@ -405,13 +411,13 @@ biquad_loop:
 	JMP  biquad_loop
 
 biquad_done:
-	MOVQ    s1r_base+88(FP), AX
+	MOVQ    s1r_base+168(FP), AX
 	VMOVUPD Y0, (AX)
-	MOVQ    s1i_base+112(FP), AX
+	MOVQ    s1i_base+192(FP), AX
 	VMOVUPD Y1, (AX)
-	MOVQ    s2r_base+136(FP), AX
+	MOVQ    s2r_base+216(FP), AX
 	VMOVUPD Y2, (AX)
-	MOVQ    s2i_base+160(FP), AX
+	MOVQ    s2i_base+240(FP), AX
 	VMOVUPD Y3, (AX)
 	VZEROUPPER
 	RET

@@ -63,11 +63,12 @@ func mixApplyAsm(xr, xi []float64, mur, mui, nur, nui, gain, dcr, dci float64)
 func mixApplyLOAsm(xr, xi, lor, loi []float64, mur, mui, nur, nui, gain, dcr, dci float64)
 
 // biquadQuadAsm advances exactly four lanes (re[0..3]/im[0..3], equal
-// lengths) with one recurrence per vector lane; s1r/s1i/s2r/s2i carry the
-// four delay states in their first four elements.
+// lengths) with one recurrence per vector lane; the coefficient vectors
+// carry the four lanes' sections and s1r/s1i/s2r/s2i their delay states in
+// their first four elements.
 //
 //go:noescape
-func biquadQuadAsm(re, im [][]float64, b0, b1, b2, a1, a2 float64, s1r, s1i, s2r, s2i []float64)
+func biquadQuadAsm(re, im [][]float64, b0, b1, b2, a1, a2, s1r, s1i, s2r, s2i []float64)
 
 // corrPairAsm accumulates the four correlation chains in one vector over
 // len(ref) taps; x1/x2 must have at least len(ref) elements.
@@ -155,6 +156,19 @@ func normQuadsAsm(lo, hi []float64, reg *[NormRegLen]int64, tap, feed int, tab *
 //go:noescape
 func ctSolveAsm(out []complex128, v, c1, c2, msk, noise []float64, p *CTSolver) int
 
+// agcQuadAsm steps the four lanes lanes[0..3] (equal lengths) from sample
+// i up to n and returns the index after the first sample at which a lane's
+// Resync reaches AGCResyncInterval, or n; every Resync must be below it on
+// entry.
+//
+//go:noescape
+func agcQuadAsm(lanes [][]complex128, i, n int, st *[4]AGCLane, law *AGCLaw) int
+
+// agcOctAsm is agcQuadAsm on the eight lanes lanes[0..7].
+//
+//go:noescape
+func agcOctAsm(lanes [][]complex128, i, n int, st *[8]AGCLane, law *AGCLaw) int
+
 //lint:hotpath
 func acsStepSIMD(next, metric *[64]float64, mA, mB float64) uint64 {
 	return acsStepAsm(next, metric, mA, mB)
@@ -197,17 +211,48 @@ func mixApplyLOSIMD(xr, xi, lor, loi []float64, mur, mui, nur, nui, g, dcr, dci 
 }
 
 //lint:hotpath
-func biquadBatchSIMD(re, im [][]float64, b0, b1, b2, a1, a2 float64, s1r, s1i, s2r, s2i []float64) {
+func biquadBatchSIMD(re, im [][]float64, b0, b1, b2, a1, a2, s1r, s1i, s2r, s2i []float64) {
 	b := 0
 	for ; b+4 <= len(re); b += 4 {
-		biquadQuadAsm(re[b:b+4], im[b:b+4], b0, b1, b2, a1, a2,
+		biquadQuadAsm(re[b:b+4], im[b:b+4], b0[b:b+4], b1[b:b+4], b2[b:b+4], a1[b:b+4], a2[b:b+4],
 			s1r[b:b+4], s1i[b:b+4], s2r[b:b+4], s2i[b:b+4])
 	}
-	for ; b+2 <= len(re); b += 2 {
-		biquadPair(re[b], im[b], re[b+1], im[b+1], b0, b1, b2, a1, a2, s1r[b:], s1i[b:], s2r[b:], s2i[b:])
+	switch len(re) - b {
+	case 1:
+		biquadLane(re[b], im[b], b0[b], b1[b], b2[b], a1[b], a2[b], s1r[b:], s1i[b:], s2r[b:], s2i[b:])
+	case 2, 3:
+		biquadPadded(re[b:], im[b:], b0[b:], b1[b:], b2[b:], a1[b:], a2[b:], s1r[b:], s1i[b:], s2r[b:], s2i[b:])
 	}
-	if b < len(re) {
-		biquadLane(re[b], im[b], b0, b1, b2, a1, a2, s1r[b:], s1i[b:], s2r[b:], s2i[b:])
+}
+
+// biquadPadLen is the sample block of a padded quad's dummy lanes: a zero
+// plane through an all-zero section stays zero.
+const biquadPadLen = 256
+
+// biquadPadded runs two or three lanes as a quad padded with dummy lanes.
+//
+//lint:hotpath
+func biquadPadded(re, im [][]float64, b0, b1, b2, a1, a2, s1r, s1i, s2r, s2i []float64) {
+	r, n := len(re), len(re[0])
+	var c [9][4]float64 // b0, b1, b2, a1, a2, s1r, s1i, s2r, s2i; zero for dummies
+	for k, v := range [9][]float64{b0, b1, b2, a1, a2, s1r, s1i, s2r, s2i} {
+		copy(c[k][:r], v)
+	}
+	var pad [biquadPadLen]float64
+	var qr, qi [4][]float64
+	for s := 0; s < n; s += biquadPadLen {
+		e := min(s+biquadPadLen, n)
+		for k := range qr {
+			if k < r {
+				qr[k], qi[k] = re[k][s:e], im[k][s:e]
+			} else {
+				qr[k], qi[k] = pad[:e-s], pad[:e-s]
+			}
+		}
+		biquadQuadAsm(qr[:], qi[:], c[0][:], c[1][:], c[2][:], c[3][:], c[4][:], c[5][:], c[6][:], c[7][:], c[8][:])
+	}
+	for k, v := range [4][]float64{s1r, s1i, s2r, s2i} {
+		copy(v[:r], c[5+k][:r])
 	}
 }
 
@@ -335,4 +380,77 @@ func normQuadsSIMD(lo, hi []float64, reg *[NormRegLen]int64, tap, feed int, tab 
 //lint:hotpath
 func ctSolveSIMD(out []complex128, v, c1, c2, msk, noise []float64, p *CTSolver) int {
 	return ctSolveAsm(out, v, c1, c2, msk, noise, p)
+}
+
+// agcVecMin is the fewest lanes the AGC kernel runs on the vector tier: a
+// single lane steps faster through the branchy Go law, which skips the
+// logarithm under a slew clamp, than as one live lane of a padded quad.
+const agcVecMin = 2
+
+// agcPadLen is the sample block of a padded group's dummy lanes: a zero
+// frame on a zero state stays zero and never moves its gain.
+const agcPadLen = 256
+
+// agcLanesSIMD runs the lanes in groups of eight (two quads whose serial
+// loop chains the core overlaps) on the vector tier. A remainder of five to
+// seven lanes runs as a group of eight padded with dummy lanes and one of
+// agcVecMin to four as a quad, padded up to four; a frozen loop or a smaller
+// remainder takes the Go tier.
+//
+//lint:hotpath
+func agcLanesSIMD(lanes [][]complex128, st []AGCLane, law *AGCLaw) {
+	L := len(lanes)
+	if law.Freeze || L < agcVecMin {
+		agcLanesGo(lanes, st, law)
+		return
+	}
+	st = st[:L]
+	n := len(lanes[0])
+	b := 0
+	for ; b+8 <= L; b += 8 {
+		agcGroupRun(lanes[b:b+8], n, st[b:b+8], law)
+	}
+	r := L - b
+	if r < agcVecMin {
+		agcLanesGo(lanes[b:], st[b:], law)
+		return
+	}
+	w := 4
+	if r > 4 {
+		w = 8
+	}
+	var pad [agcPadLen]complex128
+	var q [8][]complex128
+	var s [8]AGCLane
+	copy(s[:], st[b:])
+	for c := 0; c < n; c += agcPadLen {
+		e := min(c+agcPadLen, n)
+		for k := range q[:w] {
+			if k < r {
+				q[k] = lanes[b+k][c:e]
+			} else {
+				q[k] = pad[:e-c]
+			}
+		}
+		agcGroupRun(q[:w], e-c, s[:w], law)
+	}
+	copy(st[b:], s[:r])
+}
+
+// agcGroupRun steps a group of four or eight lanes over n samples on the
+// vector body, recomputing a lane's gain exactly whenever the body returns
+// at a resync.
+//
+//lint:hotpath
+func agcGroupRun(q [][]complex128, n int, s []AGCLane, law *AGCLaw) {
+	for i := 0; i < n; {
+		if len(q) == 8 {
+			i = agcOctAsm(q, i, n, (*[8]AGCLane)(s), law)
+		} else {
+			i = agcQuadAsm(q, i, n, (*[4]AGCLane)(s), law)
+		}
+		for l := range s {
+			agcResync(&s[l])
+		}
+	}
 }

@@ -33,7 +33,7 @@ func mixApplyLOSIMD(xr, xi, lor, loi []float64, mur, mui, nur, nui, g, dcr, dci 
 }
 
 //lint:hotpath
-func biquadBatchSIMD(re, im [][]float64, b0, b1, b2, a1, a2 float64, s1r, s1i, s2r, s2i []float64) {
+func biquadBatchSIMD(re, im [][]float64, b0, b1, b2, a1, a2, s1r, s1i, s2r, s2i []float64) {
 	biquadBatchGo(re, im, b0, b1, b2, a1, a2, s1r, s1i, s2r, s2i)
 }
 
@@ -100,4 +100,9 @@ func normQuadsSIMD(lo, hi []float64, reg *[NormRegLen]int64, tap, feed int, tab 
 //lint:hotpath
 func ctSolveSIMD(out []complex128, v, c1, c2, msk, noise []float64, p *CTSolver) int {
 	return ctSolveGo(out, v, c1, c2, msk, noise, p)
+}
+
+//lint:hotpath
+func agcLanesSIMD(lanes [][]complex128, st []AGCLane, law *AGCLaw) {
+	agcLanesGo(lanes, st, law)
 }

@@ -1,10 +1,12 @@
 package rf
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"wlansim/internal/kernels"
 	"wlansim/internal/units"
 )
 
@@ -154,5 +156,45 @@ func TestADCValidation(t *testing.T) {
 	}
 	if _, err := NewADC(ADCConfig{Bits: 32}); err == nil {
 		t.Error("accepted absurd resolution")
+	}
+}
+
+// BenchmarkAGCLanes times the AGC lane law on Figure 5-shaped AGC inputs —
+// a 5247-sample pre-filter frame through lane l's channel-select filter,
+// edges spread over 6-14 MHz — at 1, 3, 4 and 8 lanes, in ns per
+// sample-lane on the active kernel tier.
+func BenchmarkAGCLanes(b *testing.B) {
+	for _, L := range []int{1, 3, 4, 8} {
+		b.Run(fmt.Sprintf("L=%d", L), func(b *testing.B) {
+			edges := make([]float64, L)
+			for l := range edges {
+				edges[l] = 6e6 + 8e6*float64(l)/float64(max(L-1, 1))
+			}
+			rx, cfgs, src := fig5Lanes(b, edges)
+			in := make([][]complex128, L)
+			for l, cfg := range cfgs {
+				ch, err := NewChebyshevLowpass(cfg.ChannelFilterOrder, cfg.ChannelFilterEdgeHz,
+					cfg.ChannelFilterRippleDB, cfg.SampleRateHz)
+				if err != nil {
+					b.Fatal(err)
+				}
+				in[l] = ch.Process(append([]complex128(nil), src...))
+			}
+			lanes := make([][]complex128, L)
+			for l := range lanes {
+				lanes[l] = make([]complex128, len(src))
+			}
+			st := make([]kernels.AGCLane, L)
+			agc := rx.agc
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for l := range lanes {
+					copy(lanes[l], in[l])
+					agc.resetLane(&st[l])
+				}
+				kernels.AGCLanes(lanes, st, &agc.law)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*L*len(src)), "ns/sample-lane")
+		})
 	}
 }

@@ -26,17 +26,20 @@ import (
 //     randutil batched-draw property). The LNA's noise is input-referred,
 //     so lanes whose LNAs differ in gain or nonlinearity still share it and
 //     apply their own memoryless amplifier after the shared noise add.
-//   - The filters' biquad recurrences are latency-bound; a filter every
-//     lane shares runs lane-interleaved through kernels.BiquadBatch.
+//   - The filters' biquad recurrences are latency-bound; every lane's
+//     filter runs lane-interleaved through kernels.BiquadBatch, each lane
+//     with its own section coefficients.
 //   - Each mixer fills its LO trajectory once per block and applies it to
 //     every lane.
+//   - The AGC loop is a serial per-sample recurrence; kernels.AGCLanes
+//     steps the lanes four to a vector.
 //   - Both entries stream each packet in blocks that stay cache-resident:
-//     from the antenna the LNA, the mixers, the DC block and a shared
-//     filter run planar over a block of every lane, then a lane's own
-//     filter, the AGC (all lanes stepped interleaved), ADC and decimation
-//     finish the block. Every block's state (noise generators, LO phase,
-//     biquad delays, AGC loop) carries to the next, so the blocks compute
-//     the frame's samples exactly.
+//     from the antenna the LNA, the mixers and the DC block run planar over
+//     a block of every lane (the pre-filter entry splits its waveform into
+//     planes instead), then every lane's filter, the AGC, ADC and
+//     decimation finish the block. Every block's state (noise generators,
+//     LO phase, biquad delays, AGC loop) carries to the next, so the blocks
+//     compute the frame's samples exactly.
 
 // processBatch is the amplifier's one frame body: it amplifies one block of
 // B lanes into planar form. src[k] is lane k's block, read only, and its
@@ -118,10 +121,9 @@ func (m *Mixer) processBatchPlanar(xr, xi [][]float64, nre, nim []float64) {
 // through its own LNA nonlinearity; ProcessFromFilterInto takes each lane's
 // pre-filter waveform (what Receiver.ProcessToFilter computes), which lanes
 // differing only in the filter share, and runs the filter onward. Both
-// entries stream the packet in blocks and end in one back half: the lane's
-// own filter where it runs there, the lane-interleaved AGC loop, then ADC
-// and decimation fused. Both only read their sources, so lanes may share
-// one.
+// entries stream the packet in blocks and end in one back half: every
+// lane's filter, the lane-interleaved AGC loop, then ADC and decimation
+// fused. Both only read their sources, so lanes may share one.
 //
 // Lanes are named by id. A lane keeps its AGC resync counter, ADC clip
 // count, own LNA and own filter by id across calls, so a lane that sits out
@@ -131,34 +133,33 @@ func (m *Mixer) processBatchPlanar(xr, xi [][]float64, nre, nim []float64) {
 // Receiver.Reset restarts.
 type BatchReceiver struct {
 	rx *Receiver
-	// shared reports that every lane's channel-select filter is rx's, so the
-	// antenna entry runs it planar over all lanes (chs) instead of per lane
-	// in the block stream.
-	shared bool
 
 	nre, nim []float64   // shared per-block noise plane scratch
 	xr, xi   [][]float64 // per-call-lane planar block scratch
-	dcb, chs *dsp.IIRBatch
+	dcb      *dsp.IIRBatch
+	// chs is the channel-select filter bank: its lane l is lane id l's
+	// filter, rx's design or, for a lane NewLaneReceiver tuned, its own.
+	chs *dsp.IIRBatch
 
 	lanes []laneState // per lane id
 	// ownLNA reports that some lane's LNA nonlinearity differs from rx's.
 	ownLNA bool
 
-	amps []*Amplifier   // per-call-lane LNAs
-	st   []agcLane      // AGC state of the call's lanes
-	blk  [][]complex128 // per-call-lane block buffers
-	view [][]complex128 // per-call-lane views of the current block
-	ids  []int          // 0, 1, ...: the lane ids of the positional entries
-	outs [][]complex128 // Process's per-lane outputs, reused
+	amps []*Amplifier      // per-call-lane LNAs
+	st   []kernels.AGCLane // AGC state of the call's lanes
+	blk  [][]complex128    // per-call-lane block buffers
+	view [][]complex128    // per-call-lane views of the current block
+	ids  []int             // 0, 1, ...: the lane ids of the positional entries
+	outs [][]complex128    // Process's per-lane outputs, reused
 }
 
-// laneState is what a lane carries across calls.
+// laneState is what a lane carries across calls; its filter state is
+// lane id's lane of chs.
 type laneState struct {
-	lna    *Amplifier // LNA whose nonlinearity the lane applies (rx's or its own)
-	filter *dsp.IIR   // own channel-select filter (nil: none)
-	agc    agcLane    // AGC loop state; only its resync counter spans packets
-	clip   int        // ADC clip count since the packet started
-	phase  int        // samples into the packet, mod the decimation factor
+	lna   *Amplifier      // LNA whose nonlinearity the lane applies (rx's or its own)
+	agc   kernels.AGCLane // AGC loop state; only its resync counter spans packets
+	clip  int             // ADC clip count since the packet started
+	phase int             // samples into the packet, mod the decimation factor
 }
 
 // laneBlock is the streaming block length in samples: a block of every lane
@@ -170,14 +171,16 @@ const laneBlock = 256
 // per-lane state and shares rx's noise and LO blocks, so its calls and rx's
 // own must not overlap.
 func NewBatchReceiver(rx *Receiver) *BatchReceiver {
-	b := &BatchReceiver{rx: rx, shared: true,
+	b := &BatchReceiver{rx: rx,
 		nre: make([]float64, laneBlock), nim: make([]float64, laneBlock)}
 	if rx.dcBlock != nil {
 		b.dcb = dsp.NewIIRBatch(rx.dcBlock.iir)
 	}
+	var ch *dsp.IIR
 	if rx.chanSel != nil {
-		b.chs = dsp.NewIIRBatch(rx.chanSel.iir)
+		ch = rx.chanSel.iir
 	}
+	b.chs = dsp.NewIIRBatch(ch)
 	return b
 }
 
@@ -209,18 +212,19 @@ func NewLaneReceiver(rx *Receiver, cfgs []ReceiverConfig) (*BatchReceiver, error
 			b.lanes[l].lna = amp
 			b.ownLNA = true
 		}
+		if sameFilter(cfg, rx.cfg) {
+			continue
+		}
+		var f *dsp.IIR
 		if cfg.ChannelFilterOrder > 0 {
 			ch, err := NewChebyshevLowpass(cfg.ChannelFilterOrder,
 				cfg.ChannelFilterEdgeHz, cfg.ChannelFilterRippleDB, cfg.SampleRateHz)
 			if err != nil {
 				return nil, fmt.Errorf("rf: lane %d: %w", l, err)
 			}
-			b.lanes[l].filter = ch.iir
+			f = ch.iir
 		}
-		b.shared = b.shared && sameFilter(cfg, rx.cfg)
-	}
-	if !b.shared {
-		b.chs = nil
+		b.chs.SetLane(l, f)
 	}
 	return b, nil
 }
@@ -319,17 +323,13 @@ func (b *BatchReceiver) toFilter(dst [][]complex128, ids []int, src [][]complex1
 // restart starts a packet at the antenna. One restart for the batch: every
 // fixed-seed stream restarts once and its draws are shared across lanes
 // (each lane's own restart would produce the identical sequence), and the
-// shared DC block and filter clear their delays. The per-lane states are
-// resetLanes'.
+// shared DC block clears its delays. The per-lane states are resetLanes'.
 func (b *BatchReceiver) restart() {
 	b.rx.lna.Reset()
 	b.rx.mixer1.Reset()
 	b.rx.mixer2.Reset()
 	if b.dcb != nil {
 		b.dcb.Reset()
-	}
-	if b.chs != nil {
-		b.chs.Reset()
 	}
 }
 
@@ -372,10 +372,9 @@ func (b *BatchReceiver) ProcessFromFilterInto(dst [][]complex128, ids []int, src
 
 // run streams the call's lanes from the antenna (front) or from the
 // pre-filter waveform into dst. A call that starts a packet first restarts
-// the streams it runs — the antenna's noise and LO streams, DC block and
-// shared filter when front is set, and each lane's filter, AGC, clip count
-// and decimation phase; otherwise every lane continues where its last call
-// ended.
+// the streams it runs — the antenna's noise and LO streams and DC block
+// when front is set, and each lane's filter, AGC, clip count and decimation
+// phase; otherwise every lane continues where its last call ended.
 func (b *BatchReceiver) run(dst [][]complex128, ids []int, src [][]complex128, front, start bool) [][]complex128 {
 	dst, _ = b.begin(dst, ids, src, b.rx.cfg.Oversample)
 	if len(ids) == 0 {
@@ -387,19 +386,17 @@ func (b *BatchReceiver) run(dst [][]complex128, ids []int, src [][]complex128, f
 		}
 		b.resetLanes(ids)
 	}
-	b.stream(dst, ids, src, front, !front || !b.shared)
+	b.stream(dst, ids, src, front)
 	return dst
 }
 
 // resetLanes starts a packet on lanes ids: each lane's own filter, AGC
 // gain and estimator, clip count and decimation phase restart; the AGC
-// resync counter carries (see agcResyncInterval).
+// resync counter carries (see kernels.AGCResyncInterval).
 func (b *BatchReceiver) resetLanes(ids []int) {
 	for _, id := range ids {
 		ln := b.lane(id)
-		if ln.filter != nil {
-			ln.filter.Reset()
-		}
+		b.chs.ResetLane(id)
 		b.rx.agc.resetLane(&ln.agc)
 		ln.clip, ln.phase = 0, 0
 	}
@@ -409,11 +406,7 @@ func (b *BatchReceiver) resetLanes(ids []int) {
 // configuration.
 func (b *BatchReceiver) lane(id int) *laneState {
 	for len(b.lanes) <= id {
-		var f *dsp.IIR
-		if ch := b.rx.chanSel; ch != nil {
-			f = dsp.NewIIR(ch.iir.Gain, ch.iir.Sections)
-		}
-		b.lanes = append(b.lanes, laneState{lna: b.rx.lna, filter: f})
+		b.lanes = append(b.lanes, laneState{lna: b.rx.lna})
 	}
 	return &b.lanes[id]
 }
@@ -449,7 +442,7 @@ func (b *BatchReceiver) begin(dst [][]complex128, ids []int, src [][]complex128,
 		b.amps = append(b.amps, b.lane(id).lna)
 	}
 	if len(b.st) < L {
-		b.st = make([]agcLane, L)
+		b.st = make([]kernels.AGCLane, L)
 	}
 	if len(b.view) < L {
 		b.view = make([][]complex128, L)
@@ -463,13 +456,13 @@ func (b *BatchReceiver) begin(dst [][]complex128, ids []int, src [][]complex128,
 }
 
 // stream runs the call's lanes block by block, continuing each lane's
-// state: src[k] feeds lane ids[k]'s block buffer — through frontBlock and
-// the shared filter when front is set, copied otherwise — then the lane's
-// own filter when filter is set, the lane-interleaved AGC loop, and ADC and
-// decimation into dst[k].
+// state: src[k] becomes lane ids[k]'s planar block — through frontBlock when
+// front is set, split into planes otherwise — then runs through the lane's
+// filter, the lane-interleaved AGC loop, and ADC and decimation into
+// dst[k].
 //
 //lint:hotpath lane pipeline: per-block front end, filter, AGC, ADC and decimation across lanes
-func (b *BatchReceiver) stream(dst [][]complex128, ids []int, src [][]complex128, front, filter bool) {
+func (b *BatchReceiver) stream(dst [][]complex128, ids []int, src [][]complex128, front bool) {
 	L, n := len(ids), len(src[0])
 	agc, adc, factor := b.rx.agc, b.rx.adc, b.rx.cfg.Oversample
 	st := b.st[:L]
@@ -480,26 +473,22 @@ func (b *BatchReceiver) stream(dst [][]complex128, ids []int, src [][]complex128
 	view := b.view[:L]
 	for s := 0; s < n; s += laneBlock {
 		e := min(s+laneBlock, n)
+		var xr, xi [][]float64
 		if front {
-			xr, xi := b.frontBlock(src, s, e)
-			if b.chs != nil {
-				b.chs.ProcessPlanar(xr, xi)
-			}
+			xr, xi = b.frontBlock(src, s, e)
+		} else {
+			xr, xi = b.xr[:L], b.xi[:L]
 			for k := range xr {
-				kernels.Interleave(b.blk[k][:e-s], xr[k], xi[k])
+				xr[k], xi[k] = xr[k][:e-s], xi[k][:e-s]
+				kernels.Deinterleave(xr[k], xi[k], src[k][s:e])
 			}
 		}
-		for k, id := range ids {
-			v := b.blk[k][:e-s]
-			if !front {
-				copy(v, src[k][s:e])
-			}
-			if f := b.lanes[id].filter; filter && f != nil {
-				f.Process(v)
-			}
-			view[k] = v
+		b.chs.ProcessLanes(xr, xi, ids)
+		for k := range xr {
+			view[k] = b.blk[k][:e-s]
+			kernels.Interleave(view[k], xr[k], xi[k])
 		}
-		agc.stepLanes(view, st)
+		kernels.AGCLanes(view, st, &agc.law)
 		for k, id := range ids {
 			// The decimator keeps every factor-th sample of the packet from
 			// sample 0 on; first is the block offset of the first kept one.

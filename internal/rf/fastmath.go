@@ -1,7 +1,5 @@
 package rf
 
-import "math"
-
 // smallAngleMax bounds the |angle| (radians) for which rotateSmall's
 // truncated series stays within ~5e-12 of math.Sincos. Larger increments
 // (possible in principle for extreme LO offsets or linewidths) fall back to
@@ -22,37 +20,4 @@ func rotateSmall(d float64) complex128 {
 	sin := d * (1 - d2/6*(1-d2/20*(1-d2/42*(1-d2/72))))
 	cos := 1 - d2/2*(1-d2/12*(1-d2/30*(1-d2/56)))
 	return complex(cos, sin)
-}
-
-// expSmallMax bounds the |x| for which expSmall stays within ~1e-7 relative
-// of math.Exp; the AGC's per-sample gain steps (at most the attack clamp,
-// 1.5 dB = 0.173 in natural log units) fit comfortably.
-const expSmallMax = 0.2
-
-// expSmall returns e^x for small |x| <= expSmallMax via truncated series.
-// Near the AGC's lock point the step shrinks to ~1e-4, where the truncation
-// error is below 1e-27 relative; the caller bounds accumulated drift with a
-// periodic exact recomputation regardless.
-func expSmall(x float64) float64 {
-	return 1 + x*(1+x/2*(1+x/3*(1+x/4*(1+x/5))))
-}
-
-// lnWide returns ln(u) for any finite u > 0 via Frexp range reduction: with
-// u = m*2^k and m in [0.5, 1), ln(u) = ln(2m) + (k-1) ln 2, and 2m lies in
-// [1, 2) where lnNear1's series applies. Max error ~4e-7 at the mantissa
-// edge, independent of magnitude — cheaper than math.Log because the AGC's
-// control law never needs more than ~1e-4 dB resolution.
-func lnWide(u float64) float64 {
-	m, k := math.Frexp(u)
-	return lnNear1(2*m) + float64(k-1)*math.Ln2
-}
-
-// lnNear1 returns ln(u) for u in (0.5, 2) via the atanh series
-// ln(u) = 2 atanh((u-1)/(u+1)), accurate to ~4e-7 at the interval edges and
-// far better near u = 1 where the AGC spends almost all of its samples.
-// Callers must fall back to math.Log outside (0.5, 2).
-func lnNear1(u float64) float64 {
-	z := (u - 1) / (u + 1)
-	z2 := z * z
-	return 2 * z * (1 + z2*(1.0/3+z2*(1.0/5+z2*(1.0/7+z2*(1.0/9+z2/11)))))
 }

@@ -238,48 +238,70 @@ func (a *oracleAGC) Process(x []complex128) []complex128 {
 // control law with the linear gain tracked incrementally and the error
 // logarithm skipped while a slew clamp applies.
 func (a *oracleAGC) ProcessSample(x complex128) complex128 {
-	p := a.p
+	p := &a.p.law
 	y := complex(a.gainLin*real(x), a.gainLin*imag(x))
-	if !p.cfg.Freeze {
+	if !p.Freeze {
 		pw := real(y)*real(y) + imag(y)*imag(y)
-		a.est += p.alpha * (pw - a.est)
+		a.est += p.Alpha * (pw - a.est)
 		if a.est > 0 {
-			u := a.est * p.invTarget
+			u := a.est * p.InvTarget
 			var step float64
 			switch {
-			case u >= p.uAttack:
-				step = -attackClampDB
-			case u <= p.uRelease:
-				step = releaseClampDB
+			case u >= p.UAttack:
+				step = -kernels.AGCAttackClampDB
+			case u <= p.URelease:
+				step = kernels.AGCReleaseClampDB
 			default:
 				var errDB float64
 				if u > 0.5 && u < 2 {
-					errDB = -tenOverLn10 * lnNear1(u)
+					errDB = -oracleTenOverLn10 * oracleLnNear1(u)
 				} else {
-					errDB = -tenOverLn10 * lnWide(u)
+					errDB = -oracleTenOverLn10 * oracleLnWide(u)
 				}
 				if errDB < 0 {
-					step = p.attack * errDB
+					step = p.Attack * errDB
 				} else {
-					step = p.release * errDB
+					step = p.Release * errDB
 				}
 			}
-			g := clamp(a.gainDB+step, p.cfg.MinGainDB, p.cfg.MaxGainDB)
+			g := clamp(a.gainDB+step, p.MinGainDB, p.MaxGainDB)
 			//lint:ignore floateq exact no-movement check, as in the production loop
 			if g != a.gainDB {
 				d := g - a.gainDB
 				a.gainDB = g
 				a.resync++
-				if a.resync >= agcResyncInterval || d > 2 || d < -2 {
+				if a.resync >= kernels.AGCResyncInterval || d > 2 || d < -2 {
 					a.gainLin = units.DBToVoltageGain(g)
 					a.resync = 0
 				} else {
-					a.gainLin *= expSmall(d * lnTenOver20)
+					a.gainLin *= oracleExpSmall(d * oracleLnTenOver20)
 				}
 			}
 		}
 	}
 	return y
+}
+
+// The oracle's series and constants, as the AGC law had them when the
+// oracle was frozen.
+const (
+	oracleLnTenOver20 = math.Ln10 / 20
+	oracleTenOverLn10 = 10 / math.Ln10
+)
+
+func oracleExpSmall(x float64) float64 {
+	return 1 + x*(1+x/2*(1+x/3*(1+x/4*(1+x/5))))
+}
+
+func oracleLnWide(u float64) float64 {
+	m, k := math.Frexp(u)
+	return oracleLnNear1(2*m) + float64(k-1)*math.Ln2
+}
+
+func oracleLnNear1(u float64) float64 {
+	z := (u - 1) / (u + 1)
+	z2 := z * z
+	return 2 * z * (1 + z2*(1.0/3+z2*(1.0/5+z2*(1.0/7+z2*(1.0/9+z2/11)))))
 }
 
 // sameBits reports whether a and b hold the same samples bit for bit.
@@ -394,7 +416,7 @@ func TestReceiverMatchesOracle(t *testing.T) {
 						if c, w := rx.lane.ClippedSamples(0), ref.ADCClippedSamples(); c != w {
 							t.Fatalf("%s: ProcessFromFilter clipped %d, oracle %d", where, c, w)
 						}
-						if r, w := rx.lane.lanes[0].agc.resync, ref.agc.resync; r != w {
+						if r, w := rx.lane.lanes[0].agc.Resync, ref.agc.resync; r != w {
 							t.Fatalf("%s: resync counter %d, oracle %d", where, r, w)
 						}
 						carried = carried || ref.agc.resync != 0
@@ -458,10 +480,10 @@ func TestAGCProcessMatchesOracle(t *testing.T) {
 }
 
 // GainDB returns the current loop gain.
-func (a *AGC) GainDB() float64 { return a.st[0].gainDB }
+func (a *AGC) GainDB() float64 { return a.st[0].GainDB }
 
 // SetFreeze holds (true) or releases (false) the gain.
-func (a *AGC) SetFreeze(f bool) { a.cfg.Freeze = f }
+func (a *AGC) SetFreeze(f bool) { a.cfg.Freeze, a.law.Freeze = f, f }
 
 // ClippedSamples returns how many samples clipped since the last Reset.
 func (a *ADC) ClippedSamples() int { return a.clip }

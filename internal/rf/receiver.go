@@ -151,10 +151,10 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	if r.adc, err = NewADC(cfg.ADC); err != nil {
 		return nil, err
 	}
-	// The one lane runs its own filter on every call, so Process and the
-	// ProcessToFilter/ProcessFromFilter pair continue one filter state.
+	// The one lane's filter state is lane 0's of the lane receiver's filter
+	// bank, so Process and the ProcessToFilter/ProcessFromFilter pair
+	// continue one filter state.
 	r.lane = NewBatchReceiver(r)
-	r.lane.shared, r.lane.chs = false, nil
 	r.lane.resetLanes(lane0)
 	return r, nil
 }
@@ -243,7 +243,7 @@ func (r *Receiver) oneLane(x []complex128, front bool) []complex128 {
 // Reset starts a packet: the noise and LO streams restart from their seeds
 // and every filter, the AGC gain and estimator, the ADC clip count and the
 // decimation phase from their initial states. The AGC resync counter
-// carries (see agcResyncInterval).
+// carries (see kernels.AGCResyncInterval).
 func (r *Receiver) Reset() {
 	r.lane.restart()
 	r.lane.resetLanes(lane0)

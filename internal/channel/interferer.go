@@ -35,7 +35,13 @@ type Composer struct {
 	// NativeRateHz is the native baseband rate (20 MHz for 802.11a).
 	NativeRateHz float64
 
-	sig []complex128 // per-emitter scaling scratch
+	// Scratch kept across emitters and packets: the interpolator (built on
+	// first use, Reset per emitter), the scaled and flushed emitter, and its
+	// upsampled form.
+	up    *dsp.Upsampler
+	upFac int // the factor up was built for
+	sig   []complex128
+	hi    []complex128
 }
 
 // NewComposer creates a composer with the given oversampling factor over a
@@ -114,6 +120,13 @@ func (c *Composer) ComposeInto(dst []complex128, emitters []Emitter) ([]complex1
 	for i := range out {
 		out[i] = 0
 	}
+	if c.Oversample > 1 && (c.up == nil || c.upFac != c.Oversample) {
+		up, err := dsp.NewUpsampler(c.Oversample, 0)
+		if err != nil {
+			return nil, err
+		}
+		c.up, c.upFac = up, c.Oversample
+	}
 	for _, e := range emitters {
 		need := len(e.Samples) + flush
 		if cap(c.sig) < need {
@@ -121,20 +134,19 @@ func (c *Composer) ComposeInto(dst []complex128, emitters []Emitter) ([]complex1
 		}
 		sig := append(c.sig[:0], e.Samples...)
 		units.SetPowerDBm(sig, e.PowerDBm)
-		c.sig = sig
-		var hi []complex128
-		if c.Oversample == 1 {
-			// Factor-1 upsampling is the identity (and flush is 0), so the
-			// scaled signal is summed directly.
-			hi = sig
-		} else {
-			sig = append(sig, make([]complex128, flush)...)
-			up, err := dsp.NewUpsampler(c.Oversample, 0)
-			if err != nil {
-				return nil, err
-			}
-			hi = up.Process(sig)
+		hi := sig
+		if c.Oversample > 1 {
+			// Factor-1 upsampling is the identity (and flush is 0), so only
+			// a real factor runs the interpolator. The previous emitter's
+			// flush zeros already left its history clean; Reset keeps each
+			// emitter's start from depending on the flush length.
+			sig = sig[:need]
+			clear(sig[len(e.Samples):])
+			c.up.Reset()
+			c.hi = c.up.ProcessInto(c.hi[:0], sig)
+			hi = c.hi
 		}
+		c.sig = sig
 		if e.OffsetHz != 0 {
 			osc := dsp.NewOscillator(e.OffsetHz/fs, 0)
 			osc.MixInto(hi)

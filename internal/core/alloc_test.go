@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"wlansim/internal/race"
@@ -29,8 +30,23 @@ func TestPacketRunAllocBounded(t *testing.T) {
 		// past the budget. check.sh enforces this gate without -race.
 		t.Skip("sync.Pool drops Puts under the race detector; the non-race alloc gate enforces this budget")
 	}
+	type row struct {
+		name string
+		cfg  Config
+	}
+	var rows []row
 	for _, rate := range []int{6, 24, 54} {
-		bench, err := NewBench(packetBenchConfig(rate))
+		rows = append(rows, row{fmt.Sprintf("%d Mbit/s", rate), packetBenchConfig(rate)})
+	}
+	// The adjacent-channel scenario composes a 3x composite every packet:
+	// the interferer synthesis and the composer's interpolator must run on
+	// reused scratch too, not on a per-packet rebuild.
+	adj := Figure5Config()
+	adj.Packets = 1
+	adj.FrontEnd = FrontEndBehavioral
+	rows = append(rows, row{"adjacent channel", adj})
+	for _, r := range rows {
+		bench, err := NewBench(r.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,9 +59,10 @@ func TestPacketRunAllocBounded(t *testing.T) {
 				panic(err)
 			}
 		})
+		t.Logf("%s: %v allocations per packet run", r.name, n)
 		if n > packetRunAllocBudget {
-			t.Errorf("%d Mbit/s: %v allocations per packet run, budget %d — a hot-path buffer stopped being reused",
-				rate, n, packetRunAllocBudget)
+			t.Errorf("%s: %v allocations per packet run, budget %d — a hot-path buffer stopped being reused",
+				r.name, n, packetRunAllocBudget)
 		}
 	}
 }

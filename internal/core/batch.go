@@ -285,6 +285,7 @@ type batchFront struct {
 	fe        rf.FrontEnd       // lane 0's front end (the lanes' template receiver on the behavioral front end)
 	lanes     *rf.BatchReceiver // the behavioral lanes; nil on other front ends
 	tx        *phy.Transmitter  // synthesizes the wanted frame on prefix misses
+	miss      *Bench            // computes prefix misses; keeps the TX and channel scratch across packets
 	waves     [][]complex128    // the packet's front-end inputs, per active lane
 	slots     [batchSlots]batchSlot
 
@@ -560,16 +561,21 @@ func (f *batchFront) compose(b *Bench, p int) ([]byte, []complex128, error) {
 // misses count per point exactly as when each point runs alone; without
 // one, a lane whose key an earlier lane already computed this packet reuses
 // that entry instead of recomputing the identical prefix. A miss computes
-// on a throwaway bench of b's configuration, so no lane holds the TX and
-// channel scratch (composer, FFT plans, interferer waveforms) beyond the
-// packet.
+// on the group's miss bench, given b's configuration, so the group holds
+// one set of TX and channel scratch (composer, interferer streams), not
+// one per lane. The prefix depends only on the configuration the lanes
+// share, and the entry computed there is caller-owned.
 func (f *batchFront) entry(b *Bench, key sim.CacheKey, compute func(pb *Bench) (*stageEntry, error)) (*stageEntry, error) {
 	first := slices.Index(f.keys, key)
 	if first >= 0 && b.cfg.Cache == nil {
 		return f.entries[first], nil
 	}
 	v, err := b.cfg.Cache.GetOrCompute(key, func() (any, int64, error) {
-		e, err := compute(&Bench{cfg: b.cfg, tx: f.tx, keyContent: b.keyContent})
+		if f.miss == nil {
+			f.miss = &Bench{tx: f.tx}
+		}
+		f.miss.cfg, f.miss.keyContent = b.cfg, b.keyContent
+		e, err := compute(f.miss)
 		if err != nil {
 			return nil, 0, err
 		}

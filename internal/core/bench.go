@@ -236,6 +236,7 @@ type Bench struct {
 	irx      *rxdsp.IdealReceiver
 	comp     *channel.Composer
 	emitters []channel.Emitter
+	interf   interfererSynth
 	antenna  []complex128
 
 	// Stage RNG streams. txRNG and chRNG are re-seeded per packet and per
@@ -363,31 +364,47 @@ func (b *Bench) receiverConfig(os int) rf.ReceiverConfig {
 // interfererPSDULen is the fixed payload length of interferer frames.
 const interfererPSDULen = 200
 
-// interfererWaveform produces a continuous stream of back-to-back frames
-// covering at least total native samples. One transmitter is reused for all
-// frames, and the stream is allocated once up front (the frame length is
-// fixed by the rate and the constant payload size).
-func interfererWaveform(rateMbps int, total int, rng *rand.Rand) ([]complex128, error) {
+// interfererSynth synthesizes interferer streams on reused buffers: one
+// transmitter per rate, one payload and PPDU frame, and one stream buffer
+// per interferer slot. The zero value is ready to use.
+type interfererSynth struct {
+	txs   map[int]*phy.Transmitter
+	frame phy.Frame
+	psdu  []byte
+	waves [][]complex128
+}
+
+// wave produces a continuous stream of back-to-back frames covering at
+// least total native samples into slot k's buffer, which it returns; the
+// stream stays valid until the next wave call for slot k.
+func (s *interfererSynth) wave(k, rateMbps, total int, rng *rand.Rand) ([]complex128, error) {
 	if rateMbps == 0 {
 		rateMbps = 24
 	}
-	tx, err := phy.NewTransmitter(rateMbps)
-	if err != nil {
-		return nil, err
-	}
-	nBits := phy.ServiceBits + interfererPSDULen*8 + phy.TailBits
-	nSym := (nBits + tx.Mode.NDBPS() - 1) / tx.Mode.NDBPS()
-	frameLen := phy.PreambleLen + (1+nSym)*phy.SymbolLen
-	frames := (total + frameLen - 1) / frameLen
-	out := make([]complex128, 0, frames*frameLen)
-	for len(out) < total {
-		tx.ScramblerSeed = byte(1 + rng.Intn(127))
-		frame, err := tx.Transmit(bits.RandomBytes(rng, interfererPSDULen))
-		if err != nil {
+	tx := s.txs[rateMbps]
+	if tx == nil {
+		var err error
+		if tx, err = phy.NewTransmitter(rateMbps); err != nil {
 			return nil, err
 		}
-		out = append(out, frame.Samples...)
+		if s.txs == nil {
+			s.txs = make(map[int]*phy.Transmitter)
+		}
+		s.txs[rateMbps] = tx
 	}
+	for len(s.waves) <= k {
+		s.waves = append(s.waves, nil)
+	}
+	out := s.waves[k][:0]
+	for len(out) < total {
+		tx.ScramblerSeed = byte(1 + rng.Intn(127))
+		s.psdu = bits.RandomBytesInto(s.psdu[:0], rng, interfererPSDULen)
+		if err := tx.TransmitInto(&s.frame, s.psdu); err != nil {
+			return nil, err
+		}
+		out = append(out, s.frame.Samples...)
+	}
+	s.waves[k] = out
 	return out[:total], nil
 }
 
@@ -427,8 +444,8 @@ func (b *Bench) composeChannel(dst []complex128, frame *phy.Frame, os, p int) ([
 		PowerDBm:     b.cfg.WantedPowerDBm,
 		DelaySamples: leadInSamples,
 	})
-	for _, spec := range b.cfg.Interferers {
-		wave, err := interfererWaveform(spec.RateMbps, totalNative, rng)
+	for k, spec := range b.cfg.Interferers {
+		wave, err := b.interf.wave(k, spec.RateMbps, totalNative, rng)
 		if err != nil {
 			return nil, err
 		}

@@ -276,11 +276,12 @@ func lnaPointConfig(base Config, v float64, cache *sim.StageCache, tune func(*rf
 func SpectrumExperiment(wantedDBm float64, withSecondAdjacent bool, seed int64) (*dsp.PSD, measure.ChannelPowerReport, error) {
 	rng := rand.New(rand.NewSource(seed))
 	total := 6000
-	wanted, err := interfererWaveform(24, total, rng)
+	var synth interfererSynth
+	wanted, err := synth.wave(0, 24, total, rng)
 	if err != nil {
 		return nil, measure.ChannelPowerReport{}, err
 	}
-	adj, err := interfererWaveform(24, total, rng)
+	adj, err := synth.wave(1, 24, total, rng)
 	if err != nil {
 		return nil, measure.ChannelPowerReport{}, err
 	}
@@ -290,7 +291,7 @@ func SpectrumExperiment(wantedDBm float64, withSecondAdjacent bool, seed int64) 
 	}
 	maxOff := 20e6
 	if withSecondAdjacent {
-		adj2, err := interfererWaveform(24, total, rng)
+		adj2, err := synth.wave(2, 24, total, rng)
 		if err != nil {
 			return nil, measure.ChannelPowerReport{}, err
 		}

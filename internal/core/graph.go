@@ -113,8 +113,9 @@ func (b *Bench) BuildSystemGraph() (*SystemGraph, error) {
 		return nil, err
 	}
 
+	var synth interfererSynth
 	for k, spec := range cfg.Interferers {
-		wave, err := interfererWaveform(spec.RateMbps, total, rng)
+		wave, err := synth.wave(k, spec.RateMbps, total, rng)
 		if err != nil {
 			return nil, err
 		}

@@ -62,7 +62,7 @@ func TestOLSConvAllocFree(t *testing.T) {
 	for i := range taps {
 		taps[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	c := newOLSConv(taps)
+	c := newOLSConv(newOLSSpectrum(taps))
 	ext := make([]complex128, len(taps)-1+256)
 	for i := range ext {
 		ext[i] = complex(rng.NormFloat64(), rng.NormFloat64())

@@ -65,7 +65,7 @@ func (f *ComplexFIR) Process(x []complex128) []complex128 {
 	copy(ext[p:], x)
 	if olsUsable(len(f.taps), len(x)) {
 		if f.ols == nil {
-			f.ols = newOLSConv(f.taps)
+			f.ols = newOLSConv(newOLSSpectrum(f.taps))
 		}
 		f.ols.process(x, ext)
 	} else {

@@ -72,7 +72,8 @@ func (f *FIR) Process(x []complex128) []complex128 {
 	copy(ext[p:], x)
 	if olsUsable(len(f.taps), len(x)) {
 		if f.ols == nil {
-			f.ols = newOLSConvReal(f.taps)
+			//lint:ignore escape one-time engine build on the first long frame
+			f.ols = newOLSConv(newOLSSpectrumReal(f.taps))
 		}
 		f.ols.process(x, ext)
 	} else {

@@ -24,25 +24,34 @@ func olsUsable(taps, m int) bool {
 	return taps >= olsMinTaps && m >= olsMinFrameFactor*taps
 }
 
-type olsConv struct {
+// olsSpectrum is the immutable half of an overlap-save engine: the block
+// geometry, the shared FFT plan and the filter spectrum. It is safe for
+// concurrent use, so one resampler design's spectrum serves every
+// resampler built on it.
+type olsSpectrum struct {
 	taps int
 	n    int // FFT size
 	l    int // new output samples per block: n - (taps-1)
 	plan *FFTPlan
-	h    []complex128 // forward transform of the zero-padded taps
-	hre  []float64    // h deinterleaved: spectral product operands for MulCplx
-	him  []float64
+	hre  []float64 // forward transform of the zero-padded taps, deinterleaved:
+	him  []float64 // the spectral product operands for MulCplx
+}
+
+// olsConv is one filter's overlap-save engine: a spectrum plus the block
+// scratch of its stream.
+type olsConv struct {
+	*olsSpectrum
 	seg  []complex128 // block scratch, reused across calls
 	grev []int64      // bit reversal of the last grid size block used
 }
 
-// newOLSConv builds the overlap-save engine for the given taps. The FFT size
-// is the smallest power of two ≥ 4×taps (and ≥ 128), keeping ≥ 3/4 of each
-// transform as fresh output.
-func newOLSConv(taps []complex128) *olsConv {
+// newOLSSpectrum transforms the given taps on the shared plan of the
+// engine's FFT size: the smallest power of two ≥ 4×taps (and ≥ 128),
+// keeping ≥ 3/4 of each transform as fresh output.
+func newOLSSpectrum(taps []complex128) *olsSpectrum {
 	t := len(taps)
 	n := olsSize(t)
-	plan, err := NewFFTPlan(n)
+	plan, err := PlanFor(n)
 	if err != nil {
 		panic(err) // unreachable: n is a power of two by construction
 	}
@@ -52,7 +61,20 @@ func newOLSConv(taps []complex128) *olsConv {
 	hre := make([]float64, n)
 	him := make([]float64, n)
 	kernels.Deinterleave(hre, him, h)
-	return &olsConv{taps: t, n: n, l: n - (t - 1), plan: plan, h: h, hre: hre, him: him, seg: make([]complex128, n)}
+	return &olsSpectrum{taps: t, n: n, l: n - (t - 1), plan: plan, hre: hre, him: him}
+}
+
+func newOLSSpectrumReal(taps []float64) *olsSpectrum {
+	c := make([]complex128, len(taps))
+	for i, t := range taps {
+		c[i] = complex(t, 0)
+	}
+	return newOLSSpectrum(c)
+}
+
+// newOLSConv builds an engine streaming on the given spectrum.
+func newOLSConv(s *olsSpectrum) *olsConv {
+	return &olsConv{olsSpectrum: s, seg: make([]complex128, s.n)}
 }
 
 // olsSize is the FFT size of the engine for t taps.
@@ -62,14 +84,6 @@ func olsSize(t int) int {
 		n <<= 1
 	}
 	return n
-}
-
-func newOLSConvReal(taps []float64) *olsConv {
-	c := make([]complex128, len(taps))
-	for i, t := range taps {
-		c[i] = complex(t, 0)
-	}
-	return newOLSConv(c)
 }
 
 // process computes dst[i] = Σ_j taps[j]·ext[taps-1+i-j] for i in [0,

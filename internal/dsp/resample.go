@@ -5,7 +5,51 @@ import (
 	"math"
 	"math/cmplx"
 	"slices"
+	"sync"
 )
+
+// resamplerDesign is the immutable lowpass shared by every resampler of one
+// (factor, taps): the windowed-sinc taps cut at the narrower Nyquist, and
+// their overlap-save spectrum when the tap set is long enough to use one.
+// A resampler built on it owns only its filter history and scratch.
+type resamplerDesign struct {
+	taps []float64
+	spec *olsSpectrum // nil below olsMinTaps: such filters never run overlap-save
+}
+
+type resamplerKey struct{ factor, taps int }
+
+// resamplerDesigns holds one design per (factor, taps), built once per
+// process. The program builds only a few interpolators and decimators (the
+// composite's default per factor, the co-sim's solver-rate upsampler, the
+// spectrum tools' 4x), so the map stays small. A lost race at worst builds
+// a duplicate that the map discards.
+var resamplerDesigns sync.Map // resamplerKey -> *resamplerDesign
+
+// resamplerFilter returns a lowpass with fresh streaming state for a
+// resampler by factor (> 1) with the given tap count, on the shared design.
+func resamplerFilter(factor, taps int) (*FIR, error) {
+	key := resamplerKey{factor, taps}
+	v, ok := resamplerDesigns.Load(key)
+	if !ok {
+		// Cut at the original Nyquist, i.e. 0.5/factor of the faster rate.
+		f, err := DesignLowpassFIR(taps, 0.5/float64(factor), Blackman)
+		if err != nil {
+			return nil, err
+		}
+		d := &resamplerDesign{taps: f.taps}
+		if taps >= olsMinTaps {
+			d.spec = newOLSSpectrumReal(f.taps)
+		}
+		v, _ = resamplerDesigns.LoadOrStore(key, d)
+	}
+	d := v.(*resamplerDesign)
+	f := &FIR{taps: d.taps, hist: make([]complex128, len(d.taps)-1)}
+	if d.spec != nil {
+		f.ols = newOLSConv(d.spec)
+	}
+	return f, nil
+}
 
 // Upsampler increases the sample rate by an integer factor using zero
 // stuffing followed by an anti-imaging lowpass filter.
@@ -28,6 +72,8 @@ type Upsampler struct {
 
 // NewUpsampler builds an upsampler for the given integer factor. taps sets
 // the anti-imaging filter length (per output rate); 0 selects a default.
+// Upsamplers of one (factor, taps) share the filter design, built on the
+// first call; each owns only its stream state.
 func NewUpsampler(factor, taps int) (*Upsampler, error) {
 	if factor < 1 {
 		return nil, fmt.Errorf("dsp: upsample factor %d < 1", factor)
@@ -39,16 +85,14 @@ func NewUpsampler(factor, taps int) (*Upsampler, error) {
 		// after unfiltered decimation downstream.
 		taps = 48*factor + 1
 	}
-	var f *FIR
+	u := &Upsampler{factor: factor}
 	if factor > 1 {
 		var err error
-		// Cut at the original Nyquist, i.e. 0.5/factor of the new rate.
-		f, err = DesignLowpassFIR(taps, 0.5/float64(factor), Blackman)
-		if err != nil {
+		if u.filter, err = resamplerFilter(factor, taps); err != nil {
 			return nil, err
 		}
 	}
-	return &Upsampler{factor: factor, filter: f}, nil
+	return u, nil
 }
 
 // Reset clears the filter state.
@@ -116,9 +160,6 @@ func (u *Upsampler) Next() []complex128 {
 		f.Process(blk)
 		u.next = total
 		return blk
-	}
-	if f.ols == nil {
-		f.ols = newOLSConvReal(f.taps)
 	}
 	c := f.ols
 	start := u.next
@@ -217,7 +258,8 @@ type Downsampler struct {
 // NewDownsampler builds a decimator for the given integer factor. taps sets
 // the anti-aliasing filter length; 0 selects a default. If filtered is false
 // the decimator picks raw samples (used to model deliberate aliasing, e.g.
-// an ADC sampling an insufficiently filtered signal).
+// an ADC sampling an insufficiently filtered signal). Like upsamplers,
+// decimators of one (factor, taps) share the filter design.
 func NewDownsampler(factor, taps int, filtered bool) (*Downsampler, error) {
 	if factor < 1 {
 		return nil, fmt.Errorf("dsp: downsample factor %d < 1", factor)
@@ -227,11 +269,10 @@ func NewDownsampler(factor, taps int, filtered bool) (*Downsampler, error) {
 		if taps == 0 {
 			taps = 48*factor + 1
 		}
-		f, err := DesignLowpassFIR(taps, 0.5/float64(factor), Blackman)
-		if err != nil {
+		var err error
+		if d.filter, err = resamplerFilter(factor, taps); err != nil {
 			return nil, err
 		}
-		d.filter = f
 	}
 	return d, nil
 }
@@ -290,10 +331,16 @@ type Oscillator struct {
 // NewOscillator creates an oscillator at normalized frequency nu (cycles per
 // sample, may be negative) and initial phase in radians.
 func NewOscillator(nu, phase float64) *Oscillator {
-	return &Oscillator{
-		step:  cmplx.Exp(complex(0, 2*math.Pi*nu)),
-		state: cmplx.Exp(complex(0, phase)),
-	}
+	// Small enough to inline, so a caller's oscillator that does not
+	// outlive the call stays off the heap.
+	o := new(Oscillator)
+	o.tune(nu, phase)
+	return o
+}
+
+func (o *Oscillator) tune(nu, phase float64) {
+	o.step = cmplx.Exp(complex(0, 2*math.Pi*nu))
+	o.state = cmplx.Exp(complex(0, phase))
 }
 
 // Next returns the current oscillator sample and advances the phase.

@@ -314,6 +314,7 @@ go test -run '^$' -bench 'BenchmarkDecodeSoft' -benchtime 1x ./internal/phy/vite
 go test -run '^$' -bench 'BenchmarkFFTStage' -benchtime 1x ./internal/kernels > /dev/null
 go test -run '^$' -bench 'BenchmarkFIRProcess|BenchmarkComplexFIRProcess|BenchmarkFFT|BenchmarkIIRCascade3|BenchmarkUpsamplerStream' -benchtime 1x ./internal/dsp > /dev/null
 go test -run '^$' -bench 'BenchmarkDemodulateSymbol|BenchmarkModulateSymbol' -benchtime 1x ./internal/phy > /dev/null
+go test -run '^$' -bench 'BenchmarkComposeAdjacent' -benchtime 1x ./internal/channel > /dev/null
 go test -run '^$' -bench 'BenchmarkServiceJob' -benchtime 1x ./internal/service > /dev/null
 go test -run '^$' -bench 'BenchmarkFrontEndProcess|BenchmarkSolveBlock|BenchmarkFillDrive' -benchtime 1x ./internal/analog > /dev/null
 go test -run '^$' -bench 'BenchmarkFillNormMulAdd|BenchmarkFillNormPairs' -benchtime 1x ./internal/randutil > /dev/null

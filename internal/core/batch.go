@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"slices"
 
-	"wlansim/internal/bits"
 	"wlansim/internal/phy"
 	"wlansim/internal/randutil"
 	"wlansim/internal/rf"
@@ -77,19 +76,18 @@ func laneGroups(n, workers, width int) int {
 // Each packet runs in two halves. The front half serves every active lane's
 // invariant prefix through the shared stage cache and runs the front end.
 // Where the prefix ends follows from the lanes' configuration alone
-// (batchFront.prefix is the one place that decides it):
+// (batchFront.prefix is the one place that decides it), at one of two
+// boundaries:
 //
-//   - On the identity chain of an SNR sweep (noiseAfterFrontEnd) the prefix
-//     is the noiseless baseband; the lane adds its noise and skips the front
-//     end.
 //   - Filter-only front-end sweep points (SweptFrontEndFilterOnly) share the
 //     pre-filter waveform, so every lane reads the one cached entry, without a
 //     copy, through its own filter (the lane receiver's pre-filter entry).
-//   - Points whose swept parameter is past the channel start from the cached
-//     antenna waveform; points sweeping the channel compose their own from
-//     the cached TX frame, and points sweeping the TX run the full chain.
-//     Lanes whose points carry a channel SNR of their own add their noise,
-//     from their own per-point stream, to their own copy of the prefix.
+//   - Every other point whose swept parameter is past the channel starts
+//     from the cached antenna waveform.
+//
+// Points sweeping the TX or the channel share no prefix and run their own
+// chain. Lanes whose points carry a channel SNR of their own add their
+// noise, from their own per-point stream, to their own copy of the prefix.
 //
 // On the behavioral front end all lanes share one rf.BatchReceiver, and its
 // internal noise/LO draws, which are identical across lanes by the fixed
@@ -111,31 +109,22 @@ func laneGroups(n, workers, width int) int {
 // no lane can reach TargetErrors in packet p. Every lane's noise draws,
 // cache lookups and AGC history are therefore the serial loop's.
 func RunBenchBatch(cfgs []Config) ([]*Result, error) {
-	results, _, err := runLanes(cfgs)
-	return results, err
-}
-
-// runLanes is RunBenchBatch, also reporting how many prefix lookups returned
-// a different cache entry than an earlier lane's lookup of the same key in
-// the same packet (see batchFront.unshared).
-func runLanes(cfgs []Config) ([]*Result, int, error) {
 	if err := batchableConfigs(cfgs); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	benches := make([]*Bench, len(cfgs))
 	for i := range cfgs {
 		b, err := NewBench(cfgs[i])
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		benches[i] = b
 	}
 	g, err := newLaneLoop(benches)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	results, err := g.run()
-	return results, g.front.unshared, err
+	return g.run()
 }
 
 // laneLoop is a lane group's packet loop, kept across runs: the lanes'
@@ -281,7 +270,6 @@ type batchFront struct {
 	os        int
 	packets   int               // the most packets any lane runs
 	preFilter bool              // lanes start from the shared pre-filter waveform
-	baseband  bool              // the prefix is the baseband: no front end runs
 	fe        rf.FrontEnd       // lane 0's front end (the lanes' template receiver on the behavioral front end)
 	lanes     *rf.BatchReceiver // the behavioral lanes; nil on other front ends
 	tx        *phy.Transmitter  // synthesizes the wanted frame on prefix misses
@@ -289,14 +277,9 @@ type batchFront struct {
 	waves     [][]complex128    // the packet's front-end inputs, per active lane
 	slots     [batchSlots]batchSlot
 
-	// The prefix lookups of the packet being filled, and how many of them
-	// returned a different entry than an earlier lane with the same key in
-	// the same packet. Lanes share one prefix, so unshared stays zero
-	// unless the cache evicted the entry between two lanes' lookups (each
-	// lane then reads its own, equal copy).
-	keys     []sim.CacheKey
-	entries  []*stageEntry
-	unshared int
+	// The prefix lookups of the packet being filled.
+	keys    []sim.CacheKey
+	entries []*stageEntry
 
 	filled  chan *batchSlot // filled packets, in packet order, then nil when the helper ends
 	free    chan *batchSlot // accounted packets' slots, in packet order
@@ -318,7 +301,6 @@ func newBatchFront(benches []*Bench, os int, fe rf.FrontEnd, lanes *rf.BatchRece
 		benches:   benches,
 		os:        os,
 		preFilter: b0.preFilterPrefix(),
-		baseband:  b0.noiseAfterFrontEnd(os),
 		fe:        fe,
 		lanes:     lanes,
 		tx:        b0.tx,
@@ -443,11 +425,8 @@ func (f *batchFront) fill(p int) *batchSlot {
 	case f.lanes == nil:
 		// A group of one off the behavioral front end. The front end's
 		// output is its own scratch, so the slot keeps a copy.
-		out := f.waves[0]
-		if !f.baseband {
-			f.fe.Reset()
-			out = f.fe.Process(out)
-		}
+		f.fe.Reset()
+		out := f.fe.Process(f.waves[0])
 		if len(s.basebands) == 0 {
 			s.basebands = make([][]complex128, 1)
 		}
@@ -467,47 +446,35 @@ func (f *batchFront) fill(p int) *batchSlot {
 // or running another front end (the K-model writes its input), gets its own
 // copy.
 func (f *batchFront) prefix(b *Bench, p int) ([]byte, []complex128, error) {
-	var e *stageEntry
-	var err error
-	switch {
-	case f.baseband:
-		// The identity front end's noiseless output: only the point's noise
-		// is still to come.
-		e, err = f.entry(b, b.stageKey(cacheKindBaseband, p, f.os, false), func(pb *Bench) (*stageEntry, error) {
-			e, err := pb.fullPrefix(p, f.os, false)
-			if err == nil {
-				f.fe.Reset()
-				e.wave = append([]complex128(nil), f.fe.Process(e.wave)...)
-			}
-			return e, err
-		})
-	case f.preFilter:
-		// The behavioral front end up to the channel-select filter, computed
-		// on lane 0's receiver. Exact because Receiver.Process is
-		// ProcessToFilter∘ProcessFromFilter and every front-end noise/LO
-		// stream restarts per packet from fixed seeds.
-		withNoise := b.cfg.ChannelSNRdB != nil
-		e, err = f.entry(b, b.stageKey(cacheKindPreFilter, p, f.os, withNoise), func(pb *Bench) (*stageEntry, error) {
-			e, err := pb.fullPrefix(p, f.os, withNoise)
-			if err == nil {
-				rx := f.fe.(*rf.Receiver)
-				rx.Reset()
-				e.wave = rx.ProcessToFilter(e.wave)
-			}
-			return e, err
-		})
-	case b.cfg.SweptStage >= StageNoise:
-		e, err = f.entry(b, b.stageKey(cacheKindAntenna, p, f.os, b.antennaNoise()), func(pb *Bench) (*stageEntry, error) {
-			return pb.fullPrefix(p, f.os, pb.antennaNoise())
-		})
-	default:
-		// TX or channel swept: the lane composes its own antenna waveform.
-		refBits, wave, err := f.compose(b, p)
-		if err == nil && b.suffixNoise() {
-			b.addNoise(wave, f.os, b.noiseRNG)
+	if b.cfg.SweptStage < StageNoise {
+		// TX or channel swept: the lane runs its own chain.
+		e, err := b.fullPrefix(b.antenna[:0], p, f.os, false)
+		if err != nil {
+			return nil, nil, err
 		}
-		return refBits, wave, err
+		b.antenna = e.wave
+		if b.suffixNoise() {
+			b.addNoise(e.wave, f.os, b.noiseRNG)
+		}
+		return e.refBits, e.wave, nil
 	}
+	kind := cacheKindAntenna
+	if f.preFilter {
+		kind = cacheKindPreFilter
+	}
+	e, err := f.entry(b, b.stageKey(kind, p, f.os, b.antennaNoise()), func(pb *Bench) (*stageEntry, error) {
+		e, err := pb.fullPrefix(nil, p, f.os, pb.antennaNoise())
+		if err == nil && f.preFilter {
+			// The behavioral front end up to the channel-select filter,
+			// computed on lane 0's receiver. Exact because Receiver.Process
+			// is ProcessToFilter∘ProcessFromFilter and every front-end
+			// noise/LO stream restarts per packet from fixed seeds.
+			rx := f.fe.(*rf.Receiver)
+			rx.Reset()
+			e.wave = rx.ProcessToFilter(e.wave)
+		}
+		return &e, err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -519,41 +486,6 @@ func (f *batchFront) prefix(b *Bench, p int) ([]byte, []complex128, error) {
 		b.addNoise(b.scratch, f.os, b.noiseRNG)
 	}
 	return e.refBits, b.scratch, nil
-}
-
-// compose runs lane bench b's channel stage of packet p into the bench's
-// reused antenna buffer: on the cached TX frame when only the channel is
-// swept, on a fresh TX synthesis otherwise.
-func (f *batchFront) compose(b *Bench, p int) ([]byte, []complex128, error) {
-	var refBits []byte
-	var frame *phy.Frame
-	if b.cfg.SweptStage == StageChannel {
-		e, err := f.entry(b, b.stageKey(cacheKindTX, p, f.os, false), func(pb *Bench) (*stageEntry, error) {
-			psdu, frame, err := pb.synthTX(p)
-			if err != nil {
-				return nil, err
-			}
-			return &stageEntry{refBits: bits.FromBytes(psdu), wave: append([]complex128(nil), frame.Samples...)}, nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		// The composer only reads emitter samples, so the cached frame
-		// waveform is aliased, not copied.
-		refBits, frame = e.refBits, &phy.Frame{Samples: e.wave}
-	} else {
-		psdu, fr, err := b.synthTX(p)
-		if err != nil {
-			return nil, nil, err
-		}
-		refBits, frame = bits.FromBytes(psdu), fr
-	}
-	x, err := b.composeChannel(b.antenna[:0], frame, f.os, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	b.antenna = x
-	return refBits, x, nil
 }
 
 // entry serves lane bench b's cached prefix under key, which compute builds
@@ -585,9 +517,6 @@ func (f *batchFront) entry(b *Bench, key sim.CacheKey, compute func(pb *Bench) (
 		return nil, err
 	}
 	e := v.(*stageEntry)
-	if first >= 0 && e != f.entries[first] {
-		f.unshared++
-	}
 	f.keys = append(f.keys, key)
 	f.entries = append(f.entries, e)
 	return e, nil

@@ -523,22 +523,6 @@ func (b *Bench) addNoise(x []complex128, os int, rng *randutil.Rand) {
 	channel.AWGNFrom(noiseW, rng).AddTo(x)
 }
 
-// noiseAfterFrontEnd reports whether the antenna AWGN may be applied after
-// the front end instead of before it. This is exact — not an approximation —
-// only for the identity chain: the ideal front end at oversample 1 is a
-// sample-for-sample copy, so adding the same noise realization before or
-// after it yields bit-identical basebands. SNR sweeps over that chain (the
-// EVM and waterfall experiments) then share the noiseless post-front-end
-// waveform across points and re-draw only the noise. The predicate depends
-// on configuration alone, never on cache state, so cached and uncached runs
-// place the noise identically.
-func (b *Bench) noiseAfterFrontEnd(os int) bool {
-	return b.cfg.SweptStage == StageNoise &&
-		b.cfg.FrontEnd == FrontEndIdeal &&
-		os == 1 &&
-		b.cfg.ChannelSNRdB != nil
-}
-
 // suffixNoise reports whether the antenna noise belongs to the point-variant
 // suffix (drawn from the sequential per-Run stream) rather than the cached
 // invariant prefix (drawn from a per-packet stage stream).
@@ -564,15 +548,16 @@ func (b *Bench) antennaNoise() bool {
 }
 
 // fullPrefix computes TX + channel (+ prefix noise when withNoise) for packet
-// p into a freshly allocated, caller-owned stage entry.
-func (b *Bench) fullPrefix(p, os int, withNoise bool) (*stageEntry, error) {
+// p, the antenna waveform written over dst (nil for a fresh, caller-owned
+// waveform, as a cache entry needs).
+func (b *Bench) fullPrefix(dst []complex128, p, os int, withNoise bool) (stageEntry, error) {
 	psdu, frame, err := b.synthTX(p)
 	if err != nil {
-		return nil, err
+		return stageEntry{}, err
 	}
-	wave, err := b.composeChannel(nil, frame, os, p)
+	wave, err := b.composeChannel(dst, frame, os, p)
 	if err != nil {
-		return nil, err
+		return stageEntry{}, err
 	}
 	if withNoise {
 		if b.noiseRNG == nil {
@@ -581,7 +566,7 @@ func (b *Bench) fullPrefix(p, os int, withNoise bool) (*stageEntry, error) {
 		b.noiseRNG.Seed(seed.ForStage(b.stageRoot(StageNoise), int(StageNoise), p))
 		b.addNoise(wave, os, b.noiseRNG)
 	}
-	return &stageEntry{refBits: bits.FromBytes(psdu), wave: wave}, nil
+	return stageEntry{refBits: bits.FromBytes(psdu), wave: wave}, nil
 }
 
 // Run simulates the configured number of packets and returns the measured

@@ -318,10 +318,9 @@ func SpectrumExperiment(wantedDBm float64, withSecondAdjacent bool, seed int64) 
 // EVMvsSNR reproduces the §5.2 methodology: error vector magnitude measured
 // with the ideal receiver model over a sweep of channel SNRs.
 //
-// The SNR first matters at the noise stage, so the points share everything
-// up to and including the noiseless post-front-end waveform (the ideal front
-// end is the identity, letting the cache store the reusable baseband) and
-// re-draw only the noise per point.
+// The SNR first matters at the noise stage, so the points share the
+// noiseless antenna waveform through the stage cache and each point draws
+// its own noise and runs the ideal front end.
 func EVMvsSNR(base Config, snrsDB []float64) (*measure.Series, error) {
 	base.FrontEnd = FrontEndIdeal
 	base.UseIdealRxTiming = true

@@ -36,7 +36,6 @@ type oracleBoundary int
 const (
 	oracleAntenna   oracleBoundary = iota // noise (when in the suffix) and the full front end still apply
 	oraclePreFilter                       // ProcessFromFilter still applies
-	oracleBaseband                        // only the per-point noise still applies
 )
 
 // oraclePrefix produces packet p's waveform at the prefix boundary with its
@@ -49,34 +48,17 @@ func (o *seqOracle) oraclePrefix(p, os int) ([]byte, []complex128, oracleBoundar
 	}
 	rxFE, behavioral := o.fe.(*rf.Receiver)
 	switch {
-	case b.noiseAfterFrontEnd(os):
-		v, err := b.cfg.Cache.GetOrCompute(b.stageKey(cacheKindBaseband, p, os, false),
-			func() (any, int64, error) {
-				e, err := b.fullPrefix(p, os, false)
-				if err != nil {
-					return nil, 0, err
-				}
-				o.fe.Reset()
-				e.wave = append([]complex128(nil), o.fe.Process(e.wave)...)
-				return e, e.sizeBytes(), nil
-			})
-		if err != nil {
-			return nil, nil, oracleAntenna, err
-		}
-		e := v.(*stageEntry)
-		return e.refBits, cloneWave(e), oracleBaseband, nil
-
 	case b.preFilterPrefix() && behavioral:
 		withNoise := b.cfg.ChannelSNRdB != nil
 		v, err := b.cfg.Cache.GetOrCompute(b.stageKey(cacheKindPreFilter, p, os, withNoise),
 			func() (any, int64, error) {
-				e, err := b.fullPrefix(p, os, withNoise)
+				e, err := b.fullPrefix(nil, p, os, withNoise)
 				if err != nil {
 					return nil, 0, err
 				}
 				rxFE.Reset()
 				e.wave = rxFE.ProcessToFilter(e.wave)
-				return e, e.sizeBytes(), nil
+				return &e, e.sizeBytes(), nil
 			})
 		if err != nil {
 			return nil, nil, oracleAntenna, err
@@ -86,40 +68,16 @@ func (o *seqOracle) oraclePrefix(p, os int) ([]byte, []complex128, oracleBoundar
 	case b.cfg.SweptStage >= StageNoise:
 		v, err := b.cfg.Cache.GetOrCompute(b.stageKey(cacheKindAntenna, p, os, b.antennaNoise()),
 			func() (any, int64, error) {
-				e, err := b.fullPrefix(p, os, b.antennaNoise())
+				e, err := b.fullPrefix(nil, p, os, b.antennaNoise())
 				if err != nil {
 					return nil, 0, err
 				}
-				return e, e.sizeBytes(), nil
+				return &e, e.sizeBytes(), nil
 			})
 		if err != nil {
 			return nil, nil, oracleAntenna, err
 		}
 		return v.(*stageEntry).refBits, cloneWave(v.(*stageEntry)), oracleAntenna, nil
-
-	case b.cfg.SweptStage == StageChannel:
-		v, err := b.cfg.Cache.GetOrCompute(b.stageKey(cacheKindTX, p, os, false),
-			func() (any, int64, error) {
-				psdu, frame, err := b.synthTX(p)
-				if err != nil {
-					return nil, 0, err
-				}
-				e := &stageEntry{
-					refBits: bits.FromBytes(psdu),
-					wave:    append([]complex128(nil), frame.Samples...),
-				}
-				return e, e.sizeBytes(), nil
-			})
-		if err != nil {
-			return nil, nil, oracleAntenna, err
-		}
-		e := v.(*stageEntry)
-		x, err := b.composeChannel(b.antenna[:0], &phy.Frame{Samples: e.wave}, os, p)
-		if err != nil {
-			return nil, nil, oracleAntenna, err
-		}
-		b.antenna = x
-		return e.refBits, x, oracleAntenna, nil
 
 	default:
 		psdu, frame, err := b.synthTX(p)
@@ -170,9 +128,6 @@ func runSequential(o *seqOracle) (*Result, error) {
 		}
 		var baseband []complex128
 		switch boundary {
-		case oracleBaseband:
-			b.addNoise(wave, os, o.noise)
-			baseband = wave
 		case oraclePreFilter:
 			rx := o.fe.(*rf.Receiver)
 			rx.Reset()
@@ -230,14 +185,16 @@ func sameResult(got, want *Result) (string, bool) {
 }
 
 // TestRunMatchesSequentialOracle pins Bench.Run to the sequential oracle on
-// every prefix boundary and front end: the ideal baseband path, the
-// pre-filter entry (a miss, then a hit), the cached antenna with and without
-// the point's own noise, the TX-only prefix, the full chain with the
-// adjacent channel, co-sim and black-box, hard decisions, an early stop, and
+// every prefix boundary and front end: the ideal front end on a cached
+// antenna, the pre-filter entry (a miss, then a hit), the cached antenna
+// with and without the point's own noise on the behavioral front end, a
+// channel sweep (no shared prefix), the full chain with the adjacent
+// channel, co-sim and black-box, hard decisions, an early stop, and
 // repeated runs on one Bench (each run must reproduce the oracle's run of
 // the same index). Each row's points run one after another, one Bench each,
 // sharing one stage cache per side when cached; the caches' hit and miss
-// counts must agree after every run.
+// counts must agree after every run, and a cached row must both miss and
+// hit unless its points share no prefix.
 func TestRunMatchesSequentialOracle(t *testing.T) {
 	snr := func(c Config, db float64) Config {
 		c.ChannelSNRdB = &db
@@ -301,8 +258,9 @@ func TestRunMatchesSequentialOracle(t *testing.T) {
 		runs   int
 		slow   bool
 		stops  bool // the row must end before its last packet
+		own    bool // the points share no prefix: the attached cache stays unused
 	}{
-		{name: "ideal baseband path", cached: true, runs: 1, points: []Config{
+		{name: "ideal front end on a cached antenna", cached: true, runs: 1, points: []Config{
 			point(snr(ideal, 10), StageNoise, 10), point(snr(ideal, 14), StageNoise, 14)}},
 		{name: "pre-filter miss then hit", cached: true, runs: 1, points: []Config{
 			filterPointConfig(fig5, 6e6, nil), filterPointConfig(fig5, 9e6, nil)}},
@@ -310,7 +268,7 @@ func TestRunMatchesSequentialOracle(t *testing.T) {
 			point(snr(behavioral, 6), StageNoise, 6), point(snr(behavioral, 12), StageNoise, 12)}},
 		{name: "cached antenna with invariant noise", cached: true, runs: 1, points: []Config{
 			lnaPointConfig(lnaBase, -30, nil, lnaTune), lnaPointConfig(lnaBase, -10, nil, lnaTune)}},
-		{name: "TX-only prefix", cached: true, runs: 1, points: []Config{
+		{name: "channel sweep", cached: true, own: true, runs: 1, points: []Config{
 			point(snr(cfo, 12), StageChannel, 12), point(snr(cfo, 16), StageChannel, 16)}},
 		{name: "full chain with adjacent channel", runs: 2, points: []Config{adjacent}},
 		{name: "ideal front end with adjacent channel and noise", runs: 1, points: []Config{idealAdjacent}},
@@ -364,8 +322,11 @@ func TestRunMatchesSequentialOracle(t *testing.T) {
 				}
 			}
 		}
-		if row.cached && (gotCache.Stats().Hits == 0 || gotCache.Stats().Misses == 0) {
-			t.Errorf("%s: cache stats %+v; the row must both miss and hit", row.name, gotCache.Stats())
+		switch st := gotCache.Stats(); {
+		case row.own && (st.Hits != 0 || st.Misses != 0):
+			t.Errorf("%s: cache stats %+v; points sharing no prefix must not use the cache", row.name, st)
+		case row.cached && !row.own && (st.Hits == 0 || st.Misses == 0):
+			t.Errorf("%s: cache stats %+v; the row must both miss and hit", row.name, st)
 		}
 	}
 }

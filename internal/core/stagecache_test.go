@@ -67,8 +67,9 @@ func stripCacheStats(fig *measure.Figure) {
 
 // TestSweepsCacheOnOffIdentical toggles DisableStageCache on representative
 // sweeps of each swept stage — front-end filter (pre-filter prefix), LNA
-// nonlinearity (antenna prefix) and SNR (post-front-end baseband prefix) —
-// and requires byte-identical measurement series.
+// nonlinearity (antenna prefix with invariant noise) and SNR on the ideal
+// front end (noiseless antenna prefix) — and requires byte-identical
+// measurement series.
 func TestSweepsCacheOnOffIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps too slow for -short")
@@ -196,11 +197,12 @@ func TestFilterSweepCacheHitRate(t *testing.T) {
 }
 
 // TestSNRSweepNoiseNotReused is the negative control for the SNR fast path:
-// the cached noiseless baseband is shared across points, but the noise itself
-// must be re-drawn from each point's own seed. Two points at the same SNR
-// with different point seeds share every cached stage, so if the noise were
-// (incorrectly) part of the cached content — or drawn from the shared content
-// seed — their continuous-valued EVM measurements would coincide exactly.
+// the cached noiseless antenna waveform is shared across points, but the
+// noise itself must be re-drawn from each point's own seed. Two points at the
+// same SNR with different point seeds share every cached stage, so if the
+// noise were (incorrectly) part of the cached content — or drawn from the
+// shared content seed — their continuous-valued EVM measurements would
+// coincide exactly.
 func TestSNRSweepNoiseNotReused(t *testing.T) {
 	cache := sim.NewStageCache(0)
 	run := func(pointSeed int64) *Result {
@@ -227,7 +229,7 @@ func TestSNRSweepNoiseNotReused(t *testing.T) {
 	a := run(111)
 	b := run(222)
 	if cache.Stats().Hits == 0 {
-		t.Fatal("points did not share the cached baseband — the test no longer exercises the fast path")
+		t.Fatal("points did not share the cached antenna waveform — the test no longer exercises the fast path")
 	}
 	if a.EVM.RMS == b.EVM.RMS {
 		t.Errorf("EVM identical (%.12g) across points with different seeds: noise realization is being reused",

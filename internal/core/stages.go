@@ -85,10 +85,8 @@ func (b *Bench) contentRoot() int64 {
 
 // cacheKind labels what pipeline prefix a cache entry holds.
 const (
-	cacheKindTX        uint8 = 1 // wanted frame waveform (stages < StageChannel)
-	cacheKindAntenna   uint8 = 2 // composite antenna waveform (stages < min(SweptStage, StageFrontEnd))
-	cacheKindBaseband  uint8 = 3 // noiseless post-front-end waveform (SNR sweeps on the identity front end)
-	cacheKindPreFilter uint8 = 4 // behavioral front-end output upstream of the channel-select filter (SweptFrontEndFilterOnly sweeps)
+	cacheKindAntenna   uint8 = 1 // composite antenna waveform (stages < min(SweptStage, StageFrontEnd))
+	cacheKindPreFilter uint8 = 2 // behavioral front-end output upstream of the channel-select filter (SweptFrontEndFilterOnly sweeps)
 )
 
 // stageKey builds the content-addressed cache key for one packet's cached

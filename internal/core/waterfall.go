@@ -22,9 +22,9 @@ import (
 // run on base.Workers goroutines.
 //
 // Only the noise depends on the swept SNR, so each curve's points share the
-// per-packet noiseless baseband through a per-curve stage cache (the cached
-// content differs per rate, hence per-curve rather than per-figure caches)
-// and re-draw only the AWGN.
+// per-packet noiseless antenna waveform through a per-curve stage cache (the
+// cached content differs per rate, hence per-curve rather than per-figure
+// caches) and re-draw only the AWGN.
 func WaterfallBERvsSNR(base Config, ratesMbps []int, snrsDB []float64) (*measure.Figure, error) {
 	return WaterfallBERvsSNROnFrontEnd(base, FrontEndIdeal, ratesMbps, snrsDB)
 }

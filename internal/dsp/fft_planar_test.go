@@ -1,7 +1,9 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -12,6 +14,37 @@ import (
 // frozen scalar transformRef — the pre-planar interleaved butterfly loop with
 // its per-butterfly twiddle indexing and inverse-conjugation branch — bit for
 // bit, under both kernel dispatch tiers, on Gaussian and adversarial frames.
+
+// transformRef is the retained scalar interleaved transform, frozen as the
+// differential-test oracle for the planar pipeline. It performs no
+// normalization — the inverse caller scales by 1/N afterwards, exactly as
+// the old Inverse did.
+func (p *FFTPlan) transformRef(x []complex128, inverse bool) {
+	if len(x) != p.n {
+		panic(fmt.Sprintf("dsp: FFT input length %d does not match plan size %d", len(x), p.n))
+	}
+	for i, j := range p.rev {
+		if i < j {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	for size := 2; size <= p.n; size <<= 1 {
+		half := size / 2
+		step := p.n / size
+		for start := 0; start < p.n; start += size {
+			for k := 0; k < half; k++ {
+				w := p.twiddle[k*step]
+				if inverse {
+					w = cmplx.Conj(w)
+				}
+				a := x[start+k]
+				b := x[start+k+half] * w
+				x[start+k] = a + b
+				x[start+k+half] = a - b
+			}
+		}
+	}
+}
 
 func planarRestoreDispatch(t *testing.T) {
 	t.Helper()

@@ -378,6 +378,8 @@ func cmp(a, b float64) bool {
 	//lint:ignore all demonstration
 	return a == b
 }
+
+var _ = cmp
 `
 		checkFindings(t, analyzeFixture(t, "example.com/m/internal/sim", src, All()...), nil)
 	})
@@ -388,6 +390,8 @@ func cmp(a, b float64) bool {
 	//lint:ignore unitsdiscipline wrong analyzer
 	return a == b
 }
+
+var _ = cmp
 `
 		diags := analyzeFixture(t, "example.com/m/internal/sim", src, All()...)
 		checkFindings(t, diags, []finding{{5, "compared with =="}})
@@ -399,6 +403,8 @@ func cmp(a, b float64) bool {
 	//lint:ignore missing-reason-and-unknown-name
 	return a == b
 }
+
+var _ = cmp
 `
 		diags := analyzeFixture(t, "example.com/m/internal/sim", src, All()...)
 		checkFindings(t, diags, []finding{
@@ -412,6 +418,8 @@ func cmp(a, b float64) bool {
 func cmp(a, b float64) bool {
 	return a == b //lint:ignore floateq same-line justification
 }
+
+var _ = cmp
 `
 		checkFindings(t, analyzeFixture(t, "example.com/m/internal/sim", src, All()...), nil)
 	})
@@ -437,6 +445,8 @@ func cmp(a, b float64) bool {
 	//lint:ignore floateq bit-exact golden comparison is the point here
 	return a == b
 }
+
+var _ = cmp
 `
 		diags := analyzeFixtureOpts(t, "example.com/m/internal/sim", src, Options{StaleIgnores: true}, All()...)
 		checkFindings(t, diags, nil)

@@ -6,25 +6,27 @@ import (
 	"strings"
 )
 
-// TestOnly keeps the production packages down to what production runs: an
-// exported function or method in an internal/ package must be referenced by
-// some non-test code in the module — another internal package, cmd/,
-// examples/, the root package or the wlanbench harness. A helper that only
-// tests reach is either dead (delete it), a per-call twin of a production
-// path (delete it with its tests) or a reference oracle (move it into the
-// package's _test.go files, behind export_test.go for external test
-// packages). Callers are resolved over the whole module even when the run
-// is given one package pattern, and a reference from inside the function's
-// own body does not count.
+// TestOnly keeps the production packages down to what production runs:
+// every package-level function and method in an internal/ package, exported
+// or not, must be referenced by some non-test code in the module — another
+// internal package, cmd/, examples/, the root package or the wlanbench
+// harness. A helper that only tests reach is either dead (delete it), a
+// per-call twin of a production path (delete it with its tests) or a
+// reference oracle (move it into the package's _test.go files, behind
+// export_test.go for external test packages). Callers are resolved over
+// the whole module even when the run is given one package pattern, and a
+// reference from inside the function's own body does not count.
 //
 // Methods that satisfy an interface are exempt: they are reached through
 // the interface (rf.FrontEnd's Process/Reset, fmt.Stringer, error,
-// json.Marshaler, rand.Source, ...), where no caller names them. A hook
-// that must reach a package's unexported state for tests in other packages
-// carries //lint:ignore testonly <reason>.
+// json.Marshaler, rand.Source, ...), where no caller names them. So are
+// init and main, which the runtime calls, and the pure-Go twin fooGo of an
+// assembly stub fooAsm, which asmtwin requires and only the purego build
+// calls. A hook that must reach a package's unexported state for tests in
+// other packages carries //lint:ignore testonly <reason>.
 var TestOnly = &Analyzer{
 	Name: "testonly",
-	Doc: "flag exported functions and methods in internal/ packages that no " +
+	Doc: "flag functions and methods in internal/ packages that no " +
 		"non-test code in the module references",
 	Run: runTestOnly,
 }
@@ -38,10 +40,18 @@ func runTestOnly(pass *Pass) {
 		pass.Reportf(pass.Pkg.Files[0].Package, "fix the load error", "cannot resolve the module's callers: %v", idx.err)
 		return
 	}
+	stubs := make(map[string]bool)
+	for _, f := range pass.Pkg.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body == nil && fd.Recv == nil {
+				stubs[fd.Name.Name] = true
+			}
+		}
+	}
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() {
+			if !ok || exemptFromTestOnly(fd, stubs) {
 				continue
 			}
 			fn, _ := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
@@ -52,11 +62,26 @@ func runTestOnly(pass *Pass) {
 			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
 				kind, name = "method", recvTypeName(recv.Type())+"."+name
 			}
+			vis := "exported"
+			if !fn.Exported() {
+				vis = "unexported"
+			}
 			pass.Reportf(fd.Name.Pos(),
 				"delete it, move it into a _test.go file (export_test.go for external tests), or justify it with //lint:ignore testonly <reason>",
-				"exported %s %s has no non-test caller in the module", kind, name)
+				"%s %s %s has no non-test caller in the module", vis, kind, name)
 		}
 	}
+}
+
+// exemptFromTestOnly reports whether a declaration is out of testonly's
+// scope: init, main, or the Go twin of a stub in stubs.
+func exemptFromTestOnly(fd *ast.FuncDecl, stubs map[string]bool) bool {
+	if fd.Recv != nil {
+		return false
+	}
+	name := fd.Name.Name
+	base, twin := strings.CutSuffix(name, "Go")
+	return name == "init" || name == "main" || twin && stubs[base+"Asm"]
 }
 
 // recvTypeName names a method's receiver type without package or pointer.

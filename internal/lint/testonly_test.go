@@ -133,6 +133,87 @@ func TestTestOnlyOnePackageRun(t *testing.T) {
 	checkFindings(t, RunOpts(pkgs, []*Analyzer{TestOnly}, Options{StaleIgnores: true}), testOnlyFindings)
 }
 
+// testOnlyUnexportedModule covers the unexported declarations: a reference
+// oracle and a method only tests call are flagged; a helper production
+// calls, a method reached through an unexported interface, init and the
+// pure-Go twin of an assembly stub are not.
+var testOnlyUnexportedModule = map[string]string{
+	"internal/kernels/k.go": `package kernels
+
+var table [4]float64
+
+func init() { fill() }
+
+func fill() {
+	for i := range table {
+		table[i] = float64(i)
+	}
+}
+
+func Scale(x []float64) { scaleLoop(x) }
+
+func scaleLoop(x []float64) {
+	for i := range x {
+		x[i] *= 2
+	}
+}
+
+func scaleRef(x []float64) { scaleLoop(x) }
+
+type plan struct{}
+
+func (p *plan) run()    {}
+func (p *plan) runRef() {}
+
+type stepper interface{ step() }
+
+type walker struct{}
+
+func (walker) step() {}
+
+func Walk() {
+	var s stepper = walker{}
+	s.step()
+	(&plan{}).run()
+	addAsm(nil)
+}
+
+//go:noescape
+func addAsm(x []float64)
+
+func addGo(x []float64) {}
+`,
+	"internal/kernels/k_test.go": `package kernels
+
+import "testing"
+
+func TestRefs(t *testing.T) {
+	scaleRef(nil)
+	(&plan{}).runRef()
+	addGo(nil)
+}
+`,
+	"cmd/tool/main.go": `package main
+
+import "example.com/m/internal/kernels"
+
+func main() {
+	kernels.Scale(nil)
+	kernels.Walk()
+}
+`,
+}
+
+// TestTestOnlyUnexported runs the analyzer over testOnlyUnexportedModule:
+// only the test-only oracle and method are flagged.
+func TestTestOnlyUnexported(t *testing.T) {
+	_, pkgs := loadTempModule(t, "example.com/m", testOnlyUnexportedModule)
+	checkFindings(t, RunOpts(pkgs, []*Analyzer{TestOnly}, Options{StaleIgnores: true}), []finding{
+		{21, "unexported func scaleRef has no non-test caller"},
+		{26, "unexported method plan.runRef has no non-test caller"},
+	})
+}
+
 // TestTestOnlyIgnoreDirective checks that //lint:ignore testonly <reason>
 // suppresses a finding and that a directive on a function with a
 // production caller is reported as stale.

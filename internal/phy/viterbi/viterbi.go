@@ -11,44 +11,16 @@ import (
 	"wlansim/internal/kernels"
 )
 
+// The trellis. The add-compare-select recursion iterates over *target*
+// states. Target state s has exactly two predecessors p(r) = ((s<<1)|r)&63
+// for r in {0,1}, and both transitions carry the same input bit s>>5 (the
+// bit shifted into the encoder register). The recursion itself lives in
+// kernels.ACSRun (an unrolled, branchless butterfly schedule, bit-identical
+// to the frozen kernels.ACSStepRef).
 const (
 	constraint = 7
 	numStates  = 1 << (constraint - 1) // 64
-	genA       = 0o133
-	genB       = 0o171
 )
-
-// The add-compare-select recursion iterates over *target* states. Target
-// state s has exactly two predecessors p(r) = ((s<<1)|r)&63 for r in {0,1},
-// and both transitions carry the same input bit s>>5 (the bit shifted into
-// the encoder register). The branch outputs depend only on the 7-bit register
-// value (s>>5)<<6 | p(r), so they collapse into two sign tables indexed by
-// (s<<1)|r: +1 where the encoder emits coded bit 0 (the soft metric counts
-// toward the path), -1 where it emits 1 (it counts against).
-//
-// The recursion itself lives in kernels.ACSRun (an unrolled, branchless
-// butterfly schedule, bit-identical to the frozen kernels.ACSStepRef); the
-// tables here document the trellis structure and anchor the structural tests.
-var signA, signB [2 * numStates]float64
-
-func parity7(v int) byte {
-	v &= 0x7F
-	v ^= v >> 4
-	v ^= v >> 2
-	v ^= v >> 1
-	return byte(v & 1)
-}
-
-func init() {
-	for s := 0; s < numStates; s++ {
-		for r := 0; r < 2; r++ {
-			p := ((s << 1) | r) & (numStates - 1)
-			reg := (s>>5)<<6 | p
-			signA[s<<1|r] = 1 - 2*float64(parity7(reg&genA))
-			signB[s<<1|r] = 1 - 2*float64(parity7(reg&genB))
-		}
-	}
-}
 
 // Decoder decodes the clause-17 mother code. It carries reusable scratch
 // (path metrics and bit-packed survivor decisions), so a long-lived decoder

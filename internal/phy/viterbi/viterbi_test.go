@@ -7,6 +7,39 @@ import (
 	"testing/quick"
 )
 
+// The generator polynomials of the clause-17 mother code (133/171 octal).
+const (
+	genA = 0o133
+	genB = 0o171
+)
+
+// The branch outputs of target state s's transition from p(r) depend only on
+// the 7-bit register value (s>>5)<<6 | p(r), so they collapse into two sign
+// tables indexed by (s<<1)|r: +1 where the encoder emits coded bit 0 (the
+// soft metric counts toward the path), -1 where it emits 1 (it counts
+// against). The tables document the trellis structure kernels.ACSRun walks
+// and anchor the structural tests.
+var signA, signB [2 * numStates]float64
+
+func parity7(v int) byte {
+	v &= 0x7F
+	v ^= v >> 4
+	v ^= v >> 2
+	v ^= v >> 1
+	return byte(v & 1)
+}
+
+func init() {
+	for s := 0; s < numStates; s++ {
+		for r := 0; r < 2; r++ {
+			p := ((s << 1) | r) & (numStates - 1)
+			reg := (s>>5)<<6 | p
+			signA[s<<1|r] = 1 - 2*float64(parity7(reg&genA))
+			signB[s<<1|r] = 1 - 2*float64(parity7(reg&genB))
+		}
+	}
+}
+
 // encode mirrors the clause-17 encoder for test purposes.
 func encode(bits []byte) []byte {
 	out := make([]byte, 0, len(bits)*2)

@@ -172,17 +172,6 @@ func corrPair(seg, ref []complex128, l int) (s1, s2 complex128) {
 	return kernels.CorrPair(seg[l:], seg[l+64:], ref)
 }
 
-// corrPairRef is the retained naive complex-arithmetic reference for corrPair;
-// the differential test asserts bit equality between the two on random and
-// adversarial inputs.
-func corrPairRef(seg, ref []complex128, l int) (s1, s2 complex128) {
-	for k, r := range ref {
-		s1 += seg[l+k] * cmplx.Conj(r)
-		s2 += seg[l+64+k] * cmplx.Conj(r)
-	}
-	return s1, s2
-}
-
 // FineCFO estimates the residual frequency offset (cycles per sample) from
 // the two long training symbols starting at t1Start.
 func FineCFO(x []complex128, t1Start int) (float64, error) {
@@ -206,15 +195,6 @@ func dotConj64(u, v []complex128) complex128 {
 		cim += b*c - a*d
 	}
 	return complex(cre, cim)
-}
-
-// dotConj64Ref is the retained naive reference for dotConj64.
-func dotConj64Ref(u, v []complex128) complex128 {
-	var c complex128
-	for k := 0; k < 64; k++ {
-		c += u[k] * cmplx.Conj(v[k])
-	}
-	return c
 }
 
 // longTD is the first full long training symbol, built once at package

@@ -2,6 +2,7 @@ package rxdsp
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 )
@@ -12,6 +13,26 @@ import (
 // adversarial inputs, because FineCFO's estimate feeds a second rotation
 // pass over the whole packet — a one-ulp drift there would move the golden
 // BER tables.
+
+// corrPairRef is the retained naive complex-arithmetic reference for corrPair;
+// the differential test asserts bit equality between the two on random and
+// adversarial inputs.
+func corrPairRef(seg, ref []complex128, l int) (s1, s2 complex128) {
+	for k, r := range ref {
+		s1 += seg[l+k] * cmplx.Conj(r)
+		s2 += seg[l+64+k] * cmplx.Conj(r)
+	}
+	return s1, s2
+}
+
+// dotConj64Ref is the retained naive reference for dotConj64.
+func dotConj64Ref(u, v []complex128) complex128 {
+	var c complex128
+	for k := 0; k < 64; k++ {
+		c += u[k] * cmplx.Conj(v[k])
+	}
+	return c
+}
 
 func bitsEq(a, b complex128) bool {
 	re := math.Float64bits(real(a)) == math.Float64bits(real(b)) ||

@@ -98,60 +98,8 @@ END {
 }
 BEGIN {
     printf "{\n  \"issue\": 10,\n"
-    # PR 10 acceptance scenario: the planar FFT engine + symbol-major OFDM
-    # path must hold BenchmarkPacketBehavioral24 at >= 1.2x the pre-PR
-    # baseline (commit 912826b). Both sides of the recorded ratio were
-    # measured with interleaved worktree rounds (16 order-alternated pairs,
-    # both binaries precompiled, 400 packets per sample, medians) so machine
-    # drift cancels from the ratio; a re-record of these numbers must repeat
-    # that protocol. The live median this run collects is NOT comparable:
-    # it is a single-run number at a different benchtime, so the post-write
-    # check below treats it as advisory only.
-    printf "  \"acceptance\": {\n"
-    printf "    \"scenario\": \"behavioral 24 Mbit/s packet vs pre-PR baseline\",\n"
-    printf "    \"metric\": \"baseline BenchmarkPacketBehavioral24 ns_per_op / measured BenchmarkPacketBehavioral24 ns_per_op\",\n"
-    printf "    \"required_ratio\": 1.2,\n"
-    printf "    \"measured_ratio\": 1.25,\n"
-    printf "    \"measured\": {\"ns_per_op\": 459186}\n"
-    printf "  },\n"
-    printf "  \"baseline\": {\n"
-    printf "    \"commit\": \"912826b\",\n"
-    printf "    \"protocol\": \"median of 16 order-alternated interleaved worktree rounds, 400 packets per sample\",\n"
-    printf "    \"BenchmarkPacketBehavioral24\": {\"ns_per_op\": 572170}\n"
-    printf "  },\n"
     printf "  \"benchmarks\": [\n"
 }
 ' "$raw" > "$out"
-
-# Acceptance checks on the JSON just written. The recorded acceptance ratio
-# (baseline / measured, both from the interleaved-worktree protocol) is the
-# authoritative number and must stay at or above the floor — a re-record
-# that regressed it has to come with a re-measurement, not a silent edit.
-# The ratio of the frozen baseline to THIS run's live median is also printed,
-# but only as a warning when low: it compares across runs and benchtimes, so
-# on a co-tenant machine it routinely undershoots without meaning anything
-# (the same-benchtime regression gate in scripts/check.sh carries the live
-# timing enforcement).
-acc="$(awk '
-    /"required_ratio":/  { if (match($0, /[0-9.]+/)) req = substr($0, RSTART, RLENGTH) + 0 }
-    /"measured_ratio":/  { if (match($0, /[0-9.]+/)) meas = substr($0, RSTART, RLENGTH) + 0 }
-    /"BenchmarkPacketBehavioral24": \{/ { if (match($0, /"ns_per_op": [0-9]+/)) base = substr($0, RSTART + 13, RLENGTH - 13) + 0 }
-    /"name": "BenchmarkPacketBehavioral24"/ { if (match($0, /"ns_per_op": [0-9]+/)) cur = substr($0, RSTART + 13, RLENGTH - 13) + 0 }
-    END {
-        if (req == 0 || meas == 0 || base == 0 || cur == 0) { print "missing"; exit }
-        printf "%.2f %.2f %.2f", req, meas, base / cur
-    }' "$out")"
-case "$acc" in
-    missing) echo "FAIL: acceptance block or BenchmarkPacketBehavioral24 missing from $out" >&2; exit 1 ;;
-esac
-req="${acc%% *}"; rest="${acc#* }"; meas="${rest%% *}"; live="${rest#* }"
-echo "recorded acceptance: ${meas}x (required >= ${req}x); live median vs frozen baseline: ${live}x (advisory)" >&2
-if awk "BEGIN {exit !($meas < $req)}"; then
-    echo "FAIL: recorded acceptance ratio ${meas}x is below the ${req}x floor" >&2
-    exit 1
-fi
-if awk "BEGIN {exit !($live < $req)}"; then
-    echo "WARN: live cross-run ratio ${live}x is below ${req}x — meaningless under load or at short benchtimes; see the check.sh regression gate for the enforced live comparison" >&2
-fi
 
 echo "wrote $out" >&2

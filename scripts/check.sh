@@ -31,12 +31,13 @@ go run ./cmd/wlanlint ./...
 # The testonly analyzer keeps test-only code out of the production packages.
 # Its fixture suite (a helper only tests call is flagged; callers in cmd/,
 # the root package and another internal package clear it; the interface
+# exemptions; unexported functions and methods, with the asm-twin and init
 # exemptions; the ignore form and its stale report; a one-package run) must
 # be compiled in: the `go test -list` guard fails loudly on a silent skip.
 echo "==> testonly analyzer fixture suite"
 testonly_pat='TestTestOnly'
 n="$(go test -run '^$' -list "$testonly_pat" ./internal/lint | grep -c '^TestTestOnly' || true)"
-if [ "$n" -lt 4 ]; then
+if [ "$n" -lt 5 ]; then
     echo "FAIL: internal/lint lists only $n testonly fixture tests matching '$testonly_pat' (silent skip)" >&2
     exit 1
 fi
@@ -158,6 +159,19 @@ if [ "$n" -ne 1 ]; then
     exit 1
 fi
 echo "    internal/core: Bench.Run vs the sequential-loop oracle"
+# The packet loop's two prefix boundaries: the cached antenna waveform and
+# the behavioral pre-filter waveform. Sweeps measure byte-identically with
+# the stage cache on and off, SNR points share the noiseless antenna but
+# draw their own noise, the pre-filter split reproduces the unsplit chain,
+# and filter lanes share one prefix entry per packet.
+prefix_pat='TestSweepsCacheOnOffIdentical|TestWaterfallCacheOnOffIdentical|TestSNRSweepNoiseNotReused|TestPreFilterPrefixEquivalence|TestFilterBatchMatchesSequential'
+n="$(go test -run '^$' -list "$prefix_pat" ./internal/core | grep -cxE "$prefix_pat" || true)"
+if [ "$n" -ne 5 ]; then
+    echo "FAIL: internal/core lists only $n of the 5 prefix tests matching '$prefix_pat' (silent skip)" >&2
+    exit 1
+fi
+go test -run "^($prefix_pat)\$" -count=1 ./internal/core > /dev/null
+echo "    internal/core: $n prefix-boundary tests (cache on/off, noise not reused, pre-filter split, shared lane prefix)"
 # One behavioral front end: rf.Receiver's calls are one-lane calls of its
 # lane receiver, and AGC.Process a one-lane call of the lane AGC loop, both
 # pinned to the sequential chain they replaced, per packet and streamed in

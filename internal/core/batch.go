@@ -63,10 +63,11 @@ func laneShape(c Config) Config {
 
 // laneGroups is the number of lane groups a sweep over n points runs as on
 // workers sweep workers with at most width lanes per group: at least one
-// group per worker, so grouping never lowers the sweep's parallelism, and
-// beyond that as few groups as width allows.
+// group per two workers, since a group's packet loop keeps two CPUs busy
+// (its prefix and lane stages beside the decode), and beyond that as few
+// groups as width allows.
 func laneGroups(n, workers, width int) int {
-	return max(workers, (n+width-1)/width)
+	return max((workers+1)/2, (n+width-1)/width)
 }
 
 // RunBenchBatch runs a group of sweep points as lanes in lock-step and
@@ -102,12 +103,17 @@ func laneGroups(n, workers, width int) int {
 // finished lanes drop out of subsequent packets exactly where their runs
 // alone would stop.
 //
-// The caller runs packet 0's front half; the front half of every later
-// packet runs one packet ahead on a helper goroutine (batchFront),
-// overlapping packet p+1's front end with packet p's decode, without
-// speculation: it starts packet p+1 before packet p is accounted only when
-// no lane can reach TargetErrors in packet p. Every lane's noise draws,
-// cache lookups and AGC history are therefore the serial loop's.
+// The front half runs as two pipeline stages beside the back half on the
+// caller: the prefix stage (batchFront.fill) picks packet p+1's active
+// lanes, serves their prefixes and computes the misses, while the lane stage
+// (batchFront.runLanes) adds packet p's antenna noise and runs its front
+// end, and the caller decodes packet p-1. Each stage runs its packets in
+// order, and every piece of state belongs to one stage, so every lane's
+// noise draws, cache lookups and AGC history are the serial loop's. The
+// prefix stage does not speculate: it starts a packet while earlier packets
+// are still unaccounted only when no lane can reach TargetErrors within
+// them. A one-packet run runs both stages on the caller and starts no
+// goroutine.
 func RunBenchBatch(cfgs []Config) ([]*Result, error) {
 	if err := batchableConfigs(cfgs); err != nil {
 		return nil, err
@@ -241,30 +247,35 @@ func (g *laneLoop) run() ([]*Result, error) {
 	return results, nil
 }
 
-// batchSlot carries one packet of a lane group between the two halves of
-// the packet loop. The front half fills active, refs and basebands; the
-// back half reads them, accounts the packet, records errs and hands the
-// slot back.
+// batchSlot carries one packet of a lane group through the packet loop. The
+// prefix stage fills p, active, refs, waves and maxAdd; the lane stage
+// replaces waves with the front-end inputs and sets basebands; the back half
+// reads them, accounts the packet, records errs and hands the slot back.
 type batchSlot struct {
+	p         int            // the packet
 	active    []int          // lanes that run this packet
 	refs      [][]byte       // reference payload bits, per active lane
-	basebands [][]complex128 // front-end output, per active lane (slot-owned)
+	waves     [][]complex128 // prefix waveform, then front-end input, per active lane
+	own       [][]complex128 // per lane: the waveform of a lane that runs its own chain (slot-owned)
+	basebands [][]complex128 // front-end output, per active lane (one of batchFront.outs)
+	maxAdd    int            // the most errors this packet can add to a lane
 	errs      []int          // every lane's error count once the packet is accounted
 }
 
-// batchSlots is the number of packets in flight between the two halves:
-// one being accounted, one being filled.
-const batchSlots = 2
+// batchSlots is the number of packets in flight: one in the prefix stage,
+// one in the lane stage and one being accounted.
+const batchSlots = 3
 
-// batchFront is the front half of the packet loop: prefix lookup, antenna
-// noise and the front end, into two slots that alternate between the
-// halves. Packet 0 runs on the caller, every later packet one packet ahead
-// on a helper goroutine. Front-half state (the stage cache lookups, each
-// bench's noise stream and antenna scratch, the front end) is touched by
-// the caller only before it starts the helper and after the helper's end
-// mark, back-half state (each bench's DSP receiver, the results) only by
-// the caller; slots change hands over the channels, which, like the slots,
-// serve every run of the group.
+// batchFront is the front half of the packet loop, in two stages: the
+// prefix stage (active lanes, stage-cache lookups and misses) and the lane
+// stage (antenna noise and the front end). A one-packet run runs both on the
+// caller; a longer one runs each on a goroutine of its own, the prefix stage
+// handing slots to the lane stage and the lane stage to the back half over
+// unbuffered channels, in packet order, each ended by a nil end mark. State
+// belongs to one stage: the prefix stage owns the stage-cache lookups, the
+// miss bench, each bench's TX and channel scratch and the error view below;
+// the lane stage owns each bench's noise stream and input scratch, the front
+// end and outs; the caller owns each bench's DSP receiver and the results.
 type batchFront struct {
 	benches   []*Bench
 	os        int
@@ -274,25 +285,28 @@ type batchFront struct {
 	lanes     *rf.BatchReceiver // the behavioral lanes; nil on other front ends
 	tx        *phy.Transmitter  // synthesizes the wanted frame on prefix misses
 	miss      *Bench            // computes prefix misses; keeps the TX and channel scratch across packets
-	waves     [][]complex128    // the packet's front-end inputs, per active lane
 	slots     [batchSlots]batchSlot
+	// outs are the lane stage's two output sets: packet p's basebands go to
+	// outs[p%2]. The lane stage takes packet p only after the back half has
+	// taken packet p-1, by which time the back half is done with packet
+	// p-2's.
+	outs [2][][]complex128
 
 	// The prefix lookups of the packet being filled.
 	keys    []sim.CacheKey
 	entries []*stageEntry
 
-	filled  chan *batchSlot // filled packets, in packet order, then nil when the helper ends
-	free    chan *batchSlot // accounted packets' slots, in packet order
-	quit    chan struct{}   // closed by stop: the back half has returned early
-	running bool            // the back half has not yet received the helper's end mark
-	err     error           // why the helper ended early; read after its end mark
+	prefixed chan *batchSlot // prefix stage to lane stage
+	filled   chan *batchSlot // lane stage to back half
+	free     chan *batchSlot // accounted packets' slots, in packet order
+	quit     chan struct{}   // closed by stop: the back half has returned early
+	running  bool            // the back half has not yet received the lane stage's end mark
+	err      error           // why the prefix stage ended early; read after the end mark
 
-	// Helper-only view of the back half: every lane's error count as of the
-	// last accounted packet, and how many packets that is; and the most
-	// errors the last filled packet can add to a lane.
+	// The prefix stage's view of the back half: every lane's error count as
+	// of the last accounted packet, and how many packets that is.
 	errs      []int
 	accounted int
-	maxAdd    int
 }
 
 func newBatchFront(benches []*Bench, os int, fe rf.FrontEnd, lanes *rf.BatchReceiver) *batchFront {
@@ -304,6 +318,7 @@ func newBatchFront(benches []*Bench, os int, fe rf.FrontEnd, lanes *rf.BatchRece
 		fe:        fe,
 		lanes:     lanes,
 		tx:        b0.tx,
+		prefixed:  make(chan *batchSlot),
 		filled:    make(chan *batchSlot),
 		free:      make(chan *batchSlot, batchSlots), // room for every slot: the back half never blocks
 		quit:      make(chan struct{}),
@@ -314,38 +329,46 @@ func newBatchFront(benches []*Bench, os int, fe rf.FrontEnd, lanes *rf.BatchRece
 	}
 	for i := range f.slots {
 		f.slots[i].errs = make([]int, len(benches))
+		f.slots[i].own = make([][]complex128, len(benches))
 	}
 	return f
 }
 
-// start begins a run. It fills packet 0 on the caller, whose caches hold
-// the lanes' state from the last run (a one-packet run then never hands a
-// packet across goroutines), and starts the helper on the packets after
-// it. It returns packet 0's slot, or nil when no lane runs it or the front
-// half failed (f.err).
+// start begins a run and returns packet 0's slot, or nil when no lane runs
+// it or the prefix stage failed (f.err). A one-packet run fills and runs its
+// packet on the caller; a longer one starts the two stages.
 func (f *batchFront) start() *batchSlot {
 	clear(f.errs)
 	f.accounted, f.err = 0, nil
 	for len(f.free) > 0 {
-		<-f.free // a slot the last run's helper did not wait for
+		<-f.free // a slot the last run's prefix stage did not wait for
 	}
-	s := f.fill(0)
-	if s != nil {
-		f.running = true
-		go f.run()
+	if f.packets == 1 {
+		s := f.fill(0)
+		if s != nil {
+			f.runLanes(s)
+		}
+		return s
 	}
-	return s
+	f.running = true
+	go f.prefixStage()
+	go f.laneStage()
+	return f.next()
 }
 
-// next returns the next filled packet, or nil once the helper has ended.
+// next returns the next packet whose front half has run, or nil once the
+// stages have ended.
 func (f *batchFront) next() *batchSlot {
+	if !f.running {
+		return nil
+	}
 	s := <-f.filled
 	f.running = s != nil
 	return s
 }
 
-// stop ends a helper whose end mark the back half has not received — it
-// left the loop early — wherever the helper waits, and returns once it has.
+// stop ends stages whose end mark the back half has not received — it left
+// the loop early — wherever they wait, and returns once they have.
 func (f *batchFront) stop() {
 	if !f.running {
 		return
@@ -357,105 +380,98 @@ func (f *batchFront) stop() {
 	f.running = false
 }
 
-// run is the helper: it fills the packets after packet 0, then sends the
-// end mark.
-func (f *batchFront) run() {
-	f.fillAhead()
-	f.filled <- nil
-}
-
-// fillAhead fills packet after packet from packet 1 on until every packet
-// has run, every lane has stopped, the front half fails, or stop is called.
-// Packet p reuses the slot of packet p-2, so it waits for that packet's
-// accounting. It also waits for packet p-1's unless no lane can reach
-// TargetErrors there: a packet adds at most len(refBits) errors to a lane,
-// so the helper never runs a packet for a lane the serial loop would have
-// stopped.
-func (f *batchFront) fillAhead() {
-	for p := 1; p < f.packets; p++ {
-		if !f.await(p - 1) {
+// prefixStage fills packet after packet until every packet has run, every
+// lane has stopped, the stage fails, or stop is called, then sends the end
+// mark. Packet p reuses the slot of packet p-3, so it waits for that
+// packet's accounting. It also waits, packet by packet, for the accounting
+// of the packets before it while a lane could reach TargetErrors within
+// them: a packet adds at most maxAdd errors to a lane, so the stage never
+// starts a packet for a lane the serial loop would have stopped.
+func (f *batchFront) prefixStage() {
+	defer func() { f.prefixed <- nil }()
+	for p := 0; p < f.packets; p++ {
+		if !f.await(p - (batchSlots - 1)) {
 			return
 		}
-		if f.mayStop(f.maxAdd) && !f.await(p) {
-			return
+		for f.accounted < p && f.mayStop(p) {
+			if !f.await(f.accounted + 1) {
+				return
+			}
 		}
 		s := f.fill(p)
 		if s == nil {
 			return
 		}
 		select {
-		case f.filled <- s:
+		case f.prefixed <- s:
 		case <-f.quit:
 			return
 		}
 	}
 }
 
-// fill runs packet p's front half for every lane still running into the
-// packet's slot and returns it, or nil when no lane runs the packet or the
-// front half failed (f.err). It records in f.maxAdd the most errors the
-// packet can add to a lane.
+// laneStage runs the front end of every packet the prefix stage hands it and
+// passes the packet on, until the prefix stage's end mark or stop; it then
+// sends its own end mark, having taken the prefix stage's.
+func (f *batchFront) laneStage() {
+	defer func() { f.filled <- nil }()
+	for s := <-f.prefixed; s != nil; s = <-f.prefixed {
+		f.runLanes(s)
+		select {
+		case f.filled <- s:
+		case <-f.quit:
+			for <-f.prefixed != nil {
+			}
+			return
+		}
+	}
+}
+
+// fill runs packet p's prefix stage for every lane still running into the
+// packet's slot and returns it, or nil when no lane runs the packet or a
+// prefix failed (f.err).
 func (f *batchFront) fill(p int) *batchSlot {
 	s := &f.slots[p%batchSlots]
-	s.active, s.refs, f.waves = s.active[:0], s.refs[:0], f.waves[:0]
+	s.p, s.maxAdd = p, 0
+	s.active, s.refs, s.waves = s.active[:0], s.refs[:0], s.waves[:0]
 	f.keys, f.entries = f.keys[:0], f.entries[:0]
-	f.maxAdd = 0
 	for l, b := range f.benches {
 		if p >= b.cfg.Packets || b.targetReached(f.errs[l]) {
 			continue
 		}
-		refBits, wave, err := f.prefix(b, p)
+		refBits, wave, err := f.prefix(s, l)
 		if err != nil {
 			f.err = err
 			return nil
 		}
-		if len(f.waves) > 0 && len(wave) != len(f.waves[0]) {
-			f.err = fmt.Errorf("core: lane %d packet %d prefix length %d != %d", l, p, len(wave), len(f.waves[0]))
+		if len(s.waves) > 0 && len(wave) != len(s.waves[0]) {
+			f.err = fmt.Errorf("core: lane %d packet %d prefix length %d != %d", l, p, len(wave), len(s.waves[0]))
 			return nil
 		}
 		s.active = append(s.active, l)
 		s.refs = append(s.refs, refBits)
-		f.waves = append(f.waves, wave)
-		f.maxAdd = max(f.maxAdd, len(refBits))
+		s.waves = append(s.waves, wave)
+		s.maxAdd = max(s.maxAdd, len(refBits))
 	}
 	if len(s.active) == 0 {
 		return nil
 	}
-	switch {
-	case f.lanes == nil:
-		// A group of one off the behavioral front end. The front end's
-		// output is its own scratch, so the slot keeps a copy.
-		f.fe.Reset()
-		out := f.fe.Process(f.waves[0])
-		if len(s.basebands) == 0 {
-			s.basebands = make([][]complex128, 1)
-		}
-		s.basebands[0] = append(s.basebands[0][:0], out...)
-	case f.preFilter:
-		s.basebands = f.lanes.ProcessFromFilterInto(s.basebands, s.active, f.waves)
-	default:
-		s.basebands = f.lanes.ProcessLanesInto(s.basebands, s.active, f.waves)
-	}
 	return s
 }
 
-// prefix serves lane bench b's front-end input of packet p. It is the one
-// place that decides where a packet's prefix ends (see RunBenchBatch). The
-// lane receiver only reads its input, so lanes without antenna noise of
-// their own read a cached entry without a copy; a lane adding its own noise,
-// or running another front end (the K-model writes its input), gets its own
-// copy.
-func (f *batchFront) prefix(b *Bench, p int) ([]byte, []complex128, error) {
+// prefix serves lane l's prefix waveform of slot s's packet. It is the one
+// place that decides where a packet's prefix ends (see RunBenchBatch). A
+// lane running its own chain writes it into its buffer in the slot; every
+// other lane gets the cached entry, which the lane stage only reads.
+func (f *batchFront) prefix(s *batchSlot, l int) ([]byte, []complex128, error) {
+	b, p := f.benches[l], s.p
 	if b.cfg.SweptStage < StageNoise {
 		// TX or channel swept: the lane runs its own chain.
-		e, err := b.fullPrefix(b.antenna[:0], p, f.os, false)
+		e, err := b.fullPrefix(s.own[l][:0], p, f.os, false)
 		if err != nil {
 			return nil, nil, err
 		}
-		b.antenna = e.wave
-		if b.suffixNoise() {
-			b.addNoise(e.wave, f.os, b.noiseRNG)
-		}
+		s.own[l] = e.wave
 		return e.refBits, e.wave, nil
 	}
 	kind := cacheKindAntenna
@@ -466,9 +482,10 @@ func (f *batchFront) prefix(b *Bench, p int) ([]byte, []complex128, error) {
 		e, err := pb.fullPrefix(nil, p, f.os, pb.antennaNoise())
 		if err == nil && f.preFilter {
 			// The behavioral front end up to the channel-select filter,
-			// computed on lane 0's receiver. Exact because Receiver.Process
-			// is ProcessToFilter∘ProcessFromFilter and every front-end
-			// noise/LO stream restarts per packet from fixed seeds.
+			// computed on lane 0's receiver, whose noise and LO blocks the
+			// pre-filter entry of the lane stage never touches. Exact because
+			// Receiver.Process is ProcessToFilter∘ProcessFromFilter and every
+			// front-end noise/LO stream restarts per packet from fixed seeds.
 			rx := f.fe.(*rf.Receiver)
 			rx.Reset()
 			e.wave = rx.ProcessToFilter(e.wave)
@@ -478,14 +495,45 @@ func (f *batchFront) prefix(b *Bench, p int) ([]byte, []complex128, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if !b.suffixNoise() && f.lanes != nil {
-		return e.refBits, e.wave, nil
+	return e.refBits, e.wave, nil
+}
+
+// runLanes runs slot s's lane stage: each lane's front-end input, then the
+// front end into outs. The lane receiver only reads its input, so a lane
+// without antenna noise of its own reads its cached entry without a copy; a
+// lane adding its own noise, or running another front end (the K-model
+// writes its input), gets its own copy, and a lane running its own chain
+// owns its waveform already.
+func (f *batchFront) runLanes(s *batchSlot) {
+	for k, l := range s.active {
+		b := f.benches[l]
+		wave := s.waves[k]
+		if b.cfg.SweptStage >= StageNoise && (b.suffixNoise() || f.lanes == nil) {
+			b.scratch = append(b.scratch[:0], wave...)
+			wave = b.scratch
+		}
+		if b.suffixNoise() {
+			b.addNoise(wave, f.os, b.noiseRNG)
+		}
+		s.waves[k] = wave
 	}
-	b.scratch = append(b.scratch[:0], e.wave...)
-	if b.suffixNoise() {
-		b.addNoise(b.scratch, f.os, b.noiseRNG)
+	out := &f.outs[s.p%2]
+	switch {
+	case f.lanes == nil:
+		// A group of one off the behavioral front end. The front end's
+		// output is its own scratch, so outs keeps a copy.
+		f.fe.Reset()
+		bb := f.fe.Process(s.waves[0])
+		if len(*out) == 0 {
+			*out = make([][]complex128, 1)
+		}
+		(*out)[0] = append((*out)[0][:0], bb...)
+	case f.preFilter:
+		*out = f.lanes.ProcessFromFilterInto(*out, s.active, s.waves)
+	default:
+		*out = f.lanes.ProcessLanesInto(*out, s.active, s.waves)
 	}
-	return e.refBits, b.scratch, nil
+	s.basebands = *out
 }
 
 // entry serves lane bench b's cached prefix under key, which compute builds
@@ -537,11 +585,16 @@ func (f *batchFront) await(n int) bool {
 	return true
 }
 
-// mayStop reports whether a lane still running can reach TargetErrors in a
-// packet that adds at most maxAdd errors to it.
-func (f *batchFront) mayStop(maxAdd int) bool {
+// mayStop reports whether a lane still running can reach TargetErrors
+// within the packets before p that are not yet accounted, each adding at
+// most its slot's maxAdd errors to the lane.
+func (f *batchFront) mayStop(p int) bool {
+	pending := 0
+	for q := f.accounted; q < p; q++ {
+		pending += f.slots[q%batchSlots].maxAdd
+	}
 	for l, b := range f.benches {
-		if !b.targetReached(f.errs[l]) && b.targetReached(f.errs[l]+maxAdd) {
+		if !b.targetReached(f.errs[l]) && b.targetReached(f.errs[l]+pending) {
 			return true
 		}
 	}

@@ -142,8 +142,8 @@ type Config struct {
 	// seeds from Seed via internal/seed, never from execution order.
 	Workers int
 	// Batch, when > 0, caps the points per lane group of every sweep
-	// harness on the behavioral front end; 0 selects 4. A sweep's points
-	// run in contiguous groups, at least one per sweep worker, each as the
+	// harness on the behavioral front end; 0 selects 8. A sweep's points
+	// run in contiguous groups, at least one per two sweep workers, each as the
 	// lanes of one RunBenchBatch; off the behavioral front end every group
 	// is one point. Results are bit-identical for every value — grouping
 	// changes wall-clock only, as the lane differential tests pin.
@@ -221,7 +221,7 @@ const tailSamples = 300
 // NewBench. Run is a one-lane group of RunBenchBatch's packet loop, and the
 // Bench keeps that loop across Run calls together with the transmitter and
 // the channel buffers: the front end (the lane receiver on the behavioral
-// front end), the DSP receiver, both packet slots and the channels. Every
+// front end), the DSP receiver, the packet slots and the channels. Every
 // stateful block is reset per packet and the point's noise stream restarts
 // per Run, so a repeated Run draws the same noise; only the behavioral AGC's
 // resync history carries from one packet, and one Run, to the next, as in a
@@ -237,7 +237,6 @@ type Bench struct {
 	comp     *channel.Composer
 	emitters []channel.Emitter
 	interf   interfererSynth
-	antenna  []complex128
 
 	// Stage RNG streams. txRNG and chRNG are re-seeded per packet and per
 	// stage (seed.ForStage), so each stage's realization is a pure function

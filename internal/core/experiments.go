@@ -70,8 +70,9 @@ func runSweep(base Config, values []float64, def sweepDef) (*measure.Series, err
 }
 
 // laneWidth is the default most points one lane group of a sweep on the
-// behavioral front end runs.
-const laneWidth = 4
+// behavioral front end runs: the lane AGC's widest kernel steps eight lanes
+// (kernels.AGCLanes).
+const laneWidth = 8
 
 // sweepLaneWidth is the most points one lane group of a sweep over base's
 // front end runs: 1 off the behavioral front end, where every group is one

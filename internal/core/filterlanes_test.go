@@ -88,13 +88,15 @@ func TestFilterBatchMatchesSequential(t *testing.T) {
 }
 
 // TestFilterLaneGroups pins the derived grouping: at least one group per
-// worker and at most width lanes per group beyond that — the Figure 5
-// workload (6 edges, 2 workers, width 4) runs as 2 groups of 3, the batched
-// SNR workload (8 points, 1 worker, Batch 8) as one group of 8.
+// two workers and at most width lanes per group beyond that — the Figure 5
+// workload (6 edges, 2 workers, width 8) runs as one group of 6, the batched
+// SNR workload (8 points, 1 worker, Batch 8) as one group of 8 and a
+// service Figure 6 job (at most 4 points, 1 worker) as one group.
 func TestFilterLaneGroups(t *testing.T) {
 	for _, c := range []struct{ n, workers, width, want int }{
-		{6, 2, 4, 2}, {1, 2, 4, 2}, {4, 1, 4, 1}, {5, 1, 4, 2}, {12, 2, 4, 3}, {13, 2, 4, 4}, {3, 8, 4, 8},
-		{8, 1, 8, 1}, {7, 1, 2, 4}, {9, 2, 8, 2}, {4, 8, 4, 8},
+		{6, 2, 8, 1}, {8, 1, 8, 1}, {4, 1, 8, 1}, {6, 3, 8, 2}, {6, 4, 8, 2}, {16, 2, 8, 2}, {17, 2, 8, 3},
+		{6, 2, 4, 2}, {1, 2, 4, 1}, {4, 1, 4, 1}, {5, 1, 4, 2}, {12, 2, 4, 3}, {13, 2, 4, 4}, {3, 8, 4, 4},
+		{7, 1, 2, 4}, {9, 2, 8, 2}, {4, 8, 4, 4},
 	} {
 		if got := laneGroups(c.n, c.workers, c.width); got != c.want {
 			t.Errorf("laneGroups(%d, %d, %d) = %d, want %d", c.n, c.workers, c.width, got, c.want)
@@ -104,14 +106,15 @@ func TestFilterLaneGroups(t *testing.T) {
 
 // TestSweepLaneWidth pins the one lane-width rule of every sweep: groups of
 // one off the behavioral front end, whatever Batch says; on it Batch caps
-// the width when set and laneWidth applies otherwise.
+// the width when set and laneWidth (8, the lane AGC's widest kernel)
+// applies otherwise.
 func TestSweepLaneWidth(t *testing.T) {
 	for _, c := range []struct {
 		fe          FrontEndKind
 		batch, want int
 	}{
 		{FrontEndIdeal, 0, 1}, {FrontEndIdeal, 8, 1}, {FrontEndCoSim, 4, 1}, {FrontEndBlackBox, 0, 1},
-		{FrontEndBehavioral, 0, laneWidth}, {FrontEndBehavioral, 1, 1}, {FrontEndBehavioral, 8, 8},
+		{FrontEndBehavioral, 0, 8}, {FrontEndBehavioral, 1, 1}, {FrontEndBehavioral, 8, 8},
 	} {
 		cfg := DefaultConfig()
 		cfg.FrontEnd, cfg.Batch = c.fe, c.batch

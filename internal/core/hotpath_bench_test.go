@@ -92,9 +92,9 @@ func BenchmarkSweepFilterBW(b *testing.B) {
 
 // sweepBatchedConfig is the canonical batched-sweep scenario: a behavioral
 // front-end waterfall at 24 Mbit/s, 8 SNR points, 2 packets per point, one
-// sweep worker. With Batch=8 all points form one batch group, whose front
-// half (RF lanes) runs one packet ahead of its decode on a helper goroutine
-// (see RunBenchBatch), so the batched run can use two CPUs.
+// sweep worker. With Batch=8 all points form one batch group, whose prefix
+// and lane stages run ahead of its decode on goroutines of their own (see
+// RunBenchBatch), so the batched run can use two CPUs.
 func sweepBatchedConfig() (Config, []float64) {
 	base := DefaultConfig()
 	base.FrontEnd = FrontEndBehavioral

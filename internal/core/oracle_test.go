@@ -27,6 +27,8 @@ type seqOracle struct {
 	rx    *rxdsp.Receiver
 	irx   *rxdsp.IdealReceiver
 	noise *randutil.Rand // the suffix noise stream (nil until the first run)
+	// antenna is the uncached prefix's waveform buffer, reused per packet.
+	antenna []complex128
 }
 
 // oracleBoundary tells runSequential where oraclePrefix's waveform sits in
@@ -84,11 +86,11 @@ func (o *seqOracle) oraclePrefix(p, os int) ([]byte, []complex128, oracleBoundar
 		if err != nil {
 			return nil, nil, oracleAntenna, err
 		}
-		x, err := b.composeChannel(b.antenna[:0], frame, os, p)
+		x, err := b.composeChannel(o.antenna[:0], frame, os, p)
 		if err != nil {
 			return nil, nil, oracleAntenna, err
 		}
-		b.antenna = x
+		o.antenna = x
 		return bits.FromBytes(psdu), x, oracleAntenna, nil
 	}
 }

@@ -370,6 +370,10 @@ var a = AmpConfig{12, -10}
 	}
 }
 
+// TestIgnoreDirectives and TestStaleIgnores run the directive machinery
+// with FloatEq, the one analyzer their fixtures trip, so no other analyzer
+// (testonly flags a fixture function no production code calls) adds
+// findings they are not about.
 func TestIgnoreDirectives(t *testing.T) {
 	t.Run("all suppresses every analyzer", func(t *testing.T) {
 		src := `package sim
@@ -378,10 +382,8 @@ func cmp(a, b float64) bool {
 	//lint:ignore all demonstration
 	return a == b
 }
-
-var _ = cmp
 `
-		checkFindings(t, analyzeFixture(t, "example.com/m/internal/sim", src, All()...), nil)
+		checkFindings(t, analyzeFixture(t, "example.com/m/internal/sim", src, FloatEq), nil)
 	})
 	t.Run("wrong analyzer name does not suppress", func(t *testing.T) {
 		src := `package sim
@@ -390,10 +392,8 @@ func cmp(a, b float64) bool {
 	//lint:ignore unitsdiscipline wrong analyzer
 	return a == b
 }
-
-var _ = cmp
 `
-		diags := analyzeFixture(t, "example.com/m/internal/sim", src, All()...)
+		diags := analyzeFixture(t, "example.com/m/internal/sim", src, FloatEq)
 		checkFindings(t, diags, []finding{{5, "compared with =="}})
 	})
 	t.Run("malformed directive is reported and suppresses nothing", func(t *testing.T) {
@@ -403,10 +403,8 @@ func cmp(a, b float64) bool {
 	//lint:ignore missing-reason-and-unknown-name
 	return a == b
 }
-
-var _ = cmp
 `
-		diags := analyzeFixture(t, "example.com/m/internal/sim", src, All()...)
+		diags := analyzeFixture(t, "example.com/m/internal/sim", src, FloatEq)
 		checkFindings(t, diags, []finding{
 			{4, "malformed ignore directive"},
 			{5, "compared with =="},
@@ -418,10 +416,8 @@ var _ = cmp
 func cmp(a, b float64) bool {
 	return a == b //lint:ignore floateq same-line justification
 }
-
-var _ = cmp
 `
-		checkFindings(t, analyzeFixture(t, "example.com/m/internal/sim", src, All()...), nil)
+		checkFindings(t, analyzeFixture(t, "example.com/m/internal/sim", src, FloatEq), nil)
 	})
 }
 
@@ -432,11 +428,11 @@ func TestStaleIgnores(t *testing.T) {
 var x = 3
 `
 	t.Run("unused directive reported with StaleIgnores", func(t *testing.T) {
-		diags := analyzeFixtureOpts(t, "example.com/m/internal/sim", stale, Options{StaleIgnores: true}, All()...)
+		diags := analyzeFixtureOpts(t, "example.com/m/internal/sim", stale, Options{StaleIgnores: true}, FloatEq)
 		checkFindings(t, diags, []finding{{3, "suppresses no diagnostic"}})
 	})
 	t.Run("unused directive tolerated by default", func(t *testing.T) {
-		checkFindings(t, analyzeFixture(t, "example.com/m/internal/sim", stale, All()...), nil)
+		checkFindings(t, analyzeFixture(t, "example.com/m/internal/sim", stale, FloatEq), nil)
 	})
 	t.Run("used directive is not stale", func(t *testing.T) {
 		src := `package sim
@@ -445,10 +441,8 @@ func cmp(a, b float64) bool {
 	//lint:ignore floateq bit-exact golden comparison is the point here
 	return a == b
 }
-
-var _ = cmp
 `
-		diags := analyzeFixtureOpts(t, "example.com/m/internal/sim", src, Options{StaleIgnores: true}, All()...)
+		diags := analyzeFixtureOpts(t, "example.com/m/internal/sim", src, Options{StaleIgnores: true}, FloatEq)
 		checkFindings(t, diags, nil)
 	})
 	t.Run("escape directives are the escape gate's accounting", func(t *testing.T) {
@@ -460,7 +454,7 @@ var _ = cmp
 //lint:ignore escape accounted for by EscapeCheck, not the AST run
 var x = 3
 `
-		diags := analyzeFixtureOpts(t, "example.com/m/internal/sim", src, Options{StaleIgnores: true}, All()...)
+		diags := analyzeFixtureOpts(t, "example.com/m/internal/sim", src, Options{StaleIgnores: true}, FloatEq)
 		checkFindings(t, diags, nil)
 	})
 }

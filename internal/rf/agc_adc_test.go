@@ -161,10 +161,10 @@ func TestADCValidation(t *testing.T) {
 
 // BenchmarkAGCLanes times the AGC lane law on Figure 5-shaped AGC inputs —
 // a 5247-sample pre-filter frame through lane l's channel-select filter,
-// edges spread over 6-14 MHz — at 1, 3, 4 and 8 lanes, in ns per
-// sample-lane on the active kernel tier.
+// edges spread over 6-14 MHz — at 1, 3, 4, 6 (one Figure 5 group) and 8
+// lanes, in ns per sample-lane on the active kernel tier.
 func BenchmarkAGCLanes(b *testing.B) {
-	for _, L := range []int{1, 3, 4, 8} {
+	for _, L := range []int{1, 3, 4, 6, 8} {
 		b.Run(fmt.Sprintf("L=%d", L), func(b *testing.B) {
 			edges := make([]float64, L)
 			for l := range edges {

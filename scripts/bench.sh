@@ -1,14 +1,17 @@
 #!/bin/sh
 # bench.sh — canonical benchmark runner for the tracked perf trajectory.
 #
-# Usage: scripts/bench.sh [output.json]
+# Usage: scripts/bench.sh <output.json>
 #
 # Runs the named hot-path benchmark scenarios (behavioral BER packets at
 # 6/24/54 Mbit/s, the parallel sweep executor, the sweep-service job path
 # cold vs warm, and the Viterbi / FIR / FFT / OFDM microbenches) with
 # -benchmem, repeating every scenario BENCH_RUNS
-# times, and writes one machine-readable JSON document — BENCH_<issue>.json —
-# holding the per-scenario MEDIAN ns/op, B/op and allocs/op. The median over
+# times, and writes one machine-readable JSON document to <output.json>
+# holding the per-scenario MEDIAN ns/op, B/op and allocs/op. A trajectory
+# file is named BENCH_<issue>.json, and its "issue" field is that number;
+# any other name records "issue": null. The path is required so that no run
+# overwrites a checked-in trajectory file (check.sh gates on one) by default. The median over
 # >= 5 samples is robust to one co-tenant load spike in either direction,
 # which a single run (or a mean) is not; each perf PR checks in its
 # BENCH_*.json so regressions against the trajectory are diffable.
@@ -20,7 +23,13 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_10.json}"
+if [ $# -ne 1 ]; then
+    echo "usage: $0 <output.json>" >&2
+    exit 2
+fi
+out="$1"
+issue="$(basename "$out" | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$/\1/p')"
+[ -n "$issue" ] || issue=null
 benchtime="${BENCH_COUNT:-50x}"
 runs="${BENCH_RUNS:-5}"
 if [ "$runs" -lt 5 ]; then
@@ -51,7 +60,7 @@ run_bench ./internal/dsp          'BenchmarkFIRProcess|BenchmarkComplexFIRProces
 run_bench ./internal/phy          'BenchmarkDemodulateSymbol|BenchmarkModulateSymbol'
 run_bench ./internal/service      'BenchmarkServiceJob'
 
-awk -v out_date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v dispatch="$dispatch" -v lane_width="$lane_width" '
+awk -v out_date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v dispatch="$dispatch" -v lane_width="$lane_width" -v issue="$issue" '
 function median(arr, n,    i, j, tmp) {
     # insertion sort: n is tiny (BENCH_RUNS samples)
     for (i = 2; i <= n; i++) {
@@ -97,7 +106,7 @@ END {
     printf "  \"date\": \"%s\"\n}\n", out_date
 }
 BEGIN {
-    printf "{\n  \"issue\": 10,\n"
+    printf "{\n  \"issue\": %s,\n", issue
     printf "  \"benchmarks\": [\n"
 }
 ' "$raw" > "$out"

@@ -163,15 +163,17 @@ echo "    internal/core: Bench.Run vs the sequential-loop oracle"
 # the behavioral pre-filter waveform. Sweeps measure byte-identically with
 # the stage cache on and off, SNR points share the noiseless antenna but
 # draw their own noise, the pre-filter split reproduces the unsplit chain,
-# and filter lanes share one prefix entry per packet.
-prefix_pat='TestSweepsCacheOnOffIdentical|TestWaterfallCacheOnOffIdentical|TestSNRSweepNoiseNotReused|TestPreFilterPrefixEquivalence|TestFilterBatchMatchesSequential'
+# filter lanes share one prefix entry per packet, and the prefix stage,
+# which runs up to two packets ahead of the accounting, never starts a
+# packet the serial loop would not run.
+prefix_pat='TestSweepsCacheOnOffIdentical|TestWaterfallCacheOnOffIdentical|TestSNRSweepNoiseNotReused|TestPreFilterPrefixEquivalence|TestFilterBatchMatchesSequential|TestPrefixStageNoSpeculation'
 n="$(go test -run '^$' -list "$prefix_pat" ./internal/core | grep -cxE "$prefix_pat" || true)"
-if [ "$n" -ne 5 ]; then
-    echo "FAIL: internal/core lists only $n of the 5 prefix tests matching '$prefix_pat' (silent skip)" >&2
+if [ "$n" -ne 6 ]; then
+    echo "FAIL: internal/core lists only $n of the 6 prefix tests matching '$prefix_pat' (silent skip)" >&2
     exit 1
 fi
 go test -run "^($prefix_pat)\$" -count=1 ./internal/core > /dev/null
-echo "    internal/core: $n prefix-boundary tests (cache on/off, noise not reused, pre-filter split, shared lane prefix)"
+echo "    internal/core: $n prefix-boundary tests (cache on/off, noise not reused, pre-filter split, shared lane prefix, no speculation)"
 # One behavioral front end: rf.Receiver's calls are one-lane calls of its
 # lane receiver, and AGC.Process a one-lane call of the lane AGC loop, both
 # pinned to the sequential chain they replaced, per packet and streamed in
@@ -411,7 +413,7 @@ elif [ -f "$bench_ref" ]; then
     fi
     rm -f "$bench_raw"
 else
-    echo "    $bench_ref not found; skipping (run scripts/bench.sh first)"
+    echo "    $bench_ref not found; skipping (run scripts/bench.sh $bench_ref first)"
 fi
 
 # Short fuzz runs on top of the seed-corpus replay that `go test` already

@@ -16,8 +16,15 @@ func TestListAndUnknownAnalyzer(t *testing.T) {
 	}
 }
 
+// cleanModule is a fixture module no analyzer reports on.
+var cleanModule = map[string]string{"clean.go": `package clean
+
+// Twice doubles x.
+func Twice(x float64) float64 { return 2 * x }
+`}
+
 func TestCleanPackageExitsZero(t *testing.T) {
-	if code := run([]string{filepath.Join("..", "..", "internal", "units")}, os.Stdout); code != 0 {
+	if code := run([]string{recursive(writeModule(t, cleanModule))}, os.Stdout); code != 0 {
 		t.Errorf("clean package exited %d, want 0", code)
 	}
 }
@@ -62,7 +69,7 @@ func Mix(gainDB, noiseWatts float64) float64 {
 }
 
 func TestJSONCleanIsEmptyArray(t *testing.T) {
-	out, code := runCapture(t, []string{"-json", filepath.Join("..", "..", "internal", "units")})
+	out, code := runCapture(t, []string{"-json", recursive(writeModule(t, cleanModule))})
 	if code != 0 {
 		t.Fatalf("exited %d, want 0", code)
 	}

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 
 	"wlansim/internal/analog"
@@ -191,7 +192,8 @@ func cmdMask(args []string) error {
 	return nil
 }
 
-// cmdReport runs the aggregated receiver sign-off suite.
+// cmdReport runs the aggregated receiver sign-off suite; a failed item is
+// an error, so the command exits non-zero.
 func cmdReport(args []string) error {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
 	cfg, _ := benchFlags(fs)
@@ -204,7 +206,16 @@ func cmdReport(args []string) error {
 	}
 	fmt.Println("RF subsystem verification report:")
 	fmt.Print(rep.String())
-	return nil
+	if rep.Pass() {
+		return nil
+	}
+	var failed []string
+	for _, it := range rep.Items {
+		if !it.Pass {
+			failed = append(failed, it.Name)
+		}
+	}
+	return fmt.Errorf("verification report failed: %s", strings.Join(failed, ", "))
 }
 
 // cmdRegrowth sweeps PA backoff against the clause-17 transmit mask.

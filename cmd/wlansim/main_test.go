@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -85,5 +86,14 @@ func TestCmdFig5CSV(t *testing.T) {
 func TestCmdRFCheck(t *testing.T) {
 	if err := cmdRFCheck(nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestCmdReportFailIsError(t *testing.T) {
+	// At -100 dBm the nominal link loses its packets, so the report reads
+	// FAIL and the command must fail with it.
+	err := cmdReport([]string{"-power", "-100", "-packets", "2", "-len", "40"})
+	if err == nil || !strings.Contains(err.Error(), "nominal link") {
+		t.Fatalf("failing report returned %v, want an error naming the nominal link", err)
 	}
 }

@@ -65,7 +65,6 @@ guard() {
     simd-off) simd="WLANSIM_SIMD=off" ;;
     esac
     if [ "$race" = race ]; then set -- "$@" -race; fi
-    # shellcheck disable=SC2086 # pkgs is a word list, simd empty or one word
     n="$(go test "$@" -run '^$' -list "$pat" $pkgs | grep -cE '^(Test|Fuzz)' || true)"
     case "$count" in
     ">="*) [ "$n" -ge "${count#>=}" ] ;;
@@ -77,7 +76,6 @@ guard() {
     }
     echo "    $name: $n tests ($tier, $race)"
     printf '{"Guard":"%s","Tier":"%s","Race":"%s"}\n' "$name" "$tier" "$race" >> guards.json
-    # shellcheck disable=SC2086
     if env $simd go test "$@" -run "$pat" -count=1 -json $pkgs >> guards.json; then
         return
     fi

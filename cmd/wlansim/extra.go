@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"time"
@@ -162,11 +163,12 @@ func cmdMask(args []string) error {
 				peak = a
 			}
 		}
+		// Clip the power at level: an over-level sample keeps its phase
+		// and is scaled by the amplitude ratio.
 		level := *clip * peak
 		for i, v := range x {
 			if a := real(v)*real(v) + imag(v)*imag(v); a > level {
-				s := complex(level/a, 0)
-				x[i] = v * s
+				x[i] = v * complex(math.Sqrt(level/a), 0)
 			}
 		}
 	}
@@ -189,7 +191,8 @@ func cmdMask(args []string) error {
 			break
 		}
 	}
-	return nil
+	// A failed check is an error, so the command exits non-zero.
+	return fmt.Errorf("transmit spectrum mask: %d bins over the limit", len(viol))
 }
 
 // cmdReport runs the aggregated receiver sign-off suite; a failed item is

@@ -223,7 +223,7 @@ func printCacheStats(series ...*measure.Series) {
 func cmdBER(args []string) error {
 	fs := flag.NewFlagSet("ber", flag.ExitOnError)
 	cfg, adjacent := benchFlags(fs)
-	frontend := fs.String("frontend", "behavioral", "front end: ideal | behavioral | cosim")
+	frontend := fs.String("frontend", "behavioral", "front end: ideal | behavioral | cosim | blackbox")
 	snr := fs.Float64("snr", 0, "channel SNR in dB (0 disables channel noise)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -235,6 +235,8 @@ func cmdBER(args []string) error {
 		cfg.FrontEnd = core.FrontEndBehavioral
 	case "cosim":
 		cfg.FrontEnd = core.FrontEndCoSim
+	case "blackbox":
+		cfg.FrontEnd = core.FrontEndBlackBox
 	default:
 		return fmt.Errorf("unknown front end %q", *frontend)
 	}
@@ -256,6 +258,9 @@ func cmdBER(args []string) error {
 	fmt.Printf("front end %s, oversample %dx, kernels %s\n",
 		res.FrontEnd, res.OversampleFactor, kernels.DispatchName())
 	fmt.Printf("%s\n95%% CI [%.3g, %.3g]\n", res.Counter.String(), lo, hi)
+	o := res.Outcomes
+	fmt.Printf("packets %d: clean %d, payload errors %d, wrong length %d, SIGNAL failed %d, sync missed %d\n",
+		o.Total(), o.Clean, o.PayloadErrors, o.WrongLength, o.SignalFail, o.SyncMiss)
 	fmt.Printf("%s\n", res.EVM)
 	return nil
 }

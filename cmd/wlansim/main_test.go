@@ -21,8 +21,10 @@ func TestCmdCascade(t *testing.T) {
 }
 
 func TestCmdBER(t *testing.T) {
-	if err := cmdBER([]string{"-packets", "1", "-len", "40"}); err != nil {
-		t.Fatal(err)
+	for _, fe := range []string{"behavioral", "blackbox"} {
+		if err := cmdBER([]string{"-frontend", fe, "-packets", "1", "-len", "40"}); err != nil {
+			t.Fatalf("-frontend %s: %v", fe, err)
+		}
 	}
 	if err := cmdBER([]string{"-frontend", "bogus"}); err == nil {
 		t.Error("accepted bogus front end")
@@ -39,8 +41,10 @@ func TestCmdMask(t *testing.T) {
 	if err := cmdMask(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdMask([]string{"-clip", "0.05"}); err != nil {
-		t.Fatal(err)
+	// Clipping the power at 5% of its peak regrows the spectrum past the
+	// mask: the failed check is an error.
+	if err := cmdMask([]string{"-clip", "0.05"}); err == nil {
+		t.Fatal("mask check of a waveform clipped at 5% of its peak power passed")
 	}
 }
 

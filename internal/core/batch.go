@@ -140,6 +140,7 @@ type laneLoop struct {
 	mode    phy.Mode
 	front   *batchFront
 	evms    []evmAccum
+	rx      *rxdsp.Group // the synchronizing receivers' group receive
 	pkts    []*rxdsp.PacketResult
 	rxErrs  []error
 	laneRxs []*rxdsp.Receiver
@@ -186,6 +187,7 @@ func newLaneLoop(benches []*Bench) (*laneLoop, error) {
 		mode:    mode,
 		front:   newBatchFront(benches, os, fe, lanes),
 		evms:    make([]evmAccum, L),
+		rx:      rxdsp.NewGroup(),
 		pkts:    make([]*rxdsp.PacketResult, 0, L),
 		rxErrs:  make([]error, 0, L),
 		laneRxs: make([]*rxdsp.Receiver, 0, L),
@@ -213,14 +215,7 @@ func (g *laneLoop) run() ([]*Result, error) {
 
 	defer f.stop()
 	for s := f.start(); s != nil; s = f.next() {
-		g.pkts, g.rxErrs, g.laneRxs = g.pkts[:0], g.rxErrs[:0], g.laneRxs[:0]
-		for k, l := range s.active {
-			b := g.benches[l]
-			pkt, err := b.receiveDSP(s.basebands[k], g.mode)
-			g.pkts = append(g.pkts, pkt)
-			g.rxErrs = append(g.rxErrs, err)
-			g.laneRxs = append(g.laneRxs, b.rx)
-		}
+		g.receive(s)
 		// One lock-step Viterbi pass over every lane that synchronized; a
 		// lane's decode error is exactly the error its sequential Receive
 		// would have returned, so it folds into the lane outcome below.
@@ -245,6 +240,43 @@ func (g *laneLoop) run() ([]*Result, error) {
 		g.evms[l].finish(results[l])
 	}
 	return results, nil
+}
+
+// receive runs the DSP receive of slot s's active lanes into pkts, rxErrs
+// and laneRxs: the synchronizing receivers, one per lane, as one group
+// receive, or the genie-timed ideal receivers lane by lane (a group's lanes
+// agree on UseIdealRxTiming). The synchronizing receivers defer the DATA
+// decode, which the packet loop completes for every lane of the packet in
+// one rxdsp.DecodeDeferredBatch.
+func (g *laneLoop) receive(s *batchSlot) {
+	g.pkts, g.rxErrs, g.laneRxs = g.pkts[:0], g.rxErrs[:0], g.laneRxs[:0]
+	if g.benches[0].cfg.UseIdealRxTiming {
+		for k, l := range s.active {
+			b := g.benches[l]
+			if b.irx == nil {
+				b.irx = &rxdsp.IdealReceiver{Mode: g.mode, PSDULen: b.cfg.PSDULen, ReuseBuffers: true}
+			}
+			pkt, err := b.irx.Receive(s.basebands[k], leadInSamples)
+			g.pkts = append(g.pkts, pkt)
+			g.rxErrs = append(g.rxErrs, err)
+			g.laneRxs = append(g.laneRxs, nil)
+		}
+		return
+	}
+	for _, l := range s.active {
+		b := g.benches[l]
+		if b.rx == nil {
+			b.rx = rxdsp.NewReceiver()
+			b.rx.HardDecisions = b.cfg.HardDecisions
+			b.rx.DisableCSI = b.cfg.DisableCSI
+			b.rx.ReuseBuffers = true
+			b.rx.DeferDataDecode = true
+		}
+		g.laneRxs = append(g.laneRxs, b.rx)
+	}
+	pkts, errs := g.rx.Receive(g.laneRxs, s.basebands[:len(s.active)], 0)
+	g.pkts = append(g.pkts, pkts...)
+	g.rxErrs = append(g.rxErrs, errs...)
 }
 
 // batchSlot carries one packet of a lane group through the packet loop. The

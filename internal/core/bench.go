@@ -6,6 +6,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -205,6 +206,46 @@ type Result struct {
 	OversampleFactor int
 	// FrontEnd echoes the abstraction level.
 	FrontEnd FrontEndKind
+	// Outcomes tallies how each packet ended.
+	Outcomes PacketOutcomes
+}
+
+// PacketOutcomes counts a run's packets by how each ended; the counts sum
+// to the packets run. Failed receives are classed by the rxdsp error
+// classes.
+type PacketOutcomes struct {
+	// SyncMiss counts packets not detected or not timed (rxdsp.ErrNoSync).
+	SyncMiss int
+	// SignalFail counts packets whose SIGNAL field failed (rxdsp.ErrSignal).
+	SignalFail int
+	// WrongLength counts packets whose SIGNAL field announced another
+	// length than was sent, including a DATA field announced past the end
+	// of the signal (rxdsp.ErrTruncated).
+	WrongLength int
+	// PayloadErrors counts packets decoded with bit errors, or whose DATA
+	// decode failed.
+	PayloadErrors int
+	// Clean counts packets decoded without a bit error.
+	Clean int
+}
+
+// Total is the number of packets counted.
+func (o PacketOutcomes) Total() int {
+	return o.SyncMiss + o.SignalFail + o.WrongLength + o.PayloadErrors + o.Clean
+}
+
+// addFailure counts a packet whose receive failed with err.
+func (o *PacketOutcomes) addFailure(err error) {
+	switch {
+	case errors.Is(err, rxdsp.ErrNoSync):
+		o.SyncMiss++
+	case errors.Is(err, rxdsp.ErrSignal):
+		o.SignalFail++
+	case errors.Is(err, rxdsp.ErrTruncated):
+		o.WrongLength++
+	default:
+		o.PayloadErrors++
+	}
 }
 
 // BER returns the measured bit error rate.
@@ -605,36 +646,24 @@ func (e *evmAccum) finish(res *Result) {
 	}
 }
 
-// receiveDSP runs the configured DSP receiver over one packet's baseband,
-// creating it on first use. The synchronizing receiver defers the DATA
-// decode, which the packet loop completes for every lane of the packet in
-// one rxdsp.DecodeDeferredBatch.
-func (b *Bench) receiveDSP(baseband []complex128, mode phy.Mode) (*rxdsp.PacketResult, error) {
-	if b.cfg.UseIdealRxTiming {
-		if b.irx == nil {
-			b.irx = &rxdsp.IdealReceiver{Mode: mode, PSDULen: b.cfg.PSDULen, ReuseBuffers: true}
-		}
-		return b.irx.Receive(baseband, leadInSamples)
-	}
-	if b.rx == nil {
-		b.rx = rxdsp.NewReceiver()
-		b.rx.HardDecisions = b.cfg.HardDecisions
-		b.rx.DisableCSI = b.cfg.DisableCSI
-		b.rx.ReuseBuffers = true
-		b.rx.DeferDataDecode = true
-	}
-	b.rx.Reset()
-	return b.rx.Receive(baseband, 0)
-}
-
 // accountPacket folds one packet's receive outcome into the result and EVM
 // accumulator, returning whether the configured error target is reached.
 func (b *Bench) accountPacket(pkt *rxdsp.PacketResult, rxErr error, refBits []byte, mode phy.Mode, res *Result, evm *evmAccum) bool {
 	if rxErr != nil {
+		res.Outcomes.addFailure(rxErr)
 		res.Counter.AddLostPacket(len(refBits))
 		return b.targetReached(res.Counter.Errors)
 	}
+	before := res.Counter.Errors
 	res.Counter.AddPacket(refBits, bits.FromBytes(pkt.PSDU))
+	switch {
+	case pkt.Signal.Length*8 != len(refBits):
+		res.Outcomes.WrongLength++
+	case res.Counter.Errors > before:
+		res.Outcomes.PayloadErrors++
+	default:
+		res.Outcomes.Clean++
+	}
 	if ev, err := measure.EVM(pkt.EqualizedCarriers, mode.Modulation); err == nil {
 		evm.acc += ev.RMS * ev.RMS * float64(ev.Symbols)
 		evm.symbols += ev.Symbols

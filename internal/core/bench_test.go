@@ -410,3 +410,47 @@ func TestBenchBlackBoxFrontEndDecodes(t *testing.T) {
 		t.Errorf("front end kind %v", res.FrontEnd)
 	}
 }
+
+// TestResultOutcomesSumToPackets checks the packet-outcome tally: on a
+// clean link every packet is clean; across the sync cliff the outcomes sum
+// to the packets run, the sync and SIGNAL failures are among the counter's
+// lost packets, and no packet the counter saw with a bit error is clean.
+func TestResultOutcomesSumToPackets(t *testing.T) {
+	run := func(cfg Config) *Result {
+		t.Helper()
+		bench, err := NewBench(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := bench.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cfg := DefaultConfig()
+	cfg.Packets = 3
+	if o := run(cfg).Outcomes; o != (PacketOutcomes{Clean: 3}) {
+		t.Errorf("nominal link outcomes %+v, want 3 clean", o)
+	}
+	seen := PacketOutcomes{}
+	for _, snr := range []float64{0, 3, 6, 9} {
+		c := cfg
+		c.Packets = 12
+		c.ChannelSNRdB = &snr
+		res := run(c)
+		o, n := res.Outcomes, res.Counter
+		if o.Total() != c.Packets || n.Packets != c.Packets {
+			t.Fatalf("SNR %g dB: outcomes %+v sum to %d, counter %d, want %d", snr, o, o.Total(), n.Packets, c.Packets)
+		}
+		if failed := o.SyncMiss + o.SignalFail; failed > n.LostPackets || o.Clean > c.Packets-n.PacketErrors {
+			t.Fatalf("SNR %g dB: outcomes %+v disagree with counter %+v", snr, o, n)
+		}
+		seen.SyncMiss += o.SyncMiss
+		seen.Clean += o.Clean
+		seen.PayloadErrors += o.PayloadErrors
+	}
+	if seen.SyncMiss == 0 || seen.Clean == 0 || seen.PayloadErrors == 0 {
+		t.Errorf("the SNR sweep exercised too few outcomes: %+v", seen)
+	}
+}

@@ -105,14 +105,12 @@ func (b *IIRBatch) ProcessLanes(re, im [][]float64, ids []int) {
 			g = 1
 		}
 		// Multiplying by exactly 1.0 is skipped as in IIR.Process (a
-		// bit-exact identity).
+		// bit-exact identity); otherwise each component takes the one
+		// multiply IIR.Process applies, through the plane kernel.
 		//lint:ignore floateq multiplying by exactly 1.0 is a bit-exact identity, so the gain pass can be skipped
 		if g != 1 {
-			rl, il := re[k], im[k]
-			for i := range rl {
-				rl[i] = g * rl[i]
-				il[i] = g * il[i]
-			}
+			kernels.ScalePlane(re[k], g)
+			kernels.ScalePlane(im[k][:len(re[k])], g)
 		}
 	}
 	for k, id := range ids {

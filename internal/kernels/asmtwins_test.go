@@ -274,21 +274,69 @@ func TestBiquadBatchPerLaneAsmMatchesGo(t *testing.T) {
 	}
 }
 
-// TestCorrPairAsmMatchesGo runs both correlators over shared frames,
-// including the zero-tap degenerate shape and adversarial payloads.
-func TestCorrPairAsmMatchesGo(t *testing.T) {
+// TestCorrLagsAsmMatchesGo runs both lag correlators over shared planes:
+// lag counts of whole eight-lag passes, the zero-tap degenerate shape and
+// adversarial payloads.
+func TestCorrLagsAsmMatchesGo(t *testing.T) {
 	requireAsmTier(t)
 	rng := rand.New(rand.NewSource(17))
-	for _, tapN := range []int{0, 1, 5, 33, 64} {
-		for trial := 0; trial < 10; trial++ {
-			adv := trial%2 == 1
-			x1 := twinRandCplx(rng, tapN, adv)
-			x2 := twinRandCplx(rng, tapN, adv)
-			ref := twinRandCplx(rng, tapN, adv)
-			a1, a2, a3, a4 := corrPairAsm(x1, x2, ref)
-			g1, g2, g3, g4 := corrPairGo(x1, x2, ref)
-			bitsEqual(t, "corr", []float64{a1, a2, a3, a4}, []float64{g1, g2, g3, g4})
+	for _, lags := range []int{8, 16, 224} {
+		for _, tapN := range []int{0, 1, 5, 33, 64} {
+			for trial := 0; trial < 6; trial++ {
+				adv := trial%2 == 1
+				re := twinRandPlane(rng, lags+tapN, adv)
+				im := twinRandPlane(rng, lags+tapN, adv)
+				rr := twinRandPlane(rng, tapN, adv)
+				ri := twinRandPlane(rng, tapN, adv)
+				ar, ai := make([]float64, lags), make([]float64, lags)
+				gr, gi := make([]float64, lags), make([]float64, lags)
+				corrLagsAsm(ar, ai, re, im, rr, ri)
+				corrLagsGo(gr, gi, re, im, rr, ri)
+				bitsEqual(t, "corr re", ar, gr)
+				bitsEqual(t, "corr im", ai, gi)
+			}
 		}
+	}
+}
+
+// TestDemapSoftAsmMatchesGo runs both demap kernels over every clause-17
+// constellation on whole quads, random and adversarial.
+func TestDemapSoftAsmMatchesGo(t *testing.T) {
+	requireAsmTier(t)
+	rng := rand.New(rand.NewSource(21))
+	for _, ax := range demapAxes {
+		for _, n := range []int{4, 8, 48} {
+			for trial := 0; trial < 20; trial++ {
+				ys, w := demapRandSymbols(rng, n, trial%2 == 1)
+				a := make([]float64, demapPlaneLen(ys, ax[0], ax[1]))
+				g := make([]float64, len(a))
+				okA := demapSoftAsm(a, ys, w, ax[0], ax[1], n)
+				okG := demapSoftGo(g, ys, w, ax[0], ax[1], n)
+				if !okA || !okG {
+					t.Fatalf("%d-point axis: screened inputs rejected (asm %v, go %v)", len(ax[0]), okA, okG)
+				}
+				bitsEqual(t, "demap", a, g)
+			}
+		}
+	}
+}
+
+// TestRotateAsmMatchesGo runs both rotation kernels over shared lanes in
+// both modes, with steady and drifting states and adversarial samples.
+func TestRotateAsmMatchesGo(t *testing.T) {
+	requireAsmTier(t)
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 80; trial++ {
+		n := 1 + rng.Intn(400)
+		both := trial%2 == 1
+		xs, r := rotRandLanes(rng, n, trial%3 == 0, trial%4 == 0)
+		g, gr := rotClone(xs), r
+		an := rotateAsm(xs[0], xs[1], xs[2], xs[3], &r, both)
+		gn := rotateGo(g[0], g[1], g[2], g[3], &gr, both)
+		if an != gn {
+			t.Fatalf("trial %d: asm stopped after %d samples, go %d", trial, an, gn)
+		}
+		rotBits(t, "rotate", xs, g, &r, &gr)
 	}
 }
 
@@ -514,13 +562,17 @@ func TestExportedKernelsMatchRefBothTiers(t *testing.T) {
 				bitsEqual(t, "mixlo re", ar, br)
 				bitsEqual(t, "mixlo im", ai, bi)
 
-				x1 := twinRandCplx(rng, n, adv)
-				x2 := twinRandCplx(rng, n, adv)
-				ref := twinRandCplx(rng, n, adv)
-				s1, s2 := CorrPair(x1, x2, ref)
-				w1, w2 := CorrPairRef(x1, x2, ref)
-				bitsEqual(t, "corr", []float64{real(s1), imag(s1), real(s2), imag(s2)},
-					[]float64{real(w1), imag(w1), real(w2), imag(w2)})
+				seg := twinRandCplx(rng, n+tapN-1, adv)
+				ref := twinRandCplx(rng, tapN, adv)
+				sr, si := make([]float64, len(seg)), make([]float64, len(seg))
+				Deinterleave(sr, si, seg)
+				rr, ri := make([]float64, tapN), make([]float64, tapN)
+				Deinterleave(rr, ri, ref)
+				cr, ci := make([]float64, n), make([]float64, n)
+				CorrLags(cr, ci, sr, si, rr, ri)
+				wr, wi = CorrLagsRef(seg, ref, n)
+				bitsEqual(t, "corr re", cr, wr)
+				bitsEqual(t, "corr im", ci, wi)
 
 				dst := twinRandPlane(rng, n, adv)
 				src := twinRandPlane(rng, n, adv)

@@ -439,3 +439,42 @@ func FuzzBiquadBatch(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCorrLags drives CorrLags on both tiers against CorrLagsRef over a
+// fuzzer-chosen signal and reference: the lag count is fuzzed across the
+// eight-lag vector passes and the scalar tail.
+func FuzzCorrLags(f *testing.F) {
+	f.Add([]byte{9, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	f.Add(append([]byte{17, 5}, make([]byte, 8*60)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		lags := int(data[0])%40 + 1
+		tapN := int(data[1]) % 24
+		vals := fuzzFloats(data[2:], 2*(lags+tapN-1)+2*tapN)
+		if len(vals) < 2*(lags+tapN-1)+2*tapN || lags+tapN-1 < 1 {
+			return
+		}
+		m := lags + tapN - 1
+		seg := make([]complex128, m)
+		re, im := vals[:m], vals[m:2*m]
+		for i := range seg {
+			seg[i] = complex(re[i], im[i])
+		}
+		rr, ri := vals[2*m:2*m+tapN], vals[2*m+tapN:2*m+2*tapN]
+		ref := make([]complex128, tapN)
+		for k := range ref {
+			ref[k] = complex(rr[k], ri[k])
+		}
+		wr, wi := CorrLagsRef(seg, ref, lags)
+		defer SetDispatch(DispatchName() != "purego")
+		for _, simd := range []bool{true, false} {
+			SetDispatch(simd)
+			cr, ci := make([]float64, lags), make([]float64, lags)
+			CorrLags(cr, ci, re, im, rr, ri)
+			bitsEqual(t, "corr re", cr, wr)
+			bitsEqual(t, "corr im", ci, wi)
+		}
+	})
+}

@@ -24,20 +24,24 @@ func BiquadBatchRef(re, im [][]float64, cb0, cb1, cb2, ca1, ca2, s1r, s1i, s2r, 
 	}
 }
 
-// CorrPairRef is the retained naive reference for CorrPair: the two
-// conjugate dot products in complex arithmetic, one accumulator each. Frozen
-// as the differential-test oracle.
+// CorrLagsRef is the retained naive reference for CorrLags: each lag's
+// conjugate dot product in complex arithmetic, one accumulator per lag,
+// returned as planes. Frozen as the differential-test oracle.
 //
-// The split-complex kernels below are bit-identical to it because each tap
-// of s += z*conj(r) expands to re += a*rr - b*(-ri), im += a*(-ri) + b*rr,
+// The split-complex kernels are bit-identical to it because each tap of
+// s += z*conj(r) expands to re += a*rr - b*(-ri), im += a*(-ri) + b*rr,
 // and IEEE-754 negation is exact, so each expression rounds identically to
 // the single-rounding forms a*rr + b*ri and b*rr - a*ri the kernels use.
-func CorrPairRef(x1, x2, ref []complex128) (s1, s2 complex128) {
-	for k, r := range ref {
-		s1 += x1[k] * complex(real(r), -imag(r))
-		s2 += x2[k] * complex(real(r), -imag(r))
+func CorrLagsRef(seg, ref []complex128, lags int) (cr, ci []float64) {
+	cr, ci = make([]float64, lags), make([]float64, lags)
+	for l := range cr {
+		var s complex128
+		for k, r := range ref {
+			s += seg[l+k] * complex(real(r), -imag(r))
+		}
+		cr[l], ci[l] = real(s), imag(s)
 	}
-	return s1, s2
+	return cr, ci
 }
 
 // FFTStageRef is the retained naive reference for FFTStage. Frozen as the

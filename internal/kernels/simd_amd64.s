@@ -15,14 +15,6 @@
 DATA signBit<>+0(SB)/8, $0x8000000000000000
 GLOBL signBit<>(SB), RODATA|NOPTR, $8
 
-// {+0, -0, +0, -0}: XOR flips the sign of lanes 1 and 3 only (corrPairAsm's
-// {+ri, -ri, +ri, -ri} operand).
-DATA corrSign<>+0(SB)/8, $0x0000000000000000
-DATA corrSign<>+8(SB)/8, $0x8000000000000000
-DATA corrSign<>+16(SB)/8, $0x0000000000000000
-DATA corrSign<>+24(SB)/8, $0x8000000000000000
-GLOBL corrSign<>(SB), RODATA|NOPTR, $32
-
 // func acsStepAsm(next, metric *[64]float64, mA, mB float64) uint64
 //
 // One trellis step, four butterflies per iteration, eight unrolled
@@ -422,47 +414,70 @@ biquad_done:
 	VZEROUPPER
 	RET
 
-// func corrPairAsm(x1, x2, ref []complex128) (s1r, s1im, s2r, s2im float64)
+// func corrLagsAsm(cr, ci, re, im, rr, ri []float64)
 //
-// The four accumulator chains s1re/s1im/s2re/s2im ride the four lanes of
-// Y0. Per tap: {a,b,c,d} = x1[k] ++ x2[k] (interleaved re/im pairs),
-// swapped copy {b,a,d,c} via VPERMILPD, broadcast rr and {+ri,-ri,+ri,-ri},
-// then acc += lane*rr + swapped*(+/-ri) — per lane exactly the twin's
-// a*rr + b*ri, b*rr - a*ri, c*rr + d*ri, d*rr - c*ri (multiplying by the
-// exactly-negated ri rounds identically to subtracting the product).
-TEXT ·corrPairAsm(SB), NOSPLIT, $0-104
-	MOVQ    x1_base+0(FP), SI
-	MOVQ    x2_base+24(FP), DI
-	MOVQ    ref_base+48(FP), R8
-	MOVQ    ref_len+56(FP), CX
-	VXORPD  Y0, Y0, Y0
-	VMOVUPD corrSign<>(SB), Y7
-	TESTQ   CX, CX
-	JE      corrpair_done
+// Eight lags per pass: lags l..l+3 ride Y0 (real) and Y2 (imaginary), lags
+// l+4..l+7 ride Y1 and Y3. Per tap k: broadcast rr[k] and ri[k], load
+// a = re[l+k..l+k+7] and b = im[l+k..l+k+7] (unaligned, two ymm each), then
+// per lane exactly the twin's sr += a*rr + b*ri and si += b*rr - a*ri.
+// len(cr) is a positive multiple of 8.
+TEXT ·corrLagsAsm(SB), NOSPLIT, $0-144
+	MOVQ cr_base+0(FP), DI
+	MOVQ cr_len+8(FP), CX
+	MOVQ ci_base+24(FP), DX
+	MOVQ re_base+48(FP), SI
+	MOVQ im_base+72(FP), R8
+	MOVQ rr_base+96(FP), R9
+	MOVQ rr_len+104(FP), R10
+	MOVQ ri_base+120(FP), R11
+	XORQ AX, AX
 
-corrpair_loop:
-	VMOVUPD      (SI), X1
-	VINSERTF128  $1, (DI), Y1, Y1 // {a, b, c, d}
-	VPERMILPD    $5, Y1, Y2       // {b, a, d, c}
-	VBROADCASTSD (R8), Y3         // rr
-	VBROADCASTSD 8(R8), Y4        // ri
-	VXORPD       Y7, Y4, Y4       // {+ri, -ri, +ri, -ri}
-	VMULPD       Y3, Y1, Y5
-	VMULPD       Y4, Y2, Y6
-	VADDPD       Y6, Y5, Y5
-	VADDPD       Y5, Y0, Y0
-	ADDQ         $16, SI
-	ADDQ         $16, DI
-	ADDQ         $16, R8
-	DECQ         CX
-	JNE          corrpair_loop
+corrlags_pass:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	LEAQ   (SI)(AX*8), R12 // &re[l]
+	LEAQ   (R8)(AX*8), R13 // &im[l]
+	XORQ   BX, BX
+	TESTQ  R10, R10
+	JE     corrlags_store
 
-corrpair_done:
-	VMOVSD       X0, s1r+72(FP)
-	VMOVHPD      X0, s1im+80(FP)
-	VEXTRACTF128 $1, Y0, X1
-	VMOVSD       X1, s2r+88(FP)
-	VMOVHPD      X1, s2im+96(FP)
+corrlags_tap:
+	VBROADCASTSD (R9)(BX*8), Y4  // rr
+	VBROADCASTSD (R11)(BX*8), Y5 // ri
+	VMOVUPD      (R12)(BX*8), Y6   // a, lags l..l+3
+	VMOVUPD      32(R12)(BX*8), Y7 // a, lags l+4..l+7
+	VMOVUPD      (R13)(BX*8), Y8   // b, lags l..l+3
+	VMOVUPD      32(R13)(BX*8), Y9 // b, lags l+4..l+7
+	VMULPD       Y4, Y6, Y10
+	VMULPD       Y5, Y8, Y11
+	VADDPD       Y11, Y10, Y10 // a*rr + b*ri
+	VADDPD       Y10, Y0, Y0
+	VMULPD       Y4, Y8, Y12
+	VMULPD       Y5, Y6, Y13
+	VSUBPD       Y13, Y12, Y12 // b*rr - a*ri
+	VADDPD       Y12, Y2, Y2
+	VMULPD       Y4, Y7, Y10
+	VMULPD       Y5, Y9, Y11
+	VADDPD       Y11, Y10, Y10
+	VADDPD       Y10, Y1, Y1
+	VMULPD       Y4, Y9, Y12
+	VMULPD       Y5, Y7, Y13
+	VSUBPD       Y13, Y12, Y12
+	VADDPD       Y12, Y3, Y3
+	INCQ         BX
+	CMPQ         BX, R10
+	JLT          corrlags_tap
+
+corrlags_store:
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 32(DI)(AX*8)
+	VMOVUPD Y2, (DX)(AX*8)
+	VMOVUPD Y3, 32(DX)(AX*8)
+	ADDQ    $8, AX
+	CMPQ    AX, CX
+	JLT     corrlags_pass
 	VZEROUPPER
 	RET
 
@@ -1493,5 +1508,308 @@ norm_reject_pairs:
 
 norm_done:
 	MOVQ         DX, ret+104(FP)
+	VZEROUPPER
+	RET
+
+DATA demapInf<>+0(SB)/8, $0x7FF0000000000000
+GLOBL demapInf<>(SB), RODATA|NOPTR, $8
+
+// func demapSoftAsm(planes []float64, ys []complex128, w []float64, axI, axQ []float64, stride int) bool
+//
+// Four symbols per quad, one per lane. Each quad is screened first (NaN:
+// unordered with itself, VCMPPD $3; ±0: EQ_OQ against zero, $0) and the
+// kernel returns false at the first quad holding one. An axis pass for bit
+// mask M broadcasts each coordinate x_k, forms (y - x_k)^2 and folds it
+// into d1 (k&M set) or d0 with VMINPD — on these NaN-free squares the
+// exact minimum, as the twin's min. The Q bit-0 pass runs first: its
+// minimum is the I bits' offset bMin. The I passes follow (the bit-0 pass
+// also yields aMin), then the Q bits with aMin. Each metric is the twin's
+// w * ((d1 + other) - (d0 + other)), stored at plane stride.
+// len(ys) is a positive multiple of 4.
+//
+// Register plan: SI ys (advancing), DX w, DI planes, AX symbol index, CX
+// len(ys), R8/R9 axI and its length, R10/R11 axQ and its length, R12 the
+// plane stride in bytes, R13 the output pointer, R14 the bit mask, BX the
+// coordinate index. Y2 yr, Y3 yi, Y4 w, Y6/Y7 the I pass's d0/d1, Y8/Y9 the
+// Q pass's, Y10 aMin, Y11 bMin, Y14 +Inf, Y15 zero.
+TEXT ·demapSoftAsm(SB), NOSPLIT, $0-129
+	MOVQ         planes_base+0(FP), DI
+	MOVQ         ys_base+24(FP), SI
+	MOVQ         ys_len+32(FP), CX
+	MOVQ         w_base+48(FP), DX
+	MOVQ         axI_base+72(FP), R8
+	MOVQ         axI_len+80(FP), R9
+	MOVQ         axQ_base+96(FP), R10
+	MOVQ         axQ_len+104(FP), R11
+	MOVQ         stride+120(FP), R12
+	SHLQ         $3, R12
+	VBROADCASTSD demapInf<>(SB), Y14
+	VXORPD       Y15, Y15, Y15
+	XORQ         AX, AX
+
+demap_quad:
+	VMOVUPD   (SI), Y0
+	VMOVUPD   32(SI), Y1
+	VUNPCKLPD Y1, Y0, Y2
+	VPERMPD   $0xD8, Y2, Y2 // yr of the four symbols
+	VUNPCKHPD Y1, Y0, Y3
+	VPERMPD   $0xD8, Y3, Y3 // yi
+	VMOVUPD   (DX)(AX*8), Y4 // w
+	VCMPPD    $3, Y2, Y2, Y5
+	VCMPPD    $3, Y3, Y3, Y0
+	VORPD     Y0, Y5, Y5
+	VCMPPD    $3, Y4, Y4, Y0
+	VORPD     Y0, Y5, Y5
+	VCMPPD    $0, Y15, Y2, Y0
+	VORPD     Y0, Y5, Y5
+	VCMPPD    $0, Y15, Y3, Y0
+	VORPD     Y0, Y5, Y5
+	VCMPPD    $0, Y15, Y4, Y0
+	VORPD     Y0, Y5, Y5
+	VMOVMSKPD Y5, BX
+	TESTQ     BX, BX
+	JNE       demap_special
+	LEAQ      (DI)(AX*8), R13
+
+	// Q bit-0 pass: d0Q/d1Q and bMin.
+	VMOVAPD Y14, Y8
+	VMOVAPD Y14, Y9
+	XORQ    BX, BX
+
+demap_q0:
+	VBROADCASTSD (R10)(BX*8), Y0
+	VSUBPD       Y0, Y3, Y0
+	VMULPD       Y0, Y0, Y0
+	TESTQ        $1, BX
+	JNE          demap_q0_one
+	VMINPD       Y0, Y8, Y8
+	JMP          demap_q0_next
+
+demap_q0_one:
+	VMINPD Y0, Y9, Y9
+
+demap_q0_next:
+	INCQ   BX
+	CMPQ   BX, R11
+	JLT    demap_q0
+	VMINPD Y9, Y8, Y11
+
+	// I bits, mask 1, 2, 4, ... below len(axI); the mask-1 pass yields aMin.
+	MOVQ $1, R14
+
+demap_ibit:
+	VMOVAPD Y14, Y6
+	VMOVAPD Y14, Y7
+	XORQ    BX, BX
+
+demap_ipass:
+	VBROADCASTSD (R8)(BX*8), Y0
+	VSUBPD       Y0, Y2, Y0
+	VMULPD       Y0, Y0, Y0
+	TESTQ        R14, BX
+	JNE          demap_ipass_one
+	VMINPD       Y0, Y6, Y6
+	JMP          demap_ipass_next
+
+demap_ipass_one:
+	VMINPD Y0, Y7, Y7
+
+demap_ipass_next:
+	INCQ BX
+	CMPQ BX, R9
+	JLT  demap_ipass
+	CMPQ R14, $1
+	JNE  demap_iout
+	VMINPD Y7, Y6, Y10
+
+demap_iout:
+	VADDPD  Y11, Y6, Y0
+	VADDPD  Y11, Y7, Y1
+	VSUBPD  Y0, Y1, Y1
+	VMULPD  Y1, Y4, Y1
+	VMOVUPD Y1, (R13)
+	ADDQ    R12, R13
+	SHLQ    $1, R14
+	CMPQ    R14, R9
+	JLT     demap_ibit
+
+	// Q bits: bit 0 from the first pass, then mask 2, 4, ... below len(axQ).
+	CMPQ R11, $2
+	JLT  demap_next
+	MOVQ $1, R14
+	JMP  demap_qout
+
+demap_qbit:
+	VMOVAPD Y14, Y8
+	VMOVAPD Y14, Y9
+	XORQ    BX, BX
+
+demap_qpass:
+	VBROADCASTSD (R10)(BX*8), Y0
+	VSUBPD       Y0, Y3, Y0
+	VMULPD       Y0, Y0, Y0
+	TESTQ        R14, BX
+	JNE          demap_qpass_one
+	VMINPD       Y0, Y8, Y8
+	JMP          demap_qpass_next
+
+demap_qpass_one:
+	VMINPD Y0, Y9, Y9
+
+demap_qpass_next:
+	INCQ BX
+	CMPQ BX, R11
+	JLT  demap_qpass
+
+demap_qout:
+	VADDPD  Y10, Y8, Y0
+	VADDPD  Y10, Y9, Y1
+	VSUBPD  Y0, Y1, Y1
+	VMULPD  Y1, Y4, Y1
+	VMOVUPD Y1, (R13)
+	ADDQ    R12, R13
+	SHLQ    $1, R14
+	CMPQ    R14, R11
+	JLT     demap_qbit
+
+demap_next:
+	ADDQ $64, SI
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  demap_quad
+	MOVB $1, ret+128(FP)
+	VZEROUPPER
+	RET
+
+demap_special:
+	MOVB $0, ret+128(FP)
+	VZEROUPPER
+	RET
+
+DATA rotLo<>+0(SB)/8, $0x3feffffcdab191de
+DATA rotLo<>+8(SB)/8, $0x3feffffcdab191de
+DATA rotLo<>+16(SB)/8, $0x3feffffcdab191de
+DATA rotLo<>+24(SB)/8, $0x3feffffcdab191de
+GLOBL rotLo<>(SB), RODATA|NOPTR, $32
+
+DATA rotHi<>+0(SB)/8, $0x3ff0000192a73711
+DATA rotHi<>+8(SB)/8, $0x3ff0000192a73711
+DATA rotHi<>+16(SB)/8, $0x3ff0000192a73711
+DATA rotHi<>+24(SB)/8, $0x3ff0000192a73711
+GLOBL rotHi<>(SB), RODATA|NOPTR, $32
+
+// func rotateAsm(x0, x1, x2, x3 []complex128, r *Rotators, both bool) int
+//
+// Lane k rides element k of every vector. Per sample, the four lanes'
+// samples are gathered into a = re and b = im vectors (two 128-bit loads
+// per pair of lanes, VINSERTF128, VUNPCKLPD/VUNPCKHPD), multiplied by the
+// coarse oscillator sample u — a*ur - b*ui, a*ui + b*ur, the twin's order —
+// and, with both, by the fine sample v the same way; the results are
+// scattered back. Each recurrence then advances, state*step in the same
+// form, and the new state's squared magnitude is compared with the
+// screening band (LT_OQ $17 against rotLo, GT_OQ $30 against rotHi, both
+// false on NaN like Go's < and >). A drifted lane ends the call after the
+// sample, with the states as advanced.
+//
+// Register plan: R8..R11 the lanes' sample pointers, CX the sample count,
+// AX the sample index, DI the Rotators, Y6/Y7 coarse state, Y8/Y9 coarse
+// step, Y10/Y11 fine state, Y12/Y13 fine step, Y4/Y5 the samples.
+TEXT ·rotateAsm(SB), NOSPLIT, $0-120
+	MOVQ    x0_base+0(FP), R8
+	MOVQ    x0_len+8(FP), CX
+	MOVQ    x1_base+24(FP), R9
+	MOVQ    x2_base+48(FP), R10
+	MOVQ    x3_base+72(FP), R11
+	MOVQ    r+96(FP), DI
+	MOVBLZX both+104(FP), DX
+	VMOVUPD 0(DI), Y6
+	VMOVUPD 32(DI), Y7
+	VMOVUPD 64(DI), Y8
+	VMOVUPD 96(DI), Y9
+	VMOVUPD 128(DI), Y10
+	VMOVUPD 160(DI), Y11
+	VMOVUPD 192(DI), Y12
+	VMOVUPD 224(DI), Y13
+	XORQ    AX, AX
+
+rotate_sample:
+	VMOVUPD     (R8), X0
+	VMOVUPD     (R9), X1
+	VINSERTF128 $1, (R10), Y0, Y0 // {a0, b0, a2, b2}
+	VINSERTF128 $1, (R11), Y1, Y1 // {a1, b1, a3, b3}
+	VUNPCKLPD   Y1, Y0, Y4        // a
+	VUNPCKHPD   Y1, Y0, Y5        // b
+
+	// x*u, then the coarse state advances and is screened.
+	VMULPD Y6, Y4, Y0
+	VMULPD Y7, Y5, Y1
+	VSUBPD Y1, Y0, Y0  // a*ur - b*ui
+	VMULPD Y7, Y4, Y1
+	VMULPD Y6, Y5, Y2
+	VADDPD Y2, Y1, Y5  // a*ui + b*ur
+	VMOVAPD Y0, Y4
+	VMULPD Y8, Y6, Y0
+	VMULPD Y9, Y7, Y1
+	VSUBPD Y1, Y0, Y0  // ur*sr - ui*si
+	VMULPD Y9, Y6, Y1
+	VMULPD Y8, Y7, Y2
+	VADDPD Y2, Y1, Y7  // ur*si + ui*sr
+	VMOVAPD Y0, Y6
+	VMULPD Y6, Y6, Y0
+	VMULPD Y7, Y7, Y1
+	VADDPD Y1, Y0, Y0
+	VCMPPD $17, rotLo<>(SB), Y0, Y1
+	VCMPPD $30, rotHi<>(SB), Y0, Y2
+	VORPD  Y2, Y1, Y15
+	TESTQ  DX, DX
+	JE     rotate_store
+
+	// (x*u)*v, then the fine state advances and is screened.
+	VMULPD Y10, Y4, Y0
+	VMULPD Y11, Y5, Y1
+	VSUBPD Y1, Y0, Y0
+	VMULPD Y11, Y4, Y1
+	VMULPD Y10, Y5, Y2
+	VADDPD Y2, Y1, Y5
+	VMOVAPD Y0, Y4
+	VMULPD Y12, Y10, Y0
+	VMULPD Y13, Y11, Y1
+	VSUBPD Y1, Y0, Y0
+	VMULPD Y13, Y10, Y1
+	VMULPD Y12, Y11, Y2
+	VADDPD Y2, Y1, Y11
+	VMOVAPD Y0, Y10
+	VMULPD Y10, Y10, Y0
+	VMULPD Y11, Y11, Y1
+	VADDPD Y1, Y0, Y0
+	VCMPPD $17, rotLo<>(SB), Y0, Y1
+	VCMPPD $30, rotHi<>(SB), Y0, Y2
+	VORPD  Y2, Y1, Y1
+	VORPD  Y1, Y15, Y15
+
+rotate_store:
+	VUNPCKLPD    Y5, Y4, Y0 // {a0, b0, a2, b2}
+	VUNPCKHPD    Y5, Y4, Y1 // {a1, b1, a3, b3}
+	VMOVUPD      X0, (R8)
+	VMOVUPD      X1, (R9)
+	VEXTRACTF128 $1, Y0, (R10)
+	VEXTRACTF128 $1, Y1, (R11)
+	ADDQ         $16, R8
+	ADDQ         $16, R9
+	ADDQ         $16, R10
+	ADDQ         $16, R11
+	INCQ         AX
+	VMOVMSKPD    Y15, BX
+	TESTQ        BX, BX
+	JNE          rotate_done
+	CMPQ         AX, CX
+	JLT          rotate_sample
+
+rotate_done:
+	VMOVUPD Y6, 0(DI)
+	VMOVUPD Y7, 32(DI)
+	VMOVUPD Y10, 128(DI)
+	VMOVUPD Y11, 160(DI)
+	MOVQ    AX, ret+112(FP)
 	VZEROUPPER
 	RET

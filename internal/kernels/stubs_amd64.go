@@ -70,11 +70,27 @@ func mixApplyLOAsm(xr, xi, lor, loi []float64, mur, mui, nur, nui, gain, dcr, dc
 //go:noescape
 func biquadQuadAsm(re, im [][]float64, b0, b1, b2, a1, a2, s1r, s1i, s2r, s2i []float64)
 
-// corrPairAsm accumulates the four correlation chains in one vector over
-// len(ref) taps; x1/x2 must have at least len(ref) elements.
+// corrLagsAsm correlates len(cr) lags, eight per pass; len(cr) must be a
+// positive multiple of 8, re/im at least len(cr)+len(rr)-1 elements long
+// and ri at least len(rr).
 //
 //go:noescape
-func corrPairAsm(x1, x2, ref []complex128) (s1r, s1im, s2r, s2im float64)
+func corrLagsAsm(cr, ci, re, im, rr, ri []float64)
+
+// demapSoftAsm demaps len(ys) symbols, four per vector pass, onto planes
+// of the given stride; len(ys) must be a positive multiple of 4 and w at
+// least as long. It returns false at the first quad holding a NaN or ±0
+// symbol component or weight.
+//
+//go:noescape
+func demapSoftAsm(planes []float64, ys []complex128, w []float64, axI, axQ []float64, stride int) bool
+
+// rotateAsm rotates len(x0) > 0 samples of four lanes (x1..x3 at least as
+// long), one lane per vector element, and returns the samples done: all of
+// them, or up to and including the first whose new state drifted.
+//
+//go:noescape
+func rotateAsm(x0, x1, x2, x3 []complex128, r *Rotators, both bool) int
 
 // addPlaneAsm adds src into dst over len(dst) elements; len(dst) must be a
 // positive multiple of 4 and src at least as long.
@@ -257,8 +273,26 @@ func biquadPadded(re, im [][]float64, b0, b1, b2, a1, a2, s1r, s1i, s2r, s2i []f
 }
 
 //lint:hotpath
-func corrPairSIMD(x1, x2, ref []complex128) (s1r, s1im, s2r, s2im float64) {
-	return corrPairAsm(x1, x2, ref)
+func corrLagsSIMD(cr, ci, re, im, rr, ri []float64) {
+	o := len(cr) &^ 7
+	if o > 0 {
+		corrLagsAsm(cr[:o], ci, re, im, rr, ri)
+	}
+	corrLagsTail(o, cr, ci, re, im, rr, ri)
+}
+
+//lint:hotpath
+func demapSoftSIMD(planes []float64, ys []complex128, w []float64, axI, axQ []float64, stride int) bool {
+	q := len(ys) &^ 3
+	if q > 0 && !demapSoftAsm(planes, ys[:q], w, axI, axQ, stride) {
+		return false
+	}
+	return demapSoftGo(planes[q:], ys[q:], w[q:], axI, axQ, stride)
+}
+
+//lint:hotpath
+func rotateSIMD(x0, x1, x2, x3 []complex128, r *Rotators, both bool) int {
+	return rotateAsm(x0, x1, x2, x3, r, both)
 }
 
 //lint:hotpath

@@ -38,8 +38,18 @@ func biquadBatchSIMD(re, im [][]float64, b0, b1, b2, a1, a2, s1r, s1i, s2r, s2i 
 }
 
 //lint:hotpath
-func corrPairSIMD(x1, x2, ref []complex128) (s1r, s1im, s2r, s2im float64) {
-	return corrPairGo(x1, x2, ref)
+func corrLagsSIMD(cr, ci, re, im, rr, ri []float64) {
+	corrLagsGo(cr, ci, re, im, rr, ri)
+}
+
+//lint:hotpath
+func demapSoftSIMD(planes []float64, ys []complex128, w []float64, axI, axQ []float64, stride int) bool {
+	return demapSoftGo(planes, ys, w, axI, axQ, stride)
+}
+
+//lint:hotpath
+func rotateSIMD(x0, x1, x2, x3 []complex128, r *Rotators, both bool) int {
+	return rotateGo(x0, x1, x2, x3, r, both)
 }
 
 //lint:hotpath

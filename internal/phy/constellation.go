@@ -83,6 +83,15 @@ type constellationTable struct {
 
 var tables = map[Modulation]*constellationTable{}
 
+// unitWeights are the soft demapper's weights of an unweighted symbol: the
+// scalar demapper multiplies each metric by exactly 1.0 too.
+var unitWeights = func() (w [NumDataCarriers]float64) {
+	for i := range w {
+		w[i] = 1
+	}
+	return w
+}()
+
 func init() {
 	for _, m := range []Modulation{BPSK, QPSK, QAM16, QAM64} {
 		n := m.BitsPerSymbol()

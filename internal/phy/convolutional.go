@@ -1,6 +1,9 @@
 package phy
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Convolutional code constants for the clause-17 rate-1/2 mother code.
 const (
@@ -110,18 +113,21 @@ func DepunctureAppend(dst, punctured []float64, rate CodeRate) ([]float64, error
 		return nil, fmt.Errorf("phy: punctured length %d not a multiple of %d", len(punctured), kept)
 	}
 	periods := len(punctured) / kept
-	if dst == nil {
-		dst = make([]float64, 0, periods*len(keep))
+	if kept == len(keep) {
+		// Rate 1/2 steals nothing: the stream is its own expansion.
+		return append(dst, punctured...), nil
 	}
-	idx := 0
+	n := len(dst)
+	dst = slices.Grow(dst, periods*len(keep))[:n+periods*len(keep)]
+	out, idx := dst[n:], 0
 	for p := 0; p < periods; p++ {
-		for _, k := range keep {
+		for j, k := range keep {
+			v := 0.0
 			if k {
-				dst = append(dst, punctured[idx])
+				v = punctured[idx]
 				idx++
-			} else {
-				dst = append(dst, 0)
 			}
+			out[p*len(keep)+j] = v
 		}
 	}
 	return dst, nil

@@ -50,6 +50,31 @@ func interleaveTable(mode Mode) []int {
 	return t
 }
 
+// planarTables holds, per clause-17 NBPSC, the deinterleaver's table over
+// bit planes: position k of the coded stream reads plane j's carrier c,
+// index j*NumDataCarriers+c, where the interleaver sends it to bit j of
+// carrier c (kernels.DemapSoft's layout).
+var planarTables = func() map[int][]int {
+	tables := make(map[int][]int, len(interleaveTables))
+	for nbpsc, t := range interleaveTables {
+		p := make([]int, len(t))
+		for k, pos := range t {
+			p[k] = (pos%nbpsc)*NumDataCarriers + pos/nbpsc
+		}
+		tables[nbpsc] = p
+	}
+	return tables
+}()
+
+// deinterleavePlanes returns the mode's planar deinterleaver table (nil for
+// a shape outside clause 17).
+func deinterleavePlanes(mode Mode) []int {
+	if t := planarTables[mode.NBPSC()]; len(t) == mode.NCBPS() {
+		return t
+	}
+	return nil
+}
+
 // Interleave permutes one OFDM symbol's worth of coded bits. len(bits) must
 // equal the mode's NCBPS.
 func Interleave(bits []byte, mode Mode) ([]byte, error) {

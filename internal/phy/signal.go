@@ -58,13 +58,7 @@ func EncodeSignal(mode Mode, length int) ([]complex128, error) {
 // symbol. It validates the parity bit and the RATE encoding.
 func (d *PacketDecoder) DecodeSignal(dataCarriers []complex128) (SignalField, error) {
 	var sf SignalField
-	soft, err := DemapSoftAppend(d.sym[:0], dataCarriers, BPSK, nil)
-	if err != nil {
-		return sf, err
-	}
-	d.sym = soft
-	bpskMode := Modes[0]
-	deint, err := DeinterleaveSoftInto(d.dep[:0], soft, bpskMode)
+	deint, err := d.demapInto(d.dep[:0], dataCarriers, nil, Modes[0])
 	if err != nil {
 		return sf, err
 	}

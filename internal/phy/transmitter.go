@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"wlansim/internal/bits"
+	"wlansim/internal/kernels"
 	"wlansim/internal/phy/viterbi"
 )
 
@@ -260,12 +261,7 @@ func (d *PacketDecoder) prepareSoft(carriers [][]complex128, csi [][]float64, mo
 		if csi != nil {
 			w = csi[n]
 		}
-		m, err := DemapSoftAppend(d.sym[:0], c, mode.Modulation, w)
-		if err != nil {
-			return nil, err
-		}
-		d.sym = m
-		chunk, err := DeinterleaveSoftInto(soft[len(soft):], m, mode)
+		chunk, err := d.demapInto(soft[len(soft):], c, w, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -278,6 +274,42 @@ func (d *PacketDecoder) prepareSoft(carriers [][]complex128, csi [][]float64, mo
 	}
 	d.dep = dep
 	return dep, nil
+}
+
+// demapInto demaps one OFDM symbol's equalized data carriers c, weighted by
+// w (nil: unweighted), and writes its NCBPS deinterleaved soft metrics into
+// out (grown if its capacity is short, reused otherwise). The vector
+// demapper writes bit planes, which the deinterleaver reads through its
+// planar table; a symbol it refuses (a NaN or ±0 input) or of another shape
+// takes the scalar demapper, which also reports the shape errors. Either
+// way the metrics are the scalar demapper's, bit for bit.
+func (d *PacketDecoder) demapInto(out []float64, c []complex128, w []float64, mode Mode) ([]float64, error) {
+	ncbps := mode.NCBPS()
+	if cap(d.sym) < ncbps {
+		d.sym = make([]float64, ncbps)
+	}
+	weights := w
+	if w == nil {
+		weights = unitWeights[:]
+	}
+	t, perm, planes := tables[mode.Modulation], deinterleavePlanes(mode), d.sym[:ncbps]
+	if t != nil && len(c) == NumDataCarriers && len(weights) == len(c) && len(perm) == ncbps &&
+		kernels.DemapSoft(planes, c, weights, t.axisI, t.axisQ) {
+		if cap(out) < ncbps {
+			out = make([]float64, ncbps)
+		}
+		out = out[:ncbps]
+		for k, p := range perm {
+			out[k] = planes[p]
+		}
+		return out, nil
+	}
+	m, err := DemapSoftAppend(d.sym[:0], c, mode.Modulation, w)
+	if err != nil {
+		return nil, err
+	}
+	d.sym = m
+	return DeinterleaveSoftInto(out, m, mode)
 }
 
 // DecodeDataCarriersHard is the hard-decision variant of

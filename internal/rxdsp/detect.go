@@ -135,25 +135,49 @@ func (d *Detector) Detect(x []complex128, from int) (DetectResult, error) {
 // searchLen samples. It returns the index of the first sample of T1 (the
 // first full long symbol).
 func FineTiming(x []complex128, searchFrom, searchLen int) (int, error) {
-	ref := longTD
+	var ts timingScratch
+	return ts.fineTiming(x, searchFrom, searchLen)
+}
+
+// timingScratch carries fine timing's planes, so repeated searches allocate
+// nothing: the window's samples, and its lag correlations and magnitudes.
+type timingScratch struct {
+	re, im []float64
+	cr, ci []float64
+	mag    []float64
+}
+
+// fineTiming is FineTiming on the scratch. The search looks for the
+// combined peak of two correlations 64 samples apart (T1 and T2), which is
+// unambiguous against the 16-periodic short preamble. T2's correlation at
+// lag l is T1's at lag l+64 — the same products summed in the same order —
+// so every distinct lag is correlated once, by kernels.CorrLags over the
+// window's planes, and its magnitude taken once: each candidate's
+// |s1| + |s2| is bit-identical to the two correlations of corrPairRef.
+func (ts *timingScratch) fineTiming(x []complex128, searchFrom, searchLen int) (int, error) {
+	const refLen = 64
 	if searchFrom < 0 {
 		searchFrom = 0
 	}
-	end := searchFrom + searchLen + len(ref) + 64
+	end := searchFrom + searchLen + refLen + 64
 	if end > len(x) {
 		end = len(x)
 	}
-	if end-searchFrom < len(ref)+64 {
+	if end-searchFrom < refLen+64 {
 		return 0, fmt.Errorf("rxdsp: fine timing window too small")
 	}
 	seg := x[searchFrom:end]
+	lags := len(seg) - refLen + 1
+	ts.re, ts.im = grow(ts.re, len(seg)), grow(ts.im, len(seg))
+	ts.cr, ts.ci, ts.mag = grow(ts.cr, lags), grow(ts.ci, lags), grow(ts.mag, lags)
+	kernels.Deinterleave(ts.re, ts.im, seg)
+	kernels.CorrLags(ts.cr, ts.ci, ts.re, ts.im, longRe[:], longIm[:])
+	for l := range ts.mag {
+		ts.mag[l] = cmplx.Abs(complex(ts.cr[l], ts.ci[l]))
+	}
 	best, bestMag := -1, 0.0
-	// Look for the combined peak of two correlations 64 samples apart
-	// (T1 and T2), which is unambiguous against the 16-periodic short
-	// preamble.
-	for l := 0; l+len(ref)+64 <= len(seg); l++ {
-		s1, s2 := corrPair(seg, ref, l)
-		if m := cmplx.Abs(s1) + cmplx.Abs(s2); m > bestMag {
+	for l := 0; l+refLen+64 <= len(seg); l++ {
+		if m := ts.mag[l] + ts.mag[l+64]; m > bestMag {
 			best, bestMag = l, m
 		}
 	}
@@ -161,15 +185,6 @@ func FineTiming(x []complex128, searchFrom, searchLen int) (int, error) {
 		return 0, fmt.Errorf("rxdsp: fine timing failed")
 	}
 	return searchFrom + best, nil
-}
-
-// corrPair evaluates the two conjugate dot products sum(seg[l+k]*conj(ref[k]))
-// and sum(seg[l+64+k]*conj(ref[k])) via kernels.CorrPair, which runs the four
-// accumulator chains split-complex (scalar ILP on the Go tier, one ymm lane
-// each on the AVX2 tier) and is bit-exact against the naive complex form.
-// Bit-exact vs corrPairRef (TestCorrPairEquivalence).
-func corrPair(seg, ref []complex128, l int) (s1, s2 complex128) {
-	return kernels.CorrPair(seg[l:], seg[l+64:], ref)
 }
 
 // FineCFO estimates the residual frequency offset (cycles per sample) from
@@ -198,5 +213,12 @@ func dotConj64(u, v []complex128) complex128 {
 }
 
 // longTD is the first full long training symbol, built once at package
-// initialization and read-only afterwards, so concurrent receivers share it.
-var longTD = phy.LongPreamble()[32:96]
+// initialization and read-only afterwards, so concurrent receivers share it;
+// longRe and longIm are its planes, fine timing's correlation reference.
+var (
+	longTD         = phy.LongPreamble()[32:96]
+	longRe, longIm = func() (re, im [64]float64) {
+		kernels.Deinterleave(re[:], im[:], longTD)
+		return re, im
+	}()
+)

@@ -5,18 +5,21 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"wlansim/internal/kernels"
 )
 
-// Differential suite for the split-complex synchronization kernels: the
-// ILP-friendly scalar forms in corrPair and dotConj64 must be bit-identical
+// Differential suite for the split-complex synchronization kernels: fine
+// timing's lag correlations (kernels.CorrLags, each lag once, T2's pair
+// read at lag l+64) and dotConj64 must be bit-identical
 // to the retained naive complex-arithmetic references on random and
 // adversarial inputs, because FineCFO's estimate feeds a second rotation
 // pass over the whole packet — a one-ulp drift there would move the golden
 // BER tables.
 
-// corrPairRef is the retained naive complex-arithmetic reference for corrPair;
-// the differential test asserts bit equality between the two on random and
-// adversarial inputs.
+// corrPairRef is the retained naive complex-arithmetic reference for fine
+// timing's correlation pair at lag l; the differential test asserts bit
+// equality with the lag correlations on random and adversarial inputs.
 func corrPairRef(seg, ref []complex128, l int) (s1, s2 complex128) {
 	for k, r := range ref {
 		s1 += seg[l+k] * cmplx.Conj(r)
@@ -32,6 +35,21 @@ func dotConj64Ref(u, v []complex128) complex128 {
 		c += u[k] * cmplx.Conj(v[k])
 	}
 	return c
+}
+
+// lagCorrs correlates seg with the long training symbol at every lag, as
+// fine timing does.
+func lagCorrs(seg []complex128) []complex128 {
+	re, im := make([]float64, len(seg)), make([]float64, len(seg))
+	kernels.Deinterleave(re, im, seg)
+	n := len(seg) - len(longTD) + 1
+	cr, ci := make([]float64, n), make([]float64, n)
+	kernels.CorrLags(cr, ci, re, im, longRe[:], longIm[:])
+	out := make([]complex128, n)
+	for l := range out {
+		out[l] = complex(cr[l], ci[l])
+	}
+	return out
 }
 
 func bitsEq(a, b complex128) bool {
@@ -63,8 +81,9 @@ func TestCorrPairEquivalence(t *testing.T) {
 				seg[off+k] = r + randCplx(rng, 1e-9)
 			}
 		}
+		c := lagCorrs(seg)
 		for l := 0; l+len(ref)+64 <= len(seg); l++ {
-			s1, s2 := corrPair(seg, ref, l)
+			s1, s2 := c[l], c[l+64]
 			r1, r2 := corrPairRef(seg, ref, l)
 			if !bitsEq(s1, r1) || !bitsEq(s2, r2) {
 				t.Fatalf("trial %d lag %d: corrPair (%v,%v) != ref (%v,%v)",
@@ -91,7 +110,8 @@ func TestCorrPairEquivalenceSpecials(t *testing.T) {
 			seg[i] = randCplx(rng, 1)
 		}
 		seg[rng.Intn(len(seg))] = sp
-		s1, s2 := corrPair(seg, ref, 0)
+		c := lagCorrs(seg)
+		s1, s2 := c[0], c[64]
 		r1, r2 := corrPairRef(seg, ref, 0)
 		if !bitsEq(s1, r1) || !bitsEq(s2, r2) {
 			t.Fatalf("special %v: corrPair (%v,%v) != ref (%v,%v)", sp, s1, s2, r1, r2)

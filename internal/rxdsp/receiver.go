@@ -6,7 +6,6 @@ import (
 
 	"wlansim/internal/dsp"
 	"wlansim/internal/phy"
-	"wlansim/internal/units"
 )
 
 // ChannelEstimate holds the per-subcarrier complex channel gains derived
@@ -274,10 +273,9 @@ type Receiver struct {
 	// HardDecisions (the batched decode path is soft-only).
 	DeferDataDecode bool
 
-	// Reusable scratch; see Reset.
-	notch   *dsp.IIR
+	// Reusable scratch: the notched signal, rotated in place, and the
+	// receive's per-packet buffers; lane of a Group's Receive.
 	buf     []complex128
-	work    []complex128
 	ce      chanEstimator
 	est     ChannelEstimate
 	sigSpec []complex128
@@ -286,167 +284,33 @@ type Receiver struct {
 	dataScratch
 	res PacketResult
 	dec *phy.PacketDecoder
+
+	// Receive's one-lane group.
+	group *Group
+	lane  [1]*Receiver
+	x     [1][]complex128
 }
 
 // NewReceiver returns a receiver with default settings.
 func NewReceiver() *Receiver { return &Receiver{Detector: NewDetector()} }
 
-// Reset clears the receiver's internal filter state. Receive already starts
-// every packet from a clean state, so Reset is only needed to drop carried
-// state explicitly (e.g. between unrelated signal captures).
-func (r *Receiver) Reset() {
-	if r.notch != nil {
-		r.notch.Reset()
-	}
-}
-
-// dcNotchCutoff is the digital DC-removal corner as a fraction of the
-// sample rate (40 kHz at 20 MHz — far below the first subcarrier).
-const dcNotchCutoff = 0.002
+// Reset drops the receiver's carried state. Receive starts every packet
+// from a clean state (its DC notch starts from zero each call), so there is
+// none to drop: Reset is kept for callers that reset every block of a
+// chain between unrelated signal captures.
+func (r *Receiver) Reset() {}
 
 // Receive synchronizes to and decodes the first packet at or after index
-// from in the 20 MHz baseband signal x.
+// from in the 20 MHz baseband signal x: a one-lane call of a Group.
 func (r *Receiver) Receive(x []complex128, from int) (*PacketResult, error) {
-	det := r.Detector
-	if det == nil {
-		det = NewDetector()
+	if r.group == nil {
+		r.group = NewGroup()
+		r.lane[0] = r
 	}
-	if from < 0 {
-		from = 0
-	}
-	if from >= len(x) {
-		return nil, fmt.Errorf("rxdsp: start index %d beyond signal", from)
-	}
-	r.buf = append(r.buf[:0], x[from:]...)
-	buf := r.buf
-	// The digital DC-offset notch ahead of packet detection: the second
-	// mixer's self-mixing DC offset otherwise autocorrelates perfectly at
-	// the short-preamble lag and fakes a detection plateau.
-	if r.notch == nil {
-		notch, err := dsp.DesignDCBlock(dcNotchCutoff)
-		if err != nil {
-			return nil, err
-		}
-		r.notch = notch
-	} else {
-		r.notch.Reset()
-	}
-	r.notch.Process(buf)
-	d, err := det.Detect(buf, 0)
-	if err != nil {
-		return nil, err
-	}
-
-	// Correct the coarse CFO from the detection point onward.
-	r.work = append(r.work[:0], buf[d.StartIndex:]...)
-	work := r.work
-	d.StartIndex += from
-	osc := dsp.NewOscillator(-d.CoarseCFO, 0)
-	osc.MixInto(work)
-
-	// The first long training symbol nominally starts 192 samples after the
-	// short preamble start; the detector's plateau start can be tens of
-	// samples off, so search a generous window around the nominal position.
-	nominalT1 := phy.ShortPreambleLen + 32
-	t1, err := FineTiming(work, nominalT1-80, 160)
-	if err != nil {
-		return nil, err
-	}
-
-	fine, err := FineCFO(work, t1)
-	if err != nil {
-		return nil, err
-	}
-	// Apply the residual CFO (re-derive from the original to avoid double
-	// rotation complexities: just rotate work again by the fine estimate).
-	osc2 := dsp.NewOscillator(-fine, 0)
-	osc2.MixInto(work)
-
-	if err := r.ce.estimateInto(&r.est, work, t1); err != nil {
-		return nil, err
-	}
-	est := &r.est
-	linkSNR, err := EstimationSNR(work, t1)
-	if err != nil {
-		return nil, err
-	}
-
-	// SIGNAL symbol follows the long preamble: CP at t1+128, data at +144.
-	sigStart := t1 + 128
-	if sigStart+phy.SymbolLen > len(work) {
-		return nil, fmt.Errorf("rxdsp: truncated before SIGNAL symbol")
-	}
-	mmseReg := 0.0
-	if r.MMSE {
-		mmseReg = units.DBToLinear(-linkSNR)
-	}
-	if r.sigData == nil {
-		r.sigData = make([]complex128, phy.NumDataCarriers)
-		r.sigCSI = make([]float64, phy.NumDataCarriers)
-	}
-	sigSpec, err := phy.DemodulateSymbolInto(r.sigSpec, work[sigStart:sigStart+phy.SymbolLen])
-	if err != nil {
-		return nil, err
-	}
-	r.sigSpec = sigSpec
-	if err := r.eq.equalize(r.sigData, r.sigCSI, sigSpec, est, 0, mmseReg); err != nil {
-		return nil, err
-	}
-	if r.dec == nil {
-		r.dec = phy.NewPacketDecoder()
-	}
-	sf, err := r.dec.DecodeSignal(r.sigData)
-	if err != nil {
-		return nil, fmt.Errorf("rxdsp: SIGNAL decode: %w", err)
-	}
-
-	nBits := phy.ServiceBits + sf.Length*8 + phy.TailBits
-	nSym := (nBits + sf.Mode.NDBPS() - 1) / sf.Mode.NDBPS()
-	dataStart := sigStart + phy.SymbolLen
-	if dataStart+nSym*phy.SymbolLen > len(work) {
-		return nil, fmt.Errorf("rxdsp: truncated DATA field (%d symbols announced)", nSym)
-	}
-
-	carriers, csis, err := r.equalizeData(work, dataStart, nSym, est, mmseReg, r.ReuseBuffers)
-	if err != nil {
-		return nil, err
-	}
-	var csiArg [][]float64
-	if !r.DisableCSI {
-		csiArg = csis
-	}
-	var psdu []byte
-	var deferredCSI [][]float64
-	switch {
-	case r.HardDecisions:
-		psdu, err = r.dec.DecodeDataCarriersHard(carriers, sf.Mode, sf.Length)
-	case r.DeferDataDecode:
-		// The bit-level decode happens later, across packets, in
-		// DecodeDeferredBatch; hand it the CSI weights alongside the
-		// carriers.
-		deferredCSI = csiArg
-	default:
-		psdu, err = r.dec.DecodeDataCarriers(carriers, csiArg, sf.Mode, sf.Length)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := &PacketResult{}
-	if r.ReuseBuffers {
-		out = &r.res
-	}
-	*out = PacketResult{
-		PSDU:              psdu,
-		Signal:            sf,
-		Detection:         d,
-		CFO:               d.CoarseCFO + fine,
-		T1Index:           d.StartIndex + t1,
-		EqualizedCarriers: carriers,
-		CSI:               deferredCSI,
-		LinkSNRdB:         linkSNR,
-		EndIndex:          d.StartIndex + dataStart + nSym*phy.SymbolLen,
-	}
-	return out, nil
+	r.x[0] = x
+	pkts, errs := r.group.Receive(r.lane[:], r.x[:], from)
+	r.x[0] = nil
+	return pkts[0], errs[0]
 }
 
 // IdealReceiver decodes a frame with genie knowledge of its exact start

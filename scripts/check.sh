@@ -184,10 +184,12 @@ trap - EXIT
 
 # The short benchmark run smoke-tests every scenario scripts/bench.sh tracks
 # in BENCH_*.json without timing anything; the rf line also requires the
-# lane AGC benchmark at the six lanes of a Figure 5 group.
+# lane AGC benchmark at the six lanes of a Figure 5 group, and the rxdsp
+# line runs the group receive at eight lanes.
 echo "==> benchmark smoke (1 iteration per scenario)"
 go test -run '^$' -bench 'BenchmarkPacketBehavioral|BenchmarkSweepExecutor|BenchmarkSweepFilterBW|BenchmarkPacketIdeal24|BenchmarkSweepBatched|BenchmarkCompressionPointSweepWorkers' -benchtime 1x ./internal/core > /dev/null
 go test -run '^$' -bench 'BenchmarkDecodeSoft' -benchtime 1x ./internal/phy/viterbi > /dev/null
+go test -run '^$' -bench 'BenchmarkReceiveLanes/L=8|BenchmarkFineTiming' -benchtime 1x ./internal/rxdsp > /dev/null
 go test -run '^$' -bench 'BenchmarkFFTStage' -benchtime 1x ./internal/kernels > /dev/null
 go test -run '^$' -bench 'BenchmarkFIRProcess|BenchmarkComplexFIRProcess|BenchmarkFFT|BenchmarkIIRCascade3|BenchmarkUpsamplerStream' -benchtime 1x ./internal/dsp > /dev/null
 go test -run '^$' -bench 'BenchmarkDemodulateSymbol|BenchmarkModulateSymbol' -benchtime 1x ./internal/phy > /dev/null

@@ -22,16 +22,16 @@ import (
 // points of a curve run as the lanes of one lock-step pipeline).
 func cmdWaterfall(args []string) error {
 	fs := flag.NewFlagSet("waterfall", flag.ExitOnError)
-	cfg, _ := benchFlags(fs)
+	cfg := benchFlags(fs, "len packets seed power workers target-errors cache-bytes no-stage-cache")
 	lo := fs.Float64("from", 2, "lowest SNR (dB)")
 	hi := fs.Float64("to", 30, "highest SNR (dB)")
 	n := fs.Int("points", 8, "sweep points")
 	behavioral := fs.Bool("behavioral", false, "run the behavioral analog front end instead of the ideal one")
 	format := formatFlag(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cfg.parse(args); err != nil {
 		return err
 	}
-	base := *cfg
+	base := cfg.Config
 	fe, feName := core.FrontEndIdeal, "ideal"
 	if *behavioral {
 		fe, feName = core.FrontEndBehavioral, "behavioral"
@@ -47,12 +47,12 @@ func cmdWaterfall(args []string) error {
 // cmdSensitivity bisects for the receiver sensitivity at a rate.
 func cmdSensitivity(args []string) error {
 	fs := flag.NewFlagSet("sensitivity", flag.ExitOnError)
-	cfg, _ := benchFlags(fs)
+	cfg := benchFlags(fs, "rate len packets seed target-errors")
 	per := fs.Float64("per", 0.1, "target packet error rate")
-	if err := fs.Parse(args); err != nil {
+	if err := cfg.parse(args); err != nil {
 		return err
 	}
-	sens, err := core.SensitivitySearch(*cfg, *per, 0.5)
+	sens, err := core.SensitivitySearch(cfg.Config, *per, 0.5)
 	if err != nil {
 		return err
 	}
@@ -63,11 +63,11 @@ func cmdSensitivity(args []string) error {
 // cmdInputRange verifies the paper's -88..-23 dBm wanted input range.
 func cmdInputRange(args []string) error {
 	fs := flag.NewFlagSet("inputrange", flag.ExitOnError)
-	cfg, _ := benchFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	cfg := benchFlags(fs, "len packets seed target-errors")
+	if err := cfg.parse(args); err != nil {
 		return err
 	}
-	res, err := core.InputRangeCheck(*cfg)
+	res, err := core.InputRangeCheck(cfg.Config)
 	if err != nil {
 		return err
 	}
@@ -199,11 +199,11 @@ func cmdMask(args []string) error {
 // an error, so the command exits non-zero.
 func cmdReport(args []string) error {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
-	cfg, _ := benchFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	cfg := benchFlags(fs, "rate len packets seed power target-errors")
+	if err := cfg.parse(args); err != nil {
 		return err
 	}
-	rep, err := core.RunVerificationReport(*cfg)
+	rep, err := core.RunVerificationReport(cfg.Config)
 	if err != nil {
 		return err
 	}
@@ -250,11 +250,11 @@ func cmdRegrowth(args []string) error {
 // against the clause-17.3.10.2 requirements.
 func cmdACR(args []string) error {
 	fs := flag.NewFlagSet("acr", flag.ExitOnError)
-	cfg, _ := benchFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	cfg := benchFlags(fs, "len packets seed target-errors")
+	if err := cfg.parse(args); err != nil {
 		return err
 	}
-	rows, err := core.ACRReport(*cfg, []int{6, 12, 24, 36, 54})
+	rows, err := core.ACRReport(cfg.Config, []int{6, 12, 24, 36, 54})
 	if err != nil {
 		return err
 	}
@@ -268,12 +268,12 @@ func cmdACR(args []string) error {
 // and run time of co-simulation vs the black box in the system simulation.
 func cmdJK(args []string) error {
 	fs := flag.NewFlagSet("jk", flag.ExitOnError)
-	cfg, _ := benchFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	cfg := benchFlags(fs, "rate len packets seed power target-errors")
+	if err := cfg.parse(args); err != nil {
 		return err
 	}
 	run := func(kind core.FrontEndKind) (float64, float64, error) {
-		c := *cfg
+		c := cfg.Config
 		c.FrontEnd = kind
 		bench, err := core.NewBench(c)
 		if err != nil {
@@ -306,11 +306,11 @@ func cmdJK(args []string) error {
 // cmdEVMBudget decomposes the link EVM per analog impairment.
 func cmdEVMBudget(args []string) error {
 	fs := flag.NewFlagSet("evmbudget", flag.ExitOnError)
-	cfg, _ := benchFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	cfg := benchFlags(fs, "rate len packets seed power target-errors")
+	if err := cfg.parse(args); err != nil {
 		return err
 	}
-	rows, err := core.EVMBudget(*cfg)
+	rows, err := core.EVMBudget(cfg.Config)
 	if err != nil {
 		return err
 	}
@@ -323,15 +323,15 @@ func cmdEVMBudget(args []string) error {
 // and prints the schedule plus the result.
 func cmdGraph(args []string) error {
 	fs := flag.NewFlagSet("graph", flag.ExitOnError)
-	cfg, adjacent := benchFlags(fs)
+	cfg := benchFlags(fs, "rate len packets seed power target-errors adjacent")
 	dot := fs.String("dot", "", "write the schematic as Graphviz DOT to this file")
-	if err := fs.Parse(args); err != nil {
+	if err := cfg.parse(args); err != nil {
 		return err
 	}
-	if *adjacent {
+	if cfg.adjacent {
 		cfg.Interferers = []core.InterfererSpec{core.AdjacentChannelSpec(cfg.WantedPowerDBm)}
 	}
-	bench, err := core.NewBench(*cfg)
+	bench, err := core.NewBench(cfg.Config)
 	if err != nil {
 		return err
 	}

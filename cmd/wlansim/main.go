@@ -28,11 +28,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 
 	"wlansim/internal/core"
 	"wlansim/internal/kernels"
@@ -88,6 +91,9 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wlansim %s: %v\n", cmd, err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
@@ -193,20 +199,65 @@ func cmdSpectrum(args []string) error {
 	return nil
 }
 
-func benchFlags(fs *flag.FlagSet) (*core.Config, *bool) {
-	cfg := core.DefaultConfig()
-	fs.IntVar(&cfg.RateMbps, "rate", cfg.RateMbps, "data rate (Mbps)")
-	fs.IntVar(&cfg.PSDULen, "len", cfg.PSDULen, "PSDU length (octets)")
-	fs.IntVar(&cfg.Packets, "packets", cfg.Packets, "packets per point")
-	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
-	fs.Float64Var(&cfg.WantedPowerDBm, "power", cfg.WantedPowerDBm, "wanted power (dBm)")
-	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "concurrent sweep points (0 = all CPUs, 1 = serial; results are identical)")
-	fs.IntVar(&cfg.TargetErrors, "target-errors", cfg.TargetErrors, "stop each point after this many bit errors (0 = run all packets)")
-	fs.Int64Var(&cfg.CacheBytes, "cache-bytes", cfg.CacheBytes, "stage-cache byte budget for sweeps (<= 0 selects the default)")
-	fs.BoolVar(&cfg.DisableStageCache, "no-stage-cache", cfg.DisableStageCache, "run sweeps without the invariant-prefix stage cache")
-	adjacent := fs.Bool("adjacent", false, "add the +16 dB adjacent channel")
-	return &cfg, adjacent
+// benchArgs is the scenario a command reads from the shared flags.
+type benchArgs struct {
+	core.Config
+	adjacent bool
+	fs       *flag.FlagSet
+	unused   map[string]bool // shared flags the command does not read
 }
+
+// benchFlags registers the shared scenario flags on fs. honoured lists,
+// space-separated, the ones the command reads; the others still parse, but
+// setting one is a usage error (see parse), so no setting is silently
+// dropped.
+func benchFlags(fs *flag.FlagSet, honoured string) *benchArgs {
+	b := &benchArgs{Config: core.DefaultConfig(), fs: fs, unused: map[string]bool{}}
+	keep := strings.Fields(honoured)
+	usage := func(name, text string) string {
+		if slices.Contains(keep, name) {
+			return text
+		}
+		b.unused[name] = true
+		return "not used by " + fs.Name() + "; setting it is an error"
+	}
+	cfg := &b.Config
+	fs.IntVar(&cfg.RateMbps, "rate", cfg.RateMbps, usage("rate", "data rate (Mbps)"))
+	fs.IntVar(&cfg.PSDULen, "len", cfg.PSDULen, usage("len", "PSDU length (octets)"))
+	fs.IntVar(&cfg.Packets, "packets", cfg.Packets, usage("packets", "packets per point"))
+	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, usage("seed", "random seed"))
+	fs.Float64Var(&cfg.WantedPowerDBm, "power", cfg.WantedPowerDBm, usage("power", "wanted power (dBm)"))
+	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, usage("workers", "concurrent sweep points (0 = all CPUs, 1 = serial; results are identical)"))
+	fs.IntVar(&cfg.TargetErrors, "target-errors", cfg.TargetErrors, usage("target-errors", "stop each point after this many bit errors (0 = run all packets)"))
+	fs.Int64Var(&cfg.CacheBytes, "cache-bytes", cfg.CacheBytes, usage("cache-bytes", "stage-cache byte budget for sweeps (<= 0 selects the default)"))
+	fs.BoolVar(&cfg.DisableStageCache, "no-stage-cache", cfg.DisableStageCache, usage("no-stage-cache", "run sweeps without the invariant-prefix stage cache"))
+	fs.BoolVar(&b.adjacent, "adjacent", false, usage("adjacent", "add the +16 dB adjacent channel"))
+	for _, name := range keep {
+		if fs.Lookup(name) == nil {
+			panic("wlansim: " + fs.Name() + " honours unknown flag -" + name)
+		}
+	}
+	return b
+}
+
+// parse parses the command line. Setting a shared flag the command does not
+// read is a usage error naming the flag.
+func (b *benchArgs) parse(args []string) error {
+	if err := b.fs.Parse(args); err != nil {
+		return err
+	}
+	var err error
+	b.fs.Visit(func(f *flag.Flag) {
+		if err == nil && b.unused[f.Name] {
+			err = usageError{fmt.Errorf("flag -%s is not used by %s", f.Name, b.fs.Name())}
+		}
+	})
+	return err
+}
+
+// usageError is a command line the command cannot honour; wlansim exits 2
+// on it, as on a flag parse error.
+type usageError struct{ error }
 
 // printCacheStats reports the stage-cache effectiveness of each sweep series
 // that ran with a cache attached (nothing is printed for uncached runs),
@@ -222,10 +273,10 @@ func printCacheStats(series ...*measure.Series) {
 
 func cmdBER(args []string) error {
 	fs := flag.NewFlagSet("ber", flag.ExitOnError)
-	cfg, adjacent := benchFlags(fs)
+	cfg := benchFlags(fs, "rate len packets seed power target-errors adjacent")
 	frontend := fs.String("frontend", "behavioral", "front end: ideal | behavioral | cosim | blackbox")
 	snr := fs.Float64("snr", 0, "channel SNR in dB (0 disables channel noise)")
-	if err := fs.Parse(args); err != nil {
+	if err := cfg.parse(args); err != nil {
 		return err
 	}
 	switch *frontend {
@@ -240,13 +291,13 @@ func cmdBER(args []string) error {
 	default:
 		return fmt.Errorf("unknown front end %q", *frontend)
 	}
-	if *adjacent {
+	if cfg.adjacent {
 		cfg.Interferers = []core.InterfererSpec{core.AdjacentChannelSpec(cfg.WantedPowerDBm)}
 	}
 	if *snr != 0 {
 		cfg.ChannelSNRdB = snr
 	}
-	bench, err := core.NewBench(*cfg)
+	bench, err := core.NewBench(cfg.Config)
 	if err != nil {
 		return err
 	}
@@ -267,13 +318,13 @@ func cmdBER(args []string) error {
 
 func cmdFig5(args []string) error {
 	fs := flag.NewFlagSet("fig5", flag.ExitOnError)
-	cfg, _ := benchFlags(fs)
+	cfg := benchFlags(fs, "packets seed workers target-errors cache-bytes no-stage-cache")
 	lo := fs.Float64("from", 6e6, "lowest passband edge (Hz)")
 	hi := fs.Float64("to", 16e6, "highest passband edge (Hz)")
 	n := fs.Int("points", 6, "sweep points")
 	csvPath := fs.String("csv", "", "also write the figure as CSV to this file")
 	format := formatFlag(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cfg.parse(args); err != nil {
 		return err
 	}
 	base := core.Figure5Config()
@@ -314,13 +365,13 @@ func writeFigureCSV(fig *measure.Figure, path string) error {
 
 func cmdFig6(args []string) error {
 	fs := flag.NewFlagSet("fig6", flag.ExitOnError)
-	cfg, _ := benchFlags(fs)
+	cfg := benchFlags(fs, "packets seed workers target-errors cache-bytes no-stage-cache")
 	lo := fs.Float64("from", -30, "lowest compression point (dBm)")
 	hi := fs.Float64("to", -5, "highest compression point (dBm)")
 	n := fs.Int("points", 6, "sweep points")
 	csvPath := fs.String("csv", "", "also write the figure as CSV to this file")
 	format := formatFlag(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cfg.parse(args); err != nil {
 		return err
 	}
 	base := core.Figure6Config()
@@ -349,12 +400,12 @@ func cmdFig6(args []string) error {
 
 func cmdIP3(args []string) error {
 	fs := flag.NewFlagSet("ip3", flag.ExitOnError)
-	cfg, _ := benchFlags(fs)
+	cfg := benchFlags(fs, "packets seed workers target-errors cache-bytes no-stage-cache")
 	lo := fs.Float64("from", -20, "lowest IIP3 (dBm)")
 	hi := fs.Float64("to", 5, "highest IIP3 (dBm)")
 	n := fs.Int("points", 6, "sweep points")
 	format := formatFlag(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cfg.parse(args); err != nil {
 		return err
 	}
 	base := core.Figure6Config()
@@ -375,15 +426,15 @@ func cmdIP3(args []string) error {
 
 func cmdEVM(args []string) error {
 	fs := flag.NewFlagSet("evm", flag.ExitOnError)
-	cfg, _ := benchFlags(fs)
+	cfg := benchFlags(fs, "rate len packets seed power workers target-errors cache-bytes no-stage-cache")
 	lo := fs.Float64("from", 10, "lowest SNR (dB)")
 	hi := fs.Float64("to", 35, "highest SNR (dB)")
 	n := fs.Int("points", 6, "sweep points")
 	format := formatFlag(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cfg.parse(args); err != nil {
 		return err
 	}
-	base := *cfg
+	base := cfg.Config
 	series, err := core.EVMvsSNR(base, sim.Linspace(*lo, *hi, *n))
 	if err != nil {
 		return err
@@ -395,12 +446,12 @@ func cmdEVM(args []string) error {
 
 func cmdTable2(args []string) error {
 	fs := flag.NewFlagSet("table2", flag.ExitOnError)
-	cfg, _ := benchFlags(fs)
+	cfg := benchFlags(fs, "rate len seed power workers target-errors")
 	max := fs.Int("max", 4, "largest packet count")
-	if err := fs.Parse(args); err != nil {
+	if err := cfg.parse(args); err != nil {
 		return err
 	}
-	base := *cfg
+	base := cfg.Config
 	base.Interferers = nil
 	counts := []int{1, 2}
 	if *max >= 4 {
@@ -423,11 +474,11 @@ func cmdTable2(args []string) error {
 
 func cmdArtifact(args []string) error {
 	fs := flag.NewFlagSet("artifact", flag.ExitOnError)
-	cfg, _ := benchFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	cfg := benchFlags(fs, "rate len packets seed target-errors")
+	if err := cfg.parse(args); err != nil {
 		return err
 	}
-	base := *cfg
+	base := cfg.Config
 	base.WantedPowerDBm = -95 // well below sensitivity: thermal noise dominates
 	res, err := core.NoiseArtifactExperiment(base)
 	if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -99,5 +100,31 @@ func TestCmdReportFailIsError(t *testing.T) {
 	err := cmdReport([]string{"-power", "-100", "-packets", "2", "-len", "40"})
 	if err == nil || !strings.Contains(err.Error(), "nominal link") {
 		t.Fatalf("failing report returned %v, want an error naming the nominal link", err)
+	}
+}
+
+// TestCmdRejectsUnusedFlags pins the shared-flag rule: a shared scenario
+// flag the command does not read is a usage error naming the flag, raised
+// before anything runs.
+func TestCmdRejectsUnusedFlags(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		cmd  func([]string) error
+		args []string
+		flag string
+	}{
+		{"fig5 -power", cmdFig5, []string{"-power", "-50", "-packets", "1"}, "-power"},
+		{"fig5 -rate", cmdFig5, []string{"-rate", "6"}, "-rate"},
+		{"fig6 -adjacent", cmdFig6, []string{"-adjacent"}, "-adjacent"},
+		{"ip3 -len", cmdIP3, []string{"-len", "40"}, "-len"},
+		{"evm -adjacent", cmdEVM, []string{"-adjacent"}, "-adjacent"},
+		{"table2 -packets", cmdTable2, []string{"-packets", "1"}, "-packets"},
+		{"waterfall -rate", cmdWaterfall, []string{"-rate", "54"}, "-rate"},
+		{"ber -workers", cmdBER, []string{"-workers", "2"}, "-workers"},
+	} {
+		err := row.cmd(row.args)
+		if err == nil || !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), row.flag) {
+			t.Errorf("%s: got %v, want a usage error naming %s", row.name, err, row.flag)
+		}
 	}
 }

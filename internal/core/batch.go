@@ -96,10 +96,10 @@ func laneGroups(n, workers, width int) int {
 // nonlinearity and filter (the antenna entry). A group of one on another
 // front end runs it (Reset, Process) on the lane's own copy of the prefix.
 //
-// The back half synchronizes and equalizes each lane on its own DSP
-// receiver (reset per packet, so lanes cannot interact), completes every
-// lane's Viterbi pass in one lock-step DecodeDeferredBatch, and accounts
-// the packet. Lanes stop per lane, on TargetErrors or their own Packets:
+// The back half receives every lane on its own DSP receiver in one group
+// receive (sync, equalization and the DATA-field decode, one lock-step
+// Viterbi pass per SIGNAL shape; lanes cannot interact), and accounts the
+// packet. Lanes stop per lane, on TargetErrors or their own Packets:
 // finished lanes drop out of subsequent packets exactly where their runs
 // alone would stop.
 //
@@ -216,17 +216,9 @@ func (g *laneLoop) run() ([]*Result, error) {
 	defer f.stop()
 	for s := f.start(); s != nil; s = f.next() {
 		g.receive(s)
-		// One lock-step Viterbi pass over every lane that synchronized; a
-		// lane's decode error is exactly the error its sequential Receive
-		// would have returned, so it folds into the lane outcome below.
-		derrs := rxdsp.DecodeDeferredBatch(g.laneRxs, g.pkts)
 		for k, l := range s.active {
-			rxErr := g.rxErrs[k]
-			if rxErr == nil {
-				rxErr = derrs[k]
-			}
 			// The front half derives the stop from the error counts below.
-			g.benches[l].accountPacket(g.pkts[k], rxErr, s.refs[k], g.mode, results[l], &g.evms[l])
+			g.benches[l].accountPacket(g.pkts[k], g.rxErrs[k], s.refs[k], g.mode, results[l], &g.evms[l])
 		}
 		for l, res := range results {
 			s.errs[l] = res.Counter.Errors
@@ -242,14 +234,12 @@ func (g *laneLoop) run() ([]*Result, error) {
 	return results, nil
 }
 
-// receive runs the DSP receive of slot s's active lanes into pkts, rxErrs
-// and laneRxs: the synchronizing receivers, one per lane, as one group
-// receive, or the genie-timed ideal receivers lane by lane (a group's lanes
-// agree on UseIdealRxTiming). The synchronizing receivers defer the DATA
-// decode, which the packet loop completes for every lane of the packet in
-// one rxdsp.DecodeDeferredBatch.
+// receive runs the DSP receive of slot s's active lanes into pkts and
+// rxErrs: the synchronizing receivers, one per lane, as one group receive,
+// or the genie-timed ideal receivers lane by lane (a group's lanes agree on
+// UseIdealRxTiming).
 func (g *laneLoop) receive(s *batchSlot) {
-	g.pkts, g.rxErrs, g.laneRxs = g.pkts[:0], g.rxErrs[:0], g.laneRxs[:0]
+	g.pkts, g.rxErrs = g.pkts[:0], g.rxErrs[:0]
 	if g.benches[0].cfg.UseIdealRxTiming {
 		for k, l := range s.active {
 			b := g.benches[l]
@@ -259,10 +249,10 @@ func (g *laneLoop) receive(s *batchSlot) {
 			pkt, err := b.irx.Receive(s.basebands[k], leadInSamples)
 			g.pkts = append(g.pkts, pkt)
 			g.rxErrs = append(g.rxErrs, err)
-			g.laneRxs = append(g.laneRxs, nil)
 		}
 		return
 	}
+	g.laneRxs = g.laneRxs[:0]
 	for _, l := range s.active {
 		b := g.benches[l]
 		if b.rx == nil {
@@ -270,7 +260,6 @@ func (g *laneLoop) receive(s *batchSlot) {
 			b.rx.HardDecisions = b.cfg.HardDecisions
 			b.rx.DisableCSI = b.cfg.DisableCSI
 			b.rx.ReuseBuffers = true
-			b.rx.DeferDataDecode = true
 		}
 		g.laneRxs = append(g.laneRxs, b.rx)
 	}

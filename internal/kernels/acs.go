@@ -41,37 +41,6 @@ func init() {
 	}
 }
 
-// ACSRun advances the trellis len(decisions) steps, consuming the soft branch
-// metric pair soft[2t], soft[2t+1] at step t and storing that step's 64
-// survivor bits in decisions[t]. metric is the input path-metric bank and
-// scratch a second bank of the same shape; the two are ping-ponged, and the
-// returned pointer is the bank holding the final metrics (one of the two
-// arguments). The run is bit-identical to calling ACSStepRef step by step.
-//
-// Steps execute in the unrolled branchless kernel as long as no NaN candidate
-// can arise — the common case for every real decode. A non-finite branch
-// metric routes that step (and, since it may poison the bank with +Inf or
-// NaN, every later step) through ACSStepRef, whose NaN guards are exact.
-// metric itself must not contain NaN or +Inf on entry; the decoder's
-// 0/-Inf initialization satisfies this.
-//
-//lint:hotpath
-func ACSRun(decisions []uint64, soft []float64, metric, scratch *[64]float64) *[64]float64 {
-	cur, next := metric, scratch
-	clean := true
-	for t := range decisions {
-		mA, mB := soft[2*t], soft[2*t+1]
-		if clean && !math.IsNaN(mA) && !math.IsInf(mA, 0) && !math.IsNaN(mB) && !math.IsInf(mB, 0) {
-			decisions[t] = acsStep(next, cur, mA, mB)
-		} else {
-			clean = false
-			decisions[t] = ACSStepRef(next, cur, mA, mB)
-		}
-		cur, next = next, cur
-	}
-	return cur
-}
-
 // acsStep dispatches one clean trellis step to the active tier. The AVX2
 // tier runs the same 32-butterfly schedule four butterflies per vector; each
 // butterfly is an unchanged scalar chain (see simd_amd64.s), so both tiers

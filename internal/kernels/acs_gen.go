@@ -11,7 +11,7 @@ import "math"
 // metrics; mA and mB are the step's two soft branch metrics (positive favors
 // coded bit 0).
 //
-// Precondition (enforced by ACSRun's dispatch): mA and mB are finite and
+// Precondition (enforced by ACSRunBatch's dispatch): mA and mB are finite and
 // metric contains no NaN and no +Inf, so no candidate sum can be NaN. Under
 // that precondition the result is bit-identical to ACSStepRef — the
 // reference's -Inf selection guard differs from plain assignment only for a

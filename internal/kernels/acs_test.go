@@ -17,8 +17,8 @@ func acsInitBank(m *[64]float64) {
 }
 
 // acsRandSoft fills a soft-metric stream with Gaussian values plus the
-// occasional adversarial NaN/Inf, which must push ACSRun onto its exact
-// reference path for the remainder of the run.
+// occasional adversarial NaN/Inf, which must push a lane of ACSRunBatch onto
+// its exact reference path for the remainder of the run.
 func acsRandSoft(rng *rand.Rand, soft []float64, adversarial bool) {
 	for i := range soft {
 		soft[i] = rng.NormFloat64()
@@ -35,8 +35,8 @@ func acsRandSoft(rng *rand.Rand, soft []float64, adversarial bool) {
 	}
 }
 
-// acsRunRef is the oracle for ACSRun: the same ping-pong loop with every step
-// taken by the frozen reference kernel.
+// acsRunRef is the oracle for every lane of ACSRunBatch: the ping-pong loop
+// with every step taken by the frozen reference kernel.
 func acsRunRef(decisions []uint64, soft []float64, metric, scratch *[64]float64) *[64]float64 {
 	cur, next := metric, scratch
 	for t := range decisions {
@@ -46,9 +46,20 @@ func acsRunRef(decisions []uint64, soft []float64, metric, scratch *[64]float64)
 	return cur
 }
 
-// TestACSRunMatchesRef drives ACSRun and the reference over random and
-// adversarial soft-metric streams, asserting bit equality of every decision
-// word and of every final path metric.
+// acsRunOne runs ACSRunBatch as one lane, the decoder's scalar trellis, and
+// returns the bank holding the final metrics.
+func acsRunOne(decisions []uint64, soft []float64, metric, scratch *[64]float64) *[64]float64 {
+	var clean [1]bool
+	ACSRunBatch([][]uint64{decisions}, [][]float64{soft}, []*[64]float64{metric}, []*[64]float64{scratch}, clean[:])
+	if len(decisions)%2 == 1 {
+		return scratch
+	}
+	return metric
+}
+
+// TestACSRunMatchesRef drives a one-lane ACSRunBatch and the reference over
+// random and adversarial soft-metric streams, asserting bit equality of
+// every decision word and of every final path metric.
 func TestACSRunMatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {
@@ -62,7 +73,7 @@ func TestACSRunMatchesRef(t *testing.T) {
 		decA := make([]uint64, steps)
 		decB := make([]uint64, steps)
 
-		finalA := ACSRun(decA, soft, &bankA, &scratchA)
+		finalA := acsRunOne(decA, soft, &bankA, &scratchA)
 		finalB := acsRunRef(decB, soft, &bankB, &scratchB)
 
 		for i := range decA {
@@ -125,5 +136,5 @@ func benchACS(b *testing.B, run func(decisions []uint64, soft []float64, metric,
 	}
 }
 
-func BenchmarkACSRun(b *testing.B)    { benchACS(b, ACSRun) }
+func BenchmarkACSRun(b *testing.B)    { benchACS(b, acsRunOne) }
 func BenchmarkACSRunRef(b *testing.B) { benchACS(b, acsRunRef) }

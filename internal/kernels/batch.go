@@ -28,12 +28,16 @@ import "math"
 // metric[b]/scratch[b] are lane b's ping-pong banks and clean is a
 // caller-owned scratch of len B (contents ignored on entry); after the run,
 // lane b's final metrics are in metric[b] when the step count is even and in
-// scratch[b] when odd — the same parity ACSRun's returned pointer encodes.
+// scratch[b] when odd. A one-lane call is the decoder's scalar trellis.
 //
-// Each lane is bit-identical to ACSRun on that lane alone: the per-step
-// body, including the non-finite fallback to ACSStepRef and its permanent
-// per-lane latching, is the same code in the same order; steps of other
-// lanes touch disjoint banks.
+// Each lane is bit-identical to calling ACSStepRef step by step on that lane
+// alone. Steps run in the unrolled branchless kernel as long as no NaN
+// candidate can arise — the common case for every real decode. A non-finite
+// branch metric routes that lane's step (and, since it may poison the bank
+// with +Inf or NaN, every later step of the lane) through ACSStepRef, whose
+// NaN guards are exact; steps of other lanes touch disjoint banks. metric[b]
+// must not contain NaN or +Inf on entry; the decoder's 0/-Inf
+// initialization satisfies this.
 //
 //lint:hotpath
 func ACSRunBatch(decisions [][]uint64, soft [][]float64, metric, scratch []*[64]float64, clean []bool) {

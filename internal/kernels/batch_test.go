@@ -55,9 +55,9 @@ func bitsEqualLane(t *testing.T, name string, lane int, got, want []float64) {
 }
 
 // TestACSRunBatchMatchesSequential runs the lock-step batched trellis and B
-// independent sequential ACSRun calls over the same per-lane streams,
+// independent per-step reference runs over the same per-lane streams,
 // asserting bit equality of every decision word and final metric, with the
-// final-bank parity rule checked against ACSRun's returned pointer.
+// final-bank parity rule checked against the reference's returned pointer.
 func TestACSRunBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, B := range batchWidths {
@@ -84,7 +84,7 @@ func TestACSRunBatchMatchesSequential(t *testing.T) {
 				var m, s [64]float64
 				acsInitBank(&m)
 				finalSeq[b] = &[64]float64{}
-				*finalSeq[b] = *ACSRun(decSeq[b], soft[b], &m, &s)
+				*finalSeq[b] = *acsRunRef(decSeq[b], soft[b], &m, &s)
 			}
 
 			ACSRunBatch(decBatch, soft, metric, scratch, clean)

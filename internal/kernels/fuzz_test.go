@@ -30,9 +30,9 @@ func fuzzFloats(data []byte, max int) []float64 {
 	return out
 }
 
-// FuzzACSRun drives the dispatching ACS runner and the frozen per-step
-// reference over the same fuzzer-chosen soft-metric stream from the
-// decoder's standard 0/-Inf bank. Any non-finite metric must flip ACSRun
+// FuzzACSRun drives the dispatching ACS runner as one lane and the frozen
+// per-step reference over the same fuzzer-chosen soft-metric stream from the
+// decoder's standard 0/-Inf bank. Any non-finite metric must flip the lane
 // onto the reference path for the rest of the run, so decisions and final
 // metrics stay bit-identical even mid-stream of adversarial values.
 func FuzzACSRun(f *testing.F) {
@@ -59,7 +59,7 @@ func FuzzACSRun(f *testing.F) {
 		acsInitBank(&m1)
 		got := make([]uint64, steps)
 		want := make([]uint64, steps)
-		gm := ACSRun(got, soft, &m0, &s0)
+		gm := acsRunOne(got, soft, &m0, &s0)
 		wm := acsRunRef(want, soft, &m1, &s1)
 		for i := range got {
 			if got[i] != want[i] {
@@ -72,7 +72,7 @@ func FuzzACSRun(f *testing.F) {
 
 // FuzzACSBatch splits the fuzzer payload across a fuzzer-chosen batch width
 // and asserts the lock-step batched trellis is bit-identical, lane for lane,
-// to independent sequential ACSRun calls — decisions and final metric banks
+// to independent per-step reference runs — decisions and final metric banks
 // both, including lanes that trip the non-finite reference fallback while
 // their batch-mates stay on the fast path.
 func FuzzACSBatch(f *testing.F) {
@@ -107,7 +107,7 @@ func FuzzACSBatch(f *testing.F) {
 
 			var m, s [64]float64
 			acsInitBank(&m)
-			finalSeq[b] = *ACSRun(decSeq[b], soft[b], &m, &s)
+			finalSeq[b] = *acsRunRef(decSeq[b], soft[b], &m, &s)
 		}
 
 		// Run the batched trellis under both kernel tiers: decisions and

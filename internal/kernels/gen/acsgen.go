@@ -19,7 +19,7 @@
 //     comparisons are the same strict > on the same operands in the same
 //     order (even edge first, so metric ties keep the lower predecessor);
 //   - the reference's "c0 > -Inf" initial guard differs from plain assignment
-//     only when c0 is NaN, so the emitted kernel omits it and ACSRun routes
+//     only when c0 is NaN, so the emitted kernel omits it and ACSRunBatch routes
 //     any step that could produce a NaN candidate (non-finite branch metrics,
 //     or a bank poisoned by one) to ACSStepRef instead.
 //
@@ -83,7 +83,7 @@ import "math"
 // metrics; mA and mB are the step's two soft branch metrics (positive favors
 // coded bit 0).
 //
-// Precondition (enforced by ACSRun's dispatch): mA and mB are finite and
+// Precondition (enforced by ACSRunBatch's dispatch): mA and mB are finite and
 // metric contains no NaN and no +Inf, so no candidate sum can be NaN. Under
 // that precondition the result is bit-identical to ACSStepRef — the
 // reference's -Inf selection guard differs from plain assignment only for a

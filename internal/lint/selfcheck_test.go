@@ -3,6 +3,7 @@ package lint
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -25,6 +26,27 @@ func moduleRoot(t *testing.T) string {
 	}
 }
 
+// tree is the whole module, loaded once per test binary: the whole-tree
+// tests only read the packages (each run collects its own ignore
+// directives), and the load, which type-checks every package, is the bulk
+// of each test's time under -race.
+var tree struct {
+	once sync.Once
+	pkgs []*Package
+	err  error
+}
+
+// treePackages returns the whole module's packages.
+func treePackages(t *testing.T) []*Package {
+	t.Helper()
+	root := moduleRoot(t)
+	tree.once.Do(func() { tree.pkgs, tree.err = LoadPackages(root, []string{"./..."}) })
+	if tree.err != nil {
+		t.Fatalf("loading module packages: %v", tree.err)
+	}
+	return tree.pkgs
+}
+
 // TestSuiteCleanOnTree runs the full analyzer suite over the whole module
 // and requires zero findings: the repository itself is the largest fixture,
 // and this is the same gate scripts/check.sh enforces in CI.
@@ -32,11 +54,7 @@ func TestSuiteCleanOnTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short mode")
 	}
-	root := moduleRoot(t)
-	pkgs, err := LoadPackages(root, []string{"./..."})
-	if err != nil {
-		t.Fatalf("loading module packages: %v", err)
-	}
+	pkgs := treePackages(t)
 	if len(pkgs) < 10 {
 		t.Fatalf("loaded only %d packages; pattern expansion is broken", len(pkgs))
 	}
@@ -55,12 +73,7 @@ func TestEscapeCleanOnTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the hot packages with -gcflags=-m; skipped in -short mode")
 	}
-	root := moduleRoot(t)
-	pkgs, err := LoadPackages(root, []string{"./..."})
-	if err != nil {
-		t.Fatalf("loading module packages: %v", err)
-	}
-	diags, err := EscapeCheck(pkgs, Options{StaleIgnores: true})
+	diags, err := EscapeCheck(treePackages(t), Options{StaleIgnores: true})
 	if err != nil {
 		t.Fatalf("EscapeCheck: %v", err)
 	}

@@ -46,18 +46,26 @@ func ConvolutionalEncodeAppend(dst, bits []byte) []byte {
 	return dst
 }
 
+// The keep masks of the punctured rates over one puncturing period of the
+// A/B interleaved stream, shared read-only by every caller.
+var (
+	keepRate1_2 = []bool{true, true}
+	// Period: A1 B1 A2 B2 -> keep A1 B1 A2, steal B2.
+	keepRate2_3 = []bool{true, true, true, false}
+	// Period: A1 B1 A2 B2 A3 B3 -> keep A1 B1 B2 A3 (steal A2, B3).
+	keepRate3_4 = []bool{true, true, false, true, true, false}
+)
+
 // punctureKeep returns the per-position keep mask for a punctured rate over
 // one puncturing period of the A/B interleaved stream.
 func punctureKeep(rate CodeRate) ([]bool, error) {
 	switch rate {
 	case Rate1_2:
-		return []bool{true, true}, nil
+		return keepRate1_2, nil
 	case Rate2_3:
-		// Period: A1 B1 A2 B2 -> keep A1 B1 A2, steal B2.
-		return []bool{true, true, true, false}, nil
+		return keepRate2_3, nil
 	case Rate3_4:
-		// Period: A1 B1 A2 B2 A3 B3 -> keep A1 B1 B2 A3 (steal A2, B3).
-		return []bool{true, true, false, true, true, false}, nil
+		return keepRate3_4, nil
 	default:
 		return nil, fmt.Errorf("phy: unknown code rate %d", rate)
 	}

@@ -3,10 +3,6 @@ package phy
 import (
 	"fmt"
 	"sync"
-
-	"wlansim/internal/bits"
-	"wlansim/internal/kernels"
-	"wlansim/internal/phy/viterbi"
 )
 
 // ServiceBits is the number of SERVICE bits prepended to the PSDU (all zero;
@@ -205,182 +201,6 @@ func (t *Transmitter) TransmitInto(f *Frame, psdu []byte) error {
 	f.ScramblerSeed = seed
 	f.Samples = samples
 	return nil
-}
-
-// PacketDecoder carries the reusable scratch of the bit-level receive
-// chain — per-symbol soft metrics, the depunctured stream and the Viterbi
-// decoder state — so the per-packet decode reaches a near-zero-allocation
-// steady state. The zero value is not usable; construct with
-// NewPacketDecoder. A PacketDecoder must not be shared between goroutines.
-type PacketDecoder struct {
-	sym     []float64 // one symbol's demapped metrics
-	soft    []float64 // deinterleaved stream of the whole DATA field
-	dep     []float64 // depunctured stream
-	hard    []byte    // one symbol's hard decisions
-	decoded []byte    // Viterbi output
-	vit     *viterbi.Decoder
-}
-
-// NewPacketDecoder returns an empty decoder ready for use.
-func NewPacketDecoder() *PacketDecoder {
-	return &PacketDecoder{vit: viterbi.New()}
-}
-
-// DecodeDataCarriers performs the bit-level receive chain on equalized data
-// carriers: soft demapping (optionally CSI-weighted), deinterleaving,
-// depuncturing, Viterbi decoding and descrambling. carriers holds the 48
-// equalized data-carrier values of each DATA OFDM symbol in order; csi, if
-// non-nil, holds the matching channel-state weights. It returns the decoded
-// PSDU.
-func (d *PacketDecoder) DecodeDataCarriers(carriers [][]complex128, csi [][]float64, mode Mode, psduLen int) ([]byte, error) {
-	dep, err := d.prepareSoft(carriers, csi, mode, psduLen)
-	if err != nil {
-		return nil, err
-	}
-	decoded, err := d.vit.DecodeSoftInto(d.decoded, dep)
-	if err != nil {
-		return nil, err
-	}
-	d.decoded = decoded
-	return d.finishDecoded(decoded, psduLen)
-}
-
-// prepareSoft runs the pre-Viterbi half of the soft receive chain — CSI
-// weighted demapping, deinterleaving and depuncturing — and returns the
-// depunctured metric stream, kept in the decoder's scratch until the next
-// prepare or decode call. Splitting here lets the batched decode push many
-// packets' streams through one lock-step Viterbi pass.
-func (d *PacketDecoder) prepareSoft(carriers [][]complex128, csi [][]float64, mode Mode, psduLen int) ([]float64, error) {
-	if psduLen < 1 {
-		return nil, fmt.Errorf("phy: psduLen %d invalid", psduLen)
-	}
-	ncbps := mode.NCBPS()
-	soft := d.growSoft(len(carriers) * ncbps)
-	for n, c := range carriers {
-		var w []float64
-		if csi != nil {
-			w = csi[n]
-		}
-		chunk, err := d.demapInto(soft[len(soft):], c, w, mode)
-		if err != nil {
-			return nil, err
-		}
-		soft = soft[:len(soft)+len(chunk)]
-	}
-	d.soft = soft
-	dep, err := DepunctureAppend(d.dep[:0], soft, mode.CodeRate)
-	if err != nil {
-		return nil, err
-	}
-	d.dep = dep
-	return dep, nil
-}
-
-// demapInto demaps one OFDM symbol's equalized data carriers c, weighted by
-// w (nil: unweighted), and writes its NCBPS deinterleaved soft metrics into
-// out (grown if its capacity is short, reused otherwise). The vector
-// demapper writes bit planes, which the deinterleaver reads through its
-// planar table; a symbol it refuses (a NaN or ±0 input) or of another shape
-// takes the scalar demapper, which also reports the shape errors. Either
-// way the metrics are the scalar demapper's, bit for bit.
-func (d *PacketDecoder) demapInto(out []float64, c []complex128, w []float64, mode Mode) ([]float64, error) {
-	ncbps := mode.NCBPS()
-	if cap(d.sym) < ncbps {
-		d.sym = make([]float64, ncbps)
-	}
-	weights := w
-	if w == nil {
-		weights = unitWeights[:]
-	}
-	t, perm, planes := tables[mode.Modulation], deinterleavePlanes(mode), d.sym[:ncbps]
-	if t != nil && len(c) == NumDataCarriers && len(weights) == len(c) && len(perm) == ncbps &&
-		kernels.DemapSoft(planes, c, weights, t.axisI, t.axisQ) {
-		if cap(out) < ncbps {
-			out = make([]float64, ncbps)
-		}
-		out = out[:ncbps]
-		for k, p := range perm {
-			out[k] = planes[p]
-		}
-		return out, nil
-	}
-	m, err := DemapSoftAppend(d.sym[:0], c, mode.Modulation, w)
-	if err != nil {
-		return nil, err
-	}
-	d.sym = m
-	return DeinterleaveSoftInto(out, m, mode)
-}
-
-// DecodeDataCarriersHard is the hard-decision variant of
-// DecodeDataCarriers: each carrier is sliced to the nearest constellation
-// point before deinterleaving, discarding the soft reliability information
-// (an ablation worth ~2 dB of coding gain).
-func (d *PacketDecoder) DecodeDataCarriersHard(carriers [][]complex128, mode Mode, psduLen int) ([]byte, error) {
-	if psduLen < 1 {
-		return nil, fmt.Errorf("phy: psduLen %d invalid", psduLen)
-	}
-	ncbps := mode.NCBPS()
-	soft := d.growSoft(len(carriers) * ncbps)
-	for _, c := range carriers {
-		hard, err := DemapHardAppend(d.hard[:0], c, mode.Modulation)
-		if err != nil {
-			return nil, err
-		}
-		d.hard = hard
-		m := d.sym[:0]
-		for _, b := range hard {
-			m = append(m, float64(1-2*int(b)))
-		}
-		d.sym = m
-		chunk, err := DeinterleaveSoftInto(soft[len(soft):], m, mode)
-		if err != nil {
-			return nil, err
-		}
-		soft = soft[:len(soft)+len(chunk)]
-	}
-	d.soft = soft
-	return d.finish(soft, mode, psduLen)
-}
-
-// growSoft returns the empty soft-metric accumulator with capacity for the
-// whole DATA field, so the per-symbol deinterleaver writes in place.
-func (d *PacketDecoder) growSoft(need int) []float64 {
-	if cap(d.soft) < need {
-		d.soft = make([]float64, 0, need)
-	}
-	return d.soft[:0]
-}
-
-// finish runs depuncturing, Viterbi decoding and descrambling on the
-// accumulated soft stream.
-func (d *PacketDecoder) finish(soft []float64, mode Mode, psduLen int) ([]byte, error) {
-	dep, err := DepunctureAppend(d.dep[:0], soft, mode.CodeRate)
-	if err != nil {
-		return nil, err
-	}
-	d.dep = dep
-	decoded, err := d.vit.DecodeSoftInto(d.decoded, dep)
-	if err != nil {
-		return nil, err
-	}
-	d.decoded = decoded
-	return d.finishDecoded(decoded, psduLen)
-}
-
-// finishDecoded descrambles the Viterbi output and packs the PSDU bytes.
-func (d *PacketDecoder) finishDecoded(decoded []byte, psduLen int) ([]byte, error) {
-	need := ServiceBits + psduLen*8
-	if len(decoded) < need {
-		return nil, fmt.Errorf("phy: decoded %d bits, need %d", len(decoded), need)
-	}
-	// Descramble. The SERVICE field is transmitted as zeros, so the first 7
-	// descrambler bits reveal the seed; equivalently, synchronize a fresh
-	// scrambler by searching the seed that zeroes the first 7 bits.
-	seed := recoverScramblerSeed(decoded[:7])
-	s := NewScrambler(seed)
-	s.Process(decoded[:need])
-	return bits.ToBytes(decoded[ServiceBits:need])
 }
 
 // recoverScramblerSeed derives the transmit scrambler seed from the first

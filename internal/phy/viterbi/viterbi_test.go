@@ -17,7 +17,7 @@ const (
 // the 7-bit register value (s>>5)<<6 | p(r), so they collapse into two sign
 // tables indexed by (s<<1)|r: +1 where the encoder emits coded bit 0 (the
 // soft metric counts toward the path), -1 where it emits 1 (it counts
-// against). The tables document the trellis structure kernels.ACSRun walks
+// against). The tables document the trellis structure kernels.ACSRunBatch walks
 // and anchor the structural tests.
 var signA, signB [2 * numStates]float64
 

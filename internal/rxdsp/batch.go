@@ -2,78 +2,70 @@ package rxdsp
 
 import "wlansim/internal/phy"
 
-// DecodeDeferredBatch completes the DATA-field decode of deferred Receive
-// results (Receiver.DeferDataDecode) in lock-step: the packets' soft streams
-// run through one batched Viterbi pass, the hot half of the bit-level chain.
-// Each lane's PSDU and error are bit-identical to what its non-deferred
-// Receive would have produced — the pre- and post-Viterbi halves run per
-// lane on the lane's own decoder scratch, and the batched Viterbi is pinned
-// lane≡sequential by its differential tests.
-//
-// rxs[l] must be the receiver whose Receive produced pkts[l]. Lanes whose
-// entry is nil or already decoded (non-nil PSDU, e.g. hard decisions) are
-// skipped. Deferred lanes are grouped by their decoded SIGNAL shape — at low
-// SNR, lanes can announce divergent rates or lengths — with the leading
-// group decoded as one batch and any stragglers decoded sequentially. A
-// lone deferred lane decodes sequentially too.
-//
-// The returned slice holds, per lane, the error the sequential Receive would
-// have returned (nil on success); a failed lane's packet is lost exactly as
-// in sequential operation.
-func DecodeDeferredBatch(rxs []*Receiver, pkts []*PacketResult) []error {
-	errs := make([]error, len(pkts))
-	idx := make([]int, 0, len(pkts))
-	for l, pkt := range pkts {
-		if pkt == nil || pkt.PSDU != nil || rxs[l] == nil || rxs[l].dec == nil {
-			continue
-		}
-		idx = append(idx, l)
-	}
-	switch len(idx) {
-	case 0:
-		return errs
-	case 1:
-		// A lone lane decodes faster through the scalar call than as a
-		// lock-step pass of one.
-		errs[idx[0]] = rxs[idx[0]].decodeDeferred(pkts[idx[0]])
-		return errs
-	}
-	lead := pkts[idx[0]]
-	mode, psduLen, nSym := lead.Signal.Mode, lead.Signal.Length, len(lead.EqualizedCarriers)
-	ds := make([]*phy.PacketDecoder, 0, len(idx))
-	carrs := make([][][]complex128, 0, len(idx))
-	csis := make([][][]float64, 0, len(idx))
-	lanes := make([]int, 0, len(idx))
-	for _, l := range idx {
-		pkt := pkts[l]
-		if pkt.Signal.Mode == mode && pkt.Signal.Length == psduLen && len(pkt.EqualizedCarriers) == nSym {
-			ds = append(ds, rxs[l].dec)
-			carrs = append(carrs, pkt.EqualizedCarriers)
-			csis = append(csis, pkt.CSI)
-			lanes = append(lanes, l)
-			continue
-		}
-		// Straggler with a divergent SIGNAL decode.
-		errs[l] = rxs[l].decodeDeferred(pkt)
-	}
-	psdus, derrs := phy.DecodeDataCarriersBatch(ds, carrs, csis, mode, psduLen)
-	for k, l := range lanes {
-		if derrs[k] != nil {
-			errs[l] = derrs[k]
-			continue
-		}
-		pkts[l].PSDU = psdus[k]
-	}
-	return errs
+// dataDecode is a lane group's DATA-field decode: the lanes of one SIGNAL
+// shape as one phy.DecodeDataCarriersBatch.
+type dataDecode struct {
+	lanes []phy.DataLane
+	ids   []int  // the group lane of each decode lane
+	done  []bool // per group lane: decoded, or nothing to decode
 }
 
-// decodeDeferred completes one deferred packet on its own with exactly the
-// call its non-deferred Receive would have made.
-func (r *Receiver) decodeDeferred(pkt *PacketResult) error {
-	psdu, err := r.dec.DecodeDataCarriers(pkt.EqualizedCarriers, pkt.CSI, pkt.Signal.Mode, pkt.Signal.Length)
-	if err != nil {
-		return err
+// run decodes the DATA field of every lane k with a packet pkts[k] (nil:
+// skipped) on rxs[k]'s decoder — soft metrics weighted by pkts[k].CSI, or
+// hard decisions with rxs[k].HardDecisions — and sets pkts[k].PSDU, or
+// errs[k] to the decode's error. The lanes are grouped by SIGNAL shape
+// (mode, length and symbol count), and each shape is one lock-step pass, a
+// lone lane included. Each lane's outcome is its decode alone's.
+func (dd *dataDecode) run(rxs []*Receiver, pkts []*PacketResult, errs []error) {
+	dd.done = grow(dd.done, len(pkts))
+	for k, pkt := range pkts {
+		dd.done[k] = pkt == nil
 	}
-	pkt.PSDU = psdu
-	return nil
+	for lead, p := range pkts {
+		if dd.done[lead] {
+			continue
+		}
+		dd.lanes, dd.ids = dd.lanes[:0], dd.ids[:0]
+		for k := lead; k < len(pkts); k++ {
+			q := pkts[k]
+			if dd.done[k] || q.Signal != p.Signal || len(q.EqualizedCarriers) != len(p.EqualizedCarriers) {
+				continue
+			}
+			dd.done[k] = true
+			dd.lanes = append(dd.lanes, phy.DataLane{Dec: rxs[k].dec, Carriers: q.EqualizedCarriers, CSI: q.CSI, Hard: rxs[k].HardDecisions})
+			dd.ids = append(dd.ids, k)
+		}
+		phy.DecodeDataCarriersBatch(dd.lanes, p.Signal.Mode, p.Signal.Length)
+		for j, k := range dd.ids {
+			if err := dd.lanes[j].Err; err != nil {
+				errs[k] = err
+			} else {
+				pkts[k].PSDU = dd.lanes[j].PSDU
+			}
+		}
+	}
+	clear(dd.lanes)
+}
+
+// DecodeDeferredBatch completes the DATA-field decode of deferred Receive
+// results (Receiver.DeferDataDecode) with the decode Group.Receive runs:
+// one lock-step pass per SIGNAL shape. Each lane's PSDU and error are
+// bit-identical to what its non-deferred Receive would have produced.
+//
+// rxs[l] must be the receiver whose Receive produced pkts[l]. Lanes whose
+// entry is nil or already decoded (non-nil PSDU) are skipped. The returned
+// slice holds, per lane, the error the non-deferred Receive would have
+// returned (nil on success); a failed lane's packet is lost exactly as in
+// non-deferred operation.
+func DecodeDeferredBatch(rxs []*Receiver, pkts []*PacketResult) []error {
+	errs := make([]error, len(pkts))
+	pend := make([]*PacketResult, len(pkts))
+	for l, pkt := range pkts {
+		if pkt != nil && pkt.PSDU == nil && rxs[l] != nil && rxs[l].dec != nil {
+			pend[l] = pkt
+		}
+	}
+	var dd dataDecode
+	dd.run(rxs, pend, errs)
+	return errs
 }

@@ -2,6 +2,7 @@ package rxdsp
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,10 +11,11 @@ import (
 	"wlansim/internal/phy"
 )
 
-// The deferred-decode differential layer: every path through
-// DecodeDeferredBatch (and phy.DecodeDataCarriersBatch beneath it) must leave
-// each lane byte-identical to the non-deferred sequential Receive — PSDU
-// bytes, error presence and error text alike.
+// The DATA-field decode differential layer: every path through the group's
+// decode — Group.Receive's own and DecodeDeferredBatch's, with
+// phy.DecodeDataCarriersBatch beneath both — must leave each lane
+// byte-identical to the lane-by-lane oracle receive (oracleReceive) —
+// PSDU bytes, error presence and error text alike.
 
 // noisyWave builds a padded, noise-impaired waveform for one lane.
 func noisyWave(t *testing.T, rateMbps, psduLen int, seed int64, snrDB float64) ([]complex128, *phy.Frame) {
@@ -60,11 +62,15 @@ func checkLaneEquivalence(t *testing.T, seqPkts []*PacketResult, seqErrs []error
 	}
 }
 
-// runDeferredDifferential receives every waveform twice — sequentially and
-// deferred+batched — and checks lane equivalence.
+// runDeferredDifferential receives every waveform through the oracle and
+// deferred+batched, and checks lane equivalence.
 func runDeferredDifferential(t *testing.T, waves [][]complex128) {
 	t.Helper()
-	_, seqPkts, seqErrs := receiveLanes(waves, false, false)
+	seqPkts := make([]*PacketResult, len(waves))
+	seqErrs := make([]error, len(waves))
+	for l, w := range waves {
+		seqPkts[l], seqErrs[l] = oracleReceive(NewReceiver(), w, 0)
+	}
 	rxs, pkts, errs := receiveLanes(waves, true, false)
 	derrs := DecodeDeferredBatch(rxs, pkts)
 	for l := range errs {
@@ -102,39 +108,95 @@ func TestDeferredBatchMatchesSequentialAtLowSNR(t *testing.T) {
 	}
 }
 
+// TestDeferredBatchDivergentSignalGrouping runs lanes of several SIGNAL
+// shapes (rate and length) through one group, twice: a non-deferred
+// Group.Receive, every lane against the oracle receive, and a deferred
+// receive completed by DecodeDeferredBatch, every lane against its own
+// one-lane decode. Rows: two shapes in one group, a lone lane of a third
+// shape, hard-decision lanes beside soft ones, and a deferred lane whose
+// terminated trellis is unreachable (its carriers replaced by NaN) beside
+// lanes that decode. Every clean lane must decode its PSDU.
 func TestDeferredBatchDivergentSignalGrouping(t *testing.T) {
-	// Clean lanes of two different rates: the lead group batches, the other
-	// rate takes the straggler path. Both must decode perfectly.
-	frames := make([]*phy.Frame, 0, 4)
-	waves := make([][]complex128, 0, 4)
-	for l, rate := range []int{24, 6, 24, 6} {
-		frame := makeFrame(t, rate, 90, int64(500+l))
-		frames = append(frames, frame)
-		waves = append(waves, withPadding(frame, 250, 100))
-	}
-	rxs, pkts, errs := receiveLanes(waves, true, false)
-	for l, err := range errs {
-		if err != nil {
-			t.Fatalf("lane %d: clean Receive failed: %v", l, err)
+	type lane struct{ rate, length int }
+	for _, row := range []struct {
+		name  string
+		lanes []lane
+		hard  map[int]bool
+		nan   int // the deferred lane given NaN carriers, or -1
+	}{
+		{"two shapes", []lane{{24, 90}, {6, 90}, {24, 90}, {6, 90}}, nil, -1},
+		{"two shapes and a lone third", []lane{{24, 90}, {24, 60}, {54, 120}, {24, 90}, {24, 60}}, nil, -1},
+		{"hard lanes", []lane{{12, 70}, {12, 70}, {36, 40}, {12, 70}}, map[int]bool{1: true, 2: true}, -1},
+		{"unreachable trellis", []lane{{24, 90}, {24, 90}, {24, 90}, {6, 30}}, map[int]bool{2: true}, 1},
+	} {
+		frames := make([]*phy.Frame, len(row.lanes))
+		waves := make([][]complex128, len(row.lanes))
+		for l, ln := range row.lanes {
+			frames[l] = makeFrame(t, ln.rate, ln.length, int64(500+l))
+			waves[l] = withPadding(frames[l], 250, 100)
 		}
-		if pkts[l].PSDU != nil {
-			t.Fatalf("lane %d: deferred Receive decoded the PSDU eagerly", l)
+		newRxs := func(deferData bool) []*Receiver {
+			rxs := make([]*Receiver, len(waves))
+			for l := range rxs {
+				rxs[l] = NewReceiver()
+				rxs[l].HardDecisions = row.hard[l]
+				rxs[l].DeferDataDecode = deferData
+			}
+			return rxs
 		}
-	}
-	derrs := DecodeDeferredBatch(rxs, pkts)
-	for l := range pkts {
-		if derrs[l] != nil {
-			t.Fatalf("lane %d: deferred decode failed: %v", l, derrs[l])
+
+		rxs := newRxs(false)
+		pkts, errs := NewGroup().Receive(rxs, waves, 0)
+		for l := range waves {
+			want, werr := oracleReceive(rxs[l], waves[l], 0)
+			checkMatchesOracle(t, l, pkts[l], errs[l], want, werr)
+			if errs[l] != nil || !bytes.Equal(pkts[l].PSDU, frames[l].PSDU) {
+				t.Fatalf("%s: lane %d: clean group receive failed (%v)", row.name, l, errs[l])
+			}
 		}
-		if !bytes.Equal(pkts[l].PSDU, frames[l].PSDU) {
-			t.Errorf("lane %d: PSDU corrupted across divergent-SIGNAL grouping", l)
+
+		rxs = newRxs(true)
+		pkts, errs = NewGroup().Receive(rxs, waves, 0)
+		wantPSDUs := make([][]byte, len(pkts))
+		wantErrs := make([]error, len(pkts))
+		for l, pkt := range pkts {
+			if errs[l] != nil {
+				t.Fatalf("%s: lane %d: clean Receive failed: %v", row.name, l, errs[l])
+			}
+			if pkt.PSDU != nil {
+				t.Fatalf("%s: lane %d: deferred Receive decoded the PSDU eagerly", row.name, l)
+			}
+			if l == row.nan {
+				for _, sym := range pkt.EqualizedCarriers {
+					for i := range sym {
+						sym[i] = complex(math.NaN(), math.NaN())
+					}
+				}
+			}
+			wantPSDUs[l], wantErrs[l] = oracleDecode(phy.NewPacketDecoder(), pkt.EqualizedCarriers, pkt.CSI, row.hard[l], pkt.Signal)
+		}
+		if row.nan >= 0 && wantErrs[row.nan] == nil {
+			t.Fatalf("%s: NaN carriers decoded", row.name)
+		}
+		derrs := DecodeDeferredBatch(rxs, pkts)
+		for l, pkt := range pkts {
+			if (derrs[l] == nil) != (wantErrs[l] == nil) || derrs[l] != nil && derrs[l].Error() != wantErrs[l].Error() {
+				t.Fatalf("%s: lane %d: deferred decode err %v, oracle err %v", row.name, l, derrs[l], wantErrs[l])
+			}
+			if !bytes.Equal(pkt.PSDU, wantPSDUs[l]) {
+				t.Fatalf("%s: lane %d: deferred PSDU differs from its one-lane decode", row.name, l)
+			}
+			if l != row.nan && !bytes.Equal(pkt.PSDU, frames[l].PSDU) {
+				t.Errorf("%s: lane %d: PSDU corrupted across divergent-SIGNAL grouping", row.name, l)
+			}
 		}
 	}
 }
 
 func TestDeferredBatchSkipsHardDecisionLanes(t *testing.T) {
-	// HardDecisions decodes eagerly; the batch completion must leave those
-	// lanes untouched and still complete interleaved soft lanes.
+	// HardDecisions lanes defer like soft ones and decode in the same
+	// lock-step pass: interleaved hard and soft lanes of one shape must all
+	// complete, each hard lane with its non-deferred Receive's PSDU.
 	waves := make([][]complex128, 4)
 	frames := make([]*phy.Frame, 4)
 	for l := range waves {
@@ -142,6 +204,7 @@ func TestDeferredBatchSkipsHardDecisionLanes(t *testing.T) {
 	}
 	rxs := make([]*Receiver, len(waves))
 	pkts := make([]*PacketResult, len(waves))
+	hardPSDUs := make([][]byte, len(waves))
 	for l, w := range waves {
 		rx := NewReceiver()
 		rx.DeferDataDecode = true
@@ -152,8 +215,19 @@ func TestDeferredBatchSkipsHardDecisionLanes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lane %d: %v", l, err)
 		}
+		if pkts[l].PSDU != nil {
+			t.Fatalf("lane %d: deferred Receive decoded the PSDU eagerly", l)
+		}
+		if rx.HardDecisions {
+			eager := NewReceiver()
+			eager.HardDecisions = true
+			res, err := eager.Receive(dsp.Clone(w), 0)
+			if err != nil {
+				t.Fatalf("lane %d: %v", l, err)
+			}
+			hardPSDUs[l] = res.PSDU
+		}
 	}
-	hardPSDUs := [][]byte{append([]byte(nil), pkts[0].PSDU...), append([]byte(nil), pkts[2].PSDU...)}
 	derrs := DecodeDeferredBatch(rxs, pkts)
 	for l := range pkts {
 		if derrs[l] != nil {
@@ -164,8 +238,8 @@ func TestDeferredBatchSkipsHardDecisionLanes(t *testing.T) {
 		}
 	}
 	if !bytes.Equal(pkts[0].PSDU, hardPSDUs[0]) ||
-		!bytes.Equal(pkts[2].PSDU, hardPSDUs[1]) {
-		t.Error("batch completion rewrote an eagerly-decoded hard lane")
+		!bytes.Equal(pkts[2].PSDU, hardPSDUs[2]) {
+		t.Error("a deferred hard lane's PSDU differs from its non-deferred Receive")
 	}
 }
 
@@ -193,7 +267,8 @@ func TestDeferredBatchSkipsNilLanes(t *testing.T) {
 
 // TestDecodeDataCarriersBatchMatchesSequential pins the phy-layer batch decode
 // directly: B decoders over ideal-receiver carrier grids, with and without
-// CSI, against per-lane DecodeDataCarriers on fresh decoders.
+// CSI and with hard-decision lanes, against each lane's one-lane decode on
+// a fresh decoder.
 func TestDecodeDataCarriersBatchMatchesSequential(t *testing.T) {
 	for _, rate := range []int{6, 24, 54} {
 		for _, B := range []int{1, 2, 4, 7} {
@@ -202,8 +277,8 @@ func TestDecodeDataCarriersBatchMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			psduLen := 60
-			carrs := make([][][]complex128, B)
-			csis := make([][][]float64, B)
+			sf := phy.SignalField{Mode: mode, Length: psduLen}
+			lanes := make([]phy.DataLane, B)
 			want := make([][]byte, B)
 			r := rand.New(rand.NewSource(int64(100*rate + B)))
 			for l := 0; l < B; l++ {
@@ -215,44 +290,33 @@ func TestDecodeDataCarriersBatchMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				carrs[l] = res.EqualizedCarriers
-				csi := make([][]float64, len(res.EqualizedCarriers))
-				for s := range csi {
-					csi[s] = make([]float64, len(res.EqualizedCarriers[s]))
-					for k := range csi[s] {
-						csi[s][k] = 0.25 + r.Float64()
+				lanes[l] = phy.DataLane{Dec: phy.NewPacketDecoder(), Carriers: res.EqualizedCarriers, Hard: l%3 == 2}
+				if l%2 == 1 {
+					// Alternate weighted and unweighted lanes.
+					lanes[l].CSI = make([][]float64, len(res.EqualizedCarriers))
+					for s := range lanes[l].CSI {
+						lanes[l].CSI[s] = make([]float64, len(res.EqualizedCarriers[s]))
+						for k := range lanes[l].CSI[s] {
+							lanes[l].CSI[s][k] = 0.25 + r.Float64()
+						}
 					}
 				}
-				if l%2 == 1 {
-					csis[l] = csi // alternate weighted and unweighted lanes
-				}
-				want[l], err = phy.NewPacketDecoder().DecodeDataCarriers(carrs[l], csis[l], mode, psduLen)
+				want[l], err = oracleDecode(phy.NewPacketDecoder(), lanes[l].Carriers, lanes[l].CSI, lanes[l].Hard, sf)
 				if err != nil {
 					t.Fatalf("lane %d sequential: %v", l, err)
 				}
 			}
-			ds := make([]*phy.PacketDecoder, B)
-			for l := range ds {
-				ds[l] = phy.NewPacketDecoder()
-			}
-			psdus, errs := phy.DecodeDataCarriersBatch(ds, carrs, csis, mode, psduLen)
-			for l := 0; l < B; l++ {
-				if errs[l] != nil {
-					t.Fatalf("rate %d B %d lane %d: %v", rate, B, l, errs[l])
-				}
-				if !bytes.Equal(psdus[l], want[l]) {
-					t.Errorf("rate %d B %d lane %d: batch PSDU differs from sequential", rate, B, l)
-				}
-			}
-			// Scratch reuse: a second pass over the same inputs must reproduce
-			// itself (decoder state fully reset between packets).
-			again, errs2 := phy.DecodeDataCarriersBatch(ds, carrs, csis, mode, psduLen)
-			for l := 0; l < B; l++ {
-				if errs2[l] != nil {
-					t.Fatalf("second pass lane %d: %v", l, errs2[l])
-				}
-				if !bytes.Equal(again[l], want[l]) {
-					t.Errorf("second pass lane %d: scratch reuse changed the decode", l)
+			// A second pass over the same inputs must reproduce itself
+			// (decoder state fully reset between packets).
+			for pass := 0; pass < 2; pass++ {
+				phy.DecodeDataCarriersBatch(lanes, mode, psduLen)
+				for l := 0; l < B; l++ {
+					if lanes[l].Err != nil {
+						t.Fatalf("rate %d B %d pass %d lane %d: %v", rate, B, pass, l, lanes[l].Err)
+					}
+					if !bytes.Equal(lanes[l].PSDU, want[l]) {
+						t.Errorf("rate %d B %d pass %d lane %d: batch PSDU differs from sequential", rate, B, pass, l)
+					}
 				}
 			}
 		}

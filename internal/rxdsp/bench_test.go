@@ -12,7 +12,7 @@ import (
 // benchFrames builds n fixed 24 Mbit/s, 100-octet packets as the packet
 // loop's basebands carry them: 600 samples of lead-in, a 300-sample tail,
 // a carrier offset, a DC offset and noise at 12 dB SNR; 2020 samples each.
-func benchFrames(b *testing.B, n int) [][]complex128 {
+func benchFrames(b testing.TB, n int) [][]complex128 {
 	rng := rand.New(rand.NewSource(91))
 	xs := make([][]complex128, n)
 	for k := range xs {
@@ -28,7 +28,7 @@ func benchFrames(b *testing.B, n int) [][]complex128 {
 }
 
 // BenchmarkReceiveLanes times a group receive — sync plus equalization,
-// with the DATA decode deferred as in the packet loop — of L lanes on
+// with the DATA decode deferred so that it is timed apart — of L lanes on
 // fixed frames, and reports µs per lane-packet. L=1 is Receive's one-lane
 // call.
 func BenchmarkReceiveLanes(b *testing.B) {

@@ -41,11 +41,12 @@ func (e *classError) Unwrap() []error { return []error{e.class, e.err} }
 // lane run together. The lanes' DC notches run as one lock-step
 // dsp.IIRBatch over the group's planes; the coarse and fine CFO rotations
 // run lane-interleaved and stop at each lane's last read sample; fine timing
-// computes each distinct lag correlation once. Each lane's result is
-// bit-identical to its receiver's Receive on its baseband alone: every pass
-// keeps each lane's operation order, and lanes never mix. The group holds
-// one set of sync planes for all its lanes; a Group must not be shared
-// between goroutines.
+// computes each distinct lag correlation once. The receive ends with the
+// DATA-field decode, one lock-step Viterbi pass per SIGNAL shape. Each
+// lane's result is bit-identical to its receiver's Receive on its baseband
+// alone: every pass keeps each lane's operation order, and lanes never mix.
+// The group holds one set of sync planes for all its lanes; a Group must
+// not be shared between goroutines.
 type Group struct {
 	notch  *dsp.IIRBatch
 	re, im [][]float64 // the notch's planes: one block per lane
@@ -59,6 +60,8 @@ type Group struct {
 	timing timingScratch
 	pkts   []*PacketResult
 	errs   []error
+	pend   []*PacketResult // per lane: the packet the group decodes, or nil
+	dec    dataDecode
 }
 
 // laneRx is one lane's progress through a group receive.
@@ -86,15 +89,15 @@ type laneRx struct {
 // and longest signal it receives.
 func NewGroup() *Group { return &Group{} }
 
-// Receive synchronizes to and equalizes the first packet at or after index
-// from in lane k's 20 MHz baseband xs[k] on lane k's receiver rxs[k], for
-// every lane, and returns per lane the result and the error rxs[k].Receive
-// (xs[k], from) would have returned. The returned slices are the group's
-// scratch, valid until its next Receive; the results follow their
-// receivers' ReuseBuffers and DeferDataDecode settings.
+// Receive synchronizes to, equalizes and decodes the first packet at or
+// after index from in lane k's 20 MHz baseband xs[k] on lane k's receiver
+// rxs[k], for every lane, and returns per lane the result and the error
+// rxs[k].Receive(xs[k], from) would have returned. The returned slices are
+// the group's scratch, valid until its next Receive; the results follow
+// their receivers' ReuseBuffers and DeferDataDecode settings.
 func (g *Group) Receive(rxs []*Receiver, xs [][]complex128, from int) ([]*PacketResult, []error) {
 	L := len(rxs)
-	g.pkts, g.errs, g.lanes = grow(g.pkts, L), grow(g.errs, L), grow(g.lanes, L)
+	g.pkts, g.errs, g.lanes, g.pend = grow(g.pkts, L), grow(g.errs, L), grow(g.lanes, L), grow(g.pend, L)
 	if from < 0 {
 		from = 0
 	}
@@ -167,14 +170,28 @@ func (g *Group) Receive(rxs []*Receiver, xs [][]complex128, from int) ([]*Packet
 
 	for k := range g.lanes {
 		ls := &g.lanes[k]
+		g.pkts[k], g.pend[k] = nil, nil
 		if ls.err == nil {
 			g.pkts[k], ls.err = ls.data()
 		}
-		if ls.err != nil {
-			g.pkts[k] = nil
+		if ls.err == nil && !ls.r.DeferDataDecode {
+			g.pend[k] = g.pkts[k]
 		}
 		g.errs[k] = ls.err
 		ls.work = nil
+	}
+
+	// The DATA-field decode of every lane that does not defer it; a
+	// deferred lane keeps its CSI weights for DecodeDeferredBatch.
+	g.dec.run(rxs, g.pend, g.errs)
+	for k, pkt := range g.pend {
+		if pkt == nil {
+			continue
+		}
+		pkt.CSI = nil
+		if g.errs[k] != nil {
+			g.pkts[k] = nil
+		}
 	}
 	return g.pkts, g.errs
 }
@@ -405,8 +422,7 @@ func (ls *laneRx) signal() error {
 // dataStart is the first sample of the DATA field within work.
 func (ls *laneRx) dataStart() int { return ls.t1 + 128 + phy.SymbolLen }
 
-// data equalizes the DATA field and, unless the receiver defers it,
-// decodes it.
+// data equalizes the DATA field; the group decodes it.
 func (ls *laneRx) data() (*PacketResult, error) {
 	r := ls.r
 	dataStart := ls.dataStart()
@@ -414,39 +430,21 @@ func (ls *laneRx) data() (*PacketResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var csiArg [][]float64
-	if !r.DisableCSI {
-		csiArg = csis
+	if r.DisableCSI {
+		csis = nil
 	}
-	var psdu []byte
-	var deferredCSI [][]float64
-	switch {
-	case r.HardDecisions:
-		psdu, err = r.dec.DecodeDataCarriersHard(carriers, ls.sf.Mode, ls.sf.Length)
-	case r.DeferDataDecode:
-		// The bit-level decode happens later, across packets, in
-		// DecodeDeferredBatch; hand it the CSI weights alongside the
-		// carriers.
-		deferredCSI = csiArg
-	default:
-		psdu, err = r.dec.DecodeDataCarriers(carriers, csiArg, ls.sf.Mode, ls.sf.Length)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := &PacketResult{}
-	if r.ReuseBuffers {
-		out = &r.res
+	out := &r.res
+	if !r.ReuseBuffers {
+		out = new(PacketResult)
 	}
 	d := ls.d
 	*out = PacketResult{
-		PSDU:              psdu,
 		Signal:            ls.sf,
 		Detection:         d,
 		CFO:               d.CoarseCFO + ls.fineCFO,
 		T1Index:           d.StartIndex + ls.t1,
 		EqualizedCarriers: carriers,
-		CSI:               deferredCSI,
+		CSI:               csis,
 		LinkSNRdB:         ls.linkSNR,
 		EndIndex:          d.StartIndex + dataStart + ls.nSym*phy.SymbolLen,
 	}

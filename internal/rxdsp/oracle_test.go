@@ -17,9 +17,11 @@ import (
 // The receive Group replaced one Receive that ran its passes lane by lane
 // and over the whole signal: the DC notch through dsp.IIR.Process, both CFO
 // rotations through dsp.Oscillator.MixInto over everything after the
-// detection point, and fine timing through two correlations per lag. That
-// receive is kept here, verbatim apart from its error classes, as the
-// oracle every lane of a group receive must match bit for bit.
+// detection point, fine timing through two correlations per lag, and the
+// DATA-field decode of each packet on its own. That receive is kept here,
+// verbatim apart from its error classes and the form of its one-lane
+// decode call, as the oracle every lane of a group receive must match bit
+// for bit.
 
 // oracleReceive is the sequential receive of x from index from on r's
 // scratch, with the per-lane DC notch and the full-length rotations.
@@ -102,12 +104,7 @@ func oracleReceive(r *Receiver, x []complex128, from int) (*PacketResult, error)
 	if !r.DisableCSI {
 		csiArg = csis
 	}
-	var psdu []byte
-	if r.HardDecisions {
-		psdu, err = dec.DecodeDataCarriersHard(carriers, sf.Mode, sf.Length)
-	} else {
-		psdu, err = dec.DecodeDataCarriers(carriers, csiArg, sf.Mode, sf.Length)
-	}
+	psdu, err := oracleDecode(dec, carriers, csiArg, r.HardDecisions, sf)
 	if err != nil {
 		return nil, err
 	}
@@ -121,6 +118,14 @@ func oracleReceive(r *Receiver, x []complex128, from int) (*PacketResult, error)
 		LinkSNRdB:         linkSNR,
 		EndIndex:          d.StartIndex + dataStart + nSym*phy.SymbolLen,
 	}, nil
+}
+
+// oracleDecode is the DATA-field decode a receive ran on its own before a
+// group's lanes shared one lock-step pass: a one-lane decode on dec.
+func oracleDecode(dec *phy.PacketDecoder, carriers [][]complex128, csi [][]float64, hard bool, sf phy.SignalField) ([]byte, error) {
+	lane := []phy.DataLane{{Dec: dec, Carriers: carriers, CSI: csi, Hard: hard}}
+	phy.DecodeDataCarriersBatch(lane, sf.Mode, sf.Length)
+	return lane[0].PSDU, lane[0].Err
 }
 
 // oracleFineTiming is fine timing with both correlations of every lag.

@@ -268,9 +268,10 @@ type Receiver struct {
 	ReuseBuffers bool
 	// DeferDataDecode makes Receive stop after equalizing the DATA field:
 	// the result carries the equalized carriers, CSI weights and SIGNAL
-	// field but a nil PSDU, to be completed by DecodeDeferredBatch (which
-	// pushes many packets through one lock-step Viterbi pass). Ignored with
-	// HardDecisions (the batched decode path is soft-only).
+	// field but a nil PSDU, to be completed by DecodeDeferredBatch. It
+	// lets a caller time the decode apart from the receive, as the
+	// benchmark module's traced pipeline does; the packet loop decodes
+	// inside the receive.
 	DeferDataDecode bool
 
 	// Reusable scratch: the notched signal, rotated in place, and the

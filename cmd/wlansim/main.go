@@ -447,19 +447,16 @@ func cmdEVM(args []string) error {
 func cmdTable2(args []string) error {
 	fs := flag.NewFlagSet("table2", flag.ExitOnError)
 	cfg := benchFlags(fs, "rate len seed power workers target-errors")
-	max := fs.Int("max", 4, "largest packet count")
+	max := fs.Int("max", 4, "largest packet count (rows are the powers of two up to it)")
 	if err := cfg.parse(args); err != nil {
+		return err
+	}
+	counts, err := table2Counts(*max)
+	if err != nil {
 		return err
 	}
 	base := cfg.Config
 	base.Interferers = nil
-	counts := []int{1, 2}
-	if *max >= 4 {
-		counts = append(counts, 4)
-	}
-	if *max >= 8 {
-		counts = append(counts, 8)
-	}
 	rows, err := core.TimingComparison(base, counts)
 	if err != nil {
 		return err
@@ -470,6 +467,19 @@ func cmdTable2(args []string) error {
 		fmt.Printf("%-14d %-18.3f %-18.3f %.1fx\n", r.Packets, r.FastSeconds, r.CoSimSeconds, r.Ratio())
 	}
 	return nil
+}
+
+// table2Counts returns Table 2's packet counts: the powers of two from 1 up
+// to max. A max below 1 is a usage error.
+func table2Counts(max int) ([]int, error) {
+	if max < 1 {
+		return nil, usageError{fmt.Errorf("-max %d: want at least 1", max)}
+	}
+	var counts []int
+	for n := 1; n > 0 && n <= max; n *= 2 { // n > 0 stops at overflow
+		counts = append(counts, n)
+	}
+	return counts, nil
 }
 
 func cmdArtifact(args []string) error {

@@ -2,8 +2,10 @@ package main
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -125,6 +127,37 @@ func TestCmdRejectsUnusedFlags(t *testing.T) {
 		err := row.cmd(row.args)
 		if err == nil || !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), row.flag) {
 			t.Errorf("%s: got %v, want a usage error naming %s", row.name, err, row.flag)
+		}
+	}
+}
+
+// TestTable2Counts pins Table 2's rows to the powers of two up to -max, and
+// a -max below 1 to a usage error raised before anything is timed.
+func TestTable2Counts(t *testing.T) {
+	for _, row := range []struct {
+		max  int
+		want []int
+	}{
+		{1, []int{1}},
+		{2, []int{1, 2}},
+		{3, []int{1, 2}},
+		{4, []int{1, 2, 4}},
+		{8, []int{1, 2, 4, 8}},
+		{16, []int{1, 2, 4, 8, 16}},
+	} {
+		got, err := table2Counts(row.max)
+		if err != nil || !slices.Equal(got, row.want) {
+			t.Errorf("-max %d: rows %v (%v), want %v", row.max, got, err, row.want)
+		}
+	}
+	// The doubling stops at overflow: 2^0 through 2^62.
+	if got, err := table2Counts(math.MaxInt); err != nil || len(got) != 63 {
+		t.Errorf("-max MaxInt: %d rows (%v), want 63", len(got), err)
+	}
+	for _, max := range []string{"0", "-1"} {
+		err := cmdTable2([]string{"-max", max})
+		if err == nil || !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), "-max") {
+			t.Errorf("-max %s: got %v, want a usage error naming -max", max, err)
 		}
 	}
 }

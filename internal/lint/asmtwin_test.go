@@ -1,11 +1,6 @@
 package lint
 
 import (
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"testing"
@@ -22,19 +17,7 @@ func analyzeAsmTwinFixture(t *testing.T, src, testSrc string) []Diagnostic {
 			t.Fatal(err)
 		}
 	}
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "fixture.go", src, parser.ParseComments|parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatalf("parse fixture: %v", err)
-	}
-	info := newInfo()
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	path := "example.com/m/internal/kernels"
-	tpkg, err := conf.Check(path, fset, []*ast.File{f}, info)
-	if err != nil {
-		t.Fatalf("type-check fixture: %v", err)
-	}
-	pkg := &Package{Path: path, Dir: dir, Fset: fset, Files: []*ast.File{f}, TPkg: tpkg, Info: info}
+	pkg := checkFixture(t, "example.com/m/internal/kernels", dir, src)
 	return Run([]*Package{pkg}, []*Analyzer{AsmTwin})
 }
 

@@ -3,9 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
-	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
@@ -24,19 +22,24 @@ func analyzeFixture(t *testing.T, path, src string, analyzers ...*Analyzer) []Di
 // ignore-directive detection).
 func analyzeFixtureOpts(t *testing.T, path, src string, opts Options, analyzers ...*Analyzer) []Diagnostic {
 	t.Helper()
-	fset := token.NewFileSet()
+	return RunOpts([]*Package{checkFixture(t, path, ".", src)}, analyzers, opts)
+}
+
+// checkFixture type-checks src as the one file of package path in directory
+// dir, through the process's shared file set and standard-library importer.
+func checkFixture(t *testing.T, path, dir, src string) *Package {
+	t.Helper()
 	f, err := parser.ParseFile(fset, "fixture.go", src, parser.ParseComments|parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatalf("parse fixture: %v", err)
 	}
 	info := newInfo()
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	conf := types.Config{Importer: std}
 	tpkg, err := conf.Check(path, fset, []*ast.File{f}, info)
 	if err != nil {
 		t.Fatalf("type-check fixture: %v", err)
 	}
-	pkg := &Package{Path: path, Dir: ".", Fset: fset, Files: []*ast.File{f}, TPkg: tpkg, Info: info}
-	return RunOpts([]*Package{pkg}, analyzers, opts)
+	return &Package{Path: path, Dir: dir, Fset: fset, Files: []*ast.File{f}, TPkg: tpkg, Info: info}
 }
 
 // loadTempModule writes the files (paths relative to the module root, which
@@ -44,6 +47,17 @@ func analyzeFixtureOpts(t *testing.T, path, src string, opts Options, analyzers 
 // in it. Used by the cross-package and escape-gate tests, which need real
 // package boundaries rather than a single fixture file.
 func loadTempModule(t *testing.T, modpath string, files map[string]string) (string, []*Package) {
+	t.Helper()
+	dir := writeTempModule(t, modpath, files)
+	pkgs, err := LoadPackages(dir, []string{dir + string(filepath.Separator) + "..."})
+	if err != nil {
+		t.Fatalf("loading temp module: %v", err)
+	}
+	return dir, pkgs
+}
+
+// writeTempModule writes loadTempModule's files and returns the module root.
+func writeTempModule(t *testing.T, modpath string, files map[string]string) string {
 	t.Helper()
 	dir := t.TempDir()
 	all := map[string]string{"go.mod": "module " + modpath + "\n\ngo 1.22\n"}
@@ -59,11 +73,7 @@ func loadTempModule(t *testing.T, modpath string, files map[string]string) (stri
 			t.Fatal(err)
 		}
 	}
-	pkgs, err := LoadPackages(dir, []string{dir + string(filepath.Separator) + "..."})
-	if err != nil {
-		t.Fatalf("loading temp module: %v", err)
-	}
-	return dir, pkgs
+	return dir
 }
 
 // finding is one expected diagnostic: the line it lands on and a substring

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -11,7 +12,31 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
+
+// fset is the one file set of the process. Every Loader and the standard
+// library importer record their files in it, so a position from any package
+// resolves through any Package's Fset.
+var fset = token.NewFileSet()
+
+// std imports the standard library from source for the whole process: each
+// package is type-checked once, however many Loaders ask for it.
+var std = &lockedImporter{imp: importer.ForCompiler(fset, "source", nil)}
+
+// lockedImporter serializes a types.Importer that is not safe for
+// concurrent use.
+type lockedImporter struct {
+	mu  sync.Mutex
+	imp types.Importer
+}
+
+// Import imports path with the lock held.
+func (i *lockedImporter) Import(path string) (*types.Package, error) {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return i.imp.Import(path)
+}
 
 // Package is one type-checked, non-test package of the module.
 type Package struct {
@@ -19,7 +44,7 @@ type Package struct {
 	Path string
 	// Dir is the package's directory on disk.
 	Dir string
-	// Fset is the file set shared by every package of a load.
+	// Fset is the process's one file set, shared by every package.
 	Fset *token.FileSet
 	// Files are the parsed non-test source files, sorted by name.
 	Files []*ast.File
@@ -34,15 +59,13 @@ type Package struct {
 
 // Loader parses and type-checks module packages using only the standard
 // library: module-internal imports are resolved against the source tree and
-// everything else is delegated to the go/importer source importer, so the
+// everything else is delegated to the shared source importer std, so the
 // tool needs no dependencies beyond the Go installation itself.
 type Loader struct {
-	fset       *token.FileSet
 	moduleDir  string
 	modulePath string
 	pkgs       map[string]*Package
 	loading    map[string]bool
-	std        types.Importer
 	uses       *useIndex // module-wide use index, built on first request
 }
 
@@ -56,14 +79,11 @@ func NewLoader(dir string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
 	return &Loader{
-		fset:       fset,
 		moduleDir:  moduleDir,
 		modulePath: modulePath,
 		pkgs:       make(map[string]*Package),
 		loading:    make(map[string]bool),
-		std:        importer.ForCompiler(fset, "source", nil),
 	}, nil
 }
 
@@ -109,7 +129,7 @@ func (l *Loader) importPathFor(dir string) (string, error) {
 // source, everything else comes from the standard-library source importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if !l.inModule(path) {
-		return l.std.Import(path)
+		return std.Import(path)
 	}
 	p, err := l.load(path)
 	if err != nil {
@@ -118,9 +138,10 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	return p.TPkg, nil
 }
 
-// goFilesIn lists the non-test .go files of dir that a default `go build`
-// on the host platform would compile (see fileConstraintSatisfied), sorted
-// by name.
+// goFilesIn lists, sorted by name, the non-test .go files of dir that a
+// default `go build` would compile: go/build's filename and //go:build rules
+// for the host platform, with no extra tags (the purego tier is the
+// `-tags purego` test run's, not the linter's).
 func goFilesIn(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -129,16 +150,17 @@ func goFilesIn(dir string) ([]string, error) {
 	var names []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		if !fileConstraintSatisfied(dir, name) {
-			continue
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
 		}
-		names = append(names, name)
+		if ok {
+			names = append(names, name)
+		}
 	}
-	sort.Strings(names)
 	return names, nil
 }
 
@@ -163,7 +185,7 @@ func (l *Loader) load(path string) (*Package, error) {
 	}
 	files := make([]*ast.File, 0, len(names))
 	for _, name := range names {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
@@ -171,11 +193,11 @@ func (l *Loader) load(path string) (*Package, error) {
 	}
 	info := newInfo()
 	conf := types.Config{Importer: l}
-	tpkg, err := conf.Check(path, l.fset, files, info)
+	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	p := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, TPkg: tpkg, Info: info, loader: l}
+	p := &Package{Path: path, Dir: dir, Fset: fset, Files: files, TPkg: tpkg, Info: info, loader: l}
 	l.pkgs[path] = p
 	return p, nil
 }
@@ -198,7 +220,7 @@ func walkPackageDirs(root string, visit func(dir string) error) error {
 		}
 		names, err := goFilesIn(p)
 		if err != nil || len(names) == 0 {
-			return nil
+			return err
 		}
 		return visit(p)
 	})

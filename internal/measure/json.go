@@ -4,71 +4,37 @@ import "encoding/json"
 
 // JSON codecs for the measurement types. One encoder serves every consumer:
 // the `wlansim -format json` CLI output and the wlansimd daemon's HTTP
-// responses marshal through the same methods, so a client decoding a served
-// series sees exactly the document an in-process run would have printed.
+// responses marshal through the same field tags and methods, so a client
+// decoding a served series sees exactly the document an in-process run
+// would have printed, and a point of the daemon's NDJSON stream is
+// byte-identical to the matching entry of the final series document.
 //
 // Floating-point fields round-trip exactly: encoding/json emits the shortest
 // decimal that parses back to the identical float64 bit pattern (including
 // negative zero), so a decoded series is Float64bits-identical to the
 // encoded one. NaN and infinities are not representable in JSON and fail to
 // encode; measurement series never carry them.
-
-// pointJSON is the wire form of a Point. Every field is always present —
-// omitempty on float columns would erase the sign of a negative zero and
-// make the CI columns appear and disappear between points.
-type pointJSON struct {
-	X      float64 `json:"x"`
-	Y      float64 `json:"y"`
-	CILo   float64 `json:"ci95_lo"`
-	CIHi   float64 `json:"ci95_hi"`
-	Bits   int     `json:"bits"`
-	Errors int     `json:"errors"`
-}
+//
+// Point and Figure encode through their field tags. Series has its own
+// codec because its cache statistics are written only when a stage cache
+// ran.
 
 // seriesJSON is the wire form of a Series.
 type seriesJSON struct {
 	Label  string      `json:"label"`
 	XLabel string      `json:"x_label"`
 	YLabel string      `json:"y_label"`
-	Points []pointJSON `json:"points"`
+	Points []Point     `json:"points"`
 	Cache  *CacheStats `json:"cache,omitempty"`
 }
 
-// figureJSON is the wire form of a Figure.
-type figureJSON struct {
-	Title  string            `json:"title"`
-	Series []json.RawMessage `json:"series"`
-}
-
-// MarshalJSON renders a single point in the same wire form the series
-// encoder uses for its points array — the daemon's NDJSON stream emits
-// points through this, so a streamed point and the matching entry of the
-// final series document are byte-identical.
-func (p Point) MarshalJSON() ([]byte, error) {
-	return json.Marshal(pointJSON{X: p.X, Y: p.Y, CILo: p.CILo, CIHi: p.CIHi, Bits: p.Bits, Errors: p.Errors})
-}
-
-// UnmarshalJSON restores a point from its wire form.
-func (p *Point) UnmarshalJSON(data []byte) error {
-	var in pointJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	*p = Point{X: in.X, Y: in.Y, CILo: in.CILo, CIHi: in.CIHi, Bits: in.Bits, Errors: in.Errors}
-	return nil
-}
-
 // MarshalJSON renders the series with its full point annotations (CI bounds,
-// sample counts) and, when a stage cache ran, its CacheStats.
+// sample counts) and, when a stage cache ran, its CacheStats. A series
+// without points encodes an empty points array.
 func (s *Series) MarshalJSON() ([]byte, error) {
-	out := seriesJSON{
-		Label:  s.Label,
-		XLabel: s.XLabel,
-		YLabel: s.YLabel,
-		Points: make([]pointJSON, len(s.Points)),
-	}
-	for i, p := range s.Points {
-		out.Points[i] = pointJSON{X: p.X, Y: p.Y, CILo: p.CILo, CIHi: p.CIHi, Bits: p.Bits, Errors: p.Errors}
+	out := seriesJSON{Label: s.Label, XLabel: s.XLabel, YLabel: s.YLabel, Points: s.Points}
+	if out.Points == nil {
+		out.Points = []Point{}
 	}
 	if s.Cache.Enabled {
 		c := s.Cache
@@ -86,46 +52,10 @@ func (s *Series) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &in); err != nil {
 		return err
 	}
-	s.Label, s.XLabel, s.YLabel = in.Label, in.XLabel, in.YLabel
-	s.Points = make([]Point, len(in.Points))
-	for i, p := range in.Points {
-		s.Points[i] = Point{X: p.X, Y: p.Y, CILo: p.CILo, CIHi: p.CIHi, Bits: p.Bits, Errors: p.Errors}
-	}
+	s.Label, s.XLabel, s.YLabel, s.Points = in.Label, in.XLabel, in.YLabel, in.Points
+	s.Cache = CacheStats{}
 	if in.Cache != nil {
 		s.Cache = *in.Cache
-	} else {
-		s.Cache = CacheStats{}
-	}
-	return nil
-}
-
-// MarshalJSON renders the figure as a title plus its series documents.
-func (f *Figure) MarshalJSON() ([]byte, error) {
-	out := figureJSON{Title: f.Title, Series: make([]json.RawMessage, len(f.Series))}
-	for i, s := range f.Series {
-		b, err := s.MarshalJSON()
-		if err != nil {
-			return nil, err
-		}
-		out.Series[i] = b
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON restores a figure from its wire form.
-func (f *Figure) UnmarshalJSON(data []byte) error {
-	var in figureJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	f.Title = in.Title
-	f.Series = make([]*Series, len(in.Series))
-	for i, raw := range in.Series {
-		s := new(Series)
-		if err := s.UnmarshalJSON(raw); err != nil {
-			return err
-		}
-		f.Series[i] = s
 	}
 	return nil
 }

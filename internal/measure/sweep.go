@@ -7,20 +7,23 @@ import (
 )
 
 // Point is one (x, y) sample of a swept measurement, optionally annotated
-// with the statistical quality of the Y estimate.
+// with the statistical quality of the Y estimate. Its JSON form (see
+// json.go) always carries every field: omitempty on the float columns would
+// erase the sign of a negative zero and make the CI columns come and go
+// between points.
 type Point struct {
-	X float64
-	Y float64
+	X float64 `json:"x"`
+	Y float64 `json:"y"`
 	// CILo and CIHi bound the 95% confidence interval of Y when the sweep
 	// recorded one (BER sweeps do); both stay zero when not measured.
-	CILo float64
-	CIHi float64
+	CILo float64 `json:"ci95_lo"`
+	CIHi float64 `json:"ci95_hi"`
 	// Bits and Errors are the underlying Monte-Carlo sample counts behind
 	// Y for error-rate measurements (zero otherwise). They make early
 	// stopping observable: a point that reached its target error count
 	// with fewer bits carries a wider confidence interval.
-	Bits   int
-	Errors int
+	Bits   int `json:"bits"`
+	Errors int `json:"errors"`
 }
 
 // Series is a named curve: one line of a figure.
@@ -79,8 +82,8 @@ func (s *Series) YAt(x float64) (float64, bool) {
 // Figure is a collection of series sharing axes — one paper figure.
 type Figure struct {
 	// Title names the figure (e.g. "Figure 5: BER vs filter bandwidth").
-	Title  string
-	Series []*Series
+	Title  string    `json:"title"`
+	Series []*Series `json:"series"`
 }
 
 // String renders the figure as an aligned text table, one row per X value

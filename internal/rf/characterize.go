@@ -76,16 +76,15 @@ func (c *Characterizer) MeasureP1dB(b Block, stepDB float64) (float64, error) {
 		stepDB = 0.25
 	}
 	g0 := c.MeasureGain(b, -80)
-	prev := -80.0
+	prev, gPrev := -80.0, g0
 	for pin := -80 + stepDB; pin <= 20; pin += stepDB {
 		g := c.MeasureGain(b, pin)
 		if g0-g >= 1 {
 			// Linear interpolation between the last two points.
-			gPrev := c.MeasureGain(b, prev)
 			frac := (g0 - 1 - gPrev) / (g - gPrev)
 			return prev + frac*(pin-prev), nil
 		}
-		prev = pin
+		prev, gPrev = pin, g
 	}
 	return 0, fmt.Errorf("rf: no 1 dB compression found up to +20 dBm (linear block?)")
 }
